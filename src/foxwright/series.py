@@ -19,6 +19,16 @@ gamma factors and of 1/k! combine exactly into -epsilon*k*log(k); that
 coefficient, the k-linear one, and log(k) itself are carried as head/tail
 double pairs, keeping the absolute error of a term log near 1e-14 no matter
 how large the cancelled log-gammas were.
+
+Summation runs in two phases over one table of those coefficients.  The
+first 32 terms of a call (counted from its start index) are generated and
+summed one at a time, so the many calls that stop within a few dozen terms
+pay no array overhead.  A series still running after that continues in
+numpy blocks of 64, 128, 256 and then 512 terms: the same head/tail
+arithmetic applied element-wise (the error-free transforms are exact on IEEE
+float64 arrays), each block summed with ``math.fsum`` and tested against the
+same stop rule, so a block ends the series at the same term as the one-term
+loop would.
 """
 
 from __future__ import annotations
@@ -26,12 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DivergentSeriesError,
     NoConvergenceError,
     ParameterError,
 )
-from .gammakit import digamma, log_gamma
+from .gammakit import _HALF_LN_TWO_PI, _LNGAMMA_TAIL, digamma, log_gamma
 
 __all__ = [
     "FoxWrightParams",
@@ -209,6 +221,8 @@ def _log_term_at_zero(params: FoxWrightParams) -> float:
 #
 # The error-free transforms below (Knuth two-sum, Dekker two-product) are the
 # standard ones; arguments stay far below the 1e300 split overflow range.
+# They take floats and float64 arrays alike: numpy rounds each element-wise
+# operation as IEEE does and never fuses a multiply-add.
 
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -289,30 +303,26 @@ def _log_int_dd(k: int) -> tuple[float, float]:
     return _dd_add(ph, pe + e * _LN2_LO, math.log(m), 0.0)
 
 
-# Stirling domain and tail coefficients B_{2n}/(2n(2n-1)), n = 1..9; at
-# x = 12 the truncated series is accurate to ~1e-19 absolute.
+def _log_ints_dd(fk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise _log_int_dd over a float array of positive integers."""
+    m, e = np.frexp(fk)
+    low = m < _SQRT_HALF
+    m[low] *= 2.0
+    e = (e - low).astype(float)
+    ph, pe = _two_prod(e, _LN2_HI)
+    return _dd_add(ph, pe + e * _LN2_LO, np.log(m), 0.0)
+
+
+# Stirling domain: from x = 12 on, the first nine coefficients of the
+# lnGamma table leave the truncated series accurate to ~1e-19 absolute.
 _EXPAND_MIN = 12.0
 
-_STIRLING_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-)
 
-_HALF_LN_TWO_PI = 0.9189385332046727417803297
-
-
-def _stirling_tail(x: float) -> float:
-    # valid for x >= _EXPAND_MIN
+def _stirling_tail(x):
+    # valid for x >= _EXPAND_MIN; x is a float or a float array
     r = 1.0 / (x * x)
-    s = _STIRLING_TAIL[-1]
-    for c in reversed(_STIRLING_TAIL[:-1]):
+    s = _LNGAMMA_TAIL[8]
+    for c in reversed(_LNGAMMA_TAIL[:8]):
         s = s * r + c
     return s / x
 
@@ -320,84 +330,118 @@ def _stirling_tail(x: float) -> float:
 class _TermLogs:
     """Stabilized per-term log magnitudes for one summation run.
 
-    ``at(k)`` returns log|term k| as a head/tail pair.  Factors whose
-    argument a + w*k has reached _EXPAND_MIN contribute through the Stirling
-    form expanded around w*k: summed over those factors (1/k! included as a
-    lower factor with a = w = 1) the k*ln(k) coefficients collapse to
-    -epsilon of the participating subset, held as an exact pair, while every
-    remaining piece is O(parameters * ln k) and goes through one fsum.
-    Factors still below the threshold contribute their log-gamma directly,
-    which is harmless precisely because those values are small.  Calls must
-    come with nondecreasing k (the factor partition only ever grows).
+    ``at(k)`` returns log|term k| as a head/tail pair, ``block(k0, k1)`` the
+    same for k0 <= k < k1 as head/tail arrays.  Factors whose argument
+    a + w*k has reached _EXPAND_MIN contribute through the Stirling form
+    expanded around w*k.  Summed over those factors (1/k! included as a
+    lower factor with a = w = 1) the pieces collapse into one coefficient
+    table that ``_advance`` keeps: sum sigma*w (the k*ln(k) coefficient,
+    -epsilon of the participating subset), the k-linear coefficient
+    ln|z| + sum sigma*w*(ln(w) - 1), the ln(k) coefficient sum sigma*(a - 1/2),
+    all as exact pairs, and a k-independent constant.  What is left per factor is
+    O(a) and goes through one fsum.  Factors still below the threshold
+    contribute their log-gamma directly, which is harmless precisely because
+    those values are small.  Calls must come with nondecreasing k (the factor
+    partition only ever grows), and k = 0 only as the first call.
     """
 
     def __init__(self, params: FoxWrightParams, z: float) -> None:
-        self._lzh, self._lzl = _dd_log(abs(z))
-        self._const = 0.0
+        self._consts: list[float] = []  # k-independent pieces of the term log
         waiting = []
         for sg, pairs in ((1.0, params.upper), (-1.0, params.lower + ((1.0, 1.0),))):
             for a, w in pairs:
                 if w == 0.0:
-                    self._const += sg * log_gamma(a)
+                    self._consts.append(sg * log_gamma(a))
                     continue
                 cross = (_EXPAND_MIN - a) / w
                 if not cross < 1e9:  # never within any max_terms budget
                     cross = math.inf
                 waiting.append((max(1, math.ceil(cross)) if cross < math.inf
                                 else math.inf, a, w, sg))
+        self._base = math.fsum(self._consts)
         self._waiting = sorted(waiting, key=lambda rec: rec[0])
-        self._expanded: list[tuple[float, float, float, float, float]] = []
+        self._expanded: list[tuple[float, float, float]] = []  # (a, w, sigma)
         self._sh = self._sl = 0.0  # sum of sigma*w over expanded factors
-        self._ch, self._cl = self._lzh, self._lzl  # k-linear log coefficient
+        self._ch, self._cl = _dd_log(abs(z))  # k-linear log coefficient
+        self._mh = self._ml = 0.0  # sum of sigma*(a - 1/2): ln(k) coefficient
 
     def _advance(self, k: int) -> None:
         while self._waiting and self._waiting[0][0] <= k:
             _, a, w, sg = self._waiting.pop(0)
             lwh, lwl = _dd_log(w)
-            self._expanded.append((a, w, sg, lwh, lwl))
+            am = a - 0.5
+            self._expanded.append((a, w, sg))
             self._sh, self._sl = _dd_add(self._sh, self._sl, sg * w, 0.0)
             ph, pe = _two_prod(w, lwh)
             self._ch, self._cl = _dd_add(self._ch, self._cl,
                                          sg * ph, sg * (pe + w * lwl))
+            self._ch, self._cl = _dd_add(self._ch, self._cl, -sg * w, 0.0)
+            self._mh, self._ml = _dd_add(self._mh, self._ml, sg * am, 0.0)
+            ph, pe = _two_prod(am, lwh)
+            self._consts += [sg * ph, sg * (pe + am * lwl), -sg * a,
+                             sg * _HALF_LN_TWO_PI]
+        self._base = math.fsum(self._consts)
+
+    def _collapsed(self, fk, lkh, lkl):
+        # k*(ln|z| + sum sigma*w*(ln w - 1))
+        # + (k*sum(sigma*w) + sum(sigma*(a - 1/2)))*ln k,
+        # for a float k or a float array of k
+        ph, pe = _two_prod(self._ch, fk)
+        h, l = _two_sum(ph, pe + self._cl * fk)
+        bh, be = _two_prod(self._sh, fk)
+        bh, bl = _dd_add(bh, be + self._sl * fk, self._mh, self._ml)
+        ph, pe = _two_prod(bh, lkh)
+        return _dd_add(h, l, ph, pe + bh * lkl + bl * lkh)
 
     def at(self, k: int) -> tuple[float, float]:
         if k == 0:
-            base = self._const
+            base = self._base
             for rec in self._waiting:
                 base += rec[3] * log_gamma(rec[1])
-            for a, _, sg, _, _ in self._expanded:
-                base += sg * log_gamma(a)
             return base, 0.0
         if self._waiting and self._waiting[0][0] <= k:
             self._advance(k)
         fk = float(k)
-        lkh, lkl = _log_int_dd(k)
-        items = [self._const]
+        items = [self._base]
         for _, a, w, sg in self._waiting:
             items.append(sg * log_gamma(a + w * fk))
-        for a, w, sg, lwh, lwl in self._expanded:
+        for a, w, sg in self._expanded:
             wk = w * fk
-            d = math.log1p(a / wk)
-            am = a - 0.5
-            items.append(sg * (wk * d))
-            items.append(sg * (am * lwh))
-            items.append(sg * (am * lwl))
-            items.append(sg * (am * lkh))
-            items.append(sg * (am * lkl))
-            items.append(sg * (am * d))
-            items.append(-sg * a)
-            items.append(sg * _HALF_LN_TWO_PI)
-            items.append(sg * _stirling_tail(a + wk))
-        # k * (ln|z| + sum sigma*w*ln w)
-        hh, he = _two_prod(self._ch, fk)
-        h, l = _two_sum(hh, he + self._cl * fk)
-        # sum(sigma*w) * k * (ln k - 1)
-        qh, qe = _two_prod(self._sh, fk)
-        ql = qe + self._sl * fk
-        mh, me = _two_prod(qh, lkh)
-        h, l = _dd_add(h, l, mh, me + qh * lkl + ql * lkh)
-        h, l = _dd_add(h, l, -qh, -ql)
+            items.append(sg * ((wk + (a - 0.5)) * math.log1p(a / wk)
+                               + _stirling_tail(a + wk)))
+        h, l = self._collapsed(fk, *_log_int_dd(k))
         return _dd_add(h, l, math.fsum(items), 0.0)
+
+    def block(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+        # split where a factor crosses _EXPAND_MIN, so that the coefficient
+        # table is fixed within each span
+        spans = []
+        while k0 < k1:
+            if self._waiting and self._waiting[0][0] <= k0:
+                self._advance(k0)
+            hi = min(k1, self._waiting[0][0]) if self._waiting else k1
+            spans.append(self._span(k0, hi))
+            k0 = hi
+        if len(spans) == 1:
+            return spans[0]
+        return (np.concatenate([h for h, _ in spans]),
+                np.concatenate([l for _, l in spans]))
+
+    def _span(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+        fk = np.arange(k0, k1, dtype=float)
+        h, l = self._collapsed(fk, *_log_ints_dd(fk))
+        parts = [sg * np.array([log_gamma(x) for x in (a + w * fk).tolist()])
+                 for _, a, w, sg in self._waiting]
+        if self._expanded:
+            a, w, sg = np.array(self._expanded).T[:, :, None]
+            wk = w * fk
+            parts.append((sg * ((wk + (a - 0.5)) * np.log1p(a / wk)
+                                + _stirling_tail(a + wk))).sum(axis=0))
+        rh, rl = self._base, 0.0
+        for p in parts:
+            rh, e = _two_sum(rh, p)
+            rl = rl + e
+        return _dd_add(h, l, rh, rl)
 
 
 def _require_convergent(params: FoxWrightParams) -> None:
@@ -429,6 +473,38 @@ def _assemble(scale_h: float, scale_l: float, total: float, total_abs: float,
     else:
         value = sgn * math.inf
     return EvalResult(value, terms, tail, cond, log_mag, sgn)
+
+
+# Terms summed one at a time from a call's start index before the engine
+# switches to numpy blocks, whose sizes double from _BLOCK_MIN to _BLOCK_MAX.
+# A block costs a few hundred microseconds of array-call overhead, about as
+# much as 20 one-term steps, while most calls stop within 10-30 terms.
+_SCALAR_TERMS = 32
+_BLOCK_MIN = 64
+_BLOCK_MAX = 512
+
+
+def _term_overflow(k: int, lh: float) -> OverflowError:
+    return OverflowError(
+        f"term k={k} has log-magnitude {lh:.6g}, beyond double "
+        "range; re-run with log_mode")
+
+
+def _neumaier(total: float, comp: float, x: float) -> tuple[float, float]:
+    s = total + x
+    if abs(total) >= abs(x):
+        return s, comp + ((total - s) + x)
+    return s, comp + ((x - s) + total)
+
+
+def _ratio(prev_h: float, prev_l: float, lh: float, ll: float) -> float:
+    # magnitude ratio of a term to the one before it, from their log pairs
+    if lh == -math.inf:
+        return 0.0
+    if prev_h == -math.inf:
+        return math.inf
+    d = (lh - prev_h) + (ll - prev_l)
+    return math.exp(d) if d < _LOG_DOUBLE_MAX else math.inf
 
 
 def _sum_series(params: FoxWrightParams, z: float, cfg: EvalConfig,
@@ -468,8 +544,9 @@ def _sum_series(params: FoxWrightParams, z: float, cfg: EvalConfig,
     streak = 0
     terms = 0
     stopped = False
+    end = start + cfg.max_terms
 
-    for k in range(start, start + cfg.max_terms):
+    for k in range(start, min(start + _SCALAR_TERMS, end)):
         lh, ll = gen.at(k)
         sign = -1.0 if (neg and k % 2 == 1) else 1.0
         if weight is not None:
@@ -482,9 +559,7 @@ def _sum_series(params: FoxWrightParams, z: float, cfg: EvalConfig,
                 lh, ll = _dd_add(lh, ll, math.log(abs(w)), 0.0)
         terms += 1
         if lh > _LOG_DOUBLE_MAX and not cfg.log_mode:
-            raise OverflowError(
-                f"term k={k} has log-magnitude {lh:.6g}, beyond double "
-                "range; re-run with log_mode")
+            raise _term_overflow(k, lh)
 
         if lh > scale_h:
             if scale_h > -math.inf:
@@ -498,31 +573,10 @@ def _sum_series(params: FoxWrightParams, z: float, cfg: EvalConfig,
             t = math.exp(lh - scale_h) * (1.0 + (ll - scale_l))
         else:
             t = 0.0
+        total, comp = _neumaier(total, comp, sign * t)
+        total_abs, comp_abs = _neumaier(total_abs, comp_abs, t)
 
-        x = sign * t
-        s = total + x
-        if abs(total) >= abs(x):
-            comp += (total - s) + x
-        else:
-            comp += (x - s) + total
-        total = s
-
-        s = total_abs + t
-        if total_abs >= t:
-            comp_abs += (total_abs - s) + t
-        else:
-            comp_abs += (t - s) + total_abs
-        total_abs = s
-
-        if prev_h is None:
-            ratio = math.inf
-        elif lh == -math.inf:
-            ratio = 0.0
-        elif prev_h == -math.inf:
-            ratio = math.inf
-        else:
-            d = (lh - prev_h) + (ll - prev_l)
-            ratio = math.exp(d) if d < _LOG_DOUBLE_MAX else math.inf
+        ratio = math.inf if prev_h is None else _ratio(prev_h, prev_l, lh, ll)
         prev_h, prev_l = lh, ll
         last_h = lh
 
@@ -536,6 +590,67 @@ def _sum_series(params: FoxWrightParams, z: float, cfg: EvalConfig,
         if streak >= 3 and ratio < 1.0:
             stopped = True
             break
+
+    k = start + _SCALAR_TERMS
+    size = _BLOCK_MIN
+    while not stopped and k < end:
+        n = min(size, end - k)
+        lh, ll = gen.block(k, k + n)
+        sign = np.ones(n)
+        if neg:
+            sign[(k + 1) % 2::2] = -1.0
+        if weight is not None:
+            w = np.array([weight(j) for j in range(k, k + n)])
+            sign[w < 0.0] *= -1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lh, ll = _dd_add(lh, ll, np.log(np.abs(w)), 0.0)
+            lh[w == 0.0] = -math.inf
+            ll[w == 0.0] = 0.0
+
+        top = int(np.argmax(lh))
+        top_h, top_l = float(lh[top]), float(ll[top])
+        if top_h > scale_h:
+            if scale_h > -math.inf:
+                f = math.exp(scale_h - top_h) * (1.0 + (scale_l - top_l))
+                total *= f
+                comp *= f
+                total_abs *= f
+                comp_abs *= f
+            scale_h, scale_l = top_h, top_l
+        if scale_h > -math.inf:
+            t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
+        else:
+            t = np.zeros(n)
+        x = sign * t
+
+        # the stop rule of the one-term loop, tested on cumsum partial sums;
+        # the terms up to the stop are then added with fsum
+        partial = np.abs((total + comp) + np.cumsum(x))
+        small = (lh == -math.inf) | (t <= cfg.rel_tol * partial)
+        run = np.concatenate(([streak >= 2, streak >= 1], small))
+        used = n
+        for i in np.flatnonzero(run[2:] & run[1:-1] & run[:-2]).tolist():
+            ph, pl = (prev_h, prev_l) if i == 0 else (lh[i - 1], ll[i - 1])
+            ratio = _ratio(float(ph), float(pl), float(lh[i]), float(ll[i]))
+            if ratio < 1.0:
+                used = i + 1
+                stopped = True
+                break
+        if not cfg.log_mode:
+            over = np.flatnonzero(lh[:used] > _LOG_DOUBLE_MAX)
+            if over.size:
+                raise _term_overflow(k + int(over[0]), float(lh[over[0]]))
+
+        total, comp = _neumaier(total, comp, math.fsum(x[:used].tolist()))
+        total_abs, comp_abs = _neumaier(total_abs, comp_abs,
+                                        math.fsum(t[:used].tolist()))
+        terms += used
+        prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
+        last_h = prev_h
+        large = np.flatnonzero(~small)
+        streak = streak + n if large.size == 0 else n - 1 - int(large[-1])
+        k += n
+        size = min(2 * size, _BLOCK_MAX)
 
     if not stopped:
         raise NoConvergenceError(

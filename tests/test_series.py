@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +22,10 @@ from foxwright import (
     evaluate_normalized,
     evaluate_tail,
     evaluate_tilde,
+    hp_eval,
     log_term,
 )
+from foxwright import series
 
 # generic reference instance; values from 40-digit summation of the
 # defining gamma-product series
@@ -128,9 +131,39 @@ def test_overflow_and_log_mode():
     assert res.sign == 1
 
 
+def test_log_mode_beyond_double_range_in_blocks():
+    # sum z^k/(k+1)! = (e^z - 1)/z, about e^793 here: its ~1000 terms run
+    # almost all in the block phase
+    params = FoxWrightParams(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
+    res = evaluate(params, 800.0, EvalConfig(log_mode=True))
+    assert res.terms_used > 900
+    assert math.isinf(res.value) and res.sign == 1
+    assert abs(res.log_magnitude - (800.0 - math.log(800.0))) <= 1e-12 * 800.0
+
+
+def test_term_overflow_is_raised_at_the_first_term_past_the_range():
+    # the first term of e^800 beyond the double range lies deep in a block
+    k = next(k for k in range(1000)
+             if k * math.log(800.0) - math.lgamma(k + 1.0) > 709.782712893384)
+    assert k > 32 + 64
+    with pytest.raises(OverflowError, match=f"term k={k} "):
+        evaluate(FoxWrightParams(), 800.0)
+
+
 def test_no_convergence_when_budget_too_small():
     with pytest.raises(NoConvergenceError):
         evaluate(FoxWrightParams(), 15.0, EvalConfig(max_terms=8))
+
+
+def test_budget_that_cuts_a_block_short():
+    # 100 terms: 32 one at a time, a block of 64, then a block cut to 4;
+    # e^37 needs 98 terms, e^39 needs 102
+    cfg = EvalConfig(max_terms=100)
+    res = evaluate(FoxWrightParams(), 37.0, cfg)
+    assert res.terms_used == 98
+    assert _rel(res.value, math.exp(37.0)) <= 1e-15
+    with pytest.raises(NoConvergenceError, match="within 100 terms"):
+        evaluate(FoxWrightParams(), 39.0, cfg)
 
 
 def test_log_term_matches_direct_product():
@@ -149,6 +182,82 @@ def test_derivative_reference_value():
 def test_dbeta1_reference_value():
     res = dbeta1(P1, 2.0)
     assert abs(res.value - P1_DBETA1_Z2) <= 1e-10 * abs(P1_DBETA1_Z2)
+
+
+# a factor (2.0, 0.2) reaching the Stirling threshold 12 at k = 50, inside
+# the first block, next to factors expanded from the start
+P_CROSS = FoxWrightParams(upper=((2.0, 0.2), (1.3, 0.7)),
+                          lower=((0.9, 0.35),))
+
+
+@pytest.mark.parametrize("params,z", [(P1, 3.5), (P_CROSS, -7.25)])
+def test_block_term_logs_match_one_term_logs(params, z):
+    one = series._TermLogs(params, z)
+    ref = [one.at(k) for k in range(1, 400)]
+    blocks = series._TermLogs(params, z)
+    for k0, k1 in ((1, 20), (20, 84), (84, 400)):
+        heads, tails = blocks.block(k0, k1)
+        assert heads.shape == tails.shape == (k1 - k0,)
+        for k, h, l in zip(range(k0, k1), heads.tolist(), tails.tolist()):
+            rh, rl = ref[k - 1]
+            assert abs((h - rh) + (l - rl)) <= 1e-14, k
+
+
+def test_long_alternating_series_reports_cancellation():
+    # e^-6 sums 44 terms of size up to 6^6/6! = 65
+    res = evaluate(FoxWrightParams(), -6.0)
+    assert res.terms_used > 32
+    assert res.condition_estimate > 1e5
+    ref = math.exp(-6.0)
+    assert abs(res.value - ref) <= 1e-15 * res.condition_estimate * ref
+    # e^-40 has its largest terms near k = 40, in the first block; the sum
+    # of their magnitudes, condition * |value|, is e^40
+    res = evaluate(FoxWrightParams(), -40.0)
+    assert res.condition_estimate > 1e10
+    assert _rel(res.condition_estimate * abs(res.value), math.exp(40.0)) <= 1e-13
+
+
+def test_tail_switches_to_blocks_after_32_terms(monkeypatch):
+    spans = []
+    block = series._TermLogs.block
+
+    def recording(self, k0, k1):
+        spans.append((k0, k1))
+        return block(self, k0, k1)
+
+    monkeypatch.setattr(series._TermLogs, "block", recording)
+    n = 4
+    res = evaluate_tail(P1, TailSpec(n), 9.0)
+    assert spans[0] == (n + 1 + 32, n + 1 + 32 + 64)
+    assert res.terms_used > 32
+    full = evaluate(P1, 9.0)
+    head = sum(math.exp(log_term(P1, 9.0, k)) for k in range(n + 1))
+    assert abs(full.value - head - res.value) <= 1e-12 * full.value
+
+
+# eps = 0.3 and z = 4 put the peak term near k = 500; both calls below sum
+# about 1,070 terms, nearly all of them in blocks
+P_LONG = FoxWrightParams(upper=((2.0, 1.2),), lower=((1.5, 0.5),))
+
+
+def test_long_derivative_matches_oracle():
+    res = derivative(P_LONG, 4.0)
+    assert res.terms_used > 1000
+    ref = float(hp_eval(P_LONG.shifted(), 4.0)[0])
+    assert abs(res.value - ref) <= res.tail_bound + 1e-13 * abs(ref)
+
+
+def test_long_dbeta1_matches_oracle():
+    res = dbeta1(P_LONG, 4.0)
+    assert res.terms_used > 1000
+    # central difference of 40-digit oracle values in beta_1; with
+    # h = 2^-30 its truncation error is ~1e-18 relative
+    h = 2.0 ** -30
+    up = hp_eval(P_LONG.with_lower_value(0, 1.5 + h), 4.0, digits=40)[0]
+    down = hp_eval(P_LONG.with_lower_value(0, 1.5 - h), 4.0, digits=40)[0]
+    with mp.workdps(40):
+        ref = float((mp.mpf(up) - mp.mpf(down)) / (2 * h))
+    assert abs(res.value - ref) <= res.tail_bound + 1e-13 * abs(ref)
 
 
 def test_shift_helpers():
