@@ -211,13 +211,19 @@ def _run_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_check(args: argparse.Namespace) -> int:
+def _run_check_or_sweep(args: argparse.Namespace) -> int:
+    """check and sweep: the same rows, judged by check, only counted by sweep."""
     spec = _load_grid(args)
     rows = run_suite(args.suite, spec, tol_abs=args.tol_abs,
                      tol_rel=args.tol_rel)
     _emit(_render(rows, spec.seed, args.format), args.out)
     to_file = bool(args.out)
     n, n_pass, n_failed, worst = _summarize(rows)
+    if args.command == "sweep":
+        _notify(f"suite {args.suite}: wrote {n} rows, "
+                f"{n - n_pass - n_failed} below tolerance, "
+                f"worst margin {worst!r}", to_file)
+        return 3 if n_failed else 0
     _notify(f"suite {args.suite}: {n_pass}/{n} passed, {n_failed} numerical "
             f"failures, worst margin {worst!r}", to_file)
     if args.suite == "kn-bound" and rows and rows[0].aux:
@@ -229,18 +235,6 @@ def _run_check(args: argparse.Namespace) -> int:
     if n_failed or not oracle_ok:
         return 3
     return 0 if n_pass == n else 1
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    spec = _load_grid(args)
-    rows = run_suite(args.suite, spec, tol_abs=args.tol_abs,
-                     tol_rel=args.tol_rel)
-    _emit(_render(rows, spec.seed, args.format), args.out)
-    n, n_pass, n_failed, worst = _summarize(rows)
-    _notify(f"suite {args.suite}: wrote {n} rows, "
-            f"{n - n_pass - n_failed} below tolerance, "
-            f"worst margin {worst!r}", bool(args.out))
-    return 3 if n_failed else 0
 
 
 def _run_explore(args: argparse.Namespace) -> int:
@@ -273,8 +267,8 @@ def _run_explore(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "eval": _run_eval,
-    "check": _run_check,
-    "sweep": _run_sweep,
+    "check": _run_check_or_sweep,
+    "sweep": _run_check_or_sweep,
     "explore": _run_explore,
 }
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .report import TOL_ABS, TOL_REL, InequalityReport, margin_passes
+from .report import TOL_ABS, TOL_REL, InequalityReport, value_report
 
 __all__ = [
     "log_gamma",
@@ -197,15 +197,6 @@ def gamma_inequality_check(z: float, a: float, b: float,
             f"gamma_inequality_check needs z > 0, a >= 0, b >= 0, got {(z, a, b)}")
     lhs = gamma_ratio(z + b, a)
     rhs = gamma_ratio(z, a)
-    margin = lhs - rhs
     err = 8.0 * 2.220446049250313e-16 * max(abs(lhs), abs(rhs))
-    return InequalityReport(
-        suite_id="gamma-ratio",
-        params_echo={"z": z, "a": a, "b": b},
-        z=z,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
-        err_estimate=err,
-    )
+    return value_report("gamma-ratio", {"z": z, "a": a, "b": b}, z,
+                        lhs, rhs, lhs - rhs, err, tol_abs, tol_rel)

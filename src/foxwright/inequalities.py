@@ -6,6 +6,12 @@ nonnegative means the inequality holds), an error estimate for the computed
 margin, and enough echo data to reproduce the comparison.  Products and
 powers are formed in log space so an overflowing side yields an honest
 +-inf margin instead of an exception.
+
+Every row is built by one of three helpers, so the pass rule lives in one
+place (report.margin_passes): report.value_report for sides already in
+value space, _log_report here for sides given by their logs, and
+report.worst_report for the checkers that judge a set of comparisons
+(ratio-monotone, kn-bound, chi) and report the one with the smallest margin.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from .report import (
     TOL_ABS,
     TOL_REL,
     InequalityReport,
-    margin_passes,
+    value_report,
+    worst_report,
 )
 from .series import (
     _DEFAULT_CFG,
@@ -83,6 +90,15 @@ def _diff_of_exp(la: float, lb: float) -> float:
     return m
 
 
+def _log_report(suite_id: str, params_echo: dict, z: float, la: float,
+                lb: float, err: float, tol_abs: float, tol_rel: float,
+                aux: dict | None = None) -> InequalityReport:
+    """value_report for lhs = exp(la), rhs = exp(lb)."""
+    return value_report(suite_id, params_echo, z, _exp_or_inf(la),
+                        _exp_or_inf(lb), _diff_of_exp(la, lb), err,
+                        tol_abs, tol_rel, aux)
+
+
 def _abs_err(res: EvalResult) -> float:
     """Absolute error estimate: truncation tail plus condition-scaled rounding."""
     mag = _exp_or_inf(res.log_magnitude) if res.sign != 0 else 0.0
@@ -117,14 +133,6 @@ def _check_grid(values: Sequence[float], what: str, minimum: int = 2) -> None:
             raise GridError(f"{what} contains a non-finite value {v!r}")
 
 
-def _worst_comparison(comparisons: list[dict]) -> dict:
-    def key(c: dict) -> float:
-        m = c["margin"]
-        return -math.inf if math.isnan(m) else m
-
-    return min(comparisons, key=key)
-
-
 # ---------------------------------------------------------------------------
 # Turan inequalities in the parameters
 
@@ -151,8 +159,6 @@ def turan_alpha_check(params: FoxWrightParams, z: float,
     r2 = evaluate(params.with_upper_value(0, a1 + 2.0), z, cfg)
     la = r0.log_magnitude + r2.log_magnitude
     lb = 2.0 * r1.log_magnitude
-    margin = _diff_of_exp(la, lb)
-    lhs, rhs = _exp_or_inf(la), _exp_or_inf(lb)
     m1 = _exp_or_inf(r1.log_magnitude)
     err = _product_err(r0, r2) + 2.0 * m1 * _abs_err(r1)
 
@@ -168,17 +174,8 @@ def turan_alpha_check(params: FoxWrightParams, z: float,
         aux = {"pfq_margin": hyper[0].value * hyper[2].value
                - a1 / (a1 + 1.0) * hyper[1].value ** 2}
 
-    return InequalityReport(
-        suite_id="turan-alpha",
-        params_echo=params.to_json(),
-        z=float(z),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
-        err_estimate=err,
-        aux=aux,
-    )
+    return _log_report("turan-alpha", params.to_json(), z, la, lb, err,
+                       tol_abs, tol_rel, aux)
 
 
 def turan_beta_check(params: FoxWrightParams, z: float,
@@ -201,20 +198,10 @@ def turan_beta_check(params: FoxWrightParams, z: float,
     r2 = evaluate(params.with_lower_value(0, b1 + 2.0), z, cfg)
     la = r0.log_magnitude + r2.log_magnitude
     lb = math.log(b1 / (b1 + 1.0)) + 2.0 * r1.log_magnitude
-    margin = _diff_of_exp(la, lb)
-    lhs, rhs = _exp_or_inf(la), _exp_or_inf(lb)
     m1 = _exp_or_inf(r1.log_magnitude)
     err = _product_err(r0, r2) + 2.0 * (b1 / (b1 + 1.0)) * m1 * _abs_err(r1)
-    return InequalityReport(
-        suite_id="turan-beta",
-        params_echo=params.to_json(),
-        z=float(z),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
-        err_estimate=err,
-    )
+    return _log_report("turan-beta", params.to_json(), z, la, lb, err,
+                       tol_abs, tol_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +248,15 @@ def corollary3_2f2_check(alpha1: float, beta1: float, beta2: float, z: float,
                F3.condition_estimate)
     lhs = F1.value * F2.value
     rhs = F3.value ** 2
-    margin = lhs - rhs
     err = _product_err(F1, F2) + 2.0 * abs(F3.value) * _abs_err(F3)
-    report = InequalityReport(
-        suite_id="corollary3-2f2",
-        params_echo={"alpha1": alpha1, "beta1": beta1, "beta2": beta2},
-        z=float(z),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=False,
-        err_estimate=err,
-        aux={"f": f, "g": g, "h": h, "condition": cond},
-    )
+    report = value_report(
+        "corollary3-2f2",
+        {"alpha1": alpha1, "beta1": beta1, "beta2": beta2},
+        z, lhs, rhs, lhs - rhs, err, tol_abs, tol_rel,
+        {"f": f, "g": g, "h": h, "condition": cond})
     if cond > _CONDITION_LIMIT:
         report.status = STATUS_NUMERICAL_FAILURE
-        return report
-    report.passed = margin_passes(margin, lhs, rhs, tol_abs, tol_rel)
+        report.passed = False
     return report
 
 
@@ -344,43 +323,28 @@ def ratio_monotonicity_check(params: FoxWrightParams, slot: str,
             "err": ratios[i] * rel[i] + ratios[i + 1] * rel[i + 1],
         })
     for i, z in enumerate(z_grid):
-        if slot == "beta":
-            la = ds[i].log_magnitude + eb[i].log_magnitude
-            lb = db[i].log_magnitude + es[i].log_magnitude
-            ea = _product_err(ds[i], eb[i])
-            ebr = _product_err(db[i], es[i])
-        else:
-            la = db[i].log_magnitude + es[i].log_magnitude
-            lb = ds[i].log_magnitude + eb[i].log_magnitude
-            ea = _product_err(db[i], es[i])
-            ebr = _product_err(ds[i], eb[i])
+        # slot "beta" claims ds*eb >= db*es, slot "alpha" the reverse
+        x, y = (ds[i], eb[i]), (db[i], es[i])
+        if slot == "alpha":
+            x, y = y, x
+        la = x[0].log_magnitude + x[1].log_magnitude
+        lb = y[0].log_magnitude + y[1].log_magnitude
         comparisons.append({
             "kind": "cross",
             "z": float(z),
             "lhs": _exp_or_inf(la),
             "rhs": _exp_or_inf(lb),
             "margin": _diff_of_exp(la, lb),
-            "err": ea + ebr,
+            "err": _product_err(*x) + _product_err(*y),
         })
 
-    passed = all(
-        margin_passes(c["margin"], c["lhs"], c["rhs"], tol_abs, tol_rel)
-        for c in comparisons)
-    worst = _worst_comparison(comparisons)
-    return InequalityReport(
-        suite_id="ratio-monotone",
-        params_echo={**params.to_json(), "slot": slot,
-                     "v_small": vs, "v_big": vb},
-        z=worst["z"],
-        lhs=worst["lhs"],
-        rhs=worst["rhs"],
-        margin=worst["margin"],
-        passed=passed,
-        err_estimate=worst["err"],
-        aux={"worst_kind": worst["kind"], "worst_z_prev": worst.get("z_prev"),
-             "ratio_first": ratios[0], "ratio_last": ratios[-1],
-             "n_comparisons": len(comparisons)},
-    )
+    return worst_report(
+        "ratio-monotone",
+        {**params.to_json(), "slot": slot, "v_small": vs, "v_big": vb},
+        comparisons, tol_abs, tol_rel,
+        lambda w: {"worst_kind": w["kind"], "worst_z_prev": w.get("z_prev"),
+                   "ratio_first": ratios[0], "ratio_last": ratios[-1],
+                   "n_comparisons": len(comparisons)})
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +393,8 @@ def tail_turan_check(params: FoxWrightParams, n: int, z: float,
     rhs = lhs - margin
     if math.isnan(rhs):
         rhs = lhs
-    return InequalityReport(
-        suite_id="tail-turan",
-        params_echo={**params.to_json(), "n": n},
-        z=float(z),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
-        err_estimate=err,
-    )
+    return value_report("tail-turan", {**params.to_json(), "n": n}, z,
+                        lhs, rhs, margin, err, tol_abs, tol_rel)
 
 
 def _kn_with_err(params: FoxWrightParams, n: int, z: float,
@@ -540,25 +496,13 @@ def kn_value_and_bound(params: FoxWrightParams, n: int,
             "err": kerrs[i] + kerrs[i + 1],
         })
 
-    passed = all(
-        margin_passes(c["margin"], c["lhs"], c["rhs"], tol_abs, tol_rel)
-        for c in comparisons)
-    worst = _worst_comparison(comparisons)
-    aux = {"bound": c_bound, "worst_kind": worst["kind"],
-           "worst_z_prev": worst.get("z_prev")}
+    aux = {"bound": c_bound}
     if z_grid is not None:
         aux["k_values"] = kvals
-    return InequalityReport(
-        suite_id="kn-bound",
-        params_echo={**params.to_json(), "n": n},
-        z=worst["z"],
-        lhs=worst["lhs"],
-        rhs=worst["rhs"],
-        margin=worst["margin"],
-        passed=passed,
-        err_estimate=worst["err"],
-        aux=aux,
-    )
+    return worst_report(
+        "kn-bound", {**params.to_json(), "n": n}, comparisons, tol_abs, tol_rel,
+        lambda w: {**aux, "worst_kind": w["kind"],
+                   "worst_z_prev": w.get("z_prev")})
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +595,7 @@ def chi_check(alpha1: float, beta2: float, B1: float,
     for i in range(len(beta1_grid) - 1):
         comparisons.append({
             "kind": "chi-step",
+            "z": z,
             "where": float(beta1_grid[i + 1]),
             "where_prev": float(beta1_grid[i]),
             "lhs": chi_vals[i + 1],
@@ -661,6 +606,7 @@ def chi_check(alpha1: float, beta2: float, B1: float,
     for i, b1 in enumerate(beta1_grid):
         comparisons.append({
             "kind": "omega",
+            "z": z,
             "where": float(b1),
             "lhs": omega_vals[i],
             "rhs": 0.0,
@@ -668,24 +614,14 @@ def chi_check(alpha1: float, beta2: float, B1: float,
             "err": omega_errs[i],
         })
 
-    passed = all(
-        margin_passes(c["margin"], c["lhs"], c["rhs"], tol_abs, tol_rel)
-        for c in comparisons)
-    worst = _worst_comparison(comparisons)
-    return InequalityReport(
-        suite_id="chi",
-        params_echo={"alpha1": alpha1, "beta2": beta2, "B1": B1,
-                     "beta1_grid": [float(v) for v in beta1_grid]},
-        z=float(z),
-        lhs=worst["lhs"],
-        rhs=worst["rhs"],
-        margin=worst["margin"],
-        passed=passed,
-        err_estimate=worst["err"],
-        aux={"worst_kind": worst["kind"], "worst_beta1": worst["where"],
-             "worst_beta1_prev": worst.get("where_prev"),
-             "chi_values": chi_vals, "omega_values": omega_vals},
-    )
+    return worst_report(
+        "chi",
+        {"alpha1": alpha1, "beta2": beta2, "B1": B1,
+         "beta1_grid": [float(v) for v in beta1_grid]},
+        comparisons, tol_abs, tol_rel,
+        lambda w: {"worst_kind": w["kind"], "worst_beta1": w["where"],
+                   "worst_beta1_prev": w.get("where_prev"),
+                   "chi_values": chi_vals, "omega_values": omega_vals})
 
 
 # ---------------------------------------------------------------------------
@@ -735,23 +671,14 @@ def lazarevic_check(alpha1: float, beta1: float, beta2: float, B1: float,
     lu = e2 * u.log_magnitude
     lv = e1 * ((B1 / beta1) * (log_gamma(alpha1) - log_gamma(beta2))
                + v.log_magnitude)
-    margin = _diff_of_exp(lu, lv)
-    lhs, rhs = _exp_or_inf(lu), _exp_or_inf(lv)
-    err = lhs * e2 * _rel_err(u) + rhs * e1 * _rel_err(v)
+    err = (_exp_or_inf(lu) * e2 * _rel_err(u)
+           + _exp_or_inf(lv) * e1 * _rel_err(v))
     if math.isnan(err):
         err = math.inf
-    return InequalityReport(
-        suite_id="lazarevic",
-        params_echo={"alpha1": alpha1, "beta1": beta1, "beta2": beta2,
-                     "B1": B1},
-        z=float(z),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
-        err_estimate=err,
-        aux={"e1": e1, "e2": e2},
-    )
+    return _log_report(
+        "lazarevic",
+        {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1},
+        z, lu, lv, err, tol_abs, tol_rel, {"e1": e1, "e2": e2})
 
 
 def lazarevic_bessel_check(nu: float, z: float,
@@ -768,21 +695,11 @@ def lazarevic_bessel_check(nu: float, z: float,
     r0 = bessel_norm(nu, z, cfg)
     e = (nu + 2.0) / (nu + 1.0)
     la = e * r1.log_magnitude
-    margin = _diff_of_exp(la, r0.log_magnitude)
-    lhs, rhs = _exp_or_inf(la), _exp_or_inf(r0.log_magnitude)
-    err = lhs * e * _rel_err(r1) + _abs_err(r0)
+    err = _exp_or_inf(la) * e * _rel_err(r1) + _abs_err(r0)
     if math.isnan(err):
         err = math.inf
-    return InequalityReport(
-        suite_id="lazarevic-bessel",
-        params_echo={"nu": nu},
-        z=float(z),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
-        err_estimate=err,
-    )
+    return _log_report("lazarevic-bessel", {"nu": nu}, z, la,
+                       r0.log_magnitude, err, tol_abs, tol_rel)
 
 
 def _wilker_core(alpha1: float, beta1: float, beta2: float, B1: float,
@@ -794,22 +711,12 @@ def _wilker_core(alpha1: float, beta1: float, beta2: float, B1: float,
     lt2 = (B1 / beta1) * (log_gamma(beta2) - log_gamma(alpha1)
                           + u.log_magnitude)
     t2 = _exp_or_inf(lt2)
-    lhs = t1 + t2
-    margin = lhs - 2.0
     err = t1 * (_rel_err(u) + _rel_err(v)) + t2 * (B1 / beta1) * _rel_err(u)
     if math.isnan(err):
         err = math.inf
-    return InequalityReport(
-        suite_id=suite_id,
-        params_echo=params_echo,
-        z=float(z),
-        lhs=lhs,
-        rhs=2.0,
-        margin=margin,
-        passed=margin_passes(margin, lhs, 2.0, tol_abs, tol_rel),
-        err_estimate=err,
-        aux={"ratio_term": t1, "power_term": t2},
-    )
+    return value_report(suite_id, params_echo, z, t1 + t2, 2.0,
+                        (t1 + t2) - 2.0, err, tol_abs, tol_rel,
+                        {"ratio_term": t1, "power_term": t2})
 
 
 def wilker_check(alpha1: float, beta1: float, beta2: float, B1: float,
@@ -843,23 +750,13 @@ def wilker_bessel_check(nu: float, z: float,
     r0 = bessel_norm(nu, z, cfg)
     t1 = _exp_or_inf(r1.log_magnitude - r0.log_magnitude)
     t2 = _exp_or_inf(r1.log_magnitude / (nu + 1.0))
-    lhs = t1 + t2
-    margin = lhs - 2.0
     err = (t1 * (_rel_err(r1) + _rel_err(r0))
            + t2 * _rel_err(r1) / (nu + 1.0))
     if math.isnan(err):
         err = math.inf
-    return InequalityReport(
-        suite_id="wilker-bessel",
-        params_echo={"nu": nu},
-        z=float(z),
-        lhs=lhs,
-        rhs=2.0,
-        margin=margin,
-        passed=margin_passes(margin, lhs, 2.0, tol_abs, tol_rel),
-        err_estimate=err,
-        aux={"ratio_term": t1, "power_term": t2},
-    )
+    return value_report("wilker-bessel", {"nu": nu}, z, t1 + t2, 2.0,
+                        (t1 + t2) - 2.0, err, tol_abs, tol_rel,
+                        {"ratio_term": t1, "power_term": t2})
 
 
 def wilker_wright_check(B1: float, beta1: float, z: float,
@@ -940,34 +837,22 @@ def logconcavity_check(params: FoxWrightParams, z1: float, z2: float,
     echo = params.to_json()
     aux = {"z1": float(z1), "z2": float(z2), "c": c}
 
-    def report(suite_id: str, la: float, lb: float, err: float) -> InequalityReport:
-        margin = _diff_of_exp(la, lb)
-        lhs, rhs = _exp_or_inf(la), _exp_or_inf(lb)
-        return InequalityReport(
-            suite_id=suite_id,
-            params_echo=echo,
-            z=zm,
-            lhs=lhs,
-            rhs=rhs,
-            margin=margin,
-            passed=margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
-            err_estimate=err,
-            aux=aux,
-        )
-
     geo = 0.5 * (f1.log_magnitude + f2.log_magnitude)
-    mid = report("logconcave:midpoint", fm.log_magnitude, geo,
-                 _abs_err(fm) + 0.5 * _exp_or_inf(geo)
-                 * (_rel_err(f1) + _rel_err(f2)))
+    mid = _log_report("logconcave:midpoint", echo, zm, fm.log_magnitude, geo,
+                      _abs_err(fm) + 0.5 * _exp_or_inf(geo)
+                      * (_rel_err(f1) + _rel_err(f2)), tol_abs, tol_rel, aux)
 
-    exb = report("logconcave:expbound", c * zm, fm.log_magnitude,
-                 _abs_err(fm) + _ROUND_REL * _exp_or_inf(c * zm))
+    exb = _log_report("logconcave:expbound", echo, zm, c * zm,
+                      fm.log_magnitude,
+                      _abs_err(fm) + _ROUND_REL * _exp_or_inf(c * zm),
+                      tol_abs, tol_rel, aux)
 
     psi_m = evaluate(params, zm, cfg)
     dpsi_m = evaluate(params.shifted(), zm, cfg)
-    der = report("logconcave:deriv", log_c + psi_m.log_magnitude,
-                 dpsi_m.log_magnitude,
-                 c * _abs_err(psi_m) + _abs_err(dpsi_m))
+    der = _log_report("logconcave:deriv", echo, zm,
+                      log_c + psi_m.log_magnitude, dpsi_m.log_magnitude,
+                      c * _abs_err(psi_m) + _abs_err(dpsi_m),
+                      tol_abs, tol_rel, aux)
     return mid, exb, der
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .errors import GridError
 
@@ -26,6 +27,35 @@ def margin_passes(margin: float, lhs: float, rhs: float,
     if scale != scale or scale == float("inf"):
         scale = 0.0
     return margin >= -(tol_abs + tol_rel * scale)
+
+
+def value_report(suite_id: str, params_echo: dict[str, Any], z: float,
+                 lhs: float, rhs: float, margin: float, err: float,
+                 tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL,
+                 aux: dict[str, Any] | None = None) -> "InequalityReport":
+    """One verdict row, judged by margin_passes on its own sides."""
+    return InequalityReport(suite_id, params_echo, float(z), lhs, rhs, margin,
+                            margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
+                            err, aux=aux)
+
+
+def worst_report(suite_id: str, params_echo: dict[str, Any],
+                 comparisons: list[dict[str, Any]],
+                 tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL,
+                 aux: Callable[[dict], dict] | None = None) -> "InequalityReport":
+    """One verdict row for comparisons given as dicts of z, lhs, rhs, margin, err.
+
+    The row shows the comparison with the smallest margin (a NaN margin
+    counts as the smallest) and passes only when every comparison passes on
+    its own sides.  aux, if given, maps that worst comparison to the row's aux.
+    """
+    w = min(comparisons, key=lambda c: (
+        -math.inf if math.isnan(c["margin"]) else c["margin"]))
+    passed = all(margin_passes(c["margin"], c["lhs"], c["rhs"], tol_abs, tol_rel)
+                 for c in comparisons)
+    return InequalityReport(suite_id, params_echo, float(w["z"]), w["lhs"],
+                            w["rhs"], w["margin"], passed, w["err"],
+                            aux=None if aux is None else aux(w))
 
 
 @dataclass

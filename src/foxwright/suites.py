@@ -45,7 +45,7 @@ from .report import (
     TOL_ABS,
     TOL_REL,
 )
-from .series import _DEFAULT_CFG, EvalConfig, FoxWrightParams
+from .series import FoxWrightParams
 
 __all__ = [
     "SuiteDef",
@@ -226,20 +226,17 @@ def _sub_grid(lo: float, hi: float) -> list[float]:
 # Per-suite builders
 
 
-def _build_turan_alpha(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_turan_alpha(c, i, ranges, tol):
     params, z = _sample_series(c, i, ranges)
-    return [turan_alpha_check(params, z, cfg, ta, tr)]
+    return [turan_alpha_check(params, z, **tol)]
 
 
-def _build_turan_beta(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_turan_beta(c, i, ranges, tol):
     params, z = _sample_series(c, i, ranges)
-    return [turan_beta_check(params, z, cfg, ta, tr)]
+    return [turan_beta_check(params, z, **tol)]
 
 
-def _build_corollary3(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_corollary3(c, i, ranges, tol):
     b1 = _hi_open(c.take(), ranges["beta1"])
     b2 = _hi_open(c.take(), ranges["beta2"])
     ug, uz = c.take(), c.take()
@@ -253,39 +250,32 @@ def _build_corollary3(u, i, ranges, cfg, ta, tr):
         a1 = max(b2, b1 + 1.0) + 0.05 + ug * 3.0
     lo, hi = ranges["z"]
     z = lo + uz * (hi - lo)
-    return [corollary3_2f2_check(a1, b1, b2, z, cfg, ta, tr)]
+    return [corollary3_2f2_check(a1, b1, b2, z, **tol)]
 
 
-def _build_ratio(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_ratio(c, i, ranges, tol):
     params, zmax = _sample_series(c, i, ranges)
     slot = "beta" if i % 2 == 0 else "alpha"
     v1 = params.lower[0][0] if slot == "beta" else params.upper[0][0]
     v2 = v1 + 0.1 + 2.0 * c.take()
     grid = _sub_grid(ranges["z"][0], zmax)
-    return [ratio_monotonicity_check(params, slot, v1, v2, grid,
-                                     cfg, ta, tr)]
+    return [ratio_monotonicity_check(params, slot, v1, v2, grid, **tol)]
 
 
-def _build_tail_turan(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_tail_turan(c, i, ranges, tol):
     params, n, z = _sample_tail_series(c, i, ranges)
-    return [tail_turan_check(params, n, z, cfg, ta, tr)]
+    return [tail_turan_check(params, n, z, **tol)]
 
 
-def _build_kn(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_kn(c, i, ranges, tol):
     params, n, z = _sample_tail_series(c, i, ranges)
     if i % 5 == 0:
         grid = _sub_grid(ranges["z"][0], z)
-        return [kn_value_and_bound(params, n, z_grid=grid, cfg=cfg,
-                                   tol_abs=ta, tol_rel=tr)]
-    return [kn_value_and_bound(params, n, z=z, cfg=cfg,
-                               tol_abs=ta, tol_rel=tr)]
+        return [kn_value_and_bound(params, n, z_grid=grid, **tol)]
+    return [kn_value_and_bound(params, n, z=z, **tol)]
 
 
-def _build_chi(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_chi(c, i, ranges, tol):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
     B1 = _lo_closed(c.take(), ranges["B1"])
     g1 = _hi_open(c.take(), ranges["beta1"])
@@ -297,7 +287,7 @@ def _build_chi(u, i, ranges, cfg, ta, tr):
             for j in range(_GRID_POINTS)]
     params = FoxWrightParams(((a1, 1.0),), ((lo_b, B1), (b2, 1.0)))
     z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1)
-    return [chi_check(a1, b2, B1, grid, z, cfg, ta, tr)]
+    return [chi_check(a1, b2, B1, grid, z, **tol)]
 
 
 def _powered_b1_cap(beta1: float, off: float, whi: float) -> float:
@@ -320,8 +310,7 @@ def _powered_b1_cap(beta1: float, off: float, whi: float) -> float:
     return lo
 
 
-def _build_lazarevic(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_lazarevic(c, i, ranges, tol):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
     b1 = _hi_open(c.take(), ranges["beta1"])
     off = abs(log_gamma(a1) - log_gamma(b2))
@@ -334,11 +323,10 @@ def _build_lazarevic(u, i, ranges, cfg, ta, tr):
     v_t = max(min(_V_TARGET, v_t), _V_MIN)
     params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
     z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1, v_t)
-    return [lazarevic_check(a1, b1, b2, B1, z, cfg, ta, tr)]
+    return [lazarevic_check(a1, b1, b2, B1, z, **tol)]
 
 
-def _build_wilker(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_wilker(c, i, ranges, tol):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
     b1 = _hi_open(c.take(), ranges["beta1"])
     wlo, whi = ranges["B1"]
@@ -347,11 +335,10 @@ def _build_wilker(u, i, ranges, cfg, ta, tr):
     v_t = max(_V_MIN, min(_V_TARGET, 600.0 / max(B1 / b1, 1.0) - 20.0))
     params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
     z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1, v_t)
-    return [wilker_check(a1, b1, b2, B1, z, cfg, ta, tr)]
+    return [wilker_check(a1, b1, b2, B1, z, **tol)]
 
 
-def _build_logconcave(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_logconcave(c, i, ranges, tol):
     variant = i % 4
     p = 2 if variant == 2 else 1
     b1 = _hi_open(c.take(), ranges["beta"])
@@ -377,7 +364,7 @@ def _build_logconcave(u, i, ranges, cfg, ta, tr):
     z1, z2 = min(za, zb), max(za, zb)
     if z2 - z1 < 1e-3:
         z2 = z1 + max(1e-3 * (eff - lo), 1e-6)
-    return list(logconcavity_check(params, z1, z2, cfg, ta, tr))
+    return list(logconcavity_check(params, z1, z2, **tol))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +391,7 @@ def _direction(values: Sequence[float]) -> tuple[str, float]:
     return direction, min(b - a for a, b in zip(values, values[1:]))
 
 
-def _build_explore_kn(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_explore_kn(c, i, ranges, tol):
     nlo, nhi = ranges["n"]
     if i % 2 == 0:
         params, n, z = _sample_tail_series(c, i // 2, ranges)
@@ -414,7 +400,7 @@ def _build_explore_kn(u, i, ranges, cfg, ta, tr):
         n = min(int(nlo + c.take() * (nhi - nlo + 1.0)), int(nhi))
     proven = all(w == 0.0 for _, w in params.upper)
     grid = _sub_grid(ranges["z"][0], z)
-    ks = [kn_ratio(params, n, v, cfg) for v in grid]
+    ks = [kn_ratio(params, n, v) for v in grid]
     direction, worst_step = _direction(ks)
     return [InequalityReport(
         suite_id="problem1-kn",
@@ -429,8 +415,7 @@ def _build_explore_kn(u, i, ranges, cfg, ta, tr):
     )]
 
 
-def _build_explore_xi(u, i, ranges, cfg, ta, tr):
-    c = _Cursor(u)
+def _build_explore_xi(c, i, ranges, tol):
     variant = i % 3
     if variant == 0:
         a1, b2 = _ordered_pair(c, ranges["alpha"], ranges["beta"])
@@ -449,7 +434,7 @@ def _build_explore_xi(u, i, ranges, cfg, ta, tr):
         aw, bw, eps = _solve_weights(c, 2, 2, ranges["weight"])
         params = FoxWrightParams(tuple(zip(avals, aw)), tuple(zip(bvals, bw)))
     z = _draw_z(c.take(), ranges["z"], params, eps)
-    val = xi_prime(params, z, cfg)
+    val = xi_prime(params, z)
     return [InequalityReport(
         suite_id="problem2-xi",
         params_echo=params.to_json(),
@@ -574,18 +559,19 @@ def _failure_row(suite_id: str, kind: str, msg: str) -> InequalityReport:
     )
 
 
-def _run(sd: SuiteDef, spec: GridSpec | None, cfg: EvalConfig,
-         tol_abs: float, tol_rel: float) -> list[InequalityReport]:
+def _run(sd: SuiteDef, spec: GridSpec | None, tol_abs: float = TOL_ABS,
+         tol_rel: float = TOL_REL) -> list[InequalityReport]:
     spec = spec if spec is not None else GridSpec()
     ranges = _resolve_ranges(sd, spec)
     if sd.validate is not None:
         sd.validate(ranges)
     n_inst = -(-spec.samples // sd.rows_per_instance)
     u = _unit_matrix(spec, sd.dims, n_inst)
+    tol = {"tol_abs": tol_abs, "tol_rel": tol_rel}
     out: list[InequalityReport] = []
     for i in range(n_inst):
         try:
-            rows = sd.build(u[i], i, ranges, cfg, tol_abs, tol_rel)
+            rows = sd.build(_Cursor(u[i]), i, ranges, tol)
         except (NoConvergenceError, OverflowError) as exc:
             rows = [_failure_row(sd.suite_id, type(exc).__name__, str(exc))]
         out.extend(rows)
@@ -594,24 +580,24 @@ def _run(sd: SuiteDef, spec: GridSpec | None, cfg: EvalConfig,
 
 
 def run_suite(suite_id: str, spec: GridSpec | None = None,
-              cfg: EvalConfig = _DEFAULT_CFG, tol_abs: float = TOL_ABS,
+              tol_abs: float = TOL_ABS,
               tol_rel: float = TOL_REL) -> list[InequalityReport]:
     """Run one verification suite; deterministic in the GridSpec."""
     sd = SUITES.get(suite_id)
     if sd is None:
         raise ParameterError(
             f"unknown suite {suite_id!r}; known: " + ", ".join(suite_ids()))
-    return _run(sd, spec, cfg, tol_abs, tol_rel)
+    return _run(sd, spec, tol_abs, tol_rel)
 
 
-def run_explore(suite_id: str, spec: GridSpec | None = None,
-                cfg: EvalConfig = _DEFAULT_CFG) -> list[InequalityReport]:
+def run_explore(suite_id: str,
+                spec: GridSpec | None = None) -> list[InequalityReport]:
     """Run one exploratory probe; rows report findings, never failures."""
     sd = EXPLORERS.get(suite_id)
     if sd is None:
         raise ParameterError(
             f"unknown probe {suite_id!r}; known: " + ", ".join(explorer_ids()))
-    return _run(sd, spec, cfg, TOL_ABS, TOL_REL)
+    return _run(sd, spec)
 
 
 # ---------------------------------------------------------------------------

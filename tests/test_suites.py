@@ -12,7 +12,7 @@ from foxwright import (
     grid_from_json,
     margin_passes,
 )
-from foxwright.report import STATUS_OK
+from foxwright.report import STATUS_OK, worst_report
 from foxwright.suites import (
     EXPLORERS,
     SUITES,
@@ -173,3 +173,47 @@ def test_margin_passes_scale_logic():
     assert margin_passes(-0.5, 1e12, 1e12, 1e-12, 1e-10)
     assert not margin_passes(math.nan, 1.0, 1.0, 1e-12, 1e-10)
     assert not margin_passes(-1.0, math.inf, 1.0, 1e-12, 1e-10)
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_tolerance_reaches_every_suite(suite):
+    # a tolerance no finite margin can meet must fail every clean row, so a
+    # builder that drops the tolerance shows up as a passing row
+    rows = run_suite(suite, GridSpec(samples=3, seed=23), tol_abs=-1e300)
+    judged = [r for r in rows
+              if r.status == STATUS_OK and math.isfinite(r.margin)]
+    assert judged
+    for r in judged:
+        assert r.passed is False, (suite, r.margin)
+
+
+def _comparison(z, lhs, rhs, margin, err):
+    return {"z": z, "lhs": lhs, "rhs": rhs, "margin": margin, "err": err}
+
+
+def test_worst_report_picks_smallest_margin():
+    # a NaN margin is the worst and fails the row
+    rep = worst_report("s", {}, [_comparison(1.0, 2.0, 1.0, 1.0, 0.1),
+                                 _comparison(2.0, 1.0, 1.0, math.nan, 0.2)],
+                       1e-12, 1e-10, lambda w: {"worst_z": w["z"]})
+    assert rep.z == 2.0 and math.isnan(rep.margin) and rep.err_estimate == 0.2
+    assert rep.aux == {"worst_z": 2.0}
+    assert rep.passed is False
+
+    # the worst margin passes on its huge scale, but a larger margin on a
+    # unit scale misses its own tolerance: the row fails and still shows
+    # the smallest-margin comparison
+    rep = worst_report("s", {}, [_comparison(3.0, 1.0, 1.0, -1e-6, 0.3),
+                                 _comparison(4.0, 1e12, 1e12, -0.5, 0.4)],
+                       1e-12, 1e-10)
+    assert (rep.z, rep.lhs, rep.rhs, rep.margin, rep.err_estimate) == (
+        4.0, 1e12, 1e12, -0.5, 0.4)
+    assert rep.aux is None
+    assert rep.passed is False
+
+    rep = worst_report("s", {"k": 1}, [_comparison(5.0, 1.0, 1.0, 0.0, 0.0),
+                                       _comparison(6.0, 2.0, 1.0, 1.0, 0.0)],
+                       1e-12, 1e-10)
+    assert (rep.suite_id, rep.params_echo, rep.z, rep.margin) == (
+        "s", {"k": 1}, 5.0, 0.0)
+    assert rep.passed is True
