@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from typing import Callable, Sequence
 
@@ -273,8 +274,25 @@ _COMMANDS = {
 }
 
 
+# argparse takes a separate "-1e-3" for an option string, never for the
+# value of a float option; glued into "--tol-abs=-1e-3" it is read as one
+_FLOAT_OPTIONS = ("--z", "--tol-abs", "--tol-rel")
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def _glue_negative_floats(argv: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and _NEGATIVE_NUMBER.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    argv = _glue_negative_floats(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage, 0 on --help

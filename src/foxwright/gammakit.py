@@ -2,9 +2,11 @@
 
 Positive real arguments only; the series engine never needs the reflection
 formula and refusing x <= 0 keeps pole handling out of every caller.  Both
-kernels use the classical scheme: shift the argument above a threshold with
-the recurrences Gamma(x+1) = x Gamma(x) and psi(x+1) = psi(x) + 1/x, then
-apply the Stirling asymptotic series at the shifted point.
+kernels apply the Stirling asymptotic series from x = 8 on.  Below that,
+digamma shifts the argument up with psi(x+1) = psi(x) + 1/x, and log_gamma
+moves it into [0.5, 1.5) with Gamma(x+1) = x Gamma(x) and sums the Taylor
+series of ln Gamma(1+t), whose signed coefficients (-1)^k (zeta(k) - 1)/k are
+tabled once at import.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ _ZETA_M1 = (
 
 _ONE_MINUS_EULER_GAMMA = 0.4227843350984671393935  # 1 - gamma
 
+# (-1)^k (zeta(k) - 1)/k for k = 30 down to 2: the Horner coefficients of
+# the sum in _log_gamma_taylor, divided and signed once here
+_LOG_GAMMA_TAYLOR = tuple((-1.0) ** k * _ZETA_M1[k - 2] / k
+                          for k in range(len(_ZETA_M1) + 1, 1, -1))
+
 # B_{2n} / (2n), n = 1..10: coefficients of x^(-2n) in the series for psi.
 _DIGAMMA_TAIL = (
     1.0 / 12.0,
@@ -113,9 +120,8 @@ def _log_gamma_taylor(t: float) -> float:
     precision near the zeros of ln Gamma at 1 and 2.
     """
     s = 0.0
-    for k in range(len(_ZETA_M1) + 1, 1, -1):
-        c = _ZETA_M1[k - 2] / k
-        s = s * t + (c if k % 2 == 0 else -c)
+    for c in _LOG_GAMMA_TAYLOR:
+        s = s * t + c
     return t * (_ONE_MINUS_EULER_GAMMA + t * s) - math.log1p(t)
 
 

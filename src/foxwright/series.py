@@ -18,7 +18,9 @@ Stirling form expanded around k*weight, where the k*log(k) pieces of the
 gamma factors and of 1/k! combine exactly into -epsilon*k*log(k); that
 coefficient, the k-linear one, and log(k) itself are carried as head/tail
 double pairs, keeping the absolute error of a term log near 1e-14 no matter
-how large the cancelled log-gammas were.
+how large the cancelled log-gammas were.  The ln|z| and ln(weight) pairs come
+from ``_dd_log`` (relative error below 1e-31, reduced to a tabled grid j/64),
+and a term skips ln(k) while no factor is expanded: its coefficients are zero.
 
 Summation runs in two phases over one table of those coefficients.  The
 first 32 terms of a call (counted from its start index) are generated and
@@ -265,16 +267,10 @@ _LN2_LO = 2.3190468138462996e-17
 _SQRT_HALF = 0.7071067811865476
 
 
-def _dd_log(x: float) -> tuple[float, float]:
-    """ln x as a head/tail pair, essentially exact; x > 0 finite."""
-    m, e = math.frexp(x)
-    if m < _SQRT_HALF:
-        m *= 2.0
-        e -= 1
-    # ln m = 2 artanh(s) with s = (m-1)/(m+1); m - 1 is exact, m + 1 is
-    # carried as a pair so the quotient keeps ~32 digits
-    num = m - 1.0
-    dh, dl = _two_sum(1.0, m)
+def _artanh2(num: float, m: float, c: float) -> tuple[float, float]:
+    # ln(m/c) = 2 artanh(s) with s = (m-c)/(m+c); num = m - c must be exact,
+    # m + c is carried as a pair so the quotient keeps ~32 digits
+    dh, dl = _two_sum(c, m)
     q = num / dh
     p, pe = _two_prod(q, dh)
     sh, sl = _two_sum(q, (((num - p) - pe) - q * dl) / dh)
@@ -289,8 +285,33 @@ def _dd_log(x: float) -> tuple[float, float]:
         if abs(ch) < 1e-35:
             break
         n += 2
+    return 2.0 * ah, 2.0 * al
+
+
+# ln(j/64) at the grid points j = 45..91 that cover the reduced mantissa
+# range [sqrt(1/2), sqrt(2)); each is summed from 1, with |s| < 0.18
+_LN_GRID = [_artanh2(j / 64.0 - 1.0, j / 64.0, 1.0) for j in range(45, 92)]
+
+
+def _dd_log(x: float) -> tuple[float, float]:
+    """ln x as a head/tail pair with relative error below 1e-31; x > 0 finite.
+
+    With x = m * 2^e, m in [sqrt(1/2), sqrt(2)), ln m = ln c + ln(m/c) for
+    the grid point c = j/64 nearest m, whose pair is tabled: m - c is exact
+    and |s| < 0.006, so the artanh series stops within 8 steps.  ln 1 is
+    exactly (0.0, 0.0).
+    """
+    if x == 1.0:
+        return 0.0, 0.0
+    m, e = math.frexp(x)
+    if m < _SQRT_HALF:
+        m *= 2.0
+        e -= 1
+    j = round(m * 64.0)
+    c = j / 64.0
+    ah, al = _dd_add(*_LN_GRID[j - 45], *_artanh2(m - c, m, c))
     ph, pe = _two_prod(float(e), _LN2_HI)
-    return _dd_add(ph, pe + e * _LN2_LO, 2.0 * ah, 2.0 * al)
+    return _dd_add(ph, pe + e * _LN2_LO, ah, al)
 
 
 def _log_int_dd(k: int) -> tuple[float, float]:
@@ -409,7 +430,11 @@ class _TermLogs:
             wk = w * fk
             items.append(sg * ((wk + (a - 0.5)) * math.log1p(a / wk)
                                + _stirling_tail(a + wk)))
-        h, l = self._collapsed(fk, *_log_int_dd(k))
+        if self._expanded:
+            h, l = self._collapsed(fk, *_log_int_dd(k))
+        else:  # ln(k) coefficients still zero: the pair _collapsed returns
+            ph, pe = _two_prod(self._ch, fk)
+            h, l = _two_sum(ph, pe + self._cl * fk)
         return _dd_add(h, l, math.fsum(items), 0.0)
 
     def block(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:

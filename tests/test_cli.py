@@ -151,6 +151,32 @@ def test_sweep_ignores_violations(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_negative_exponent_tolerance_as_separate_argument(tmp_path, command):
+    # "-1e-3" given apart from its option must read as a value, and give the
+    # same report as the "--tol-abs=-1e-3" spelling
+    base = [command, "--suite", "turan-beta", "--seed", "42", "--samples", "10"]
+    reports = []
+    for tol in (["--tol-abs=-1e-3", "--tol-rel=-1e-2"],
+                ["--tol-abs", "-1e-3", "--tol-rel", "-1E-2"]):
+        out = tmp_path / f"{len(reports)}.csv"
+        code = main(base + tol + ["--out", str(out)])
+        assert code == (1 if command == "check" else 0)
+        reports.append(out.read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+    assert "false" in reports[0]
+    # an option string still is not taken for a value
+    assert main(base + ["--tol-abs", "--tol-rel", "-1e-3"]) == 2
+
+
+def test_eval_negative_exponent_z(params_file, capsys):
+    code = main(["eval", "--params", params_file(EXP_PARAMS), "--z", "-1e-1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = dict(line.split(maxsplit=1) for line in out.strip().splitlines())
+    assert abs(float(lines["value"]) - math.exp(-0.1)) <= 1e-15
+
+
 def test_explore_both_probes(tmp_path, capsys):
     code = main(["explore", "--suite", "problem1-kn", "--seed", "9",
                  "--samples", "6", "--out", str(tmp_path / "p1.csv")])

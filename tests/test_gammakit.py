@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,21 @@ def test_log_gamma_rejects_nonpositive():
 def test_log_gamma_matches_lgamma_everywhere(x):
     ref = math.lgamma(x)
     assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_log_gamma_against_mpmath():
+    # every branch below the Stirling form, where the zeta-series table
+    # carries the result, and past it to 12; near the zeros at 1 and 2 the
+    # bound is absolute
+    xs = [1e-3 * 12e3 ** (i / 2000) for i in range(2001)]
+    xs += [0.5 + i / 800 for i in range(2001)]
+    for b in (0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.0):
+        xs += [math.nextafter(b, 0.0), b, math.nextafter(b, 12.0)]
+    with mp.workdps(30):
+        for x in xs:
+            ref = mp.loggamma(x)
+            err = float(abs(log_gamma(x) - ref))
+            assert err <= 4 * 2.0 ** -52 * max(1.0, abs(float(ref))), x
 
 
 def test_digamma_known_values():

@@ -185,21 +185,25 @@ def test_dbeta1_reference_value():
 
 
 # a factor (2.0, 0.2) reaching the Stirling threshold 12 at k = 50, inside
-# the first block, next to factors expanded from the start
+# the first block; the first factor to reach it is 1/k! at k = 11, so the
+# one-term path runs with no factor expanded up to k = 10
 P_CROSS = FoxWrightParams(upper=((2.0, 0.2), (1.3, 0.7)),
                           lower=((0.9, 0.35),))
 
 
 @pytest.mark.parametrize("params,z", [(P1, 3.5), (P_CROSS, -7.25)])
 def test_block_term_logs_match_one_term_logs(params, z):
+    # the one-term logs run from k = 0, as in a summation, and the first
+    # block spans the first crossing of the threshold
     one = series._TermLogs(params, z)
-    ref = [one.at(k) for k in range(1, 400)]
+    ref = [one.at(k) for k in range(400)]
+    assert abs(ref[0][0] - series._log_term_at_zero(params)) <= 1e-14
     blocks = series._TermLogs(params, z)
     for k0, k1 in ((1, 20), (20, 84), (84, 400)):
         heads, tails = blocks.block(k0, k1)
         assert heads.shape == tails.shape == (k1 - k0,)
         for k, h, l in zip(range(k0, k1), heads.tolist(), tails.tolist()):
-            rh, rl = ref[k - 1]
+            rh, rl = ref[k]
             assert abs((h - rh) + (l - rl)) <= 1e-14, k
 
 
@@ -305,3 +309,108 @@ def test_value_within_own_tail_bound_of_oracle_free_anchor(z):
     head = sum(math.exp(log_term(P1, z, k)) for k in range(3))
     gap = abs(full.value - head - tail.value)
     assert gap <= full.tail_bound + tail.tail_bound + 1e-11 * abs(full.value)
+
+
+# Every EvalResult field of a fixed set of calls, as float.hex strings,
+# recorded from the engine before the one-term path was sped up: a speedup
+# must leave each of them unchanged bit for bit.
+P_EXPM1 = FoxWrightParams(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
+P_FLAT = FoxWrightParams(upper=((2.5, 0.0), (0.4, 0.6)), lower=((3.2, 1.3),))
+GOLDEN = {
+    "evaluate P1 3.5": (
+        lambda: evaluate(P1, 3.5), 46, 1,
+        ("0x1.1b8a9d5151447p+11", "0x1.f8a5d1d6cd3eep-47",
+         "0x1.0000000000000p+0", "0x1.ee83e3c2f11c1p+2")),
+    "evaluate P1 -2.0": (
+        lambda: evaluate(P1, -2.0), 39, -1,
+        ("-0x1.a78c6df53fad6p-4", "0x1.eb5a2a6f7a03fp-64",
+         "0x1.9594670cdb1b9p+9", "-0x1.2271cdbdcfaa1p+1")),
+    "evaluate exp -6.0": (
+        lambda: evaluate(FoxWrightParams(), -6.0), 44, 1,
+        ("0x1.44e51f10c35eap-9", "0x1.24ca3ff6580a7p-67",
+         "0x1.3de1654daf161p+17", "-0x1.800000001804ep+2")),
+    "evaluate P_CROSS -7.25": (
+        lambda: evaluate(P_CROSS, -7.25), 224, 1,
+        ("0x1.171bd5117b560p-7", "0x1.5495ad194ad35p-59",
+         "0x1.22db2c30928a4p+50", "-0x1.30ffb1ac45088p+2")),
+    "evaluate P_FLAT -1.3": (
+        lambda: evaluate(P_FLAT, -1.3), 13, 1,
+        ("0x1.143b46096e44bp+0", "0x1.9b11e9a2c2f24p-72",
+         "0x1.46ca56d5e980bp+0", "0x1.378cc27b171d5p-4")),
+    "evaluate P_LONG 4.0": (
+        lambda: evaluate(P_LONG, 4.0), 1068, 1,
+        ("0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
+         "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
+    "derivative P_LONG 4.0": (
+        lambda: derivative(P_LONG, 4.0), 1071, 1,
+        ("0x1.c246b6fc8ea74p+303", "0x1.1cc6f079af2d6p+256",
+         "0x1.0000000000000p+0", "0x1.a52d32f89722cp+7")),
+    "log_mode P_EXPM1 800.0": (
+        lambda: evaluate(P_EXPM1, 800.0, EvalConfig(log_mode=True)), 1032, 1,
+        ("inf", "inf", "0x1.0000000000000p+0", "0x1.8ca85ea4959aap+9")),
+    "dbeta1 P1 2.0": (
+        lambda: dbeta1(P1, 2.0), 36, -1,
+        ("-0x1.fe5a3c885b9d7p+6", "0x1.0f651f537289bp-53",
+         "0x1.02ee22e2feca8p+0", "0x1.3652dbbfe28d5p+2")),
+    "dbeta1 P_LONG 4.0": (
+        lambda: dbeta1(P_LONG, 4.0), 1069, -1,
+        ("-0x1.f3e431d32f62fp+298", "0x1.465fa25b0089cp+251",
+         "0x1.0000000000000p+0", "0x1.9e7442f082206p+7")),
+    "evaluate_tail P1 4 9.0": (
+        lambda: evaluate_tail(P1, TailSpec(4), 9.0), 76, 1,
+        ("0x1.67811069f6e78p+30", "0x1.d06d2b788fe87p-25",
+         "0x1.0000000000000p+0", "0x1.5224b72215f46p+4")),
+    "evaluate_normalized P1 2.0": (
+        lambda: evaluate_normalized(P1, 2.0), 35, 1,
+        ("0x1.5ae02eacd9de9p+6", "0x1.e9e8f4c185532p-53",
+         "0x1.0000000000000p+0", "0x1.1d9c6bc2cdc57p+2")),
+    "evaluate_tilde P_CROSS -1.5": (
+        lambda: evaluate_tilde(P_CROSS, -1.5), 43, 1,
+        ("0x1.46a2b8ad1070dp-3", "0x1.50e709cad8ab6p-60",
+         "0x1.66ff0cbc72c6ap+6", "-0x1.d5f5442b772b2p+0")),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_results_match_recorded_bits(case):
+    call, terms, sign, fields = GOLDEN[case]
+    res = call()
+    assert (res.terms_used, res.sign) == (terms, sign)
+    got = (res.value, res.tail_bound, res.condition_estimate, res.log_magnitude)
+    assert tuple(float.hex(x) for x in got) == fields
+
+
+def _dd_log_rel_err(x):
+    h, l = series._dd_log(x)
+    with mp.workdps(50):
+        ref = mp.log(mp.mpf(x))
+        return float(abs((mp.mpf(h) + mp.mpf(l)) - ref) / abs(ref))
+
+
+def test_dd_log_of_one_is_exact_zero():
+    h, l = series._dd_log(1.0)
+    assert (h, l) == (0.0, 0.0)
+    assert math.copysign(1.0, h) == math.copysign(1.0, l) == 1.0
+
+
+def test_dd_log_against_mpmath_at_fixed_points():
+    sqrt2 = math.sqrt(2.0)
+    xs = [2.0 ** e for e in range(-1074, 1024) if e != 0]
+    # every grid point of the mantissa reduction, with its neighbours
+    for j in range(45, 92):
+        if j != 64:
+            c = j / 64.0
+            xs += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
+    # both ends of the reduced range [sqrt(1/2), sqrt(2)), and next to 1
+    xs += [series._SQRT_HALF, math.nextafter(series._SQRT_HALF, 0.0),
+           math.nextafter(sqrt2, 0.0), sqrt2, math.nextafter(1.0, 0.0),
+           math.nextafter(1.0, 2.0), 1e-300, 1e300]
+    assert max(_dd_log_rel_err(x) for x in xs) <= 1e-31
+
+
+@given(st.one_of(st.floats(min_value=1e-300, max_value=1e300),
+                 st.floats(min_value=0.5, max_value=2.0)))
+@settings(max_examples=300, deadline=None)
+def test_dd_log_against_mpmath_everywhere(x):
+    if x != 1.0:
+        assert _dd_log_rel_err(x) <= 1e-31
