@@ -2,7 +2,7 @@
 
 The package evaluates series of Fox-Wright type (and the hypergeometric,
 Mittag-Leffler, Wright and normalized Bessel specializations) in ordinary
-double precision with certified tail bounds, and verifies the Turan-type,
+double precision with geometric tail bounds, and verifies the Turan-type,
 Lazarevic-type, Wilker-type, ratio-monotonicity and log-concavity
 inequalities these functions satisfy, over reproducible parameter grids,
 against an independent high-precision oracle.

@@ -1,0 +1,454 @@
+"""Array kernels of ``series.evaluate_batch``.
+
+Series requests are summed as the rows of (series x k) tiles and pFq
+requests by their recurrence run element-wise across rows; see the
+``series`` module docstring.  ``series.evaluate_batch`` imports this module
+on its first call, so importing the package for single calls does not
+compile it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import DivergentSeriesError, NoConvergenceError
+from .gammakit import (
+    _HALF_LN_TWO_PI,
+    _LOG_GAMMA_TAYLOR,
+    _ONE_MINUS_EULER_GAMMA,
+    _SHIFT_THRESHOLD,
+    _stirling_tail_sum,
+)
+from .series import (
+    _BLOCK_MAX,
+    _EXPAND_MIN,
+    _LN2_HI,
+    _LN2_LO,
+    _LN_GRID,
+    _LOG_DOUBLE_MAX,
+    _SQRT_HALF,
+    EvalConfig,
+    EvalResult,
+    PfqRequest,
+    Request,
+    _collapsed,
+    _dd_add,
+    _dd_div_d,
+    _dd_mul,
+    _expanded_rest,
+    _finish,
+    _log_ints_dd,
+    _sum_series,
+    _term_overflow,
+    _two_prod,
+    _two_sum,
+)
+
+
+def _log_gamma_array(x: np.ndarray) -> np.ndarray:
+    """gammakit.log_gamma element-wise over a float array of positive values:
+    the Stirling form from 8 on, below it the shift product and the Taylor
+    table of ln Gamma(1 + t)."""
+    out = np.empty_like(x)
+    big = x >= _SHIFT_THRESHOLD
+    if big.any():
+        xb = x[big]
+        out[big] = ((xb - 0.5) * np.log(xb) - xb + _HALF_LN_TWO_PI
+                    + _stirling_tail_sum(xb))
+    small = ~big
+    if small.any():
+        xs = x[small]
+        m = np.floor(np.maximum(xs - 0.5, 0.0))  # int(x - 0.5), below 8
+        prod = np.ones_like(xs)
+        for j in range(1, int(m.max()) + 1):
+            prod = np.where(m >= j, prod * (xs - j), prod)
+        tiny = xs < 0.5
+        t = np.where(tiny, xs, xs - m - 1.0)
+        s = np.zeros_like(t)
+        for c in _LOG_GAMMA_TAYLOR:
+            s = s * t + c
+        lg = t * (_ONE_MINUS_EULER_GAMMA + t * s) - np.log1p(t)
+        out[small] = lg + np.where(tiny, -np.log(xs), np.log(prod))
+    return out
+
+
+_LN_GRID_H = np.array([h for h, _ in _LN_GRID])
+_LN_GRID_L = np.array([l for _, l in _LN_GRID])
+
+
+def _dd_log_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_dd_log element-wise over a float array of positive finite values.
+
+    The same grid reduction and artanh series, run for the 8 steps the
+    scalar loop never exceeds once |s| < 0.006 (s^17/17 < 1e-35).
+    """
+    m, e = np.frexp(x)
+    low = m < _SQRT_HALF
+    m = np.where(low, 2.0 * m, m)
+    e = (e - low).astype(float)
+    j = np.rint(m * 64.0)
+    c = j / 64.0
+    num = m - c
+    dh, dl = _two_sum(c, m)
+    q = num / dh
+    p, pe = _two_prod(q, dh)
+    sh, sl = _two_sum(q, (((num - p) - pe) - q * dl) / dh)
+    x2h, x2l = _dd_mul(sh, sl, sh, sl)
+    th, tl = ah, al = sh, sl
+    for n in range(3, 19, 2):
+        th, tl = _dd_mul(th, tl, x2h, x2l)
+        ah, al = _dd_add(ah, al, *_dd_div_d(th, tl, float(n)))
+    g = j.astype(int) - 45
+    ah, al = _dd_add(_LN_GRID_H[g], _LN_GRID_L[g], 2.0 * ah, 2.0 * al)
+    ph, pe = _two_prod(e, _LN2_HI)
+    h, l = _dd_add(ph, pe + e * _LN2_LO, ah, al)
+    one = x == 1.0
+    return np.where(one, 0.0, h), np.where(one, 0.0, l)
+
+
+class _TermTable:
+    """_TermLogs for the rows of a tile.
+
+    Factor f of a row (its upper pairs, its lower pairs, then 1/k! as a
+    lower pair (1, 1)) is expanded from k = cross[f] on.  Ordered by that
+    index, every prefix of a row's factors is one stage of _TermLogs'
+    coefficient table; ``stages`` holds the table of every stage, as the
+    head/tail pairs (c, s, m) and the k-independent constant, built with
+    the additions _TermLogs._advance makes.  ``logs`` picks each element's
+    stage by counting the factors it has crossed.  Rows of fewer pairs are
+    padded with (1, 0) pairs up to the widest shape: a zero-weight factor
+    is a constant, lnGamma(1) = 0, so it adds exact zeros and never
+    crosses, and a padded row keeps every bit.
+    """
+
+    def __init__(self, reqs: list[Request]) -> None:
+        n_up = max(len(r.params.upper) for r in reqs)
+        n_low = max(len(r.params.lower) for r in reqs)
+        pad = (1.0, 0.0)
+        pairs = np.array([
+            r.params.upper + (pad,) * (n_up - len(r.params.upper))
+            + r.params.lower + (pad,) * (n_low - len(r.params.lower))
+            + ((1.0, 1.0),) for r in reqs], dtype=float)
+        self.a, self.w = pairs[:, :, 0], pairs[:, :, 1]
+        rows, nf = self.a.shape
+        self.sg = np.array([1.0] * n_up + [-1.0] * (nf - n_up))
+        live = self.w > 0.0
+        c = (_EXPAND_MIN - self.a) / np.where(live, self.w, 1.0)
+        self.cross = np.where(live & (c < 1e9), np.maximum(1.0, np.ceil(c)),
+                              np.inf)
+        self.live = live
+
+        z = np.array([abs(r.z) for r in reqs])
+        lh, ll = _dd_log_array(np.concatenate(
+            [z, np.where(live, self.w, 1.0).ravel()]))
+        lwh, lwl = lh[rows:].reshape(rows, nf), ll[rows:].reshape(rows, nf)
+
+        # stage 0: the zero-weight factors are constants
+        bh = bl = np.zeros(rows)
+        if not live.all():
+            lg0 = np.zeros_like(self.a)
+            lg0[~live] = _log_gamma_array(self.a[~live])
+            for f in range(nf):
+                bh, e = _two_sum(bh, self.sg[f] * lg0[:, f])
+                bl = bl + e
+        ch, cl = lh[:rows], ll[:rows]
+        sh = sl = mh = ml = np.zeros(rows)
+        stages = [(ch, cl, sh, sl, mh, ml, bh, bl)]
+        order = np.argsort(self.cross, axis=1, kind="stable")
+        at = np.arange(rows)
+        for i in range(nf):
+            f = order[:, i]
+            a, w, sg = self.a[at, f], self.w[at, f], self.sg[f]
+            wh, wl = lwh[at, f], lwl[at, f]
+            am = a - 0.5
+            sh, sl = _dd_add(sh, sl, sg * w, 0.0)
+            ph, pe = _two_prod(w, wh)
+            ch, cl = _dd_add(ch, cl, sg * ph, sg * (pe + w * wl))
+            ch, cl = _dd_add(ch, cl, -sg * w, 0.0)
+            mh, ml = _dd_add(mh, ml, sg * am, 0.0)
+            ph, pe = _two_prod(am, wh)
+            for v in (sg * ph, sg * (pe + am * wl), -sg * a,
+                      sg * _HALF_LN_TWO_PI):
+                bh, e = _two_sum(bh, v)
+                bl = bl + e
+            stages.append((ch, cl, sh, sl, mh, ml, bh, bl))
+        # per coefficient, a (row, stage) array
+        self.stages = [np.stack(col, axis=1) for col in zip(*stages)]
+        # a factor of zero weight in every row (a constant, or padding)
+        # adds only zeros term by term: leave it out of the (row, k, factor)
+        # arrays; the 1/k! factor always stays
+        used = live.any(axis=0)
+        self.a, self.w, self.cross, self.live, self.sg = (
+            self.a[:, used], self.w[:, used], self.cross[:, used],
+            live[:, used], self.sg[used])
+
+    def logs(self, ix: np.ndarray, fk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log|term k| as head/tail arrays for rows ix at the k of fk."""
+        cross = self.cross[ix, None, :]
+        expanded = fk[:, :, None] >= cross  # (row, k, factor)
+        at = ix[:, None] * self.stages[0].shape[1] + expanded.sum(axis=2)
+        ch, cl, sh, sl, mh, ml, rh, rl = (col.take(at) for col in self.stages)
+        h, l = _collapsed(ch, cl, sh, sl, mh, ml, fk,
+                          *_log_ints_dd(np.maximum(fk, 1.0)))
+        # what each factor adds besides the collapsed coefficients: its
+        # lnGamma below the threshold, the Stirling rest above it
+        a = np.broadcast_to(self.a[ix, None, :], expanded.shape)
+        wk = self.w[ix, None, :] * fk[:, :, None]
+        direct = self.live[ix, None, :] & ~expanded
+        v = np.zeros(expanded.shape)
+        if direct.any():
+            v[direct] = _log_gamma_array((a + wk)[direct])
+        if expanded.any():
+            v[expanded] = _expanded_rest(a[expanded], wk[expanded])
+        v *= self.sg
+        for f in range(v.shape[2]):
+            rh, e = _two_sum(rh, v[:, :, f])
+            rl = rl + e
+        return _dd_add(h, l, rh, rl)
+
+
+# Tile sizing of the batch path: the first block of every row covers 16
+# terms (most checker series stop within 10-30), blocks then double up to
+# _BLOCK_MAX, and a block of width n over rows of f factors runs at most
+# _TILE_CAP // (n * f) rows at a time, which bounds every (row, k, factor)
+# temporary at _TILE_CAP elements (64 KiB).
+_BATCH_FIRST = 16
+_TILE_CAP = 8192
+
+
+class _RowSums:
+    """Summation state of every row of a tile, as arrays indexed by row."""
+
+    def __init__(self, reqs: list[Request], cfg: EvalConfig) -> None:
+        n = len(reqs)
+        self.reqs = reqs
+        self.cfg = cfg
+        self.table = _TermTable(reqs)
+        self.start = np.array([r.start for r in reqs], dtype=float)
+        self.k0 = self.start.copy()
+        self.neg = np.array([r.z < 0.0 for r in reqs])
+        self.scale_h = np.full(n, -math.inf)
+        self.prev_h = np.full(n, -math.inf)
+        (self.scale_l, self.total, self.comp, self.total_abs, self.comp_abs,
+         self.prev_l, self.ratio) = np.zeros((7, n))
+        self.streak = np.zeros(n, dtype=int)
+        self.terms = np.zeros(n, dtype=int)
+        self.out: list = [None] * n
+
+    def block(self, ix: np.ndarray, n: int) -> np.ndarray:
+        """Sum the next n terms of rows ix; returns the rows still running."""
+        cfg = self.cfg
+        fk = self.k0[ix, None] + np.arange(n)
+        valid = fk < self.start[ix, None] + cfg.max_terms
+        lh, ll = self.table.logs(ix, fk)
+        sign = np.where(self.neg[ix, None] & (fk % 2 == 1), -1.0, 1.0)
+        for r, i in enumerate(ix.tolist()):
+            weight = self.reqs[i].weight
+            if weight is not None:
+                w = np.array([weight(k) for k in range(int(fk[r, 0]),
+                                                       int(fk[r, 0]) + n)])
+                sign[r, w < 0.0] *= -1.0
+                lh[r], ll[r] = _dd_add(lh[r], ll[r], np.log(np.abs(w)), 0.0)
+                lh[r, w == 0.0] = -math.inf
+                ll[r, w == 0.0] = 0.0
+        lh = np.where(valid, lh, -math.inf)
+        ll = np.where(valid, ll, 0.0)
+
+        # rescale to the block's largest term, as _sum_series does
+        at = np.arange(len(ix))
+        top = np.argmax(lh, axis=1)
+        top_h, top_l = lh[at, top], ll[at, top]
+        sh, sl = self.scale_h[ix], self.scale_l[ix]
+        up = top_h > sh
+        f = np.where(up & (sh > -math.inf),
+                     np.exp(sh - top_h) * (1.0 + (sl - top_l)), 1.0)
+        total, comp = self.total[ix] * f, self.comp[ix] * f
+        total_abs, comp_abs = self.total_abs[ix] * f, self.comp_abs[ix] * f
+        sh, sl = np.where(up, top_h, sh), np.where(up, top_l, sl)
+        t = np.where(valid & (sh[:, None] > -math.inf),
+                     np.exp(lh - sh[:, None]) * (1.0 + (ll - sl[:, None])),
+                     0.0)
+        x = sign * t
+
+        # the stop rule of _sum_series on cumsum partials: three small terms
+        # in a row, counting the streak carried in, and a last ratio below 1
+        partial = np.abs((total + comp)[:, None] + np.cumsum(x, axis=1))
+        small = valid & ((lh == -math.inf) | (
+            (fk > self.start[ix, None]) & (t <= cfg.rel_tol * partial)))
+        streak = self.streak[ix]
+        run = np.concatenate([(streak >= 2)[:, None], (streak >= 1)[:, None],
+                              small], axis=1)
+        ph = np.concatenate([self.prev_h[ix, None], lh[:, :-1]], axis=1)
+        pl = np.concatenate([self.prev_l[ix, None], ll[:, :-1]], axis=1)
+        d = (lh - ph) + (ll - pl)
+        ratio = np.where(lh == -math.inf, 0.0, np.where(
+            ph == -math.inf, math.inf,
+            np.where(d < _LOG_DOUBLE_MAX, np.exp(d), math.inf)))
+        stop = run[:, 2:] & run[:, 1:-1] & run[:, :-2] & (ratio < 1.0)
+        hit = stop.any(axis=1)
+        used = np.where(hit, np.argmax(stop, axis=1) + 1, n)
+        keep = np.arange(n) < used[:, None]
+        if not cfg.log_mode:
+            over = keep & (lh > _LOG_DOUBLE_MAX)
+            for r in np.flatnonzero(over.any(axis=1)).tolist():
+                j = int(np.argmax(over[r]))
+                self.out[ix[r]] = _term_overflow(int(fk[r, j]), float(lh[r, j]))
+                hit[r] = False
+
+        total, comp = _neumaier_array(total, comp,
+                                      np.where(keep, x, 0.0).sum(axis=1))
+        total_abs, comp_abs = _neumaier_array(
+            total_abs, comp_abs, np.where(keep, t, 0.0).sum(axis=1))
+        last = used - 1
+        rev = ~small[:, ::-1]
+        self.streak[ix] = np.where(rev.any(axis=1), np.argmax(rev, axis=1),
+                                   streak + n)
+        self.scale_h[ix], self.scale_l[ix] = sh, sl
+        self.total[ix], self.comp[ix] = total, comp
+        self.total_abs[ix], self.comp_abs[ix] = total_abs, comp_abs
+        self.terms[ix] += used
+        self.prev_h[ix], self.prev_l[ix] = lh[at, last], ll[at, last]
+        self.ratio[ix] = ratio[at, last]
+        self.k0[ix] += n
+
+        for r in np.flatnonzero(hit).tolist():
+            self.out[ix[r]] = self._raw(ix[r])
+        going = ~hit & np.array([self.out[i] is None for i in ix.tolist()])
+        for r in np.flatnonzero(going & ~valid[:, -1]).tolist():
+            req = self.reqs[ix[r]]
+            self.out[ix[r]] = NoConvergenceError(
+                f"stop rule did not fire within {cfg.max_terms} terms "
+                f"(start={req.start}, z={req.z!r})")
+            going[r] = False
+        return ix[going]
+
+    def _raw(self, i: int) -> tuple:
+        # the arguments of _finish before log_offset and log_mode
+        return (float(self.scale_h[i]), float(self.scale_l[i]),
+                float(self.total[i] + self.comp[i]),
+                float(self.total_abs[i] + self.comp_abs[i]),
+                int(self.terms[i]), float(self.prev_h[i]),
+                float(self.ratio[i]))
+
+    def run(self) -> list:
+        live = np.arange(len(self.reqs))
+        n = _BATCH_FIRST
+        while live.size:
+            step = max(1, _TILE_CAP // (n * self.table.a.shape[1]))
+            live = np.concatenate([self.block(live[i:i + step], n)
+                                   for i in range(0, live.size, step)])
+            n = min(2 * n, _BLOCK_MAX)
+        return self.out
+
+
+def _neumaier_array(total, comp, x):
+    s = total + x
+    return s, comp + np.where(np.abs(total) >= np.abs(x),
+                              (total - s) + x, (x - s) + total)
+
+
+def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
+    """pFq sums by the Pochhammer recurrence, element-wise across rows of
+    one (p, q) shape; each row runs the operations of a single call in the
+    same order, so its result does not depend on the other rows."""
+    p, q = len(reqs[0].upper), len(reqs[0].lower)
+    up = np.array([r.upper for r in reqs], dtype=float).reshape(len(reqs), p)
+    low = np.array([r.lower for r in reqs], dtype=float).reshape(len(reqs), q)
+    z = np.array([r.z for r in reqs], dtype=float)
+    idx = np.arange(len(reqs))
+    term = np.ones(len(reqs))
+    total, comp, total_abs = np.zeros((3, len(reqs)))
+    streak = np.zeros(len(reqs), dtype=int)
+    out: list = [None] * len(reqs)
+    for k in range(cfg.max_terms):
+        x = term
+        total, comp = _neumaier_array(total, comp, x)
+        total_abs = total_abs + np.abs(x)
+
+        num = np.ones(idx.size)
+        for i in range(p):
+            num = num * (up[:, i] + k)
+        den = np.full(idx.size, float(k + 1))
+        for j in range(q):
+            den = den * (low[:, j] + k)
+        nxt = term * (num / den) * z
+        bad = ~np.isfinite(nxt)
+        ratio = np.abs(nxt / np.where(term != 0.0, term, 1.0))
+        ratio = np.where(term != 0.0, ratio, 0.0)
+        term = nxt
+
+        partial = np.abs(total + comp)
+        small = (k > 0) & (np.abs(term) <= cfg.rel_tol * partial)
+        streak = np.where(small, streak + 1, 0)
+        done = ~bad & (streak >= 3) & (ratio < 1.0)
+        for r in np.flatnonzero(bad).tolist():
+            out[idx[r]] = OverflowError(
+                f"pFq term at k={k + 1} left the double range "
+                f"(z={reqs[idx[r]].z!r})")
+        for r in np.flatnonzero(done).tolist():
+            out[idx[r]] = _pfq_result(
+                float(total[r] + comp[r]), float(total_abs[r]),
+                float(term[r]), float(ratio[r]), float(z[r]), k + 1,
+                p == q + 1)
+        more = ~(bad | done)
+        if not more.all():
+            idx, term, total, comp, total_abs, streak, up, low, z = (
+                v[more] for v in (idx, term, total, comp, total_abs, streak,
+                                  up, low, z))
+            if not idx.size:
+                break
+    for i in idx.tolist():
+        out[i] = DivergentSeriesError(
+            f"pFq stop rule did not fire within {cfg.max_terms} terms "
+            f"(z={reqs[i].z!r})")
+    return out
+
+
+def _pfq_result(grand: float, total_abs: float, term: float, ratio: float,
+                z: float, terms: int, boundary: bool) -> EvalResult:
+    # for p = q+1 the term ratio tends to |z| from below/above; take the
+    # more conservative of the last observed ratio and |z|
+    r_eff = max(ratio, abs(z)) if boundary else ratio
+    tail = abs(term) * r_eff / (1.0 - r_eff) if r_eff < 1.0 else abs(term)
+    if grand == 0.0:
+        cond = 1.0 if total_abs == 0.0 else math.inf
+        return EvalResult(0.0, terms, tail, cond, -math.inf, 0)
+    return EvalResult(grand, terms, tail, total_abs / abs(grand),
+                      math.log(abs(grand)), 1 if grand > 0.0 else -1)
+
+
+def evaluate(requests: list, cfg: EvalConfig) -> list:
+    """series.evaluate_batch."""
+    out: list = [None] * len(requests)
+    series: dict = {}
+    pfq: dict = {}
+    for i, req in enumerate(requests):
+        if isinstance(req, PfqRequest):
+            pfq.setdefault((len(req.upper), len(req.lower)), {}).setdefault(
+                req, []).append(i)
+        elif req.z == 0.0:
+            out[i] = _settle(_sum_series, req, cfg)
+        else:
+            series.setdefault(req[:4], []).append(i)
+    with np.errstate(all="ignore"):
+        for members in pfq.values():
+            for at, res in zip(members.values(), _pfq_rows(list(members), cfg)):
+                for i in at:
+                    out[i] = res
+        if series:
+            rows = [requests[at[0]] for at in series.values()]
+            for at, res in zip(series.values(), _RowSums(rows, cfg).run()):
+                for i in at:
+                    out[i] = res if isinstance(res, Exception) else _settle(
+                        _finish, *res, requests[i].log_offset, cfg.log_mode)
+    return out
+
+
+def _settle(fn, *args):
+    # fn's result, or the OverflowError it raises past the double range
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        return exc

@@ -22,12 +22,16 @@ from .series import (
     EvalConfig,
     EvalResult,
     FoxWrightParams,
+    PfqRequest,
+    Request,
     _DEFAULT_CFG,
     _LOG_DOUBLE_MAX,
     _exp_or_inf,
+    _normalized,
+    _single,
+    _tilde,
     derivative,
     evaluate,
-    evaluate_normalized,
     evaluate_tilde,
 )
 
@@ -91,15 +95,8 @@ class MittagLefflerParams:
         )
 
 
-def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...], z: float,
-               cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
-    """Direct pFq summation via the Pochhammer term recurrence.
-
-    Unlike the Fox-Wright route this accepts arbitrary real upper
-    parameters (negative values make the series terminate or alternate),
-    which the transformed 2F2 family requires.  Lower parameters must be
-    positive.  Convergence gate: p <= q, or p = q + 1 with |z| < 1.
-    """
+def _pfq_request(upper: tuple[float, ...], lower: tuple[float, ...],
+                 z: float) -> PfqRequest:
     upper = tuple(float(a) for a in upper)
     lower = tuple(float(b) for b in lower)
     p, q = len(upper), len(lower)
@@ -111,58 +108,33 @@ def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...], z: float,
     if p == q + 1 and abs(z) >= 1.0:
         raise DivergentSeriesError(
             f"pFq with p = q+1 needs |z| < 1, got z={z!r}")
+    return PfqRequest(upper, lower, z)
 
-    term = 1.0
-    total = 0.0
-    comp = 0.0
-    total_abs = 0.0
-    ratio = math.inf
-    streak = 0
-    k = 0
-    for k in range(cfg.max_terms):
-        x = term
-        s = total + x
-        if abs(total) >= abs(x):
-            comp += (total - s) + x
-        else:
-            comp += (x - s) + total
-        total = s
-        total_abs += abs(x)
 
-        num = 1.0
-        for a in upper:
-            num *= a + k
-        den = float(k + 1)
-        for b in lower:
-            den *= b + k
-        nxt = term * (num / den) * z
-        if math.isinf(nxt) or math.isnan(nxt):
-            raise OverflowError(
-                f"pFq term at k={k + 1} left the double range (z={z!r})")
-        ratio = abs(nxt / term) if term != 0.0 else 0.0
-        term = nxt
+def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...], z: float,
+               cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+    """Direct pFq summation via the Pochhammer term recurrence.
 
-        partial = abs(total + comp)
-        if k > 0 and abs(term) <= cfg.rel_tol * partial:
-            streak += 1
-        else:
-            streak = 0
-        if streak >= 3 and ratio < 1.0:
-            break
-    else:
-        raise DivergentSeriesError(
-            f"pFq stop rule did not fire within {cfg.max_terms} terms (z={z!r})")
+    Unlike the Fox-Wright route this accepts arbitrary real upper
+    parameters (negative values make the series terminate or alternate),
+    which the transformed 2F2 family requires.  Lower parameters must be
+    positive.  Convergence gate: p <= q, or p = q + 1 with |z| < 1.  The
+    sum is the one-row case of the pFq request kind of
+    ``series.evaluate_batch``.
+    """
+    return _single(_pfq_request(upper, lower, z), cfg)
 
-    # for p = q+1 the term ratio tends to |z| from below/above; take the
-    # more conservative of the last observed ratio and |z|
-    r_eff = max(ratio, abs(z)) if p == q + 1 else ratio
-    tail = abs(term) * r_eff / (1.0 - r_eff) if r_eff < 1.0 else abs(term)
-    grand = total + comp
-    if grand == 0.0:
-        cond = 1.0 if total_abs == 0.0 else math.inf
-        return EvalResult(0.0, k + 1, tail, cond, -math.inf, 0)
-    return EvalResult(grand, k + 1, tail, total_abs / abs(grand),
-                      math.log(abs(grand)), 1 if grand > 0.0 else -1)
+
+def _hyper_request(hp: HypergeometricParams, z: float) -> Request | PfqRequest:
+    p, q = len(hp.upper), len(hp.lower)
+    if p > q + 1:
+        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
+    if p == q + 1:
+        return _pfq_request(hp.upper, hp.lower, z)
+    return _normalized(FoxWrightParams(
+        upper=tuple((a, 1.0) for a in hp.upper),
+        lower=tuple((b, 1.0) for b in hp.lower),
+    ), z)
 
 
 def pFq(hp: HypergeometricParams, z: float,
@@ -174,16 +146,7 @@ def pFq(hp: HypergeometricParams, z: float,
     the normalized evaluation); the boundary case p = q + 1 converges only
     for |z| < 1 and is summed directly.
     """
-    p, q = len(hp.upper), len(hp.lower)
-    if p > q + 1:
-        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
-    if p == q + 1:
-        return pfq_direct(hp.upper, hp.lower, z, cfg)
-    params = FoxWrightParams(
-        upper=tuple((a, 1.0) for a in hp.upper),
-        lower=tuple((b, 1.0) for b in hp.lower),
-    )
-    return evaluate_normalized(params, z, cfg)
+    return _single(_hyper_request(hp, z), cfg)
 
 
 def mittag_leffler(mlp: MittagLefflerParams, z: float,
@@ -211,9 +174,14 @@ def bessel_norm(nu: float, z: float, cfg: EvalConfig = _DEFAULT_CFG) -> EvalResu
     Reduces to cosh z at nu = -1/2 and sinh(z)/z at nu = 1/2; equals 1 at
     z = 0 for every nu.
     """
+    return _single(_bessel_request(nu, z), cfg)
+
+
+def _bessel_request(nu: float, z: float) -> Request:
     if not nu > -1.0:
         raise DomainError(f"normalized Bessel needs nu > -1, got {nu}")
-    return wright(1.0, nu + 1.0, z * z / 4.0, normalized=True, cfg=cfg)
+    return _tilde(FoxWrightParams(upper=(), lower=((nu + 1.0, 1.0),)),
+                  z * z / 4.0)
 
 
 def _scale_result(res: EvalResult, log_factor: float,

@@ -12,13 +12,23 @@ place (report.margin_passes): report.value_report for sides already in
 value space, _log_report here for sides given by their logs, and
 report.worst_report for the checkers that judge a set of comparisons
 (ratio-monotone, kn-bound, chi) and report the one with the smallest margin.
+
+Each checker is a generator: it yields the list of series evaluations it
+needs (``series.Request`` and ``series.PfqRequest`` items), is sent their
+results, may yield again, and returns its report.  ``_run_rounds`` advances
+many of them in lockstep with one ``series.evaluate_batch`` call a round;
+the suite runner drives a whole suite that way, and each public checker
+drives its one generator the same way, so a direct call and the matching
+suite row are the same computation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import Generator, Sequence
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -26,7 +36,12 @@ from .errors import (
     ParameterError,
     SingularTransformError,
 )
-from .functions import HypergeometricParams, bessel_norm, pFq, pfq_direct
+from .functions import (
+    HypergeometricParams,
+    _bessel_request,
+    _hyper_request,
+    _pfq_request,
+)
 from .gammakit import digamma, gamma_ratio, log_gamma
 from .report import (
     STATUS_NUMERICAL_FAILURE,
@@ -38,15 +53,17 @@ from .report import (
 )
 from .series import (
     _DEFAULT_CFG,
+    _LOG_DOUBLE_MAX,
     _exp_or_inf,
+    _normalized,
+    _plain,
+    _tail,
+    _tilde,
     EvalConfig,
     EvalResult,
     FoxWrightParams,
     TailSpec,
-    evaluate,
-    evaluate_normalized,
-    evaluate_tail,
-    evaluate_tilde,
+    evaluate_batch,
     log_term,
 )
 
@@ -74,8 +91,59 @@ _ROUND_REL = 1e-14
 _CONDITION_LIMIT = 1e6
 
 
+# what a checker generator is: it yields request lists, is sent their
+# results, and returns its report (or reports)
+Rounds = Generator[list, list, object]
+
+
 def _log_cfg(cfg: EvalConfig) -> EvalConfig:
     return cfg if cfg.log_mode else replace(cfg, log_mode=True)
+
+
+def _run_rounds(gens: list[Rounds], cfg: EvalConfig = _DEFAULT_CFG,
+                absorb: tuple = ()) -> list:
+    """Advance checker generators in lockstep to their return values.
+
+    One evaluate_batch call serves every generator still running in a
+    round, in log mode (pFq requests ignore it).  A request that fails is
+    thrown into its own generator only.  Returns each generator's return
+    value, or the exception of a type in ``absorb`` that ended it; any
+    other exception propagates.
+    """
+    cfg = _log_cfg(cfg)
+    out: list = [None] * len(gens)
+    waiting: dict[int, list] = {}
+
+    def advance(i: int, results: list | None = None,
+                exc: Exception | None = None) -> None:
+        try:
+            if exc is None:
+                waiting[i] = gens[i].send(results)
+            else:
+                waiting[i] = gens[i].throw(exc)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except absorb as err:
+            out[i] = err
+
+    for i in range(len(gens)):
+        advance(i)
+    while waiting:
+        batch = list(waiting.items())
+        waiting.clear()
+        results = evaluate_batch([r for _, reqs in batch for r in reqs], cfg)
+        at = 0
+        for i, reqs in batch:
+            mine = results[at:at + len(reqs)]
+            at += len(reqs)
+            failed = [r for r in mine if isinstance(r, Exception)]
+            advance(i, mine, failed[0] if failed else None)
+    return out
+
+
+def _drive(gen: Rounds, cfg: EvalConfig):
+    # a public checker: its one generator through the suite runner's path
+    return _run_rounds([gen], cfg)[0]
 
 
 def _diff_of_exp(la: float, lb: float) -> float:
@@ -148,29 +216,33 @@ def turan_alpha_check(params: FoxWrightParams, z: float,
     When every weight equals 1 the same margin is recomputed in normalized
     pFq form and echoed in aux.
     """
+    return _drive(_turan_alpha(params, z, tol_abs, tol_rel), cfg)
+
+
+def _turan_alpha(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
+                 tol_rel: float = TOL_REL) -> Rounds:
     if not params.upper:
         raise ParameterError("needs at least one upper parameter pair")
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
-    cfg = _log_cfg(cfg)
     a1 = params.upper[0][0]
-    r0 = evaluate(params, z, cfg)
-    r1 = evaluate(params.with_upper_value(0, a1 + 1.0), z, cfg)
-    r2 = evaluate(params.with_upper_value(0, a1 + 2.0), z, cfg)
+    reqs = [_plain(params, z),
+            _plain(params.with_upper_value(0, a1 + 1.0), z),
+            _plain(params.with_upper_value(0, a1 + 2.0), z)]
+    all_unit = all(w == 1.0 for _, w in params.upper + params.lower)
+    if all_unit and len(params.upper) <= len(params.lower):
+        reqs += [_hyper_request(HypergeometricParams(
+            (v,) + tuple(a for a, _ in params.upper[1:]),
+            tuple(b for b, _ in params.lower)), z)
+            for v in (a1, a1 + 1.0, a1 + 2.0)]
+    r0, r1, r2, *hyper = yield reqs
     la = r0.log_magnitude + r2.log_magnitude
     lb = 2.0 * r1.log_magnitude
     m1 = _exp_or_inf(r1.log_magnitude)
     err = _product_err(r0, r2) + 2.0 * m1 * _abs_err(r1)
 
     aux = None
-    all_unit = all(w == 1.0 for _, w in params.upper + params.lower)
-    if all_unit and len(params.upper) <= len(params.lower):
-        hyper = [
-            pFq(HypergeometricParams(
-                (v,) + tuple(a for a, _ in params.upper[1:]),
-                tuple(b for b, _ in params.lower)), z, cfg)
-            for v in (a1, a1 + 1.0, a1 + 2.0)
-        ]
+    if hyper:
         aux = {"pfq_margin": hyper[0].value * hyper[2].value
                - a1 / (a1 + 1.0) * hyper[1].value ** 2}
 
@@ -187,15 +259,19 @@ def turan_beta_check(params: FoxWrightParams, z: float,
     margin = Psi[b1] * Psi[b1+2] - b1/(b1+1) * Psi[b1+1]^2 >= 0 at z >= 0,
     with equality at z = 0.
     """
+    return _drive(_turan_beta(params, z, tol_abs, tol_rel), cfg)
+
+
+def _turan_beta(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
+                tol_rel: float = TOL_REL) -> Rounds:
     if not params.lower:
         raise ParameterError("needs at least one lower parameter pair")
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
-    cfg = _log_cfg(cfg)
     b1 = params.lower[0][0]
-    r0 = evaluate(params, z, cfg)
-    r1 = evaluate(params.with_lower_value(0, b1 + 1.0), z, cfg)
-    r2 = evaluate(params.with_lower_value(0, b1 + 2.0), z, cfg)
+    r0, r1, r2 = yield [_plain(params, z),
+                        _plain(params.with_lower_value(0, b1 + 1.0), z),
+                        _plain(params.with_lower_value(0, b1 + 2.0), z)]
     la = r0.log_magnitude + r2.log_magnitude
     lb = math.log(b1 / (b1 + 1.0)) + 2.0 * r1.log_magnitude
     m1 = _exp_or_inf(r1.log_magnitude)
@@ -224,6 +300,13 @@ def corollary3_2f2_check(alpha1: float, beta1: float, beta2: float, z: float,
     condition estimate exceeds 1e6 the report is marked numerical-failure
     instead of pass/fail.
     """
+    return _drive(_corollary3_2f2(alpha1, beta1, beta2, z, tol_abs, tol_rel),
+                  cfg)
+
+
+def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
+                    tol_abs: float = TOL_ABS,
+                    tol_rel: float = TOL_REL) -> Rounds:
     if not (beta1 > 0.0 and beta2 > 0.0):
         raise ParameterError(
             f"beta1 and beta2 must be positive, got {beta1!r}, {beta2!r}")
@@ -241,9 +324,10 @@ def corollary3_2f2_check(alpha1: float, beta1: float, beta2: float, z: float,
         raise ParameterError(
             "derived lower parameters must be positive: "
             + ", ".join(f"{n} = {v:.6g}" for n, v in bad))
-    F1 = pfq_direct((beta1 - alpha1 - 1.0, f + 1.0), (beta1, f), z, cfg)
-    F2 = pfq_direct((beta1 - alpha1 + 1.0, g + 1.0), (beta1 + 2.0, g), z, cfg)
-    F3 = pfq_direct((beta1 - alpha1, h + 1.0), (beta1 + 1.0, h), z, cfg)
+    F1, F2, F3 = yield [
+        _pfq_request((beta1 - alpha1 - 1.0, f + 1.0), (beta1, f), z),
+        _pfq_request((beta1 - alpha1 + 1.0, g + 1.0), (beta1 + 2.0, g), z),
+        _pfq_request((beta1 - alpha1, h + 1.0), (beta1 + 1.0, h), z)]
     cond = max(F1.condition_estimate, F2.condition_estimate,
                F3.condition_estimate)
     lhs = F1.value * F2.value
@@ -278,6 +362,14 @@ def ratio_monotonicity_check(params: FoxWrightParams, slot: str,
     grid and the derivative cross-product at every grid point are checked;
     the report carries the worst comparison.
     """
+    return _drive(_ratio_monotonicity(params, slot, v1, v2, z_grid, tol_abs,
+                                      tol_rel), cfg)
+
+
+def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
+                        v2: float, z_grid: Sequence[float],
+                        tol_abs: float = TOL_ABS,
+                        tol_rel: float = TOL_REL) -> Rounds:
     if slot not in ("alpha", "beta"):
         raise ParameterError(f"slot must be 'alpha' or 'beta', got {slot!r}")
     if v1 == v2:
@@ -298,11 +390,11 @@ def ratio_monotonicity_check(params: FoxWrightParams, slot: str,
         p_small = params.with_upper_value(0, vs)
         p_big = params.with_upper_value(0, vb)
 
-    cfg = _log_cfg(cfg)
-    es = [evaluate(p_small, z, cfg) for z in z_grid]
-    eb = [evaluate(p_big, z, cfg) for z in z_grid]
-    ds = [evaluate(p_small.shifted(), z, cfg) for z in z_grid]
-    db = [evaluate(p_big.shifted(), z, cfg) for z in z_grid]
+    n = len(z_grid)
+    res = yield [_plain(p, z)
+                 for p in (p_small, p_big, p_small.shifted(), p_big.shifted())
+                 for z in z_grid]
+    es, eb, ds, db = (res[i * n:(i + 1) * n] for i in range(4))
 
     if slot == "beta":
         lr = [b.log_magnitude - s.log_magnitude for s, b in zip(es, eb)]
@@ -368,13 +460,17 @@ def tail_turan_check(params: FoxWrightParams, n: int, z: float,
     T_m is the tail summed from index m+1 on.  Only shapes whose upper
     weights are all zero are in scope.
     """
+    return _drive(_tail_turan(params, n, z, tol_abs, tol_rel), cfg)
+
+
+def _tail_turan(params: FoxWrightParams, n: int, z: float,
+                tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     _require_constant_upper(params, "tail Turan")
     if n < 0:
         raise ParameterError(f"tail index must be >= 0, got {n}")
     if not z > 0.0:
         raise DomainError(f"defined for z > 0, got z={z!r}")
-    cfg = _log_cfg(cfg)
-    t1 = evaluate_tail(params, TailSpec(n + 1), z, cfg)
+    t1, = yield [_tail(params, TailSpec(n + 1), z)]
     l1 = t1.log_magnitude
     # T_n = T_{n+1} + t_{n+1} and T_{n+2} = T_{n+1} - t_{n+2}, so the
     # squared-minus-product margin collapses to
@@ -397,25 +493,39 @@ def tail_turan_check(params: FoxWrightParams, n: int, z: float,
                         lhs, rhs, margin, err, tol_abs, tol_rel)
 
 
-def _kn_with_err(params: FoxWrightParams, n: int, z: float,
-                 cfg: EvalConfig) -> tuple[float, float]:
+def _kn_values(params: FoxWrightParams, n: int,
+               zs: Sequence[float]) -> Rounds:
     # K_n = (T_n / T_{n+1}) (T_{n+2} / T_{n+1}) = (1 + a)(1 - b) with
     # a = t_{n+1}/T_{n+1} and b = t_{n+2}/T_{n+1}.  For b near 1 the
-    # complement 1 - b is formed from a direct T_{n+2} evaluation instead.
-    t1 = evaluate_tail(params, TailSpec(n + 1), z, cfg)
-    l1 = t1.log_magnitude
-    a = _exp_or_inf(log_term(params, z, n + 1) - l1)
-    b = _exp_or_inf(log_term(params, z, n + 2) - l1)
-    rel = 2.0 * _rel_err(t1) + 2e-14
-    if b > 0.5:
-        t2 = evaluate_tail(params, TailSpec(n + 2), z, cfg)
-        factor = _exp_or_inf(t2.log_magnitude - l1)
-        rel += _rel_err(t2)
-    else:
-        factor = 1.0 - b
-        rel += 2.0 * b * (_rel_err(t1) + 1e-15)
-    k = (1.0 + a) * factor
-    return k, k * rel
+    # complement 1 - b is formed from a direct T_{n+2} evaluation instead,
+    # in a second round.  Returns the lists of K_n and of its error.
+    if n < 0:
+        raise ParameterError(f"tail index must be >= 0, got {n}")
+    for v in zs:
+        if not v > 0.0:
+            raise DomainError(f"defined for z > 0, got z={v!r}")
+    t1s = yield [_tail(params, TailSpec(n + 1), z) for z in zs]
+    ab = [(_exp_or_inf(log_term(params, z, n + 1) - t1.log_magnitude),
+           _exp_or_inf(log_term(params, z, n + 2) - t1.log_magnitude))
+          for z, t1 in zip(zs, t1s)]
+    again = [i for i, (_, b) in enumerate(ab) if b > 0.5]
+    t2s = {}
+    if again:
+        t2s = dict(zip(again, (yield [_tail(params, TailSpec(n + 2), zs[i])
+                                      for i in again])))
+    kvals, kerrs = [], []
+    for i, (t1, (a, b)) in enumerate(zip(t1s, ab)):
+        rel = 2.0 * _rel_err(t1) + 2e-14
+        if i in t2s:
+            factor = _exp_or_inf(t2s[i].log_magnitude - t1.log_magnitude)
+            rel += _rel_err(t2s[i])
+        else:
+            factor = 1.0 - b
+            rel += 2.0 * b * (_rel_err(t1) + 1e-15)
+        k = (1.0 + a) * factor
+        kvals.append(k)
+        kerrs.append(k * rel)
+    return kvals, kerrs
 
 
 def kn_ratio(params: FoxWrightParams, n: int, z: float,
@@ -425,12 +535,8 @@ def kn_ratio(params: FoxWrightParams, n: int, z: float,
     Exploratory helper: unlike kn_value_and_bound it accepts nonzero upper
     weights, where no proven bound is available.
     """
-    if n < 0:
-        raise ParameterError(f"tail index must be >= 0, got {n}")
-    if not z > 0.0:
-        raise DomainError(f"defined for z > 0, got z={z!r}")
-    k, _ = _kn_with_err(params, n, z, _log_cfg(cfg))
-    return k
+    kvals, _ = _drive(_kn_values(params, n, [z]), cfg)
+    return kvals[0]
 
 
 def kn_value_and_bound(params: FoxWrightParams, n: int,
@@ -450,12 +556,20 @@ def kn_value_and_bound(params: FoxWrightParams, n: int,
     Pass a single z to check K_n(z) >= C, or a strictly increasing z_grid
     to additionally check the steps; exactly one of the two.
     """
+    return _drive(_kn_value_and_bound(params, n, z, z_grid, tol_abs, tol_rel),
+                  cfg)
+
+
+def _kn_value_and_bound(params: FoxWrightParams, n: int,
+                        z: float | None = None,
+                        z_grid: Sequence[float] | None = None,
+                        tol_abs: float = TOL_ABS,
+                        tol_rel: float = TOL_REL) -> Rounds:
     _require_constant_upper(params, "the K_n bound")
     if n < 0:
         raise ParameterError(f"tail index must be >= 0, got {n}")
     if (z is None) == (z_grid is None):
         raise ParameterError("pass exactly one of z or z_grid")
-    cfg = _log_cfg(cfg)
 
     log_c = math.log((n + 2.0) / (n + 3.0))
     for b, w in params.lower:
@@ -467,15 +581,7 @@ def kn_value_and_bound(params: FoxWrightParams, n: int,
     zs = [float(z)] if z_grid is None else [float(v) for v in z_grid]
     if z_grid is not None:
         _check_grid(zs, "z grid")
-    for v in zs:
-        if not v > 0.0:
-            raise DomainError(f"defined for z > 0, got z={v!r}")
-
-    kvals, kerrs = [], []
-    for v in zs:
-        k, e = _kn_with_err(params, n, v, cfg)
-        kvals.append(k)
-        kerrs.append(e)
+    kvals, kerrs = yield from _kn_values(params, n, zs)
 
     comparisons = [{
         "kind": "bound",
@@ -510,52 +616,62 @@ def kn_value_and_bound(params: FoxWrightParams, n: int,
 
 
 def _tilde_pair(alpha1: float, beta1: float, beta2: float, B1: float,
-                z: float, cfg: EvalConfig) -> tuple[EvalResult, EvalResult]:
-    """(numerator, denominator) evaluations of the chi ratio at beta1."""
-    den = evaluate_tilde(FoxWrightParams(
-        upper=((alpha1, 1.0),),
-        lower=((beta1, B1), (beta2, 1.0))), z, cfg)
-    num = evaluate_tilde(FoxWrightParams(
-        upper=((alpha1 + 1.0, 1.0),),
-        lower=((beta1 + B1, B1), (beta2 + 1.0, 1.0))), z, cfg)
-    return num, den
+                z: float) -> list:
+    """(denominator, numerator) requests of the chi ratio at beta1."""
+    return [_tilde(FoxWrightParams(
+                upper=((alpha1, 1.0),),
+                lower=((beta1, B1), (beta2, 1.0))), z),
+            _tilde(FoxWrightParams(
+                upper=((alpha1 + 1.0, 1.0),),
+                lower=((beta1 + B1, B1), (beta2 + 1.0, 1.0))), z)]
+
+
+def _omega_columns(alpha1: float, beta2: float,
+                   k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The beta1-free columns of _omega: lnGamma(alpha1 + i), ln i! and
+    lnGamma(beta2 + i) for i = 0..k_max."""
+    lg_f = [0.0] * (k_max + 1)
+    for i in range(2, k_max + 1):
+        lg_f[i] = lg_f[i - 1] + math.log(i)
+    return (np.array([log_gamma(alpha1 + i) for i in range(k_max + 1)]),
+            np.array(lg_f),
+            np.array([log_gamma(beta2 + i) for i in range(k_max + 1)]))
 
 
 def _omega(alpha1: float, beta1: float, beta2: float, B1: float,
-           z: float, k_max: int) -> tuple[float, float]:
+           z: float, k_max: int, columns: tuple | None = None
+           ) -> tuple[float, float]:
     """Positivity witness for the chi derivative in beta1.
 
     Every summand is nonnegative when alpha1 >= beta2 and B1 >= 0, so a
     nonnegative truncated sum certifies nothing by accident: a negative
     value can only come from an implementation bug.  Returns (value,
-    truncation estimate from the last index block).
+    truncation estimate from the last index block).  The summands of
+    index block k pair j with k - j for j <= (k - 1)/2; they are formed
+    as one masked (k, j) array, each in the operations of the direct
+    double loop, and summed in its order.  ``columns``, from
+    _omega_columns at k_max or above, saves recomputing them.
     """
     if B1 == 0.0 or alpha1 == beta2:
         return 0.0, 0.0
     c = beta1 + B1
     lnz = math.log(z)
-    lg_a = [log_gamma(alpha1 + i) for i in range(k_max + 1)]
-    lg_f = [0.0] * (k_max + 1)
-    for i in range(2, k_max + 1):
-        lg_f[i] = lg_f[i - 1] + math.log(i)
-    lg_c = [log_gamma(c + i * B1) for i in range(k_max + 1)]
-    lg_b = [log_gamma(beta2 + i) for i in range(k_max + 1)]
-    psi_c = [digamma(c + i * B1) for i in range(k_max + 1)]
+    lg_a, lg_f, lg_b = columns or _omega_columns(alpha1, beta2, k_max)
+    lg_c = np.array([log_gamma(c + i * B1) for i in range(k_max + 1)])
+    psi_c = np.array([digamma(c + i * B1) for i in range(k_max + 1)])
 
-    total = 0.0
-    last_block = 0.0
-    for k in range(1, k_max + 1):
-        block = 0.0
-        for j in range(0, (k - 1) // 2 + 1):
-            e = (lg_a[j] + lg_a[k - j] - lg_f[j] - lg_f[k - j]
-                 - lg_c[j] - lg_c[k - j] - lg_b[j] - lg_b[k - j]
-                 + k * lnz)
-            block += (_exp_or_inf(e) * (k - 2 * j) * (alpha1 - beta2)
-                      * (psi_c[k - j] - psi_c[j])
-                      / ((beta2 + k - j) * (beta2 + j)))
-        total += block
-        last_block = block
-    return total, last_block
+    k = np.arange(1, k_max + 1)[:, None]
+    j = np.arange((k_max - 1) // 2 + 1)[None, :]
+    inside = 2 * j < k
+    m = np.where(inside, k - j, 0)
+    e = (lg_a[j] + lg_a[m] - lg_f[j] - lg_f[m] - lg_c[j] - lg_c[m]
+         - lg_b[j] - lg_b[m] + k * lnz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = np.where(e < _LOG_DOUBLE_MAX, np.exp(e), math.inf)
+        terms = (grow * (k - 2 * j) * (alpha1 - beta2) * (psi_c[m] - psi_c[j])
+                 / ((beta2 + k - j) * (beta2 + j)))
+    blocks = np.cumsum(np.where(inside, terms, 0.0), axis=1)[:, -1]
+    return float(np.cumsum(blocks)[-1]), float(blocks[-1])
 
 
 def chi_check(alpha1: float, beta2: float, B1: float,
@@ -570,6 +686,13 @@ def chi_check(alpha1: float, beta2: float, B1: float,
     witness Omega(b1) for the sign of the derivative must be nonnegative
     at every grid point.  Requires alpha1 >= beta2 > 0 and z > 0.
     """
+    return _drive(_chi(alpha1, beta2, B1, beta1_grid, z, tol_abs, tol_rel),
+                  cfg)
+
+
+def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
+         z: float, tol_abs: float = TOL_ABS,
+         tol_rel: float = TOL_REL) -> Rounds:
     if not (beta2 > 0.0 and alpha1 >= beta2):
         raise DomainError(
             f"needs alpha1 >= beta2 > 0, got alpha1={alpha1!r}, beta2={beta2!r}")
@@ -581,13 +704,17 @@ def chi_check(alpha1: float, beta2: float, B1: float,
     if not beta1_grid[0] > 0.0:
         raise GridError(f"beta1 grid must be positive, got {beta1_grid[0]!r}")
 
-    cfg = _log_cfg(cfg)
+    res = yield [r for b1 in beta1_grid
+                 for r in _tilde_pair(alpha1, b1, beta2, B1, z)]
+    columns = _omega_columns(alpha1, beta2,
+                             max(den.terms_used for den in res[::2]) + 10)
     chi_vals, chi_rel, omega_vals, omega_errs = [], [], [], []
-    for b1 in beta1_grid:
-        num, den = _tilde_pair(alpha1, b1, beta2, B1, z, cfg)
+    for i, b1 in enumerate(beta1_grid):
+        den, num = res[2 * i], res[2 * i + 1]
         chi_vals.append(_exp_or_inf(num.log_magnitude - den.log_magnitude))
         chi_rel.append(_rel_err(num) + _rel_err(den))
-        om, om_err = _omega(alpha1, b1, beta2, B1, z, den.terms_used + 10)
+        om, om_err = _omega(alpha1, b1, beta2, B1, z, den.terms_used + 10,
+                            columns)
         omega_vals.append(om)
         omega_errs.append(om_err + _ROUND_REL * abs(om))
 
@@ -640,15 +767,14 @@ def _check_powered_params(alpha1: float, beta1: float, beta2: float,
 
 
 def _shifted_tilde_pair(alpha1: float, beta1: float, beta2: float, B1: float,
-                        z: float, cfg: EvalConfig) -> tuple[EvalResult, EvalResult]:
-    """Evaluations at first lower value beta1+1 (U) and beta1 (V)."""
-    u = evaluate_tilde(FoxWrightParams(
-        upper=((alpha1, 1.0),),
-        lower=((beta1 + 1.0, B1), (beta2, 1.0))), z, cfg)
-    v = evaluate_tilde(FoxWrightParams(
-        upper=((alpha1, 1.0),),
-        lower=((beta1, B1), (beta2, 1.0))), z, cfg)
-    return u, v
+                        z: float) -> list:
+    """Requests at first lower value beta1+1 (U) and beta1 (V)."""
+    return [_tilde(FoxWrightParams(
+                upper=((alpha1, 1.0),),
+                lower=((beta1 + 1.0, B1), (beta2, 1.0))), z),
+            _tilde(FoxWrightParams(
+                upper=((alpha1, 1.0),),
+                lower=((beta1, B1), (beta2, 1.0))), z)]
 
 
 def lazarevic_check(alpha1: float, beta1: float, beta2: float, B1: float,
@@ -661,11 +787,16 @@ def lazarevic_check(alpha1: float, beta1: float, beta2: float, B1: float,
     normalized series at first lower value b1+1 and b1, e1 =
     G(b1+B1)/G(b1), e2 = e1 (b1+B1)/b1.  Requires a1 >= b2 > 0, z >= 0.
     """
+    return _drive(_lazarevic(alpha1, beta1, beta2, B1, z, tol_abs, tol_rel),
+                  cfg)
+
+
+def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
+               tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     _check_powered_params(alpha1, beta1, beta2, B1)
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
-    cfg = _log_cfg(cfg)
-    u, v = _shifted_tilde_pair(alpha1, beta1, beta2, B1, z, cfg)
+    u, v = yield _shifted_tilde_pair(alpha1, beta1, beta2, B1, z)
     e1 = gamma_ratio(beta1, B1)
     e2 = e1 * (beta1 + B1) / beta1
     lu = e2 * u.log_magnitude
@@ -690,9 +821,12 @@ def lazarevic_bessel_check(nu: float, z: float,
     margin = I[nu+1](z)^{(nu+2)/(nu+1)} - I[nu](z) >= 0, where I[v] is the
     normalized Bessel function (equal to 1 at z = 0).
     """
-    cfg = _log_cfg(cfg)
-    r1 = bessel_norm(nu + 1.0, z, cfg)
-    r0 = bessel_norm(nu, z, cfg)
+    return _drive(_lazarevic_bessel(nu, z, tol_abs, tol_rel), cfg)
+
+
+def _lazarevic_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
+                      tol_rel: float = TOL_REL) -> Rounds:
+    r1, r0 = yield [_bessel_request(nu + 1.0, z), _bessel_request(nu, z)]
     e = (nu + 2.0) / (nu + 1.0)
     la = e * r1.log_magnitude
     err = _exp_or_inf(la) * e * _rel_err(r1) + _abs_err(r0)
@@ -703,10 +837,9 @@ def lazarevic_bessel_check(nu: float, z: float,
 
 
 def _wilker_core(alpha1: float, beta1: float, beta2: float, B1: float,
-                 z: float, cfg: EvalConfig, tol_abs: float, tol_rel: float,
-                 suite_id: str, params_echo: dict) -> InequalityReport:
-    cfg = _log_cfg(cfg)
-    u, v = _shifted_tilde_pair(alpha1, beta1, beta2, B1, z, cfg)
+                 z: float, tol_abs: float, tol_rel: float,
+                 suite_id: str, params_echo: dict) -> Rounds:
+    u, v = yield _shifted_tilde_pair(alpha1, beta1, beta2, B1, z)
     t1 = _exp_or_inf(u.log_magnitude - v.log_magnitude)
     lt2 = (B1 / beta1) * (log_gamma(beta2) - log_gamma(alpha1)
                           + u.log_magnitude)
@@ -728,13 +861,17 @@ def wilker_check(alpha1: float, beta1: float, beta2: float, B1: float,
     margin = U/V + [(G(b2)/G(a1)) U]^{B1/b1} - 2 >= 0 with U, V as in the
     Lazarevic checker.  Requires a1 >= b2 > 0, z >= 0.
     """
+    return _drive(_wilker(alpha1, beta1, beta2, B1, z, tol_abs, tol_rel), cfg)
+
+
+def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
+            tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     _check_powered_params(alpha1, beta1, beta2, B1)
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
-    return _wilker_core(alpha1, beta1, beta2, B1, z, cfg, tol_abs, tol_rel,
-                        "wilker",
-                        {"alpha1": alpha1, "beta1": beta1, "beta2": beta2,
-                         "B1": B1})
+    return (yield from _wilker_core(
+        alpha1, beta1, beta2, B1, z, tol_abs, tol_rel, "wilker",
+        {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1}))
 
 
 def wilker_bessel_check(nu: float, z: float,
@@ -745,9 +882,12 @@ def wilker_bessel_check(nu: float, z: float,
 
     margin = I[nu+1]/I[nu] + I[nu+1]^{1/(nu+1)} - 2 >= 0.
     """
-    cfg = _log_cfg(cfg)
-    r1 = bessel_norm(nu + 1.0, z, cfg)
-    r0 = bessel_norm(nu, z, cfg)
+    return _drive(_wilker_bessel(nu, z, tol_abs, tol_rel), cfg)
+
+
+def _wilker_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
+                   tol_rel: float = TOL_REL) -> Rounds:
+    r1, r0 = yield [_bessel_request(nu + 1.0, z), _bessel_request(nu, z)]
     t1 = _exp_or_inf(r1.log_magnitude - r0.log_magnitude)
     t2 = _exp_or_inf(r1.log_magnitude / (nu + 1.0))
     err = (t1 * (_rel_err(r1) + _rel_err(r0))
@@ -768,14 +908,20 @@ def wilker_wright_check(B1: float, beta1: float, z: float,
     Setting the upper value equal to the second lower value cancels their
     gamma factors and the general form collapses to W[B1, b1].
     """
+    return _drive(_wilker_wright(B1, beta1, z, tol_abs, tol_rel), cfg)
+
+
+def _wilker_wright(B1: float, beta1: float, z: float, tol_abs: float = TOL_ABS,
+                   tol_rel: float = TOL_REL) -> Rounds:
     if not beta1 > 0.0:
         raise ParameterError(f"beta1 must be positive, got {beta1!r}")
     if B1 < 0.0:
         raise ParameterError(f"B1 must be >= 0, got {B1!r}")
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
-    return _wilker_core(1.0, beta1, 1.0, B1, z, cfg, tol_abs, tol_rel,
-                        "wilker-wright", {"B1": B1, "beta1": beta1})
+    return (yield from _wilker_core(1.0, beta1, 1.0, B1, z, tol_abs, tol_rel,
+                                    "wilker-wright",
+                                    {"B1": B1, "beta1": beta1}))
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +944,12 @@ def logconcavity_check(params: FoxWrightParams, z1: float, z2: float,
       expbound:  exp(c zm) >= f(zm)
       deriv:     c Psi(zm) >= Psi'(zm)   (unnormalized)
     """
+    return _drive(_logconcavity(params, z1, z2, tol_abs, tol_rel), cfg)
+
+
+def _logconcavity(params: FoxWrightParams, z1: float, z2: float,
+                  tol_abs: float = TOL_ABS,
+                  tol_rel: float = TOL_REL) -> Rounds:
     p, q = len(params.upper), len(params.lower)
     if q != p + 1 or p < 1:
         raise ParameterError(
@@ -823,11 +975,12 @@ def logconcavity_check(params: FoxWrightParams, z1: float, z2: float,
         # to the equality case rather than an error
         z1, z2 = z2, z1
 
-    cfg = _log_cfg(cfg)
     zm = 0.5 * (z1 + z2)
-    f1 = evaluate_normalized(params, z1, cfg)
-    f2 = evaluate_normalized(params, z2, cfg)
-    fm = evaluate_normalized(params, zm, cfg)
+    # fm and psi_m are one series: the batch sums it once
+    f1, f2, fm, psi_m, dpsi_m = yield [
+        _normalized(params, z1), _normalized(params, z2),
+        _normalized(params, zm), _plain(params, zm),
+        _plain(params.shifted(), zm)]
 
     b1, w1 = params.lower[0]
     log_c = log_gamma(b1) - log_gamma(b1 + w1)
@@ -847,8 +1000,6 @@ def logconcavity_check(params: FoxWrightParams, z1: float, z2: float,
                       _abs_err(fm) + _ROUND_REL * _exp_or_inf(c * zm),
                       tol_abs, tol_rel, aux)
 
-    psi_m = evaluate(params, zm, cfg)
-    dpsi_m = evaluate(params.shifted(), zm, cfg)
     der = _log_report("logconcave:deriv", echo, zm,
                       log_c + psi_m.log_magnitude, dpsi_m.log_magnitude,
                       c * _abs_err(psi_m) + _abs_err(dpsi_m),
@@ -870,22 +1021,21 @@ def xi_prime(params: FoxWrightParams, z: float,
     guaranteed outside the proven two-lower family; this is the probe the
     explore command samples.
     """
+    return _drive(_xi_prime(params, z), cfg)
+
+
+def _xi_prime(params: FoxWrightParams, z: float) -> Rounds:
     if not params.lower:
         raise ParameterError("needs at least one lower parameter pair")
     if not z > 0.0:
         raise DomainError(f"defined for z > 0, got z={z!r}")
-    cfg = _log_cfg(cfg)
     b1, w1 = params.lower[0]
     rest = params.lower[1:]
     up_shift = tuple((a + wa, wa) for a, wa in params.upper)
     rest_shift = tuple((b + wb, wb) for b, wb in rest)
-
-    def chi_at(v: float) -> float:
-        num = evaluate_tilde(FoxWrightParams(
-            up_shift, ((v + w1, w1),) + rest_shift), z, cfg)
-        den = evaluate_tilde(FoxWrightParams(
-            params.upper, ((v, w1),) + rest), z, cfg)
-        return _exp_or_inf(num.log_magnitude - den.log_magnitude)
-
-    return math.exp(log_gamma(b1) - log_gamma(b1 + w1)) * (chi_at(b1 + 1.0)
-                                                           - chi_at(b1))
+    res = yield [req for v in (b1 + 1.0, b1) for req in (
+        _tilde(FoxWrightParams(up_shift, ((v + w1, w1),) + rest_shift), z),
+        _tilde(FoxWrightParams(params.upper, ((v, w1),) + rest), z))]
+    chi = [_exp_or_inf(num.log_magnitude - den.log_magnitude)
+           for num, den in (res[:2], res[2:])]
+    return math.exp(log_gamma(b1) - log_gamma(b1 + w1)) * (chi[0] - chi[1])

@@ -22,21 +22,40 @@ how large the cancelled log-gammas were.  The ln|z| and ln(weight) pairs come
 from ``_dd_log`` (relative error below 1e-31, reduced to a tabled grid j/64),
 and a term skips ln(k) while no factor is expanded: its coefficients are zero.
 
-Summation runs in two phases over one table of those coefficients.  The
-first 32 terms of a call (counted from its start index) are generated and
-summed one at a time, so the many calls that stop within a few dozen terms
-pay no array overhead.  A series still running after that continues in
-numpy blocks of 64, 128, 256 and then 512 terms: the same head/tail
-arithmetic applied element-wise (the error-free transforms are exact on IEEE
-float64 arrays), each block summed with ``math.fsum`` and tested against the
-same stop rule, so a block ends the series at the same term as the one-term
-loop would.
+The single-call entry points (``evaluate`` and its variants) sum in two
+phases over one table of those coefficients.  The first 32 terms of a call
+(counted from its start index) are generated and summed one at a time, so
+the many calls that stop within a few dozen terms pay no array overhead.  A
+series still running after that continues in numpy blocks of 64, 128, 256
+and then 512 terms: the same head/tail arithmetic applied element-wise (the
+error-free transforms are exact on IEEE float64 arrays), each block summed
+with ``math.fsum`` and tested against the same stop rule, so a block ends the
+series at the same term as the one-term loop would.
+
+``evaluate_batch`` sums many series at once, for the inequality checkers;
+its array kernels live in ``batch.py``.  The requests become the rows of
+(series x k) tiles, the rows of shorter shapes padded with factors that add
+exact zeros.  Each row keeps the coefficient table of every stage of its
+expansion (set up for all rows together, with an array form of
+``_dd_log``), the factors still below the Stirling threshold go through an
+array lnGamma, and each block of k runs the same stop rule per row on
+``cumsum`` partials, so a row's result never depends on the other rows of
+its tile.  Blocks start at 16 terms and double up to 512; a block call
+holds at most ``batch._TILE_CAP`` (row, k, factor) elements an array, and
+rows that have stopped drop out.  A batch value agrees with the single-call one within their error
+estimates but not bit for bit: a block is added with a pairwise sum
+instead of ``math.fsum``, and numpy's logarithms and exponentials may
+differ from ``math``'s in the last bit.  Identical requests are summed
+once.  The pFq request kind runs the Pochhammer recurrence of
+``functions.pfq_direct`` element-wise across rows, in the same operations
+as one row, so its results are bit-identical to a single call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +79,9 @@ __all__ = [
     "evaluate_tail",
     "derivative",
     "dbeta1",
+    "Request",
+    "PfqRequest",
+    "evaluate_batch",
 ]
 
 # ln(largest double); a term or sum whose log-magnitude exceeds this cannot
@@ -168,13 +190,14 @@ class EvalConfig:
 _DEFAULT_CFG = EvalConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """One series evaluation.
 
     value is sign * exp(log_magnitude) when that is representable (and +-inf
-    past the double range in log_mode).  tail_bound is the certified
-    geometric bound on the truncation error, in value space.
+    past the double range in log_mode).  tail_bound is the geometric bound
+    on the truncation error, in value space, taken from the last term ratio
+    (later ratios are not bounded, so it is an estimate, not a proof).
     condition_estimate = sum|term| / |sum term| is exactly 1.0 for z >= 0.
     """
 
@@ -195,6 +218,28 @@ class TailSpec:
     def __post_init__(self) -> None:
         if self.n < -1:
             raise ParameterError(f"tail index must be >= -1, got {self.n}")
+
+
+class Request(NamedTuple):
+    """One series evaluation: the series of ``params`` at ``z`` summed from
+    term index ``start``, term k multiplied by ``weight(k)`` when a weight
+    is given, and the log-magnitude of the result shifted by ``log_offset``
+    (a normalization prefactor)."""
+
+    params: FoxWrightParams
+    z: float
+    start: int = 0
+    weight: Callable[[int], float] | None = None
+    log_offset: float = 0.0
+
+
+class PfqRequest(NamedTuple):
+    """One pFq series summed by its Pochhammer recurrence (see
+    ``functions.pfq_direct``, which validates the parameters)."""
+
+    upper: tuple[float, ...]
+    lower: tuple[float, ...]
+    z: float
 
 
 def log_term(params: FoxWrightParams, z: float, k: int) -> float:
@@ -288,9 +333,59 @@ def _artanh2(num: float, m: float, c: float) -> tuple[float, float]:
     return 2.0 * ah, 2.0 * al
 
 
-# ln(j/64) at the grid points j = 45..91 that cover the reduced mantissa
-# range [sqrt(1/2), sqrt(2)); each is summed from 1, with |s| < 0.18
-_LN_GRID = [_artanh2(j / 64.0 - 1.0, j / 64.0, 1.0) for j in range(45, 92)]
+# ln(j/64) as head/tail pairs at the grid points j = 45..91 that cover the
+# reduced mantissa range [sqrt(1/2), sqrt(2)): _artanh2(j/64 - 1, j/64, 1),
+# summed from 1 with |s| < 0.18, tabled here so that import does not spend
+# 2 ms summing them (a test recomputes every pair)
+_LN_GRID = (
+    (-0.3522205935893521, -5.723331694918253e-18),  # j = 45
+    (-0.33024168687057687, 1.0828321637483863e-17),  # j = 46
+    (-0.3087354816496133, 1.6199186085148105e-17),  # j = 47
+    (-0.2876820724517809, -2.6071606164425637e-17),  # j = 48
+    (-0.26706278524904525, 7.328915327320166e-18),  # j = 49
+    (-0.24686007793152578, -1.361743371748368e-17),  # j = 50
+    (-0.22705745063534608, -9.551415762738488e-18),  # j = 51
+    (-0.2076393647782445, -1.2053243216686129e-17),  # j = 52
+    (-0.18859116980755003, 7.432164219196925e-18),  # j = 53
+    (-0.16989903679539747, 4.8680087644390785e-19),  # j = 54
+    (-0.15154989812720093, -5.166959368461559e-18),  # j = 55
+    (-0.13353139262452263, 3.664457663660086e-18),  # j = 56
+    (-0.1158318155251217, -4.3384843698080944e-18),  # j = 57
+    (-0.09844007281325252, 4.439009633675135e-18),  # j = 58
+    (-0.0813456394539524, -5.07707635593117e-18),  # j = 59
+    (-0.06453852113757118, 6.470486661692933e-18),  # j = 60
+    (-0.048009219186360606, -1.4390903347292203e-18),  # j = 61
+    (-0.0317486983145803, -3.038226308468086e-18),  # j = 62
+    (-0.015748356968139168, -1.0021578630528974e-18),  # j = 63
+    (0.0, 0.0),  # j = 64
+    (0.015504186535965254, -3.2783210228924296e-19),  # j = 65
+    (0.030771658666753687, 1.043173202900597e-18),  # j = 66
+    (0.0458095360312942, 1.902959866474258e-18),  # j = 67
+    (0.06062462181643484, 2.6424025938726934e-18),  # j = 68
+    (0.07522342123758753, -5.9306041962932415e-18),  # j = 69
+    (0.08961215868968714, -5.426812933664713e-18),  # j = 70
+    (0.10379679368164356, 5.477724157266589e-18),  # j = 71
+    (0.11778303565638346, -1.1971685747593668e-18),  # j = 72
+    (0.13157635778871926, 1.1123000879729586e-17),  # j = 73
+    (0.1451820098444979, 8.242418783022474e-18),  # j = 74
+    (0.15860503017663857, 1.125700387218259e-17),  # j = 75
+    (0.17185025692665923, -6.022453821011367e-18),  # j = 76
+    (0.184922338494012, 3.0236614153574037e-18),  # j = 77
+    (0.19782574332991987, 1.2821194372980136e-17),  # j = 78
+    (0.21056476910734964, -4.249405314729895e-18),  # j = 79
+    (0.22314355131420976, -9.091270597324804e-18),  # j = 80
+    (0.2355660713127669, -2.3943371495187335e-18),  # j = 81
+    (0.24783616390458127, -1.243220957870253e-17),  # j = 82
+    (0.25995752443692605, 2.0698069389789353e-17),  # j = 83
+    (0.27193371548364176, 7.833196376974419e-19),  # j = 84
+    (0.2837681731306446, -2.0326655811266558e-17),  # j = 85
+    (0.2954642128938359, -2.16461086040599e-17),  # j = 86
+    (0.3070250352949119, -1.2319916200101966e-17),  # j = 87
+    (0.3184537311185346, 2.7114779367326233e-17),  # j = 88
+    (0.329753286372468, 2.1220206161969468e-18),  # j = 89
+    (0.3409265869705932, 1.746713644354474e-17),  # j = 90
+    (0.3519764231571782, -1.295389303019196e-17),  # j = 91
+)
 
 
 def _dd_log(x: float) -> tuple[float, float]:
@@ -348,6 +443,24 @@ def _stirling_tail(x):
     return s / x
 
 
+def _collapsed(ch, cl, sh, sl, mh, ml, fk, lkh, lkl):
+    # k*(ln|z| + sum sigma*w*(ln w - 1))
+    # + (k*sum(sigma*w) + sum(sigma*(a - 1/2)))*ln k, from the coefficient
+    # pairs (c, s, m); floats or float arrays that broadcast against k
+    ph, pe = _two_prod(ch, fk)
+    h, l = _two_sum(ph, pe + cl * fk)
+    bh, be = _two_prod(sh, fk)
+    bh, bl = _dd_add(bh, be + sl * fk, mh, ml)
+    ph, pe = _two_prod(bh, lkh)
+    return _dd_add(h, l, ph, pe + bh * lkl + bl * lkh)
+
+
+def _expanded_rest(a, wk):
+    # what is left of lnGamma(a + wk) once the collapsed pieces are taken
+    # out, for float arrays: O(a), so one double carries it
+    return (wk + (a - 0.5)) * np.log1p(a / wk) + _stirling_tail(a + wk)
+
+
 class _TermLogs:
     """Stabilized per-term log magnitudes for one summation run.
 
@@ -403,17 +516,6 @@ class _TermLogs:
                              sg * _HALF_LN_TWO_PI]
         self._base = math.fsum(self._consts)
 
-    def _collapsed(self, fk, lkh, lkl):
-        # k*(ln|z| + sum sigma*w*(ln w - 1))
-        # + (k*sum(sigma*w) + sum(sigma*(a - 1/2)))*ln k,
-        # for a float k or a float array of k
-        ph, pe = _two_prod(self._ch, fk)
-        h, l = _two_sum(ph, pe + self._cl * fk)
-        bh, be = _two_prod(self._sh, fk)
-        bh, bl = _dd_add(bh, be + self._sl * fk, self._mh, self._ml)
-        ph, pe = _two_prod(bh, lkh)
-        return _dd_add(h, l, ph, pe + bh * lkl + bl * lkh)
-
     def at(self, k: int) -> tuple[float, float]:
         if k == 0:
             base = self._base
@@ -431,7 +533,8 @@ class _TermLogs:
             items.append(sg * ((wk + (a - 0.5)) * math.log1p(a / wk)
                                + _stirling_tail(a + wk)))
         if self._expanded:
-            h, l = self._collapsed(fk, *_log_int_dd(k))
+            h, l = _collapsed(self._ch, self._cl, self._sh, self._sl,
+                              self._mh, self._ml, fk, *_log_int_dd(k))
         else:  # ln(k) coefficients still zero: the pair _collapsed returns
             ph, pe = _two_prod(self._ch, fk)
             h, l = _two_sum(ph, pe + self._cl * fk)
@@ -454,14 +557,13 @@ class _TermLogs:
 
     def _span(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
         fk = np.arange(k0, k1, dtype=float)
-        h, l = self._collapsed(fk, *_log_ints_dd(fk))
+        h, l = _collapsed(self._ch, self._cl, self._sh, self._sl, self._mh,
+                          self._ml, fk, *_log_ints_dd(fk))
         parts = [sg * np.array([log_gamma(x) for x in (a + w * fk).tolist()])
                  for _, a, w, sg in self._waiting]
         if self._expanded:
             a, w, sg = np.array(self._expanded).T[:, :, None]
-            wk = w * fk
-            parts.append((sg * ((wk + (a - 0.5)) * np.log1p(a / wk)
-                                + _stirling_tail(a + wk))).sum(axis=0))
+            parts.append((sg * _expanded_rest(a, w * fk)).sum(axis=0))
         rh, rl = self._base, 0.0
         for p in parts:
             rh, e = _two_sum(rh, p)
@@ -476,9 +578,15 @@ def _require_convergent(params: FoxWrightParams) -> None:
             f"divergent series: epsilon = 1 + sum(B) - sum(A) = {eps:.6g} <= 0")
 
 
-def _assemble(scale_h: float, scale_l: float, total: float, total_abs: float,
-              terms: int, tail: float, log_offset: float,
-              log_mode: bool) -> EvalResult:
+def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
+            terms: int, last_h: float, ratio: float, log_offset: float,
+            log_mode: bool) -> EvalResult:
+    # the result of a stopped summation: its tail bound from the last term
+    # and ratio, and its log-magnitude shifted by log_offset
+    if last_h > -math.inf and ratio < 1.0:
+        tail = _exp_or_inf(last_h + log_offset) * ratio / (1.0 - ratio)
+    else:
+        tail = 0.0
     if total == 0.0:
         cond = 1.0 if total_abs == 0.0 else math.inf
         return EvalResult(0.0, terms, tail, cond, -math.inf, 0)
@@ -532,13 +640,10 @@ def _ratio(prev_h: float, prev_l: float, lh: float, ll: float) -> float:
     return math.exp(d) if d < _LOG_DOUBLE_MAX else math.inf
 
 
-def _sum_series(params: FoxWrightParams, z: float, cfg: EvalConfig,
-                start: int = 0, weight=None, log_offset: float = 0.0) -> EvalResult:
-    """Scaled compensated summation of the series from term index ``start``.
-
-    ``weight``, if given, multiplies term k by weight(k) (used by dbeta1).
-    ``log_offset`` shifts the final log-magnitude (normalization prefactors).
-    """
+def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
+    """Scaled compensated summation of one request, one term at a time and
+    then in blocks."""
+    params, z, start, weight, log_offset = req
     if z == 0.0:
         if start > 0:
             return EvalResult(0.0, 0, 0.0, 1.0, -math.inf, 0)
@@ -682,44 +787,74 @@ def _sum_series(params: FoxWrightParams, z: float, cfg: EvalConfig,
             f"stop rule did not fire within {cfg.max_terms} terms "
             f"(start={start}, z={z!r})")
 
-    if last_h > -math.inf and ratio < 1.0:
-        tail = _exp_or_inf(last_h + log_offset) * ratio / (1.0 - ratio)
-    else:
-        tail = 0.0
-    return _assemble(scale_h, scale_l, total + comp, total_abs + comp_abs,
-                     terms, tail, log_offset, cfg.log_mode)
+    return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
+                   terms, last_h, ratio, log_offset, cfg.log_mode)
+
+
+def _plain(params: FoxWrightParams, z: float) -> Request:
+    _require_convergent(params)
+    return Request(params, z)
+
+
+def _normalized(params: FoxWrightParams, z: float) -> Request:
+    _require_convergent(params)
+    return Request(params, z, log_offset=-_log_term_at_zero(params))
+
+
+def _tilde(params: FoxWrightParams, z: float) -> Request:
+    if not params.lower:
+        raise ParameterError("tilde normalization needs at least one lower pair")
+    _require_convergent(params)
+    return Request(params, z, log_offset=log_gamma(params.lower[0][0]))
+
+
+def _tail(params: FoxWrightParams, tail: TailSpec, z: float) -> Request:
+    _require_convergent(params)
+    return Request(params, z, start=tail.n + 1)
+
+
+def _dbeta1(params: FoxWrightParams, z: float) -> Request:
+    if not params.lower:
+        raise ParameterError("dbeta1 needs at least one lower pair")
+    _require_convergent(params)
+    b1, w1 = params.lower[0]
+    return Request(params, z, weight=lambda k: -digamma(b1 + k * w1))
+
+
+def _single(req: Request | PfqRequest, cfg: EvalConfig) -> EvalResult:
+    # one request on its single-call path: the one-term loop for a series
+    # request, the one-row batch for a pFq request
+    if isinstance(req, Request):
+        return _sum_series(req, cfg)
+    res = evaluate_batch([req], cfg)[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def evaluate(params: FoxWrightParams, z: float,
              cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
     """Evaluate the series at z."""
-    _require_convergent(params)
-    return _sum_series(params, z, cfg)
+    return _sum_series(_plain(params, z), cfg)
 
 
 def evaluate_normalized(params: FoxWrightParams, z: float,
                         cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
     """Evaluate scaled by prod Gamma(beta) / prod Gamma(alpha); equals 1 at z = 0."""
-    _require_convergent(params)
-    offset = -_log_term_at_zero(params)
-    return _sum_series(params, z, cfg, log_offset=offset)
+    return _sum_series(_normalized(params, z), cfg)
 
 
 def evaluate_tilde(params: FoxWrightParams, z: float,
                    cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
     """Evaluate scaled by Gamma(beta_1) alone (first-lower-slot normalization)."""
-    if not params.lower:
-        raise ParameterError("tilde normalization needs at least one lower pair")
-    _require_convergent(params)
-    return _sum_series(params, z, cfg, log_offset=log_gamma(params.lower[0][0]))
+    return _sum_series(_tilde(params, z), cfg)
 
 
 def evaluate_tail(params: FoxWrightParams, tail: TailSpec, z: float,
                   cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
     """Evaluate the section starting at k = tail.n + 1 (summed directly,
     never by subtracting a head partial sum from the full series)."""
-    _require_convergent(params)
-    return _sum_series(params, z, cfg, start=tail.n + 1)
+    return _sum_series(_tail(params, tail, z), cfg)
 
 
 def derivative(params: FoxWrightParams, z: float,
@@ -731,9 +866,20 @@ def derivative(params: FoxWrightParams, z: float,
 def dbeta1(params: FoxWrightParams, z: float,
            cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
     """d/d(beta_1) of the series: term k weighted by -psi(beta_1 + k*B_1)."""
-    if not params.lower:
-        raise ParameterError("dbeta1 needs at least one lower pair")
-    _require_convergent(params)
-    b1, w1 = params.lower[0]
-    return _sum_series(params, z, cfg,
-                       weight=lambda k: -digamma(b1 + k * w1))
+    return _sum_series(_dbeta1(params, z), cfg)
+
+
+def evaluate_batch(requests: list, cfg: EvalConfig = _DEFAULT_CFG) -> list:
+    """Evaluate many Request and PfqRequest items at once.
+
+    Returns one EvalResult per request, in order, or the exception the
+    request fails with (NoConvergenceError, DivergentSeriesError,
+    OverflowError) in its place.  Series requests are summed together as
+    the rows of one tile, pFq requests of one (p, q) shape as the rows of
+    one recurrence; requests equal but for log_offset are summed once.
+    Every result is independent of the other requests in the batch.
+    """
+    # the array kernels are compiled on first use: importing the package
+    # for single calls does not pay for them
+    from .batch import evaluate
+    return evaluate(requests, cfg)

@@ -24,18 +24,19 @@ import numpy as np
 from .errors import GridError, NoConvergenceError, ParameterError
 from .gammakit import gamma_ratio, log_gamma
 from .inequalities import (
-    chi_check,
-    corollary3_2f2_check,
-    kn_ratio,
-    kn_value_and_bound,
-    lazarevic_check,
-    logconcavity_check,
-    ratio_monotonicity_check,
-    tail_turan_check,
-    turan_alpha_check,
-    turan_beta_check,
-    wilker_check,
-    xi_prime,
+    _chi,
+    _corollary3_2f2,
+    _kn_value_and_bound,
+    _kn_values,
+    _lazarevic,
+    _logconcavity,
+    _ratio_monotonicity,
+    _run_rounds,
+    _tail_turan,
+    _turan_alpha,
+    _turan_beta,
+    _wilker,
+    _xi_prime,
 )
 from .oracle import _hp_pfq_mpf, _hp_series
 from .report import (
@@ -223,17 +224,19 @@ def _sub_grid(lo: float, hi: float) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Per-suite builders
+# Per-suite builders: each draws one instance and returns the generator of
+# its checker (see inequalities._run_rounds); the probes are generators
+# themselves
 
 
 def _build_turan_alpha(c, i, ranges, tol):
     params, z = _sample_series(c, i, ranges)
-    return [turan_alpha_check(params, z, **tol)]
+    return _turan_alpha(params, z, **tol)
 
 
 def _build_turan_beta(c, i, ranges, tol):
     params, z = _sample_series(c, i, ranges)
-    return [turan_beta_check(params, z, **tol)]
+    return _turan_beta(params, z, **tol)
 
 
 def _build_corollary3(c, i, ranges, tol):
@@ -250,7 +253,7 @@ def _build_corollary3(c, i, ranges, tol):
         a1 = max(b2, b1 + 1.0) + 0.05 + ug * 3.0
     lo, hi = ranges["z"]
     z = lo + uz * (hi - lo)
-    return [corollary3_2f2_check(a1, b1, b2, z, **tol)]
+    return _corollary3_2f2(a1, b1, b2, z, **tol)
 
 
 def _build_ratio(c, i, ranges, tol):
@@ -259,20 +262,20 @@ def _build_ratio(c, i, ranges, tol):
     v1 = params.lower[0][0] if slot == "beta" else params.upper[0][0]
     v2 = v1 + 0.1 + 2.0 * c.take()
     grid = _sub_grid(ranges["z"][0], zmax)
-    return [ratio_monotonicity_check(params, slot, v1, v2, grid, **tol)]
+    return _ratio_monotonicity(params, slot, v1, v2, grid, **tol)
 
 
 def _build_tail_turan(c, i, ranges, tol):
     params, n, z = _sample_tail_series(c, i, ranges)
-    return [tail_turan_check(params, n, z, **tol)]
+    return _tail_turan(params, n, z, **tol)
 
 
 def _build_kn(c, i, ranges, tol):
     params, n, z = _sample_tail_series(c, i, ranges)
     if i % 5 == 0:
         grid = _sub_grid(ranges["z"][0], z)
-        return [kn_value_and_bound(params, n, z_grid=grid, **tol)]
-    return [kn_value_and_bound(params, n, z=z, **tol)]
+        return _kn_value_and_bound(params, n, z_grid=grid, **tol)
+    return _kn_value_and_bound(params, n, z=z, **tol)
 
 
 def _build_chi(c, i, ranges, tol):
@@ -287,7 +290,7 @@ def _build_chi(c, i, ranges, tol):
             for j in range(_GRID_POINTS)]
     params = FoxWrightParams(((a1, 1.0),), ((lo_b, B1), (b2, 1.0)))
     z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1)
-    return [chi_check(a1, b2, B1, grid, z, **tol)]
+    return _chi(a1, b2, B1, grid, z, **tol)
 
 
 def _powered_b1_cap(beta1: float, off: float, whi: float) -> float:
@@ -323,7 +326,7 @@ def _build_lazarevic(c, i, ranges, tol):
     v_t = max(min(_V_TARGET, v_t), _V_MIN)
     params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
     z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1, v_t)
-    return [lazarevic_check(a1, b1, b2, B1, z, **tol)]
+    return _lazarevic(a1, b1, b2, B1, z, **tol)
 
 
 def _build_wilker(c, i, ranges, tol):
@@ -335,7 +338,7 @@ def _build_wilker(c, i, ranges, tol):
     v_t = max(_V_MIN, min(_V_TARGET, 600.0 / max(B1 / b1, 1.0) - 20.0))
     params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
     z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1, v_t)
-    return [wilker_check(a1, b1, b2, B1, z, **tol)]
+    return _wilker(a1, b1, b2, B1, z, **tol)
 
 
 def _build_logconcave(c, i, ranges, tol):
@@ -364,7 +367,7 @@ def _build_logconcave(c, i, ranges, tol):
     z1, z2 = min(za, zb), max(za, zb)
     if z2 - z1 < 1e-3:
         z2 = z1 + max(1e-3 * (eff - lo), 1e-6)
-    return list(logconcavity_check(params, z1, z2, **tol))
+    return _logconcavity(params, z1, z2, **tol)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +403,9 @@ def _build_explore_kn(c, i, ranges, tol):
         n = min(int(nlo + c.take() * (nhi - nlo + 1.0)), int(nhi))
     proven = all(w == 0.0 for _, w in params.upper)
     grid = _sub_grid(ranges["z"][0], z)
-    ks = [kn_ratio(params, n, v) for v in grid]
+    ks, _ = yield from _kn_values(params, n, grid)
     direction, worst_step = _direction(ks)
-    return [InequalityReport(
+    return InequalityReport(
         suite_id="problem1-kn",
         params_echo={**params.to_json(), "n": n, "direction": direction},
         z=grid[-1],
@@ -412,7 +415,7 @@ def _build_explore_kn(c, i, ranges, tol):
         passed=True,
         err_estimate=1e-9 * max(abs(k) for k in ks),
         aux={"k_values": ks, "proven_shape": proven},
-    )]
+    )
 
 
 def _build_explore_xi(c, i, ranges, tol):
@@ -434,8 +437,8 @@ def _build_explore_xi(c, i, ranges, tol):
         aw, bw, eps = _solve_weights(c, 2, 2, ranges["weight"])
         params = FoxWrightParams(tuple(zip(avals, aw)), tuple(zip(bvals, bw)))
     z = _draw_z(c.take(), ranges["z"], params, eps)
-    val = xi_prime(params, z)
-    return [InequalityReport(
+    val = yield from _xi_prime(params, z)
+    return InequalityReport(
         suite_id="problem2-xi",
         params_echo=params.to_json(),
         z=z,
@@ -445,7 +448,7 @@ def _build_explore_xi(c, i, ranges, tol):
         passed=True,
         err_estimate=abs(val) * 1e-10 + 1e-12,
         aux={"proven_shape": variant == 0},
-    )]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +562,12 @@ def _failure_row(suite_id: str, kind: str, msg: str) -> InequalityReport:
     )
 
 
+# Instances advanced in lockstep at a time: their generators, requests and
+# results are all alive until the group finishes, so the group size bounds
+# that memory (about 2 KB an instance); a row's bits do not depend on it.
+_LOCKSTEP = 256
+
+
 def _run(sd: SuiteDef, spec: GridSpec | None, tol_abs: float = TOL_ABS,
          tol_rel: float = TOL_REL) -> list[InequalityReport]:
     spec = spec if spec is not None else GridSpec()
@@ -569,12 +578,16 @@ def _run(sd: SuiteDef, spec: GridSpec | None, tol_abs: float = TOL_ABS,
     u = _unit_matrix(spec, sd.dims, n_inst)
     tol = {"tol_abs": tol_abs, "tol_rel": tol_rel}
     out: list[InequalityReport] = []
-    for i in range(n_inst):
-        try:
-            rows = sd.build(_Cursor(u[i]), i, ranges, tol)
-        except (NoConvergenceError, OverflowError) as exc:
-            rows = [_failure_row(sd.suite_id, type(exc).__name__, str(exc))]
-        out.extend(rows)
+    for first in range(0, n_inst, _LOCKSTEP):
+        gens = [sd.build(_Cursor(u[i]), i, ranges, tol)
+                for i in range(first, min(first + _LOCKSTEP, n_inst))]
+        for res in _run_rounds(gens,
+                               absorb=(NoConvergenceError, OverflowError)):
+            if isinstance(res, Exception):
+                out.append(_failure_row(sd.suite_id, type(res).__name__,
+                                        str(res)))
+            else:
+                out.extend(res if isinstance(res, tuple) else [res])
     del out[spec.samples:]
     return out
 

@@ -27,6 +27,9 @@ from foxwright import (
     wilker_wright_check,
     xi_prime,
 )
+from foxwright.gammakit import digamma, log_gamma
+from foxwright.inequalities import _omega, _omega_columns
+from foxwright.series import _exp_or_inf
 from foxwright.suites import hp_margin
 
 P1 = FoxWrightParams(upper=((1.3, 0.7), (2.1, 1.4)),
@@ -278,3 +281,57 @@ def test_lazarevic_property(alpha1, beta1, b1, z):
     beta2 = min(alpha1, 0.9)  # keep alpha1 >= beta2
     rep = lazarevic_check(alpha1, beta1, beta2, b1, z)
     assert rep.passed, (alpha1, beta1, beta2, b1, z, rep.margin)
+
+
+def _omega_loop(alpha1, beta1, beta2, B1, z, k_max):
+    # the direct double loop the vectorized witness replaced: the reference
+    if B1 == 0.0 or alpha1 == beta2:
+        return 0.0, 0.0
+    c = beta1 + B1
+    lnz = math.log(z)
+    lg_a = [log_gamma(alpha1 + i) for i in range(k_max + 1)]
+    lg_f = [0.0] * (k_max + 1)
+    for i in range(2, k_max + 1):
+        lg_f[i] = lg_f[i - 1] + math.log(i)
+    lg_c = [log_gamma(c + i * B1) for i in range(k_max + 1)]
+    lg_b = [log_gamma(beta2 + i) for i in range(k_max + 1)]
+    psi_c = [digamma(c + i * B1) for i in range(k_max + 1)]
+    total = 0.0
+    last_block = 0.0
+    for k in range(1, k_max + 1):
+        block = 0.0
+        for j in range(0, (k - 1) // 2 + 1):
+            e = (lg_a[j] + lg_a[k - j] - lg_f[j] - lg_f[k - j]
+                 - lg_c[j] - lg_c[k - j] - lg_b[j] - lg_b[k - j]
+                 + k * lnz)
+            block += (_exp_or_inf(e) * (k - 2 * j) * (alpha1 - beta2)
+                      * (psi_c[k - j] - psi_c[j])
+                      / ((beta2 + k - j) * (beta2 + j)))
+        total += block
+        last_block = block
+    return total, last_block
+
+
+def _close(got, ref, rel):
+    if math.isinf(ref) or ref == 0.0:
+        return got == ref
+    return abs(got - ref) <= rel * abs(ref)
+
+
+@given(st.floats(min_value=0.1, max_value=5.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=3.0),
+       st.floats(min_value=0.1, max_value=5.1),
+       st.floats(min_value=1e-3, max_value=20.0),
+       st.integers(min_value=11, max_value=80))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_omega_matches_direct_loop(alpha1, frac, B1, beta1, z, k_max):
+    beta2 = 0.1 + frac * (alpha1 - 0.1)
+    got = _omega(alpha1, beta1, beta2, B1, z, k_max)
+    ref = _omega_loop(alpha1, beta1, beta2, B1, z, k_max)
+    assert _close(got[0], ref[0], 1e-14) and _close(got[1], ref[1], 1e-14), (
+        got, ref)
+    assert got[0] >= 0.0
+    # longer shared columns, as chi_check passes them, change no bit
+    cols = _omega_columns(alpha1, beta2, k_max + 7)
+    assert _omega(alpha1, beta1, beta2, B1, z, k_max, cols) == got

@@ -4,6 +4,7 @@ import json
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from foxwright import (
     DivergentSeriesError,
     EvalConfig,
+    FoxWrightError,
     FoxWrightParams,
     NoConvergenceError,
     ParameterError,
@@ -25,7 +27,8 @@ from foxwright import (
     hp_eval,
     log_term,
 )
-from foxwright import series
+from foxwright import batch, series
+from foxwright.series import PfqRequest
 
 # generic reference instance; values from 40-digit summation of the
 # defining gamma-product series
@@ -387,6 +390,12 @@ def _dd_log_rel_err(x):
         return float(abs((mp.mpf(h) + mp.mpf(l)) - ref) / abs(ref))
 
 
+def test_ln_grid_is_the_artanh_sum():
+    # the tabled grid pairs are exactly what _artanh2 sums from 1
+    assert series._LN_GRID == tuple(
+        series._artanh2(j / 64.0 - 1.0, j / 64.0, 1.0) for j in range(45, 92))
+
+
 def test_dd_log_of_one_is_exact_zero():
     h, l = series._dd_log(1.0)
     assert (h, l) == (0.0, 0.0)
@@ -414,3 +423,209 @@ def test_dd_log_against_mpmath_at_fixed_points():
 def test_dd_log_against_mpmath_everywhere(x):
     if x != 1.0:
         assert _dd_log_rel_err(x) <= 1e-31
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation
+
+
+def _abs_err(res):
+    # the checkers' error estimate: tail plus condition-scaled rounding
+    mag = series._exp_or_inf(res.log_magnitude) if res.sign else 0.0
+    return res.tail_bound + 1e-14 * res.condition_estimate * mag
+
+
+_VARIANTS = {
+    "plain": lambda p, z, n: series._plain(p, z),
+    "normalized": lambda p, z, n: series._normalized(p, z),
+    "tilde": lambda p, z, n: series._tilde(p, z),
+    "tail": lambda p, z, n: series._tail(p, TailSpec(n), z),
+    "derivative": lambda p, z, n: series._plain(p.shifted(), z),
+    "dbeta1": lambda p, z, n: series._dbeta1(p, z),
+}
+_SCALAR = {
+    "plain": lambda p, z, n: evaluate(p, z),
+    "normalized": lambda p, z, n: evaluate_normalized(p, z),
+    "tilde": lambda p, z, n: evaluate_tilde(p, z),
+    "tail": lambda p, z, n: evaluate_tail(p, TailSpec(n), z),
+    "derivative": lambda p, z, n: derivative(p, z),
+    "dbeta1": lambda p, z, n: dbeta1(p, z),
+}
+
+_batch_pair = st.tuples(st.floats(min_value=0.1, max_value=5.0),
+                        st.floats(min_value=0.0, max_value=3.0))
+_batch_case = st.tuples(
+    st.lists(_batch_pair, max_size=2), st.lists(_batch_pair, min_size=1,
+                                                max_size=2),
+    st.floats(min_value=-3.0, max_value=1.3), st.booleans(),
+    st.integers(min_value=0, max_value=6), st.sampled_from(sorted(_VARIANTS)))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (NoConvergenceError, OverflowError) as exc:
+        return exc
+
+
+@given(st.lists(_batch_case, min_size=1, max_size=6))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_batch_agrees_with_single_calls(cases):
+    reqs, refs = [], []
+    for upper, lower, lz, neg, n, variant in cases:
+        params = FoxWrightParams(upper=tuple(upper), lower=tuple(lower))
+        if params.epsilon() < 0.2:
+            continue
+        z = (-1.0 if neg else 1.0) * 10.0 ** lz
+        reqs.append(_VARIANTS[variant](params, z, n))
+        refs.append(_outcome(lambda: _SCALAR[variant](params, z, n)))
+    got = series.evaluate_batch(reqs)
+    for req, ref, res in zip(reqs, refs, got):
+        if isinstance(ref, Exception):
+            assert type(res) is type(ref), (req, ref, res)
+            continue
+        assert abs(res.value - ref.value) <= _abs_err(res) + _abs_err(ref), (
+            req, ref, res)
+
+
+def test_batch_results_do_not_depend_on_the_batch():
+    # one tile of many rows against each row alone, bit for bit
+    reqs = [series._plain(P1, z) for z in (0.5, -2.0, 3.5, 9.0)]
+    reqs += [series._tail(P_CROSS, TailSpec(n), -7.25) for n in (0, 3, 40)]
+    reqs += [series._normalized(P_LONG, 4.0), series._dbeta1(P1, 2.0)]
+    together = series.evaluate_batch(reqs)
+    alone = [series.evaluate_batch([r])[0] for r in reqs]
+    assert repr(together) == repr(alone)
+
+
+def test_batch_failures_stay_in_their_request():
+    # Gamma(a) e^z in one tile: e^39 needs 102 terms, beyond the budget
+    # of 100, and Gamma(200) overflows at the first term
+    cfg = EvalConfig(max_terms=100)
+    good = [series._plain(FoxWrightParams(upper=((2.5, 0.0),)), z)
+            for z in (37.0, -2.0, 5.0)]
+    got = series.evaluate_batch(
+        [good[0], series._plain(FoxWrightParams(upper=((2.5, 0.0),)), 39.0),
+         good[1], series._plain(FoxWrightParams(upper=((200.0, 0.0),)), 1.0),
+         good[2]], cfg)
+    assert isinstance(got[1], NoConvergenceError)
+    assert "within 100 terms" in str(got[1])
+    assert isinstance(got[3], OverflowError)
+    assert repr([got[0], got[2], got[4]]) == repr(
+        series.evaluate_batch(good, cfg))
+
+
+def test_batch_sums_identical_series_once(monkeypatch):
+    rows = []
+
+    class Counting(batch._RowSums):
+        def __init__(self, reqs, cfg):
+            rows.append(len(reqs))
+            super().__init__(reqs, cfg)
+
+    monkeypatch.setattr(batch, "_RowSums", Counting)
+    plain, norm = series._plain(P1, 2.0), series._normalized(P1, 2.0)
+    a, b, c = series.evaluate_batch([plain, norm, plain])
+    assert rows == [1]
+    assert repr(a) == repr(c)
+    offset = norm.log_offset
+    assert b.terms_used == a.terms_used
+    assert abs(b.log_magnitude - (a.log_magnitude + offset)) <= 1e-13
+    assert b.tail_bound == pytest.approx(a.tail_bound * math.exp(offset),
+                                         rel=1e-13)
+
+
+def test_dd_log_array_matches_scalar():
+    xs = [2.0 ** e for e in range(-1074, 1024, 7)]
+    xs += [j / 64.0 for j in range(45, 92)] + [1.0, 1e-300, 1e300,
+                                                 math.nextafter(1.0, 2.0)]
+    xs += np.random.default_rng(5).uniform(0.01, 50.0, 500).tolist()
+    h, l = batch._dd_log_array(np.array(xs))
+    for x, hh, ll in zip(xs, h.tolist(), l.tolist()):
+        if x == 1.0:
+            assert (hh, ll) == (0.0, 0.0)
+            continue
+        with mp.workdps(50):
+            ref = mp.log(mp.mpf(x))
+            assert abs((mp.mpf(hh) + mp.mpf(ll)) - ref) <= 1e-31 * abs(ref), x
+
+
+def test_log_gamma_array_matches_scalar():
+    xs = np.concatenate([np.linspace(1e-3, 13.0, 4001), [1.0, 2.0, 0.5, 1.5,
+                                                          8.0, 30.0, 1e3]])
+    got = batch._log_gamma_array(xs)
+    ref = np.array([series.log_gamma(x) for x in xs.tolist()])
+    assert got[xs == 1.0][0] == 0.0 and got[xs == 2.0][0] == 0.0
+    assert np.all(np.abs(got - ref) <= 4 * 2.0 ** -52 * np.maximum(1.0,
+                                                                  np.abs(ref)))
+
+
+def _pfq_loop(upper, lower, z, cfg=EvalConfig()):
+    # the one-row loop the pFq request kind replaced: the reference
+    p, q = len(upper), len(lower)
+    term, total, comp, total_abs, ratio, streak = 1.0, 0.0, 0.0, 0.0, math.inf, 0
+    for k in range(cfg.max_terms):
+        x = term
+        s = total + x
+        if abs(total) >= abs(x):
+            comp += (total - s) + x
+        else:
+            comp += (x - s) + total
+        total = s
+        total_abs += abs(x)
+        num = 1.0
+        for a in upper:
+            num *= a + k
+        den = float(k + 1)
+        for b in lower:
+            den *= b + k
+        nxt = term * (num / den) * z
+        ratio = abs(nxt / term) if term != 0.0 else 0.0
+        term = nxt
+        partial = abs(total + comp)
+        if k > 0 and abs(term) <= cfg.rel_tol * partial:
+            streak += 1
+        else:
+            streak = 0
+        if streak >= 3 and ratio < 1.0:
+            break
+    r_eff = max(ratio, abs(z)) if p == q + 1 else ratio
+    tail = abs(term) * r_eff / (1.0 - r_eff) if r_eff < 1.0 else abs(term)
+    grand = total + comp
+    return (grand, k + 1, tail, total_abs / abs(grand),
+            math.log(abs(grand)), 1 if grand > 0.0 else -1)
+
+
+def test_pfq_rows_match_the_one_row_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    reqs = []
+    for i in range(300):
+        b1, b2 = rng.uniform(0.1, 5.0, 2)
+        a1 = b2 + 0.05 + 3.0 * rng.random() if i % 2 else rng.uniform(0.05, 5)
+        f = b2 * (1.0 + a1 - b1) / (a1 - b2)
+        if f > 0.0:
+            reqs.append(PfqRequest((b1 - a1 - 1.0, f + 1.0), (b1, f),
+                                   -6.0 * rng.random() - 1e-3))
+    reqs += [PfqRequest((0.5,), (), 0.7), PfqRequest((1.5, 2.5), (3.5,), -0.9),
+             PfqRequest((), (1.3,), 4.0)]
+    got = series.evaluate_batch(reqs)
+    for req, res in zip(reqs, got):
+        ref = _pfq_loop(*req)
+        assert tuple(float.hex(float(v)) for v in (
+            res.value, res.terms_used, res.tail_bound, res.condition_estimate,
+            res.log_magnitude, res.sign)) == tuple(
+            float.hex(float(v)) for v in ref)
+
+
+@pytest.mark.xfail(strict=True, reason="cancellation at z < 0 returns a value "
+                   "with no correct digit, and no error bound or refusal "
+                   "says so")
+def test_cancellation_at_negative_z_is_refused_or_accurate():
+    params = FoxWrightParams(upper=((3.5024212894782467, 0.5830188472688517),))
+    z = -15.59813889629372
+    try:
+        res = evaluate(params, z)
+    except FoxWrightError:
+        return
+    ref = float(hp_eval(params, z)[0])
+    assert abs(res.value - ref) <= res.tail_bound + 1e-13 * abs(ref)

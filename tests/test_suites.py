@@ -1,18 +1,28 @@
 """Suite runner: sampling, determinism, validation, oracle recomputation."""
 
+import dataclasses
+import inspect
 import json
 import math
 
 import pytest
 
 from foxwright import (
+    FoxWrightParams,
     GridError,
     GridSpec,
     ParameterError,
     grid_from_json,
     margin_passes,
 )
-from foxwright.report import STATUS_OK, worst_report
+from foxwright import inequalities, suites
+from foxwright.report import (
+    STATUS_NUMERICAL_FAILURE,
+    STATUS_OK,
+    TOL_ABS,
+    TOL_REL,
+    worst_report,
+)
 from foxwright.suites import (
     EXPLORERS,
     SUITES,
@@ -217,3 +227,80 @@ def test_worst_report_picks_smallest_margin():
     assert (rep.suite_id, rep.params_echo, rep.z, rep.margin) == (
         "s", {"k": 1}, 5.0, 0.0)
     assert rep.passed is True
+
+
+# the generator of each suite's checker -> the public checker that drives it
+_PUBLIC = {
+    "_turan_alpha": inequalities.turan_alpha_check,
+    "_turan_beta": inequalities.turan_beta_check,
+    "_corollary3_2f2": inequalities.corollary3_2f2_check,
+    "_ratio_monotonicity": inequalities.ratio_monotonicity_check,
+    "_tail_turan": inequalities.tail_turan_check,
+    "_kn_value_and_bound": inequalities.kn_value_and_bound,
+    "_chi": inequalities.chi_check,
+    "_lazarevic": inequalities.lazarevic_check,
+    "_wilker": inequalities.wilker_check,
+    "_logconcavity": inequalities.logconcavity_check,
+}
+
+
+def _instances(suite, spec):
+    # every instance's checker generator, as run_suite builds them
+    sd = SUITES[suite]
+    ranges = suites._resolve_ranges(sd, spec)
+    n_inst = -(-spec.samples // sd.rows_per_instance)
+    u = suites._unit_matrix(spec, sd.dims, n_inst)
+    tol = {"tol_abs": TOL_ABS, "tol_rel": TOL_REL}
+    return [sd.build(suites._Cursor(u[i]), i, ranges, tol)
+            for i in range(n_inst)]
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_public_checker_gives_the_suite_row_bits(suite):
+    # the public checker, called with the arguments the suite drew, returns
+    # the suite's row bit for bit: one batch of many instances gives each
+    # the same bits as its own batch
+    spec = GridSpec(samples=12, seed=3)
+    rows = run_suite(suite, spec)
+    direct = []
+    for gen in _instances(suite, spec):
+        args = inspect.getgeneratorlocals(gen)
+        res = _PUBLIC[gen.gi_code.co_name](**args)
+        gen.close()
+        direct.extend(res if isinstance(res, tuple) else [res])
+    assert repr(direct[:spec.samples]) == repr(rows)
+
+
+@pytest.mark.parametrize("suite,bad,kind", [
+    # eps = 0.04 at z = 20: the stop rule cannot fire within 10000 terms
+    ("turan-beta", lambda: inequalities._turan_beta(
+        FoxWrightParams(((1.0, 0.96),), ((1.0, 0.0),)), 20.0),
+     "NoConvergenceError"),
+    # the second pFq term at z = -1e300 leaves the double range
+    ("corollary3-2f2", lambda: inequalities._corollary3_2f2(
+        4.0, 1.5, 2.0, -1e300), "OverflowError"),
+])
+def test_failing_instance_yields_one_failure_row(monkeypatch, suite, bad, kind):
+    spec = GridSpec(samples=9, seed=2)
+    clean = run_suite(suite, spec)
+    sd = SUITES[suite]
+
+    def build(c, i, ranges, tol):
+        return bad() if i == 4 else sd.build(c, i, ranges, tol)
+
+    monkeypatch.setitem(SUITES, suite, dataclasses.replace(sd, build=build))
+    rows = run_suite(suite, spec)
+    assert rows[4].status == STATUS_NUMERICAL_FAILURE
+    assert rows[4].params_echo == {"error": kind}
+    assert repr(rows[:4] + rows[5:]) == repr(clean[:4] + clean[5:])
+
+
+@pytest.mark.xfail(strict=True, reason="both sides overflow, inf - inf is "
+                   "decided by comparing their logs, and the row passes")
+@pytest.mark.parametrize("suite", ["turan-alpha", "turan-beta"])
+def test_overflowing_turan_rows_do_not_pass_on_infinite_sides(suite):
+    rows = run_suite(suite, GridSpec(samples=300, seed=5))
+    for i in (12, 22, 48, 82, 128):
+        r = rows[i]
+        assert not (r.passed and math.isinf(r.margin)
+                    and math.isinf(r.lhs) and math.isinf(r.rhs)), i
