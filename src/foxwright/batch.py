@@ -19,6 +19,7 @@ from .gammakit import (
     _LOG_GAMMA_TAYLOR,
     _ONE_MINUS_EULER_GAMMA,
     _SHIFT_THRESHOLD,
+    _digamma_array,
     _stirling_tail_sum,
 )
 from .series import (
@@ -229,6 +230,9 @@ class _RowSums:
         self.start = np.array([r.start for r in reqs], dtype=float)
         self.k0 = self.start.copy()
         self.neg = np.array([r.z < 0.0 for r in reqs])
+        self.psi = np.array([r.psi_weight is not None for r in reqs])
+        self.psi_bw = np.array([r.psi_weight or (1.0, 0.0) for r in reqs],
+                               dtype=float)
         self.scale_h = np.full(n, -math.inf)
         self.prev_h = np.full(n, -math.inf)
         (self.scale_l, self.total, self.comp, self.total_abs, self.comp_abs,
@@ -244,15 +248,15 @@ class _RowSums:
         valid = fk < self.start[ix, None] + cfg.max_terms
         lh, ll = self.table.logs(ix, fk)
         sign = np.where(self.neg[ix, None] & (fk % 2 == 1), -1.0, 1.0)
-        for r, i in enumerate(ix.tolist()):
-            weight = self.reqs[i].weight
-            if weight is not None:
-                w = np.array([weight(k) for k in range(int(fk[r, 0]),
-                                                       int(fk[r, 0]) + n)])
-                sign[r, w < 0.0] *= -1.0
-                lh[r], ll[r] = _dd_add(lh[r], ll[r], np.log(np.abs(w)), 0.0)
-                lh[r, w == 0.0] = -math.inf
-                ll[r, w == 0.0] = 0.0
+        psi = np.flatnonzero(self.psi[ix])
+        if psi.size:
+            # dbeta1 rows: term k weighted by -psi(b + k*B), as _sum_series
+            b, bw = self.psi_bw[ix[psi]].T
+            w = -_digamma_array(b[:, None] + fk[psi] * bw[:, None])
+            sign[psi] = np.where(w < 0.0, -sign[psi], sign[psi])
+            h, l = _dd_add(lh[psi], ll[psi], np.log(np.abs(w)), 0.0)
+            lh[psi] = np.where(w == 0.0, -math.inf, h)
+            ll[psi] = np.where(w == 0.0, 0.0, l)
         lh = np.where(valid, lh, -math.inf)
         ll = np.where(valid, ll, 0.0)
 

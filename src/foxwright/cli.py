@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -44,6 +45,7 @@ _CSV_COLUMNS = ("suite_id", "params_json", "z", "lhs", "rhs", "margin",
                 "err_estimate", "pass")
 
 
+@functools.cache  # parse_args leaves the parser as it was: build it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foxwright",
@@ -126,26 +128,83 @@ def _render_csv(rows: Sequence[InequalityReport], seed: int) -> str:
     return buf.getvalue()
 
 
+# The JSON report is the text of json.dumps(payload, sort_keys=True,
+# indent=1), payload = {"rows": [row dicts], "seed": seed}.  With an indent
+# the json module runs its pure-Python generator encoder; these functions
+# write the same bytes directly.  A value nested at depth L starts its
+# lines with "\n" and L spaces, passed down as nl.
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(v: object, nl: str) -> str:
+    """v as json.dumps writes it with sort_keys=True and indent=1, at the
+    depth whose lines start with nl; types are tested in json's order."""
+    if type(v) is float:  # the common case, decided as the float branch below
+        r = float.__repr__(v)
+        return _FLOAT_LITERALS.get(r, r)
+    if isinstance(v, str):
+        return _encode_str(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        r = float.__repr__(v)
+        return _FLOAT_LITERALS.get(r, r)
+    inner = nl + " "
+    sep = "," + inner
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return ("[" + inner + sep.join([_json_value(x, inner) for x in v])
+                + nl + "]")
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        try:  # _encode_str refuses a key that is not a str
+            return "{" + inner + sep.join(
+                [_encode_str(k) + ": " + _json_value(x, inner)
+                 for k, x in sorted(v.items())]) + nl + "}"
+        except TypeError:
+            pass
+    # non-str keys and unsupported types: json's own rules and errors
+    return json.dumps(v, sort_keys=True, indent=1).replace("\n", nl)
+
+
+def _json_row(r: InequalityReport) -> str:
+    # one element of "rows", its keys in sorted order, preceded by the
+    # separator that json puts before every element but the first
+    nl = "\n   "
+    passed = ('"error"' if r.status != STATUS_OK
+              else "true" if r.passed else "false")
+    return (f',\n  {{\n   "aux": {_json_value(r.aux, nl)},'
+            f'\n   "err_estimate": {_json_value(r.err_estimate, nl)},'
+            f'\n   "lhs": {_json_value(r.lhs, nl)},'
+            f'\n   "margin": {_json_value(r.margin, nl)},'
+            f'\n   "params": {_json_value(r.params_echo, nl)},'
+            f'\n   "pass": {passed},'
+            f'\n   "rhs": {_json_value(r.rhs, nl)},'
+            f'\n   "status": {_json_value(r.status, nl)},'
+            f'\n   "suite_id": {_json_value(r.suite_id, nl)},'
+            f'\n   "z": {_json_value(r.z, nl)}\n  }}')
+
+
 def _render_json(rows: Sequence[InequalityReport], seed: int) -> str:
-    payload = {
-        "seed": seed,
-        "rows": [
-            {
-                "suite_id": r.suite_id,
-                "params": r.params_echo,
-                "z": r.z,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "margin": r.margin,
-                "err_estimate": r.err_estimate,
-                "pass": "error" if r.status != STATUS_OK else bool(r.passed),
-                "status": r.status,
-                "aux": r.aux,
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    parts = ['{\n "rows": [']
+    parts += [_json_row(r) for r in rows]
+    if len(parts) > 1:
+        parts[1] = parts[1][1:]  # no separator before the first row
+        parts.append("\n ]")
+    else:
+        parts.append("]")
+    parts.append(',\n "seed": ' + _json_value(seed, "\n ") + "\n}\n")
+    # one join: concatenating onto the whole body would copy it per step
+    return "".join(parts)
 
 
 def _render(rows: Sequence[InequalityReport], seed: int, fmt: str) -> str:
@@ -209,6 +268,9 @@ def _run_eval(args: argparse.Namespace) -> int:
     print(f"value {res.value!r}")
     print(f"terms_used {res.terms_used}")
     print(f"tail_bound {res.tail_bound!r}")
+    print(f"condition_estimate {res.condition_estimate!r}")
+    print(f"log_magnitude {res.log_magnitude!r}")
+    print(f"sign {res.sign}")
     return 0
 
 

@@ -6,12 +6,15 @@ kernels apply the Stirling asymptotic series from x = 8 on.  Below that,
 digamma shifts the argument up with psi(x+1) = psi(x) + 1/x, and log_gamma
 moves it into [0.5, 1.5) with Gamma(x+1) = x Gamma(x) and sums the Taylor
 series of ln Gamma(1+t), whose signed coefficients (-1)^k (zeta(k) - 1)/k are
-tabled once at import.
+tabled once at import.  ``_digamma_array`` is digamma element-wise over an
+array, bit for bit, for the psi weights of a block of series terms.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 from .report import TOL_ABS, TOL_REL, InequalityReport, value_report
@@ -169,6 +172,33 @@ def digamma(x: float) -> float:
     for c in reversed(_DIGAMMA_TAIL[:-1]):
         s = s * r + c
     return math.log(y) - 0.5 / y - s * r - (shift + comp)
+
+
+def _digamma_array(x: np.ndarray) -> np.ndarray:
+    """digamma element-wise over a float array of positive values, bit for
+    bit: the same compensated shift sum, masked to the elements still below
+    the threshold, and the same Horner tail.  The log is math.log per
+    element, since np.log differs from it in the last bit on some inputs."""
+    shift = np.zeros_like(x)
+    comp = np.zeros_like(x)
+    y = x
+    low = y < _SHIFT_THRESHOLD
+    while low.any():
+        t = 1.0 / y
+        total = shift + t
+        comp = np.where(low, comp + np.where(np.abs(shift) >= t,
+                                             (shift - total) + t,
+                                             (t - total) + shift), comp)
+        shift = np.where(low, total, shift)
+        y = np.where(low, y + 1.0, y)
+        low = y < _SHIFT_THRESHOLD
+    r = 1.0 / (y * y)
+    s = _DIGAMMA_TAIL[-1]
+    for c in reversed(_DIGAMMA_TAIL[:-1]):
+        s = s * r + c
+    log_y = np.fromiter(map(math.log, y.ravel().tolist()), float,
+                        y.size).reshape(y.shape)
+    return log_y - 0.5 / y - s * r - (shift + comp)
 
 
 def gamma_ratio(z: float, a: float) -> float:

@@ -17,6 +17,10 @@ TOL_REL = 1e-10
 STATUS_OK = "ok"
 STATUS_NUMERICAL_FAILURE = "numerical-failure"
 
+# the encoder json.dumps(obj, sort_keys=True, separators=(",", ":")) would
+# build afresh for every row of a CSV report
+_PARAMS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def margin_passes(margin: float, lhs: float, rhs: float,
                   tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> bool:
@@ -81,7 +85,7 @@ class InequalityReport:
     aux: dict[str, float] | None = None
 
     def params_json(self) -> str:
-        return json.dumps(self.params_echo, sort_keys=True, separators=(",", ":"))
+        return _PARAMS_ENCODER.encode(self.params_echo)
 
 
 @dataclass(frozen=True)

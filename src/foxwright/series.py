@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +64,13 @@ from .errors import (
     NoConvergenceError,
     ParameterError,
 )
-from .gammakit import _HALF_LN_TWO_PI, _LNGAMMA_TAIL, digamma, log_gamma
+from .gammakit import (
+    _HALF_LN_TWO_PI,
+    _LNGAMMA_TAIL,
+    _digamma_array,
+    digamma,
+    log_gamma,
+)
 
 __all__ = [
     "FoxWrightParams",
@@ -222,14 +228,15 @@ class TailSpec:
 
 class Request(NamedTuple):
     """One series evaluation: the series of ``params`` at ``z`` summed from
-    term index ``start``, term k multiplied by ``weight(k)`` when a weight
-    is given, and the log-magnitude of the result shifted by ``log_offset``
-    (a normalization prefactor)."""
+    term index ``start``, term k multiplied by -psi(b + k*B) when
+    ``psi_weight`` is the pair (b, B) (dbeta1's weight), and the
+    log-magnitude of the result shifted by ``log_offset`` (a normalization
+    prefactor)."""
 
     params: FoxWrightParams
     z: float
     start: int = 0
-    weight: Callable[[int], float] | None = None
+    psi_weight: tuple[float, float] | None = None
     log_offset: float = 0.0
 
 
@@ -643,12 +650,14 @@ def _ratio(prev_h: float, prev_l: float, lh: float, ll: float) -> float:
 def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
     """Scaled compensated summation of one request, one term at a time and
     then in blocks."""
-    params, z, start, weight, log_offset = req
+    params, z, start, psi_weight, log_offset = req
+    if psi_weight is not None:
+        b1, w1 = psi_weight
     if z == 0.0:
         if start > 0:
             return EvalResult(0.0, 0, 0.0, 1.0, -math.inf, 0)
         lt = _log_term_at_zero(params)
-        w = 1.0 if weight is None else weight(0)
+        w = 1.0 if psi_weight is None else -digamma(b1)
         if w == 0.0:
             return EvalResult(0.0, 1, 0.0, 1.0, -math.inf, 0)
         log_mag = lt + math.log(abs(w)) + log_offset
@@ -679,8 +688,8 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
     for k in range(start, min(start + _SCALAR_TERMS, end)):
         lh, ll = gen.at(k)
         sign = -1.0 if (neg and k % 2 == 1) else 1.0
-        if weight is not None:
-            w = weight(k)
+        if psi_weight is not None:
+            w = -digamma(b1 + k * w1)
             if w == 0.0:
                 lh, ll = -math.inf, 0.0
             else:
@@ -729,8 +738,8 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
         sign = np.ones(n)
         if neg:
             sign[(k + 1) % 2::2] = -1.0
-        if weight is not None:
-            w = np.array([weight(j) for j in range(k, k + n)])
+        if psi_weight is not None:
+            w = -_digamma_array(b1 + np.arange(k, k + n) * w1)
             sign[w < 0.0] *= -1.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 lh, ll = _dd_add(lh, ll, np.log(np.abs(w)), 0.0)
@@ -817,8 +826,7 @@ def _dbeta1(params: FoxWrightParams, z: float) -> Request:
     if not params.lower:
         raise ParameterError("dbeta1 needs at least one lower pair")
     _require_convergent(params)
-    b1, w1 = params.lower[0]
-    return Request(params, z, weight=lambda k: -digamma(b1 + k * w1))
+    return Request(params, z, psi_weight=params.lower[0])
 
 
 def _single(req: Request | PfqRequest, cfg: EvalConfig) -> EvalResult:

@@ -549,11 +549,13 @@ def explorer_ids() -> list[str]:
     return sorted(EXPLORERS)
 
 
-def _failure_row(suite_id: str, kind: str, msg: str) -> InequalityReport:
+def _failure_row(suite_id: str, kind: str, msg: str,
+                 instance: int) -> InequalityReport:
+    # the suite, the grid (seed and samples) and the index reproduce the row
     nan = float("nan")
     return InequalityReport(
         suite_id=suite_id,
-        params_echo={"error": kind},
+        params_echo={"error": kind, "instance": instance},
         z=nan, lhs=nan, rhs=nan, margin=nan,
         passed=False,
         err_estimate=nan,
@@ -581,11 +583,11 @@ def _run(sd: SuiteDef, spec: GridSpec | None, tol_abs: float = TOL_ABS,
     for first in range(0, n_inst, _LOCKSTEP):
         gens = [sd.build(_Cursor(u[i]), i, ranges, tol)
                 for i in range(first, min(first + _LOCKSTEP, n_inst))]
-        for res in _run_rounds(gens,
-                               absorb=(NoConvergenceError, OverflowError)):
+        results = _run_rounds(gens, absorb=(NoConvergenceError, OverflowError))
+        for i, res in enumerate(results, first):
             if isinstance(res, Exception):
                 out.append(_failure_row(sd.suite_id, type(res).__name__,
-                                        str(res)))
+                                        str(res), i))
             else:
                 out.extend(res if isinstance(res, tuple) else [res])
     del out[spec.samples:]

@@ -1,13 +1,25 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
 import csv
+import enum
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foxwright.cli import main
+from foxwright import FoxWrightParams, GridSpec, evaluate
+from foxwright.cli import _json_value, _render_json, main
+from foxwright.report import STATUS_OK, InequalityReport
+from foxwright.suites import (
+    _failure_row,
+    explorer_ids,
+    run_explore,
+    run_suite,
+    suite_ids,
+)
 
 EXP_PARAMS = {"upper": [[1.0, 1.0]], "lower": [[1.0, 1.0]]}
 
@@ -187,3 +199,119 @@ def test_explore_both_probes(tmp_path, capsys):
     assert code == 0
     assert "xi-prime sign:" in capsys.readouterr().out
     assert main(["explore", "--suite", "turan-beta"]) == 2
+
+
+def test_eval_prints_condition_log_magnitude_and_sign(params_file, capsys):
+    # e^-2 by its alternating series: condition e^4, log-magnitude -2
+    code = main(["eval", "--params", params_file(EXP_PARAMS), "--z", "-2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = [line.split(maxsplit=1) for line in out.strip().splitlines()]
+    assert [k for k, _ in lines] == ["value", "terms_used", "tail_bound",
+                                     "condition_estimate", "log_magnitude",
+                                     "sign"]
+    res = evaluate(FoxWrightParams(**EXP_PARAMS), -2.0)
+    fields = dict(lines)
+    assert float(fields["condition_estimate"]) == res.condition_estimate
+    assert abs(res.condition_estimate - math.exp(4.0)) <= 1e-12 * math.exp(4.0)
+    assert float(fields["log_magnitude"]) == res.log_magnitude
+    assert abs(res.log_magnitude + 2.0) <= 1e-14
+    assert fields["sign"] == "1"
+
+
+# The JSON writer against the text it replaces: json.dumps of the payload
+# dicts with sort_keys=True and indent=1.
+
+def _reference_json(rows, seed):
+    payload = {
+        "seed": seed,
+        "rows": [
+            {
+                "suite_id": r.suite_id,
+                "params": r.params_echo,
+                "z": r.z,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "margin": r.margin,
+                "err_estimate": r.err_estimate,
+                "pass": "error" if r.status != STATUS_OK else bool(r.passed),
+                "status": r.status,
+                "aux": r.aux,
+            }
+            for r in rows
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+class _SubFloat(float):
+    # json writes a float subclass through float.__repr__, not this
+    def __repr__(self):
+        return "subfloat"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_leaves = st.one_of(
+    st.text(max_size=6), st.none(), st.booleans(), st.integers(),
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats().map(_SubFloat), st.sampled_from(list(_Level)))
+_trees = st.recursive(_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=5), kids, max_size=4)), max_leaves=24)
+
+
+@given(_trees)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_json_value_matches_json_dumps(tree):
+    assert _json_value(tree, "\n") == json.dumps(tree, sort_keys=True, indent=1)
+
+
+@given(st.lists(st.tuples(_trees, _trees, _leaves, st.floats()), max_size=4),
+       st.integers())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_json_report_matches_json_dumps_for_any_row_values(cells, seed):
+    rows = [InequalityReport("sé", {"p": p}, z, x, -x, x, x % 2 == 0,
+                             abs(x), aux={"a": aux})
+            for p, aux, z, x in cells]
+    assert _render_json(rows, seed) == _reference_json(rows, seed)
+
+
+def test_json_value_falls_back_to_json_for_other_keys_and_types():
+    tree = {2: [1.5], 1: {"b": None}, "x": [1.5, math.nan, "n"]}
+    with pytest.raises(TypeError):
+        json.dumps(tree, sort_keys=True, indent=1)  # int and str keys mix
+    ints = {2: [1.5], 1: {"b": None}, 0.5: True}
+    assert (_json_value(ints, "\n ")
+            == json.dumps(ints, sort_keys=True, indent=1).replace("\n", "\n "))
+    with pytest.raises(TypeError):
+        _json_value(tree, "\n")
+    with pytest.raises(TypeError):
+        _json_value({"a": [object()]}, "\n")
+
+
+@pytest.mark.parametrize("suite", suite_ids() + explorer_ids())
+def test_json_report_matches_json_dumps_for_every_suite(suite):
+    spec = GridSpec(samples=8, seed=3)
+    run = run_explore if suite in explorer_ids() else run_suite
+    rows = run(suite, spec)
+    assert _render_json(rows, 3) == _reference_json(rows, 3)
+    for r in rows:  # and the params cell of the CSV report
+        assert r.params_json() == json.dumps(r.params_echo, sort_keys=True,
+                                             separators=(",", ":"))
+
+
+def test_json_report_matches_json_dumps_for_failure_infinite_and_empty():
+    failure = _failure_row("turan-beta", "NoConvergenceError",
+                           "stop rule did not fire", 4)
+    assert _render_json([failure], 1) == _reference_json([failure], 1)
+    # seed 5: rows with lhs = rhs = margin = err = inf
+    rows = run_suite("turan-alpha", GridSpec(samples=300, seed=5))
+    inf_rows = [r for r in rows if math.isinf(r.lhs) and math.isinf(r.rhs)]
+    assert inf_rows
+    assert _render_json(inf_rows, 5) == _reference_json(inf_rows, 5)
+    assert _render_json([], 0) == _reference_json([], 0)
+    assert _render_json([], 0) == '{\n "rows": [],\n "seed": 0\n}\n'

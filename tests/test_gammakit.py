@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from foxwright import (
     gamma_ratio,
     log_gamma,
 )
+from foxwright.gammakit import _digamma_array
 
 # Euler-Mascheroni constant
 _GAMMA = 0.5772156649015329
@@ -78,6 +80,23 @@ def test_digamma_increasing():
     xs = [0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
     vals = [digamma(x) for x in xs]
     assert vals == sorted(vals)
+
+
+def test_digamma_array_is_digamma_bit_for_bit():
+    # a grid across the zero of psi near 1.4616 and the shift threshold 8,
+    # the neighbours of both, and the dbeta1 form b + k*B as a 2-d array
+    zero = 1.4616321449683622
+    pts = [zero, 8.0, 7.0, 1.0, 2.0, 1e-3, 1e6]
+    pts += [math.nextafter(x, d) for x in (zero, 8.0, 7.0) for d in (0, 20)]
+    x = np.concatenate([np.linspace(0.01, 12.0, 4001), pts])
+    k = np.arange(64.0)
+    bk = np.array([[0.3], [1.2], [1.4616], [7.9]]) + k * np.array(
+        [[0.05], [0.0], [0.25], [1.5]])
+    for arr in (x, bk):
+        got = _digamma_array(arr)
+        assert got.shape == arr.shape
+        ref = [digamma(v).hex() for v in arr.ravel().tolist()]
+        assert [v.hex() for v in got.ravel().tolist()] == ref
 
 
 def test_gamma_ratio_matches_lgamma_form():

@@ -291,8 +291,27 @@ def test_failing_instance_yields_one_failure_row(monkeypatch, suite, bad, kind):
     monkeypatch.setitem(SUITES, suite, dataclasses.replace(sd, build=build))
     rows = run_suite(suite, spec)
     assert rows[4].status == STATUS_NUMERICAL_FAILURE
-    assert rows[4].params_echo == {"error": kind}
+    assert rows[4].params_echo == {"error": kind, "instance": 4}
     assert repr(rows[:4] + rows[5:]) == repr(clean[:4] + clean[5:])
+
+
+def test_failure_row_index_counts_across_lockstep_groups(monkeypatch):
+    # instance 7 runs in the third group of three; its row names index 7
+    sd = SUITES["turan-beta"]
+    bad = FoxWrightParams(((1.0, 0.96),), ((1.0, 0.0),))
+
+    def build(c, i, ranges, tol):
+        if i == 7:
+            return inequalities._turan_beta(bad, 20.0)
+        return sd.build(c, i, ranges, tol)
+
+    monkeypatch.setattr(suites, "_LOCKSTEP", 3)
+    monkeypatch.setitem(SUITES, "turan-beta", dataclasses.replace(sd, build=build))
+    rows = run_suite("turan-beta", GridSpec(samples=9, seed=2))
+    failed = [i for i, r in enumerate(rows)
+              if r.status == STATUS_NUMERICAL_FAILURE]
+    assert failed == [7]
+    assert rows[7].params_echo == {"error": "NoConvergenceError", "instance": 7}
 
 
 @pytest.mark.xfail(strict=True, reason="both sides overflow, inf - inf is "
