@@ -29,6 +29,7 @@ from .series import (
     _LN2_LO,
     _LN_GRID,
     _LOG_DOUBLE_MAX,
+    _REL_TOL,
     _SQRT_HALF,
     EvalConfig,
     EvalResult,
@@ -280,7 +281,7 @@ class _RowSums:
         # in a row, counting the streak carried in, and a last ratio below 1
         partial = np.abs((total + comp)[:, None] + np.cumsum(x, axis=1))
         small = valid & ((lh == -math.inf) | (
-            (fk > self.start[ix, None]) & (t <= cfg.rel_tol * partial)))
+            (fk > self.start[ix, None]) & (t <= _REL_TOL * partial)))
         streak = self.streak[ix]
         run = np.concatenate([(streak >= 2)[:, None], (streak >= 1)[:, None],
                               small], axis=1)
@@ -384,7 +385,7 @@ def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
         term = nxt
 
         partial = np.abs(total + comp)
-        small = (k > 0) & (np.abs(term) <= cfg.rel_tol * partial)
+        small = (k > 0) & (np.abs(term) <= _REL_TOL * partial)
         streak = np.where(small, streak + 1, 0)
         done = ~bad & (streak >= 3) & (ratio < 1.0)
         for r in np.flatnonzero(bad).tolist():

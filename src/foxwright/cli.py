@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -29,7 +30,6 @@ import sys
 from typing import Callable, Sequence
 
 from .errors import (
-    ConvergenceError,
     DivergentSeriesError,
     FoxWrightError,
     NoConvergenceError,
@@ -101,7 +101,7 @@ def _load_grid(args: argparse.Namespace) -> GridSpec:
         kw["samples"] = args.samples
     if args.seed is not None:
         kw["seed"] = args.seed
-    return spec.replace(**kw) if kw else spec
+    return dataclasses.replace(spec, **kw) if kw else spec
 
 
 def _cell(x: object) -> str:
@@ -362,8 +362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (DivergentSeriesError, NoConvergenceError, ConvergenceError,
-            OverflowError) as exc:
+    except (DivergentSeriesError, NoConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (FoxWrightError, OSError, ValueError) as exc:

@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "FoxWrightError",
+    "DomainError",
+    "ParameterError",
+    "DivergentSeriesError",
+    "GridError",
+    "NoConvergenceError",
+    "SingularTransformError",
+]
+
 
 class FoxWrightError(Exception):
     """Base class for every error raised by this package."""
@@ -29,11 +39,3 @@ class SingularTransformError(DomainError):
 
 class GridError(FoxWrightError, ValueError):
     """An evaluation grid is empty, unordered, or infeasible for the suite."""
-
-
-class ConvergenceError(FoxWrightError, ArithmeticError):
-    """A truncated series carries a tail too large for the requested check."""
-
-
-class LengthError(FoxWrightError, ValueError):
-    """Paired sequences have mismatched lengths."""

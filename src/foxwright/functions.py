@@ -100,6 +100,11 @@ def _pfq_request(upper: tuple[float, ...], lower: tuple[float, ...],
     upper = tuple(float(a) for a in upper)
     lower = tuple(float(b) for b in lower)
     p, q = len(upper), len(lower)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got z={z!r}")
+    for a in upper:
+        if not math.isfinite(a):
+            raise ParameterError(f"pFq upper parameters must be finite, got {a}")
     for b in lower:
         if not (b > 0.0 and math.isfinite(b)):
             raise ParameterError(f"pFq lower parameters must be positive, got {b}")

@@ -17,16 +17,19 @@ Each checker is a generator: it yields the list of series evaluations it
 needs (``series.Request`` and ``series.PfqRequest`` items), is sent their
 results, may yield again, and returns its report.  ``_run_rounds`` advances
 many of them in lockstep with one ``series.evaluate_batch`` call a round;
-the suite runner drives a whole suite that way, and each public checker
-drives its one generator the same way, so a direct call and the matching
-suite row are the same computation.
+the suite runner drives a whole suite that way.  Each public checker is
+its generator wrapped by ``_public``, which drives that one generator
+through ``_run_rounds`` and returns its report, so a direct call and the
+matching suite row are the same computation; the generator carries the
+checker's signature and docstring, and the public names are bound in one
+block at the end of the module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import replace
-from typing import Generator, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -52,7 +55,6 @@ from .report import (
     worst_report,
 )
 from .series import (
-    _DEFAULT_CFG,
     _LOG_DOUBLE_MAX,
     _exp_or_inf,
     _normalized,
@@ -96,21 +98,19 @@ _CONDITION_LIMIT = 1e6
 Rounds = Generator[list, list, object]
 
 
-def _log_cfg(cfg: EvalConfig) -> EvalConfig:
-    return cfg if cfg.log_mode else replace(cfg, log_mode=True)
+# the checkers' series are summed in log mode (pFq requests ignore it)
+_LOG_CFG = EvalConfig(log_mode=True)
 
 
-def _run_rounds(gens: list[Rounds], cfg: EvalConfig = _DEFAULT_CFG,
-                absorb: tuple = ()) -> list:
+def _run_rounds(gens: list[Rounds], absorb: tuple = ()) -> list:
     """Advance checker generators in lockstep to their return values.
 
     One evaluate_batch call serves every generator still running in a
-    round, in log mode (pFq requests ignore it).  A request that fails is
-    thrown into its own generator only.  Returns each generator's return
-    value, or the exception of a type in ``absorb`` that ended it; any
-    other exception propagates.
+    round, in log mode.  A request that fails is thrown into its own
+    generator only.  Returns each generator's return value, or the
+    exception of a type in ``absorb`` that ended it; any other exception
+    propagates.
     """
-    cfg = _log_cfg(cfg)
     out: list = [None] * len(gens)
     waiting: dict[int, list] = {}
 
@@ -131,7 +131,8 @@ def _run_rounds(gens: list[Rounds], cfg: EvalConfig = _DEFAULT_CFG,
     while waiting:
         batch = list(waiting.items())
         waiting.clear()
-        results = evaluate_batch([r for _, reqs in batch for r in reqs], cfg)
+        results = evaluate_batch([r for _, reqs in batch for r in reqs],
+                                 _LOG_CFG)
         at = 0
         for i, reqs in batch:
             mine = results[at:at + len(reqs)]
@@ -141,9 +142,13 @@ def _run_rounds(gens: list[Rounds], cfg: EvalConfig = _DEFAULT_CFG,
     return out
 
 
-def _drive(gen: Rounds, cfg: EvalConfig):
-    # a public checker: its one generator through the suite runner's path
-    return _run_rounds([gen], cfg)[0]
+def _public(rounds: Callable[..., Rounds]) -> Callable:
+    """The public checker of a generator: it drives one generator alone
+    through _run_rounds, the suite runner's path, and returns its report."""
+    @functools.wraps(rounds)
+    def check(*args, **kwargs):
+        return _run_rounds([rounds(*args, **kwargs)])[0]
+    return check
 
 
 def _diff_of_exp(la: float, lb: float) -> float:
@@ -205,10 +210,8 @@ def _check_grid(values: Sequence[float], what: str, minimum: int = 2) -> None:
 # Turan inequalities in the parameters
 
 
-def turan_alpha_check(params: FoxWrightParams, z: float,
-                      cfg: EvalConfig = _DEFAULT_CFG,
-                      tol_abs: float = TOL_ABS,
-                      tol_rel: float = TOL_REL) -> InequalityReport:
+def _turan_alpha(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
+                 tol_rel: float = TOL_REL) -> Rounds:
     """Turan inequality in the first upper parameter.
 
     margin = Psi[a1] * Psi[a1+2] - Psi[a1+1]^2 >= 0 at fixed z >= 0, where
@@ -216,11 +219,6 @@ def turan_alpha_check(params: FoxWrightParams, z: float,
     When every weight equals 1 the same margin is recomputed in normalized
     pFq form and echoed in aux.
     """
-    return _drive(_turan_alpha(params, z, tol_abs, tol_rel), cfg)
-
-
-def _turan_alpha(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
-                 tol_rel: float = TOL_REL) -> Rounds:
     if not params.upper:
         raise ParameterError("needs at least one upper parameter pair")
     if z < 0.0:
@@ -250,20 +248,13 @@ def _turan_alpha(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
                        tol_abs, tol_rel, aux)
 
 
-def turan_beta_check(params: FoxWrightParams, z: float,
-                     cfg: EvalConfig = _DEFAULT_CFG,
-                     tol_abs: float = TOL_ABS,
-                     tol_rel: float = TOL_REL) -> InequalityReport:
+def _turan_beta(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
+                tol_rel: float = TOL_REL) -> Rounds:
     """Turan inequality in the first lower parameter.
 
     margin = Psi[b1] * Psi[b1+2] - b1/(b1+1) * Psi[b1+1]^2 >= 0 at z >= 0,
     with equality at z = 0.
     """
-    return _drive(_turan_beta(params, z, tol_abs, tol_rel), cfg)
-
-
-def _turan_beta(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
-                tol_rel: float = TOL_REL) -> Rounds:
     if not params.lower:
         raise ParameterError("needs at least one lower parameter pair")
     if z < 0.0:
@@ -284,10 +275,9 @@ def _turan_beta(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
 # Transformed 2F2 Turan product at negative argument
 
 
-def corollary3_2f2_check(alpha1: float, beta1: float, beta2: float, z: float,
-                         cfg: EvalConfig = _DEFAULT_CFG,
-                         tol_abs: float = TOL_ABS,
-                         tol_rel: float = TOL_REL) -> InequalityReport:
+def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
+                    tol_abs: float = TOL_ABS,
+                    tol_rel: float = TOL_REL) -> Rounds:
     """Turan-type product inequality for the transformed 2F2 family at z < 0.
 
     With f = b2(1+a1-b1)/(a1-b2), g = b2(a1-b1-1)/(a1-b2), and
@@ -300,13 +290,6 @@ def corollary3_2f2_check(alpha1: float, beta1: float, beta2: float, z: float,
     condition estimate exceeds 1e6 the report is marked numerical-failure
     instead of pass/fail.
     """
-    return _drive(_corollary3_2f2(alpha1, beta1, beta2, z, tol_abs, tol_rel),
-                  cfg)
-
-
-def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
-                    tol_abs: float = TOL_ABS,
-                    tol_rel: float = TOL_REL) -> Rounds:
     if not (beta1 > 0.0 and beta2 > 0.0):
         raise ParameterError(
             f"beta1 and beta2 must be positive, got {beta1!r}, {beta2!r}")
@@ -348,12 +331,10 @@ def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
 # Ratio monotonicity in z between two parameter values
 
 
-def ratio_monotonicity_check(params: FoxWrightParams, slot: str,
-                             v1: float, v2: float,
-                             z_grid: Sequence[float],
-                             cfg: EvalConfig = _DEFAULT_CFG,
-                             tol_abs: float = TOL_ABS,
-                             tol_rel: float = TOL_REL) -> InequalityReport:
+def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
+                        v2: float, z_grid: Sequence[float],
+                        tol_abs: float = TOL_ABS,
+                        tol_rel: float = TOL_REL) -> Rounds:
     """Monotone decay of the ratio between two members of the family.
 
     ``slot`` picks which first parameter value varies: "beta" compares
@@ -362,14 +343,6 @@ def ratio_monotonicity_check(params: FoxWrightParams, slot: str,
     grid and the derivative cross-product at every grid point are checked;
     the report carries the worst comparison.
     """
-    return _drive(_ratio_monotonicity(params, slot, v1, v2, z_grid, tol_abs,
-                                      tol_rel), cfg)
-
-
-def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
-                        v2: float, z_grid: Sequence[float],
-                        tol_abs: float = TOL_ABS,
-                        tol_rel: float = TOL_REL) -> Rounds:
     if slot not in ("alpha", "beta"):
         raise ParameterError(f"slot must be 'alpha' or 'beta', got {slot!r}")
     if v1 == v2:
@@ -451,20 +424,13 @@ def _require_constant_upper(params: FoxWrightParams, what: str) -> None:
             + repr([w for _, w in params.upper]))
 
 
-def tail_turan_check(params: FoxWrightParams, n: int, z: float,
-                     cfg: EvalConfig = _DEFAULT_CFG,
-                     tol_abs: float = TOL_ABS,
-                     tol_rel: float = TOL_REL) -> InequalityReport:
+def _tail_turan(params: FoxWrightParams, n: int, z: float,
+                tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     """Turan inequality for series tails: T_{n+1}^2 >= T_n * T_{n+2}.
 
     T_m is the tail summed from index m+1 on.  Only shapes whose upper
     weights are all zero are in scope.
     """
-    return _drive(_tail_turan(params, n, z, tol_abs, tol_rel), cfg)
-
-
-def _tail_turan(params: FoxWrightParams, n: int, z: float,
-                tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     _require_constant_upper(params, "tail Turan")
     if n < 0:
         raise ParameterError(f"tail index must be >= 0, got {n}")
@@ -528,23 +494,21 @@ def _kn_values(params: FoxWrightParams, n: int,
     return kvals, kerrs
 
 
-def kn_ratio(params: FoxWrightParams, n: int, z: float,
-             cfg: EvalConfig = _DEFAULT_CFG) -> float:
+def kn_ratio(params: FoxWrightParams, n: int, z: float) -> float:
     """Tail ratio K_n = T_n * T_{n+2} / T_{n+1}^2 without any shape gate.
 
     Exploratory helper: unlike kn_value_and_bound it accepts nonzero upper
     weights, where no proven bound is available.
     """
-    kvals, _ = _drive(_kn_values(params, n, [z]), cfg)
+    kvals, _ = _run_rounds([_kn_values(params, n, [z])])[0]
     return kvals[0]
 
 
-def kn_value_and_bound(params: FoxWrightParams, n: int,
-                       z: float | None = None,
-                       z_grid: Sequence[float] | None = None,
-                       cfg: EvalConfig = _DEFAULT_CFG,
-                       tol_abs: float = TOL_ABS,
-                       tol_rel: float = TOL_REL) -> InequalityReport:
+def _kn_value_and_bound(params: FoxWrightParams, n: int,
+                        z: float | None = None,
+                        z_grid: Sequence[float] | None = None,
+                        tol_abs: float = TOL_ABS,
+                        tol_rel: float = TOL_REL) -> Rounds:
     """Lower bound and monotonicity of the tail ratio K_n.
 
     K_n(z) = T_n T_{n+2} / T_{n+1}^2 is nondecreasing in z > 0 and bounded
@@ -556,15 +520,6 @@ def kn_value_and_bound(params: FoxWrightParams, n: int,
     Pass a single z to check K_n(z) >= C, or a strictly increasing z_grid
     to additionally check the steps; exactly one of the two.
     """
-    return _drive(_kn_value_and_bound(params, n, z, z_grid, tol_abs, tol_rel),
-                  cfg)
-
-
-def _kn_value_and_bound(params: FoxWrightParams, n: int,
-                        z: float | None = None,
-                        z_grid: Sequence[float] | None = None,
-                        tol_abs: float = TOL_ABS,
-                        tol_rel: float = TOL_REL) -> Rounds:
     _require_constant_upper(params, "the K_n bound")
     if n < 0:
         raise ParameterError(f"tail index must be >= 0, got {n}")
@@ -674,11 +629,9 @@ def _omega(alpha1: float, beta1: float, beta2: float, B1: float,
     return float(np.cumsum(blocks)[-1]), float(blocks[-1])
 
 
-def chi_check(alpha1: float, beta2: float, B1: float,
-              beta1_grid: Sequence[float], z: float,
-              cfg: EvalConfig = _DEFAULT_CFG,
-              tol_abs: float = TOL_ABS,
-              tol_rel: float = TOL_REL) -> InequalityReport:
+def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
+         z: float, tol_abs: float = TOL_ABS,
+         tol_rel: float = TOL_REL) -> Rounds:
     """Monotonicity of the chi ratio in beta1, with its series witness.
 
     chi(b1) is the ratio of the shifted to the unshifted normalized series;
@@ -686,13 +639,6 @@ def chi_check(alpha1: float, beta2: float, B1: float,
     witness Omega(b1) for the sign of the derivative must be nonnegative
     at every grid point.  Requires alpha1 >= beta2 > 0 and z > 0.
     """
-    return _drive(_chi(alpha1, beta2, B1, beta1_grid, z, tol_abs, tol_rel),
-                  cfg)
-
-
-def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
-         z: float, tol_abs: float = TOL_ABS,
-         tol_rel: float = TOL_REL) -> Rounds:
     if not (beta2 > 0.0 and alpha1 >= beta2):
         raise DomainError(
             f"needs alpha1 >= beta2 > 0, got alpha1={alpha1!r}, beta2={beta2!r}")
@@ -777,22 +723,14 @@ def _shifted_tilde_pair(alpha1: float, beta1: float, beta2: float, B1: float,
                 lower=((beta1, B1), (beta2, 1.0))), z)]
 
 
-def lazarevic_check(alpha1: float, beta1: float, beta2: float, B1: float,
-                    z: float, cfg: EvalConfig = _DEFAULT_CFG,
-                    tol_abs: float = TOL_ABS,
-                    tol_rel: float = TOL_REL) -> InequalityReport:
+def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
+               tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     """Lazarevic-type power inequality, tight at z = 0.
 
     margin = U^{e2} - [(G(a1)/G(b2))^{B1/b1} V]^{e1} with U, V the
     normalized series at first lower value b1+1 and b1, e1 =
     G(b1+B1)/G(b1), e2 = e1 (b1+B1)/b1.  Requires a1 >= b2 > 0, z >= 0.
     """
-    return _drive(_lazarevic(alpha1, beta1, beta2, B1, z, tol_abs, tol_rel),
-                  cfg)
-
-
-def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
-               tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     _check_powered_params(alpha1, beta1, beta2, B1)
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
@@ -812,20 +750,13 @@ def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
         z, lu, lv, err, tol_abs, tol_rel, {"e1": e1, "e2": e2})
 
 
-def lazarevic_bessel_check(nu: float, z: float,
-                           cfg: EvalConfig = _DEFAULT_CFG,
-                           tol_abs: float = TOL_ABS,
-                           tol_rel: float = TOL_REL) -> InequalityReport:
+def _lazarevic_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
+                      tol_rel: float = TOL_REL) -> Rounds:
     """Lazarevic inequality for the normalized Bessel function.
 
     margin = I[nu+1](z)^{(nu+2)/(nu+1)} - I[nu](z) >= 0, where I[v] is the
     normalized Bessel function (equal to 1 at z = 0).
     """
-    return _drive(_lazarevic_bessel(nu, z, tol_abs, tol_rel), cfg)
-
-
-def _lazarevic_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
-                      tol_rel: float = TOL_REL) -> Rounds:
     r1, r0 = yield [_bessel_request(nu + 1.0, z), _bessel_request(nu, z)]
     e = (nu + 2.0) / (nu + 1.0)
     la = e * r1.log_magnitude
@@ -852,20 +783,13 @@ def _wilker_core(alpha1: float, beta1: float, beta2: float, B1: float,
                         {"ratio_term": t1, "power_term": t2})
 
 
-def wilker_check(alpha1: float, beta1: float, beta2: float, B1: float,
-                 z: float, cfg: EvalConfig = _DEFAULT_CFG,
-                 tol_abs: float = TOL_ABS,
-                 tol_rel: float = TOL_REL) -> InequalityReport:
+def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
+            tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     """Wilker-type inequality, tight at z = 0.
 
     margin = U/V + [(G(b2)/G(a1)) U]^{B1/b1} - 2 >= 0 with U, V as in the
     Lazarevic checker.  Requires a1 >= b2 > 0, z >= 0.
     """
-    return _drive(_wilker(alpha1, beta1, beta2, B1, z, tol_abs, tol_rel), cfg)
-
-
-def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
-            tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     _check_powered_params(alpha1, beta1, beta2, B1)
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
@@ -874,19 +798,12 @@ def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
         {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1}))
 
 
-def wilker_bessel_check(nu: float, z: float,
-                        cfg: EvalConfig = _DEFAULT_CFG,
-                        tol_abs: float = TOL_ABS,
-                        tol_rel: float = TOL_REL) -> InequalityReport:
+def _wilker_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
+                   tol_rel: float = TOL_REL) -> Rounds:
     """Wilker inequality for the normalized Bessel function.
 
     margin = I[nu+1]/I[nu] + I[nu+1]^{1/(nu+1)} - 2 >= 0.
     """
-    return _drive(_wilker_bessel(nu, z, tol_abs, tol_rel), cfg)
-
-
-def _wilker_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
-                   tol_rel: float = TOL_REL) -> Rounds:
     r1, r0 = yield [_bessel_request(nu + 1.0, z), _bessel_request(nu, z)]
     t1 = _exp_or_inf(r1.log_magnitude - r0.log_magnitude)
     t2 = _exp_or_inf(r1.log_magnitude / (nu + 1.0))
@@ -899,20 +816,13 @@ def _wilker_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
                         {"ratio_term": t1, "power_term": t2})
 
 
-def wilker_wright_check(B1: float, beta1: float, z: float,
-                        cfg: EvalConfig = _DEFAULT_CFG,
-                        tol_abs: float = TOL_ABS,
-                        tol_rel: float = TOL_REL) -> InequalityReport:
+def _wilker_wright(B1: float, beta1: float, z: float, tol_abs: float = TOL_ABS,
+                   tol_rel: float = TOL_REL) -> Rounds:
     """Wilker inequality specialized to the normalized Wright function.
 
     Setting the upper value equal to the second lower value cancels their
     gamma factors and the general form collapses to W[B1, b1].
     """
-    return _drive(_wilker_wright(B1, beta1, z, tol_abs, tol_rel), cfg)
-
-
-def _wilker_wright(B1: float, beta1: float, z: float, tol_abs: float = TOL_ABS,
-                   tol_rel: float = TOL_REL) -> Rounds:
     if not beta1 > 0.0:
         raise ParameterError(f"beta1 must be positive, got {beta1!r}")
     if B1 < 0.0:
@@ -928,11 +838,9 @@ def _wilker_wright(B1: float, beta1: float, z: float, tol_abs: float = TOL_ABS,
 # Log-concavity in z
 
 
-def logconcavity_check(params: FoxWrightParams, z1: float, z2: float,
-                       cfg: EvalConfig = _DEFAULT_CFG,
-                       tol_abs: float = TOL_ABS,
-                       tol_rel: float = TOL_REL
-                       ) -> tuple[InequalityReport, ...]:
+def _logconcavity(params: FoxWrightParams, z1: float, z2: float,
+                  tol_abs: float = TOL_ABS,
+                  tol_rel: float = TOL_REL) -> Rounds:
     """Three log-concavity consequences for one (z1, z2) pair.
 
     Shape: one more lower pair than upper pairs, all upper weights 1, all
@@ -944,12 +852,6 @@ def logconcavity_check(params: FoxWrightParams, z1: float, z2: float,
       expbound:  exp(c zm) >= f(zm)
       deriv:     c Psi(zm) >= Psi'(zm)   (unnormalized)
     """
-    return _drive(_logconcavity(params, z1, z2, tol_abs, tol_rel), cfg)
-
-
-def _logconcavity(params: FoxWrightParams, z1: float, z2: float,
-                  tol_abs: float = TOL_ABS,
-                  tol_rel: float = TOL_REL) -> Rounds:
     p, q = len(params.upper), len(params.lower)
     if q != p + 1 or p < 1:
         raise ParameterError(
@@ -1011,8 +913,7 @@ def _logconcavity(params: FoxWrightParams, z1: float, z2: float,
 # Exploratory probe for the open chi-difference question
 
 
-def xi_prime(params: FoxWrightParams, z: float,
-             cfg: EvalConfig = _DEFAULT_CFG) -> float:
+def _xi_prime(params: FoxWrightParams, z: float) -> Rounds:
     """Derivative of the chi-difference functional in the first lower value.
 
     Computes (G(b1)/G(b1+B1)) * (chi(b1+1) - chi(b1)) for the general
@@ -1021,10 +922,6 @@ def xi_prime(params: FoxWrightParams, z: float,
     guaranteed outside the proven two-lower family; this is the probe the
     explore command samples.
     """
-    return _drive(_xi_prime(params, z), cfg)
-
-
-def _xi_prime(params: FoxWrightParams, z: float) -> Rounds:
     if not params.lower:
         raise ParameterError("needs at least one lower parameter pair")
     if not z > 0.0:
@@ -1039,3 +936,23 @@ def _xi_prime(params: FoxWrightParams, z: float) -> Rounds:
     chi = [_exp_or_inf(num.log_magnitude - den.log_magnitude)
            for num, den in (res[:2], res[2:])]
     return math.exp(log_gamma(b1) - log_gamma(b1 + w1)) * (chi[0] - chi[1])
+
+
+# ---------------------------------------------------------------------------
+# The public checkers
+
+
+turan_alpha_check = _public(_turan_alpha)
+turan_beta_check = _public(_turan_beta)
+corollary3_2f2_check = _public(_corollary3_2f2)
+ratio_monotonicity_check = _public(_ratio_monotonicity)
+tail_turan_check = _public(_tail_turan)
+kn_value_and_bound = _public(_kn_value_and_bound)
+chi_check = _public(_chi)
+lazarevic_check = _public(_lazarevic)
+lazarevic_bessel_check = _public(_lazarevic_bessel)
+wilker_check = _public(_wilker)
+wilker_bessel_check = _public(_wilker_bessel)
+wilker_wright_check = _public(_wilker_wright)
+logconcavity_check = _public(_logconcavity)
+xi_prime = _public(_xi_prime)

@@ -10,27 +10,20 @@ meaningful evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath as mp
 
 from .errors import (
-    ConvergenceError,
     DivergentSeriesError,
     DomainError,
-    LengthError,
     NoConvergenceError,
 )
-from .series import FoxWrightParams, epsilon
+from .series import FoxWrightParams
 
 __all__ = [
     "hp_eval",
     "hp_pfq",
-    "MonotoneVerdict",
-    "seq_ratio_monotone",
-    "series_ratio_monotone_check",
-    "finite_difference",
 ]
 
 _MAX_TERMS = 100_000
@@ -96,9 +89,9 @@ def hp_eval(params: FoxWrightParams, z, digits: int = 30,
     sums the tail from that index onward instead of the whole series.
     """
     digits = _check_digits(digits)
-    if epsilon(params) <= 0.0:
+    if params.epsilon() <= 0.0:
         raise DivergentSeriesError(
-            f"divergent series: epsilon = {epsilon(params):.6g} <= 0")
+            f"divergent series: epsilon = {params.epsilon():.6g} <= 0")
     with mp.workdps(digits + 10):
         value, tail, _ = _hp_series(params, z, mp.mpf(10) ** (-digits), start)
         return mp.nstr(value, digits), mp.nstr(tail, 10)
@@ -153,82 +146,3 @@ def hp_pfq(upper: Sequence[float], lower: Sequence[float], z,
     with mp.workdps(digits + 10):
         value, tail, _ = _hp_pfq_mpf(upper, lower, z)
         return mp.nstr(value, digits), mp.nstr(tail, 10)
-
-
-@dataclass(frozen=True)
-class MonotoneVerdict:
-    """Direction summary of a finite sequence.
-
-    ``direction`` is one of "nondecreasing", "nonincreasing", "constant",
-    "mixed"; truthiness means the steps never disagree in sign.
-    ``worst_violation`` is the largest step against the majority direction
-    (0.0 when there is none).
-    """
-
-    direction: str
-    n_increases: int
-    n_decreases: int
-    worst_violation: float
-
-    def __bool__(self) -> bool:
-        return self.direction != "mixed"
-
-
-def seq_ratio_monotone(values: Sequence) -> MonotoneVerdict:
-    """Classify a sequence of at least three values by step direction."""
-    if len(values) < 3:
-        raise LengthError(
-            f"need at least 3 values to judge monotonicity, got {len(values)}")
-    ups = downs = 0
-    worst_up = worst_down = mp.mpf(0)
-    for a, b in zip(values, values[1:]):
-        d = mp.mpf(b) - mp.mpf(a)
-        if d > 0:
-            ups += 1
-            worst_up = max(worst_up, d)
-        elif d < 0:
-            downs += 1
-            worst_down = max(worst_down, -d)
-    if ups and downs:
-        worst = worst_down if ups >= downs else worst_up
-        return MonotoneVerdict("mixed", ups, downs, float(worst))
-    if ups:
-        return MonotoneVerdict("nondecreasing", ups, 0, 0.0)
-    if downs:
-        return MonotoneVerdict("nonincreasing", 0, downs, 0.0)
-    return MonotoneVerdict("constant", 0, 0, 0.0)
-
-
-def series_ratio_monotone_check(num_params: FoxWrightParams,
-                                den_params: FoxWrightParams,
-                                z_grid: Sequence[float],
-                                digits: int = 30) -> MonotoneVerdict:
-    """Judge monotonicity of the ratio of two series along a z grid.
-
-    Both series are summed at high precision; if either truncation tail
-    fails to drop below 1e-15 of its partial sum the ratio cannot be
-    certified and ConvergenceError is raised.
-    """
-    digits = _check_digits(digits)
-    for p in (num_params, den_params):
-        if epsilon(p) <= 0.0:
-            raise DivergentSeriesError(
-                f"divergent series: epsilon = {epsilon(p):.6g} <= 0")
-    rel_stop = mp.mpf(10) ** (-digits)
-    ratios = []
-    with mp.workdps(digits + 10):
-        for z in z_grid:
-            num, num_tail, _ = _hp_series(num_params, z, rel_stop)
-            den, den_tail, _ = _hp_series(den_params, z, rel_stop)
-            for val, tail in ((num, num_tail), (den, den_tail)):
-                if abs(tail) > mp.mpf("1e-15") * abs(val):
-                    raise ConvergenceError(
-                        f"series tail {mp.nstr(tail, 5)} too large relative to "
-                        f"partial sum {mp.nstr(val, 5)} at z={z!r}")
-            ratios.append(num / den)
-        return seq_ratio_monotone(ratios)
-
-
-def finite_difference(f: Callable, z, h):
-    """Central difference (f(z+h) - f(z-h)) / (2h)."""
-    return (f(z + h) - f(z - h)) / (2 * h)

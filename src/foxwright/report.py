@@ -9,6 +9,15 @@ from typing import Any, Callable
 
 from .errors import GridError
 
+__all__ = [
+    "TOL_ABS",
+    "TOL_REL",
+    "margin_passes",
+    "InequalityReport",
+    "GridSpec",
+    "grid_from_json",
+]
+
 # Default acceptance tolerance: a margin passes when it is not more negative
 # than tol_abs + tol_rel * scale, with scale = max(|lhs|, |rhs|).
 TOL_ABS = 1e-12
@@ -114,17 +123,6 @@ class GridSpec:
                 raise GridError(f"range for {name!r} is empty: ({lo}, {hi})")
         if self.z_range is not None and not (self.z_range[0] <= self.z_range[1]):
             raise GridError(f"z range is empty: {self.z_range}")
-
-    def replace(self, **kw: Any) -> "GridSpec":
-        data = {
-            "param_ranges": dict(self.param_ranges),
-            "z_range": self.z_range,
-            "samples": self.samples,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
-        data.update(kw)
-        return GridSpec(**data)
 
 
 def grid_from_json(obj: dict[str, Any]) -> GridSpec:

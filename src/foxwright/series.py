@@ -61,6 +61,7 @@ import numpy as np
 
 from .errors import (
     DivergentSeriesError,
+    DomainError,
     NoConvergenceError,
     ParameterError,
 )
@@ -77,7 +78,6 @@ __all__ = [
     "EvalConfig",
     "EvalResult",
     "TailSpec",
-    "epsilon",
     "log_term",
     "evaluate",
     "evaluate_normalized",
@@ -168,32 +168,27 @@ class FoxWrightParams:
         return cls(upper=upper, lower=lower)
 
 
-def epsilon(params: FoxWrightParams) -> float:
-    """Convergence parameter 1 + sum(B_j) - sum(A_l) of the series."""
-    return params.epsilon()
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     """Summation controls.
 
-    rel_tol is the target relative truncation error, max_terms caps the
-    number of generated terms, and log_mode returns log-magnitude + sign
-    for results whose value would overflow a double.
+    max_terms caps the number of generated terms, and log_mode returns
+    log-magnitude + sign for results whose value would overflow a double.
     """
 
-    rel_tol: float = 1e-15
     max_terms: int = 10000
     log_mode: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ParameterError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_terms < 8:
             raise ParameterError(f"max_terms must be >= 8, got {self.max_terms}")
 
 
 _DEFAULT_CFG = EvalConfig()
+
+# the stop rule's relative term size: a term counts as small at or below
+# _REL_TOL * |partial sum|
+_REL_TOL = 1e-15
 
 
 @dataclass(frozen=True, slots=True)
@@ -578,7 +573,9 @@ class _TermLogs:
         return _dd_add(h, l, rh, rl)
 
 
-def _require_convergent(params: FoxWrightParams) -> None:
+def _require_convergent(params: FoxWrightParams, z: float) -> None:
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got z={z!r}")
     eps = params.epsilon()
     if not eps > 0.0:
         raise DivergentSeriesError(
@@ -722,7 +719,7 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
         # stop rule: three consecutive relatively small terms, and the last
         # ratio below 1 so the geometric tail bound is meaningful
         partial = abs(total + comp)
-        if lh == -math.inf or (k > start and t <= cfg.rel_tol * partial):
+        if lh == -math.inf or (k > start and t <= _REL_TOL * partial):
             streak += 1
         else:
             streak = 0
@@ -765,7 +762,7 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
         # the stop rule of the one-term loop, tested on cumsum partial sums;
         # the terms up to the stop are then added with fsum
         partial = np.abs((total + comp) + np.cumsum(x))
-        small = (lh == -math.inf) | (t <= cfg.rel_tol * partial)
+        small = (lh == -math.inf) | (t <= _REL_TOL * partial)
         run = np.concatenate(([streak >= 2, streak >= 1], small))
         used = n
         for i in np.flatnonzero(run[2:] & run[1:-1] & run[:-2]).tolist():
@@ -801,31 +798,31 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
 
 
 def _plain(params: FoxWrightParams, z: float) -> Request:
-    _require_convergent(params)
+    _require_convergent(params, z)
     return Request(params, z)
 
 
 def _normalized(params: FoxWrightParams, z: float) -> Request:
-    _require_convergent(params)
+    _require_convergent(params, z)
     return Request(params, z, log_offset=-_log_term_at_zero(params))
 
 
 def _tilde(params: FoxWrightParams, z: float) -> Request:
     if not params.lower:
         raise ParameterError("tilde normalization needs at least one lower pair")
-    _require_convergent(params)
+    _require_convergent(params, z)
     return Request(params, z, log_offset=log_gamma(params.lower[0][0]))
 
 
 def _tail(params: FoxWrightParams, tail: TailSpec, z: float) -> Request:
-    _require_convergent(params)
+    _require_convergent(params, z)
     return Request(params, z, start=tail.n + 1)
 
 
 def _dbeta1(params: FoxWrightParams, z: float) -> Request:
     if not params.lower:
         raise ParameterError("dbeta1 needs at least one lower pair")
-    _require_convergent(params)
+    _require_convergent(params, z)
     return Request(params, z, psi_weight=params.lower[0])
 
 

@@ -38,7 +38,7 @@ from .inequalities import (
     _wilker,
     _xi_prime,
 )
-from .oracle import _hp_pfq_mpf, _hp_series
+from .oracle import _check_digits, _hp_pfq_mpf, _hp_series
 from .report import (
     GridSpec,
     InequalityReport,
@@ -168,13 +168,19 @@ def _z_cap(params: FoxWrightParams, eps: float, v_target: float) -> float:
     return math.exp(min(s, 700.0))
 
 
-def _draw_z(u: float, zrange: tuple[float, float], params: FoxWrightParams,
-            eps: float, v_target: float = _V_TARGET) -> float:
+def _z_top(zrange: tuple[float, float], params: FoxWrightParams, eps: float,
+           v_target: float = _V_TARGET) -> float:
+    """Upper end of the drawn z range: hi capped by _z_cap, unless the cap
+    falls at or below lo."""
     lo, hi = zrange
     eff = min(hi, _z_cap(params, eps, v_target))
-    if eff <= lo:
-        eff = hi
-    return eff - u * (eff - lo)
+    return hi if eff <= lo else eff
+
+
+def _draw_z(u: float, zrange: tuple[float, float], params: FoxWrightParams,
+            eps: float, v_target: float = _V_TARGET) -> float:
+    eff = _z_top(zrange, params, eps, v_target)
+    return eff - u * (eff - zrange[0])
 
 
 def _sample_series(c: _Cursor, i: int, ranges: dict,
@@ -358,10 +364,8 @@ def _build_logconcave(c, i, ranges, tol):
         ups.append((a, 1.0))
         lows.append((b, 1.0))
     params = FoxWrightParams(tuple(ups), tuple(lows))
-    lo, hi = ranges["z"]
-    eff = min(hi, _z_cap(params, 1.0 + B1, _V_TARGET))
-    if eff <= lo:
-        eff = hi
+    lo = ranges["z"][0]
+    eff = _z_top(ranges["z"], params, 1.0 + B1)
     za = lo + c.take() * (eff - lo)
     zb = lo + c.take() * (eff - lo)
     z1, z2 = min(za, zb), max(za, zb)
@@ -855,7 +859,8 @@ def hp_margin(report: InequalityReport, digits: int = 30) -> float:
     Worst-comparison suites (ratio-monotone, kn-bound, chi) are recomputed
     at the comparison the report singled out, using the echoed grid
     neighbors.  Raises ParameterError for rows with no oracle recipe
-    (exploratory probes, failure rows).
+    (exploratory probes, failure rows), and DomainError for digits outside
+    [30, 200], as hp_eval does.
     """
     if report.status != "ok":
         raise ParameterError("cannot oracle-check a failure row")
@@ -863,6 +868,6 @@ def hp_margin(report: InequalityReport, digits: int = 30) -> float:
     if fn is None:
         raise ParameterError(
             f"no oracle margin recipe for suite {report.suite_id!r}")
-    digits = int(digits)
+    digits = _check_digits(digits)
     with mp.workdps(digits + 10):
         return float(fn(report, mp.mpf(10) ** (-digits)))

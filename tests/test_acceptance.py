@@ -19,9 +19,7 @@ from foxwright import (
     MittagLefflerParams,
     dbeta1,
     derivative,
-    epsilon,
     evaluate,
-    finite_difference,
     hp_eval,
     kn_ratio,
     kn_value_and_bound,
@@ -98,7 +96,7 @@ def _draw_params(rng):
         lower = tuple((5.0 - 4.9 * rng.random(), 3.0 * rng.random())
                       for _ in range(q))
         params = FoxWrightParams(upper=upper, lower=lower)
-        eps = epsilon(params)
+        eps = params.epsilon()
         if eps <= 0.05:
             continue
         z = 10.0 * (1.0 - rng.random())
@@ -193,8 +191,12 @@ def test_criterion_06_derivative_identities():
             lower = tuple((0.5 + 3.0 * rng.random(), 0.2 + 1.3 * rng.random())
                           for _ in range(q))
             params = FoxWrightParams(upper=upper, lower=lower)
-            if epsilon(params) > 0.3:
+            if params.epsilon() > 0.3:
                 return params
+
+    def finite_difference(f, x, h):
+        # central difference (f(x+h) - f(x-h)) / (2h)
+        return (f(x + h) - f(x - h)) / (2 * h)
 
     for _ in range(100):
         params = draw_shape()

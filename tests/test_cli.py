@@ -189,6 +189,25 @@ def test_eval_negative_exponent_z(params_file, capsys):
     assert abs(float(lines["value"]) - math.exp(-0.1)) <= 1e-15
 
 
+@pytest.mark.parametrize("z_args", [["--z", "inf"], ["--z=-inf"],
+                                    ["--z", "nan"]])
+def test_eval_non_finite_z_exits_2(params_file, capsys, z_args):
+    code = main(["eval", "--params", params_file(EXP_PARAMS)] + z_args)
+    assert code == 2
+    assert "z must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", ["--digits=5", "--digits=-3",
+                                    "--digits=201"])
+def test_check_digits_out_of_oracle_range_exits_2(tmp_path, capsys, digits):
+    code = main(["check", "--suite", "turan-beta", "--samples", "20",
+                 "--seed", "2", digits, "--out", str(tmp_path / "tb.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "digits must lie in [30, 200]" in captured.err
+    assert "oracle mismatch" not in captured.out + captured.err
+
+
 def test_explore_both_probes(tmp_path, capsys):
     code = main(["explore", "--suite", "problem1-kn", "--seed", "9",
                  "--samples", "6", "--out", str(tmp_path / "p1.csv")])

@@ -74,6 +74,25 @@ def test_pfq_direct_negative_upper_terminates():
     assert _rel(res.value, ref) <= 1e-13
 
 
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_non_finite_z_is_a_domain_error(z):
+    for call in (lambda: pfq_direct((0.5,), (1.0,), z),
+                 lambda: pFq(HypergeometricParams((1.0, 1.0), (2.0,)), z),
+                 lambda: pFq(HypergeometricParams((0.5,), (2.0,)), z),
+                 lambda: mittag_leffler(MittagLefflerParams(((0.8, 1.2),)), z),
+                 lambda: wright(0.75, 1.25, z),
+                 lambda: bessel_norm(0.5, z),
+                 lambda: kummer_2f2_pair(0.7, 1.9, 1.4, z)):
+        with pytest.raises(DomainError, match="z must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_pfq_rejects_non_finite_upper(a):
+    with pytest.raises(ParameterError, match="upper parameters must be finite"):
+        pfq_direct((a,), (1.0,), 0.5)
+
+
 def test_pfq_rejects_nonpositive_lower():
     with pytest.raises(ParameterError):
         pfq_direct((1.0,), (0.0,), 0.5)

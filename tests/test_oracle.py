@@ -1,6 +1,4 @@
-"""High-precision oracle and monotonicity verdicts."""
-
-import math
+"""High-precision oracle."""
 
 import mpmath as mp
 import pytest
@@ -9,13 +7,9 @@ from foxwright import (
     DivergentSeriesError,
     DomainError,
     FoxWrightParams,
-    LengthError,
     evaluate,
-    finite_difference,
     hp_eval,
     hp_pfq,
-    seq_ratio_monotone,
-    series_ratio_monotone_check,
 )
 
 P1 = FoxWrightParams(upper=((1.3, 0.7), (2.1, 1.4)),
@@ -59,33 +53,3 @@ def test_hp_pfq_values_and_gates():
         hp_pfq((1.0, 1.0, 1.0), (2.0,), 0.5)
     with pytest.raises(DivergentSeriesError):
         hp_pfq((1.0, 1.0), (2.0,), 1.5)
-
-
-def test_seq_ratio_monotone_directions():
-    up = seq_ratio_monotone([1.0, 2.0, 5.0, 14.0])
-    assert up.direction == "nondecreasing" and bool(up)
-    assert up.n_increases == 3 and up.n_decreases == 0
-    down = seq_ratio_monotone([14.0, 5.0, 2.0, 1.0])
-    assert down.direction == "nonincreasing" and bool(down)
-    mixed = seq_ratio_monotone([1.0, 3.0, 2.0, 5.0])
-    assert mixed.direction == "mixed" and not bool(mixed)
-    assert mixed.worst_violation == 1.0
-    assert seq_ratio_monotone([2.0, 2.0, 2.0]).direction == "constant"
-
-
-def test_seq_ratio_monotone_needs_three_values():
-    with pytest.raises(LengthError):
-        seq_ratio_monotone([1.0, 2.0])
-
-
-def test_series_ratio_monotone_check():
-    # ratio of exp-type series against a heavier-tailed one decays in z
-    num = FoxWrightParams(upper=(), lower=((2.0, 1.0),))
-    den = FoxWrightParams(upper=(), lower=((1.0, 1.0),))
-    verdict = series_ratio_monotone_check(num, den, [0.5 * (k + 1) for k in range(8)])
-    assert verdict.direction == "nonincreasing"
-
-
-def test_finite_difference_matches_derivative():
-    d = finite_difference(math.sin, 1.0, 1e-5)
-    assert abs(d - math.cos(1.0)) <= 1e-9

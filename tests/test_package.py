@@ -1,0 +1,59 @@
+"""The package surface: one export list, and no eager import of the
+batch kernels or the command line."""
+
+import inspect
+import os
+import subprocess
+import sys
+
+import foxwright
+from foxwright import (
+    errors,
+    functions,
+    gammakit,
+    inequalities,
+    oracle,
+    report,
+    series,
+    suites,
+)
+
+MODULES = (errors, gammakit, series, functions, inequalities, oracle, report,
+           suites)
+
+
+def test_import_leaves_batch_and_cli_unloaded():
+    code = ("import sys, foxwright; "
+            "print(sorted(m for m in ('foxwright.batch', 'foxwright.cli') "
+            "if m in sys.modules))")
+    # the package is found where this process found it, not installed
+    src = os.path.dirname(os.path.dirname(foxwright.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
+
+
+def test_all_is_the_union_of_the_module_lists():
+    names = foxwright.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(foxwright, name), name
+    union = {"__version__"}
+    for mod in MODULES:
+        assert len(mod.__all__) == len(set(mod.__all__)), mod.__name__
+        for name in mod.__all__:
+            assert getattr(foxwright, name) is getattr(mod, name), name
+        union.update(mod.__all__)
+    assert set(names) == union
+    assert {"Request", "PfqRequest", "evaluate_batch"} <= union
+
+
+def test_public_checkers_have_their_generators_signature_and_doc():
+    for name in inequalities.__all__:
+        fn = getattr(inequalities, name)
+        params = inspect.signature(fn).parameters
+        assert "cfg" not in params, name
+        assert fn.__doc__ and fn.__doc__.strip(), name
+    sig = inspect.signature(foxwright.turan_beta_check)
+    assert list(sig.parameters) == ["params", "z", "tol_abs", "tol_rel"]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from foxwright import (
     DivergentSeriesError,
+    DomainError,
     EvalConfig,
     FoxWrightError,
     FoxWrightParams,
@@ -19,13 +20,13 @@ from foxwright import (
     TailSpec,
     dbeta1,
     derivative,
-    epsilon,
     evaluate,
     evaluate_normalized,
     evaluate_tail,
     evaluate_tilde,
     hp_eval,
     log_term,
+    turan_beta_check,
 )
 from foxwright import batch, series
 from foxwright.series import PfqRequest
@@ -106,12 +107,25 @@ def test_tail_minus_one_is_full_series():
 
 
 def test_epsilon_and_divergence():
-    assert abs(epsilon(P1) - 0.8) <= 1e-12
+    assert abs(P1.epsilon() - 0.8) <= 1e-12
     bad = FoxWrightParams(upper=((1.0, 1.5),), lower=((1.0, 0.0),))
     with pytest.raises(DivergentSeriesError, match="divergent series"):
         evaluate(bad, 1.0)
     with pytest.raises(DivergentSeriesError, match="epsilon"):
         evaluate(FoxWrightParams(upper=((2.0, 1.0),)), 0.5)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_non_finite_z_is_a_domain_error(z):
+    # each request builder refuses it, so the checkers do too
+    calls = [lambda: evaluate(P1, z), lambda: evaluate_normalized(P1, z),
+             lambda: evaluate_tilde(P1, z), lambda: derivative(P1, z),
+             lambda: evaluate_tail(P1, TailSpec(2), z),
+             lambda: dbeta1(P1, z), lambda: evaluate(FoxWrightParams(), z),
+             lambda: turan_beta_check(P1, z)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_parameter_validation():
@@ -274,7 +288,7 @@ def test_shift_helpers():
     up = P1.with_upper_value(1, 0.4)
     assert up.upper[1] == (0.4, 1.4)
     # weight layout untouched, so epsilon is invariant under value shifts
-    assert abs(epsilon(shifted) - epsilon(P1)) <= 1e-15
+    assert abs(shifted.epsilon() - P1.epsilon()) <= 1e-15
 
 
 def test_json_round_trip():
@@ -294,7 +308,7 @@ _pair = st.tuples(st.floats(min_value=0.2, max_value=4.0),
 @settings(max_examples=60, deadline=None)
 def test_normalized_anchors_at_one(upper, lower):
     params = FoxWrightParams(upper=tuple(upper), lower=tuple(lower))
-    if epsilon(params) <= 0.05:
+    if params.epsilon() <= 0.05:
         return
     assert evaluate_normalized(params, 0.0).value == pytest.approx(1.0, abs=1e-14)
     # first-order consistency near zero: series is analytic with positive terms
@@ -583,7 +597,7 @@ def _pfq_loop(upper, lower, z, cfg=EvalConfig()):
         ratio = abs(nxt / term) if term != 0.0 else 0.0
         term = nxt
         partial = abs(total + comp)
-        if k > 0 and abs(term) <= cfg.rel_tol * partial:
+        if k > 0 and abs(term) <= 1e-15 * partial:
             streak += 1
         else:
             streak = 0
