@@ -34,6 +34,7 @@ from .errors import (
     FoxWrightError,
     NoConvergenceError,
 )
+from .oracle import _check_digits
 from .report import STATUS_OK, TOL_ABS, TOL_REL, GridSpec, grid_from_json
 from .report import InequalityReport
 from .series import FoxWrightParams, evaluate
@@ -277,6 +278,8 @@ def _run_eval(args: argparse.Namespace) -> int:
 def _run_check_or_sweep(args: argparse.Namespace) -> int:
     """check and sweep: the same rows, judged by check, only counted by sweep."""
     spec = _load_grid(args)
+    if args.command == "check" and args.digits is not None:
+        _check_digits(args.digits)  # refuse before the suite runs
     rows = run_suite(args.suite, spec, tol_abs=args.tol_abs,
                      tol_rel=args.tol_rel)
     _emit(_render(rows, spec.seed, args.format), args.out)

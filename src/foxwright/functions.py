@@ -179,14 +179,12 @@ def bessel_norm(nu: float, z: float, cfg: EvalConfig = _DEFAULT_CFG) -> EvalResu
     Reduces to cosh z at nu = -1/2 and sinh(z)/z at nu = 1/2; equals 1 at
     z = 0 for every nu.
     """
-    return _single(_bessel_request(nu, z), cfg)
-
-
-def _bessel_request(nu: float, z: float) -> Request:
     if not nu > -1.0:
         raise DomainError(f"normalized Bessel needs nu > -1, got {nu}")
-    return _tilde(FoxWrightParams(upper=(), lower=((nu + 1.0, 1.0),)),
-                  z * z / 4.0)
+    if not math.isfinite(z):  # before squaring, so the message names this z
+        raise DomainError(f"z must be finite, got z={z!r}")
+    return _single(_tilde(FoxWrightParams(upper=(), lower=((nu + 1.0, 1.0),)),
+                          z * z / 4.0), cfg)
 
 
 def _scale_result(res: EvalResult, log_factor: float,

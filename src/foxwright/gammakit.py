@@ -17,13 +17,11 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .report import TOL_ABS, TOL_REL, InequalityReport, value_report
 
 __all__ = [
     "log_gamma",
     "digamma",
     "gamma_ratio",
-    "gamma_inequality_check",
 ]
 
 # Below this the argument is shifted upward before the asymptotic series.
@@ -217,22 +215,3 @@ def gamma_ratio(z: float, a: float) -> float:
         return math.exp(delta)
     return math.exp(log_gamma(z + a) - log_gamma(z))
 
-
-def gamma_inequality_check(z: float, a: float, b: float,
-                           tol_abs: float = TOL_ABS,
-                           tol_rel: float = TOL_REL) -> InequalityReport:
-    """Check Gamma(z+a)/Gamma(z) <= Gamma(z+a+b)/Gamma(z+b).
-
-    This is the ratio-monotonicity of the gamma function that drives the
-    Turan-type results: the map z -> Gamma(z+a)/Gamma(z) is nondecreasing,
-    so shifting the bottom argument by b >= 0 can only grow the ratio.
-    With b = a it reduces to Gamma(z) Gamma(z+2a) >= Gamma(z+a)^2.
-    """
-    if not z > 0.0 or a < 0.0 or b < 0.0:
-        raise DomainError(
-            f"gamma_inequality_check needs z > 0, a >= 0, b >= 0, got {(z, a, b)}")
-    lhs = gamma_ratio(z + b, a)
-    rhs = gamma_ratio(z, a)
-    err = 8.0 * 2.220446049250313e-16 * max(abs(lhs), abs(rhs))
-    return value_report("gamma-ratio", {"z": z, "a": a, "b": b}, z,
-                        lhs, rhs, lhs - rhs, err, tol_abs, tol_rel)

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .functions import (
     HypergeometricParams,
-    _bessel_request,
     _hyper_request,
     _pfq_request,
 )
@@ -64,6 +63,7 @@ from .series import (
     EvalConfig,
     EvalResult,
     FoxWrightParams,
+    Request,
     TailSpec,
     evaluate_batch,
     log_term,
@@ -79,10 +79,7 @@ __all__ = [
     "kn_value_and_bound",
     "chi_check",
     "lazarevic_check",
-    "lazarevic_bessel_check",
     "wilker_check",
-    "wilker_bessel_check",
-    "wilker_wright_check",
     "logconcavity_check",
     "xi_prime",
 ]
@@ -570,15 +567,12 @@ def _kn_value_and_bound(params: FoxWrightParams, n: int,
 # The chi ratio: monotonicity in the first lower parameter
 
 
-def _tilde_pair(alpha1: float, beta1: float, beta2: float, B1: float,
-                z: float) -> list:
-    """(denominator, numerator) requests of the chi ratio at beta1."""
-    return [_tilde(FoxWrightParams(
-                upper=((alpha1, 1.0),),
-                lower=((beta1, B1), (beta2, 1.0))), z),
-            _tilde(FoxWrightParams(
-                upper=((alpha1 + 1.0, 1.0),),
-                lower=((beta1 + B1, B1), (beta2 + 1.0, 1.0))), z)]
+def _powered(alpha1: float, beta1: float, beta2: float, B1: float,
+             z: float) -> Request:
+    """Normalized series with upper pair (alpha1, 1) and lower pairs
+    (beta1, B1), (beta2, 1): the shape of chi, Lazarevic and Wilker."""
+    return _tilde(FoxWrightParams(upper=((alpha1, 1.0),),
+                                  lower=((beta1, B1), (beta2, 1.0))), z)
 
 
 def _omega_columns(alpha1: float, beta2: float,
@@ -650,8 +644,10 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
     if not beta1_grid[0] > 0.0:
         raise GridError(f"beta1 grid must be positive, got {beta1_grid[0]!r}")
 
-    res = yield [r for b1 in beta1_grid
-                 for r in _tilde_pair(alpha1, b1, beta2, B1, z)]
+    # (denominator, numerator) of chi at each grid point
+    res = yield [r for b1 in beta1_grid for r in (
+        _powered(alpha1, b1, beta2, B1, z),
+        _powered(alpha1 + 1.0, b1 + B1, beta2 + 1.0, B1, z))]
     columns = _omega_columns(alpha1, beta2,
                              max(den.terms_used for den in res[::2]) + 10)
     chi_vals, chi_rel, omega_vals, omega_errs = [], [], [], []
@@ -698,7 +694,9 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# Lazarevic and Wilker inequalities
+# Lazarevic and Wilker inequalities.  The normalized Bessel form is the case
+# a1 = b2, B1 = 1, b1 = nu + 1 at argument z^2/4; the Wright form is the
+# case a1 = b2 = 1.
 
 
 def _check_powered_params(alpha1: float, beta1: float, beta2: float,
@@ -712,17 +710,6 @@ def _check_powered_params(alpha1: float, beta1: float, beta2: float,
         raise ParameterError(f"B1 must be >= 0, got {B1!r}")
 
 
-def _shifted_tilde_pair(alpha1: float, beta1: float, beta2: float, B1: float,
-                        z: float) -> list:
-    """Requests at first lower value beta1+1 (U) and beta1 (V)."""
-    return [_tilde(FoxWrightParams(
-                upper=((alpha1, 1.0),),
-                lower=((beta1 + 1.0, B1), (beta2, 1.0))), z),
-            _tilde(FoxWrightParams(
-                upper=((alpha1, 1.0),),
-                lower=((beta1, B1), (beta2, 1.0))), z)]
-
-
 def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
                tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     """Lazarevic-type power inequality, tight at z = 0.
@@ -734,7 +721,8 @@ def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
     _check_powered_params(alpha1, beta1, beta2, B1)
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
-    u, v = yield _shifted_tilde_pair(alpha1, beta1, beta2, B1, z)
+    u, v = yield [_powered(alpha1, beta1 + 1.0, beta2, B1, z),
+                  _powered(alpha1, beta1, beta2, B1, z)]
     e1 = gamma_ratio(beta1, B1)
     e2 = e1 * (beta1 + B1) / beta1
     lu = e2 * u.log_magnitude
@@ -750,39 +738,6 @@ def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
         z, lu, lv, err, tol_abs, tol_rel, {"e1": e1, "e2": e2})
 
 
-def _lazarevic_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
-                      tol_rel: float = TOL_REL) -> Rounds:
-    """Lazarevic inequality for the normalized Bessel function.
-
-    margin = I[nu+1](z)^{(nu+2)/(nu+1)} - I[nu](z) >= 0, where I[v] is the
-    normalized Bessel function (equal to 1 at z = 0).
-    """
-    r1, r0 = yield [_bessel_request(nu + 1.0, z), _bessel_request(nu, z)]
-    e = (nu + 2.0) / (nu + 1.0)
-    la = e * r1.log_magnitude
-    err = _exp_or_inf(la) * e * _rel_err(r1) + _abs_err(r0)
-    if math.isnan(err):
-        err = math.inf
-    return _log_report("lazarevic-bessel", {"nu": nu}, z, la,
-                       r0.log_magnitude, err, tol_abs, tol_rel)
-
-
-def _wilker_core(alpha1: float, beta1: float, beta2: float, B1: float,
-                 z: float, tol_abs: float, tol_rel: float,
-                 suite_id: str, params_echo: dict) -> Rounds:
-    u, v = yield _shifted_tilde_pair(alpha1, beta1, beta2, B1, z)
-    t1 = _exp_or_inf(u.log_magnitude - v.log_magnitude)
-    lt2 = (B1 / beta1) * (log_gamma(beta2) - log_gamma(alpha1)
-                          + u.log_magnitude)
-    t2 = _exp_or_inf(lt2)
-    err = t1 * (_rel_err(u) + _rel_err(v)) + t2 * (B1 / beta1) * _rel_err(u)
-    if math.isnan(err):
-        err = math.inf
-    return value_report(suite_id, params_echo, z, t1 + t2, 2.0,
-                        (t1 + t2) - 2.0, err, tol_abs, tol_rel,
-                        {"ratio_term": t1, "power_term": t2})
-
-
 def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
             tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
     """Wilker-type inequality, tight at z = 0.
@@ -793,45 +748,20 @@ def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
     _check_powered_params(alpha1, beta1, beta2, B1)
     if z < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
-    return (yield from _wilker_core(
-        alpha1, beta1, beta2, B1, z, tol_abs, tol_rel, "wilker",
-        {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1}))
-
-
-def _wilker_bessel(nu: float, z: float, tol_abs: float = TOL_ABS,
-                   tol_rel: float = TOL_REL) -> Rounds:
-    """Wilker inequality for the normalized Bessel function.
-
-    margin = I[nu+1]/I[nu] + I[nu+1]^{1/(nu+1)} - 2 >= 0.
-    """
-    r1, r0 = yield [_bessel_request(nu + 1.0, z), _bessel_request(nu, z)]
-    t1 = _exp_or_inf(r1.log_magnitude - r0.log_magnitude)
-    t2 = _exp_or_inf(r1.log_magnitude / (nu + 1.0))
-    err = (t1 * (_rel_err(r1) + _rel_err(r0))
-           + t2 * _rel_err(r1) / (nu + 1.0))
+    u, v = yield [_powered(alpha1, beta1 + 1.0, beta2, B1, z),
+                  _powered(alpha1, beta1, beta2, B1, z)]
+    t1 = _exp_or_inf(u.log_magnitude - v.log_magnitude)
+    lt2 = (B1 / beta1) * (log_gamma(beta2) - log_gamma(alpha1)
+                          + u.log_magnitude)
+    t2 = _exp_or_inf(lt2)
+    err = t1 * (_rel_err(u) + _rel_err(v)) + t2 * (B1 / beta1) * _rel_err(u)
     if math.isnan(err):
         err = math.inf
-    return value_report("wilker-bessel", {"nu": nu}, z, t1 + t2, 2.0,
-                        (t1 + t2) - 2.0, err, tol_abs, tol_rel,
-                        {"ratio_term": t1, "power_term": t2})
-
-
-def _wilker_wright(B1: float, beta1: float, z: float, tol_abs: float = TOL_ABS,
-                   tol_rel: float = TOL_REL) -> Rounds:
-    """Wilker inequality specialized to the normalized Wright function.
-
-    Setting the upper value equal to the second lower value cancels their
-    gamma factors and the general form collapses to W[B1, b1].
-    """
-    if not beta1 > 0.0:
-        raise ParameterError(f"beta1 must be positive, got {beta1!r}")
-    if B1 < 0.0:
-        raise ParameterError(f"B1 must be >= 0, got {B1!r}")
-    if z < 0.0:
-        raise DomainError(f"defined for z >= 0, got z={z!r}")
-    return (yield from _wilker_core(1.0, beta1, 1.0, B1, z, tol_abs, tol_rel,
-                                    "wilker-wright",
-                                    {"B1": B1, "beta1": beta1}))
+    return value_report(
+        "wilker",
+        {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1},
+        z, t1 + t2, 2.0, (t1 + t2) - 2.0, err, tol_abs, tol_rel,
+        {"ratio_term": t1, "power_term": t2})
 
 
 # ---------------------------------------------------------------------------
@@ -950,9 +880,6 @@ tail_turan_check = _public(_tail_turan)
 kn_value_and_bound = _public(_kn_value_and_bound)
 chi_check = _public(_chi)
 lazarevic_check = _public(_lazarevic)
-lazarevic_bessel_check = _public(_lazarevic_bessel)
 wilker_check = _public(_wilker)
-wilker_bessel_check = _public(_wilker_bessel)
-wilker_wright_check = _public(_wilker_wright)
 logconcavity_check = _public(_logconcavity)
 xi_prime = _public(_xi_prime)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -71,19 +71,6 @@ _TAIL_SHAPES = ((0, 1), (1, 1), (0, 2), (1, 2))
 # Unit-cube point sets and range plumbing
 
 
-class _Cursor:
-    """Positional reader over one row of unit draws."""
-
-    def __init__(self, row: np.ndarray) -> None:
-        self._row = row
-        self._at = 0
-
-    def take(self) -> float:
-        u = float(self._row[self._at])
-        self._at += 1
-        return u
-
-
 def _unit_matrix(spec: GridSpec, dims: int, n: int) -> np.ndarray:
     if spec.mode == "random":
         return np.random.default_rng(spec.seed).random((n, dims))
@@ -127,7 +114,7 @@ def _resolve_ranges(sd: "SuiteDef", spec: GridSpec) -> dict:
 # Admissible-instance draws
 
 
-def _solve_weights(c: _Cursor, p: int, q: int,
+def _solve_weights(c: Iterator[float], p: int, q: int,
                    wrange: tuple[float, float]) -> tuple[list, list, float]:
     """Weights for p upper and q lower pairs with eps kept >= 0.05.
 
@@ -136,9 +123,9 @@ def _solve_weights(c: _Cursor, p: int, q: int,
     eps = 0.05 the upper weights are scaled down first.
     """
     wlo, whi = wrange
-    aw = [_lo_closed(c.take(), wrange) for _ in range(p)]
-    bw = [_lo_closed(c.take(), wrange) for _ in range(q - 1)]
-    u_eps = c.take()
+    aw = [_lo_closed(next(c), wrange) for _ in range(p)]
+    bw = [_lo_closed(next(c), wrange) for _ in range(q - 1)]
+    u_eps = next(c)
     sum_a, sum_b = math.fsum(aw), math.fsum(bw)
     hi_eps = 1.0 + sum_b + whi - sum_a
     if hi_eps < _EPS_MIN:
@@ -183,38 +170,38 @@ def _draw_z(u: float, zrange: tuple[float, float], params: FoxWrightParams,
     return eff - u * (eff - zrange[0])
 
 
-def _sample_series(c: _Cursor, i: int, ranges: dict,
+def _sample_series(c: Iterator[float], i: int, ranges: dict,
                    v_target: float = _V_TARGET
                    ) -> tuple[FoxWrightParams, float]:
     """General (p,q) instance cycling the shapes (1,1), (1,2), (2,2)."""
     p, q = _PQ_CYCLE[i % 3]
-    avals = [_hi_open(c.take(), ranges["alpha"]) for _ in range(p)]
-    bvals = [_hi_open(c.take(), ranges["beta"]) for _ in range(q)]
+    avals = [_hi_open(next(c), ranges["alpha"]) for _ in range(p)]
+    bvals = [_hi_open(next(c), ranges["beta"]) for _ in range(q)]
     aw, bw, eps = _solve_weights(c, p, q, ranges["weight"])
     params = FoxWrightParams(tuple(zip(avals, aw)), tuple(zip(bvals, bw)))
-    return params, _draw_z(c.take(), ranges["z"], params, eps, v_target)
+    return params, _draw_z(next(c), ranges["z"], params, eps, v_target)
 
 
-def _sample_tail_series(c: _Cursor, i: int, ranges: dict
+def _sample_tail_series(c: Iterator[float], i: int, ranges: dict
                         ) -> tuple[FoxWrightParams, int, float]:
     """Instance with all upper weights 0, plus a tail index n."""
     p, q = _TAIL_SHAPES[i % 4]
-    ups = tuple((_hi_open(c.take(), ranges["alpha"]), 0.0) for _ in range(p))
+    ups = tuple((_hi_open(next(c), ranges["alpha"]), 0.0) for _ in range(p))
     lows = []
     for _ in range(q):
-        b = _hi_open(c.take(), ranges["beta"])
-        lows.append((b, _lo_closed(c.take(), ranges["weight"])))
+        b = _hi_open(next(c), ranges["beta"])
+        lows.append((b, _lo_closed(next(c), ranges["weight"])))
     params = FoxWrightParams(ups, tuple(lows))
     nlo, nhi = ranges["n"]
-    n = min(int(nlo + c.take() * (nhi - nlo + 1.0)), int(nhi))
-    z = _draw_z(c.take(), ranges["z"], params, params.epsilon())
+    n = min(int(nlo + next(c) * (nhi - nlo + 1.0)), int(nhi))
+    z = _draw_z(next(c), ranges["z"], params, params.epsilon())
     return params, n, z
 
 
-def _ordered_pair(c: _Cursor, arange: tuple[float, float],
+def _ordered_pair(c: Iterator[float], arange: tuple[float, float],
                   brange: tuple[float, float]) -> tuple[float, float]:
     """Draw a from arange and b from brange with a >= b."""
-    ua, ub = c.take(), c.take()
+    ua, ub = next(c), next(c)
     alo, ahi = arange
     blo, bhi = brange
     a = ahi - ua * (ahi - alo)
@@ -230,9 +217,9 @@ def _sub_grid(lo: float, hi: float) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Per-suite builders: each draws one instance and returns the generator of
-# its checker (see inequalities._run_rounds); the probes are generators
-# themselves
+# Per-suite builders: each draws one instance, taking its unit draws in
+# order with next(c), and returns the generator of its checker (see
+# inequalities._run_rounds); the probes are generators themselves
 
 
 def _build_turan_alpha(c, i, ranges, tol):
@@ -246,9 +233,9 @@ def _build_turan_beta(c, i, ranges, tol):
 
 
 def _build_corollary3(c, i, ranges, tol):
-    b1 = _hi_open(c.take(), ranges["beta1"])
-    b2 = _hi_open(c.take(), ranges["beta2"])
-    ug, uz = c.take(), c.take()
+    b1 = _hi_open(next(c), ranges["beta1"])
+    b2 = _hi_open(next(c), ranges["beta2"])
+    ug, uz = next(c), next(c)
     # two admissible families: a1 above both b2 and b1+1, or below both
     # b2 and b1-1 (keeping a1 > 0); fall back to the first when the
     # second has no room
@@ -266,7 +253,7 @@ def _build_ratio(c, i, ranges, tol):
     params, zmax = _sample_series(c, i, ranges)
     slot = "beta" if i % 2 == 0 else "alpha"
     v1 = params.lower[0][0] if slot == "beta" else params.upper[0][0]
-    v2 = v1 + 0.1 + 2.0 * c.take()
+    v2 = v1 + 0.1 + 2.0 * next(c)
     grid = _sub_grid(ranges["z"][0], zmax)
     return _ratio_monotonicity(params, slot, v1, v2, grid, **tol)
 
@@ -286,16 +273,16 @@ def _build_kn(c, i, ranges, tol):
 
 def _build_chi(c, i, ranges, tol):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
-    B1 = _lo_closed(c.take(), ranges["B1"])
-    g1 = _hi_open(c.take(), ranges["beta1"])
-    g2 = _hi_open(c.take(), ranges["beta1"])
+    B1 = _lo_closed(next(c), ranges["B1"])
+    g1 = _hi_open(next(c), ranges["beta1"])
+    g2 = _hi_open(next(c), ranges["beta1"])
     lo_b, hi_b = min(g1, g2), max(g1, g2)
     if hi_b - lo_b < 0.1:
         hi_b = lo_b + 0.1
     grid = [lo_b + (hi_b - lo_b) * j / (_GRID_POINTS - 1.0)
             for j in range(_GRID_POINTS)]
     params = FoxWrightParams(((a1, 1.0),), ((lo_b, B1), (b2, 1.0)))
-    z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1)
+    z = _draw_z(next(c), ranges["z"], params, 1.0 + B1)
     return _chi(a1, b2, B1, grid, z, **tol)
 
 
@@ -321,53 +308,53 @@ def _powered_b1_cap(beta1: float, off: float, whi: float) -> float:
 
 def _build_lazarevic(c, i, ranges, tol):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
-    b1 = _hi_open(c.take(), ranges["beta1"])
+    b1 = _hi_open(next(c), ranges["beta1"])
     off = abs(log_gamma(a1) - log_gamma(b2))
     wlo, whi = ranges["B1"]
     cap_b = _powered_b1_cap(b1, off, whi)
-    B1 = _lo_closed(c.take(), (min(wlo, cap_b), cap_b))
+    B1 = _lo_closed(next(c), (min(wlo, cap_b), cap_b))
     e1 = gamma_ratio(b1, B1)
     e2 = e1 * (b1 + B1) / b1
     v_t = 600.0 / max(e1, e2, 1.0) - (1.0 + B1 / b1) * off
     v_t = max(min(_V_TARGET, v_t), _V_MIN)
     params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
-    z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1, v_t)
+    z = _draw_z(next(c), ranges["z"], params, 1.0 + B1, v_t)
     return _lazarevic(a1, b1, b2, B1, z, **tol)
 
 
 def _build_wilker(c, i, ranges, tol):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
-    b1 = _hi_open(c.take(), ranges["beta1"])
+    b1 = _hi_open(next(c), ranges["beta1"])
     wlo, whi = ranges["B1"]
     cap_b = min(whi, b1 * 600.0 / (_V_MIN + 20.0))
-    B1 = _lo_closed(c.take(), (min(wlo, cap_b), cap_b))
+    B1 = _lo_closed(next(c), (min(wlo, cap_b), cap_b))
     v_t = max(_V_MIN, min(_V_TARGET, 600.0 / max(B1 / b1, 1.0) - 20.0))
     params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
-    z = _draw_z(c.take(), ranges["z"], params, 1.0 + B1, v_t)
+    z = _draw_z(next(c), ranges["z"], params, 1.0 + B1, v_t)
     return _wilker(a1, b1, b2, B1, z, **tol)
 
 
 def _build_logconcave(c, i, ranges, tol):
     variant = i % 4
     p = 2 if variant == 2 else 1
-    b1 = _hi_open(c.take(), ranges["beta"])
-    B1 = 1.0 if variant == 1 else _lo_closed(c.take(), ranges["B1"])
+    b1 = _hi_open(next(c), ranges["beta"])
+    B1 = 1.0 if variant == 1 else _lo_closed(next(c), ranges["B1"])
     ups, lows = [], [(b1, B1)]
     for _ in range(p):
         if variant == 3 and ranges["beta"][0] < 1.0:
-            b = _hi_open(c.take(), (ranges["beta"][0],
+            b = _hi_open(next(c), (ranges["beta"][0],
                                     min(ranges["beta"][1], 1.0)))
             a = 1.0
         else:
-            b = _hi_open(c.take(), ranges["beta"])
-            a = b + _lo_closed(c.take(), ranges["gap"])
+            b = _hi_open(next(c), ranges["beta"])
+            a = b + _lo_closed(next(c), ranges["gap"])
         ups.append((a, 1.0))
         lows.append((b, 1.0))
     params = FoxWrightParams(tuple(ups), tuple(lows))
     lo = ranges["z"][0]
     eff = _z_top(ranges["z"], params, 1.0 + B1)
-    za = lo + c.take() * (eff - lo)
-    zb = lo + c.take() * (eff - lo)
+    za = lo + next(c) * (eff - lo)
+    zb = lo + next(c) * (eff - lo)
     z1, z2 = min(za, zb), max(za, zb)
     if z2 - z1 < 1e-3:
         z2 = z1 + max(1e-3 * (eff - lo), 1e-6)
@@ -404,7 +391,7 @@ def _build_explore_kn(c, i, ranges, tol):
         params, n, z = _sample_tail_series(c, i // 2, ranges)
     else:
         params, z = _sample_series(c, i, ranges)
-        n = min(int(nlo + c.take() * (nhi - nlo + 1.0)), int(nhi))
+        n = min(int(nlo + next(c) * (nhi - nlo + 1.0)), int(nhi))
     proven = all(w == 0.0 for _, w in params.upper)
     grid = _sub_grid(ranges["z"][0], z)
     ks, _ = yield from _kn_values(params, n, grid)
@@ -426,21 +413,21 @@ def _build_explore_xi(c, i, ranges, tol):
     variant = i % 3
     if variant == 0:
         a1, b2 = _ordered_pair(c, ranges["alpha"], ranges["beta"])
-        b1 = _hi_open(c.take(), ranges["beta"])
-        B1 = _lo_closed(c.take(), ranges["weight"])
+        b1 = _hi_open(next(c), ranges["beta"])
+        B1 = _lo_closed(next(c), ranges["weight"])
         params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
         eps = 1.0 + B1
     elif variant == 1:
-        a1 = _hi_open(c.take(), ranges["alpha"])
-        b1 = _hi_open(c.take(), ranges["beta"])
+        a1 = _hi_open(next(c), ranges["alpha"])
+        b1 = _hi_open(next(c), ranges["beta"])
         aw, bw, eps = _solve_weights(c, 1, 1, ranges["weight"])
         params = FoxWrightParams(((a1, aw[0]),), ((b1, bw[0]),))
     else:
-        avals = [_hi_open(c.take(), ranges["alpha"]) for _ in range(2)]
-        bvals = [_hi_open(c.take(), ranges["beta"]) for _ in range(2)]
+        avals = [_hi_open(next(c), ranges["alpha"]) for _ in range(2)]
+        bvals = [_hi_open(next(c), ranges["beta"]) for _ in range(2)]
         aw, bw, eps = _solve_weights(c, 2, 2, ranges["weight"])
         params = FoxWrightParams(tuple(zip(avals, aw)), tuple(zip(bvals, bw)))
-    z = _draw_z(c.take(), ranges["z"], params, eps)
+    z = _draw_z(next(c), ranges["z"], params, eps)
     val = yield from _xi_prime(params, z)
     return InequalityReport(
         suite_id="problem2-xi",
@@ -585,7 +572,7 @@ def _run(sd: SuiteDef, spec: GridSpec | None, tol_abs: float = TOL_ABS,
     tol = {"tol_abs": tol_abs, "tol_rel": tol_rel}
     out: list[InequalityReport] = []
     for first in range(0, n_inst, _LOCKSTEP):
-        gens = [sd.build(_Cursor(u[i]), i, ranges, tol)
+        gens = [sd.build(iter(u[i].tolist()), i, ranges, tol)
                 for i in range(first, min(first + _LOCKSTEP, n_inst))]
         results = _run_rounds(gens, absorb=(NoConvergenceError, OverflowError))
         for i, res in enumerate(results, first):
@@ -789,8 +776,7 @@ def _hp_lazarevic(report: InequalityReport, rs):
 
 def _hp_wilker(report: InequalityReport, rs):
     e = report.params_echo
-    a1, b2 = e.get("alpha1", 1.0), e.get("beta2", 1.0)
-    b1, B1 = e["beta1"], e["B1"]
+    a1, b1, b2, B1 = e["alpha1"], e["beta1"], e["beta2"], e["B1"]
     u, v = _hp_tilde_pair(a1, b1, b2, B1, report.z, rs)
     power = (mp.gamma(b2) / mp.gamma(a1) * u) ** (mp.mpf(B1) / b1)
     return u / v + power - 2
@@ -846,7 +832,6 @@ _HP = {
     "chi": _hp_chi,
     "lazarevic": _hp_lazarevic,
     "wilker": _hp_wilker,
-    "wilker-wright": _hp_wilker,
     "logconcave:midpoint": _hp_logconcave_mid,
     "logconcave:expbound": _hp_logconcave_exp,
     "logconcave:deriv": _hp_logconcave_deriv,

@@ -200,12 +200,15 @@ def test_eval_non_finite_z_exits_2(params_file, capsys, z_args):
 @pytest.mark.parametrize("digits", ["--digits=5", "--digits=-3",
                                     "--digits=201"])
 def test_check_digits_out_of_oracle_range_exits_2(tmp_path, capsys, digits):
+    out = tmp_path / "tb.csv"
     code = main(["check", "--suite", "turan-beta", "--samples", "20",
-                 "--seed", "2", digits, "--out", str(tmp_path / "tb.csv")])
+                 "--seed", "2", digits, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert "digits must lie in [30, 200]" in captured.err
     assert "oracle mismatch" not in captured.out + captured.err
+    # refused before the suite runs: no report is written
+    assert not out.exists()
 
 
 def test_explore_both_probes(tmp_path, capsys):

@@ -15,16 +15,13 @@ from foxwright import (
     corollary3_2f2_check,
     kn_ratio,
     kn_value_and_bound,
-    lazarevic_bessel_check,
     lazarevic_check,
     logconcavity_check,
     ratio_monotonicity_check,
     tail_turan_check,
     turan_alpha_check,
     turan_beta_check,
-    wilker_bessel_check,
     wilker_check,
-    wilker_wright_check,
     xi_prime,
 )
 from foxwright.gammakit import digamma, log_gamma
@@ -38,8 +35,9 @@ Q1 = FoxWrightParams(upper=(), lower=((1.0, 1.0),))
 
 # I0(2)*I2(2) - I1(2)^2/2, from 40-digit Bessel values
 TURAN_BETA_Q1_Z1 = 0.3054539537760246
-# hyperbolic margins at z = 1: sinh^3 - cosh and sinh^2 + tanh - 2
-LAZ_HYPERBOLIC_Z1 = 0.0799872018043806
+# hyperbolic margins at z = 1, from 40-digit values:
+# sinh^{3/2} - cosh^{1/2} and sinh^2 + tanh - 2
+LAZ_HYPERBOLIC_Z1 = 0.03178882853887486
 WIL_HYPERBOLIC_Z1 = 0.1426920014975806
 
 
@@ -201,11 +199,15 @@ def test_lazarevic_margin_and_tightness():
 
 
 def test_lazarevic_bessel_hyperbolic_anchor():
-    # nu = -1/2 reduces to cosh z <= (sinh z / z)^3
-    rep = lazarevic_bessel_check(-0.5, 1.0)
-    assert abs(rep.margin - LAZ_HYPERBOLIC_Z1) <= 1e-9
-    assert rep.passed
-    assert lazarevic_bessel_check(0.5, 1.0).passed
+    # a1 = b2, B1 = 1, b1 = nu + 1 at z^2/4 is the normalized Bessel form
+    # I[nu+1]^{nu+2} >= I[nu]^{nu+1}; nu = -1/2, z = 1 reduces it to
+    # (sinh 1)^{3/2} >= (cosh 1)^{1/2}, whatever a1 = b2
+    for a in (0.7, 1.0, 3.2):
+        rep = lazarevic_check(a, 0.5, a, 1.0, 0.25)
+        assert abs(rep.margin - LAZ_HYPERBOLIC_Z1) <= 1e-9
+        assert rep.passed
+        assert _hp_agrees(rep)
+    assert lazarevic_check(1.0, 1.5, 1.0, 1.0, 0.25).passed
 
 
 def test_wilker_margin_and_tightness():
@@ -216,16 +218,21 @@ def test_wilker_margin_and_tightness():
 
 
 def test_wilker_bessel_hyperbolic_anchor():
-    rep = wilker_bessel_check(-0.5, 1.0)
-    assert abs(rep.margin - WIL_HYPERBOLIC_Z1) <= 1e-9
-    assert rep.passed
-    assert wilker_bessel_check(1.5, 2.0).passed
+    # the Bessel form I[nu+1]/I[nu] + I[nu+1]^{1/(nu+1)} >= 2; nu = -1/2,
+    # z = 1 reduces it to tanh 1 + (sinh 1)^2 >= 2
+    for a in (0.7, 1.0, 3.2):
+        rep = wilker_check(a, 0.5, a, 1.0, 0.25)
+        assert abs(rep.margin - WIL_HYPERBOLIC_Z1) <= 1e-9
+        assert rep.passed
+        assert _hp_agrees(rep)
+    assert wilker_check(1.0, 2.5, 1.0, 1.0, 1.0).passed
 
 
 def test_wilker_wright():
-    rep = wilker_wright_check(1.4, 2.1, 3.0)
+    # a1 = b2 = 1 cancels their gamma factors: the normalized Wright
+    # function W[B1, b1]
+    rep = wilker_check(1.0, 2.1, 1.0, 1.4, 3.0)
     assert rep.passed and rep.margin >= 0.0
-    assert rep.suite_id == "wilker-wright"
     assert _hp_agrees(rep)
 
 

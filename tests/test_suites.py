@@ -251,7 +251,7 @@ def _instances(suite, spec):
     n_inst = -(-spec.samples // sd.rows_per_instance)
     u = suites._unit_matrix(spec, sd.dims, n_inst)
     tol = {"tol_abs": TOL_ABS, "tol_rel": TOL_REL}
-    return [sd.build(suites._Cursor(u[i]), i, ranges, tol)
+    return [sd.build(iter(u[i].tolist()), i, ranges, tol)
             for i in range(n_inst)]
 
 
@@ -269,6 +269,20 @@ def test_public_checker_gives_the_suite_row_bits(suite):
         gen.close()
         direct.extend(res if isinstance(res, tuple) else [res])
     assert repr(direct[:spec.samples]) == repr(rows)
+
+
+def test_every_row_has_an_oracle_recipe_and_every_checker_a_suite():
+    # the suite ids run_suite emits are exactly the ones hp_margin knows
+    spec = GridSpec(samples=3, seed=1)
+    emitted = {r.suite_id for s in ALL_SUITES for r in run_suite(s, spec)}
+    assert emitted == set(suites._HP)
+    # every report checker drives the rows of some suite; kn_ratio and
+    # xi_prime are reached through run_explore instead
+    backed = {gen.gi_code for s in ALL_SUITES for gen in _instances(s, spec)}
+    for name in inequalities.__all__:
+        if name not in ("kn_ratio", "xi_prime"):
+            checker = getattr(inequalities, name)
+            assert checker.__wrapped__.__code__ in backed, name
 
 
 @pytest.mark.parametrize("suite,bad,kind", [
