@@ -142,9 +142,11 @@ class _TermTable:
                               np.inf)
         self.live = live
 
+        # the logs of |z| and of every weight, each distinct value once
         z = np.array([abs(r.z) for r in reqs])
-        lh, ll = _dd_log_array(np.concatenate(
-            [z, np.where(live, self.w, 1.0).ravel()]))
+        x, inv = np.unique(np.concatenate(
+            [z, np.where(live, self.w, 1.0).ravel()]), return_inverse=True)
+        lh, ll = (v[inv] for v in _dd_log_array(x))
         lwh, lwl = lh[rows:].reshape(rows, nf), ll[rows:].reshape(rows, nf)
 
         # stage 0: the zero-weight factors are constants
@@ -215,9 +217,9 @@ class _TermTable:
 # terms (most checker series stop within 10-30), blocks then double up to
 # _BLOCK_MAX, and a block of width n over rows of f factors runs at most
 # _TILE_CAP // (n * f) rows at a time, which bounds every (row, k, factor)
-# temporary at _TILE_CAP elements (64 KiB).
+# temporary at _TILE_CAP elements (128 KiB).
 _BATCH_FIRST = 16
-_TILE_CAP = 8192
+_TILE_CAP = 16384
 
 
 class _RowSums:
@@ -363,6 +365,7 @@ def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
     low = np.array([r.lower for r in reqs], dtype=float).reshape(len(reqs), q)
     z = np.array([r.z for r in reqs], dtype=float)
     idx = np.arange(len(reqs))
+    live = np.ones(len(reqs), dtype=bool)
     term = np.ones(len(reqs))
     total, comp, total_abs = np.zeros((3, len(reqs)))
     streak = np.zeros(len(reqs), dtype=int)
@@ -372,14 +375,15 @@ def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
         total, comp = _neumaier_array(total, comp, x)
         total_abs = total_abs + np.abs(x)
 
-        num = np.ones(idx.size)
-        for i in range(p):
+        # each product starts from its first factor: 1.0 * v is v
+        num = up[:, 0] + k if p else np.ones(idx.size)
+        for i in range(1, p):
             num = num * (up[:, i] + k)
         den = np.full(idx.size, float(k + 1))
         for j in range(q):
             den = den * (low[:, j] + k)
         nxt = term * (num / den) * z
-        bad = ~np.isfinite(nxt)
+        bad = live & ~np.isfinite(nxt)
         ratio = np.abs(nxt / np.where(term != 0.0, term, 1.0))
         ratio = np.where(term != 0.0, ratio, 0.0)
         term = nxt
@@ -387,7 +391,7 @@ def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
         partial = np.abs(total + comp)
         small = (k > 0) & (np.abs(term) <= _REL_TOL * partial)
         streak = np.where(small, streak + 1, 0)
-        done = ~bad & (streak >= 3) & (ratio < 1.0)
+        done = live & ~bad & (streak >= 3) & (ratio < 1.0)
         for r in np.flatnonzero(bad).tolist():
             out[idx[r]] = OverflowError(
                 f"pFq term at k={k + 1} left the double range "
@@ -397,14 +401,15 @@ def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
                 float(total[r] + comp[r]), float(total_abs[r]),
                 float(term[r]), float(ratio[r]), float(z[r]), k + 1,
                 p == q + 1)
-        more = ~(bad | done)
-        if not more.all():
-            idx, term, total, comp, total_abs, streak, up, low, z = (
-                v[more] for v in (idx, term, total, comp, total_abs, streak,
-                                  up, low, z))
+        live &= ~(bad | done)
+        # ended rows run on, masked, until they are a quarter of the rows
+        if 4 * (live.size - np.count_nonzero(live)) >= live.size:
+            idx, term, total, comp, total_abs, streak, up, low, z, live = (
+                v[live] for v in (idx, term, total, comp, total_abs, streak,
+                                  up, low, z, live))
             if not idx.size:
                 break
-    for i in idx.tolist():
+    for i in idx[live].tolist():
         out[i] = DivergentSeriesError(
             f"pFq stop rule did not fire within {cfg.max_terms} terms "
             f"(z={reqs[i].z!r})")

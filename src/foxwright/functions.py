@@ -183,8 +183,11 @@ def bessel_norm(nu: float, z: float, cfg: EvalConfig = _DEFAULT_CFG) -> EvalResu
         raise DomainError(f"normalized Bessel needs nu > -1, got {nu}")
     if not math.isfinite(z):  # before squaring, so the message names this z
         raise DomainError(f"z must be finite, got z={z!r}")
+    w = z * z / 4.0
+    if not math.isfinite(w):
+        raise DomainError(f"z*z/4 overflows the double range at z={z!r}")
     return _single(_tilde(FoxWrightParams(upper=(), lower=((nu + 1.0, 1.0),)),
-                          z * z / 4.0), cfg)
+                          w), cfg)
 
 
 def _scale_result(res: EvalResult, log_factor: float,

@@ -44,7 +44,7 @@ from .functions import (
     _hyper_request,
     _pfq_request,
 )
-from .gammakit import digamma, gamma_ratio, log_gamma
+from .gammakit import _digamma_array, gamma_ratio, log_gamma
 from .report import (
     STATUS_NUMERICAL_FAILURE,
     TOL_ABS,
@@ -63,6 +63,7 @@ from .series import (
     EvalConfig,
     EvalResult,
     FoxWrightParams,
+    PfqRequest,
     Request,
     TailSpec,
     evaluate_batch,
@@ -304,10 +305,14 @@ def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
         raise ParameterError(
             "derived lower parameters must be positive: "
             + ", ".join(f"{n} = {v:.6g}" for n, v in bad))
-    F1, F2, F3 = yield [
-        _pfq_request((beta1 - alpha1 - 1.0, f + 1.0), (beta1, f), z),
-        _pfq_request((beta1 - alpha1 + 1.0, g + 1.0), (beta1 + 2.0, g), z),
-        _pfq_request((beta1 - alpha1, h + 1.0), (beta1 + 1.0, h), z)]
+    args = (((beta1 - alpha1 - 1.0, f + 1.0), (beta1, f)),
+            ((beta1 - alpha1 + 1.0, g + 1.0), (beta1 + 2.0, g)),
+            ((beta1 - alpha1, h + 1.0), (beta1 + 1.0, h)))
+    # an inf or nan carries into the total, so a finite total means every
+    # value is finite; otherwise _pfq_request raises its error for the first
+    make = (PfqRequest if math.isfinite(
+        z + sum(v for up, low in args for v in up + low)) else _pfq_request)
+    F1, F2, F3 = yield [make(up, low, z) for up, low in args]
     cond = max(F1.condition_estimate, F2.condition_estimate,
                F3.condition_estimate)
     lhs = F1.value * F2.value
@@ -575,52 +580,62 @@ def _powered(alpha1: float, beta1: float, beta2: float, B1: float,
                                   lower=((beta1, B1), (beta2, 1.0))), z)
 
 
-def _omega_columns(alpha1: float, beta2: float,
-                   k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The beta1-free columns of _omega: lnGamma(alpha1 + i), ln i! and
-    lnGamma(beta2 + i) for i = 0..k_max."""
-    lg_f = [0.0] * (k_max + 1)
-    for i in range(2, k_max + 1):
-        lg_f[i] = lg_f[i - 1] + math.log(i)
-    return (np.array([log_gamma(alpha1 + i) for i in range(k_max + 1)]),
-            np.array(lg_f),
-            np.array([log_gamma(beta2 + i) for i in range(k_max + 1)]))
+# _omega sums a beta1 grid in chunks of points whose (point, k, j)
+# temporaries hold at most this many elements (1 MiB)
+_OMEGA_CAP = 131072
 
 
-def _omega(alpha1: float, beta1: float, beta2: float, B1: float,
-           z: float, k_max: int, columns: tuple | None = None
-           ) -> tuple[float, float]:
-    """Positivity witness for the chi derivative in beta1.
+def _omega(alpha1: float, beta1: Sequence[float], beta2: float, B1: float,
+           z: float, k_max: Sequence[int]) -> tuple[list, list]:
+    """Positivity witness for the chi derivative in beta1, at each point of
+    a beta1 grid, summed to that point's own k_max.
 
     Every summand is nonnegative when alpha1 >= beta2 and B1 >= 0, so a
     nonnegative truncated sum certifies nothing by accident: a negative
-    value can only come from an implementation bug.  Returns (value,
-    truncation estimate from the last index block).  The summands of
-    index block k pair j with k - j for j <= (k - 1)/2; they are formed
-    as one masked (k, j) array, each in the operations of the direct
-    double loop, and summed in its order.  ``columns``, from
-    _omega_columns at k_max or above, saves recomputing them.
+    value can only come from an implementation bug.  Returns the values
+    and the truncation estimates from the last index block.  The summands
+    of index block k pair j with k - j for j <= (k - 1)/2; they are formed
+    as one masked (point, k, j) array, each in the operations of the direct
+    double loop, and summed in its order: the masked elements add exact
+    zeros, so a point's sums do not depend on the rest of the grid.
     """
     if B1 == 0.0 or alpha1 == beta2:
-        return 0.0, 0.0
-    c = beta1 + B1
+        return [0.0] * len(beta1), [0.0] * len(beta1)
+    top = max(k_max)
     lnz = math.log(z)
-    lg_a, lg_f, lg_b = columns or _omega_columns(alpha1, beta2, k_max)
-    lg_c = np.array([log_gamma(c + i * B1) for i in range(k_max + 1)])
-    psi_c = np.array([digamma(c + i * B1) for i in range(k_max + 1)])
+    n = range(top + 1)
+    lg_a = np.array([log_gamma(alpha1 + i) for i in n])
+    lg_b = np.array([log_gamma(beta2 + i) for i in n])
+    lg_f = np.cumsum([0.0] + [math.log(i) for i in n[1:]])  # ln i!
+    # the beta1 columns at c + i*B1, c = beta1 + B1: psi as an array (bit
+    # for bit digamma), lnGamma by the scalar kernel up to each k_max
+    x = (np.array(beta1, dtype=float) + B1)[:, None] + np.arange(top + 1) * B1
+    psi_c = _digamma_array(x)
+    lg_c = np.zeros_like(x)
+    for g, kg in enumerate(k_max):
+        lg_c[g, :kg + 1] = [log_gamma(v) for v in x[g, :kg + 1].tolist()]
 
-    k = np.arange(1, k_max + 1)[:, None]
-    j = np.arange((k_max - 1) // 2 + 1)[None, :]
-    inside = 2 * j < k
-    m = np.where(inside, k - j, 0)
-    e = (lg_a[j] + lg_a[m] - lg_f[j] - lg_f[m] - lg_c[j] - lg_c[m]
-         - lg_b[j] - lg_b[m] + k * lnz)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grow = np.where(e < _LOG_DOUBLE_MAX, np.exp(e), math.inf)
-        terms = (grow * (k - 2 * j) * (alpha1 - beta2) * (psi_c[m] - psi_c[j])
-                 / ((beta2 + k - j) * (beta2 + j)))
-    blocks = np.cumsum(np.where(inside, terms, 0.0), axis=1)[:, -1]
-    return float(np.cumsum(blocks)[-1]), float(blocks[-1])
+    values: list = []
+    lasts: list = []
+    step = max(1, _OMEGA_CAP // (top * ((top + 1) // 2)))
+    for first in range(0, len(k_max), step):
+        kg = np.array(k_max[first:first + step])
+        k = np.arange(1, kg.max() + 1)[None, :, None]
+        j = np.arange((kg.max() - 1) // 2 + 1)[None, None, :]
+        inside = (2 * j < k) & (k <= kg[:, None, None])
+        m = np.where(2 * j < k, k - j, 0)
+        at = np.arange(first, first + kg.size)[:, None, None]
+        e = (lg_a[j] + lg_a[m] - lg_f[j] - lg_f[m] - lg_c[at, j]
+             - lg_c[at, m] - lg_b[j] - lg_b[m] + k * lnz)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.where(e < _LOG_DOUBLE_MAX, np.exp(e), math.inf)
+            terms = (grow * (k - 2 * j) * (alpha1 - beta2)
+                     * (psi_c[at, m] - psi_c[at, j])
+                     / ((beta2 + k - j) * (beta2 + j)))
+        blocks = np.cumsum(np.where(inside, terms, 0.0), axis=2)[:, :, -1]
+        values += np.cumsum(blocks, axis=1)[:, -1].tolist()
+        lasts += blocks[np.arange(kg.size), kg - 1].tolist()
+    return values, lasts
 
 
 def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
@@ -648,17 +663,14 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
     res = yield [r for b1 in beta1_grid for r in (
         _powered(alpha1, b1, beta2, B1, z),
         _powered(alpha1 + 1.0, b1 + B1, beta2 + 1.0, B1, z))]
-    columns = _omega_columns(alpha1, beta2,
-                             max(den.terms_used for den in res[::2]) + 10)
-    chi_vals, chi_rel, omega_vals, omega_errs = [], [], [], []
-    for i, b1 in enumerate(beta1_grid):
-        den, num = res[2 * i], res[2 * i + 1]
+    chi_vals, chi_rel = [], []
+    for den, num in zip(res[::2], res[1::2]):
         chi_vals.append(_exp_or_inf(num.log_magnitude - den.log_magnitude))
         chi_rel.append(_rel_err(num) + _rel_err(den))
-        om, om_err = _omega(alpha1, b1, beta2, B1, z, den.terms_used + 10,
-                            columns)
-        omega_vals.append(om)
-        omega_errs.append(om_err + _ROUND_REL * abs(om))
+    omega_vals, om_last = _omega(alpha1, beta1_grid, beta2, B1, z,
+                                 [den.terms_used + 10 for den in res[::2]])
+    omega_errs = [e + _ROUND_REL * abs(om)
+                  for om, e in zip(omega_vals, om_last)]
 
     comparisons = []
     for i in range(len(beta1_grid) - 1):

@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import GridError, NoConvergenceError, ParameterError
-from .gammakit import gamma_ratio, log_gamma
+from .gammakit import _SHIFT_THRESHOLD, gamma_ratio, log_gamma
 from .inequalities import (
     _chi,
     _corollary3_2f2,
@@ -288,9 +288,14 @@ def _build_chi(c, i, ranges, tol):
 
 def _powered_b1_cap(beta1: float, off: float, whi: float) -> float:
     """Largest B1 <= whi keeping the Lazarevic exponents within budget."""
+    # gamma_ratio(beta1, b) with lnGamma(beta1) taken once: below the
+    # Stirling threshold it is exp(lnGamma(beta1 + b) - lnGamma(beta1)),
+    # and exp(0) = 1 is its value at b = 0
+    lg = log_gamma(beta1) if 0.0 < beta1 < _SHIFT_THRESHOLD else None
 
     def load(b: float) -> float:
-        e1 = gamma_ratio(beta1, b)
+        e1 = (gamma_ratio(beta1, b) if lg is None
+              else math.exp(log_gamma(beta1 + b) - lg))
         e2 = e1 * (beta1 + b) / beta1
         return max(e1, e2, 1.0) * ((1.0 + b / beta1) * off + _V_MIN)
 
@@ -557,8 +562,9 @@ def _failure_row(suite_id: str, kind: str, msg: str,
 
 # Instances advanced in lockstep at a time: their generators, requests and
 # results are all alive until the group finishes, so the group size bounds
-# that memory (about 2 KB an instance); a row's bits do not depend on it.
-_LOCKSTEP = 256
+# that memory (about 2 KB an instance, 2 MiB a group; the tiles are capped
+# in batch._TILE_CAP); a row's bits do not depend on it.
+_LOCKSTEP = 1024
 
 
 def _run(sd: SuiteDef, spec: GridSpec | None, tol_abs: float = TOL_ABS,

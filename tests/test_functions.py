@@ -90,6 +90,15 @@ def test_non_finite_z_is_a_domain_error(z):
             call()
 
 
+@pytest.mark.parametrize("z", [1e200, -1e200, 1.5e154, -2.7e154])
+def test_bessel_norm_argument_past_the_double_range_is_a_domain_error(z):
+    # a finite z whose z*z/4 overflows: the message names this z and the
+    # overflow, not "z must be finite, got z=inf"
+    with pytest.raises(DomainError, match=re.escape(
+            f"z*z/4 overflows the double range at z={z!r}")):
+        bessel_norm(0.5, z)
+
+
 @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
 def test_pfq_rejects_non_finite_upper(a):
     with pytest.raises(ParameterError, match="upper parameters must be finite"):

@@ -24,8 +24,9 @@ from foxwright import (
     wilker_check,
     xi_prime,
 )
+from foxwright import inequalities
 from foxwright.gammakit import digamma, log_gamma
-from foxwright.inequalities import _omega, _omega_columns
+from foxwright.inequalities import _omega
 from foxwright.series import _exp_or_inf
 from foxwright.suites import hp_margin
 
@@ -328,17 +329,54 @@ def _close(got, ref, rel):
 @given(st.floats(min_value=0.1, max_value=5.0),
        st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.0, max_value=3.0),
-       st.floats(min_value=0.1, max_value=5.1),
-       st.floats(min_value=1e-3, max_value=20.0),
-       st.integers(min_value=11, max_value=80))
+       st.lists(st.tuples(st.floats(min_value=0.1, max_value=5.1),
+                          st.integers(min_value=11, max_value=80)),
+                min_size=1, max_size=4),
+       st.floats(min_value=1e-3, max_value=20.0))
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_omega_matches_direct_loop(alpha1, frac, B1, beta1, z, k_max):
+def test_omega_matches_direct_loop(alpha1, frac, B1, grid, z):
     beta2 = 0.1 + frac * (alpha1 - 0.1)
-    got = _omega(alpha1, beta1, beta2, B1, z, k_max)
-    ref = _omega_loop(alpha1, beta1, beta2, B1, z, k_max)
-    assert _close(got[0], ref[0], 1e-14) and _close(got[1], ref[1], 1e-14), (
-        got, ref)
-    assert got[0] >= 0.0
-    # longer shared columns, as chi_check passes them, change no bit
-    cols = _omega_columns(alpha1, beta2, k_max + 7)
-    assert _omega(alpha1, beta1, beta2, B1, z, k_max, cols) == got
+    beta1, k_max = [b for b, _ in grid], [k for _, k in grid]
+    values, lasts = _omega(alpha1, beta1, beta2, B1, z, k_max)
+    for b1, k, got in zip(beta1, k_max, zip(values, lasts)):
+        ref = _omega_loop(alpha1, b1, beta2, B1, z, k)
+        assert (_close(got[0], ref[0], 1e-14)
+                and _close(got[1], ref[1], 1e-14)), (got, ref)
+        assert got[0] >= 0.0
+
+
+def _omega_hex(*args):
+    return [[float.hex(v) for v in out] for out in _omega(*args)]
+
+
+def test_omega_grid_is_the_one_point_form_bit_for_bit(monkeypatch):
+    # the points of one grid, each summed to its own k_max, give the bits
+    # of each point alone, whose (k, j) array is the smallest that holds it,
+    # and so do chunks of one point each
+    alpha1, beta2, B1, z = 2.7, 0.8, 1.3, 9.5
+    beta1 = [0.3 + 0.25 * i for i in range(20)]
+    k_max = [11 + (37 * i) % 60 for i in range(20)]
+    grid = _omega_hex(alpha1, beta1, beta2, B1, z, k_max)
+    alone = [_omega_hex(alpha1, [b], beta2, B1, z, [k])
+             for b, k in zip(beta1, k_max)]
+    assert grid == [[a[0][0] for a in alone], [a[1][0] for a in alone]]
+    assert len(set(grid[0])) == 20
+    monkeypatch.setattr(inequalities, "_OMEGA_CAP", 1)
+    assert _omega_hex(alpha1, beta1, beta2, B1, z, k_max) == grid
+
+
+def test_omega_longer_shared_columns_change_no_bit():
+    # a longer point beside it lengthens the shared columns and the (k, j)
+    # array; the shorter point keeps every bit
+    alpha1, beta2, B1, z, b1 = 1.9, 0.4, 0.7, 14.0, 1.1
+    alone = _omega_hex(alpha1, [b1], beta2, B1, z, [23])
+    for longer in (24, 30, 81):
+        both = _omega_hex(alpha1, [b1, b1], beta2, B1, z, [23, longer])
+        assert [both[0][0], both[1][0]] == [alone[0][0], alone[1][0]]
+
+
+def test_omega_is_zero_without_b1_or_with_a1_equal_to_b2():
+    assert _omega(1.5, [0.5, 2.0], 0.9, 0.0, 3.0, [15, 30]) == (
+        [0.0, 0.0], [0.0, 0.0])
+    assert _omega(1.5, [0.5, 2.0, 3.0], 1.5, 0.6, 3.0, [15, 30, 12]) == (
+        [0.0] * 3, [0.0] * 3)

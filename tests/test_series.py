@@ -17,6 +17,7 @@ from foxwright import (
     FoxWrightParams,
     NoConvergenceError,
     ParameterError,
+    EvalResult,
     TailSpec,
     dbeta1,
     derivative,
@@ -629,6 +630,33 @@ def test_pfq_rows_match_the_one_row_loop_bit_for_bit():
             res.value, res.terms_used, res.tail_bound, res.condition_estimate,
             res.log_magnitude, res.sign)) == tuple(
             float.hex(float(v)) for v in ref)
+
+    # one batch of one shape, so one recurrence, with three kinds of rows:
+    # rows that stop at very different k (so ended rows run on masked, then
+    # are dropped), a row whose third term leaves the double range, and a
+    # row that hits max_terms; each equals its one-row call
+    cfg = EvalConfig(max_terms=60)
+    mixed = [PfqRequest((0.5,), (1.5,), -0.01 * 2.0 ** i) for i in range(10)]
+    mixed[3] = PfqRequest((4.0,), (1.5,), -1e300)
+    mixed[6] = PfqRequest((0.5,), (1.5,), 200.0)
+    mixed.append(PfqRequest((1.2,), (2.2,), 0.3))
+    got = series.evaluate_batch(mixed, cfg)
+    kinds = [type(r).__name__ for r in got]
+    assert kinds.count("OverflowError") == 1 and kinds[3] == "OverflowError"
+    assert kinds.count("DivergentSeriesError") == 1
+    assert kinds[6] == "DivergentSeriesError"
+    assert len({r.terms_used for r in got if isinstance(r, EvalResult)}) >= 5
+    for req, res in zip(mixed, got):
+        one = series.evaluate_batch([req], cfg)[0]
+        if isinstance(res, Exception):
+            assert type(one) is type(res) and str(one) == str(res)
+        else:
+            assert repr(one) == repr(res)
+            ref = _pfq_loop(*req, cfg=cfg)
+            assert tuple(float.hex(float(v)) for v in (
+                res.value, res.terms_used, res.tail_bound,
+                res.condition_estimate, res.log_magnitude,
+                res.sign)) == tuple(float.hex(float(v)) for v in ref)
 
 
 @pytest.mark.xfail(strict=True, reason="cancellation at z < 0 returns a value "

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from foxwright import (
@@ -15,7 +16,8 @@ from foxwright import (
     grid_from_json,
     margin_passes,
 )
-from foxwright import inequalities, suites
+from foxwright import batch, inequalities, suites
+from foxwright.gammakit import gamma_ratio, log_gamma
 from foxwright.report import (
     STATUS_NUMERICAL_FAILURE,
     STATUS_OK,
@@ -326,6 +328,56 @@ def test_failure_row_index_counts_across_lockstep_groups(monkeypatch):
               if r.status == STATUS_NUMERICAL_FAILURE]
     assert failed == [7]
     assert rows[7].params_echo == {"error": "NoConvergenceError", "instance": 7}
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_rows_do_not_depend_on_group_or_tile_size(monkeypatch, suite):
+    # one lockstep group and full tiles, or one instance a group and one
+    # row a block call: every row keeps its bits
+    spec = GridSpec(samples=5, seed=17)
+    rows = run_suite(suite, spec)
+    monkeypatch.setattr(suites, "_LOCKSTEP", 1)
+    monkeypatch.setattr(batch, "_TILE_CAP", 1)
+    assert repr(run_suite(suite, spec)) == repr(rows)
+
+
+def _b1_cap_bisection(beta1, off, whi):
+    # the sampler's cap as it was first written, on gamma_ratio at every
+    # step: the reference for suites._powered_b1_cap
+    def load(b):
+        e1 = gamma_ratio(beta1, b)
+        e2 = e1 * (beta1 + b) / beta1
+        return max(e1, e2, 1.0) * ((1.0 + b / beta1) * off + suites._V_MIN)
+
+    if load(whi) <= 600.0:
+        return whi
+    lo, hi = 0.0, whi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if load(mid) <= 600.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_b1_cap_is_the_bisection_on_gamma_ratio_bit_for_bit():
+    rng = np.random.default_rng(29)
+    early = bisected = 0
+    for i in range(2400):
+        # beta1 over the default range, near its 0.1 floor, and from 8 on
+        # (custom ranges), where gamma_ratio takes its Stirling branch
+        beta1 = (rng.uniform(0.1, 5.0), rng.uniform(0.1, 0.11),
+                 rng.uniform(8.0, 40.0), 8.0)[i % 4]
+        a1, b2 = sorted(rng.uniform(0.1, 5.0, 2))[::-1]
+        off = abs(log_gamma(a1) - log_gamma(b2)) * rng.uniform(0.0, 3.0)
+        whi = rng.uniform(0.0, 3.0) * (1.0 + 9.0 * (i % 3 == 0))
+        ref = _b1_cap_bisection(beta1, off, whi)
+        got = suites._powered_b1_cap(beta1, off, whi)
+        assert float.hex(got) == float.hex(ref), (beta1, off, whi)
+        early += ref == whi
+        bisected += ref != whi
+    assert early >= 200 and bisected >= 200
 
 
 @pytest.mark.xfail(strict=True, reason="both sides overflow, inf - inf is "
