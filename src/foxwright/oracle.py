@@ -3,13 +3,16 @@
 Every series here is recomputed from scratch in mpmath arbitrary-precision
 arithmetic: terms are direct gamma products, accumulation is plain mpf
 addition (no running-scale or compensation tricks), and the stop rule is a
-geometric tail estimate against the requested digit count.  Nothing is
-shared with the double-precision engine, so agreement between the two is
-meaningful evidence.
+geometric tail estimate against the requested digit count.  Series summed
+together share z^k / k! and each Gamma factor per k, but keep their own
+totals and stop rules; a sum whose terms cancel into its guard digits is
+re-run at a higher precision.  Nothing is shared with the double-precision
+engine, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import mpmath as mp
@@ -27,6 +30,8 @@ __all__ = [
 ]
 
 _MAX_TERMS = 100_000
+_GUARD = 10  # working digits kept beyond the requested ones
+_MAX_DPS = 2000  # no cancellation re-run goes beyond this working precision
 
 
 def _check_digits(digits: int) -> int:
@@ -36,80 +41,132 @@ def _check_digits(digits: int) -> int:
     return digits
 
 
-def _hp_series(params: FoxWrightParams, z, rel_stop, start: int = 0):
-    """Sum the raw series in the active mp context.
+def _settled(result, rerun):
+    """(value, tail, terms) of ``result`` = (value, tail, terms, peak =
+    max |t_k|), summed again by ``rerun()`` at a higher working precision
+    while the digits lost, log10(peak / |value|) + log10(terms), leave less
+    than one guard digit."""
+    base = dps = mp.mp.dps
+    while True:
+        value, tail, terms, peak = result
+        lost = (0.0 if peak == 0 else math.inf if value == 0 else
+                float(mp.log10(peak / abs(value))) + math.log10(terms))
+        if lost <= dps - base + _GUARD - 1:
+            return value, tail, terms
+        if base + lost > _MAX_DPS:
+            raise NoConvergenceError(
+                f"oracle sum lost {lost:.1f} digits to cancellation; a re-run "
+                f"would pass the cap of {_MAX_DPS} working digits")
+        dps = base + math.ceil(lost)
+        with mp.workdps(dps):
+            result = rerun()
 
-    Returns (value, tail_estimate, terms_used).  Terms are formed directly:
+
+def _lockstep(jobs, rel_stop):
+    """Sum (params, z, start) jobs in lockstep over k in the active context.
+
+    Returns one (value, tail_estimate, terms_used, peak) per job.  Terms
+    are formed directly, each distinct factor and term once per k:
     prod Gamma(alpha + k A) / prod Gamma(beta + k B) * z^k / k!.
     """
-    z = mp.mpf(z)
-    total = mp.mpf(0)
-    prev = None
-    tail = mp.mpf(0)
-    streak = 0
-    terms = 0
-    for k in range(start, start + _MAX_TERMS):
-        t = mp.power(z, k) / mp.factorial(k)
-        # arguments formed in mpf arithmetic: a + k*w rounded to a double
-        # would shift the term log by psi(x) * ulp, ~1e-12 for late terms
-        for a, wa in params.upper:
-            t *= mp.gamma(mp.mpf(a) + k * mp.mpf(wa))
-        for b, wb in params.lower:
-            t /= mp.gamma(mp.mpf(b) + k * mp.mpf(wb))
-        total += t
-        terms += 1
-        if prev is None:
-            ratio = mp.inf
-        elif prev == 0:
-            ratio = mp.inf if t != 0 else mp.mpf(0)
-        else:
-            ratio = abs(t) / abs(prev)
-        prev = t
-        if ratio < 1:
-            tail = abs(t) * ratio / (1 - ratio)
-            if tail <= rel_stop * abs(total):
-                streak += 1
+    jobs = [(params, mp.mpf(z), start) for params, z, start in jobs]
+    # arguments formed in mpf arithmetic: a + k*w rounded to a double
+    # would shift the term log by psi(x) * ulp, ~1e-12 for late terms
+    args = {pair: (mp.mpf(pair[0]), mp.mpf(pair[1]))
+            for params, _, _ in jobs for pair in params.upper + params.lower}
+    # small ints stand for each job's (params, z) and z: cheap dict keys
+    seen = {}
+    ids = [(seen.setdefault((p, z), len(seen)), seen.setdefault(z, len(seen)))
+           for p, z, _ in jobs]
+    # per job: [total, |previous term|, tail, streak, terms, peak]
+    state = [[mp.mpf(0), None, mp.mpf(0), 0, 0, mp.mpf(0)] for _ in jobs]
+    live, k = list(range(len(jobs))), min(start for _, _, start in jobs)
+    while live:
+        fact, powers, gammas, terms = mp.factorial(k), {}, {}, {}
+        for j in [j for j in live if jobs[j][2] <= k]:
+            (params, z, _), (pz, zi) = jobs[j], ids[j]
+            if pz not in terms:
+                if zi not in powers:
+                    powers[zi] = mp.power(z, k) / fact
+                t = powers[zi]
+                for pair in params.upper + params.lower:
+                    if pair not in gammas:
+                        a, w = args[pair]
+                        gammas[pair] = mp.gamma(a + k * w)
+                for pair in params.upper:
+                    t *= gammas[pair]
+                for pair in params.lower:
+                    t /= gammas[pair]
+                terms[pz] = t, abs(t)
+            t, at = terms[pz]
+            s = state[j]
+            s[0] += t
+            s[4] += 1
+            s[5] = max(s[5], at)
+            prev, s[1] = s[1], at
+            ratio = (at / prev if prev else
+                     mp.mpf(0) if prev == 0 and at == 0 else mp.inf)
+            if ratio < 1:
+                s[2] = at * ratio / (1 - ratio)
+                s[3] = s[3] + 1 if s[2] <= rel_stop * abs(s[0]) else 0
             else:
-                streak = 0
-            if streak >= 3:
-                return total, tail, terms
-        else:
-            streak = 0
-    raise NoConvergenceError(
-        f"oracle stop rule did not fire within {_MAX_TERMS} terms "
-        f"(start={start}, z={mp.nstr(z, 8)})")
+                s[3] = 0
+            if s[3] >= 3 or s[4] >= _MAX_TERMS:
+                live.remove(j)
+        k += 1
+    for (_, z, start), s in zip(jobs, state):
+        if s[3] < 3:
+            raise NoConvergenceError(
+                f"oracle stop rule did not fire within {_MAX_TERMS} terms "
+                f"(start={start}, z={mp.nstr(z, 8)})")
+    return [(s[0], s[2], s[4], s[5]) for s in state]
+
+
+def _hp_sums(jobs, rel_stop):
+    """One (value, tail, terms) per (params, z, start) job, summed together
+    from index start; a job that cancelled into its guard is re-run alone."""
+    return [_settled(res, lambda job=job: _lockstep([job], rel_stop)[0])
+            for job, res in zip(jobs, _lockstep(jobs, rel_stop))]
+
+
+def _hp_series(params: FoxWrightParams, z, rel_stop, start: int = 0):
+    """One series of _hp_sums: (value, tail_estimate, terms_used)."""
+    return _hp_sums([(params, z, start)], rel_stop)[0]
 
 
 def hp_eval(params: FoxWrightParams, z, digits: int = 30,
             start: int = 0) -> tuple[str, str]:
     """Evaluate the series to ``digits`` significant digits.
 
-    Returns decimal strings (value, tail_estimate); the extra working
-    precision (digits + 10) keeps the printed digits trustworthy.  ``start``
-    sums the tail from that index onward instead of the whole series.
+    Returns decimal strings (value, tail_estimate).  Summing at digits + 10
+    and again higher whenever cancellation uses more than 9 of those guard
+    digits keeps the printed digits trustworthy (NoConvergenceError past
+    2000 working digits).  ``start`` sums the tail from that index onward
+    instead of the whole series.
     """
     digits = _check_digits(digits)
     if params.epsilon() <= 0.0:
         raise DivergentSeriesError(
             f"divergent series: epsilon = {params.epsilon():.6g} <= 0")
-    with mp.workdps(digits + 10):
+    with mp.workdps(digits + _GUARD):
         value, tail, _ = _hp_series(params, z, mp.mpf(10) ** (-digits), start)
         return mp.nstr(value, digits), mp.nstr(tail, 10)
 
 
-def _hp_pfq_mpf(upper: Sequence[float], lower: Sequence[float], z):
+def _pfq_sum(upper: Sequence[float], lower: Sequence[float], z, rel_stop):
     """pFq by Pochhammer recurrence in the active mp context.
 
     Accepts arbitrary real upper parameters (terminating series included).
-    Returns (value, tail_estimate, terms_used).
+    Returns (value, tail_estimate, terms_used, peak).
     """
     z = mp.mpf(z)
-    rel_stop = mp.mpf(10) ** (-(mp.mp.dps - 10))
     term = mp.mpf(1)
     total = mp.mpf(0)
+    peak = mp.mpf(0)
     streak = 0
     for k in range(_MAX_TERMS):
         total += term
+        peak = max(peak, abs(term))
         num = mp.mpf(1)
         for a in upper:
             num *= mp.mpf(a) + k
@@ -126,12 +183,20 @@ def _hp_pfq_mpf(upper: Sequence[float], lower: Sequence[float], z):
             else:
                 streak = 0
             if streak >= 3:
-                return total, tail, k + 1
+                return total, tail, k + 1, peak
         else:
             streak = 0
     raise NoConvergenceError(
         f"oracle pFq stop rule did not fire within {_MAX_TERMS} terms "
         f"(z={mp.nstr(z, 8)})")
+
+
+def _hp_pfq_mpf(upper: Sequence[float], lower: Sequence[float], z,
+                rel_stop):
+    """_pfq_sum re-run as _hp_sums does under cancellation."""
+    def run():
+        return _pfq_sum(upper, lower, z, rel_stop)
+    return _settled(run(), run)
 
 
 def hp_pfq(upper: Sequence[float], lower: Sequence[float], z,
@@ -143,6 +208,7 @@ def hp_pfq(upper: Sequence[float], lower: Sequence[float], z,
         raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
     if p == q + 1 and abs(z) >= 1.0:
         raise DivergentSeriesError(f"pFq with p = q+1 needs |z| < 1, got z={z!r}")
-    with mp.workdps(digits + 10):
-        value, tail, _ = _hp_pfq_mpf(upper, lower, z)
+    with mp.workdps(digits + _GUARD):
+        value, tail, _ = _hp_pfq_mpf(upper, lower, z,
+                                     mp.mpf(10) ** (-digits))
         return mp.nstr(value, digits), mp.nstr(tail, 10)

@@ -14,6 +14,7 @@ oracle for spot checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -38,7 +39,7 @@ from .inequalities import (
     _wilker,
     _xi_prime,
 )
-from .oracle import _check_digits, _hp_pfq_mpf, _hp_series
+from .oracle import _GUARD, _check_digits, _hp_pfq_mpf, _hp_sums
 from .report import (
     GridSpec,
     InequalityReport,
@@ -616,32 +617,25 @@ def run_explore(suite_id: str,
 # Oracle spot checks: recompute a report's margin in high precision
 
 
-def _hp_value(params: FoxWrightParams, z, rel_stop, start: int = 0):
-    val, _, _ = _hp_series(params, z, rel_stop, start)
-    return val
+def _hp_values(rs, *jobs):
+    """The values of (params, z, start) jobs, summed together."""
+    return [value for value, _, _ in _hp_sums(jobs, rs)]
 
 
 def _hp_turan_alpha(report: InequalityReport, rs):
     params = FoxWrightParams.from_json(report.params_echo)
     a1 = params.upper[0][0]
-    z = report.z
-
-    def s(v):
-        return _hp_value(params.with_upper_value(0, v), z, rs)
-
-    return s(a1) * s(a1 + 2.0) - s(a1 + 1.0) ** 2
+    s0, s1, s2 = _hp_values(rs, *((params.with_upper_value(0, v), report.z, 0)
+                                  for v in (a1, a1 + 1.0, a1 + 2.0)))
+    return s0 * s2 - s1 ** 2
 
 
 def _hp_turan_beta(report: InequalityReport, rs):
     params = FoxWrightParams.from_json(report.params_echo)
     b1 = params.lower[0][0]
-    z = report.z
-
-    def s(v):
-        return _hp_value(params.with_lower_value(0, v), z, rs)
-
-    return (s(b1) * s(b1 + 2.0)
-            - mp.mpf(b1) / (b1 + 1.0) * s(b1 + 1.0) ** 2)
+    s0, s1, s2 = _hp_values(rs, *((params.with_lower_value(0, v), report.z, 0)
+                                  for v in (b1, b1 + 1.0, b1 + 2.0)))
+    return s0 * s2 - mp.mpf(b1) / (b1 + 1.0) * s1 ** 2
 
 
 def _hp_corollary3(report: InequalityReport, rs):
@@ -653,7 +647,7 @@ def _hp_corollary3(report: InequalityReport, rs):
     h = b2 * (a1 - b1) / (a1 - b2)
 
     def pfq(u1, u2, l1, l2):
-        return _hp_pfq_mpf((u1, u2), (l1, l2), z)[0]
+        return _hp_pfq_mpf((u1, u2), (l1, l2), z, rs)[0]
 
     return (pfq(b1 - a1 - 1, f + 1, b1, f)
             * pfq(b1 - a1 + 1, g + 1, b1 + 2, g)
@@ -670,19 +664,16 @@ def _hp_ratio(report: InequalityReport, rs):
     else:
         p_small = base.with_upper_value(0, vs)
         p_big = base.with_upper_value(0, vb)
-
-    def ratio(z):
-        if slot == "beta":
-            return _hp_value(p_big, z, rs) / _hp_value(p_small, z, rs)
-        return _hp_value(p_small, z, rs) / _hp_value(p_big, z, rs)
-
     z = report.z
     if report.aux["worst_kind"] == "ratio-step":
-        return ratio(report.aux["worst_z_prev"]) - ratio(z)
-    ds = _hp_value(p_small.shifted(), z, rs)
-    db = _hp_value(p_big.shifted(), z, rs)
-    es = _hp_value(p_small, z, rs)
-    eb = _hp_value(p_big, z, rs)
+        z0 = report.aux["worst_z_prev"]
+        b0, s0, b1, s1 = _hp_values(rs, (p_big, z0, 0), (p_small, z0, 0),
+                                    (p_big, z, 0), (p_small, z, 0))
+        if slot == "beta":
+            return b0 / s0 - b1 / s1
+        return s0 / b0 - s1 / b1
+    ds, db, es, eb = _hp_values(rs, (p_small.shifted(), z, 0), (
+        p_big.shifted(), z, 0), (p_small, z, 0), (p_big, z, 0))
     if slot == "beta":
         return ds * eb - db * es
     return db * es - ds * eb
@@ -691,57 +682,50 @@ def _hp_ratio(report: InequalityReport, rs):
 def _hp_tail_turan(report: InequalityReport, rs):
     params = FoxWrightParams.from_json(report.params_echo)
     n = report.params_echo["n"]
-    z = report.z
-
-    def t(m):
-        return _hp_value(params, z, rs, start=m + 1)
-
-    return t(n + 1) ** 2 - t(n) * t(n + 2)
+    t0, t1, t2 = _hp_values(rs, *((params, report.z, n + i)
+                                  for i in (1, 2, 3)))
+    return t1 ** 2 - t0 * t2
 
 
 def _hp_kn(report: InequalityReport, rs):
     params = FoxWrightParams.from_json(report.params_echo)
     n = report.params_echo["n"]
+    step = report.aux["worst_kind"] == "step"
+    zs = (report.z, report.aux["worst_z_prev"]) if step else (report.z,)
+    t = _hp_values(rs, *((params, z, n + i) for z in zs for i in (1, 2, 3)))
 
-    def k(z):
-        t0 = _hp_value(params, z, rs, start=n + 1)
-        t1 = _hp_value(params, z, rs, start=n + 2)
-        t2 = _hp_value(params, z, rs, start=n + 3)
+    def k(t0, t1, t2):
         return t0 * t2 / t1 ** 2
 
-    if report.aux["worst_kind"] == "step":
-        return k(report.z) - k(report.aux["worst_z_prev"])
+    if step:
+        return k(*t[:3]) - k(*t[3:])
     c = mp.mpf(n + 2) / (n + 3)
     for b, w in params.lower:
         c *= mp.gamma(b + (n + 2) * w) ** 2 / (
             mp.gamma(b + (n + 1) * w) * mp.gamma(b + (n + 3) * w))
-    return k(report.z) - c
-
-
-def _hp_chi_value(a1, b2, B1, v, z, rs):
-    num = FoxWrightParams(((a1 + 1.0, 1.0),),
-                          ((v + B1, B1), (b2 + 1.0, 1.0)))
-    den = FoxWrightParams(((a1, 1.0),), ((v, B1), (b2, 1.0)))
-    return (mp.gamma(v + B1) * _hp_value(num, z, rs)
-            / (mp.gamma(v) * _hp_value(den, z, rs)))
+    return k(*t) - c
 
 
 def _hp_omega(a1, b2, B1, v, z, rs):
     a1, b2, B1, v, z = map(mp.mpf, (a1, b2, B1, v, z))
     c = v + B1
+    # each argument recurs across (k, j): O(k) distinct ones per call
+    gamma, digamma, fact = map(functools.cache,
+                               (mp.gamma, mp.digamma, mp.factorial))
     total = mp.mpf(0)
     streak = 0
     for k in range(1, 3001):
+        zk = mp.power(z, k)
         block = mp.mpf(0)
         for j in range((k - 1) // 2 + 1):
-            term = (mp.gamma(a1 + j) * mp.gamma(a1 + k - j)
-                    / (mp.factorial(j) * mp.factorial(k - j)
-                       * mp.gamma(c + j * B1) * mp.gamma(c + (k - j) * B1)
-                       * mp.gamma(b2 + j) * mp.gamma(b2 + k - j)))
+            term = (gamma(a1 + j) * gamma(a1 + k - j)
+                    / (fact(j) * fact(k - j)
+                       * gamma(c + j * B1) * gamma(c + (k - j) * B1)
+                       * gamma(b2 + j) * gamma(b2 + k - j)))
             term *= ((k - 2 * j) * (a1 - b2)
-                     * (mp.digamma(c + (k - j) * B1) - mp.digamma(c + j * B1))
+                     * (digamma(c + (k - j) * B1) - digamma(c + j * B1))
                      / ((b2 + k - j) * (b2 + j)))
-            block += term * mp.power(z, k)
+            block += term * zk
         total += block
         if abs(block) <= rs * (abs(total) + mp.mpf("1e-300")):
             streak += 1
@@ -756,18 +740,22 @@ def _hp_chi(report: InequalityReport, rs):
     e, aux = report.params_echo, report.aux
     a1, b2, B1 = e["alpha1"], e["beta2"], e["B1"]
     z = report.z
-    if aux["worst_kind"] == "chi-step":
-        return (_hp_chi_value(a1, b2, B1, aux["worst_beta1"], z, rs)
-                - _hp_chi_value(a1, b2, B1, aux["worst_beta1_prev"], z, rs))
-    return _hp_omega(a1, b2, B1, aux["worst_beta1"], z, rs)
+    if aux["worst_kind"] != "chi-step":
+        return _hp_omega(a1, b2, B1, aux["worst_beta1"], z, rs)
+    vs = (aux["worst_beta1"], aux["worst_beta1_prev"])
+    sums = _hp_values(rs, *((p, z, 0) for v in vs for p in (
+        FoxWrightParams(((a1 + 1.0, 1.0),), ((v + B1, B1), (b2 + 1.0, 1.0))),
+        FoxWrightParams(((a1, 1.0),), ((v, B1), (b2, 1.0))))))
+    chi0, chi1 = (mp.gamma(v + B1) * num / (mp.gamma(v) * den)
+                  for v, num, den in zip(vs, sums[::2], sums[1::2]))
+    return chi0 - chi1
 
 
 def _hp_tilde_pair(a1, b1, b2, B1, z, rs):
     u_params = FoxWrightParams(((a1, 1.0),), ((b1 + 1.0, B1), (b2, 1.0)))
     v_params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
-    u = mp.gamma(b1 + 1.0) * _hp_value(u_params, z, rs)
-    v = mp.gamma(b1) * _hp_value(v_params, z, rs)
-    return u, v
+    su, sv = _hp_values(rs, (u_params, z, 0), (v_params, z, 0))
+    return mp.gamma(b1 + 1.0) * su, mp.gamma(b1) * sv
 
 
 def _hp_lazarevic(report: InequalityReport, rs):
@@ -788,13 +776,14 @@ def _hp_wilker(report: InequalityReport, rs):
     return u / v + power - 2
 
 
-def _hp_logconcave_f(params: FoxWrightParams, z, rs):
+def _hp_logconcave_t0(params: FoxWrightParams):
+    """The k = 0 term, which normalizes the series to 1 at z = 0."""
     t0 = mp.mpf(1)
     for a, _ in params.upper:
         t0 *= mp.gamma(a)
     for b, _ in params.lower:
         t0 /= mp.gamma(b)
-    return _hp_value(params, z, rs) / t0
+    return t0
 
 
 def _hp_logconcave_c(params: FoxWrightParams):
@@ -809,23 +798,25 @@ def _hp_logconcave_mid(report: InequalityReport, rs):
     params = FoxWrightParams.from_json(report.params_echo)
     z1, z2 = report.aux["z1"], report.aux["z2"]
     zm = (mp.mpf(z1) + z2) / 2
-    return (_hp_logconcave_f(params, zm, rs)
-            - mp.sqrt(_hp_logconcave_f(params, z1, rs)
-                      * _hp_logconcave_f(params, z2, rs)))
+    t0 = _hp_logconcave_t0(params)
+    fm, f1, f2 = (v / t0 for v in _hp_values(
+        rs, (params, zm, 0), (params, z1, 0), (params, z2, 0)))
+    return fm - mp.sqrt(f1 * f2)
 
 
 def _hp_logconcave_exp(report: InequalityReport, rs):
     params = FoxWrightParams.from_json(report.params_echo)
     zm = (mp.mpf(report.aux["z1"]) + report.aux["z2"]) / 2
+    fm, = _hp_values(rs, (params, zm, 0))
     return (mp.exp(_hp_logconcave_c(params) * zm)
-            - _hp_logconcave_f(params, zm, rs))
+            - fm / _hp_logconcave_t0(params))
 
 
 def _hp_logconcave_deriv(report: InequalityReport, rs):
     params = FoxWrightParams.from_json(report.params_echo)
     zm = (mp.mpf(report.aux["z1"]) + report.aux["z2"]) / 2
-    return (_hp_logconcave_c(params) * _hp_value(params, zm, rs)
-            - _hp_value(params.shifted(), zm, rs))
+    s, d = _hp_values(rs, (params, zm, 0), (params.shifted(), zm, 0))
+    return _hp_logconcave_c(params) * s - d
 
 
 _HP = {
@@ -860,5 +851,5 @@ def hp_margin(report: InequalityReport, digits: int = 30) -> float:
         raise ParameterError(
             f"no oracle margin recipe for suite {report.suite_id!r}")
     digits = _check_digits(digits)
-    with mp.workdps(digits + 10):
+    with mp.workdps(digits + _GUARD):
         return float(fn(report, mp.mpf(10) ** (-digits)))

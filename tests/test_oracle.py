@@ -7,10 +7,15 @@ from foxwright import (
     DivergentSeriesError,
     DomainError,
     FoxWrightParams,
+    GridSpec,
+    NoConvergenceError,
     evaluate,
     hp_eval,
     hp_pfq,
+    oracle,
+    run_suite,
 )
+from foxwright.suites import hp_margin
 
 P1 = FoxWrightParams(upper=((1.3, 0.7), (2.1, 1.4)),
                      lower=((0.9, 1.1), (1.7, 0.8)))
@@ -53,3 +58,81 @@ def test_hp_pfq_values_and_gates():
         hp_pfq((1.0, 1.0, 1.0), (2.0,), 0.5)
     with pytest.raises(DivergentSeriesError):
         hp_pfq((1.0, 1.0), (2.0,), 1.5)
+
+
+# z < 0: the terms of this series reach about 2.4e69 while the sum is
+# 1.16e-5, so about 74 digits cancel; summed at only 40 working digits it
+# read 2.2165e27
+P_CANCEL = FoxWrightParams(upper=((3.5024212894782467, 0.5830188472688517),))
+Z_CANCEL = -15.59813889629372
+
+
+def test_hp_eval_reruns_when_cancellation_eats_the_guard_digits():
+    value, _ = hp_eval(P_CANCEL, Z_CANCEL, 30)
+    ref = 1.1570301355724187e-05
+    assert abs(float(value) - ref) <= 1e-13 * ref
+
+
+def test_hp_pfq_reruns_when_cancellation_eats_the_guard_digits():
+    # 1F1(1/2; 3/2; -80): terms near 2.5e33 sum to 0.099
+    value, _ = hp_pfq((0.5,), (1.5,), -80.0, 30)
+    with mp.workdps(100):
+        ref = mp.hyp1f1(0.5, 1.5, -80)
+        assert abs(mp.mpf(value) - ref) <= mp.mpf(10) ** -29 * abs(ref)
+
+
+def test_cancellation_past_the_working_digit_cap_raises(monkeypatch):
+    # the first re-run would need about 84 working digits
+    monkeypatch.setattr(oracle, "_MAX_DPS", 60)
+    with pytest.raises(NoConvergenceError, match="cancellation"):
+        hp_eval(P_CANCEL, Z_CANCEL, 30)
+
+
+def test_lockstep_jobs_match_the_same_jobs_summed_alone():
+    n = 4
+    jobs = [(P1, 9.7, n + 1), (P1, 9.7, n + 2), (P1, 9.7, n + 3),
+            (P1, 0.9, n + 1), (P1, 0.9, n + 1), (P1.shifted(), 9.7, 0),
+            (P1, 9.7, 40), (P1, 1e-7, 0)]
+    with mp.workdps(40):
+        rs = mp.mpf(10) ** -30
+        together = oracle._hp_sums(jobs, rs)
+        alone = [oracle._hp_sums([job], rs)[0] for job in jobs]
+    assert together == alone
+    # the small-z job stopped ten times earlier than the slowest one
+    assert 10 * together[-1][2] <= max(terms for _, _, terms in together)
+
+
+def test_lockstep_job_that_never_settles_raises(monkeypatch):
+    # the other jobs settle within 200 terms; the error names the one that
+    # did not
+    monkeypatch.setattr(oracle, "_MAX_TERMS", 200)
+    divergent = FoxWrightParams(upper=((1.0, 2.0),))
+    with mp.workdps(40), pytest.raises(NoConvergenceError, match="start=7"):
+        oracle._hp_sums([(P1, 1.0, 0), (divergent, 1.0, 7), (P1, 2.0, 3)],
+                        mp.mpf(10) ** -30)
+
+
+def test_turan_alpha_forms_each_gamma_and_factorial_once_per_k(monkeypatch):
+    # shape (1, 1): three upper columns and one shared lower column
+    row = run_suite("turan-alpha", GridSpec(samples=6, seed=2))[3]
+    assert len(row.params_echo["upper"]) == len(row.params_echo["lower"]) == 1
+    params = FoxWrightParams.from_json(row.params_echo)
+    a1 = params.upper[0][0]
+    jobs = [(params.with_upper_value(0, v), row.z, 0)
+            for v in (a1, a1 + 1.0, a1 + 2.0)]
+    with mp.workdps(40):
+        terms = [t for _, _, t in oracle._hp_sums(jobs, mp.mpf(10) ** -30)]
+    calls = {"gamma": 0, "factorial": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(mp, name, counted(name, getattr(mp, name)))
+    hp_margin(row, 30)
+    k = max(terms)
+    assert calls == {"gamma": sum(terms) + k, "factorial": k}
+    assert calls["gamma"] <= 4 * k

@@ -389,3 +389,37 @@ def test_overflowing_turan_rows_do_not_pass_on_infinite_sides(suite):
         r = rows[i]
         assert not (r.passed and math.isinf(r.margin)
                     and math.isinf(r.lhs) and math.isinf(r.rhs)), i
+
+
+# float.hex(hp_margin(row, 30)) of one row per oracle recipe and branch,
+# recorded before the recipes summed their series in lockstep:
+# (suite, seed, row index in run_suite(suite, GridSpec(samples=6, seed)))
+_HP_BITS = {
+    "turan-alpha": ("turan-alpha", 2, 4, "0x1.37a1f1d0f5c1bp+3"),
+    "turan-beta": ("turan-beta", 4, 1, "0x1.50323d726a84bp-3"),
+    "corollary3-2f2": ("corollary3-2f2", 1, 5, "0x1.ab6f13c9bac46p-9"),
+    "ratio-monotone:ratio-step": ("ratio-monotone", 3, 1,
+                                  "0x1.036248ad528b1p-10"),
+    "ratio-monotone:cross": ("ratio-monotone", 1, 5, "0x1.e4e12c5831adep-15"),
+    "tail-turan": ("tail-turan", 3, 2, "0x1.82a11e086f20dp-151"),
+    "kn-bound:step": ("kn-bound", 1, 0, "0x1.5129f3db33de3p-18"),
+    "kn-bound:bound": ("kn-bound", 1, 4, "0x1.0c94711e70e25p-13"),
+    "chi:chi-step": ("chi", 2, 5, "0x1.5eafe4e875455p-6"),
+    "chi:omega": ("chi", 4, 2, "0x1.416fccb84926ep-20"),
+    "lazarevic": ("lazarevic", 1, 4, "0x1.095c692bd6560p-21"),
+    "wilker": ("wilker", 1, 4, "0x1.65701ebad7a7dp-12"),
+    "logconcave:midpoint": ("logconcave", 1, 0, "0x1.305dc965b755ep-10"),
+    "logconcave:expbound": ("logconcave", 1, 1, "0x1.3e6c454649ba7p-4"),
+    "logconcave:deriv": ("logconcave", 1, 2, "0x1.81b5ec7a9dfd6p+0"),
+}
+
+
+def test_hp_margin_keeps_recorded_bits():
+    recipes = set()
+    for branch, (suite, seed, i, bits) in _HP_BITS.items():
+        row = run_suite(suite, GridSpec(samples=6, seed=seed))[i]
+        kind = (row.aux or {}).get("worst_kind")
+        assert branch in (row.suite_id, f"{row.suite_id}:{kind}")
+        assert float.hex(hp_margin(row, 30)) == bits, branch
+        recipes.add(row.suite_id)
+    assert recipes == set(suites._HP)
