@@ -129,83 +129,13 @@ def _render_csv(rows: Sequence[InequalityReport], seed: int) -> str:
     return buf.getvalue()
 
 
-# The JSON report is the text of json.dumps(payload, sort_keys=True,
-# indent=1), payload = {"rows": [row dicts], "seed": seed}.  With an indent
-# the json module runs its pure-Python generator encoder; these functions
-# write the same bytes directly.  A value nested at depth L starts its
-# lines with "\n" and L spaces, passed down as nl.
-_encode_str = json.encoder.encode_basestring_ascii
-_FLOAT_LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_value(v: object, nl: str) -> str:
-    """v as json.dumps writes it with sort_keys=True and indent=1, at the
-    depth whose lines start with nl; types are tested in json's order."""
-    if type(v) is float:  # the common case, decided as the float branch below
-        r = float.__repr__(v)
-        return _FLOAT_LITERALS.get(r, r)
-    if isinstance(v, str):
-        return _encode_str(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        r = float.__repr__(v)
-        return _FLOAT_LITERALS.get(r, r)
-    inner = nl + " "
-    sep = "," + inner
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        return ("[" + inner + sep.join([_json_value(x, inner) for x in v])
-                + nl + "]")
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        try:  # _encode_str refuses a key that is not a str
-            return "{" + inner + sep.join(
-                [_encode_str(k) + ": " + _json_value(x, inner)
-                 for k, x in sorted(v.items())]) + nl + "}"
-        except TypeError:
-            pass
-    # non-str keys and unsupported types: json's own rules and errors
-    return json.dumps(v, sort_keys=True, indent=1).replace("\n", nl)
-
-
-def _json_row(r: InequalityReport) -> str:
-    # one element of "rows", its keys in sorted order, preceded by the
-    # separator that json puts before every element but the first
-    nl = "\n   "
-    passed = ('"error"' if r.status != STATUS_OK
-              else "true" if r.passed else "false")
-    return (f',\n  {{\n   "aux": {_json_value(r.aux, nl)},'
-            f'\n   "err_estimate": {_json_value(r.err_estimate, nl)},'
-            f'\n   "lhs": {_json_value(r.lhs, nl)},'
-            f'\n   "margin": {_json_value(r.margin, nl)},'
-            f'\n   "params": {_json_value(r.params_echo, nl)},'
-            f'\n   "pass": {passed},'
-            f'\n   "rhs": {_json_value(r.rhs, nl)},'
-            f'\n   "status": {_json_value(r.status, nl)},'
-            f'\n   "suite_id": {_json_value(r.suite_id, nl)},'
-            f'\n   "z": {_json_value(r.z, nl)}\n  }}')
-
-
 def _render_json(rows: Sequence[InequalityReport], seed: int) -> str:
-    parts = ['{\n "rows": [']
-    parts += [_json_row(r) for r in rows]
-    if len(parts) > 1:
-        parts[1] = parts[1][1:]  # no separator before the first row
-        parts.append("\n ]")
-    else:
-        parts.append("]")
-    parts.append(',\n "seed": ' + _json_value(seed, "\n ") + "\n}\n")
-    # one join: concatenating onto the whole body would copy it per step
-    return "".join(parts)
+    return json.dumps({"rows": [{
+        "aux": r.aux, "err_estimate": r.err_estimate, "lhs": r.lhs,
+        "margin": r.margin, "params": r.params_echo,
+        "pass": "error" if r.status != STATUS_OK else bool(r.passed),
+        "rhs": r.rhs, "status": r.status, "suite_id": r.suite_id, "z": r.z,
+    } for r in rows], "seed": seed}, sort_keys=True) + "\n"
 
 
 def _render(rows: Sequence[InequalityReport], seed: int, fmt: str) -> str:
@@ -292,8 +222,6 @@ def _run_check_or_sweep(args: argparse.Namespace) -> int:
         return 3 if n_failed else 0
     _notify(f"suite {args.suite}: {n_pass}/{n} passed, {n_failed} numerical "
             f"failures, worst margin {worst!r}", to_file)
-    if args.suite == "kn-bound" and rows and rows[0].aux:
-        _notify(f"kn lower limit {rows[0].aux.get('bound')!r}", to_file)
     oracle_ok = True
     if args.digits is not None:
         oracle_ok = _spot_check(rows, args.digits,

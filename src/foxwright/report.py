@@ -125,6 +125,11 @@ class GridSpec:
             raise GridError(f"z range is empty: {self.z_range}")
 
 
+def _is_number(v: object) -> bool:
+    """v is a JSON int or float; a JSON bool also passes isinstance(v, int)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def grid_from_json(obj: dict[str, Any]) -> GridSpec:
     """Build a GridSpec from a plain dict (parsed grid file).
 
@@ -133,10 +138,13 @@ def grid_from_json(obj: dict[str, Any]) -> GridSpec:
     """
     if not isinstance(obj, dict):
         raise GridError("grid file must contain a JSON object")
+    samples, seed = obj.get("samples", 100), obj.get("seed", 0)
+    if not (_is_number(samples) and _is_number(seed)):
+        raise GridError(f"samples and seed must be numbers, got samples="
+                        f"{samples!r}, seed={seed!r}")
     try:
-        samples = int(obj.get("samples", 100))
-        seed = int(obj.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+        samples, seed = int(samples), int(seed)
+    except (OverflowError, ValueError) as exc:  # inf or nan
         raise GridError(f"samples and seed must be integers: {exc}") from None
     mode = str(obj.get("mode", "random"))
     z_range = None
@@ -145,7 +153,7 @@ def grid_from_json(obj: dict[str, Any]) -> GridSpec:
         if key in ("samples", "seed", "mode"):
             continue
         if (not isinstance(val, (list, tuple)) or len(val) != 2
-                or not all(isinstance(v, (int, float)) for v in val)):
+                or not all(_is_number(v) for v in val)):
             raise GridError(f"range for {key!r} must be a [lo, hi] pair")
         if key == "z":
             z_range = (float(val[0]), float(val[1]))

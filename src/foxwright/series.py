@@ -72,6 +72,7 @@ from .gammakit import (
     digamma,
     log_gamma,
 )
+from .report import _is_number
 
 __all__ = [
     "FoxWrightParams",
@@ -161,11 +162,16 @@ class FoxWrightParams:
         if not isinstance(obj, dict):
             raise ParameterError("parameter JSON must be an object")
         try:
-            upper = tuple((float(a), float(wa)) for a, wa in obj.get("upper", []))
-            lower = tuple((float(b), float(wb)) for b, wb in obj.get("lower", []))
+            upper = tuple((a, wa) for a, wa in obj.get("upper", []))
+            lower = tuple((b, wb) for b, wb in obj.get("lower", []))
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"malformed parameter JSON: {exc}") from exc
-        return cls(upper=upper, lower=lower)
+        for pair in upper + lower:
+            if not all(_is_number(v) for v in pair):
+                raise ParameterError(f"malformed parameter JSON: {list(pair)!r}"
+                                     " is not a pair of numbers")
+        return cls(upper=tuple((float(a), float(wa)) for a, wa in upper),
+                   lower=tuple((float(b), float(wb)) for b, wb in lower))
 
 
 @dataclass(frozen=True)

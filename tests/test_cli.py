@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxwright import FoxWrightParams, GridSpec, evaluate
-from foxwright.cli import _json_value, _render_json, main
+from foxwright.cli import _render_json, main
 from foxwright.report import STATUS_OK, InequalityReport
 from foxwright.suites import (
     _failure_row,
@@ -115,12 +115,18 @@ def test_check_violation_exits_1(tmp_path):
 def test_check_kn_limit_summary(tmp_path, params_file, capsys):
     grid = params_file({"beta": [1.0, 1.0], "weight": [1.0, 1.0],
                         "n": [0, 0], "z": [1e-8, 1e-5]}, "grid.json")
+    report = tmp_path / "kn.json"
     code = main(["check", "--suite", "kn-bound", "--grid", grid,
-                 "--samples", "4", "--seed", "1",
-                 "--out", str(tmp_path / "kn.csv")])
+                 "--samples", "4", "--seed", "1", "--format", "json",
+                 "--out", str(report)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "0.444444" in out
+    assert "4/4 passed" in out
+    assert "kn lower limit" not in out
+    # each instance has its own lower limit, in its row's aux
+    rows = json.loads(report.read_text(encoding="utf-8"))["rows"]
+    bounds = sorted({r["aux"]["bound"] for r in rows})
+    assert bounds == pytest.approx([8 / 27, 4 / 9], rel=1e-15)
 
 
 def test_check_oracle_spot_check(tmp_path):
@@ -138,6 +144,17 @@ def test_check_invalid_grid_exits_2(params_file, tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("{", encoding="utf-8")
     assert main(["check", "--suite", "lazarevic", "--grid", str(junk)]) == 2
+
+
+def test_bools_and_strings_in_input_files_exit_2(params_file, tmp_path,
+                                                 capsys):
+    params = params_file({"upper": [[True, "0.5"]]})
+    assert main(["eval", "--params", params, "--z", "1.0"]) == 2
+    grid = params_file({"samples": True, "z": [False, True]}, "grid.json")
+    assert main(["check", "--suite", "turan-beta", "--grid", grid,
+                 "--out", str(tmp_path / "tb.csv")]) == 2
+    assert not (tmp_path / "tb.csv").exists()
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_json_format(tmp_path):
@@ -241,8 +258,8 @@ def test_eval_prints_condition_log_magnitude_and_sign(params_file, capsys):
     assert fields["sign"] == "1"
 
 
-# The JSON writer against the text it replaces: json.dumps of the payload
-# dicts with sort_keys=True and indent=1.
+# The JSON writer against json.dumps of the payload dicts with
+# sort_keys=True.
 
 def _reference_json(rows, seed):
     payload = {
@@ -263,7 +280,7 @@ def _reference_json(rows, seed):
             for r in rows
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 class _SubFloat(float):
@@ -286,12 +303,6 @@ _trees = st.recursive(_leaves, lambda kids: st.one_of(
     st.dictionaries(st.text(max_size=5), kids, max_size=4)), max_leaves=24)
 
 
-@given(_trees)
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_json_value_matches_json_dumps(tree):
-    assert _json_value(tree, "\n") == json.dumps(tree, sort_keys=True, indent=1)
-
-
 @given(st.lists(st.tuples(_trees, _trees, _leaves, st.floats()), max_size=4),
        st.integers())
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -300,19 +311,6 @@ def test_json_report_matches_json_dumps_for_any_row_values(cells, seed):
                              abs(x), aux={"a": aux})
             for p, aux, z, x in cells]
     assert _render_json(rows, seed) == _reference_json(rows, seed)
-
-
-def test_json_value_falls_back_to_json_for_other_keys_and_types():
-    tree = {2: [1.5], 1: {"b": None}, "x": [1.5, math.nan, "n"]}
-    with pytest.raises(TypeError):
-        json.dumps(tree, sort_keys=True, indent=1)  # int and str keys mix
-    ints = {2: [1.5], 1: {"b": None}, 0.5: True}
-    assert (_json_value(ints, "\n ")
-            == json.dumps(ints, sort_keys=True, indent=1).replace("\n", "\n "))
-    with pytest.raises(TypeError):
-        _json_value(tree, "\n")
-    with pytest.raises(TypeError):
-        _json_value({"a": [object()]}, "\n")
 
 
 @pytest.mark.parametrize("suite", suite_ids() + explorer_ids())
@@ -336,4 +334,36 @@ def test_json_report_matches_json_dumps_for_failure_infinite_and_empty():
     assert inf_rows
     assert _render_json(inf_rows, 5) == _reference_json(inf_rows, 5)
     assert _render_json([], 0) == _reference_json([], 0)
-    assert _render_json([], 0) == '{\n "rows": [],\n "seed": 0\n}\n'
+    assert _render_json([], 0) == '{"rows": [], "seed": 0}\n'
+
+
+def _same(got, want):
+    """got, read back from JSON, holds the value want: a tuple reads back
+    as a list and NaN as NaN."""
+    if isinstance(want, dict):
+        return (got.keys() == want.keys()
+                and all(_same(got[k], want[k]) for k in want))
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(want, float) and math.isnan(want):
+        return isinstance(got, float) and math.isnan(got)
+    return got == want
+
+
+@pytest.mark.parametrize("suite", suite_ids() + explorer_ids())
+def test_json_report_parses_back_to_the_report_fields(suite, capsys):
+    command = "explore" if suite in explorer_ids() else "check"
+    main([command, "--suite", suite, "--samples", "8", "--seed", "3",
+          "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    run = run_explore if suite in explorer_ids() else run_suite
+    rows = run(suite, GridSpec(samples=8, seed=3))
+    assert payload["seed"] == 3
+    assert len(payload["rows"]) == len(rows)
+    for got, r in zip(payload["rows"], rows):
+        assert _same(got, {
+            "suite_id": r.suite_id, "params": r.params_echo, "z": r.z,
+            "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
+            "err_estimate": r.err_estimate, "status": r.status,
+            "pass": "error" if r.status != STATUS_OK else r.passed,
+            "aux": r.aux})

@@ -301,6 +301,18 @@ def test_json_round_trip():
     assert FoxWrightParams.from_json(blob) == P1
 
 
+@pytest.mark.parametrize("blob", [{"upper": [[True, 0.5]]},
+                                  {"upper": [[1.0, "0.5"]]},
+                                  {"lower": [[1, False]]},
+                                  {"lower": [["2", 1.0]]}])
+def test_from_json_refuses_bools_and_strings(blob):
+    with pytest.raises(ParameterError):
+        FoxWrightParams.from_json(blob)
+    # JSON ints and floats are read as floats
+    assert (FoxWrightParams.from_json({"upper": [[1, 0.5]], "lower": [[2, 1]]})
+            == FoxWrightParams(upper=((1.0, 0.5),), lower=((2.0, 1.0),)))
+
+
 _pair = st.tuples(st.floats(min_value=0.2, max_value=4.0),
                   st.floats(min_value=0.0, max_value=2.0))
 

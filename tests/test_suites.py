@@ -123,6 +123,18 @@ def test_grid_from_json():
         grid_from_json({"samples": "many"})
 
 
+@pytest.mark.parametrize("blob", [{"samples": True}, {"seed": "3"},
+                                  {"samples": "30"}, {"seed": False},
+                                  {"z": [False, True]}, {"beta": [0.5, "2"]},
+                                  {"samples": math.inf}])
+def test_grid_from_json_refuses_bools_strings_and_inf(blob):
+    with pytest.raises(GridError):
+        grid_from_json(blob)
+    # JSON ints and floats are read as before
+    spec = grid_from_json({"samples": 12.0, "seed": 4, "z": [0, 1.5]})
+    assert (spec.samples, spec.seed, spec.z_range) == (12, 4, (0.0, 1.5))
+
+
 def test_custom_ranges_are_respected():
     spec = GridSpec(param_ranges={"beta": (1.0, 1.0), "weight": (1.0, 1.0),
                                   "n": (0.0, 0.0)},
