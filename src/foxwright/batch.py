@@ -1,10 +1,11 @@
 """Array kernels of ``series.evaluate_batch``.
 
-Series requests are summed as the rows of (series x k) tiles and pFq
-requests by their recurrence run element-wise across rows; see the
-``series`` module docstring.  ``series.evaluate_batch`` imports this module
-on its first call, so importing the package for single calls does not
-compile it.
+Series requests at z > 0 with no psi weight are summed as the rows of
+(series x k) tiles, so every term is positive; the others go to the
+single-call ``_sum_series``, which owns signed terms and cancellation.  pFq
+requests run their recurrence element-wise across rows; see the ``series``
+module docstring.  ``series.evaluate_batch`` imports this module on its
+first call, so importing the package for single calls does not compile it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .gammakit import (
     _LOG_GAMMA_TAYLOR,
     _ONE_MINUS_EULER_GAMMA,
     _SHIFT_THRESHOLD,
-    _digamma_array,
     _stirling_tail_sum,
 )
 from .series import (
@@ -223,7 +223,8 @@ _TILE_CAP = 16384
 
 
 class _RowSums:
-    """Summation state of every row of a tile, as arrays indexed by row."""
+    """Summation state of every row of a tile, as arrays indexed by row.
+    Every row is unweighted at z > 0, so its terms are all positive."""
 
     def __init__(self, reqs: list[Request], cfg: EvalConfig) -> None:
         n = len(reqs)
@@ -232,14 +233,10 @@ class _RowSums:
         self.table = _TermTable(reqs)
         self.start = np.array([r.start for r in reqs], dtype=float)
         self.k0 = self.start.copy()
-        self.neg = np.array([r.z < 0.0 for r in reqs])
-        self.psi = np.array([r.psi_weight is not None for r in reqs])
-        self.psi_bw = np.array([r.psi_weight or (1.0, 0.0) for r in reqs],
-                               dtype=float)
         self.scale_h = np.full(n, -math.inf)
         self.prev_h = np.full(n, -math.inf)
-        (self.scale_l, self.total, self.comp, self.total_abs, self.comp_abs,
-         self.prev_l, self.ratio) = np.zeros((7, n))
+        (self.scale_l, self.total, self.comp, self.prev_l,
+         self.ratio) = np.zeros((5, n))
         self.streak = np.zeros(n, dtype=int)
         self.terms = np.zeros(n, dtype=int)
         self.out: list = [None] * n
@@ -250,16 +247,6 @@ class _RowSums:
         fk = self.k0[ix, None] + np.arange(n)
         valid = fk < self.start[ix, None] + cfg.max_terms
         lh, ll = self.table.logs(ix, fk)
-        sign = np.where(self.neg[ix, None] & (fk % 2 == 1), -1.0, 1.0)
-        psi = np.flatnonzero(self.psi[ix])
-        if psi.size:
-            # dbeta1 rows: term k weighted by -psi(b + k*B), as _sum_series
-            b, bw = self.psi_bw[ix[psi]].T
-            w = -_digamma_array(b[:, None] + fk[psi] * bw[:, None])
-            sign[psi] = np.where(w < 0.0, -sign[psi], sign[psi])
-            h, l = _dd_add(lh[psi], ll[psi], np.log(np.abs(w)), 0.0)
-            lh[psi] = np.where(w == 0.0, -math.inf, h)
-            ll[psi] = np.where(w == 0.0, 0.0, l)
         lh = np.where(valid, lh, -math.inf)
         ll = np.where(valid, ll, 0.0)
 
@@ -272,27 +259,21 @@ class _RowSums:
         f = np.where(up & (sh > -math.inf),
                      np.exp(sh - top_h) * (1.0 + (sl - top_l)), 1.0)
         total, comp = self.total[ix] * f, self.comp[ix] * f
-        total_abs, comp_abs = self.total_abs[ix] * f, self.comp_abs[ix] * f
         sh, sl = np.where(up, top_h, sh), np.where(up, top_l, sl)
-        t = np.where(valid & (sh[:, None] > -math.inf),
-                     np.exp(lh - sh[:, None]) * (1.0 + (ll - sl[:, None])),
-                     0.0)
-        x = sign * t
+        t = np.exp(lh - sh[:, None]) * (1.0 + (ll - sl[:, None]))
 
         # the stop rule of _sum_series on cumsum partials: three small terms
         # in a row, counting the streak carried in, and a last ratio below 1
-        partial = np.abs((total + comp)[:, None] + np.cumsum(x, axis=1))
-        small = valid & ((lh == -math.inf) | (
-            (fk > self.start[ix, None]) & (t <= _REL_TOL * partial)))
+        partial = (total + comp)[:, None] + np.cumsum(t, axis=1)
+        small = valid & (fk > self.start[ix, None]) & (t <= _REL_TOL * partial)
         streak = self.streak[ix]
         run = np.concatenate([(streak >= 2)[:, None], (streak >= 1)[:, None],
                               small], axis=1)
         ph = np.concatenate([self.prev_h[ix, None], lh[:, :-1]], axis=1)
         pl = np.concatenate([self.prev_l[ix, None], ll[:, :-1]], axis=1)
         d = (lh - ph) + (ll - pl)
-        ratio = np.where(lh == -math.inf, 0.0, np.where(
-            ph == -math.inf, math.inf,
-            np.where(d < _LOG_DOUBLE_MAX, np.exp(d), math.inf)))
+        ratio = np.where(ph == -math.inf, math.inf,
+                         np.where(d < _LOG_DOUBLE_MAX, np.exp(d), math.inf))
         stop = run[:, 2:] & run[:, 1:-1] & run[:, :-2] & (ratio < 1.0)
         hit = stop.any(axis=1)
         used = np.where(hit, np.argmax(stop, axis=1) + 1, n)
@@ -305,16 +286,13 @@ class _RowSums:
                 hit[r] = False
 
         total, comp = _neumaier_array(total, comp,
-                                      np.where(keep, x, 0.0).sum(axis=1))
-        total_abs, comp_abs = _neumaier_array(
-            total_abs, comp_abs, np.where(keep, t, 0.0).sum(axis=1))
+                                      np.where(keep, t, 0.0).sum(axis=1))
         last = used - 1
         rev = ~small[:, ::-1]
         self.streak[ix] = np.where(rev.any(axis=1), np.argmax(rev, axis=1),
                                    streak + n)
         self.scale_h[ix], self.scale_l[ix] = sh, sl
         self.total[ix], self.comp[ix] = total, comp
-        self.total_abs[ix], self.comp_abs[ix] = total_abs, comp_abs
         self.terms[ix] += used
         self.prev_h[ix], self.prev_l[ix] = lh[at, last], ll[at, last]
         self.ratio[ix] = ratio[at, last]
@@ -332,10 +310,10 @@ class _RowSums:
         return ix[going]
 
     def _raw(self, i: int) -> tuple:
-        # the arguments of _finish before log_offset and log_mode
-        return (float(self.scale_h[i]), float(self.scale_l[i]),
-                float(self.total[i] + self.comp[i]),
-                float(self.total_abs[i] + self.comp_abs[i]),
+        # the arguments of _finish before log_offset and log_mode; a sum of
+        # positive terms is its own sum of |t_k|
+        total = float(self.total[i] + self.comp[i])
+        return (float(self.scale_h[i]), float(self.scale_l[i]), total, total,
                 int(self.terms[i]), float(self.prev_h[i]),
                 float(self.ratio[i]))
 
@@ -438,10 +416,10 @@ def evaluate(requests: list, cfg: EvalConfig) -> list:
         if isinstance(req, PfqRequest):
             pfq.setdefault((len(req.upper), len(req.lower)), {}).setdefault(
                 req, []).append(i)
-        elif req.z == 0.0:
+        elif req.z <= 0.0 or req.psi_weight is not None:
             out[i] = _settle(_sum_series, req, cfg)
         else:
-            series.setdefault(req[:4], []).append(i)
+            series.setdefault(req[:3], []).append(i)
     with np.errstate(all="ignore"):
         for members in pfq.values():
             for at, res in zip(members.values(), _pfq_rows(list(members), cfg)):
@@ -457,8 +435,8 @@ def evaluate(requests: list, cfg: EvalConfig) -> list:
 
 
 def _settle(fn, *args):
-    # fn's result, or the OverflowError it raises past the double range
+    # fn's result, or the OverflowError or NoConvergenceError it raises
     try:
         return fn(*args)
-    except OverflowError as exc:
+    except (OverflowError, NoConvergenceError) as exc:
         return exc

@@ -129,11 +129,6 @@ def _hp_sums(jobs, rel_stop):
             for job, res in zip(jobs, _lockstep(jobs, rel_stop))]
 
 
-def _hp_series(params: FoxWrightParams, z, rel_stop, start: int = 0):
-    """One series of _hp_sums: (value, tail_estimate, terms_used)."""
-    return _hp_sums([(params, z, start)], rel_stop)[0]
-
-
 def hp_eval(params: FoxWrightParams, z, digits: int = 30,
             start: int = 0) -> tuple[str, str]:
     """Evaluate the series to ``digits`` significant digits.
@@ -149,7 +144,8 @@ def hp_eval(params: FoxWrightParams, z, digits: int = 30,
         raise DivergentSeriesError(
             f"divergent series: epsilon = {params.epsilon():.6g} <= 0")
     with mp.workdps(digits + _GUARD):
-        value, tail, _ = _hp_series(params, z, mp.mpf(10) ** (-digits), start)
+        (value, tail, _), = _hp_sums([(params, z, start)],
+                                     mp.mpf(10) ** (-digits))
         return mp.nstr(value, digits), mp.nstr(tail, 10)
 
 

@@ -33,7 +33,8 @@ with ``math.fsum`` and tested against the same stop rule, so a block ends the
 series at the same term as the one-term loop would.
 
 ``evaluate_batch`` sums many series at once, for the inequality checkers;
-its array kernels live in ``batch.py``.  The requests become the rows of
+its array kernels live in ``batch.py``.  Its series requests at z > 0 with
+no psi weight, whose terms are all positive, become the rows of
 (series x k) tiles, the rows of shorter shapes padded with factors that add
 exact zeros.  Each row keeps the coefficient table of every stage of its
 expansion (set up for all rows together, with an array form of
@@ -42,13 +43,15 @@ array lnGamma, and each block of k runs the same stop rule per row on
 ``cumsum`` partials, so a row's result never depends on the other rows of
 its tile.  Blocks start at 16 terms and double up to 512; a block call
 holds at most ``batch._TILE_CAP`` (row, k, factor) elements an array, and
-rows that have stopped drop out.  A batch value agrees with the single-call one within their error
-estimates but not bit for bit: a block is added with a pairwise sum
-instead of ``math.fsum``, and numpy's logarithms and exponentials may
-differ from ``math``'s in the last bit.  Identical requests are summed
-once.  The pFq request kind runs the Pochhammer recurrence of
-``functions.pfq_direct`` element-wise across rows, in the same operations
-as one row, so its results are bit-identical to a single call.
+rows that have stopped drop out.  A row agrees with its single call within
+their error estimates but not bit for bit: a block is added with a pairwise
+sum instead of ``math.fsum``, and numpy's logarithms and exponentials may
+differ from ``math``'s in the last bit.  A series request at z <= 0 or with
+a psi weight takes the single-call path, the one engine for signed terms
+and cancellation, bit for bit.  Identical requests are summed once.  The
+pFq request kind runs the Pochhammer recurrence of ``functions.pfq_direct``
+element-wise across rows, in the same operations as one row, so its
+results are bit-identical to a single call.
 """
 
 from __future__ import annotations
@@ -885,8 +888,9 @@ def evaluate_batch(requests: list, cfg: EvalConfig = _DEFAULT_CFG) -> list:
 
     Returns one EvalResult per request, in order, or the exception the
     request fails with (NoConvergenceError, DivergentSeriesError,
-    OverflowError) in its place.  Series requests are summed together as
-    the rows of one tile, pFq requests of one (p, q) shape as the rows of
+    OverflowError) in its place.  Series requests at z > 0 with no
+    psi_weight are the rows of one tile, the others take the single-call
+    path bit for bit, and pFq requests of one (p, q) shape are the rows of
     one recurrence; requests equal but for log_offset are summed once.
     Every result is independent of the other requests in the batch.
     """

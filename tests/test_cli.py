@@ -136,6 +136,18 @@ def test_check_oracle_spot_check(tmp_path):
     assert code == 0
 
 
+def test_check_numerical_failure_exits_3(params_file, tmp_path):
+    # corollary3's alternating sums at z near -30 exceed its condition limit
+    grid = params_file({"z": [-30, -29]}, "grid.json")
+    report = tmp_path / "c3.json"
+    code = main(["check", "--suite", "corollary3-2f2", "--grid", grid,
+                 "--samples", "20", "--seed", "1", "--format", "json",
+                 "--out", str(report)])
+    assert code == 3
+    rows = json.loads(report.read_text(encoding="utf-8"))["rows"]
+    assert "numerical-failure" in {r["status"] for r in rows}
+
+
 def test_check_invalid_grid_exits_2(params_file, tmp_path):
     grid = params_file({"alpha1": [0.2, 0.8], "beta2": [2.0, 4.0]},
                        "bad.json")

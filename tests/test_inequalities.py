@@ -58,6 +58,32 @@ def test_turan_alpha_basic():
     assert _hp_agrees(rep)
 
 
+@pytest.mark.parametrize("params, z", [
+    (FoxWrightParams(upper=((1.3, 1.0),), lower=((0.9, 1.0), (1.7, 1.0))),
+     2.0),
+    (FoxWrightParams(upper=((1.3, 1.0), (2.1, 1.0)),
+                     lower=((0.9, 1.0), (1.7, 1.0))), 1.5),
+])
+def test_turan_alpha_echoes_the_pfq_margin_at_unit_weights(params, z):
+    # Psi[a] = Gamma(a) * prod Gamma(a_rest) / prod Gamma(b) * pFq(a, ...),
+    # and Gamma(a1) Gamma(a1 + 2) = (a1 + 1)/a1 * Gamma(a1 + 1)^2
+    rep = turan_alpha_check(params, z)
+    a1 = params.upper[0][0]
+    scale = math.exp(log_gamma(a1 + 1.0)
+                     + sum(log_gamma(a) for a, _ in params.upper[1:])
+                     - sum(log_gamma(b) for b, _ in params.lower))
+    echo = rep.aux["pfq_margin"] * (a1 + 1.0) / a1 * scale ** 2
+    assert rep.margin > 0.0
+    assert abs(echo - rep.margin) <= rep.err_estimate
+
+
+def test_turan_alpha_has_no_pfq_margin_off_unit_weights():
+    for params in (P1, FoxWrightParams(upper=((1.3, 1.0),),
+                                       lower=((0.9, 1.0), (1.7, 1.1)))):
+        rep = turan_alpha_check(params, 2.0)
+        assert "pfq_margin" not in (rep.aux or {})
+
+
 def test_turan_beta_basic_and_oracle():
     rep = turan_beta_check(P1, 2.0)
     assert rep.passed and rep.margin >= 0.0
@@ -94,6 +120,17 @@ def test_corollary3_passes_and_agrees():
     assert _hp_agrees(rep)
     with pytest.raises(DomainError):
         corollary3_2f2_check(3.0, 1.8, 1.1, 0.5)
+
+
+def test_corollary3_flags_lost_digits_as_a_numerical_failure():
+    # the alternating 2F2 sums lose digits as |z| grows: condition 1.8e8
+    # at z = -30 is past the 1e6 limit, 3.6e4 at z = -20 is not
+    bad = corollary3_2f2_check(3.0, 1.5, 1.0, -30.0)
+    assert bad.aux["condition"] > 1e6
+    assert bad.status == "numerical-failure" and bad.passed is False
+    ok = corollary3_2f2_check(3.0, 1.5, 1.0, -20.0)
+    assert 1e4 < ok.aux["condition"] <= 1e6
+    assert ok.status == "ok" and ok.passed
 
 
 def test_ratio_monotonicity_check():

@@ -562,6 +562,37 @@ def test_batch_sums_identical_series_once(monkeypatch):
                                          rel=1e-13)
 
 
+def test_signed_and_weighted_requests_take_the_single_call_path():
+    # z < 0 and dbeta1 rows are summed by _sum_series, bit for bit as one
+    # call, in the same batch as z > 0 rows
+    routed = [
+        (series._plain(P1, -2.5), lambda: evaluate(P1, -2.5)),
+        (series._tail(P_CROSS, TailSpec(3), -7.25),
+         lambda: evaluate_tail(P_CROSS, TailSpec(3), -7.25)),
+        (series._tilde(P_LONG, -4.0), lambda: evaluate_tilde(P_LONG, -4.0)),
+        (series._dbeta1(P1, 2.0), lambda: dbeta1(P1, 2.0)),
+        (series._dbeta1(P_LONG, -3.0), lambda: dbeta1(P_LONG, -3.0)),
+    ]
+    positive = [series._plain(P1, 0.5), series._normalized(P_LONG, 4.0)]
+    reqs = [positive[0]] + [r for r, _ in routed] + [positive[1]]
+    got = series.evaluate_batch(reqs)
+    assert [repr(r) for r in got[1:-1]] == [repr(one()) for _, one in routed]
+    assert repr([got[0], got[-1]]) == repr(series.evaluate_batch(positive))
+
+
+def test_routed_requests_that_outrun_the_budget_fail_in_place():
+    p = FoxWrightParams(upper=((1.5, 0.5),), lower=((2.0, 1.0),))
+    cfg = EvalConfig(max_terms=20)
+    good = [series._plain(p, 0.5), series._plain(p, -0.5)]
+    got = series.evaluate_batch(
+        [good[0], series._plain(p, -30.0), series._dbeta1(p, 30.0), good[1]],
+        cfg)
+    for res in got[1:3]:
+        assert isinstance(res, NoConvergenceError)
+        assert "within 20 terms" in str(res)
+    assert repr([got[0], got[3]]) == repr(series.evaluate_batch(good, cfg))
+
+
 def test_dd_log_array_matches_scalar():
     xs = [2.0 ** e for e in range(-1074, 1024, 7)]
     xs += [j / 64.0 for j in range(45, 92)] + [1.0, 1e-300, 1e300,
