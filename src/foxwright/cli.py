@@ -33,6 +33,7 @@ from .errors import (
     DivergentSeriesError,
     FoxWrightError,
     NoConvergenceError,
+    ParameterError,
 )
 from .oracle import _check_digits
 from .report import STATUS_OK, TOL_ABS, TOL_REL, GridSpec, grid_from_json
@@ -194,7 +195,13 @@ def _spot_check(rows: Sequence[InequalityReport], digits: int,
 
 def _run_eval(args: argparse.Namespace) -> int:
     with open(args.params, "r", encoding="utf-8") as fh:
-        params = FoxWrightParams.from_json(json.load(fh))
+        obj = json.load(fh)
+    # from_json skips other keys, so a misspelled side would read as empty
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in ("upper", "lower"):
+            raise ParameterError(f"unknown key {key!r} in --params; "
+                                 "expected only 'upper' and 'lower'")
+    params = FoxWrightParams.from_json(obj)
     res = evaluate(params, args.z)
     print(f"value {res.value!r}")
     print(f"terms_used {res.terms_used}")

@@ -17,7 +17,7 @@ from .errors import (
     ParameterError,
     SingularTransformError,
 )
-from .report import TOL_ABS, InequalityReport
+from .report import TOL_ABS, InequalityReport, value_report
 from .series import (
     EvalConfig,
     EvalResult,
@@ -254,18 +254,9 @@ def ml_derivative_identity_check(B: float, beta: float, z: float,
     e_down = evaluate(params.with_lower_value(0, beta - 1.0), z, cfg)
     rhs = (e_down.value - (beta - 1.0) * e_here.value) / (B * z)
     lhs = lhs_res.value
-    dev = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    tol = TOL_ABS + tol_rel * scale
-    return InequalityReport(
-        suite_id="ml-derivative-identity",
-        params_echo={"B": B, "beta": beta},
-        z=z,
-        lhs=lhs,
-        rhs=rhs,
-        margin=tol - dev,
-        passed=dev <= tol,
-        err_estimate=lhs_res.tail_bound + (e_down.tail_bound
-                                           + abs(beta - 1.0) * e_here.tail_bound)
-        / abs(B * z),
-    )
+    # the margin is the room left under the tolerance, so it passes at >= 0
+    tol = TOL_ABS + tol_rel * max(abs(lhs), abs(rhs))
+    err = lhs_res.tail_bound + (e_down.tail_bound
+                                + abs(beta - 1.0) * e_here.tail_bound) / abs(B * z)
+    return value_report("ml-derivative-identity", {"B": B, "beta": beta}, z,
+                        lhs, rhs, tol - abs(lhs - rhs), err, 0.0, 0.0)

@@ -205,7 +205,51 @@ def _check_grid(values: Sequence[float], what: str, minimum: int = 2) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Turan inequalities in the parameters
+# Turan inequalities in the parameters.  Slot "alpha" varies the first upper
+# value, slot "beta" the first lower value.
+
+
+def _slot(params: FoxWrightParams, slot: str) -> tuple[str, tuple, Callable]:
+    """The side a slot varies ("upper" for "alpha", "lower" for "beta"), its
+    pairs, and the map from a value to params with its first value replaced."""
+    if slot == "alpha":
+        return ("upper", params.upper,
+                functools.partial(params.with_upper_value, 0))
+    return "lower", params.lower, functools.partial(params.with_lower_value, 0)
+
+
+def _turan(params: FoxWrightParams, z: float, slot: str, tol_abs: float,
+           tol_rel: float) -> Rounds:
+    # margin = Psi[v] Psi[v+2] - c Psi[v+1]^2 in the slot's first value v,
+    # with c = 1 in slot "alpha" and v/(v+1) in slot "beta"
+    side, pairs, put = _slot(params, slot)
+    if not pairs:
+        raise ParameterError(f"needs at least one {side} parameter pair")
+    if z < 0.0:
+        raise DomainError(f"defined for z >= 0, got z={z!r}")
+    v = pairs[0][0]
+    c = 1.0 if slot == "alpha" else v / (v + 1.0)
+    reqs = [_plain(params, z), _plain(put(v + 1.0), z),
+            _plain(put(v + 2.0), z)]
+    all_unit = all(w == 1.0 for _, w in params.upper + params.lower)
+    if slot == "alpha" and all_unit and len(params.upper) <= len(params.lower):
+        reqs += [_hyper_request(HypergeometricParams(
+            (u,) + tuple(a for a, _ in params.upper[1:]),
+            tuple(b for b, _ in params.lower)), z)
+            for u in (v, v + 1.0, v + 2.0)]
+    r0, r1, r2, *hyper = yield reqs
+    la = r0.log_magnitude + r2.log_magnitude
+    lb = math.log(c) + 2.0 * r1.log_magnitude
+    m1 = _exp_or_inf(r1.log_magnitude)
+    err = _product_err(r0, r2) + 2.0 * c * m1 * _abs_err(r1)
+
+    aux = None
+    if hyper:
+        aux = {"pfq_margin": hyper[0].value * hyper[2].value
+               - v / (v + 1.0) * hyper[1].value ** 2}
+
+    return _log_report(f"turan-{slot}", params.to_json(), z, la, lb, err,
+                       tol_abs, tol_rel, aux)
 
 
 def _turan_alpha(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
@@ -217,33 +261,7 @@ def _turan_alpha(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
     When every weight equals 1 the same margin is recomputed in normalized
     pFq form and echoed in aux.
     """
-    if not params.upper:
-        raise ParameterError("needs at least one upper parameter pair")
-    if z < 0.0:
-        raise DomainError(f"defined for z >= 0, got z={z!r}")
-    a1 = params.upper[0][0]
-    reqs = [_plain(params, z),
-            _plain(params.with_upper_value(0, a1 + 1.0), z),
-            _plain(params.with_upper_value(0, a1 + 2.0), z)]
-    all_unit = all(w == 1.0 for _, w in params.upper + params.lower)
-    if all_unit and len(params.upper) <= len(params.lower):
-        reqs += [_hyper_request(HypergeometricParams(
-            (v,) + tuple(a for a, _ in params.upper[1:]),
-            tuple(b for b, _ in params.lower)), z)
-            for v in (a1, a1 + 1.0, a1 + 2.0)]
-    r0, r1, r2, *hyper = yield reqs
-    la = r0.log_magnitude + r2.log_magnitude
-    lb = 2.0 * r1.log_magnitude
-    m1 = _exp_or_inf(r1.log_magnitude)
-    err = _product_err(r0, r2) + 2.0 * m1 * _abs_err(r1)
-
-    aux = None
-    if hyper:
-        aux = {"pfq_margin": hyper[0].value * hyper[2].value
-               - a1 / (a1 + 1.0) * hyper[1].value ** 2}
-
-    return _log_report("turan-alpha", params.to_json(), z, la, lb, err,
-                       tol_abs, tol_rel, aux)
+    return (yield from _turan(params, z, "alpha", tol_abs, tol_rel))
 
 
 def _turan_beta(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
@@ -253,20 +271,7 @@ def _turan_beta(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
     margin = Psi[b1] * Psi[b1+2] - b1/(b1+1) * Psi[b1+1]^2 >= 0 at z >= 0,
     with equality at z = 0.
     """
-    if not params.lower:
-        raise ParameterError("needs at least one lower parameter pair")
-    if z < 0.0:
-        raise DomainError(f"defined for z >= 0, got z={z!r}")
-    b1 = params.lower[0][0]
-    r0, r1, r2 = yield [_plain(params, z),
-                        _plain(params.with_lower_value(0, b1 + 1.0), z),
-                        _plain(params.with_lower_value(0, b1 + 2.0), z)]
-    la = r0.log_magnitude + r2.log_magnitude
-    lb = math.log(b1 / (b1 + 1.0)) + 2.0 * r1.log_magnitude
-    m1 = _exp_or_inf(r1.log_magnitude)
-    err = _product_err(r0, r2) + 2.0 * (b1 / (b1 + 1.0)) * m1 * _abs_err(r1)
-    return _log_report("turan-beta", params.to_json(), z, la, lb, err,
-                       tol_abs, tol_rel)
+    return (yield from _turan(params, z, "beta", tol_abs, tol_rel))
 
 
 # ---------------------------------------------------------------------------
@@ -349,34 +354,26 @@ def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
         raise ParameterError(f"slot must be 'alpha' or 'beta', got {slot!r}")
     if v1 == v2:
         raise ParameterError("the two parameter values must differ")
-    if slot == "alpha" and not params.upper:
-        raise ParameterError("slot 'alpha' needs at least one upper pair")
-    if slot == "beta" and not params.lower:
-        raise ParameterError("slot 'beta' needs at least one lower pair")
+    side, pairs, put = _slot(params, slot)
+    if not pairs:
+        raise ParameterError(f"slot {slot!r} needs at least one {side} pair")
     _check_grid(z_grid, "z grid")
     if z_grid[0] < 0.0:
         raise DomainError(f"defined for z >= 0, got z={z_grid[0]!r}")
 
     vs, vb = sorted((v1, v2))
-    if slot == "beta":
-        p_small = params.with_lower_value(0, vs)
-        p_big = params.with_lower_value(0, vb)
-    else:
-        p_small = params.with_upper_value(0, vs)
-        p_big = params.with_upper_value(0, vb)
+    # R = Psi[num] / Psi[den] is the ratio claimed nonincreasing
+    p_num, p_den = (put(vb), put(vs)) if slot == "beta" else (put(vs), put(vb))
 
     n = len(z_grid)
     res = yield [_plain(p, z)
-                 for p in (p_small, p_big, p_small.shifted(), p_big.shifted())
+                 for p in (p_num, p_den, p_num.shifted(), p_den.shifted())
                  for z in z_grid]
-    es, eb, ds, db = (res[i * n:(i + 1) * n] for i in range(4))
+    en, ed, dn, dd = (res[i * n:(i + 1) * n] for i in range(4))
 
-    if slot == "beta":
-        lr = [b.log_magnitude - s.log_magnitude for s, b in zip(es, eb)]
-    else:
-        lr = [s.log_magnitude - b.log_magnitude for s, b in zip(es, eb)]
+    lr = [a.log_magnitude - b.log_magnitude for a, b in zip(en, ed)]
     ratios = [_exp_or_inf(v) for v in lr]
-    rel = [_rel_err(s) + _rel_err(b) for s, b in zip(es, eb)]
+    rel = [_rel_err(a) + _rel_err(b) for a, b in zip(en, ed)]
 
     comparisons = []
     for i in range(len(z_grid) - 1):
@@ -390,10 +387,8 @@ def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
             "err": ratios[i] * rel[i] + ratios[i + 1] * rel[i + 1],
         })
     for i, z in enumerate(z_grid):
-        # slot "beta" claims ds*eb >= db*es, slot "alpha" the reverse
-        x, y = (ds[i], eb[i]), (db[i], es[i])
-        if slot == "alpha":
-            x, y = y, x
+        # R' <= 0 is dd * en >= dn * ed
+        x, y = (dd[i], en[i]), (dn[i], ed[i])
         la = x[0].log_magnitude + x[1].log_magnitude
         lb = y[0].log_magnitude + y[1].log_magnitude
         comparisons.append({
@@ -580,6 +575,17 @@ def _powered(alpha1: float, beta1: float, beta2: float, B1: float,
                                   lower=((beta1, B1), (beta2, 1.0))), z)
 
 
+def _check_powered_params(alpha1: float, beta2: float, B1: float,
+                          beta1: float | None = None) -> None:
+    if not (beta2 > 0.0 and alpha1 >= beta2):
+        raise DomainError(
+            f"needs alpha1 >= beta2 > 0, got alpha1={alpha1!r}, beta2={beta2!r}")
+    if beta1 is not None and not beta1 > 0.0:
+        raise ParameterError(f"beta1 must be positive, got {beta1!r}")
+    if B1 < 0.0:
+        raise ParameterError(f"B1 must be >= 0, got {B1!r}")
+
+
 # _omega sums a beta1 grid in chunks of points whose (point, k, j)
 # temporaries hold at most this many elements (1 MiB)
 _OMEGA_CAP = 131072
@@ -648,11 +654,7 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
     witness Omega(b1) for the sign of the derivative must be nonnegative
     at every grid point.  Requires alpha1 >= beta2 > 0 and z > 0.
     """
-    if not (beta2 > 0.0 and alpha1 >= beta2):
-        raise DomainError(
-            f"needs alpha1 >= beta2 > 0, got alpha1={alpha1!r}, beta2={beta2!r}")
-    if B1 < 0.0:
-        raise ParameterError(f"B1 must be >= 0, got {B1!r}")
+    _check_powered_params(alpha1, beta2, B1)
     if not z > 0.0:
         raise DomainError(f"defined for z > 0, got z={z!r}")
     _check_grid(beta1_grid, "beta1 grid")
@@ -711,15 +713,15 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
 # case a1 = b2 = 1.
 
 
-def _check_powered_params(alpha1: float, beta1: float, beta2: float,
-                          B1: float) -> None:
-    if not (beta2 > 0.0 and alpha1 >= beta2):
-        raise DomainError(
-            f"needs alpha1 >= beta2 > 0, got alpha1={alpha1!r}, beta2={beta2!r}")
-    if not beta1 > 0.0:
-        raise ParameterError(f"beta1 must be positive, got {beta1!r}")
-    if B1 < 0.0:
-        raise ParameterError(f"B1 must be >= 0, got {B1!r}")
+def _u_and_v(alpha1: float, beta1: float, beta2: float, B1: float,
+             z: float) -> Rounds:
+    # checks the arguments of the Lazarevic and Wilker checkers and returns
+    # their U and V: the normalized series at first lower value b1+1 and b1
+    _check_powered_params(alpha1, beta2, B1, beta1)
+    if z < 0.0:
+        raise DomainError(f"defined for z >= 0, got z={z!r}")
+    return (yield [_powered(alpha1, beta1 + 1.0, beta2, B1, z),
+                   _powered(alpha1, beta1, beta2, B1, z)])
 
 
 def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
@@ -730,11 +732,7 @@ def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
     normalized series at first lower value b1+1 and b1, e1 =
     G(b1+B1)/G(b1), e2 = e1 (b1+B1)/b1.  Requires a1 >= b2 > 0, z >= 0.
     """
-    _check_powered_params(alpha1, beta1, beta2, B1)
-    if z < 0.0:
-        raise DomainError(f"defined for z >= 0, got z={z!r}")
-    u, v = yield [_powered(alpha1, beta1 + 1.0, beta2, B1, z),
-                  _powered(alpha1, beta1, beta2, B1, z)]
+    u, v = yield from _u_and_v(alpha1, beta1, beta2, B1, z)
     e1 = gamma_ratio(beta1, B1)
     e2 = e1 * (beta1 + B1) / beta1
     lu = e2 * u.log_magnitude
@@ -757,11 +755,7 @@ def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
     margin = U/V + [(G(b2)/G(a1)) U]^{B1/b1} - 2 >= 0 with U, V as in the
     Lazarevic checker.  Requires a1 >= b2 > 0, z >= 0.
     """
-    _check_powered_params(alpha1, beta1, beta2, B1)
-    if z < 0.0:
-        raise DomainError(f"defined for z >= 0, got z={z!r}")
-    u, v = yield [_powered(alpha1, beta1 + 1.0, beta2, B1, z),
-                  _powered(alpha1, beta1, beta2, B1, z)]
+    u, v = yield from _u_and_v(alpha1, beta1, beta2, B1, z)
     t1 = _exp_or_inf(u.log_magnitude - v.log_magnitude)
     lt2 = (B1 / beta1) * (log_gamma(beta2) - log_gamma(alpha1)
                           + u.log_magnitude)

@@ -101,14 +101,12 @@ class InequalityReport:
 class GridSpec:
     """Sampling plan for a parameter sweep.
 
-    param_ranges maps a parameter name to an inclusive (lo, hi) interval;
-    z_range is kept separate because several suites build per-instance
-    sub-grids over it.  mode is "random" (uniform draws from a seeded PRNG)
-    or "lattice" (evenly spaced values, index-aligned across parameters).
+    param_ranges maps a range name, z included, to an inclusive (lo, hi)
+    interval.  mode is "random" (uniform draws from a seeded PRNG) or
+    "lattice" (evenly spaced values, index-aligned across parameters).
     """
 
     param_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-    z_range: tuple[float, float] | None = None
     samples: int = 100
     seed: int = 0
     mode: str = "random"
@@ -121,8 +119,6 @@ class GridSpec:
         for name, (lo, hi) in self.param_ranges.items():
             if not (lo <= hi):
                 raise GridError(f"range for {name!r} is empty: ({lo}, {hi})")
-        if self.z_range is not None and not (self.z_range[0] <= self.z_range[1]):
-            raise GridError(f"z range is empty: {self.z_range}")
 
 
 def _is_number(v: object) -> bool:
@@ -133,8 +129,8 @@ def _is_number(v: object) -> bool:
 def grid_from_json(obj: dict[str, Any]) -> GridSpec:
     """Build a GridSpec from a plain dict (parsed grid file).
 
-    Recognized keys: "samples", "seed", "mode", "z" (two-element range) and
-    any other name mapped to a two-element [lo, hi] range.
+    Recognized keys: "samples", "seed", "mode", and any other name, "z"
+    included, mapped to a two-element [lo, hi] range.
     """
     if not isinstance(obj, dict):
         raise GridError("grid file must contain a JSON object")
@@ -147,7 +143,6 @@ def grid_from_json(obj: dict[str, Any]) -> GridSpec:
     except (OverflowError, ValueError) as exc:  # inf or nan
         raise GridError(f"samples and seed must be integers: {exc}") from None
     mode = str(obj.get("mode", "random"))
-    z_range = None
     ranges: dict[str, tuple[float, float]] = {}
     for key, val in obj.items():
         if key in ("samples", "seed", "mode"):
@@ -155,9 +150,5 @@ def grid_from_json(obj: dict[str, Any]) -> GridSpec:
         if (not isinstance(val, (list, tuple)) or len(val) != 2
                 or not all(_is_number(v) for v in val)):
             raise GridError(f"range for {key!r} must be a [lo, hi] pair")
-        if key == "z":
-            z_range = (float(val[0]), float(val[1]))
-        else:
-            ranges[key] = (float(val[0]), float(val[1]))
-    return GridSpec(param_ranges=ranges, z_range=z_range,
-                    samples=samples, seed=seed, mode=mode)
+        ranges[key] = (float(val[0]), float(val[1]))
+    return GridSpec(param_ranges=ranges, samples=samples, seed=seed, mode=mode)

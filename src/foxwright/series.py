@@ -894,7 +894,7 @@ def evaluate_batch(requests: list, cfg: EvalConfig = _DEFAULT_CFG) -> list:
     one recurrence; requests equal but for log_offset are summed once.
     Every result is independent of the other requests in the batch.
     """
-    # the array kernels are compiled on first use: importing the package
-    # for single calls does not pay for them
+    # the batch module is imported on first use: importing the package
+    # for single calls does not pay for it
     from .batch import evaluate
     return evaluate(requests, cfg)

@@ -33,6 +33,7 @@ from .inequalities import (
     _logconcavity,
     _ratio_monotonicity,
     _run_rounds,
+    _slot,
     _tail_turan,
     _turan_alpha,
     _turan_beta,
@@ -106,8 +107,6 @@ def _resolve_ranges(sd: "SuiteDef", spec: GridSpec) -> dict:
                 f"suite {sd.suite_id!r} has no range named {name!r}; "
                 f"known: {sorted(sd.defaults)}")
         ranges[name] = (float(pair[0]), float(pair[1]))
-    if spec.z_range is not None:
-        ranges["z"] = (float(spec.z_range[0]), float(spec.z_range[1]))
     return ranges
 
 
@@ -223,14 +222,9 @@ def _sub_grid(lo: float, hi: float) -> list[float]:
 # inequalities._run_rounds); the probes are generators themselves
 
 
-def _build_turan_alpha(c, i, ranges, tol):
+def _build_turan(check, c, i, ranges, tol):
     params, z = _sample_series(c, i, ranges)
-    return _turan_alpha(params, z, **tol)
-
-
-def _build_turan_beta(c, i, ranges, tol):
-    params, z = _sample_series(c, i, ranges)
-    return _turan_beta(params, z, **tol)
+    return check(params, z, **tol)
 
 
 def _build_corollary3(c, i, ranges, tol):
@@ -449,35 +443,34 @@ def _build_explore_xi(c, i, ranges, tol):
 
 
 # ---------------------------------------------------------------------------
-# Range validation
+# Range validation: a range's name says its rule.  z has the sign of the
+# suite's default z range, and alpha1 must be able to reach beta2.
+
+_POSITIVE = ("alpha", "beta", "alpha1", "beta1", "beta2")
+_NONNEG = ("weight", "n", "B1", "gap")
 
 
-def _make_validate(values: tuple = (), nonneg: tuple = (),
-                   z: str = "nonneg", ordered: tuple | None = None):
-    def validate(ranges: dict) -> None:
-        for name in values:
-            lo, hi = ranges[name]
-            if lo < 0.0 or not hi > 0.0:
-                raise GridError(
-                    f"range {name!r} must lie within (0, inf), "
-                    f"got ({lo!r}, {hi!r})")
-        for name in nonneg:
-            lo, _ = ranges[name]
-            if lo < 0.0:
-                raise GridError(f"range {name!r} must be >= 0, got lo={lo!r}")
-        zlo, zhi = ranges["z"]
-        if z == "nonneg" and zlo < 0.0:
-            raise GridError(f"this suite needs z >= 0, got ({zlo!r}, {zhi!r})")
-        if z == "neg" and (zlo >= 0.0 or zhi > 0.0):
+def _validate(sd: "SuiteDef", ranges: dict) -> None:
+    for name in (n for n in _POSITIVE if n in ranges):
+        lo, hi = ranges[name]
+        if lo < 0.0 or not hi > 0.0:
+            raise GridError(f"range {name!r} must lie within (0, inf), "
+                            f"got ({lo!r}, {hi!r})")
+    for name in (n for n in _NONNEG if n in ranges):
+        lo, _ = ranges[name]
+        if lo < 0.0:
+            raise GridError(f"range {name!r} must be >= 0, got lo={lo!r}")
+    zlo, zhi = ranges["z"]
+    if sd.defaults["z"][0] < 0.0:
+        if zlo >= 0.0 or zhi > 0.0:
             raise GridError(f"this suite needs z < 0, got ({zlo!r}, {zhi!r})")
-        if ordered is not None:
-            big, small = ordered
-            if ranges[big][1] < ranges[small][0]:
-                raise GridError(
-                    f"no draw can satisfy {big} >= {small}: "
-                    f"{big} range {ranges[big]!r} lies entirely below "
-                    f"{small} range {ranges[small]!r}")
-    return validate
+    elif zlo < 0.0:
+        raise GridError(f"this suite needs z >= 0, got ({zlo!r}, {zhi!r})")
+    if "alpha1" in ranges and ranges["alpha1"][1] < ranges["beta2"][0]:
+        raise GridError(
+            "no draw can satisfy alpha1 >= beta2: alpha1 range "
+            f"{ranges['alpha1']!r} lies entirely below beta2 range "
+            f"{ranges['beta2']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +479,13 @@ def _make_validate(values: tuple = (), nonneg: tuple = (),
 
 @dataclass(frozen=True)
 class SuiteDef:
-    """One named suite: sampling dimensions, defaults, builder, validator."""
+    """One named suite: sampling dimensions, default ranges, builder."""
 
     suite_id: str
     dims: int
     rows_per_instance: int
     defaults: dict
     build: Callable
-    validate: Callable | None = None
 
 
 _SERIES_RANGES = {"alpha": (0.1, 5.0), "beta": (0.1, 5.0),
@@ -502,39 +494,29 @@ _TAIL_RANGES = {**_SERIES_RANGES, "n": (0.0, 6.0)}
 _POWERED_RANGES = {"alpha1": (0.1, 5.0), "beta1": (0.1, 5.0),
                    "beta2": (0.1, 5.0), "B1": (0.0, 3.0), "z": (0.0, 20.0)}
 
-_V_SERIES = _make_validate(values=("alpha", "beta"), nonneg=("weight",))
-_V_TAIL = _make_validate(values=("alpha", "beta"), nonneg=("weight", "n"))
-_V_POWERED = _make_validate(values=("alpha1", "beta1", "beta2"),
-                            nonneg=("B1",), ordered=("alpha1", "beta2"))
-
 SUITES = {sd.suite_id: sd for sd in (
-    SuiteDef("turan-alpha", 9, 1, _SERIES_RANGES, _build_turan_alpha,
-             _V_SERIES),
-    SuiteDef("turan-beta", 9, 1, _SERIES_RANGES, _build_turan_beta,
-             _V_SERIES),
+    SuiteDef("turan-alpha", 9, 1, _SERIES_RANGES,
+             functools.partial(_build_turan, _turan_alpha)),
+    SuiteDef("turan-beta", 9, 1, _SERIES_RANGES,
+             functools.partial(_build_turan, _turan_beta)),
     SuiteDef("corollary3-2f2", 4, 1,
              {"beta1": (0.1, 5.0), "beta2": (0.1, 5.0), "z": (-6.0, 0.0)},
-             _build_corollary3,
-             _make_validate(values=("beta1", "beta2"), z="neg")),
-    SuiteDef("ratio-monotone", 10, 1, _SERIES_RANGES, _build_ratio,
-             _V_SERIES),
-    SuiteDef("tail-turan", 7, 1, _TAIL_RANGES, _build_tail_turan, _V_TAIL),
-    SuiteDef("kn-bound", 7, 1, _TAIL_RANGES, _build_kn, _V_TAIL),
-    SuiteDef("chi", 6, 1, _POWERED_RANGES, _build_chi, _V_POWERED),
-    SuiteDef("lazarevic", 5, 1, _POWERED_RANGES, _build_lazarevic,
-             _V_POWERED),
-    SuiteDef("wilker", 5, 1, _POWERED_RANGES, _build_wilker, _V_POWERED),
+             _build_corollary3),
+    SuiteDef("ratio-monotone", 10, 1, _SERIES_RANGES, _build_ratio),
+    SuiteDef("tail-turan", 7, 1, _TAIL_RANGES, _build_tail_turan),
+    SuiteDef("kn-bound", 7, 1, _TAIL_RANGES, _build_kn),
+    SuiteDef("chi", 6, 1, _POWERED_RANGES, _build_chi),
+    SuiteDef("lazarevic", 5, 1, _POWERED_RANGES, _build_lazarevic),
+    SuiteDef("wilker", 5, 1, _POWERED_RANGES, _build_wilker),
     SuiteDef("logconcave", 8, 3,
              {"beta": (0.1, 5.0), "B1": (0.0, 3.0), "gap": (0.0, 3.0),
               "z": (0.0, 20.0)},
-             _build_logconcave,
-             _make_validate(values=("beta",), nonneg=("B1", "gap"))),
+             _build_logconcave),
 )}
 
 EXPLORERS = {sd.suite_id: sd for sd in (
-    SuiteDef("problem1-kn", 10, 1, _TAIL_RANGES, _build_explore_kn, _V_TAIL),
-    SuiteDef("problem2-xi", 9, 1, _SERIES_RANGES, _build_explore_xi,
-             _V_SERIES),
+    SuiteDef("problem1-kn", 10, 1, _TAIL_RANGES, _build_explore_kn),
+    SuiteDef("problem2-xi", 9, 1, _SERIES_RANGES, _build_explore_xi),
 )}
 
 
@@ -568,12 +550,16 @@ def _failure_row(suite_id: str, kind: str, msg: str,
 _LOCKSTEP = 1024
 
 
-def _run(sd: SuiteDef, spec: GridSpec | None, tol_abs: float = TOL_ABS,
+def _run(registry: dict, kind: str, suite_id: str, spec: GridSpec | None,
+         tol_abs: float = TOL_ABS,
          tol_rel: float = TOL_REL) -> list[InequalityReport]:
+    sd = registry.get(suite_id)
+    if sd is None:
+        raise ParameterError(f"unknown {kind} {suite_id!r}; known: "
+                             + ", ".join(sorted(registry)))
     spec = spec if spec is not None else GridSpec()
     ranges = _resolve_ranges(sd, spec)
-    if sd.validate is not None:
-        sd.validate(ranges)
+    _validate(sd, ranges)
     n_inst = -(-spec.samples // sd.rows_per_instance)
     u = _unit_matrix(spec, sd.dims, n_inst)
     tol = {"tol_abs": tol_abs, "tol_rel": tol_rel}
@@ -596,21 +582,13 @@ def run_suite(suite_id: str, spec: GridSpec | None = None,
               tol_abs: float = TOL_ABS,
               tol_rel: float = TOL_REL) -> list[InequalityReport]:
     """Run one verification suite; deterministic in the GridSpec."""
-    sd = SUITES.get(suite_id)
-    if sd is None:
-        raise ParameterError(
-            f"unknown suite {suite_id!r}; known: " + ", ".join(suite_ids()))
-    return _run(sd, spec, tol_abs, tol_rel)
+    return _run(SUITES, "suite", suite_id, spec, tol_abs, tol_rel)
 
 
 def run_explore(suite_id: str,
                 spec: GridSpec | None = None) -> list[InequalityReport]:
     """Run one exploratory probe; rows report findings, never failures."""
-    sd = EXPLORERS.get(suite_id)
-    if sd is None:
-        raise ParameterError(
-            f"unknown probe {suite_id!r}; known: " + ", ".join(explorer_ids()))
-    return _run(sd, spec)
+    return _run(EXPLORERS, "probe", suite_id, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -622,20 +600,14 @@ def _hp_values(rs, *jobs):
     return [value for value, _, _ in _hp_sums(jobs, rs)]
 
 
-def _hp_turan_alpha(report: InequalityReport, rs):
+def _hp_turan(slot: str, report: InequalityReport, rs):
     params = FoxWrightParams.from_json(report.params_echo)
-    a1 = params.upper[0][0]
-    s0, s1, s2 = _hp_values(rs, *((params.with_upper_value(0, v), report.z, 0)
-                                  for v in (a1, a1 + 1.0, a1 + 2.0)))
-    return s0 * s2 - s1 ** 2
-
-
-def _hp_turan_beta(report: InequalityReport, rs):
-    params = FoxWrightParams.from_json(report.params_echo)
-    b1 = params.lower[0][0]
-    s0, s1, s2 = _hp_values(rs, *((params.with_lower_value(0, v), report.z, 0)
-                                  for v in (b1, b1 + 1.0, b1 + 2.0)))
-    return s0 * s2 - mp.mpf(b1) / (b1 + 1.0) * s1 ** 2
+    _, pairs, put = _slot(params, slot)
+    v = pairs[0][0]
+    s0, s1, s2 = _hp_values(rs, *((put(u), report.z, 0)
+                                  for u in (v, v + 1.0, v + 2.0)))
+    c = 1 if slot == "alpha" else mp.mpf(v) / (v + 1.0)
+    return s0 * s2 - c * s1 ** 2
 
 
 def _hp_corollary3(report: InequalityReport, rs):
@@ -656,27 +628,19 @@ def _hp_corollary3(report: InequalityReport, rs):
 
 def _hp_ratio(report: InequalityReport, rs):
     e = report.params_echo
-    base = FoxWrightParams.from_json(e)
     slot, vs, vb = e["slot"], e["v_small"], e["v_big"]
-    if slot == "beta":
-        p_small = base.with_lower_value(0, vs)
-        p_big = base.with_lower_value(0, vb)
-    else:
-        p_small = base.with_upper_value(0, vs)
-        p_big = base.with_upper_value(0, vb)
+    _, _, put = _slot(FoxWrightParams.from_json(e), slot)
+    # R = Psi[num] / Psi[den] is the ratio claimed nonincreasing
+    num, den = (put(vb), put(vs)) if slot == "beta" else (put(vs), put(vb))
     z = report.z
     if report.aux["worst_kind"] == "ratio-step":
         z0 = report.aux["worst_z_prev"]
-        b0, s0, b1, s1 = _hp_values(rs, (p_big, z0, 0), (p_small, z0, 0),
-                                    (p_big, z, 0), (p_small, z, 0))
-        if slot == "beta":
-            return b0 / s0 - b1 / s1
-        return s0 / b0 - s1 / b1
-    ds, db, es, eb = _hp_values(rs, (p_small.shifted(), z, 0), (
-        p_big.shifted(), z, 0), (p_small, z, 0), (p_big, z, 0))
-    if slot == "beta":
-        return ds * eb - db * es
-    return db * es - ds * eb
+        n0, d0, n1, d1 = _hp_values(rs, (num, z0, 0), (den, z0, 0),
+                                    (num, z, 0), (den, z, 0))
+        return n0 / d0 - n1 / d1
+    dn, dd, en, ed = _hp_values(rs, (num.shifted(), z, 0),
+                                (den.shifted(), z, 0), (num, z, 0), (den, z, 0))
+    return dd * en - dn * ed
 
 
 def _hp_tail_turan(report: InequalityReport, rs):
@@ -820,8 +784,8 @@ def _hp_logconcave_deriv(report: InequalityReport, rs):
 
 
 _HP = {
-    "turan-alpha": _hp_turan_alpha,
-    "turan-beta": _hp_turan_beta,
+    "turan-alpha": functools.partial(_hp_turan, "alpha"),
+    "turan-beta": functools.partial(_hp_turan, "beta"),
     "corollary3-2f2": _hp_corollary3,
     "ratio-monotone": _hp_ratio,
     "tail-turan": _hp_tail_turan,

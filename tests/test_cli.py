@@ -51,6 +51,19 @@ def test_eval_divergent_exits_3(params_file, capsys):
     assert "divergent series" in err
 
 
+def test_eval_unknown_params_key_exits_2(params_file, capsys):
+    # a misspelled "upper" must not leave a lower-only series to evaluate
+    bad = {"uper": [[1.5, 0.5]], "lower": [[2.0, 1.0]]}
+    code = main(["eval", "--params", params_file(bad), "--z", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown key 'uper'" in captured.err
+    # the two known keys alone are read as before
+    assert main(["eval", "--params", params_file(EXP_PARAMS), "--z",
+                 "1.0"]) == 0
+
+
 def test_eval_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("not json", encoding="utf-8")

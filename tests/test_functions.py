@@ -9,6 +9,7 @@ import pytest
 from foxwright import (
     DivergentSeriesError,
     DomainError,
+    EvalConfig,
     FoxWrightParams,
     HypergeometricParams,
     MittagLefflerParams,
@@ -185,6 +186,15 @@ def test_ml_derivative_identity():
         rep = ml_derivative_identity_check(B, beta, z)
         assert rep.passed, (B, beta, z, rep.margin)
         assert rep.suite_id == "ml-derivative-identity"
+
+
+def test_ml_derivative_identity_nan_margin_fails():
+    # lhs is finite and rhs overflows, so tol - |lhs - rhs| is inf - inf
+    rep = ml_derivative_identity_check(0.5, 2.0, 26.671862787236662,
+                                       EvalConfig(log_mode=True))
+    assert math.isfinite(rep.lhs) and math.isinf(rep.rhs)
+    assert math.isnan(rep.margin)
+    assert rep.passed is False
 
 
 def test_ml_derivative_identity_domain():

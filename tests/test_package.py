@@ -1,6 +1,8 @@
-"""The package surface: one export list, and no eager import of the
-batch kernels or the command line."""
+"""The package surface: one export list, no eager import of the batch
+kernels or the command line, and an oracle that shares no code with the
+engine."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -57,3 +59,38 @@ def test_public_checkers_have_their_generators_signature_and_doc():
         assert fn.__doc__ and fn.__doc__.strip(), name
     sig = inspect.signature(foxwright.turan_beta_check)
     assert list(sig.parameters) == ["params", "z", "tol_abs", "tol_rel"]
+
+
+def _imports(module):
+    """(module, name) for each import in a package module's source, with
+    relative modules made absolute and name None for a plain import."""
+    path = os.path.join(os.path.dirname(foxwright.__file__), module + ".py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(["foxwright"] + ([base] if base else []))
+            for a in node.names:
+                # "from . import oracle" imports the module foxwright.oracle
+                if node.module is None:
+                    out.append((f"{base}.{a.name}", None))
+                else:
+                    out.append((base, a.name))
+    return out
+
+
+def test_engine_and_oracle_share_no_code():
+    # the oracle checks the engine only while neither is built on the other
+    for module in ("series", "batch", "gammakit"):
+        for mod, name in _imports(module):
+            assert mod.split(".")[0] != "mpmath", (module, mod)
+            assert mod != "foxwright.oracle", (module, mod, name)
+    for mod, name in _imports("oracle"):
+        if mod.split(".")[0] == "foxwright" and mod != "foxwright.errors":
+            assert (mod, name) == ("foxwright.series", "FoxWrightParams"), (
+                mod, name)

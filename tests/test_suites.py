@@ -99,16 +99,73 @@ def test_unknown_range_name_rejected():
 def test_impossible_lazarevic_ranges_rejected():
     spec = GridSpec(param_ranges={"alpha1": (0.2, 0.8),
                                   "beta2": (2.0, 4.0)}, samples=3)
-    with pytest.raises(GridError):
-        run_suite("lazarevic", spec)
+    # every suite with both ranges takes the ordered rule
+    for suite in ("chi", "lazarevic", "wilker"):
+        with pytest.raises(GridError, match=r"^no draw can satisfy alpha1 >= "
+                           r"beta2: alpha1 range \(0.2, 0.8\) lies entirely "
+                           r"below beta2 range \(2.0, 4.0\)$"):
+            run_suite(suite, spec)
 
 
 def test_sign_constrained_z_ranges():
-    with pytest.raises(GridError):
-        run_suite("turan-beta", GridSpec(z_range=(-2.0, 1.0), samples=3))
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match=r"^this suite needs z >= 0, "
+                       r"got \(-2.0, 1.0\)$"):
+        run_suite("turan-beta", GridSpec(param_ranges={"z": (-2.0, 1.0)},
+                                         samples=3))
+    for z in ((1.0, 2.0), (-1.0, 0.5)):
         # this family lives at z < 0
-        run_suite("corollary3-2f2", GridSpec(z_range=(1.0, 2.0), samples=3))
+        with pytest.raises(GridError, match=r"^this suite needs z < 0"):
+            run_suite("corollary3-2f2", GridSpec(param_ranges={"z": z},
+                                                 samples=3))
+    # the z rule follows the sign of the default z range
+    assert [s for s in ALL_SUITES if SUITES[s].defaults["z"][0] < 0.0] == [
+        "corollary3-2f2"]
+
+
+def test_every_range_name_has_exactly_one_rule():
+    # a range name the validator does not know would go unchecked
+    rules = [set(suites._POSITIVE), set(suites._NONNEG), {"z"}]
+    for sd in list(SUITES.values()) + list(EXPLORERS.values()):
+        for name in sd.defaults:
+            assert sum(name in r for r in rules) == 1, (sd.suite_id, name)
+
+
+@pytest.mark.parametrize("suite,name,pair,message", [
+    ("turan-alpha", "alpha", (-0.5, 2.0),
+     r"^range 'alpha' must lie within \(0, inf\), got \(-0.5, 2.0\)$"),
+    ("corollary3-2f2", "beta2", (0.0, 0.0),
+     r"^range 'beta2' must lie within \(0, inf\), got \(0.0, 0.0\)$"),
+    ("kn-bound", "n", (-1.0, 3.0), r"^range 'n' must be >= 0, got lo=-1.0$"),
+    ("logconcave", "gap", (-0.1, 1.0),
+     r"^range 'gap' must be >= 0, got lo=-0.1$"),
+    ("chi", "B1", (-2.0, 1.0), r"^range 'B1' must be >= 0, got lo=-2.0$"),
+])
+def test_each_range_rule_raises_its_message(suite, name, pair, message):
+    with pytest.raises(GridError, match=message):
+        run_suite(suite, GridSpec(param_ranges={name: pair}, samples=3))
+
+
+def test_range_rules_keep_their_order():
+    # positive names first, then the >= 0 ones, then z, then alpha1/beta2
+    spec = GridSpec(param_ranges={"z": (-1.0, 1.0), "n": (-1.0, 2.0),
+                                  "beta": (-1.0, 2.0)}, samples=3)
+    with pytest.raises(GridError, match="^range 'beta'"):
+        run_suite("tail-turan", spec)
+    spec = GridSpec(param_ranges={"z": (-1.0, 1.0), "n": (-1.0, 2.0)},
+                    samples=3)
+    with pytest.raises(GridError, match="^range 'n'"):
+        run_suite("tail-turan", spec)
+    spec = GridSpec(param_ranges={"z": (-1.0, 1.0), "alpha1": (0.2, 0.8),
+                                  "beta2": (2.0, 4.0)}, samples=3)
+    with pytest.raises(GridError, match="^this suite needs z >= 0"):
+        run_suite("wilker", spec)
+
+
+def test_empty_z_range_reads_like_any_other():
+    for name in ("z", "beta"):
+        with pytest.raises(GridError,
+                           match=rf"^range for '{name}' is empty: \(2.0, 1.0\)$"):
+            GridSpec(param_ranges={name: (2.0, 1.0)})
 
 
 def test_grid_from_json():
@@ -116,7 +173,7 @@ def test_grid_from_json():
                            "samples": 17, "seed": 5, "mode": "lattice"})
     assert spec.samples == 17 and spec.seed == 5 and spec.mode == "lattice"
     assert spec.param_ranges["alpha1"] == (0.5, 2.0)
-    assert spec.z_range == (0.1, 3.0)
+    assert spec.param_ranges["z"] == (0.1, 3.0)
     with pytest.raises(GridError):
         grid_from_json({"alpha1": [2.0]})
     with pytest.raises(GridError):
@@ -132,13 +189,14 @@ def test_grid_from_json_refuses_bools_strings_and_inf(blob):
         grid_from_json(blob)
     # JSON ints and floats are read as before
     spec = grid_from_json({"samples": 12.0, "seed": 4, "z": [0, 1.5]})
-    assert (spec.samples, spec.seed, spec.z_range) == (12, 4, (0.0, 1.5))
+    assert (spec.samples, spec.seed, spec.param_ranges["z"]) == (
+        12, 4, (0.0, 1.5))
 
 
 def test_custom_ranges_are_respected():
     spec = GridSpec(param_ranges={"beta": (1.0, 1.0), "weight": (1.0, 1.0),
-                                  "n": (0.0, 0.0)},
-                    z_range=(1e-8, 1e-5), samples=5, seed=3)
+                                  "n": (0.0, 0.0), "z": (1e-8, 1e-5)},
+                    samples=5, seed=3)
     rows = run_suite("kn-bound", spec)
     for r in rows:
         assert r.params_echo["n"] == 0
