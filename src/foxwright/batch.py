@@ -1,11 +1,14 @@
-"""Array kernels of ``series.evaluate_batch``.
+"""The tile engine and the pFq rows of ``series.evaluate_batch``.
 
 Series requests at z > 0 with no psi weight are summed as the rows of
 (series x k) tiles, so every term is positive; the others go to the
 single-call ``_sum_series``, which owns signed terms and cancellation.  pFq
 requests run their recurrence element-wise across rows; see the ``series``
-module docstring.  ``series.evaluate_batch`` imports this module on its
-first call, so importing the package for single calls does not compile it.
+module docstring.  The array kernels the tiles use sit beside their scalar
+twins: ``_dd_log_array`` and the coefficient fold ``_fold`` in ``series``,
+``_log_gamma_array`` in ``gammakit``.  ``series.evaluate_batch`` imports
+this module on its first call, so importing the package for single calls
+does not load it.
 """
 
 from __future__ import annotations
@@ -15,99 +18,28 @@ import math
 import numpy as np
 
 from .errors import DivergentSeriesError, NoConvergenceError
-from .gammakit import (
-    _HALF_LN_TWO_PI,
-    _LOG_GAMMA_TAYLOR,
-    _ONE_MINUS_EULER_GAMMA,
-    _SHIFT_THRESHOLD,
-    _stirling_tail_sum,
-)
+from .gammakit import _log_gamma_array
 from .series import (
     _BLOCK_MAX,
     _EXPAND_MIN,
-    _LN2_HI,
-    _LN2_LO,
-    _LN_GRID,
     _LOG_DOUBLE_MAX,
     _REL_TOL,
-    _SQRT_HALF,
     EvalConfig,
     EvalResult,
     PfqRequest,
     Request,
     _collapsed,
     _dd_add,
-    _dd_div_d,
-    _dd_mul,
+    _dd_log_array,
     _expanded_rest,
     _finish,
+    _fold,
     _log_ints_dd,
+    _no_stop,
     _sum_series,
     _term_overflow,
-    _two_prod,
     _two_sum,
 )
-
-
-def _log_gamma_array(x: np.ndarray) -> np.ndarray:
-    """gammakit.log_gamma element-wise over a float array of positive values:
-    the Stirling form from 8 on, below it the shift product and the Taylor
-    table of ln Gamma(1 + t)."""
-    out = np.empty_like(x)
-    big = x >= _SHIFT_THRESHOLD
-    if big.any():
-        xb = x[big]
-        out[big] = ((xb - 0.5) * np.log(xb) - xb + _HALF_LN_TWO_PI
-                    + _stirling_tail_sum(xb))
-    small = ~big
-    if small.any():
-        xs = x[small]
-        m = np.floor(np.maximum(xs - 0.5, 0.0))  # int(x - 0.5), below 8
-        prod = np.ones_like(xs)
-        for j in range(1, int(m.max()) + 1):
-            prod = np.where(m >= j, prod * (xs - j), prod)
-        tiny = xs < 0.5
-        t = np.where(tiny, xs, xs - m - 1.0)
-        s = np.zeros_like(t)
-        for c in _LOG_GAMMA_TAYLOR:
-            s = s * t + c
-        lg = t * (_ONE_MINUS_EULER_GAMMA + t * s) - np.log1p(t)
-        out[small] = lg + np.where(tiny, -np.log(xs), np.log(prod))
-    return out
-
-
-_LN_GRID_H = np.array([h for h, _ in _LN_GRID])
-_LN_GRID_L = np.array([l for _, l in _LN_GRID])
-
-
-def _dd_log_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_dd_log element-wise over a float array of positive finite values.
-
-    The same grid reduction and artanh series, run for the 8 steps the
-    scalar loop never exceeds once |s| < 0.006 (s^17/17 < 1e-35).
-    """
-    m, e = np.frexp(x)
-    low = m < _SQRT_HALF
-    m = np.where(low, 2.0 * m, m)
-    e = (e - low).astype(float)
-    j = np.rint(m * 64.0)
-    c = j / 64.0
-    num = m - c
-    dh, dl = _two_sum(c, m)
-    q = num / dh
-    p, pe = _two_prod(q, dh)
-    sh, sl = _two_sum(q, (((num - p) - pe) - q * dl) / dh)
-    x2h, x2l = _dd_mul(sh, sl, sh, sl)
-    th, tl = ah, al = sh, sl
-    for n in range(3, 19, 2):
-        th, tl = _dd_mul(th, tl, x2h, x2l)
-        ah, al = _dd_add(ah, al, *_dd_div_d(th, tl, float(n)))
-    g = j.astype(int) - 45
-    ah, al = _dd_add(_LN_GRID_H[g], _LN_GRID_L[g], 2.0 * ah, 2.0 * al)
-    ph, pe = _two_prod(e, _LN2_HI)
-    h, l = _dd_add(ph, pe + e * _LN2_LO, ah, al)
-    one = x == 1.0
-    return np.where(one, 0.0, h), np.where(one, 0.0, l)
 
 
 class _TermTable:
@@ -118,10 +50,10 @@ class _TermTable:
     index, every prefix of a row's factors is one stage of _TermLogs'
     coefficient table; ``stages`` holds the table of every stage, as the
     head/tail pairs (c, s, m) and the k-independent constant, built with
-    the additions _TermLogs._advance makes.  ``logs`` picks each element's
-    stage by counting the factors it has crossed.  Rows of fewer pairs are
-    padded with (1, 0) pairs up to the widest shape: a zero-weight factor
-    is a constant, lnGamma(1) = 0, so it adds exact zeros and never
+    the ``_fold`` that _TermLogs._advance calls.  ``logs`` picks each
+    element's stage by counting the factors it has crossed.  Rows of fewer
+    pairs are padded with (1, 0) pairs up to the widest shape: a zero-weight
+    factor is a constant, lnGamma(1) = 0, so it adds exact zeros and never
     crosses, and a padded row keeps every bit.
     """
 
@@ -157,27 +89,18 @@ class _TermTable:
             for f in range(nf):
                 bh, e = _two_sum(bh, self.sg[f] * lg0[:, f])
                 bl = bl + e
-        ch, cl = lh[:rows], ll[:rows]
-        sh = sl = mh = ml = np.zeros(rows)
-        stages = [(ch, cl, sh, sl, mh, ml, bh, bl)]
+        coef = (lh[:rows], ll[:rows], *np.zeros((4, rows)))
+        stages = [(*coef, bh, bl)]
         order = np.argsort(self.cross, axis=1, kind="stable")
         at = np.arange(rows)
         for i in range(nf):
             f = order[:, i]
-            a, w, sg = self.a[at, f], self.w[at, f], self.sg[f]
-            wh, wl = lwh[at, f], lwl[at, f]
-            am = a - 0.5
-            sh, sl = _dd_add(sh, sl, sg * w, 0.0)
-            ph, pe = _two_prod(w, wh)
-            ch, cl = _dd_add(ch, cl, sg * ph, sg * (pe + w * wl))
-            ch, cl = _dd_add(ch, cl, -sg * w, 0.0)
-            mh, ml = _dd_add(mh, ml, sg * am, 0.0)
-            ph, pe = _two_prod(am, wh)
-            for v in (sg * ph, sg * (pe + am * wl), -sg * a,
-                      sg * _HALF_LN_TWO_PI):
+            coef, pieces = _fold(coef, self.a[at, f], self.w[at, f],
+                                 self.sg[f], lwh[at, f], lwl[at, f])
+            for v in pieces:
                 bh, e = _two_sum(bh, v)
                 bl = bl + e
-            stages.append((ch, cl, sh, sl, mh, ml, bh, bl))
+            stages.append((*coef, bh, bl))
         # per coefficient, a (row, stage) array
         self.stages = [np.stack(col, axis=1) for col in zip(*stages)]
         # a factor of zero weight in every row (a constant, or padding)
@@ -302,10 +225,7 @@ class _RowSums:
             self.out[ix[r]] = self._raw(ix[r])
         going = ~hit & np.array([self.out[i] is None for i in ix.tolist()])
         for r in np.flatnonzero(going & ~valid[:, -1]).tolist():
-            req = self.reqs[ix[r]]
-            self.out[ix[r]] = NoConvergenceError(
-                f"stop rule did not fire within {cfg.max_terms} terms "
-                f"(start={req.start}, z={req.z!r})")
+            self.out[ix[r]] = _no_stop(cfg, self.reqs[ix[r]])
             going[r] = False
         return ix[going]
 

@@ -6,8 +6,10 @@ kernels apply the Stirling asymptotic series from x = 8 on.  Below that,
 digamma shifts the argument up with psi(x+1) = psi(x) + 1/x, and log_gamma
 moves it into [0.5, 1.5) with Gamma(x+1) = x Gamma(x) and sums the Taylor
 series of ln Gamma(1+t), whose signed coefficients (-1)^k (zeta(k) - 1)/k are
-tabled once at import.  ``_digamma_array`` is digamma element-wise over an
-array, bit for bit, for the psi weights of a block of series terms.
+tabled once at import.  The array kernels sit beside their scalar twins:
+``_log_gamma_array`` is log_gamma element-wise, for the batch engine's
+factors below the Stirling threshold, and ``_digamma_array`` is digamma
+element-wise, bit for bit, for the psi weights of a block of series terms.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ _DIGAMMA_TAIL = (
 )
 
 
-def _stirling_tail_sum(x: float) -> float:
-    # the series part of the Stirling form; valid for x >= _SHIFT_THRESHOLD
+def _stirling_tail_sum(x):
+    # the series part of the Stirling form, for a float or a float array;
+    # valid for x >= _SHIFT_THRESHOLD
     r = 1.0 / (x * x)
     s = _LNGAMMA_TAIL[-1]
     for c in reversed(_LNGAMMA_TAIL[:-1]):
@@ -145,6 +148,33 @@ def log_gamma(x: float) -> float:
     for j in range(1, m + 1):
         prod *= x - j
     return _log_gamma_taylor(x - m - 1.0) + math.log(prod)
+
+
+def _log_gamma_array(x: np.ndarray) -> np.ndarray:
+    """log_gamma element-wise over a float array of positive values: the
+    Stirling form from 8 on, below it the shift product and the Taylor
+    table of ln Gamma(1 + t)."""
+    out = np.empty_like(x)
+    big = x >= _SHIFT_THRESHOLD
+    if big.any():
+        xb = x[big]
+        out[big] = ((xb - 0.5) * np.log(xb) - xb + _HALF_LN_TWO_PI
+                    + _stirling_tail_sum(xb))
+    small = ~big
+    if small.any():
+        xs = x[small]
+        m = np.floor(np.maximum(xs - 0.5, 0.0))  # int(x - 0.5), below 8
+        prod = np.ones_like(xs)
+        for j in range(1, int(m.max()) + 1):
+            prod = np.where(m >= j, prod * (xs - j), prod)
+        tiny = xs < 0.5
+        t = np.where(tiny, xs, xs - m - 1.0)
+        s = np.zeros_like(t)
+        for c in _LOG_GAMMA_TAYLOR:
+            s = s * t + c
+        lg = t * (_ONE_MINUS_EULER_GAMMA + t * s) - np.log1p(t)
+        out[small] = lg + np.where(tiny, -np.log(xs), np.log(prod))
+    return out
 
 
 def digamma(x: float) -> float:

@@ -193,9 +193,9 @@ def _product_err(x: EvalResult, y: EvalResult) -> float:
     return 0.0 if math.isnan(err) else err
 
 
-def _check_grid(values: Sequence[float], what: str, minimum: int = 2) -> None:
-    if len(values) < minimum:
-        raise GridError(f"{what} needs at least {minimum} points, got {len(values)}")
+def _check_grid(values: Sequence[float], what: str) -> None:
+    if len(values) < 2:
+        raise GridError(f"{what} needs at least 2 points, got {len(values)}")
     for a, b in zip(values, values[1:]):
         if not b > a:
             raise GridError(f"{what} must be strictly increasing, got {a!r} >= {b!r}")

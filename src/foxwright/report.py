@@ -102,8 +102,9 @@ class GridSpec:
     """Sampling plan for a parameter sweep.
 
     param_ranges maps a range name, z included, to an inclusive (lo, hi)
-    interval.  mode is "random" (uniform draws from a seeded PRNG) or
-    "lattice" (evenly spaced values, index-aligned across parameters).
+    interval with finite bounds.  mode is "random" (uniform draws from a
+    seeded PRNG) or "lattice" (evenly spaced values, index-aligned across
+    parameters).
     """
 
     param_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -119,6 +120,9 @@ class GridSpec:
         for name, (lo, hi) in self.param_ranges.items():
             if not (lo <= hi):
                 raise GridError(f"range for {name!r} is empty: ({lo}, {hi})")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise GridError(f"range for {name!r} must have finite bounds, "
+                                f"got ({lo}, {hi})")
 
 
 def _is_number(v: object) -> bool:

@@ -33,13 +33,16 @@ with ``math.fsum`` and tested against the same stop rule, so a block ends the
 series at the same term as the one-term loop would.
 
 ``evaluate_batch`` sums many series at once, for the inequality checkers;
-its array kernels live in ``batch.py``.  Its series requests at z > 0 with
-no psi weight, whose terms are all positive, become the rows of
+its tile engine lives in ``batch.py``, and each array kernel it uses sits
+beside its scalar twin: ``_dd_log_array`` and ``_log_ints_dd`` here,
+``_log_gamma_array`` in ``gammakit``, and ``_fold``, ``_collapsed`` and
+``_expanded_rest`` take floats and arrays alike.  Its series requests at
+z > 0 with no psi weight, whose terms are all positive, become the rows of
 (series x k) tiles, the rows of shorter shapes padded with factors that add
 exact zeros.  Each row keeps the coefficient table of every stage of its
-expansion (set up for all rows together, with an array form of
-``_dd_log``), the factors still below the Stirling threshold go through an
-array lnGamma, and each block of k runs the same stop rule per row on
+expansion (set up for all rows together, with ``_dd_log_array``), the
+factors still below the Stirling threshold go through
+``_log_gamma_array``, and each block of k runs the same stop rule per row on
 ``cumsum`` partials, so a row's result never depends on the other rows of
 its tile.  Blocks start at 16 terms and double up to 512; a block call
 holds at most ``batch._TILE_CAP`` (row, k, factor) elements an array, and
@@ -70,8 +73,8 @@ from .errors import (
 )
 from .gammakit import (
     _HALF_LN_TWO_PI,
-    _LNGAMMA_TAIL,
     _digamma_array,
+    _stirling_tail_sum,
     digamma,
     log_gamma,
 )
@@ -420,6 +423,41 @@ def _dd_log(x: float) -> tuple[float, float]:
     return _dd_add(ph, pe + e * _LN2_LO, ah, al)
 
 
+_LN_GRID_H = np.array([h for h, _ in _LN_GRID])
+_LN_GRID_L = np.array([l for _, l in _LN_GRID])
+
+
+def _dd_log_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_dd_log element-wise over a float array of positive finite values,
+    bit for bit.
+
+    The same grid reduction and artanh series, run for the 8 steps the
+    scalar loop never exceeds once |s| < 0.006 (s^17/17 < 1e-35).
+    """
+    m, e = np.frexp(x)
+    low = m < _SQRT_HALF
+    m = np.where(low, 2.0 * m, m)
+    e = (e - low).astype(float)
+    j = np.rint(m * 64.0)
+    c = j / 64.0
+    num = m - c
+    dh, dl = _two_sum(c, m)
+    q = num / dh
+    p, pe = _two_prod(q, dh)
+    sh, sl = _two_sum(q, (((num - p) - pe) - q * dl) / dh)
+    x2h, x2l = _dd_mul(sh, sl, sh, sl)
+    th, tl = ah, al = sh, sl
+    for n in range(3, 19, 2):
+        th, tl = _dd_mul(th, tl, x2h, x2l)
+        ah, al = _dd_add(ah, al, *_dd_div_d(th, tl, float(n)))
+    g = j.astype(int) - 45
+    ah, al = _dd_add(_LN_GRID_H[g], _LN_GRID_L[g], 2.0 * ah, 2.0 * al)
+    ph, pe = _two_prod(e, _LN2_HI)
+    h, l = _dd_add(ph, pe + e * _LN2_LO, ah, al)
+    one = x == 1.0
+    return np.where(one, 0.0, h), np.where(one, 0.0, l)
+
+
 def _log_int_dd(k: int) -> tuple[float, float]:
     """ln k as a head/tail pair, absolute error ~3e-17; cheap enough per term."""
     m, e = math.frexp(float(k))
@@ -440,18 +478,9 @@ def _log_ints_dd(fk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _dd_add(ph, pe + e * _LN2_LO, np.log(m), 0.0)
 
 
-# Stirling domain: from x = 12 on, the first nine coefficients of the
-# lnGamma table leave the truncated series accurate to ~1e-19 absolute.
+# A factor is expanded once its argument a + w*k reaches 12, well inside
+# the domain of gammakit's Stirling series.
 _EXPAND_MIN = 12.0
-
-
-def _stirling_tail(x):
-    # valid for x >= _EXPAND_MIN; x is a float or a float array
-    r = 1.0 / (x * x)
-    s = _LNGAMMA_TAIL[8]
-    for c in reversed(_LNGAMMA_TAIL[:8]):
-        s = s * r + c
-    return s / x
 
 
 def _collapsed(ch, cl, sh, sl, mh, ml, fk, lkh, lkl):
@@ -466,10 +495,27 @@ def _collapsed(ch, cl, sh, sl, mh, ml, fk, lkh, lkl):
     return _dd_add(h, l, ph, pe + bh * lkl + bl * lkh)
 
 
+def _fold(coef, a, w, sg, lwh, lwl):
+    # one expanded factor (a, w, sigma) added to the coefficient pairs
+    # coef = (c, s, m) as (ch, cl, sh, sl, mh, ml), with (lwh, lwl) = ln w;
+    # returns the new pairs and the four pieces the factor adds to the
+    # k-independent constant.  Floats or float arrays.
+    ch, cl, sh, sl, mh, ml = coef
+    am = a - 0.5
+    sh, sl = _dd_add(sh, sl, sg * w, 0.0)
+    ph, pe = _two_prod(w, lwh)
+    ch, cl = _dd_add(ch, cl, sg * ph, sg * (pe + w * lwl))
+    ch, cl = _dd_add(ch, cl, -sg * w, 0.0)
+    mh, ml = _dd_add(mh, ml, sg * am, 0.0)
+    ph, pe = _two_prod(am, lwh)
+    return ((ch, cl, sh, sl, mh, ml),
+            (sg * ph, sg * (pe + am * lwl), -sg * a, sg * _HALF_LN_TWO_PI))
+
+
 def _expanded_rest(a, wk):
     # what is left of lnGamma(a + wk) once the collapsed pieces are taken
     # out, for float arrays: O(a), so one double carries it
-    return (wk + (a - 0.5)) * np.log1p(a / wk) + _stirling_tail(a + wk)
+    return (wk + (a - 0.5)) * np.log1p(a / wk) + _stirling_tail_sum(a + wk)
 
 
 class _TermLogs:
@@ -480,8 +526,8 @@ class _TermLogs:
     a + w*k has reached _EXPAND_MIN contribute through the Stirling form
     expanded around w*k.  Summed over those factors (1/k! included as a
     lower factor with a = w = 1) the pieces collapse into one coefficient
-    table that ``_advance`` keeps: sum sigma*w (the k*ln(k) coefficient,
-    -epsilon of the participating subset), the k-linear coefficient
+    table that ``_advance`` keeps with ``_fold``: sum sigma*w (the k*ln(k)
+    coefficient, -epsilon of the participating subset), the k-linear coefficient
     ln|z| + sum sigma*w*(ln(w) - 1), the ln(k) coefficient sum sigma*(a - 1/2),
     all as exact pairs, and a k-independent constant.  What is left per factor is
     O(a) and goes through one fsum.  Factors still below the threshold
@@ -506,25 +552,16 @@ class _TermLogs:
         self._base = math.fsum(self._consts)
         self._waiting = sorted(waiting, key=lambda rec: rec[0])
         self._expanded: list[tuple[float, float, float]] = []  # (a, w, sigma)
-        self._sh = self._sl = 0.0  # sum of sigma*w over expanded factors
-        self._ch, self._cl = _dd_log(abs(z))  # k-linear log coefficient
-        self._mh = self._ml = 0.0  # sum of sigma*(a - 1/2): ln(k) coefficient
+        # the pairs (c, s, m): the k-linear coefficient, sum sigma*w over
+        # the expanded factors, and their ln(k) coefficient sum sigma*(a - 1/2)
+        self._coef = (*_dd_log(abs(z)), 0.0, 0.0, 0.0, 0.0)
 
     def _advance(self, k: int) -> None:
         while self._waiting and self._waiting[0][0] <= k:
             _, a, w, sg = self._waiting.pop(0)
-            lwh, lwl = _dd_log(w)
-            am = a - 0.5
             self._expanded.append((a, w, sg))
-            self._sh, self._sl = _dd_add(self._sh, self._sl, sg * w, 0.0)
-            ph, pe = _two_prod(w, lwh)
-            self._ch, self._cl = _dd_add(self._ch, self._cl,
-                                         sg * ph, sg * (pe + w * lwl))
-            self._ch, self._cl = _dd_add(self._ch, self._cl, -sg * w, 0.0)
-            self._mh, self._ml = _dd_add(self._mh, self._ml, sg * am, 0.0)
-            ph, pe = _two_prod(am, lwh)
-            self._consts += [sg * ph, sg * (pe + am * lwl), -sg * a,
-                             sg * _HALF_LN_TWO_PI]
+            self._coef, pieces = _fold(self._coef, a, w, sg, *_dd_log(w))
+            self._consts += pieces
         self._base = math.fsum(self._consts)
 
     def at(self, k: int) -> tuple[float, float]:
@@ -542,13 +579,12 @@ class _TermLogs:
         for a, w, sg in self._expanded:
             wk = w * fk
             items.append(sg * ((wk + (a - 0.5)) * math.log1p(a / wk)
-                               + _stirling_tail(a + wk)))
+                               + _stirling_tail_sum(a + wk)))
         if self._expanded:
-            h, l = _collapsed(self._ch, self._cl, self._sh, self._sl,
-                              self._mh, self._ml, fk, *_log_int_dd(k))
+            h, l = _collapsed(*self._coef, fk, *_log_int_dd(k))
         else:  # ln(k) coefficients still zero: the pair _collapsed returns
-            ph, pe = _two_prod(self._ch, fk)
-            h, l = _two_sum(ph, pe + self._cl * fk)
+            ph, pe = _two_prod(self._coef[0], fk)
+            h, l = _two_sum(ph, pe + self._coef[1] * fk)
         return _dd_add(h, l, math.fsum(items), 0.0)
 
     def block(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -568,8 +604,7 @@ class _TermLogs:
 
     def _span(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
         fk = np.arange(k0, k1, dtype=float)
-        h, l = _collapsed(self._ch, self._cl, self._sh, self._sl, self._mh,
-                          self._ml, fk, *_log_ints_dd(fk))
+        h, l = _collapsed(*self._coef, fk, *_log_ints_dd(fk))
         parts = [sg * np.array([log_gamma(x) for x in (a + w * fk).tolist()])
                  for _, a, w, sg in self._waiting]
         if self._expanded:
@@ -611,9 +646,7 @@ def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
     log_mag = h + resid
     sgn = 1 if total > 0.0 else -1
     if log_mag > _LOG_DOUBLE_MAX and not log_mode:
-        raise OverflowError(
-            f"series value has log-magnitude {log_mag:.6g}, beyond double "
-            "range; re-run with log_mode")
+        raise _value_overflow(log_mag)
     if h < _LOG_DOUBLE_MAX:
         value = sgn * math.exp(h) * (1.0 + resid)
     else:
@@ -634,6 +667,18 @@ def _term_overflow(k: int, lh: float) -> OverflowError:
     return OverflowError(
         f"term k={k} has log-magnitude {lh:.6g}, beyond double "
         "range; re-run with log_mode")
+
+
+def _value_overflow(log_mag: float) -> OverflowError:
+    return OverflowError(
+        f"series value has log-magnitude {log_mag:.6g}, beyond double "
+        "range; re-run with log_mode")
+
+
+def _no_stop(cfg: EvalConfig, req: Request) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"stop rule did not fire within {cfg.max_terms} terms "
+        f"(start={req.start}, z={req.z!r})")
 
 
 def _neumaier(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -660,18 +705,14 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
     if psi_weight is not None:
         b1, w1 = psi_weight
     if z == 0.0:
-        if start > 0:
-            return EvalResult(0.0, 0, 0.0, 1.0, -math.inf, 0)
-        lt = _log_term_at_zero(params)
-        w = 1.0 if psi_weight is None else -digamma(b1)
+        # only term 0 is nonzero, and a tail from k >= 1 sums no term
+        w = 0.0 if start > 0 else 1.0 if psi_weight is None else -digamma(b1)
         if w == 0.0:
-            return EvalResult(0.0, 1, 0.0, 1.0, -math.inf, 0)
-        log_mag = lt + math.log(abs(w)) + log_offset
+            return EvalResult(0.0, int(start == 0), 0.0, 1.0, -math.inf, 0)
+        log_mag = _log_term_at_zero(params) + math.log(abs(w)) + log_offset
         sgn = 1 if w > 0.0 else -1
         if log_mag > _LOG_DOUBLE_MAX and not cfg.log_mode:
-            raise OverflowError(
-                f"series value has log-magnitude {log_mag:.6g}, beyond double "
-                "range; re-run with log_mode")
+            raise _value_overflow(log_mag)
         return EvalResult(sgn * _exp_or_inf(log_mag), 1, 0.0, 1.0, log_mag, sgn)
 
     neg = z < 0.0
@@ -798,9 +839,7 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
         size = min(2 * size, _BLOCK_MAX)
 
     if not stopped:
-        raise NoConvergenceError(
-            f"stop rule did not fire within {cfg.max_terms} terms "
-            f"(start={start}, z={z!r})")
+        raise _no_stop(cfg, req)
 
     return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
                    terms, last_h, ratio, log_offset, cfg.log_mode)

@@ -166,20 +166,24 @@ def _z_top(zrange: tuple[float, float], params: FoxWrightParams, eps: float,
 
 def _draw_z(u: float, zrange: tuple[float, float], params: FoxWrightParams,
             eps: float, v_target: float = _V_TARGET) -> float:
-    eff = _z_top(zrange, params, eps, v_target)
-    return eff - u * (eff - zrange[0])
+    return _hi_open(u, (zrange[0], _z_top(zrange, params, eps, v_target)))
 
 
-def _sample_series(c: Iterator[float], i: int, ranges: dict,
-                   v_target: float = _V_TARGET
+def _draw_n(u: float, nrange: tuple[float, float]) -> int:
+    """Map u in [0,1) onto the integers of [lo, hi], each equally likely."""
+    lo, hi = math.ceil(nrange[0]), math.floor(nrange[1])
+    return min(int(lo + u * (hi - lo + 1.0)), hi)
+
+
+def _sample_series(c: Iterator[float], shape: tuple[int, int], ranges: dict
                    ) -> tuple[FoxWrightParams, float]:
-    """General (p,q) instance cycling the shapes (1,1), (1,2), (2,2)."""
-    p, q = _PQ_CYCLE[i % 3]
+    """General instance with p upper and q lower pairs, shape = (p, q)."""
+    p, q = shape
     avals = [_hi_open(next(c), ranges["alpha"]) for _ in range(p)]
     bvals = [_hi_open(next(c), ranges["beta"]) for _ in range(q)]
     aw, bw, eps = _solve_weights(c, p, q, ranges["weight"])
     params = FoxWrightParams(tuple(zip(avals, aw)), tuple(zip(bvals, bw)))
-    return params, _draw_z(next(c), ranges["z"], params, eps, v_target)
+    return params, _draw_z(next(c), ranges["z"], params, eps)
 
 
 def _sample_tail_series(c: Iterator[float], i: int, ranges: dict
@@ -192,8 +196,7 @@ def _sample_tail_series(c: Iterator[float], i: int, ranges: dict
         b = _hi_open(next(c), ranges["beta"])
         lows.append((b, _lo_closed(next(c), ranges["weight"])))
     params = FoxWrightParams(ups, tuple(lows))
-    nlo, nhi = ranges["n"]
-    n = min(int(nlo + next(c) * (nhi - nlo + 1.0)), int(nhi))
+    n = _draw_n(next(c), ranges["n"])
     z = _draw_z(next(c), ranges["z"], params, params.epsilon())
     return params, n, z
 
@@ -202,13 +205,11 @@ def _ordered_pair(c: Iterator[float], arange: tuple[float, float],
                   brange: tuple[float, float]) -> tuple[float, float]:
     """Draw a from arange and b from brange with a >= b."""
     ua, ub = next(c), next(c)
-    alo, ahi = arange
     blo, bhi = brange
-    a = ahi - ua * (ahi - alo)
+    a = _hi_open(ua, arange)
     if a < blo:
-        a = ahi - ua * (ahi - blo)
-    b_top = min(bhi, a)
-    return a, b_top - ub * (b_top - blo)
+        a = _hi_open(ua, (blo, arange[1]))
+    return a, _hi_open(ub, (blo, min(bhi, a)))
 
 
 def _sub_grid(lo: float, hi: float) -> list[float]:
@@ -223,7 +224,7 @@ def _sub_grid(lo: float, hi: float) -> list[float]:
 
 
 def _build_turan(check, c, i, ranges, tol):
-    params, z = _sample_series(c, i, ranges)
+    params, z = _sample_series(c, _PQ_CYCLE[i % 3], ranges)
     return check(params, z, **tol)
 
 
@@ -239,13 +240,12 @@ def _build_corollary3(c, i, ranges, tol):
         a1 = 0.05 + ug * (top - 0.15)
     else:
         a1 = max(b2, b1 + 1.0) + 0.05 + ug * 3.0
-    lo, hi = ranges["z"]
-    z = lo + uz * (hi - lo)
+    z = _lo_closed(uz, ranges["z"])
     return _corollary3_2f2(a1, b1, b2, z, **tol)
 
 
 def _build_ratio(c, i, ranges, tol):
-    params, zmax = _sample_series(c, i, ranges)
+    params, zmax = _sample_series(c, _PQ_CYCLE[i % 3], ranges)
     slot = "beta" if i % 2 == 0 else "alpha"
     v1 = params.lower[0][0] if slot == "beta" else params.upper[0][0]
     v2 = v1 + 0.1 + 2.0 * next(c)
@@ -353,8 +353,8 @@ def _build_logconcave(c, i, ranges, tol):
     params = FoxWrightParams(tuple(ups), tuple(lows))
     lo = ranges["z"][0]
     eff = _z_top(ranges["z"], params, 1.0 + B1)
-    za = lo + next(c) * (eff - lo)
-    zb = lo + next(c) * (eff - lo)
+    za = _lo_closed(next(c), (lo, eff))
+    zb = _lo_closed(next(c), (lo, eff))
     z1, z2 = min(za, zb), max(za, zb)
     if z2 - z1 < 1e-3:
         z2 = z1 + max(1e-3 * (eff - lo), 1e-6)
@@ -386,12 +386,11 @@ def _direction(values: Sequence[float]) -> tuple[str, float]:
 
 
 def _build_explore_kn(c, i, ranges, tol):
-    nlo, nhi = ranges["n"]
     if i % 2 == 0:
         params, n, z = _sample_tail_series(c, i // 2, ranges)
     else:
-        params, z = _sample_series(c, i, ranges)
-        n = min(int(nlo + next(c) * (nhi - nlo + 1.0)), int(nhi))
+        params, z = _sample_series(c, _PQ_CYCLE[i % 3], ranges)
+        n = _draw_n(next(c), ranges["n"])
     proven = all(w == 0.0 for _, w in params.upper)
     grid = _sub_grid(ranges["z"][0], z)
     ks, _ = yield from _kn_values(params, n, grid)
@@ -416,18 +415,9 @@ def _build_explore_xi(c, i, ranges, tol):
         b1 = _hi_open(next(c), ranges["beta"])
         B1 = _lo_closed(next(c), ranges["weight"])
         params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
-        eps = 1.0 + B1
-    elif variant == 1:
-        a1 = _hi_open(next(c), ranges["alpha"])
-        b1 = _hi_open(next(c), ranges["beta"])
-        aw, bw, eps = _solve_weights(c, 1, 1, ranges["weight"])
-        params = FoxWrightParams(((a1, aw[0]),), ((b1, bw[0]),))
+        z = _draw_z(next(c), ranges["z"], params, 1.0 + B1)
     else:
-        avals = [_hi_open(next(c), ranges["alpha"]) for _ in range(2)]
-        bvals = [_hi_open(next(c), ranges["beta"]) for _ in range(2)]
-        aw, bw, eps = _solve_weights(c, 2, 2, ranges["weight"])
-        params = FoxWrightParams(tuple(zip(avals, aw)), tuple(zip(bvals, bw)))
-    z = _draw_z(next(c), ranges["z"], params, eps)
+        params, z = _sample_series(c, (variant, variant), ranges)
     val = yield from _xi_prime(params, z)
     return InequalityReport(
         suite_id="problem2-xi",
@@ -444,7 +434,8 @@ def _build_explore_xi(c, i, ranges, tol):
 
 # ---------------------------------------------------------------------------
 # Range validation: a range's name says its rule.  z has the sign of the
-# suite's default z range, and alpha1 must be able to reach beta2.
+# suite's default z range, the tail index n must hold an integer, and alpha1
+# must be able to reach beta2.
 
 _POSITIVE = ("alpha", "beta", "alpha1", "beta1", "beta2")
 _NONNEG = ("weight", "n", "B1", "gap")
@@ -460,6 +451,8 @@ def _validate(sd: "SuiteDef", ranges: dict) -> None:
         lo, _ = ranges[name]
         if lo < 0.0:
             raise GridError(f"range {name!r} must be >= 0, got lo={lo!r}")
+    if "n" in ranges and math.ceil(ranges["n"][0]) > ranges["n"][1]:
+        raise GridError(f"range 'n' holds no integer, got {ranges['n']!r}")
     zlo, zhi = ranges["z"]
     if sd.defaults["z"][0] < 0.0:
         if zlo >= 0.0 or zhi > 0.0:

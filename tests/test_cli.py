@@ -171,6 +171,23 @@ def test_check_invalid_grid_exits_2(params_file, tmp_path):
     assert main(["check", "--suite", "lazarevic", "--grid", str(junk)]) == 2
 
 
+@pytest.mark.parametrize("name, pair", [
+    ("n", [0, math.inf]), ("alpha", [0.1, math.inf]), ("z", [0, math.inf]),
+    ("beta", [-math.inf, 2.0]),
+])
+def test_non_finite_range_bounds_exit_2(params_file, tmp_path, capsys,
+                                        name, pair):
+    # json.dumps writes inf as Infinity, as a hand-written grid file may
+    grid = params_file({name: pair}, "grid.json")
+    assert main(["check", "--suite", "kn-bound", "--samples", "3",
+                 "--grid", grid, "--out", str(tmp_path / "kn.csv")]) == 2
+    assert not (tmp_path / "kn.csv").exists()
+    lo, hi = (float(v) for v in pair)
+    assert capsys.readouterr().err == (
+        f"error: range for {name!r} must have finite bounds, "
+        f"got ({lo}, {hi})\n")
+
+
 def test_bools_and_strings_in_input_files_exit_2(params_file, tmp_path,
                                                  capsys):
     params = params_file({"upper": [[True, "0.5"]]})

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -29,7 +30,7 @@ from foxwright import (
     log_term,
     turan_beta_check,
 )
-from foxwright import batch, series
+from foxwright import batch, gammakit, series
 from foxwright.series import PfqRequest
 
 # generic reference instance; values from 40-digit summation of the
@@ -85,6 +86,60 @@ def test_generic_tilde_and_normalized():
 
 def test_normalized_is_one_at_zero():
     assert evaluate_normalized(P1, 0.0).value == pytest.approx(1.0, abs=1e-15)
+
+
+_P_ZERO = FoxWrightParams(((1.5, 0.7),), ((2.5, 1.2), (0.8, 0.4)))
+_ONE = "0x1.0000000000000p+0"
+
+# (call, terms_used, sign, float.hex of value, tail_bound,
+# condition_estimate, log_magnitude) at z = 0
+ZERO_GOLDEN = {
+    "tilde": (lambda: evaluate_tilde(_P_ZERO, 0.0), 1, 1,
+              ("0x1.85bdb9a94c848p-1", "0x0.0p+0", _ONE,
+               "-0x1.1763df096506cp-2")),
+    "derivative": (lambda: derivative(_P_ZERO, 0.0), 1, 1,
+                   ("0x1.26a1554575f06p-2", "0x0.0p+0", _ONE,
+                    "-0x1.3ee985bf908b8p+0")),
+    # -psi(2.5) * t0 < 0 and -psi(1.2) * t0 > 0
+    "dbeta1-negative": (lambda: dbeta1(_P_ZERO, 0.0), 1, -1,
+                        ("-0x1.9c4eee357a551p-2", "0x0.0p+0", _ONE,
+                         "-0x1.d1c43f93cdb61p-1")),
+    "dbeta1-positive": (
+        lambda: dbeta1(FoxWrightParams(((1.5, 0.7),), ((1.2, 1.2),)), 0.0),
+        1, 1, ("0x1.1dae238c1a32dp-2", "0x0.0p+0", _ONE,
+               "-0x1.46cf2c180a6d1p+0")),
+    "tail-full": (lambda: evaluate_tail(_P_ZERO, TailSpec(-1), 0.0), 1, 1,
+                  ("0x1.252f0fde865f7p-1", "0x0.0p+0", _ONE,
+                   "-0x1.1d73e38985c2ap-1")),
+    "tail-0": (lambda: evaluate_tail(_P_ZERO, TailSpec(0), 0.0), 0, 0,
+               ("0x0.0p+0", "0x0.0p+0", _ONE, "-inf")),
+    "tail-3": (lambda: evaluate_tail(_P_ZERO, TailSpec(3), 0.0), 0, 0,
+               ("0x0.0p+0", "0x0.0p+0", _ONE, "-inf")),
+    "log-mode": (lambda: evaluate(FoxWrightParams(((200.0, 0.5),)), 0.0,
+                                  EvalConfig(log_mode=True)), 1, 1,
+                 ("inf", "0x0.0p+0", _ONE, "0x1.acf7827e2ba8fp+9")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_GOLDEN))
+def test_single_calls_at_zero_match_recorded_bits(case):
+    call, terms, sign, fields = ZERO_GOLDEN[case]
+    res = call()
+    assert (res.terms_used, res.sign) == (terms, sign)
+    got = (res.value, res.tail_bound, res.condition_estimate, res.log_magnitude)
+    assert tuple(float.hex(x) for x in got) == fields
+
+
+@pytest.mark.parametrize("call, lower, log_mag", [
+    (evaluate, (), "857.934"),
+    (derivative, (), "860.582"),
+    (dbeta1, ((3.0, 1.0),), "857.16"),
+])
+def test_value_overflow_at_zero_names_its_log_magnitude(call, lower, log_mag):
+    msg = (f"series value has log-magnitude {log_mag}, beyond double range; "
+           "re-run with log_mode")
+    with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
+        call(FoxWrightParams(((200.0, 0.5),), lower), 0.0)
 
 
 def test_tail_reference_value():
@@ -598,8 +653,12 @@ def test_dd_log_array_matches_scalar():
     xs += [j / 64.0 for j in range(45, 92)] + [1.0, 1e-300, 1e300,
                                                  math.nextafter(1.0, 2.0)]
     xs += np.random.default_rng(5).uniform(0.01, 50.0, 500).tolist()
-    h, l = batch._dd_log_array(np.array(xs))
-    for x, hh, ll in zip(xs, h.tolist(), l.tolist()):
+    xs += np.exp(np.random.default_rng(6).uniform(-700.0, 700.0, 5000)).tolist()
+    h, l = series._dd_log_array(np.array(xs))
+    # bit for bit the scalar pair, so the batch and single paths share
+    # ln|z| and every ln w
+    assert list(zip(h.tolist(), l.tolist())) == [series._dd_log(x) for x in xs]
+    for x, hh, ll in zip(xs[:-5000], h.tolist(), l.tolist()):
         if x == 1.0:
             assert (hh, ll) == (0.0, 0.0)
             continue
@@ -611,7 +670,7 @@ def test_dd_log_array_matches_scalar():
 def test_log_gamma_array_matches_scalar():
     xs = np.concatenate([np.linspace(1e-3, 13.0, 4001), [1.0, 2.0, 0.5, 1.5,
                                                           8.0, 30.0, 1e3]])
-    got = batch._log_gamma_array(xs)
+    got = gammakit._log_gamma_array(xs)
     ref = np.array([series.log_gamma(x) for x in xs.tolist()])
     assert got[xs == 1.0][0] == 0.0 and got[xs == 2.0][0] == 0.0
     assert np.all(np.abs(got - ref) <= 4 * 2.0 ** -52 * np.maximum(1.0,

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,25 @@ def test_grid_from_json_refuses_bools_strings_and_inf(blob):
     spec = grid_from_json({"samples": 12.0, "seed": 4, "z": [0, 1.5]})
     assert (spec.samples, spec.seed, spec.param_ranges["z"]) == (
         12, 4, (0.0, 1.5))
+
+
+def test_a_fractional_n_range_draws_only_its_integers():
+    spec = GridSpec(param_ranges={"n": (2.5, 3.2)}, samples=40, seed=1)
+    assert {r.params_echo["n"] for r in run_suite("kn-bound", spec)} == {3}
+    spec = GridSpec(param_ranges={"n": (0.5, 4.5)}, samples=40, seed=1)
+    assert {r.params_echo["n"] for r in run_explore("problem1-kn", spec)} == {
+        1, 2, 3, 4}
+    # integer bounds keep every draw: both ends are reached
+    spec = GridSpec(param_ranges={"n": (1.0, 4.0)}, samples=40, seed=1)
+    assert {r.params_echo["n"] for r in run_suite("tail-turan", spec)} == {
+        1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("pair", [(2.5, 2.7), (0.1, 0.9)])
+def test_an_n_range_without_an_integer_is_refused(pair):
+    msg = f"range 'n' holds no integer, got {pair!r}"
+    with pytest.raises(GridError, match=f"^{re.escape(msg)}$"):
+        run_suite("kn-bound", GridSpec(param_ranges={"n": pair}, samples=3))
 
 
 def test_custom_ranges_are_respected():
