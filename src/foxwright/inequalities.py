@@ -5,11 +5,12 @@ and returns an InequalityReport carrying the margin (lhs - rhs, oriented so
 nonnegative means the inequality holds), an error estimate for the computed
 margin, and enough echo data to reproduce the comparison.  Products and
 powers are formed in log space so an overflowing side yields an honest
-+-inf margin instead of an exception.
++-inf margin instead of an exception, and every error estimate is carried
+by one value type, _Q.
 
 Every row is built by one of three helpers, so the pass rule lives in one
 place (report.margin_passes): report.value_report for sides already in
-value space, _log_report here for sides given by their logs, and
+value space, _log_report here for sides given as _Q values, and
 report.worst_report for the checkers that judge a set of comparisons
 (ratio-monotone, kn-bound, chi) and report the one with the smallest margin.
 
@@ -85,8 +86,10 @@ __all__ = [
     "xi_prime",
 ]
 
-# relative rounding error charged per unit of condition number
-_ROUND_REL = 1e-14
+# the rounding unit: the relative error charged per unit of a series'
+# condition number, and the absolute error charged per unit of |x| to a log
+# x formed from rounded scalars
+_U = 1e-14
 
 _CONDITION_LIMIT = 1e6
 
@@ -149,48 +152,69 @@ def _public(rounds: Callable[..., Rounds]) -> Callable:
     return check
 
 
-def _diff_of_exp(la: float, lb: float) -> float:
-    """exp(la) - exp(lb) with inf - inf resolved by comparing the logs."""
-    m = _exp_or_inf(la) - _exp_or_inf(lb)
-    if math.isnan(m):
-        if la > lb:
-            return math.inf
-        if la < lb:
-            return -math.inf
-        return 0.0
-    return m
+class _Q:
+    """A magnitude exp(log) whose log has absolute error err, which is the
+    magnitude's relative error to first order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3).  A product or
+    quotient adds relative errors and a power e scales it by |e|; computed
+    adds u|log| to a log formed from rounded scalars (a computed exponent
+    times a log, lnGamma values, or the argument of exp).  Each rule forms
+    its log by the float expression a checker would write by hand."""
+
+    __slots__ = ("log", "err")
+
+    def __init__(self, log: float, err: float = 0.0) -> None:
+        self.log, self.err = log, err
+
+    def __mul__(self, other: "_Q") -> "_Q":
+        return _Q(self.log + other.log, self.err + other.err)
+
+    def __truediv__(self, other: "_Q") -> "_Q":
+        return _Q(self.log - other.log, self.err + other.err)
+
+    def __pow__(self, e: float) -> "_Q":
+        return _Q(e * self.log, abs(e) * self.err)
+
+    def computed(self) -> "_Q":
+        return _Q(self.log, self.err + _U * abs(self.log))
+
+    @property
+    def value(self) -> float:
+        return _exp_or_inf(self.log)
 
 
-def _log_report(suite_id: str, params_echo: dict, z: float, la: float,
-                lb: float, err: float, tol_abs: float, tol_rel: float,
+def _of(res: EvalResult) -> _Q:
+    """A series evaluation's magnitude, with its relative truncation
+    estimate plus u per unit of condition number as its error."""
+    log_tail = math.log(res.tail_bound) if res.tail_bound > 0.0 else -math.inf
+    return _Q(res.log_magnitude, _exp_or_inf(log_tail - res.log_magnitude)
+              + _U * res.condition_estimate)
+
+
+def _err(*terms: _Q) -> float:
+    """Absolute error of a sum or difference of the magnitudes, the sum of
+    theirs; NaN (inf * 0) reads as inf."""
+    err = sum([t.value * t.err for t in terms])
+    return math.inf if math.isnan(err) else err
+
+
+def _diff(a: _Q, b: _Q) -> dict:
+    """The comparison a >= b: its lhs, rhs, margin and err, with a margin
+    of inf - inf resolved by comparing the logs."""
+    lhs, rhs = a.value, b.value
+    margin = lhs - rhs
+    if math.isnan(margin):
+        margin = (math.inf if a.log > b.log
+                  else -math.inf if a.log < b.log else 0.0)
+    return {"lhs": lhs, "rhs": rhs, "margin": margin, "err": _err(a, b)}
+
+
+def _log_report(suite_id: str, params_echo: dict, z: float, a: _Q, b: _Q,
+                tol_abs: float, tol_rel: float,
                 aux: dict | None = None) -> InequalityReport:
-    """value_report for lhs = exp(la), rhs = exp(lb)."""
-    return value_report(suite_id, params_echo, z, _exp_or_inf(la),
-                        _exp_or_inf(lb), _diff_of_exp(la, lb), err,
-                        tol_abs, tol_rel, aux)
-
-
-def _abs_err(res: EvalResult) -> float:
-    """Absolute error estimate: truncation tail plus condition-scaled rounding."""
-    mag = _exp_or_inf(res.log_magnitude) if res.sign != 0 else 0.0
-    return res.tail_bound + _ROUND_REL * res.condition_estimate * mag
-
-
-def _rel_err(res: EvalResult) -> float:
-    if res.sign == 0:
-        return math.inf if res.tail_bound > 0.0 else 0.0
-    mag = _exp_or_inf(res.log_magnitude)
-    if math.isinf(mag):
-        return _ROUND_REL * res.condition_estimate
-    return _abs_err(res) / mag
-
-
-def _product_err(x: EvalResult, y: EvalResult) -> float:
-    """Error of value(x) * value(y) by the usual first-order rule."""
-    mx = _exp_or_inf(x.log_magnitude) if x.sign != 0 else 0.0
-    my = _exp_or_inf(y.log_magnitude) if y.sign != 0 else 0.0
-    err = mx * _abs_err(y) + my * _abs_err(x)
-    return 0.0 if math.isnan(err) else err
+    """value_report for the comparison a >= b."""
+    return value_report(suite_id, params_echo, z, tol_abs=tol_abs,
+                        tol_rel=tol_rel, aux=aux, **_diff(a, b))
 
 
 def _check_grid(values: Sequence[float], what: str) -> None:
@@ -238,17 +262,15 @@ def _turan(params: FoxWrightParams, z: float, slot: str, tol_abs: float,
             tuple(b for b, _ in params.lower)), z)
             for u in (v, v + 1.0, v + 2.0)]
     r0, r1, r2, *hyper = yield reqs
-    la = r0.log_magnitude + r2.log_magnitude
-    lb = math.log(c) + 2.0 * r1.log_magnitude
-    m1 = _exp_or_inf(r1.log_magnitude)
-    err = _product_err(r0, r2) + 2.0 * c * m1 * _abs_err(r1)
 
     aux = None
     if hyper:
         aux = {"pfq_margin": hyper[0].value * hyper[2].value
                - v / (v + 1.0) * hyper[1].value ** 2}
 
-    return _log_report(f"turan-{slot}", params.to_json(), z, la, lb, err,
+    return _log_report(f"turan-{slot}", params.to_json(), z,
+                       _of(r0) * _of(r2),
+                       _Q(math.log(c)).computed() * _of(r1) ** 2,
                        tol_abs, tol_rel, aux)
 
 
@@ -322,11 +344,11 @@ def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
                F3.condition_estimate)
     lhs = F1.value * F2.value
     rhs = F3.value ** 2
-    err = _product_err(F1, F2) + 2.0 * abs(F3.value) * _abs_err(F3)
     report = value_report(
         "corollary3-2f2",
         {"alpha1": alpha1, "beta1": beta1, "beta2": beta2},
-        z, lhs, rhs, lhs - rhs, err, tol_abs, tol_rel,
+        z, lhs, rhs, lhs - rhs, _err(_of(F1) * _of(F2), _of(F3) ** 2),
+        tol_abs, tol_rel,
         {"f": f, "g": g, "h": h, "condition": cond})
     if cond > _CONDITION_LIMIT:
         report.status = STATUS_NUMERICAL_FAILURE
@@ -371,9 +393,8 @@ def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
                  for z in z_grid]
     en, ed, dn, dd = (res[i * n:(i + 1) * n] for i in range(4))
 
-    lr = [a.log_magnitude - b.log_magnitude for a, b in zip(en, ed)]
-    ratios = [_exp_or_inf(v) for v in lr]
-    rel = [_rel_err(a) + _rel_err(b) for a, b in zip(en, ed)]
+    r = [_of(a) / _of(b) for a, b in zip(en, ed)]
+    ratios = [q.value for q in r]
 
     comparisons = []
     for i in range(len(z_grid) - 1):
@@ -381,23 +402,14 @@ def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
             "kind": "ratio-step",
             "z": float(z_grid[i + 1]),
             "z_prev": float(z_grid[i]),
-            "lhs": ratios[i],
-            "rhs": ratios[i + 1],
-            "margin": _diff_of_exp(lr[i], lr[i + 1]),
-            "err": ratios[i] * rel[i] + ratios[i + 1] * rel[i + 1],
+            **_diff(r[i], r[i + 1]),
         })
     for i, z in enumerate(z_grid):
         # R' <= 0 is dd * en >= dn * ed
-        x, y = (dd[i], en[i]), (dn[i], ed[i])
-        la = x[0].log_magnitude + x[1].log_magnitude
-        lb = y[0].log_magnitude + y[1].log_magnitude
         comparisons.append({
             "kind": "cross",
             "z": float(z),
-            "lhs": _exp_or_inf(la),
-            "rhs": _exp_or_inf(lb),
-            "margin": _diff_of_exp(la, lb),
-            "err": _product_err(*x) + _product_err(*y),
+            **_diff(_of(dd[i]) * _of(en[i]), _of(dn[i]) * _of(ed[i])),
         })
 
     return worst_report(
@@ -434,26 +446,23 @@ def _tail_turan(params: FoxWrightParams, n: int, z: float,
     if not z > 0.0:
         raise DomainError(f"defined for z > 0, got z={z!r}")
     t1, = yield [_tail(params, TailSpec(n + 1), z)]
-    l1 = t1.log_magnitude
+    big = _of(t1)
     # T_n = T_{n+1} + t_{n+1} and T_{n+2} = T_{n+1} - t_{n+2}, so the
     # squared-minus-product margin collapses to
     #     T_{n+1} t_{n+2} - T_{n+1} t_{n+1} + t_{n+1} t_{n+2},
     # which never cancels the dominant T^2 scale.
-    lt1 = log_term(params, z, n + 1)
-    lt2 = log_term(params, z, n + 2)
-    ea = _exp_or_inf(l1 + lt2)
-    eb = _exp_or_inf(l1 + lt1)
-    ec = _exp_or_inf(lt1 + lt2)
-    margin = (ea + ec) - eb
+    s1 = _Q(log_term(params, z, n + 1)).computed()
+    s2 = _Q(log_term(params, z, n + 2)).computed()
+    a, b, c = big * s2, big * s1, s1 * s2
+    margin = (a.value + c.value) - b.value
     if math.isnan(margin):
-        margin = math.inf if max(l1 + lt2, lt1 + lt2) >= l1 + lt1 else -math.inf
-    err = (ea + eb) * (_rel_err(t1) + 2e-15) + ec * 3e-15
-    lhs = _exp_or_inf(2.0 * l1)
+        margin = math.inf if max(a.log, c.log) >= b.log else -math.inf
+    lhs = (big ** 2).value
     rhs = lhs - margin
     if math.isnan(rhs):
         rhs = lhs
     return value_report("tail-turan", {**params.to_json(), "n": n}, z,
-                        lhs, rhs, margin, err, tol_abs, tol_rel)
+                        lhs, rhs, margin, _err(a, b, c), tol_abs, tol_rel)
 
 
 def _kn_values(params: FoxWrightParams, n: int,
@@ -468,26 +477,27 @@ def _kn_values(params: FoxWrightParams, n: int,
         if not v > 0.0:
             raise DomainError(f"defined for z > 0, got z={v!r}")
     t1s = yield [_tail(params, TailSpec(n + 1), z) for z in zs]
-    ab = [(_exp_or_inf(log_term(params, z, n + 1) - t1.log_magnitude),
-           _exp_or_inf(log_term(params, z, n + 2) - t1.log_magnitude))
+    t1s = [_of(t1) for t1 in t1s]
+    ab = [(_Q(log_term(params, z, n + 1)).computed() / t1,
+           _Q(log_term(params, z, n + 2)).computed() / t1)
           for z, t1 in zip(zs, t1s)]
-    again = [i for i, (_, b) in enumerate(ab) if b > 0.5]
+    again = [i for i, (_, b) in enumerate(ab) if b.value > 0.5]
     t2s = {}
     if again:
         t2s = dict(zip(again, (yield [_tail(params, TailSpec(n + 2), zs[i])
                                       for i in again])))
     kvals, kerrs = [], []
     for i, (t1, (a, b)) in enumerate(zip(t1s, ab)):
-        rel = 2.0 * _rel_err(t1) + 2e-14
+        # 1 + a and 1 - b carry the absolute errors of a and b
         if i in t2s:
-            factor = _exp_or_inf(t2s[i].log_magnitude - t1.log_magnitude)
-            rel += _rel_err(t2s[i])
+            f = _of(t2s[i]) / t1
+            factor, rel = f.value, f.err
         else:
-            factor = 1.0 - b
-            rel += 2.0 * b * (_rel_err(t1) + 1e-15)
-        k = (1.0 + a) * factor
+            factor = 1.0 - b.value
+            rel = _err(b) / factor
+        k = (1.0 + a.value) * factor
         kvals.append(k)
-        kerrs.append(k * rel)
+        kerrs.append(k * (_err(a) / (1.0 + a.value) + rel))
     return kvals, kerrs
 
 
@@ -529,6 +539,7 @@ def _kn_value_and_bound(params: FoxWrightParams, n: int,
                   - log_gamma(b + (n + 1) * w)
                   - log_gamma(b + (n + 3) * w))
     c_bound = math.exp(log_c)
+    c_err = _err(_Q(log_c).computed())
 
     zs = [float(z)] if z_grid is None else [float(v) for v in z_grid]
     if z_grid is not None:
@@ -541,7 +552,7 @@ def _kn_value_and_bound(params: FoxWrightParams, n: int,
         "lhs": kvals[i],
         "rhs": c_bound,
         "margin": kvals[i] - c_bound,
-        "err": kerrs[i] + _ROUND_REL * c_bound,
+        "err": kerrs[i] + c_err,
     } for i, v in enumerate(zs)]
     for i in range(len(zs) - 1):
         comparisons.append({
@@ -665,14 +676,13 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
     res = yield [r for b1 in beta1_grid for r in (
         _powered(alpha1, b1, beta2, B1, z),
         _powered(alpha1 + 1.0, b1 + B1, beta2 + 1.0, B1, z))]
-    chi_vals, chi_rel = [], []
-    for den, num in zip(res[::2], res[1::2]):
-        chi_vals.append(_exp_or_inf(num.log_magnitude - den.log_magnitude))
-        chi_rel.append(_rel_err(num) + _rel_err(den))
+    chi = [_of(num) / _of(den) for den, num in zip(res[::2], res[1::2])]
+    chi_vals = [q.value for q in chi]
     omega_vals, om_last = _omega(alpha1, beta1_grid, beta2, B1, z,
                                  [den.terms_used + 10 for den in res[::2]])
-    omega_errs = [e + _ROUND_REL * abs(om)
-                  for om, e in zip(omega_vals, om_last)]
+    # Omega sums nonnegative terms (condition 1) in value space: its last
+    # block plus u|Omega|, the rule _of applies to a series
+    omega_errs = [e + _U * abs(om) for om, e in zip(omega_vals, om_last)]
 
     comparisons = []
     for i in range(len(beta1_grid) - 1):
@@ -684,7 +694,7 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
             "lhs": chi_vals[i + 1],
             "rhs": chi_vals[i],
             "margin": chi_vals[i + 1] - chi_vals[i],
-            "err": chi_vals[i] * chi_rel[i] + chi_vals[i + 1] * chi_rel[i + 1],
+            "err": _err(chi[i], chi[i + 1]),
         })
     for i, b1 in enumerate(beta1_grid):
         comparisons.append({
@@ -735,17 +745,13 @@ def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
     u, v = yield from _u_and_v(alpha1, beta1, beta2, B1, z)
     e1 = gamma_ratio(beta1, B1)
     e2 = e1 * (beta1 + B1) / beta1
-    lu = e2 * u.log_magnitude
-    lv = e1 * ((B1 / beta1) * (log_gamma(alpha1) - log_gamma(beta2))
-               + v.log_magnitude)
-    err = (_exp_or_inf(lu) * e2 * _rel_err(u)
-           + _exp_or_inf(lv) * e1 * _rel_err(v))
-    if math.isnan(err):
-        err = math.inf
+    scale = _Q((B1 / beta1) * (log_gamma(alpha1) - log_gamma(beta2)))
     return _log_report(
         "lazarevic",
         {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1},
-        z, lu, lv, err, tol_abs, tol_rel, {"e1": e1, "e2": e2})
+        z, (_of(u) ** e2).computed(),
+        ((scale.computed() * _of(v)) ** e1).computed(),
+        tol_abs, tol_rel, {"e1": e1, "e2": e2})
 
 
 def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
@@ -756,18 +762,15 @@ def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
     Lazarevic checker.  Requires a1 >= b2 > 0, z >= 0.
     """
     u, v = yield from _u_and_v(alpha1, beta1, beta2, B1, z)
-    t1 = _exp_or_inf(u.log_magnitude - v.log_magnitude)
-    lt2 = (B1 / beta1) * (log_gamma(beta2) - log_gamma(alpha1)
-                          + u.log_magnitude)
-    t2 = _exp_or_inf(lt2)
-    err = t1 * (_rel_err(u) + _rel_err(v)) + t2 * (B1 / beta1) * _rel_err(u)
-    if math.isnan(err):
-        err = math.inf
+    ratio = _of(u) / _of(v)
+    power = ((_Q(log_gamma(beta2) - log_gamma(alpha1)).computed() * _of(u))
+             ** (B1 / beta1)).computed()
+    t1, t2 = ratio.value, power.value
     return value_report(
         "wilker",
         {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1},
-        z, t1 + t2, 2.0, (t1 + t2) - 2.0, err, tol_abs, tol_rel,
-        {"ratio_term": t1, "power_term": t2})
+        z, t1 + t2, 2.0, (t1 + t2) - 2.0, _err(ratio, power), tol_abs,
+        tol_rel, {"ratio_term": t1, "power_term": t2})
 
 
 # ---------------------------------------------------------------------------
@@ -828,19 +831,12 @@ def _logconcavity(params: FoxWrightParams, z1: float, z2: float,
     echo = params.to_json()
     aux = {"z1": float(z1), "z2": float(z2), "c": c}
 
-    geo = 0.5 * (f1.log_magnitude + f2.log_magnitude)
-    mid = _log_report("logconcave:midpoint", echo, zm, fm.log_magnitude, geo,
-                      _abs_err(fm) + 0.5 * _exp_or_inf(geo)
-                      * (_rel_err(f1) + _rel_err(f2)), tol_abs, tol_rel, aux)
-
-    exb = _log_report("logconcave:expbound", echo, zm, c * zm,
-                      fm.log_magnitude,
-                      _abs_err(fm) + _ROUND_REL * _exp_or_inf(c * zm),
-                      tol_abs, tol_rel, aux)
-
+    mid = _log_report("logconcave:midpoint", echo, zm, _of(fm),
+                      (_of(f1) * _of(f2)) ** 0.5, tol_abs, tol_rel, aux)
+    exb = _log_report("logconcave:expbound", echo, zm,
+                      _Q(c * zm).computed(), _of(fm), tol_abs, tol_rel, aux)
     der = _log_report("logconcave:deriv", echo, zm,
-                      log_c + psi_m.log_magnitude, dpsi_m.log_magnitude,
-                      c * _abs_err(psi_m) + _abs_err(dpsi_m),
+                      _Q(log_c).computed() * _of(psi_m), _of(dpsi_m),
                       tol_abs, tol_rel, aux)
     return mid, exb, der
 

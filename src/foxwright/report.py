@@ -76,8 +76,10 @@ class InequalityReport:
     """One verified inequality instance.
 
     margin is oriented so that the claimed inequality holds iff margin >= 0
-    (up to tolerance).  err_estimate bounds the numerical uncertainty of the
-    margin (series truncation plus first-order rounding).  status flips to
+    (up to tolerance).  err_estimate estimates the margin's numerical error:
+    the sum of the sides' absolute errors, each carried by first-order rules
+    from its series' truncation estimates and condition-scaled rounding
+    (inequalities._Q); the verdict does not read it.  status flips to
     "numerical-failure" when the evaluation was too ill-conditioned to trust,
     in which case passed is meaningless and recorded as False.
     """

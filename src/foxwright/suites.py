@@ -393,7 +393,7 @@ def _build_explore_kn(c, i, ranges, tol):
         n = _draw_n(next(c), ranges["n"])
     proven = all(w == 0.0 for _, w in params.upper)
     grid = _sub_grid(ranges["z"][0], z)
-    ks, _ = yield from _kn_values(params, n, grid)
+    ks, kerrs = yield from _kn_values(params, n, grid)
     direction, worst_step = _direction(ks)
     return InequalityReport(
         suite_id="problem1-kn",
@@ -403,7 +403,8 @@ def _build_explore_kn(c, i, ranges, tol):
         rhs=ks[-1],
         margin=worst_step,
         passed=True,
-        err_estimate=1e-9 * max(abs(k) for k in ks),
+        # twice the largest K error bounds the error of every step
+        err_estimate=2.0 * max(kerrs),
         aux={"k_values": ks, "proven_shape": proven},
     )
 

@@ -286,6 +286,23 @@ def test_logconcavity_triple():
     assert reps[0].aux["z1"] == 0.8 and reps[0].aux["z2"] == 2.4
 
 
+@pytest.mark.parametrize("upper, lower, z1, z2", [
+    (((3.0944458072644014, 1.0), (5.723187952088285, 1.0)),
+     ((1.6720274882363606, 0.2876418519104492), (0.11475260832557499, 1.0),
+      (3.9247047427103983, 1.0)), 1.3822664436085597, 12.024550772037937),
+    (((5.807395370152804, 1.0), (4.171100166884749, 1.0)),
+     ((0.22628054051858815, 2.182874530759663), (3.06517297063776, 1.0),
+      (1.9452704711284565, 1.0)), 0.16651123657825728, 18.671717312327555),
+])
+def test_expbound_error_covers_the_amplified_exponent(upper, lower, z1, z2):
+    # exp(c zm) turns the absolute error of its computed exponent c zm (about
+    # 240 and 120 here) into its relative error; charging only rounding of
+    # the result left these rows 11.4x and 1.3x outside err_estimate
+    _, exb, _ = logconcavity_check(FoxWrightParams(upper, lower), z1, z2)
+    assert exb.suite_id == "logconcave:expbound"
+    assert abs(exb.margin - hp_margin(exb, 30)) <= exb.err_estimate
+
+
 def test_logconcavity_shape_guards():
     with pytest.raises(ParameterError):
         # upper weight must be 1

@@ -6,6 +6,7 @@ import json
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from foxwright import (
     GridSpec,
     ParameterError,
     grid_from_json,
+    hp_eval,
     margin_passes,
 )
 from foxwright import batch, inequalities, suites
@@ -234,9 +236,8 @@ def test_hp_margin_agrees(suite):
         if math.isinf(r.margin) or math.isinf(hp):
             assert r.margin == hp
             continue
-        scale = max(abs(r.lhs), abs(r.rhs), 1e-300)
-        tol = max(1e-8 * scale, 50.0 * r.err_estimate, 1e-12)
-        assert abs(hp - r.margin) <= tol, (suite, r.z, r.margin, hp)
+        assert abs(hp - r.margin) <= r.err_estimate, (
+            suite, r.z, r.margin, hp, r.err_estimate)
 
 
 def test_hp_margin_rejects_unknown_rows():
@@ -257,6 +258,35 @@ def test_explore_problem1():
             # zero upper weights: the ratio is proven monotone there, so
             # the grid must come out nondecreasing
             assert r.params_echo["direction"] == "nondecreasing"
+
+
+def test_explore_problem1_err_bounds_the_worst_step():
+    # the row's error is twice the largest error _kn_values gives for its K
+    # grid, and holds the worst step against the oracle
+    spec = GridSpec(samples=4, seed=9)
+    rows = run_explore("problem1-kn", spec)
+    sd = EXPLORERS["problem1-kn"]
+    ranges = suites._resolve_ranges(sd, spec)
+    u = suites._unit_matrix(spec, sd.dims, spec.samples)
+    for i, r in enumerate(rows):
+        gen = sd.build(iter(u[i].tolist()), i, ranges, {})
+        next(gen)
+        drawn = inspect.getgeneratorlocals(gen)
+        gen.close()
+        params, n, grid = drawn["params"], drawn["n"], drawn["grid"]
+        ks, kerrs = inequalities._run_rounds(
+            [inequalities._kn_values(params, n, grid)])[0]
+        assert ks == r.aux["k_values"]
+        assert r.err_estimate == 2.0 * max(kerrs)
+        j = min(range(len(ks) - 1), key=lambda j: ks[j + 1] - ks[j])
+        assert ks[j + 1] - ks[j] == r.margin
+        hp = []
+        for z in (grid[j], grid[j + 1]):
+            t0, t1, t2 = (mp.mpf(hp_eval(params, z, 30, start)[0])
+                          for start in (n + 1, n + 2, n + 3))
+            hp.append(t0 * t2 / t1 ** 2)
+        assert abs(r.margin - float(hp[1] - hp[0])) <= r.err_estimate, (
+            i, r.margin, hp, r.err_estimate)
 
 
 def test_explore_problem2():
