@@ -1,13 +1,17 @@
 """High-precision reference oracle.
 
 Every series here is recomputed from scratch in mpmath arbitrary-precision
-arithmetic: terms are direct gamma products, accumulation is plain mpf
-addition (no running-scale or compensation tricks), and the stop rule is a
-geometric tail estimate against the requested digit count.  Series summed
-together share z^k / k! and each Gamma factor per k, but keep their own
-totals and stop rules; a sum whose terms cancel into its guard digits is
-re-run at a higher precision.  Nothing is shared with the double-precision
-engine, so agreement between the two is meaningful evidence.
+arithmetic: term k is z^k / k!, stepped as p_k = p_{k-1} z / k, times
+Gamma factors from mp.gamma; a factor whose argument exceeds another's of
+the same weight by an exact integer m <= 4 is taken from that one by
+Gamma(x + 1) = x Gamma(x), and a zero-weight factor is formed once.
+Accumulation is plain mpf addition (no running-scale or compensation
+tricks), and the stop rule is a geometric tail estimate against the
+requested digit count.  Series summed together share z^k / k! and each
+Gamma factor per k, but keep their own totals and stop rules; a sum whose
+terms cancel into its guard digits is re-run at a higher precision.
+Nothing is shared with the double-precision engine, so agreement between
+the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -44,13 +48,14 @@ def _check_digits(digits: int) -> int:
 def _settled(result, rerun):
     """(value, tail, terms) of ``result`` = (value, tail, terms, peak =
     max |t_k|), summed again by ``rerun()`` at a higher working precision
-    while the digits lost, log10(peak / |value|) + log10(terms), leave less
-    than one guard digit."""
+    while the digits lost, log10(peak / |value|) + 2 log10(terms), leave
+    less than one guard digit: one log10(terms) for the additions, one for
+    the k roundings in term k's stepped prefactor."""
     base = dps = mp.mp.dps
     while True:
         value, tail, terms, peak = result
         lost = (0.0 if peak == 0 else math.inf if value == 0 else
-                float(mp.log10(peak / abs(value))) + math.log10(terms))
+                float(mp.log10(peak / abs(value))) + 2 * math.log10(terms))
         if lost <= dps - base + _GUARD - 1:
             return value, tail, terms
         if base + lost > _MAX_DPS:
@@ -65,38 +70,58 @@ def _settled(result, rerun):
 def _lockstep(jobs, rel_stop):
     """Sum (params, z, start) jobs in lockstep over k in the active context.
 
-    Returns one (value, tail_estimate, terms_used, peak) per job.  Terms
-    are formed directly, each distinct factor and term once per k:
-    prod Gamma(alpha + k A) / prod Gamma(beta + k B) * z^k / k!.
+    Returns one (value, tail_estimate, terms_used, peak) per job.  Term k is
+    prod Gamma(alpha + k A) / prod Gamma(beta + k B) * z^k / k!, its factors
+    formed once per k and shared by the jobs that use them.
     """
     jobs = [(params, mp.mpf(z), start) for params, z, start in jobs]
     # arguments formed in mpf arithmetic: a + k*w rounded to a double
     # would shift the term log by psi(x) * ulp, ~1e-12 for late terms
     args = {pair: (mp.mpf(pair[0]), mp.mpf(pair[1]))
             for params, _, _ in jobs for pair in params.upper + params.lower}
+    fixed = {pair: mp.gamma(a) for pair, (a, w) in args.items() if w == 0}
+    # (m, partner): a pair whose value exceeds a partner's of the same
+    # weight by exactly m in 1..4 takes Gamma(x + m) = x (x+1) ... (x+m-1)
+    # Gamma(x) from it; any other pair is its own partner at m = 0
+    partner = {pair: min([(a - b, low) for low, (b, v) in args.items()
+                          if v == w != 0 and a - b in (1, 2, 3, 4)],
+                         default=(0, pair))
+               for pair, (a, w) in args.items()}
     # small ints stand for each job's (params, z) and z: cheap dict keys
     seen = {}
     ids = [(seen.setdefault((p, z), len(seen)), seen.setdefault(z, len(seen)))
            for p, z, _ in jobs]
+    # z^k / k! stepped from k = 0 for every z, whatever its jobs' starts
+    powers = {zi: mp.mpf(1) for _, zi in ids}
+    zs = {zi: z for (_, z, _), (_, zi) in zip(jobs, ids)}
+
+    def gamma(pair):
+        # Gamma(a + k w) of a pair at this k, formed once
+        if pair not in gammas:
+            m, low = partner[pair]
+            x = args[low][0] + k * args[low][1]
+            g = gamma(low) if m else mp.gamma(x)
+            for i in range(int(m)):
+                g *= x + i
+            gammas[pair] = g
+        return gammas[pair]
+
     # per job: [total, |previous term|, tail, streak, terms, peak]
     state = [[mp.mpf(0), None, mp.mpf(0), 0, 0, mp.mpf(0)] for _ in jobs]
-    live, k = list(range(len(jobs))), min(start for _, _, start in jobs)
+    live, k = list(range(len(jobs))), 0
     while live:
-        fact, powers, gammas, terms = mp.factorial(k), {}, {}, {}
+        if k:
+            for zi in {ids[j][1] for j in live}:
+                powers[zi] = powers[zi] * zs[zi] / k
+        gammas, terms = dict(fixed), {}
         for j in [j for j in live if jobs[j][2] <= k]:
-            (params, z, _), (pz, zi) = jobs[j], ids[j]
+            params, (pz, zi) = jobs[j][0], ids[j]
             if pz not in terms:
-                if zi not in powers:
-                    powers[zi] = mp.power(z, k) / fact
                 t = powers[zi]
-                for pair in params.upper + params.lower:
-                    if pair not in gammas:
-                        a, w = args[pair]
-                        gammas[pair] = mp.gamma(a + k * w)
                 for pair in params.upper:
-                    t *= gammas[pair]
+                    t *= gamma(pair)
                 for pair in params.lower:
-                    t /= gammas[pair]
+                    t /= gamma(pair)
                 terms[pz] = t, abs(t)
             t, at = terms[pz]
             s = state[j]
@@ -104,13 +129,13 @@ def _lockstep(jobs, rel_stop):
             s[4] += 1
             s[5] = max(s[5], at)
             prev, s[1] = s[1], at
-            ratio = (at / prev if prev else
-                     mp.mpf(0) if prev == 0 and at == 0 else mp.inf)
-            if ratio < 1:
-                s[2] = at * ratio / (1 - ratio)
-                s[3] = s[3] + 1 if s[2] <= rel_stop * abs(s[0]) else 0
-            else:
-                s[3] = 0
+            # the geometric tail test at r / (1 - r) <= rel |S|, r = at / prev,
+            # without dividing: at < prev and at^2 <= rel |S| (prev - at)
+            settling = prev is not None and (at < prev or at == 0) and (
+                at * at <= rel_stop * abs(s[0]) * (prev - at))
+            s[3] = s[3] + 1 if settling else 0
+            if s[3] >= 3:
+                s[2] = at * at / (prev - at) if at else mp.mpf(0)
             if s[3] >= 3 or s[4] >= _MAX_TERMS:
                 live.remove(j)
         k += 1
@@ -156,6 +181,7 @@ def _pfq_sum(upper: Sequence[float], lower: Sequence[float], z, rel_stop):
     Returns (value, tail_estimate, terms_used, peak).
     """
     z = mp.mpf(z)
+    upper, lower = [mp.mpf(a) for a in upper], [mp.mpf(b) for b in lower]
     term = mp.mpf(1)
     total = mp.mpf(0)
     peak = mp.mpf(0)
@@ -165,10 +191,10 @@ def _pfq_sum(upper: Sequence[float], lower: Sequence[float], z, rel_stop):
         peak = max(peak, abs(term))
         num = mp.mpf(1)
         for a in upper:
-            num *= mp.mpf(a) + k
+            num *= a + k
         den = mp.mpf(k + 1)
         for b in lower:
-            den *= mp.mpf(b) + k
+            den *= b + k
         nxt = term * num / den * z
         ratio = abs(nxt) / abs(term) if term != 0 else mp.mpf(0)
         term = nxt

@@ -716,6 +716,8 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
         return EvalResult(sgn * _exp_or_inf(log_mag), 1, 0.0, 1.0, log_mag, sgn)
 
     neg = z < 0.0
+    # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
+    signed = neg or psi_weight is not None
     gen = _TermLogs(params, z)
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
     scale_l = 0.0
@@ -760,7 +762,8 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
         else:
             t = 0.0
         total, comp = _neumaier(total, comp, sign * t)
-        total_abs, comp_abs = _neumaier(total_abs, comp_abs, t)
+        if signed:
+            total_abs, comp_abs = _neumaier(total_abs, comp_abs, t)
 
         ratio = math.inf if prev_h is None else _ratio(prev_h, prev_l, lh, ll)
         prev_h, prev_l = lh, ll
@@ -782,7 +785,8 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
     while not stopped and k < end:
         n = min(size, end - k)
         lh, ll = gen.block(k, k + n)
-        sign = np.ones(n)
+        if signed:
+            sign = np.ones(n)
         if neg:
             sign[(k + 1) % 2::2] = -1.0
         if psi_weight is not None:
@@ -807,7 +811,7 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
             t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
         else:
             t = np.zeros(n)
-        x = sign * t
+        x = sign * t if signed else t
 
         # the stop rule of the one-term loop, tested on cumsum partial sums;
         # the terms up to the stop are then added with fsum
@@ -828,8 +832,9 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
                 raise _term_overflow(k + int(over[0]), float(lh[over[0]]))
 
         total, comp = _neumaier(total, comp, math.fsum(x[:used].tolist()))
-        total_abs, comp_abs = _neumaier(total_abs, comp_abs,
-                                        math.fsum(t[:used].tolist()))
+        if signed:
+            total_abs, comp_abs = _neumaier(total_abs, comp_abs,
+                                            math.fsum(t[:used].tolist()))
         terms += used
         prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
         last_h = prev_h
@@ -841,6 +846,8 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
     if not stopped:
         raise _no_stop(cfg, req)
 
+    if not signed:
+        total_abs, comp_abs = total, comp
     return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
                    terms, last_h, ratio, log_offset, cfg.log_mode)
 

@@ -1,5 +1,7 @@
 """High-precision oracle."""
 
+import dataclasses
+
 import mpmath as mp
 import pytest
 
@@ -112,27 +114,69 @@ def test_lockstep_job_that_never_settles_raises(monkeypatch):
                         mp.mpf(10) ** -30)
 
 
-def test_turan_alpha_forms_each_gamma_and_factorial_once_per_k(monkeypatch):
-    # shape (1, 1): three upper columns and one shared lower column
+def test_turan_alpha_takes_unit_shifted_gammas_from_their_partner(
+        monkeypatch):
+    # shape (1, 1): three upper columns a1, a1 + 1, a1 + 2 and one shared
+    # lower column
     row = run_suite("turan-alpha", GridSpec(samples=6, seed=2))[3]
     assert len(row.params_echo["upper"]) == len(row.params_echo["lower"]) == 1
     params = FoxWrightParams.from_json(row.params_echo)
     a1 = params.upper[0][0]
-    jobs = [(params.with_upper_value(0, v), row.z, 0)
-            for v in (a1, a1 + 1.0, a1 + 2.0)]
-    with mp.workdps(40):
-        terms = [t for _, _, t in oracle._hp_sums(jobs, mp.mpf(10) ** -30)]
-    calls = {"gamma": 0, "factorial": 0}
+    # 0.1 + 1.0 rounds, so 1.1 keeps its own Gamma; 2.1 - 1.1 is exact
+    inexact = dataclasses.replace(row, params_echo=dict(
+        row.params_echo, upper=[[0.1, params.upper[0][1]]]))
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
+    def count(report, a):
+        jobs = [(params.with_upper_value(0, v), report.z, 0)
+                for v in (a, a + 1.0, a + 2.0)]
+        with mp.workdps(40):
+            terms = [t for _, _, t in oracle._hp_sums(jobs, mp.mpf(10) ** -30)]
+        calls = dict.fromkeys(("gamma", "factorial", "power"), 0)
 
-    for name in calls:
-        monkeypatch.setattr(mp, name, counted(name, getattr(mp, name)))
-    hp_margin(row, 30)
-    k = max(terms)
-    assert calls == {"gamma": sum(terms) + k, "factorial": k}
-    assert calls["gamma"] <= 4 * k
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(mp, name, counted(name, getattr(mp, name)))
+            hp_margin(report, 30)
+        return terms, calls
+
+    # a1 + 1 and a1 + 2 are exact: per k one Gamma for a1, one for the
+    # lower column, and neither a factorial nor a power
+    terms, got = count(row, a1)
+    assert got == {"gamma": 2 * max(terms), "factorial": 0, "power": 0}
+    assert got["gamma"] == 60
+    # per k one Gamma for the lower column, one for 0.1 while its series
+    # runs, and one for 1.1 while its series or that of 2.1 runs
+    terms, got = count(inexact, 0.1)
+    assert got == {"gamma": max(terms) + terms[0] + max(terms[1:]),
+                   "factorial": 0, "power": 0}
+    assert got["gamma"] == 88
+
+
+def test_stepped_prefactor_keeps_thirty_digits_over_long_sums():
+    # exp: about 1,700 stepped terms with no Gamma factor, and at z < 0 a
+    # sum that cancels into its guard digits and is re-run
+    for z in (600, -40):
+        value, _ = hp_eval(FoxWrightParams(), float(z), 30)
+        with mp.workdps(60):
+            ref = mp.exp(z)
+            assert abs(mp.mpf(value) - ref) <= mp.mpf(10) ** -29 * ref
+
+
+def test_unit_shifted_factors_match_each_series_summed_alone():
+    # a Turan triple in one call: its a + 1 and a + 2 factors come from the
+    # partner a where the shift is exact (1.25), and from 1.1 where
+    # 0.1 + 1.0 rounds
+    for a in (1.25, 0.1):
+        jobs = [(P1.with_upper_value(0, v), 6.3, 0)
+                for v in (a, a + 1.0, a + 2.0)]
+        with mp.workdps(40):
+            together = oracle._hp_sums(jobs, mp.mpf(10) ** -30)
+            for (params, z, _), (value, _, _) in zip(jobs, together):
+                alone = mp.mpf(hp_eval(params, z, 30)[0])
+                assert abs(value - alone) <= mp.mpf(10) ** -29 * abs(alone)
