@@ -521,22 +521,31 @@ def _expanded_rest(a, wk):
 class _TermLogs:
     """Stabilized per-term log magnitudes for one summation run.
 
-    ``at(k)`` returns log|term k| as a head/tail pair, ``block(k0, k1)`` the
-    same for k0 <= k < k1 as head/tail arrays.  Factors whose argument
-    a + w*k has reached _EXPAND_MIN contribute through the Stirling form
-    expanded around w*k.  Summed over those factors (1/k! included as a
-    lower factor with a = w = 1) the pieces collapse into one coefficient
-    table that ``_advance`` keeps with ``_fold``: sum sigma*w (the k*ln(k)
-    coefficient, -epsilon of the participating subset), the k-linear coefficient
-    ln|z| + sum sigma*w*(ln(w) - 1), the ln(k) coefficient sum sigma*(a - 1/2),
-    all as exact pairs, and a k-independent constant.  What is left per factor is
-    O(a) and goes through one fsum.  Factors still below the threshold
-    contribute their log-gamma directly, which is harmless precisely because
-    those values are small.  Calls must come with nondecreasing k (the factor
-    partition only ever grows), and k = 0 only as the first call.
+    ``at(k)`` returns log|term k| as a head/tail pair, ``term(k)`` the same
+    times the psi weight -psi(b + k*B) and the sign of the weighted term,
+    ``block(k0, k1)`` and ``signs(k0, k1)`` those for k0 <= k < k1 as arrays.
+    Factors whose argument a + w*k has reached _EXPAND_MIN contribute through
+    the Stirling form expanded around w*k.  Summed over those factors (1/k!
+    included as a lower factor with a = w = 1) the pieces collapse into one
+    coefficient table that ``_advance`` keeps with ``_fold``: sum sigma*w (the
+    k*ln(k) coefficient, -epsilon of the participating subset), the k-linear
+    coefficient ln|z| + sum sigma*w*(ln(w) - 1), the ln(k) coefficient sum
+    sigma*(a - 1/2), all as exact pairs, and a k-independent constant.  What is
+    left per factor is O(a) and goes through one fsum.  Factors still below the
+    threshold contribute their log-gamma directly, which is harmless precisely
+    because those values are small.  Calls must come with nondecreasing k (the
+    factor partition only ever grows), and k = 0 only as the first call.
+    Blocks are slices of a read-ahead of ``ahead`` terms (2 * _BLOCK_MAX after
+    the first read; at least the block, never past ``end``), each element the
+    one a read of its block alone computes.
     """
 
-    def __init__(self, params: FoxWrightParams, z: float) -> None:
+    def __init__(self, params: FoxWrightParams, z: float,
+                 psi_weight: tuple | None = None, end: float = math.inf) -> None:
+        self._neg, self._psi, self._end = z < 0.0, psi_weight, end
+        self.ahead = 2 * _BLOCK_MAX
+        # the read-ahead: (log heads, log tails, signs) of k0 <= k < k1
+        self._k0, self._k1, self._buf = 0, 0, (np.empty(0),) * 3
         self._consts: list[float] = []  # k-independent pieces of the term log
         waiting = []
         for sg, pairs in ((1.0, params.upper), (-1.0, params.lower + ((1.0, 1.0),))):
@@ -587,20 +596,51 @@ class _TermLogs:
             h, l = _two_sum(ph, pe + self._coef[1] * fk)
         return _dd_add(h, l, math.fsum(items), 0.0)
 
+    def term(self, k: int) -> tuple[float, float, float]:
+        h, l = self.at(k)
+        sign = -1.0 if (self._neg and k % 2 == 1) else 1.0
+        if self._psi is None:
+            return h, l, sign
+        w = -digamma(self._psi[0] + k * self._psi[1])
+        if w == 0.0:
+            return -math.inf, 0.0, sign
+        return *_dd_add(h, l, math.log(abs(w)), 0.0), (sign if w > 0.0 else -sign)
+
     def block(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-        # split where a factor crosses _EXPAND_MIN, so that the coefficient
-        # table is fixed within each span
+        if k1 > self._k1:
+            self._read(k0, k1)
+        i, j = k0 - self._k0, k1 - self._k0
+        return self._buf[0][i:j], self._buf[1][i:j]
+
+    def signs(self, k0: int, k1: int) -> np.ndarray:
+        return self._buf[2][k0 - self._k0:k1 - self._k0]
+
+    def _read(self, k0: int, k1: int) -> None:
+        # the next read, joined to what is left of the last one; split where
+        # a factor crosses _EXPAND_MIN, so each span has one coefficient table
+        lo = k = max(k0, self._k1)
+        hi = min(max(k1, lo + self.ahead), self._end)
+        self.ahead = 2 * _BLOCK_MAX
         spans = []
-        while k0 < k1:
-            if self._waiting and self._waiting[0][0] <= k0:
-                self._advance(k0)
-            hi = min(k1, self._waiting[0][0]) if self._waiting else k1
-            spans.append(self._span(k0, hi))
-            k0 = hi
-        if len(spans) == 1:
-            return spans[0]
-        return (np.concatenate([h for h, _ in spans]),
-                np.concatenate([l for _, l in spans]))
+        while k < hi:
+            if self._waiting and self._waiting[0][0] <= k:
+                self._advance(k)
+            top = min(hi, self._waiting[0][0]) if self._waiting else hi
+            spans.append(self._span(k, top))
+            k = top
+        h, l = (np.concatenate(p) for p in zip(*spans))
+        sign = np.ones(hi - lo)
+        sign[(lo + 1) % 2::2] = -1.0 if self._neg else 1.0
+        if self._psi is not None:
+            w = -_digamma_array(self._psi[0] + np.arange(lo, hi) * self._psi[1])
+            sign[w < 0.0] *= -1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h, l = _dd_add(h, l, np.log(np.abs(w)), 0.0)
+            h, l = np.where(w == 0.0, -math.inf, h), np.where(w == 0.0, 0.0, l)
+        i = k0 - self._k0
+        self._buf = tuple(np.concatenate((old[i:], new))
+                          for old, new in zip(self._buf, (h, l, sign)))
+        self._k0, self._k1 = k0, hi
 
     def _span(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
         fk = np.arange(k0, k1, dtype=float)
@@ -656,8 +696,9 @@ def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
 
 # Terms summed one at a time from a call's start index before the engine
 # switches to numpy blocks, whose sizes double from _BLOCK_MIN to _BLOCK_MAX.
-# A block costs a few hundred microseconds of array-call overhead, about as
-# much as 20 one-term steps, while most calls stop within 10-30 terms.
+# An array read of term logs costs a few hundred microseconds, as much as
+# 20 one-term steps, while most calls stop within 10-30 terms; so the first
+# read spans the blocks the head's decay says are left, later 2 * _BLOCK_MAX.
 _SCALAR_TERMS = 32
 _BLOCK_MIN = 64
 _BLOCK_MAX = 512
@@ -702,11 +743,9 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
     """Scaled compensated summation of one request, one term at a time and
     then in blocks."""
     params, z, start, psi_weight, log_offset = req
-    if psi_weight is not None:
-        b1, w1 = psi_weight
     if z == 0.0:
         # only term 0 is nonzero, and a tail from k >= 1 sums no term
-        w = 0.0 if start > 0 else 1.0 if psi_weight is None else -digamma(b1)
+        w = 0.0 if start > 0 else 1.0 if psi_weight is None else -digamma(psi_weight[0])
         if w == 0.0:
             return EvalResult(0.0, int(start == 0), 0.0, 1.0, -math.inf, 0)
         log_mag = _log_term_at_zero(params) + math.log(abs(w)) + log_offset
@@ -715,10 +754,10 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
             raise _value_overflow(log_mag)
         return EvalResult(sgn * _exp_or_inf(log_mag), 1, 0.0, 1.0, log_mag, sgn)
 
-    neg = z < 0.0
     # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
-    signed = neg or psi_weight is not None
-    gen = _TermLogs(params, z)
+    signed = z < 0.0 or psi_weight is not None
+    end = start + cfg.max_terms
+    gen = _TermLogs(params, z, psi_weight, end)
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
     scale_l = 0.0
     total = 0.0
@@ -732,19 +771,9 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
     streak = 0
     terms = 0
     stopped = False
-    end = start + cfg.max_terms
 
     for k in range(start, min(start + _SCALAR_TERMS, end)):
-        lh, ll = gen.at(k)
-        sign = -1.0 if (neg and k % 2 == 1) else 1.0
-        if psi_weight is not None:
-            w = -digamma(b1 + k * w1)
-            if w == 0.0:
-                lh, ll = -math.inf, 0.0
-            else:
-                if w < 0.0:
-                    sign = -sign
-                lh, ll = _dd_add(lh, ll, math.log(abs(w)), 0.0)
+        lh, ll, sign = gen.term(k)
         terms += 1
         if lh > _LOG_DOUBLE_MAX and not cfg.log_mode:
             raise _term_overflow(k, lh)
@@ -780,22 +809,18 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
             stopped = True
             break
 
+    # read ahead as many whole blocks (ending _BLOCK_MIN * (2**j - 1) terms
+    # past the head) as the head's last ratio says the series still needs
+    if not stopped and 0.0 < ratio < 1.0 and t > 0.0 and partial > 0.0:
+        need = (math.log(_REL_TOL) + math.log(partial) - math.log(t)) / math.log(ratio)
+        blocks = math.ceil(math.log2(max(need + 3.0, 1.0) / _BLOCK_MIN + 1.0))
+        gen.ahead = min(2 * _BLOCK_MAX, _BLOCK_MIN * (2 ** blocks - 1))
     k = start + _SCALAR_TERMS
     size = _BLOCK_MIN
     while not stopped and k < end:
         n = min(size, end - k)
         lh, ll = gen.block(k, k + n)
-        if signed:
-            sign = np.ones(n)
-        if neg:
-            sign[(k + 1) % 2::2] = -1.0
-        if psi_weight is not None:
-            w = -_digamma_array(b1 + np.arange(k, k + n) * w1)
-            sign[w < 0.0] *= -1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lh, ll = _dd_add(lh, ll, np.log(np.abs(w)), 0.0)
-            lh[w == 0.0] = -math.inf
-            ll[w == 0.0] = 0.0
+        sign = gen.signs(k, k + n)
 
         top = int(np.argmax(lh))
         top_h, top_l = float(lh[top]), float(ll[top])

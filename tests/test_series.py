@@ -312,6 +312,58 @@ def test_tail_switches_to_blocks_after_32_terms(monkeypatch):
     assert abs(full.value - head - res.value) <= 1e-12 * full.value
 
 
+# lower factors reaching the Stirling threshold at k = 550 and k = 1,180,
+# inside read-aheads [32, 1056) and [1056, 2080) and inside the blocks
+# [480, 992) and [992, 1504); -psi(0.2 + 0.01*k) changes sign at k = 127
+P_SPLIT = FoxWrightParams(upper=((2.0, 0.9),), lower=((0.2, 0.01), (1.0, 0.02)))
+
+
+@pytest.mark.parametrize("z, psi", [(4.0, None), (-4.0, None),
+                                    (4.0, (0.2, 0.01)), (-4.0, (0.2, 0.01))])
+def test_read_ahead_matches_block_by_block_reads(z, psi):
+    ahead = series._TermLogs(P_SPLIT, z, psi)
+    alone = series._TermLogs(P_SPLIT, z, psi)
+    k0, size = 32, 64
+    while k0 < 2000:
+        k1 = k0 + size
+        alone.ahead = 0  # this read computes the block and nothing more
+        got = (*ahead.block(k0, k1), ahead.signs(k0, k1))
+        ref = (*alone.block(k0, k1), alone.signs(k0, k1))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref], k0
+        k0, size = k1, min(2 * size, 512)
+    # the weighted logs and the signs are those of the one-term path
+    one = series._TermLogs(P_SPLIT, z, psi)
+    ref = [one.term(k) for k in range(1000)]
+    fresh = series._TermLogs(P_SPLIT, z, psi)
+    heads, tails = fresh.block(32, 1000)
+    for k, h, l, sg in zip(range(32, 1000), heads.tolist(), tails.tolist(),
+                           fresh.signs(32, 1000).tolist()):
+        rh, rl, rs = ref[k]
+        assert sg == rs, k
+        assert abs((h - rh) + (l - rl)) <= 1e-14, k
+
+
+@pytest.fixture
+def span_sizes(monkeypatch):
+    # the number of term logs each array read of _TermLogs computes
+    sizes = []
+    span = series._TermLogs._span
+
+    def counting(self, k0, k1):
+        sizes.append(k1 - k0)
+        return span(self, k0, k1)
+
+    monkeypatch.setattr(series._TermLogs, "_span", counting)
+    return sizes
+
+
+def test_first_read_ahead_ends_at_the_decay_estimate(span_sizes):
+    # evaluate(P1, 3.5) stops at 46 terms, 14 into its first block: its
+    # head's decay says so, and the read covers that block and no more
+    assert evaluate(P1, 3.5).terms_used == 46
+    assert sum(span_sizes) == series._BLOCK_MIN
+
+
 # eps = 0.3 and z = 4 put the peak term near k = 500; both calls below sum
 # about 1,070 terms, nearly all of them in blocks
 P_LONG = FoxWrightParams(upper=((2.0, 1.2),), lower=((1.5, 0.5),))
@@ -397,10 +449,18 @@ def test_value_within_own_tail_bound_of_oracle_free_anchor(z):
 
 
 # Every EvalResult field of a fixed set of calls, as float.hex strings,
-# recorded from the engine before the one-term path was sped up: a speedup
-# must leave each of them unchanged bit for bit.
+# recorded from the engine before the one-term path was sped up (the last
+# five before the block phase read its term logs ahead in chunks): a
+# speedup must leave each of them unchanged bit for bit.  The bits were
+# recorded with numpy's AVX-512 kernels.  Its AVX2 kernels round some
+# np.exp, np.log and np.log1p results differently in the last bit, so on a
+# CPU without AVX-512 seven block-phase cases fail: P_CROSS -7.25, evaluate
+# and dbeta1 of P_LONG at 4.0, the P_LONG budget and tail, P_LATE, P_SLOW.
 P_EXPM1 = FoxWrightParams(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
 P_FLAT = FoxWrightParams(upper=((2.5, 0.0), (0.4, 0.6)), lower=((3.2, 1.3),))
+P_PSI_FLIP = FoxWrightParams(upper=((2.0, 1.2),), lower=((0.2, 0.01), (1.5, 0.5)))
+P_LATE = FoxWrightParams(upper=((2.0, 1.2),), lower=((1.5, 0.5), (1.0, 0.02)))
+P_SLOW = FoxWrightParams(upper=((1.0, 0.996),))  # alternating, 1,241 terms
 GOLDEN = {
     "evaluate P1 3.5": (
         lambda: evaluate(P1, 3.5), 46, 1,
@@ -453,6 +513,29 @@ GOLDEN = {
         lambda: evaluate_tilde(P_CROSS, -1.5), 43, 1,
         ("0x1.46a2b8ad1070dp-3", "0x1.50e709cad8ab6p-60",
          "0x1.66ff0cbc72c6ap+6", "-0x1.d5f5442b772b2p+0")),
+    # a budget that ends 14 terms into the second 1,024-term read-ahead
+    "evaluate P_LONG 4.0 budget 1070": (
+        lambda: evaluate(P_LONG, 4.0, EvalConfig(max_terms=1070)), 1068, 1,
+        ("0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
+         "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
+    # -psi(0.2 + 0.01*k) changes sign at k = 127, in the second block
+    "dbeta1 P_PSI_FLIP 4.0": (
+        lambda: dbeta1(P_PSI_FLIP, 4.0), 1014, -1,
+        ("-0x1.727eaa4f78b17p+288", "0x1.b9f4263a1bf86p+240",
+         "0x1.0000000000000p+0", "0x1.8ffdfa419df19p+7")),
+    "evaluate_tail P_LONG 900 5.0": (
+        lambda: evaluate_tail(P_LONG, TailSpec(900), 5.0), 1066, 1,
+        ("0x1.6f2e15a75f559p+616", "0x1.90ea3b68425bep+569",
+         "0x1.0000000000000p+0", "0x1.ab56dedb434c2p+8")),
+    # the factor (1.0, 0.02) reaches the Stirling threshold at k = 550
+    "evaluate P_LATE 4.0": (
+        lambda: evaluate(P_LATE, 4.0), 926, 1,
+        ("0x1.341e7b20b6c86p+266", "0x1.731a73c1a4dfdp+218",
+         "0x1.0000000000000p+0", "0x1.711ffa9bf57d1p+7")),
+    "evaluate P_SLOW -1.0": (
+        lambda: evaluate(P_SLOW, -1.0), 1241, 1,
+        ("0x1.ffb8fbe278e91p-2", "0x1.f2e50824a8ea8p-47",
+         "0x1.cf700d628cff8p+6", "-0x1.632b38fa7174bp-1")),
 }
 
 
@@ -463,6 +546,15 @@ def test_results_match_recorded_bits(case):
     assert (res.terms_used, res.sign) == (terms, sign)
     got = (res.value, res.tail_bound, res.condition_estimate, res.log_magnitude)
     assert tuple(float.hex(x) for x in got) == fields
+
+
+def test_budget_that_ends_inside_a_read_ahead_keeps_its_error_text(
+        span_sizes):
+    msg = "stop rule did not fire within 1000 terms (start=0, z=4.0)"
+    with pytest.raises(NoConvergenceError, match=f"^{re.escape(msg)}$"):
+        evaluate(P_LONG, 4.0, EvalConfig(max_terms=1000))
+    # the 1,024-term read-ahead after the 32-term head stops at the budget
+    assert sum(span_sizes) == 1000 - 32
 
 
 def _dd_log_rel_err(x):
