@@ -36,7 +36,7 @@ from .errors import (
     ParameterError,
 )
 from .oracle import _check_digits
-from .report import STATUS_OK, TOL_ABS, TOL_REL, GridSpec, grid_from_json
+from .report import STATUS_OK, GridSpec, grid_from_json
 from .report import InequalityReport
 from .series import FoxWrightParams, evaluate
 from .suites import explorer_ids, hp_margin, run_explore, run_suite, suite_ids
@@ -82,9 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", metavar="FILE",
                        help="report path (default: stdout)")
         q.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name != "explore":
-            q.add_argument("--tol-abs", type=float, default=TOL_ABS)
-            q.add_argument("--tol-rel", type=float, default=TOL_REL)
         if name == "check":
             q.add_argument("--digits", type=int, metavar="N",
                            help="recompute up to 10 rows with an N-digit "
@@ -217,8 +214,7 @@ def _run_check_or_sweep(args: argparse.Namespace) -> int:
     spec = _load_grid(args)
     if args.command == "check" and args.digits is not None:
         _check_digits(args.digits)  # refuse before the suite runs
-    rows = run_suite(args.suite, spec, tol_abs=args.tol_abs,
-                     tol_rel=args.tol_rel)
+    rows = run_suite(args.suite, spec)
     _emit(_render(rows, spec.seed, args.format), args.out)
     to_file = bool(args.out)
     n, n_pass, n_failed, worst = _summarize(rows)
@@ -275,8 +271,8 @@ _COMMANDS = {
 
 
 # argparse takes a separate "-1e-3" for an option string, never for the
-# value of a float option; glued into "--tol-abs=-1e-3" it is read as one
-_FLOAT_OPTIONS = ("--z", "--tol-abs", "--tol-rel")
+# value of a float option; glued into "--z=-1e-3" it is read as one
+_FLOAT_OPTIONS = ("--z",)
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 

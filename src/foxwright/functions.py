@@ -17,7 +17,7 @@ from .errors import (
     ParameterError,
     SingularTransformError,
 )
-from .report import TOL_ABS, InequalityReport, value_report
+from .report import InequalityReport, value_report
 from .series import (
     EvalConfig,
     EvalResult,
@@ -234,8 +234,8 @@ def kummer_2f2_pair(a: float, b: float, c: float, z: float,
 
 
 def ml_derivative_identity_check(B: float, beta: float, z: float,
-                                 cfg: EvalConfig = _DEFAULT_CFG,
-                                 tol_rel: float = 1e-10) -> InequalityReport:
+                                 cfg: EvalConfig = _DEFAULT_CFG
+                                 ) -> InequalityReport:
     """Check d/dz E_{B,beta}(z) = (E_{B,beta-1}(z) - (beta-1) E_{B,beta}(z)) / (B z).
 
     The left side goes through the parameter-shift derivative, the right
@@ -254,9 +254,8 @@ def ml_derivative_identity_check(B: float, beta: float, z: float,
     e_down = evaluate(params.with_lower_value(0, beta - 1.0), z, cfg)
     rhs = (e_down.value - (beta - 1.0) * e_here.value) / (B * z)
     lhs = lhs_res.value
-    # the margin is the room left under the tolerance, so it passes at >= 0
-    tol = TOL_ABS + tol_rel * max(abs(lhs), abs(rhs))
     err = lhs_res.tail_bound + (e_down.tail_bound
                                 + abs(beta - 1.0) * e_here.tail_bound) / abs(B * z)
+    # the sides of an identity agree: the margin is minus their distance
     return value_report("ml-derivative-identity", {"B": B, "beta": beta}, z,
-                        lhs, rhs, tol - abs(lhs - rhs), err, 0.0, 0.0)
+                        lhs, rhs, -abs(lhs - rhs), err)

@@ -8,9 +8,9 @@ powers are formed in log space so an overflowing side yields an honest
 +-inf margin instead of an exception, and every error estimate is carried
 by one value type, _Q.
 
-Every row is built by one of three helpers, so the pass rule lives in one
-place (report.margin_passes): report.value_report for sides already in
-value space, _log_report here for sides given as _Q values, and
+Every row is built by one of two helpers, so the pass rule and its fixed
+tolerances live in one place (report.margin_passes): report.value_report
+for one comparison (sides given as _Q values go through _diff first), and
 report.worst_report for the checkers that judge a set of comparisons
 (ratio-monotone, kn-bound, chi) and report the one with the smallest margin.
 
@@ -40,20 +40,9 @@ from .errors import (
     ParameterError,
     SingularTransformError,
 )
-from .functions import (
-    HypergeometricParams,
-    _hyper_request,
-    _pfq_request,
-)
+from .functions import _pfq_request
 from .gammakit import _digamma_array, gamma_ratio, log_gamma
-from .report import (
-    STATUS_NUMERICAL_FAILURE,
-    TOL_ABS,
-    TOL_REL,
-    InequalityReport,
-    value_report,
-    worst_report,
-)
+from .report import STATUS_NUMERICAL_FAILURE, value_report, worst_report
 from .series import (
     _LOG_DOUBLE_MAX,
     _exp_or_inf,
@@ -209,14 +198,6 @@ def _diff(a: _Q, b: _Q) -> dict:
     return {"lhs": lhs, "rhs": rhs, "margin": margin, "err": _err(a, b)}
 
 
-def _log_report(suite_id: str, params_echo: dict, z: float, a: _Q, b: _Q,
-                tol_abs: float, tol_rel: float,
-                aux: dict | None = None) -> InequalityReport:
-    """value_report for the comparison a >= b."""
-    return value_report(suite_id, params_echo, z, tol_abs=tol_abs,
-                        tol_rel=tol_rel, aux=aux, **_diff(a, b))
-
-
 def _check_grid(values: Sequence[float], what: str) -> None:
     if len(values) < 2:
         raise GridError(f"{what} needs at least 2 points, got {len(values)}")
@@ -242,8 +223,7 @@ def _slot(params: FoxWrightParams, slot: str) -> tuple[str, tuple, Callable]:
     return "lower", params.lower, functools.partial(params.with_lower_value, 0)
 
 
-def _turan(params: FoxWrightParams, z: float, slot: str, tol_abs: float,
-           tol_rel: float) -> Rounds:
+def _turan(params: FoxWrightParams, z: float, slot: str) -> Rounds:
     # margin = Psi[v] Psi[v+2] - c Psi[v+1]^2 in the slot's first value v,
     # with c = 1 in slot "alpha" and v/(v+1) in slot "beta"
     side, pairs, put = _slot(params, slot)
@@ -253,56 +233,37 @@ def _turan(params: FoxWrightParams, z: float, slot: str, tol_abs: float,
         raise DomainError(f"defined for z >= 0, got z={z!r}")
     v = pairs[0][0]
     c = 1.0 if slot == "alpha" else v / (v + 1.0)
-    reqs = [_plain(params, z), _plain(put(v + 1.0), z),
-            _plain(put(v + 2.0), z)]
-    all_unit = all(w == 1.0 for _, w in params.upper + params.lower)
-    if slot == "alpha" and all_unit and len(params.upper) <= len(params.lower):
-        reqs += [_hyper_request(HypergeometricParams(
-            (u,) + tuple(a for a, _ in params.upper[1:]),
-            tuple(b for b, _ in params.lower)), z)
-            for u in (v, v + 1.0, v + 2.0)]
-    r0, r1, r2, *hyper = yield reqs
-
-    aux = None
-    if hyper:
-        aux = {"pfq_margin": hyper[0].value * hyper[2].value
-               - v / (v + 1.0) * hyper[1].value ** 2}
-
-    return _log_report(f"turan-{slot}", params.to_json(), z,
-                       _of(r0) * _of(r2),
-                       _Q(math.log(c)).computed() * _of(r1) ** 2,
-                       tol_abs, tol_rel, aux)
+    r0, r1, r2 = yield [_plain(params, z), _plain(put(v + 1.0), z),
+                        _plain(put(v + 2.0), z)]
+    return value_report(f"turan-{slot}", params.to_json(), z,
+                        **_diff(_of(r0) * _of(r2),
+                                _Q(math.log(c)).computed() * _of(r1) ** 2))
 
 
-def _turan_alpha(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
-                 tol_rel: float = TOL_REL) -> Rounds:
+def _turan_alpha(params: FoxWrightParams, z: float) -> Rounds:
     """Turan inequality in the first upper parameter.
 
     margin = Psi[a1] * Psi[a1+2] - Psi[a1+1]^2 >= 0 at fixed z >= 0, where
     Psi[v] denotes the series with the first upper value replaced by v.
-    When every weight equals 1 the same margin is recomputed in normalized
-    pFq form and echoed in aux.
     """
-    return (yield from _turan(params, z, "alpha", tol_abs, tol_rel))
+    return (yield from _turan(params, z, "alpha"))
 
 
-def _turan_beta(params: FoxWrightParams, z: float, tol_abs: float = TOL_ABS,
-                tol_rel: float = TOL_REL) -> Rounds:
+def _turan_beta(params: FoxWrightParams, z: float) -> Rounds:
     """Turan inequality in the first lower parameter.
 
     margin = Psi[b1] * Psi[b1+2] - b1/(b1+1) * Psi[b1+1]^2 >= 0 at z >= 0,
     with equality at z = 0.
     """
-    return (yield from _turan(params, z, "beta", tol_abs, tol_rel))
+    return (yield from _turan(params, z, "beta"))
 
 
 # ---------------------------------------------------------------------------
 # Transformed 2F2 Turan product at negative argument
 
 
-def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
-                    tol_abs: float = TOL_ABS,
-                    tol_rel: float = TOL_REL) -> Rounds:
+def _corollary3_2f2(alpha1: float, beta1: float, beta2: float,
+                    z: float) -> Rounds:
     """Turan-type product inequality for the transformed 2F2 family at z < 0.
 
     With f = b2(1+a1-b1)/(a1-b2), g = b2(a1-b1-1)/(a1-b2), and
@@ -348,7 +309,6 @@ def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
         "corollary3-2f2",
         {"alpha1": alpha1, "beta1": beta1, "beta2": beta2},
         z, lhs, rhs, lhs - rhs, _err(_of(F1) * _of(F2), _of(F3) ** 2),
-        tol_abs, tol_rel,
         {"f": f, "g": g, "h": h, "condition": cond})
     if cond > _CONDITION_LIMIT:
         report.status = STATUS_NUMERICAL_FAILURE
@@ -361,9 +321,7 @@ def _corollary3_2f2(alpha1: float, beta1: float, beta2: float, z: float,
 
 
 def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
-                        v2: float, z_grid: Sequence[float],
-                        tol_abs: float = TOL_ABS,
-                        tol_rel: float = TOL_REL) -> Rounds:
+                        v2: float, z_grid: Sequence[float]) -> Rounds:
     """Monotone decay of the ratio between two members of the family.
 
     ``slot`` picks which first parameter value varies: "beta" compares
@@ -415,7 +373,7 @@ def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
     return worst_report(
         "ratio-monotone",
         {**params.to_json(), "slot": slot, "v_small": vs, "v_big": vb},
-        comparisons, tol_abs, tol_rel,
+        comparisons,
         lambda w: {"worst_kind": w["kind"], "worst_z_prev": w.get("z_prev"),
                    "ratio_first": ratios[0], "ratio_last": ratios[-1],
                    "n_comparisons": len(comparisons)})
@@ -433,8 +391,7 @@ def _require_constant_upper(params: FoxWrightParams, what: str) -> None:
             + repr([w for _, w in params.upper]))
 
 
-def _tail_turan(params: FoxWrightParams, n: int, z: float,
-                tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
+def _tail_turan(params: FoxWrightParams, n: int, z: float) -> Rounds:
     """Turan inequality for series tails: T_{n+1}^2 >= T_n * T_{n+2}.
 
     T_m is the tail summed from index m+1 on.  Only shapes whose upper
@@ -462,7 +419,7 @@ def _tail_turan(params: FoxWrightParams, n: int, z: float,
     if math.isnan(rhs):
         rhs = lhs
     return value_report("tail-turan", {**params.to_json(), "n": n}, z,
-                        lhs, rhs, margin, _err(a, b, c), tol_abs, tol_rel)
+                        lhs, rhs, margin, _err(a, b, c))
 
 
 def _kn_values(params: FoxWrightParams, n: int,
@@ -513,9 +470,7 @@ def kn_ratio(params: FoxWrightParams, n: int, z: float) -> float:
 
 def _kn_value_and_bound(params: FoxWrightParams, n: int,
                         z: float | None = None,
-                        z_grid: Sequence[float] | None = None,
-                        tol_abs: float = TOL_ABS,
-                        tol_rel: float = TOL_REL) -> Rounds:
+                        z_grid: Sequence[float] | None = None) -> Rounds:
     """Lower bound and monotonicity of the tail ratio K_n.
 
     K_n(z) = T_n T_{n+2} / T_{n+1}^2 is nondecreasing in z > 0 and bounded
@@ -569,7 +524,7 @@ def _kn_value_and_bound(params: FoxWrightParams, n: int,
     if z_grid is not None:
         aux["k_values"] = kvals
     return worst_report(
-        "kn-bound", {**params.to_json(), "n": n}, comparisons, tol_abs, tol_rel,
+        "kn-bound", {**params.to_json(), "n": n}, comparisons,
         lambda w: {**aux, "worst_kind": w["kind"],
                    "worst_z_prev": w.get("z_prev")})
 
@@ -656,8 +611,7 @@ def _omega(alpha1: float, beta1: Sequence[float], beta2: float, B1: float,
 
 
 def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
-         z: float, tol_abs: float = TOL_ABS,
-         tol_rel: float = TOL_REL) -> Rounds:
+         z: float) -> Rounds:
     """Monotonicity of the chi ratio in beta1, with its series witness.
 
     chi(b1) is the ratio of the shifted to the unshifted normalized series;
@@ -711,7 +665,7 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
         "chi",
         {"alpha1": alpha1, "beta2": beta2, "B1": B1,
          "beta1_grid": [float(v) for v in beta1_grid]},
-        comparisons, tol_abs, tol_rel,
+        comparisons,
         lambda w: {"worst_kind": w["kind"], "worst_beta1": w["where"],
                    "worst_beta1_prev": w.get("where_prev"),
                    "chi_values": chi_vals, "omega_values": omega_vals})
@@ -734,8 +688,8 @@ def _u_and_v(alpha1: float, beta1: float, beta2: float, B1: float,
                    _powered(alpha1, beta1, beta2, B1, z)])
 
 
-def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
-               tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
+def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float,
+               z: float) -> Rounds:
     """Lazarevic-type power inequality, tight at z = 0.
 
     margin = U^{e2} - [(G(a1)/G(b2))^{B1/b1} V]^{e1} with U, V the
@@ -746,16 +700,16 @@ def _lazarevic(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
     e1 = gamma_ratio(beta1, B1)
     e2 = e1 * (beta1 + B1) / beta1
     scale = _Q((B1 / beta1) * (log_gamma(alpha1) - log_gamma(beta2)))
-    return _log_report(
+    return value_report(
         "lazarevic",
         {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1},
-        z, (_of(u) ** e2).computed(),
-        ((scale.computed() * _of(v)) ** e1).computed(),
-        tol_abs, tol_rel, {"e1": e1, "e2": e2})
+        z, aux={"e1": e1, "e2": e2},
+        **_diff((_of(u) ** e2).computed(),
+                ((scale.computed() * _of(v)) ** e1).computed()))
 
 
-def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
-            tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> Rounds:
+def _wilker(alpha1: float, beta1: float, beta2: float, B1: float,
+            z: float) -> Rounds:
     """Wilker-type inequality, tight at z = 0.
 
     margin = U/V + [(G(b2)/G(a1)) U]^{B1/b1} - 2 >= 0 with U, V as in the
@@ -769,17 +723,15 @@ def _wilker(alpha1: float, beta1: float, beta2: float, B1: float, z: float,
     return value_report(
         "wilker",
         {"alpha1": alpha1, "beta1": beta1, "beta2": beta2, "B1": B1},
-        z, t1 + t2, 2.0, (t1 + t2) - 2.0, _err(ratio, power), tol_abs,
-        tol_rel, {"ratio_term": t1, "power_term": t2})
+        z, t1 + t2, 2.0, (t1 + t2) - 2.0, _err(ratio, power),
+        {"ratio_term": t1, "power_term": t2})
 
 
 # ---------------------------------------------------------------------------
 # Log-concavity in z
 
 
-def _logconcavity(params: FoxWrightParams, z1: float, z2: float,
-                  tol_abs: float = TOL_ABS,
-                  tol_rel: float = TOL_REL) -> Rounds:
+def _logconcavity(params: FoxWrightParams, z1: float, z2: float) -> Rounds:
     """Three log-concavity consequences for one (z1, z2) pair.
 
     Shape: one more lower pair than upper pairs, all upper weights 1, all
@@ -831,14 +783,12 @@ def _logconcavity(params: FoxWrightParams, z1: float, z2: float,
     echo = params.to_json()
     aux = {"z1": float(z1), "z2": float(z2), "c": c}
 
-    mid = _log_report("logconcave:midpoint", echo, zm, _of(fm),
-                      (_of(f1) * _of(f2)) ** 0.5, tol_abs, tol_rel, aux)
-    exb = _log_report("logconcave:expbound", echo, zm,
-                      _Q(c * zm).computed(), _of(fm), tol_abs, tol_rel, aux)
-    der = _log_report("logconcave:deriv", echo, zm,
-                      _Q(log_c).computed() * _of(psi_m), _of(dpsi_m),
-                      tol_abs, tol_rel, aux)
-    return mid, exb, der
+    return tuple(
+        value_report(f"logconcave:{kind}", echo, zm, aux=aux, **_diff(a, b))
+        for kind, a, b in (
+            ("midpoint", _of(fm), (_of(f1) * _of(f2)) ** 0.5),
+            ("expbound", _Q(c * zm).computed(), _of(fm)),
+            ("deriv", _Q(log_c).computed() * _of(psi_m), _of(dpsi_m))))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ __all__ = [
     "grid_from_json",
 ]
 
-# Default acceptance tolerance: a margin passes when it is not more negative
-# than tol_abs + tol_rel * scale, with scale = max(|lhs|, |rhs|).
+# The pass rule's tolerance, fixed: a margin passes when it is not more
+# negative than TOL_ABS + TOL_REL * scale, with scale = max(|lhs|, |rhs|).
+# It only absorbs rounding, since every inequality claims margin >= 0.
 TOL_ABS = 1e-12
 TOL_REL = 1e-10
 
@@ -31,30 +32,28 @@ STATUS_NUMERICAL_FAILURE = "numerical-failure"
 _PARAMS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def margin_passes(margin: float, lhs: float, rhs: float,
-                  tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> bool:
-    """Tolerance rule used by every checker."""
+def margin_passes(margin: float, lhs: float, rhs: float) -> bool:
+    """The pass rule of every checker; it reads TOL_ABS and TOL_REL when
+    called."""
     if margin != margin:  # NaN never passes
         return False
     scale = max(abs(lhs), abs(rhs))
     if scale != scale or scale == float("inf"):
         scale = 0.0
-    return margin >= -(tol_abs + tol_rel * scale)
+    return margin >= -(TOL_ABS + TOL_REL * scale)
 
 
 def value_report(suite_id: str, params_echo: dict[str, Any], z: float,
                  lhs: float, rhs: float, margin: float, err: float,
-                 tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL,
                  aux: dict[str, Any] | None = None) -> "InequalityReport":
     """One verdict row, judged by margin_passes on its own sides."""
     return InequalityReport(suite_id, params_echo, float(z), lhs, rhs, margin,
-                            margin_passes(margin, lhs, rhs, tol_abs, tol_rel),
+                            margin_passes(margin, lhs, rhs),
                             err, aux=aux)
 
 
 def worst_report(suite_id: str, params_echo: dict[str, Any],
                  comparisons: list[dict[str, Any]],
-                 tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL,
                  aux: Callable[[dict], dict] | None = None) -> "InequalityReport":
     """One verdict row for comparisons given as dicts of z, lhs, rhs, margin, err.
 
@@ -64,7 +63,7 @@ def worst_report(suite_id: str, params_echo: dict[str, Any],
     """
     w = min(comparisons, key=lambda c: (
         -math.inf if math.isnan(c["margin"]) else c["margin"]))
-    passed = all(margin_passes(c["margin"], c["lhs"], c["rhs"], tol_abs, tol_rel)
+    passed = all(margin_passes(c["margin"], c["lhs"], c["rhs"])
                  for c in comparisons)
     return InequalityReport(suite_id, params_echo, float(w["z"]), w["lhs"],
                             w["rhs"], w["margin"], passed, w["err"],

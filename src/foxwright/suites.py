@@ -41,13 +41,7 @@ from .inequalities import (
     _xi_prime,
 )
 from .oracle import _GUARD, _check_digits, _hp_pfq_mpf, _hp_sums
-from .report import (
-    GridSpec,
-    InequalityReport,
-    STATUS_NUMERICAL_FAILURE,
-    TOL_ABS,
-    TOL_REL,
-)
+from .report import GridSpec, InequalityReport, STATUS_NUMERICAL_FAILURE
 from .series import FoxWrightParams
 
 __all__ = [
@@ -223,12 +217,12 @@ def _sub_grid(lo: float, hi: float) -> list[float]:
 # inequalities._run_rounds); the probes are generators themselves
 
 
-def _build_turan(check, c, i, ranges, tol):
+def _build_turan(check, c, i, ranges):
     params, z = _sample_series(c, _PQ_CYCLE[i % 3], ranges)
-    return check(params, z, **tol)
+    return check(params, z)
 
 
-def _build_corollary3(c, i, ranges, tol):
+def _build_corollary3(c, i, ranges):
     b1 = _hi_open(next(c), ranges["beta1"])
     b2 = _hi_open(next(c), ranges["beta2"])
     ug, uz = next(c), next(c)
@@ -241,32 +235,32 @@ def _build_corollary3(c, i, ranges, tol):
     else:
         a1 = max(b2, b1 + 1.0) + 0.05 + ug * 3.0
     z = _lo_closed(uz, ranges["z"])
-    return _corollary3_2f2(a1, b1, b2, z, **tol)
+    return _corollary3_2f2(a1, b1, b2, z)
 
 
-def _build_ratio(c, i, ranges, tol):
+def _build_ratio(c, i, ranges):
     params, zmax = _sample_series(c, _PQ_CYCLE[i % 3], ranges)
     slot = "beta" if i % 2 == 0 else "alpha"
     v1 = params.lower[0][0] if slot == "beta" else params.upper[0][0]
     v2 = v1 + 0.1 + 2.0 * next(c)
     grid = _sub_grid(ranges["z"][0], zmax)
-    return _ratio_monotonicity(params, slot, v1, v2, grid, **tol)
+    return _ratio_monotonicity(params, slot, v1, v2, grid)
 
 
-def _build_tail_turan(c, i, ranges, tol):
+def _build_tail_turan(c, i, ranges):
     params, n, z = _sample_tail_series(c, i, ranges)
-    return _tail_turan(params, n, z, **tol)
+    return _tail_turan(params, n, z)
 
 
-def _build_kn(c, i, ranges, tol):
+def _build_kn(c, i, ranges):
     params, n, z = _sample_tail_series(c, i, ranges)
     if i % 5 == 0:
         grid = _sub_grid(ranges["z"][0], z)
-        return _kn_value_and_bound(params, n, z_grid=grid, **tol)
-    return _kn_value_and_bound(params, n, z=z, **tol)
+        return _kn_value_and_bound(params, n, z_grid=grid)
+    return _kn_value_and_bound(params, n, z=z)
 
 
-def _build_chi(c, i, ranges, tol):
+def _build_chi(c, i, ranges):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
     B1 = _lo_closed(next(c), ranges["B1"])
     g1 = _hi_open(next(c), ranges["beta1"])
@@ -278,7 +272,7 @@ def _build_chi(c, i, ranges, tol):
             for j in range(_GRID_POINTS)]
     params = FoxWrightParams(((a1, 1.0),), ((lo_b, B1), (b2, 1.0)))
     z = _draw_z(next(c), ranges["z"], params, 1.0 + B1)
-    return _chi(a1, b2, B1, grid, z, **tol)
+    return _chi(a1, b2, B1, grid, z)
 
 
 def _powered_b1_cap(beta1: float, off: float, whi: float) -> float:
@@ -306,7 +300,7 @@ def _powered_b1_cap(beta1: float, off: float, whi: float) -> float:
     return lo
 
 
-def _build_lazarevic(c, i, ranges, tol):
+def _build_lazarevic(c, i, ranges):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
     b1 = _hi_open(next(c), ranges["beta1"])
     off = abs(log_gamma(a1) - log_gamma(b2))
@@ -319,10 +313,10 @@ def _build_lazarevic(c, i, ranges, tol):
     v_t = max(min(_V_TARGET, v_t), _V_MIN)
     params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
     z = _draw_z(next(c), ranges["z"], params, 1.0 + B1, v_t)
-    return _lazarevic(a1, b1, b2, B1, z, **tol)
+    return _lazarevic(a1, b1, b2, B1, z)
 
 
-def _build_wilker(c, i, ranges, tol):
+def _build_wilker(c, i, ranges):
     a1, b2 = _ordered_pair(c, ranges["alpha1"], ranges["beta2"])
     b1 = _hi_open(next(c), ranges["beta1"])
     wlo, whi = ranges["B1"]
@@ -331,10 +325,10 @@ def _build_wilker(c, i, ranges, tol):
     v_t = max(_V_MIN, min(_V_TARGET, 600.0 / max(B1 / b1, 1.0) - 20.0))
     params = FoxWrightParams(((a1, 1.0),), ((b1, B1), (b2, 1.0)))
     z = _draw_z(next(c), ranges["z"], params, 1.0 + B1, v_t)
-    return _wilker(a1, b1, b2, B1, z, **tol)
+    return _wilker(a1, b1, b2, B1, z)
 
 
-def _build_logconcave(c, i, ranges, tol):
+def _build_logconcave(c, i, ranges):
     variant = i % 4
     p = 2 if variant == 2 else 1
     b1 = _hi_open(next(c), ranges["beta"])
@@ -358,7 +352,7 @@ def _build_logconcave(c, i, ranges, tol):
     z1, z2 = min(za, zb), max(za, zb)
     if z2 - z1 < 1e-3:
         z2 = z1 + max(1e-3 * (eff - lo), 1e-6)
-    return _logconcavity(params, z1, z2, **tol)
+    return _logconcavity(params, z1, z2)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +379,7 @@ def _direction(values: Sequence[float]) -> tuple[str, float]:
     return direction, min(b - a for a, b in zip(values, values[1:]))
 
 
-def _build_explore_kn(c, i, ranges, tol):
+def _build_explore_kn(c, i, ranges):
     if i % 2 == 0:
         params, n, z = _sample_tail_series(c, i // 2, ranges)
     else:
@@ -409,7 +403,7 @@ def _build_explore_kn(c, i, ranges, tol):
     )
 
 
-def _build_explore_xi(c, i, ranges, tol):
+def _build_explore_xi(c, i, ranges):
     variant = i % 3
     if variant == 0:
         a1, b2 = _ordered_pair(c, ranges["alpha"], ranges["beta"])
@@ -544,9 +538,8 @@ def _failure_row(suite_id: str, kind: str, msg: str,
 _LOCKSTEP = 1024
 
 
-def _run(registry: dict, kind: str, suite_id: str, spec: GridSpec | None,
-         tol_abs: float = TOL_ABS,
-         tol_rel: float = TOL_REL) -> list[InequalityReport]:
+def _run(registry: dict, kind: str, suite_id: str,
+         spec: GridSpec | None) -> list[InequalityReport]:
     sd = registry.get(suite_id)
     if sd is None:
         raise ParameterError(f"unknown {kind} {suite_id!r}; known: "
@@ -556,10 +549,9 @@ def _run(registry: dict, kind: str, suite_id: str, spec: GridSpec | None,
     _validate(sd, ranges)
     n_inst = -(-spec.samples // sd.rows_per_instance)
     u = _unit_matrix(spec, sd.dims, n_inst)
-    tol = {"tol_abs": tol_abs, "tol_rel": tol_rel}
     out: list[InequalityReport] = []
     for first in range(0, n_inst, _LOCKSTEP):
-        gens = [sd.build(iter(u[i].tolist()), i, ranges, tol)
+        gens = [sd.build(iter(u[i].tolist()), i, ranges)
                 for i in range(first, min(first + _LOCKSTEP, n_inst))]
         results = _run_rounds(gens, absorb=(NoConvergenceError, OverflowError))
         for i, res in enumerate(results, first):
@@ -572,11 +564,10 @@ def _run(registry: dict, kind: str, suite_id: str, spec: GridSpec | None,
     return out
 
 
-def run_suite(suite_id: str, spec: GridSpec | None = None,
-              tol_abs: float = TOL_ABS,
-              tol_rel: float = TOL_REL) -> list[InequalityReport]:
+def run_suite(suite_id: str,
+              spec: GridSpec | None = None) -> list[InequalityReport]:
     """Run one verification suite; deterministic in the GridSpec."""
-    return _run(SUITES, "suite", suite_id, spec, tol_abs, tol_rel)
+    return _run(SUITES, "suite", suite_id, spec)
 
 
 def run_explore(suite_id: str,

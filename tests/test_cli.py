@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foxwright.report
 from foxwright import FoxWrightParams, GridSpec, evaluate
 from foxwright.cli import _render_json, main
 from foxwright.report import STATUS_OK, InequalityReport
@@ -117,11 +118,11 @@ def test_check_stdout_report_and_stderr_summary(capsys):
     assert "3/3 passed" in captured.err
 
 
-def test_check_violation_exits_1(tmp_path):
+def test_check_violation_exits_1(tmp_path, monkeypatch):
     # an impossible tolerance turns honest small margins into failures
+    monkeypatch.setattr(foxwright.report, "TOL_ABS", -1e6)
     code = main(["check", "--suite", "turan-beta", "--seed", "42",
-                 "--samples", "10", "--tol-abs=-1e6",
-                 "--out", str(tmp_path / "v.csv")])
+                 "--samples", "10", "--out", str(tmp_path / "v.csv")])
     assert code == 1
 
 
@@ -214,30 +215,23 @@ def test_json_format(tmp_path):
     assert "ratio_term" in row["aux"]
 
 
-def test_sweep_ignores_violations(tmp_path):
+def test_sweep_ignores_violations(tmp_path, monkeypatch):
     # same impossible tolerance as the check test, but sweep still exits 0
+    monkeypatch.setattr(foxwright.report, "TOL_ABS", -1e6)
+    out = tmp_path / "s.csv"
     code = main(["sweep", "--suite", "turan-beta", "--seed", "42",
-                 "--samples", "10", "--tol-abs=-1e6",
-                 "--out", str(tmp_path / "s.csv")])
+                 "--samples", "10", "--out", str(out)])
     assert code == 0
+    assert "false" in out.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("command", ["check", "sweep"])
-def test_negative_exponent_tolerance_as_separate_argument(tmp_path, command):
-    # "-1e-3" given apart from its option must read as a value, and give the
-    # same report as the "--tol-abs=-1e-3" spelling
-    base = [command, "--suite", "turan-beta", "--seed", "42", "--samples", "10"]
-    reports = []
-    for tol in (["--tol-abs=-1e-3", "--tol-rel=-1e-2"],
-                ["--tol-abs", "-1e-3", "--tol-rel", "-1E-2"]):
-        out = tmp_path / f"{len(reports)}.csv"
-        code = main(base + tol + ["--out", str(out)])
-        assert code == (1 if command == "check" else 0)
-        reports.append(out.read_text(encoding="utf-8"))
-    assert reports[0] == reports[1]
-    assert "false" in reports[0]
-    # an option string still is not taken for a value
-    assert main(base + ["--tol-abs", "--tol-rel", "-1e-3"]) == 2
+def test_option_string_after_z_is_not_its_value(params_file, capsys):
+    # only a number is glued to the --z before it, so the first --z here
+    # is left without a value
+    code = main(["eval", "--params", params_file(EXP_PARAMS),
+                 "--z", "--z", "-1e-3"])
+    assert code == 2
+    assert "argument --z: expected one argument" in capsys.readouterr().err
 
 
 def test_eval_negative_exponent_z(params_file, capsys):

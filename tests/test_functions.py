@@ -74,6 +74,12 @@ def test_pfq_direct_negative_upper_terminates():
     ref = float(mp.hyper([-2, 1.0], [1.0, 1.0], 3.0))
     res = pfq_direct((-2.0, 1.0), (1.0, 1.0), 3.0)
     assert _rel(res.value, ref) <= 1e-13
+    # 1F1(-1; 1; 1) = 1 - 1: a zero value has no sign or log, and its
+    # relative condition is unbounded
+    res = pfq_direct((-1.0,), (1.0,), 1.0)
+    assert (res.value, res.sign) == (0.0, 0)
+    assert res.log_magnitude == -math.inf
+    assert res.condition_estimate == math.inf
 
 
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
@@ -189,11 +195,11 @@ def test_ml_derivative_identity():
 
 
 def test_ml_derivative_identity_nan_margin_fails():
-    # lhs is finite and rhs overflows, so tol - |lhs - rhs| is inf - inf
+    # lhs is finite and rhs overflows, so the margin -|lhs - rhs| is -inf
     rep = ml_derivative_identity_check(0.5, 2.0, 26.671862787236662,
                                        EvalConfig(log_mode=True))
     assert math.isfinite(rep.lhs) and math.isinf(rep.rhs)
-    assert math.isnan(rep.margin)
+    assert rep.margin == -math.inf
     assert rep.passed is False
 
 

@@ -58,32 +58,6 @@ def test_turan_alpha_basic():
     assert _hp_agrees(rep)
 
 
-@pytest.mark.parametrize("params, z", [
-    (FoxWrightParams(upper=((1.3, 1.0),), lower=((0.9, 1.0), (1.7, 1.0))),
-     2.0),
-    (FoxWrightParams(upper=((1.3, 1.0), (2.1, 1.0)),
-                     lower=((0.9, 1.0), (1.7, 1.0))), 1.5),
-])
-def test_turan_alpha_echoes_the_pfq_margin_at_unit_weights(params, z):
-    # Psi[a] = Gamma(a) * prod Gamma(a_rest) / prod Gamma(b) * pFq(a, ...),
-    # and Gamma(a1) Gamma(a1 + 2) = (a1 + 1)/a1 * Gamma(a1 + 1)^2
-    rep = turan_alpha_check(params, z)
-    a1 = params.upper[0][0]
-    scale = math.exp(log_gamma(a1 + 1.0)
-                     + sum(log_gamma(a) for a, _ in params.upper[1:])
-                     - sum(log_gamma(b) for b, _ in params.lower))
-    echo = rep.aux["pfq_margin"] * (a1 + 1.0) / a1 * scale ** 2
-    assert rep.margin > 0.0
-    assert abs(echo - rep.margin) <= rep.err_estimate
-
-
-def test_turan_alpha_has_no_pfq_margin_off_unit_weights():
-    for params in (P1, FoxWrightParams(upper=((1.3, 1.0),),
-                                       lower=((0.9, 1.0), (1.7, 1.1)))):
-        rep = turan_alpha_check(params, 2.0)
-        assert "pfq_margin" not in (rep.aux or {})
-
-
 def test_turan_beta_basic_and_oracle():
     rep = turan_beta_check(P1, 2.0)
     assert rep.passed and rep.margin >= 0.0

@@ -58,7 +58,7 @@ def test_public_checkers_have_their_generators_signature_and_doc():
         assert "cfg" not in params, name
         assert fn.__doc__ and fn.__doc__.strip(), name
     sig = inspect.signature(foxwright.turan_beta_check)
-    assert list(sig.parameters) == ["params", "z", "tol_abs", "tol_rel"]
+    assert list(sig.parameters) == ["params", "z"]
 
 
 def _imports(module):

@@ -19,15 +19,9 @@ from foxwright import (
     hp_eval,
     margin_passes,
 )
-from foxwright import batch, inequalities, suites
+from foxwright import batch, inequalities, report, suites
 from foxwright.gammakit import gamma_ratio, log_gamma
-from foxwright.report import (
-    STATUS_NUMERICAL_FAILURE,
-    STATUS_OK,
-    TOL_ABS,
-    TOL_REL,
-    worst_report,
-)
+from foxwright.report import STATUS_NUMERICAL_FAILURE, STATUS_OK, worst_report
 from foxwright.suites import (
     EXPLORERS,
     SUITES,
@@ -260,6 +254,20 @@ def test_explore_problem1():
             assert r.params_echo["direction"] == "nondecreasing"
 
 
+@pytest.mark.parametrize("values, direction, worst", [
+    ([1.0, 2.0, 2.0], "nondecreasing", 0.0),
+    ([3.0, 2.0, 1.5], "nonincreasing", -1.0),
+    ([1.0, 1.0 + 1e-12, 1.0], "constant", -1e-12),
+    ([1.0, 2.0, 1.0], "mixed", -1.0),
+])
+def test_direction_under_the_step_tolerance(values, direction, worst):
+    # steps within 1e-9 relative count as flat; the worst step is the
+    # smallest difference, whatever the direction
+    got, step = suites._direction(values)
+    assert got == direction
+    assert step == pytest.approx(worst, abs=1e-15)
+
+
 def test_explore_problem1_err_bounds_the_worst_step():
     # the row's error is twice the largest error _kn_values gives for its K
     # grid, and holds the worst step against the oracle
@@ -269,7 +277,7 @@ def test_explore_problem1_err_bounds_the_worst_step():
     ranges = suites._resolve_ranges(sd, spec)
     u = suites._unit_matrix(spec, sd.dims, spec.samples)
     for i, r in enumerate(rows):
-        gen = sd.build(iter(u[i].tolist()), i, ranges, {})
+        gen = sd.build(iter(u[i].tolist()), i, ranges)
         next(gen)
         drawn = inspect.getgeneratorlocals(gen)
         gen.close()
@@ -298,20 +306,25 @@ def test_explore_problem2():
             assert r.margin >= -1e-12
 
 
-def test_margin_passes_scale_logic():
-    assert margin_passes(-1e-13, 1.0, 1.0, 1e-12, 1e-10)
-    assert not margin_passes(-1e-6, 1.0, 1.0, 1e-12, 1e-10)
+def test_margin_passes_scale_logic(monkeypatch):
+    assert (report.TOL_ABS, report.TOL_REL) == (1e-12, 1e-10)
+    assert margin_passes(-1e-13, 1.0, 1.0)
+    assert not margin_passes(-1e-6, 1.0, 1.0)
     # huge scale buys proportional slack
-    assert margin_passes(-0.5, 1e12, 1e12, 1e-12, 1e-10)
-    assert not margin_passes(math.nan, 1.0, 1.0, 1e-12, 1e-10)
-    assert not margin_passes(-1.0, math.inf, 1.0, 1e-12, 1e-10)
+    assert margin_passes(-0.5, 1e12, 1e12)
+    assert not margin_passes(math.nan, 1.0, 1.0)
+    assert not margin_passes(-1.0, math.inf, 1.0)
+    # the rule reads its constants when called
+    monkeypatch.setattr(report, "TOL_REL", 0.0)
+    assert not margin_passes(-0.5, 1e12, 1e12)
 
 
 @pytest.mark.parametrize("suite", ALL_SUITES)
-def test_tolerance_reaches_every_suite(suite):
+def test_tolerance_reaches_every_suite(suite, monkeypatch):
     # a tolerance no finite margin can meet must fail every clean row, so a
-    # builder that drops the tolerance shows up as a passing row
-    rows = run_suite(suite, GridSpec(samples=3, seed=23), tol_abs=-1e300)
+    # row judged by anything but margin_passes shows up as a passing row
+    monkeypatch.setattr(report, "TOL_ABS", -1e300)
+    rows = run_suite(suite, GridSpec(samples=3, seed=23))
     judged = [r for r in rows
               if r.status == STATUS_OK and math.isfinite(r.margin)]
     assert judged
@@ -327,7 +340,7 @@ def test_worst_report_picks_smallest_margin():
     # a NaN margin is the worst and fails the row
     rep = worst_report("s", {}, [_comparison(1.0, 2.0, 1.0, 1.0, 0.1),
                                  _comparison(2.0, 1.0, 1.0, math.nan, 0.2)],
-                       1e-12, 1e-10, lambda w: {"worst_z": w["z"]})
+                       lambda w: {"worst_z": w["z"]})
     assert rep.z == 2.0 and math.isnan(rep.margin) and rep.err_estimate == 0.2
     assert rep.aux == {"worst_z": 2.0}
     assert rep.passed is False
@@ -336,16 +349,14 @@ def test_worst_report_picks_smallest_margin():
     # unit scale misses its own tolerance: the row fails and still shows
     # the smallest-margin comparison
     rep = worst_report("s", {}, [_comparison(3.0, 1.0, 1.0, -1e-6, 0.3),
-                                 _comparison(4.0, 1e12, 1e12, -0.5, 0.4)],
-                       1e-12, 1e-10)
+                                 _comparison(4.0, 1e12, 1e12, -0.5, 0.4)])
     assert (rep.z, rep.lhs, rep.rhs, rep.margin, rep.err_estimate) == (
         4.0, 1e12, 1e12, -0.5, 0.4)
     assert rep.aux is None
     assert rep.passed is False
 
     rep = worst_report("s", {"k": 1}, [_comparison(5.0, 1.0, 1.0, 0.0, 0.0),
-                                       _comparison(6.0, 2.0, 1.0, 1.0, 0.0)],
-                       1e-12, 1e-10)
+                                       _comparison(6.0, 2.0, 1.0, 1.0, 0.0)])
     assert (rep.suite_id, rep.params_echo, rep.z, rep.margin) == (
         "s", {"k": 1}, 5.0, 0.0)
     assert rep.passed is True
@@ -372,8 +383,7 @@ def _instances(suite, spec):
     ranges = suites._resolve_ranges(sd, spec)
     n_inst = -(-spec.samples // sd.rows_per_instance)
     u = suites._unit_matrix(spec, sd.dims, n_inst)
-    tol = {"tol_abs": TOL_ABS, "tol_rel": TOL_REL}
-    return [sd.build(iter(u[i].tolist()), i, ranges, tol)
+    return [sd.build(iter(u[i].tolist()), i, ranges)
             for i in range(n_inst)]
 
 
@@ -421,8 +431,8 @@ def test_failing_instance_yields_one_failure_row(monkeypatch, suite, bad, kind):
     clean = run_suite(suite, spec)
     sd = SUITES[suite]
 
-    def build(c, i, ranges, tol):
-        return bad() if i == 4 else sd.build(c, i, ranges, tol)
+    def build(c, i, ranges):
+        return bad() if i == 4 else sd.build(c, i, ranges)
 
     monkeypatch.setitem(SUITES, suite, dataclasses.replace(sd, build=build))
     rows = run_suite(suite, spec)
@@ -436,10 +446,10 @@ def test_failure_row_index_counts_across_lockstep_groups(monkeypatch):
     sd = SUITES["turan-beta"]
     bad = FoxWrightParams(((1.0, 0.96),), ((1.0, 0.0),))
 
-    def build(c, i, ranges, tol):
+    def build(c, i, ranges):
         if i == 7:
             return inequalities._turan_beta(bad, 20.0)
-        return sd.build(c, i, ranges, tol)
+        return sd.build(c, i, ranges)
 
     monkeypatch.setattr(suites, "_LOCKSTEP", 3)
     monkeypatch.setitem(SUITES, "turan-beta", dataclasses.replace(sd, build=build))
