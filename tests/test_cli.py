@@ -225,6 +225,25 @@ def test_sweep_ignores_violations(tmp_path, monkeypatch):
     assert "false" in out.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_negative_exponent_tolerance_as_separate_argument(tmp_path, monkeypatch,
+                                                          command):
+    # the tolerances are constants of report.py: set there, "-1e-3" and
+    # "-1e-2" turn rows into failures, while neither CLI spelling of the
+    # old options is taken any more
+    base = [command, "--suite", "turan-beta", "--seed", "42", "--samples", "10"]
+    for tol in (["--tol-abs=-1e-3", "--tol-rel=-1e-2"],
+                ["--tol-abs", "-1e-3", "--tol-rel", "-1E-2"]):
+        out = tmp_path / "refused.csv"
+        assert main(base + tol + ["--out", str(out)]) == 2
+        assert not out.exists()
+    monkeypatch.setattr(foxwright.report, "TOL_ABS", -1e-3)
+    monkeypatch.setattr(foxwright.report, "TOL_REL", -1e-2)
+    out = tmp_path / "report.csv"
+    assert main(base + ["--out", str(out)]) == (1 if command == "check" else 0)
+    assert "false" in out.read_text(encoding="utf-8")
+
+
 def test_option_string_after_z_is_not_its_value(params_file, capsys):
     # only a number is glued to the --z before it, so the first --z here
     # is left without a value
