@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from . import series
 from .errors import DivergentSeriesError, NoConvergenceError
 from .gammakit import _log_gamma_array
 from .series import (
@@ -24,7 +25,6 @@ from .series import (
     _EXPAND_MIN,
     _LOG_DOUBLE_MAX,
     _REL_TOL,
-    EvalConfig,
     EvalResult,
     PfqRequest,
     Request,
@@ -37,7 +37,6 @@ from .series import (
     _log_ints_dd,
     _no_stop,
     _sum_series,
-    _term_overflow,
     _two_sum,
 )
 
@@ -149,12 +148,12 @@ class _RowSums:
     """Summation state of every row of a tile, as arrays indexed by row.
     Every row is unweighted at z > 0, so its terms are all positive."""
 
-    def __init__(self, reqs: list[Request], cfg: EvalConfig) -> None:
+    def __init__(self, reqs: list[Request]) -> None:
         n = len(reqs)
         self.reqs = reqs
-        self.cfg = cfg
         self.table = _TermTable(reqs)
         self.start = np.array([r.start for r in reqs], dtype=float)
+        self.end = self.start + series._MAX_TERMS
         self.k0 = self.start.copy()
         self.scale_h = np.full(n, -math.inf)
         self.prev_h = np.full(n, -math.inf)
@@ -166,9 +165,8 @@ class _RowSums:
 
     def block(self, ix: np.ndarray, n: int) -> np.ndarray:
         """Sum the next n terms of rows ix; returns the rows still running."""
-        cfg = self.cfg
         fk = self.k0[ix, None] + np.arange(n)
-        valid = fk < self.start[ix, None] + cfg.max_terms
+        valid = fk < self.end[ix, None]
         lh, ll = self.table.logs(ix, fk)
         lh = np.where(valid, lh, -math.inf)
         ll = np.where(valid, ll, 0.0)
@@ -201,12 +199,6 @@ class _RowSums:
         hit = stop.any(axis=1)
         used = np.where(hit, np.argmax(stop, axis=1) + 1, n)
         keep = np.arange(n) < used[:, None]
-        if not cfg.log_mode:
-            over = keep & (lh > _LOG_DOUBLE_MAX)
-            for r in np.flatnonzero(over.any(axis=1)).tolist():
-                j = int(np.argmax(over[r]))
-                self.out[ix[r]] = _term_overflow(int(fk[r, j]), float(lh[r, j]))
-                hit[r] = False
 
         total, comp = _neumaier_array(total, comp,
                                       np.where(keep, t, 0.0).sum(axis=1))
@@ -223,9 +215,9 @@ class _RowSums:
 
         for r in np.flatnonzero(hit).tolist():
             self.out[ix[r]] = self._raw(ix[r])
-        going = ~hit & np.array([self.out[i] is None for i in ix.tolist()])
+        going = ~hit
         for r in np.flatnonzero(going & ~valid[:, -1]).tolist():
-            self.out[ix[r]] = _no_stop(cfg, self.reqs[ix[r]])
+            self.out[ix[r]] = _no_stop(self.reqs[ix[r]])
             going[r] = False
         return ix[going]
 
@@ -254,7 +246,7 @@ def _neumaier_array(total, comp, x):
                               (total - s) + x, (x - s) + total)
 
 
-def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
+def _pfq_rows(reqs: list[PfqRequest]) -> list:
     """pFq sums by the Pochhammer recurrence, element-wise across rows of
     one (p, q) shape; each row runs the operations of a single call in the
     same order, so its result does not depend on the other rows."""
@@ -268,7 +260,8 @@ def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
     total, comp, total_abs = np.zeros((3, len(reqs)))
     streak = np.zeros(len(reqs), dtype=int)
     out: list = [None] * len(reqs)
-    for k in range(cfg.max_terms):
+    max_terms = series._MAX_TERMS
+    for k in range(max_terms):
         x = term
         total, comp = _neumaier_array(total, comp, x)
         total_abs = total_abs + np.abs(x)
@@ -309,7 +302,7 @@ def _pfq_rows(reqs: list[PfqRequest], cfg: EvalConfig) -> list:
                 break
     for i in idx[live].tolist():
         out[i] = DivergentSeriesError(
-            f"pFq stop rule did not fire within {cfg.max_terms} terms "
+            f"pFq stop rule did not fire within {max_terms} terms "
             f"(z={reqs[i].z!r})")
     return out
 
@@ -327,36 +320,31 @@ def _pfq_result(grand: float, total_abs: float, term: float, ratio: float,
                       math.log(abs(grand)), 1 if grand > 0.0 else -1)
 
 
-def evaluate(requests: list, cfg: EvalConfig) -> list:
-    """series.evaluate_batch."""
+def evaluate(requests: list) -> list:
+    """series.evaluate_batch: every series request in log mode."""
     out: list = [None] * len(requests)
-    series: dict = {}
+    tiled: dict = {}
     pfq: dict = {}
     for i, req in enumerate(requests):
         if isinstance(req, PfqRequest):
             pfq.setdefault((len(req.upper), len(req.lower)), {}).setdefault(
                 req, []).append(i)
         elif req.z <= 0.0 or req.psi_weight is not None:
-            out[i] = _settle(_sum_series, req, cfg)
+            try:
+                out[i] = _sum_series(req, True)
+            except NoConvergenceError as exc:
+                out[i] = exc
         else:
-            series.setdefault(req[:3], []).append(i)
+            tiled.setdefault(req[:3], []).append(i)
     with np.errstate(all="ignore"):
         for members in pfq.values():
-            for at, res in zip(members.values(), _pfq_rows(list(members), cfg)):
+            for at, res in zip(members.values(), _pfq_rows(list(members))):
                 for i in at:
                     out[i] = res
-        if series:
-            rows = [requests[at[0]] for at in series.values()]
-            for at, res in zip(series.values(), _RowSums(rows, cfg).run()):
+        if tiled:
+            rows = [requests[at[0]] for at in tiled.values()]
+            for at, res in zip(tiled.values(), _RowSums(rows).run()):
                 for i in at:
-                    out[i] = res if isinstance(res, Exception) else _settle(
-                        _finish, *res, requests[i].log_offset, cfg.log_mode)
+                    out[i] = res if isinstance(res, Exception) else _finish(
+                        *res, requests[i].log_offset, True)
     return out
-
-
-def _settle(fn, *args):
-    # fn's result, or the OverflowError or NoConvergenceError it raises
-    try:
-        return fn(*args)
-    except (OverflowError, NoConvergenceError) as exc:
-        return exc

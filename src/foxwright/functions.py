@@ -19,12 +19,10 @@ from .errors import (
 )
 from .report import InequalityReport, value_report
 from .series import (
-    EvalConfig,
     EvalResult,
     FoxWrightParams,
     PfqRequest,
     Request,
-    _DEFAULT_CFG,
     _LOG_DOUBLE_MAX,
     _exp_or_inf,
     _normalized,
@@ -116,8 +114,8 @@ def _pfq_request(upper: tuple[float, ...], lower: tuple[float, ...],
     return PfqRequest(upper, lower, z)
 
 
-def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...], z: float,
-               cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...],
+               z: float) -> EvalResult:
     """Direct pFq summation via the Pochhammer term recurrence.
 
     Unlike the Fox-Wright route this accepts arbitrary real upper
@@ -127,7 +125,7 @@ def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...], z: float,
     sum is the one-row case of the pFq request kind of
     ``series.evaluate_batch``.
     """
-    return _single(_pfq_request(upper, lower, z), cfg)
+    return _single(_pfq_request(upper, lower, z))
 
 
 def _hyper_request(hp: HypergeometricParams, z: float) -> Request | PfqRequest:
@@ -142,8 +140,7 @@ def _hyper_request(hp: HypergeometricParams, z: float) -> Request | PfqRequest:
     ), z)
 
 
-def pFq(hp: HypergeometricParams, z: float,
-        cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def pFq(hp: HypergeometricParams, z: float) -> EvalResult:
     """Generalized hypergeometric series sum_k [prod (a)_k / prod (b)_k] z^k/k!.
 
     For p <= q this routes through the Fox-Wright engine with all weights 1
@@ -151,17 +148,16 @@ def pFq(hp: HypergeometricParams, z: float,
     the normalized evaluation); the boundary case p = q + 1 converges only
     for |z| < 1 and is summed directly.
     """
-    return _single(_hyper_request(hp, z), cfg)
+    return _single(_hyper_request(hp, z))
 
 
-def mittag_leffler(mlp: MittagLefflerParams, z: float,
-                   cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def mittag_leffler(mlp: MittagLefflerParams, z: float) -> EvalResult:
     """2n-parameter Mittag-Leffler sum_k z^k / prod_j Gamma(beta_j + k*B_j)."""
-    return evaluate(mlp.as_foxwright(), z, cfg)
+    return evaluate(mlp.as_foxwright(), z)
 
 
-def wright(B1: float, beta1: float, z: float, normalized: bool = False,
-           cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def wright(B1: float, beta1: float, z: float,
+           normalized: bool = False) -> EvalResult:
     """Wright function sum_k z^k / (k! Gamma(beta1 + k*B1)).
 
     With ``normalized`` the result is scaled by Gamma(beta1) so it equals 1
@@ -169,11 +165,11 @@ def wright(B1: float, beta1: float, z: float, normalized: bool = False,
     """
     params = FoxWrightParams(upper=(), lower=((beta1, B1),))
     if normalized:
-        return evaluate_tilde(params, z, cfg)
-    return evaluate(params, z, cfg)
+        return evaluate_tilde(params, z)
+    return evaluate(params, z)
 
 
-def bessel_norm(nu: float, z: float, cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def bessel_norm(nu: float, z: float) -> EvalResult:
     """Normalized Bessel function Gamma(nu+1) sum_k (z^2/4)^k / (k! Gamma(nu+1+k)).
 
     Reduces to cosh z at nu = -1/2 and sinh(z)/z at nu = 1/2; equals 1 at
@@ -187,18 +183,19 @@ def bessel_norm(nu: float, z: float, cfg: EvalConfig = _DEFAULT_CFG) -> EvalResu
     if not math.isfinite(w):
         raise DomainError(f"z*z/4 overflows the double range at z={z!r}")
     return _single(_tilde(FoxWrightParams(upper=(), lower=((nu + 1.0, 1.0),)),
-                          w), cfg)
+                          w))
 
 
-def _scale_result(res: EvalResult, log_factor: float,
-                  log_mode: bool) -> EvalResult:
+def _scale_result(res: EvalResult, log_factor: float) -> EvalResult:
     """Multiply an evaluation by exp(log_factor), staying in log space."""
     if res.sign == 0:
         return res
     log_mag = res.log_magnitude + log_factor
-    if log_mag > _LOG_DOUBLE_MAX and not log_mode:
+    if log_mag > _LOG_DOUBLE_MAX:
         raise OverflowError(
-            f"scaled value has log-magnitude {log_mag:.6g}, beyond double range")
+            f"scaled value has log-magnitude {log_mag:.6g}, beyond double "
+            "range; evaluate_batch returns the log-magnitude of the pFq "
+            "before scaling")
     return EvalResult(
         value=res.sign * _exp_or_inf(log_mag),
         terms_used=res.terms_used,
@@ -209,8 +206,8 @@ def _scale_result(res: EvalResult, log_factor: float,
     )
 
 
-def kummer_2f2_pair(a: float, b: float, c: float, z: float,
-                    cfg: EvalConfig = _DEFAULT_CFG) -> tuple[EvalResult, EvalResult]:
+def kummer_2f2_pair(a: float, b: float, c: float,
+                    z: float) -> tuple[EvalResult, EvalResult]:
     """The 2F2 transform pair: both components evaluate the same function.
 
     Returns (2F2(a, c+1; b, c; z),  e^z * 2F2(b-a-1, f1+1; b, f1; -z)) with
@@ -228,14 +225,13 @@ def kummer_2f2_pair(a: float, b: float, c: float, z: float,
         raise ParameterError(
             f"transformed lower parameter f1 = c(1+a-b)/(a-c) = {f1:.6g} "
             "must be positive")
-    lhs = pfq_direct((a, c + 1.0), (b, c), z, cfg)
-    rhs = pfq_direct((b - a - 1.0, f1 + 1.0), (b, f1), -z, cfg)
-    return lhs, _scale_result(rhs, z, cfg.log_mode)
+    lhs = pfq_direct((a, c + 1.0), (b, c), z)
+    rhs = pfq_direct((b - a - 1.0, f1 + 1.0), (b, f1), -z)
+    return lhs, _scale_result(rhs, z)
 
 
-def ml_derivative_identity_check(B: float, beta: float, z: float,
-                                 cfg: EvalConfig = _DEFAULT_CFG
-                                 ) -> InequalityReport:
+def ml_derivative_identity_check(B: float, beta: float,
+                                 z: float) -> InequalityReport:
     """Check d/dz E_{B,beta}(z) = (E_{B,beta-1}(z) - (beta-1) E_{B,beta}(z)) / (B z).
 
     The left side goes through the parameter-shift derivative, the right
@@ -249,9 +245,9 @@ def ml_derivative_identity_check(B: float, beta: float, z: float,
     if not B > 0.0:
         raise ParameterError(f"identity needs B > 0, got {B}")
     params = FoxWrightParams(upper=((1.0, 1.0),), lower=((beta, B),))
-    lhs_res = derivative(params, z, cfg)
-    e_here = evaluate(params, z, cfg)
-    e_down = evaluate(params.with_lower_value(0, beta - 1.0), z, cfg)
+    lhs_res = derivative(params, z)
+    e_here = evaluate(params, z)
+    e_down = evaluate(params.with_lower_value(0, beta - 1.0), z)
     rhs = (e_down.value - (beta - 1.0) * e_here.value) / (B * z)
     lhs = lhs_res.value
     err = lhs_res.tail_bound + (e_down.tail_bound

@@ -50,7 +50,6 @@ from .series import (
     _plain,
     _tail,
     _tilde,
-    EvalConfig,
     EvalResult,
     FoxWrightParams,
     PfqRequest,
@@ -88,10 +87,6 @@ _CONDITION_LIMIT = 1e6
 Rounds = Generator[list, list, object]
 
 
-# the checkers' series are summed in log mode (pFq requests ignore it)
-_LOG_CFG = EvalConfig(log_mode=True)
-
-
 def _run_rounds(gens: list[Rounds], absorb: tuple = ()) -> list:
     """Advance checker generators in lockstep to their return values.
 
@@ -121,8 +116,7 @@ def _run_rounds(gens: list[Rounds], absorb: tuple = ()) -> list:
     while waiting:
         batch = list(waiting.items())
         waiting.clear()
-        results = evaluate_batch([r for _, reqs in batch for r in reqs],
-                                 _LOG_CFG)
+        results = evaluate_batch([r for _, reqs in batch for r in reqs])
         at = 0
         for i, reqs in batch:
             mine = results[at:at + len(reqs)]
@@ -391,6 +385,14 @@ def _require_constant_upper(params: FoxWrightParams, what: str) -> None:
             + repr([w for _, w in params.upper]))
 
 
+def _tail_index(n: int) -> int:
+    # a checker's tail index: an integer, as TailSpec takes it, and >= 0
+    n = TailSpec(n).n
+    if n < 0:
+        raise ParameterError(f"tail index must be >= 0, got {n}")
+    return n
+
+
 def _tail_turan(params: FoxWrightParams, n: int, z: float) -> Rounds:
     """Turan inequality for series tails: T_{n+1}^2 >= T_n * T_{n+2}.
 
@@ -398,8 +400,7 @@ def _tail_turan(params: FoxWrightParams, n: int, z: float) -> Rounds:
     weights are all zero are in scope.
     """
     _require_constant_upper(params, "tail Turan")
-    if n < 0:
-        raise ParameterError(f"tail index must be >= 0, got {n}")
+    n = _tail_index(n)
     if not z > 0.0:
         raise DomainError(f"defined for z > 0, got z={z!r}")
     t1, = yield [_tail(params, TailSpec(n + 1), z)]
@@ -428,8 +429,7 @@ def _kn_values(params: FoxWrightParams, n: int,
     # a = t_{n+1}/T_{n+1} and b = t_{n+2}/T_{n+1}.  For b near 1 the
     # complement 1 - b is formed from a direct T_{n+2} evaluation instead,
     # in a second round.  Returns the lists of K_n and of its error.
-    if n < 0:
-        raise ParameterError(f"tail index must be >= 0, got {n}")
+    n = _tail_index(n)
     for v in zs:
         if not v > 0.0:
             raise DomainError(f"defined for z > 0, got z={v!r}")
@@ -483,8 +483,7 @@ def _kn_value_and_bound(params: FoxWrightParams, n: int,
     to additionally check the steps; exactly one of the two.
     """
     _require_constant_upper(params, "the K_n bound")
-    if n < 0:
-        raise ParameterError(f"tail index must be >= 0, got {n}")
+    n = _tail_index(n)
     if (z is None) == (z_grid is None):
         raise ParameterError("pass exactly one of z or z_grid")
 

@@ -32,6 +32,12 @@ error-free transforms are exact on IEEE float64 arrays), each block summed
 with ``math.fsum`` and tested against the same stop rule, so a block ends the
 series at the same term as the one-term loop would.
 
+Every series generates at most ``_MAX_TERMS`` terms before its stop rule
+must fire.  A single call raises OverflowError on a term or a value past the
+double range; ``evaluate_batch`` sums its series requests in log mode
+instead, returning +-inf with the finite log-magnitude, which is what the
+inequality checkers read.
+
 ``evaluate_batch`` sums many series at once, for the inequality checkers;
 its tile engine lives in ``batch.py``, and each array kernel it uses sits
 beside its scalar twin: ``_dd_log_array`` and ``_log_ints_dd`` here,
@@ -60,6 +66,7 @@ results are bit-identical to a single call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,7 +89,6 @@ from .report import _is_number
 
 __all__ = [
     "FoxWrightParams",
-    "EvalConfig",
     "EvalResult",
     "TailSpec",
     "log_term",
@@ -180,23 +186,9 @@ class FoxWrightParams:
                    lower=tuple((float(b), float(wb)) for b, wb in lower))
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Summation controls.
-
-    max_terms caps the number of generated terms, and log_mode returns
-    log-magnitude + sign for results whose value would overflow a double.
-    """
-
-    max_terms: int = 10000
-    log_mode: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 8:
-            raise ParameterError(f"max_terms must be >= 8, got {self.max_terms}")
-
-
-_DEFAULT_CFG = EvalConfig()
+# the number of terms a series may generate before its stop rule fires;
+# _sum_series and the batch engine read it at each call
+_MAX_TERMS = 10000
 
 # the stop rule's relative term size: a term counts as small at or below
 # _REL_TOL * |partial sum|
@@ -207,10 +199,11 @@ _REL_TOL = 1e-15
 class EvalResult:
     """One series evaluation.
 
-    value is sign * exp(log_magnitude) when that is representable (and +-inf
-    past the double range in log_mode).  tail_bound is the geometric bound
-    on the truncation error, in value space, taken from the last term ratio
-    (later ratios are not bounded, so it is an estimate, not a proof).
+    value is sign * exp(log_magnitude) when that is representable, and +-inf
+    past the double range (only evaluate_batch returns such a result).
+    tail_bound is the geometric bound on the truncation error, in value
+    space, taken from the last term ratio (later ratios are not bounded, so
+    it is an estimate, not a proof).
     condition_estimate = sum|term| / |sum term| is exactly 1.0 for z >= 0.
     """
 
@@ -229,6 +222,9 @@ class TailSpec:
     n: int = -1
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not hasattr(type(self.n), "__index__"):
+            raise ParameterError(f"tail index must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < -1:
             raise ParameterError(f"tail index must be >= -1, got {self.n}")
 
@@ -707,18 +703,18 @@ _BLOCK_MAX = 512
 def _term_overflow(k: int, lh: float) -> OverflowError:
     return OverflowError(
         f"term k={k} has log-magnitude {lh:.6g}, beyond double "
-        "range; re-run with log_mode")
+        "range; evaluate_batch returns the series' log-magnitude")
 
 
 def _value_overflow(log_mag: float) -> OverflowError:
     return OverflowError(
         f"series value has log-magnitude {log_mag:.6g}, beyond double "
-        "range; re-run with log_mode")
+        "range; evaluate_batch returns its log-magnitude")
 
 
-def _no_stop(cfg: EvalConfig, req: Request) -> NoConvergenceError:
+def _no_stop(req: Request) -> NoConvergenceError:
     return NoConvergenceError(
-        f"stop rule did not fire within {cfg.max_terms} terms "
+        f"stop rule did not fire within {_MAX_TERMS} terms "
         f"(start={req.start}, z={req.z!r})")
 
 
@@ -739,9 +735,11 @@ def _ratio(prev_h: float, prev_l: float, lh: float, ll: float) -> float:
     return math.exp(d) if d < _LOG_DOUBLE_MAX else math.inf
 
 
-def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
+def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     """Scaled compensated summation of one request, one term at a time and
-    then in blocks."""
+    then in blocks.  Past the double range a term or the value raises
+    OverflowError, unless log_mode: then the result is +-inf with its
+    log-magnitude (evaluate_batch's policy)."""
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
         # only term 0 is nonzero, and a tail from k >= 1 sums no term
@@ -750,13 +748,13 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
             return EvalResult(0.0, int(start == 0), 0.0, 1.0, -math.inf, 0)
         log_mag = _log_term_at_zero(params) + math.log(abs(w)) + log_offset
         sgn = 1 if w > 0.0 else -1
-        if log_mag > _LOG_DOUBLE_MAX and not cfg.log_mode:
+        if log_mag > _LOG_DOUBLE_MAX and not log_mode:
             raise _value_overflow(log_mag)
         return EvalResult(sgn * _exp_or_inf(log_mag), 1, 0.0, 1.0, log_mag, sgn)
 
     # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
     signed = z < 0.0 or psi_weight is not None
-    end = start + cfg.max_terms
+    end = start + _MAX_TERMS
     gen = _TermLogs(params, z, psi_weight, end)
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
     scale_l = 0.0
@@ -775,7 +773,7 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
     for k in range(start, min(start + _SCALAR_TERMS, end)):
         lh, ll, sign = gen.term(k)
         terms += 1
-        if lh > _LOG_DOUBLE_MAX and not cfg.log_mode:
+        if lh > _LOG_DOUBLE_MAX and not log_mode:
             raise _term_overflow(k, lh)
 
         if lh > scale_h:
@@ -851,7 +849,7 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
                 used = i + 1
                 stopped = True
                 break
-        if not cfg.log_mode:
+        if not log_mode:
             over = np.flatnonzero(lh[:used] > _LOG_DOUBLE_MAX)
             if over.size:
                 raise _term_overflow(k + int(over[0]), float(lh[over[0]]))
@@ -869,12 +867,12 @@ def _sum_series(req: Request, cfg: EvalConfig) -> EvalResult:
         size = min(2 * size, _BLOCK_MAX)
 
     if not stopped:
-        raise _no_stop(cfg, req)
+        raise _no_stop(req)
 
     if not signed:
         total_abs, comp_abs = total, comp
     return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
-                   terms, last_h, ratio, log_offset, cfg.log_mode)
+                   terms, last_h, ratio, log_offset, log_mode)
 
 
 def _plain(params: FoxWrightParams, z: float) -> Request:
@@ -906,66 +904,65 @@ def _dbeta1(params: FoxWrightParams, z: float) -> Request:
     return Request(params, z, psi_weight=params.lower[0])
 
 
-def _single(req: Request | PfqRequest, cfg: EvalConfig) -> EvalResult:
+def _single(req: Request | PfqRequest) -> EvalResult:
     # one request on its single-call path: the one-term loop for a series
-    # request, the one-row batch for a pFq request
+    # request (raising past the double range), the one-row batch for a pFq
+    # request
     if isinstance(req, Request):
-        return _sum_series(req, cfg)
-    res = evaluate_batch([req], cfg)[0]
+        return _sum_series(req, False)
+    res = evaluate_batch([req])[0]
     if isinstance(res, Exception):
         raise res
     return res
 
 
-def evaluate(params: FoxWrightParams, z: float,
-             cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def evaluate(params: FoxWrightParams, z: float) -> EvalResult:
     """Evaluate the series at z."""
-    return _sum_series(_plain(params, z), cfg)
+    return _sum_series(_plain(params, z), False)
 
 
-def evaluate_normalized(params: FoxWrightParams, z: float,
-                        cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def evaluate_normalized(params: FoxWrightParams, z: float) -> EvalResult:
     """Evaluate scaled by prod Gamma(beta) / prod Gamma(alpha); equals 1 at z = 0."""
-    return _sum_series(_normalized(params, z), cfg)
+    return _sum_series(_normalized(params, z), False)
 
 
-def evaluate_tilde(params: FoxWrightParams, z: float,
-                   cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def evaluate_tilde(params: FoxWrightParams, z: float) -> EvalResult:
     """Evaluate scaled by Gamma(beta_1) alone (first-lower-slot normalization)."""
-    return _sum_series(_tilde(params, z), cfg)
+    return _sum_series(_tilde(params, z), False)
 
 
-def evaluate_tail(params: FoxWrightParams, tail: TailSpec, z: float,
-                  cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def evaluate_tail(params: FoxWrightParams, tail: TailSpec,
+                  z: float) -> EvalResult:
     """Evaluate the section starting at k = tail.n + 1 (summed directly,
     never by subtracting a head partial sum from the full series)."""
-    return _sum_series(_tail(params, tail, z), cfg)
+    return _sum_series(_tail(params, tail, z), False)
 
 
-def derivative(params: FoxWrightParams, z: float,
-               cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def derivative(params: FoxWrightParams, z: float) -> EvalResult:
     """d/dz of the series: every parameter advanced by its weight."""
-    return evaluate(params.shifted(), z, cfg)
+    return evaluate(params.shifted(), z)
 
 
-def dbeta1(params: FoxWrightParams, z: float,
-           cfg: EvalConfig = _DEFAULT_CFG) -> EvalResult:
+def dbeta1(params: FoxWrightParams, z: float) -> EvalResult:
     """d/d(beta_1) of the series: term k weighted by -psi(beta_1 + k*B_1)."""
-    return _sum_series(_dbeta1(params, z), cfg)
+    return _sum_series(_dbeta1(params, z), False)
 
 
-def evaluate_batch(requests: list, cfg: EvalConfig = _DEFAULT_CFG) -> list:
+def evaluate_batch(requests: list) -> list:
     """Evaluate many Request and PfqRequest items at once.
 
     Returns one EvalResult per request, in order, or the exception the
     request fails with (NoConvergenceError, DivergentSeriesError,
-    OverflowError) in its place.  Series requests at z > 0 with no
-    psi_weight are the rows of one tile, the others take the single-call
-    path bit for bit, and pFq requests of one (p, q) shape are the rows of
-    one recurrence; requests equal but for log_offset are summed once.
+    OverflowError) in its place.  Series requests are summed in log mode:
+    one past the double range returns +-inf with its finite log_magnitude,
+    while a pFq row whose term leaves the range fails with OverflowError.
+    Series requests at z > 0 with no psi_weight are the rows of one tile,
+    the others take the single-call path bit for bit, and pFq requests of
+    one (p, q) shape are the rows of one recurrence; requests equal but for
+    log_offset are summed once.
     Every result is independent of the other requests in the batch.
     """
     # the batch module is imported on first use: importing the package
     # for single calls does not pay for it
     from .batch import evaluate
-    return evaluate(requests, cfg)
+    return evaluate(requests)

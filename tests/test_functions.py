@@ -9,7 +9,7 @@ import pytest
 from foxwright import (
     DivergentSeriesError,
     DomainError,
-    EvalConfig,
+    EvalResult,
     FoxWrightParams,
     HypergeometricParams,
     MittagLefflerParams,
@@ -23,6 +23,7 @@ from foxwright import (
     pfq_direct,
     wright,
 )
+from foxwright import functions
 
 # 40-digit references for the generic instances below
 ML4_Z25 = 6.421328074302353333740     # pairs ((0.8, 1.2), (1.1, 0.7)), z = 2.5
@@ -194,13 +195,21 @@ def test_ml_derivative_identity():
         assert rep.suite_id == "ml-derivative-identity"
 
 
-def test_ml_derivative_identity_nan_margin_fails():
-    # lhs is finite and rhs overflows, so the margin -|lhs - rhs| is -inf
-    rep = ml_derivative_identity_check(0.5, 2.0, 26.671862787236662,
-                                       EvalConfig(log_mode=True))
-    assert math.isfinite(rep.lhs) and math.isinf(rep.rhs)
-    assert rep.margin == -math.inf
-    assert rep.passed is False
+def test_ml_derivative_identity_overflow_raises():
+    # the derivative is finite, but the right side's E_{0.5,1} lies past
+    # the double range, and the single calls behind the identity raise
+    msg = ("series value has log-magnitude 712.081, beyond double range; "
+           "evaluate_batch returns its log-magnitude")
+    with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
+        ml_derivative_identity_check(0.5, 2.0, 26.671862787236662)
+
+
+def test_scaled_overflow_names_evaluate_batch():
+    res = EvalResult(1.0, 1, 0.0, 1.0, 0.0, 1)
+    msg = ("scaled value has log-magnitude 710, beyond double range; "
+           "evaluate_batch returns the log-magnitude of the pFq before scaling")
+    with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
+        functions._scale_result(res, 710.0)
 
 
 def test_ml_derivative_identity_domain():

@@ -51,6 +51,20 @@ def test_all_is_the_union_of_the_module_lists():
     assert {"Request", "PfqRequest", "evaluate_batch"} <= union
 
 
+def test_no_public_call_takes_a_summation_config():
+    # single calls raise past the double range and evaluate_batch sums in
+    # log mode, each with the fixed term budget: nothing to configure
+    assert "EvalConfig" not in foxwright.__all__
+    assert not hasattr(foxwright, "EvalConfig")
+    for name in foxwright.__all__:
+        obj = getattr(foxwright, name)
+        # the error classes have no signature
+        if not callable(obj) or isinstance(obj, type) and issubclass(
+                obj, Exception):
+            continue
+        assert "cfg" not in inspect.signature(obj).parameters, name
+
+
 def test_public_checkers_have_their_generators_signature_and_doc():
     for name in inequalities.__all__:
         fn = getattr(inequalities, name)

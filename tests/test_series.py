@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from foxwright import (
     DivergentSeriesError,
     DomainError,
-    EvalConfig,
     FoxWrightError,
     FoxWrightParams,
     NoConvergenceError,
@@ -27,7 +26,10 @@ from foxwright import (
     evaluate_tail,
     evaluate_tilde,
     hp_eval,
+    kn_ratio,
+    kn_value_and_bound,
     log_term,
+    tail_turan_check,
     turan_beta_check,
 )
 from foxwright import batch, gammakit, series
@@ -115,9 +117,10 @@ ZERO_GOLDEN = {
                ("0x0.0p+0", "0x0.0p+0", _ONE, "-inf")),
     "tail-3": (lambda: evaluate_tail(_P_ZERO, TailSpec(3), 0.0), 0, 0,
                ("0x0.0p+0", "0x0.0p+0", _ONE, "-inf")),
-    "log-mode": (lambda: evaluate(FoxWrightParams(((200.0, 0.5),)), 0.0,
-                                  EvalConfig(log_mode=True)), 1, 1,
-                 ("inf", "0x0.0p+0", _ONE, "0x1.acf7827e2ba8fp+9")),
+    "log-mode": (
+        lambda: series._sum_series(
+            series._plain(FoxWrightParams(((200.0, 0.5),)), 0.0), True),
+        1, 1, ("inf", "0x0.0p+0", _ONE, "0x1.acf7827e2ba8fp+9")),
 }
 
 
@@ -137,7 +140,7 @@ def test_single_calls_at_zero_match_recorded_bits(case):
 ])
 def test_value_overflow_at_zero_names_its_log_magnitude(call, lower, log_mag):
     msg = (f"series value has log-magnitude {log_mag}, beyond double range; "
-           "re-run with log_mode")
+           "evaluate_batch returns its log-magnitude")
     with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
         call(FoxWrightParams(((200.0, 0.5),), lower), 0.0)
 
@@ -160,6 +163,23 @@ def test_tail_minus_one_is_full_series():
     assert evaluate_tail(P1, TailSpec(-1), 3.5).value == evaluate(P1, 3.5).value
     with pytest.raises(ParameterError):
         TailSpec(-2)
+
+
+def test_tail_index_must_be_an_integer():
+    # a fractional index would sum from a fractional k
+    p = FoxWrightParams((), ((0.9, 1.1),))
+    calls = [lambda: kn_value_and_bound(p, 1.5, z=1.0),
+             lambda: tail_turan_check(p, 1.5, 1.0),
+             lambda: kn_ratio(p, 0.5, 1.0),
+             lambda: evaluate_tail(p, TailSpec(2.5), 1.0),
+             lambda: TailSpec(True), lambda: TailSpec("2")]
+    for call in calls:
+        with pytest.raises(ParameterError, match="tail index must be an integer"):
+            call()
+    n = TailSpec(np.int64(2)).n
+    assert type(n) is int and n == 2
+    assert repr(evaluate_tail(p, TailSpec(np.int64(2)), 1.0)) == repr(
+        evaluate_tail(p, TailSpec(2), 1.0))
 
 
 def test_epsilon_and_divergence():
@@ -191,8 +211,6 @@ def test_parameter_validation():
         FoxWrightParams(lower=((1.0, -0.5),))
     with pytest.raises(ParameterError):
         FoxWrightParams(upper=((math.nan, 1.0),))
-    with pytest.raises(ParameterError):
-        EvalConfig(max_terms=5)
 
 
 def test_overflow_and_log_mode():
@@ -200,10 +218,11 @@ def test_overflow_and_log_mode():
         evaluate(FoxWrightParams(), 800.0)
     # ln(1e30^11 / 11!) = 742.35: the first term past the range is one of
     # the 32 summed one at a time
-    with pytest.raises(OverflowError, match="^term k=11 has log-magnitude "
-                                            "742.351, beyond double range"):
+    msg = ("term k=11 has log-magnitude 742.351, beyond double range; "
+           "evaluate_batch returns the series' log-magnitude")
+    with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
         evaluate(FoxWrightParams(), 1e30)
-    res = evaluate(FoxWrightParams(), 800.0, EvalConfig(log_mode=True))
+    res = series._sum_series(series._plain(FoxWrightParams(), 800.0), True)
     assert math.isinf(res.value)
     assert abs(res.log_magnitude - 800.0) <= 1e-9
     assert res.sign == 1
@@ -213,7 +232,7 @@ def test_log_mode_beyond_double_range_in_blocks():
     # sum z^k/(k+1)! = (e^z - 1)/z, about e^793 here: its ~1000 terms run
     # almost all in the block phase
     params = FoxWrightParams(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
-    res = evaluate(params, 800.0, EvalConfig(log_mode=True))
+    res = series._sum_series(series._plain(params, 800.0), True)
     assert res.terms_used > 900
     assert math.isinf(res.value) and res.sign == 1
     assert abs(res.log_magnitude - (800.0 - math.log(800.0))) <= 1e-12 * 800.0
@@ -228,20 +247,21 @@ def test_term_overflow_is_raised_at_the_first_term_past_the_range():
         evaluate(FoxWrightParams(), 800.0)
 
 
-def test_no_convergence_when_budget_too_small():
+def test_no_convergence_when_budget_too_small(monkeypatch):
+    monkeypatch.setattr(series, "_MAX_TERMS", 8)
     with pytest.raises(NoConvergenceError):
-        evaluate(FoxWrightParams(), 15.0, EvalConfig(max_terms=8))
+        evaluate(FoxWrightParams(), 15.0)
 
 
-def test_budget_that_cuts_a_block_short():
+def test_budget_that_cuts_a_block_short(monkeypatch):
     # 100 terms: 32 one at a time, a block of 64, then a block cut to 4;
     # e^37 needs 98 terms, e^39 needs 102
-    cfg = EvalConfig(max_terms=100)
-    res = evaluate(FoxWrightParams(), 37.0, cfg)
+    monkeypatch.setattr(series, "_MAX_TERMS", 100)
+    res = evaluate(FoxWrightParams(), 37.0)
     assert res.terms_used == 98
     assert _rel(res.value, math.exp(37.0)) <= 1e-15
     with pytest.raises(NoConvergenceError, match="within 100 terms"):
-        evaluate(FoxWrightParams(), 39.0, cfg)
+        evaluate(FoxWrightParams(), 39.0)
 
 
 def test_log_term_matches_direct_product():
@@ -466,6 +486,17 @@ P_FLAT = FoxWrightParams(upper=((2.5, 0.0), (0.4, 0.6)), lower=((3.2, 1.3),))
 P_PSI_FLIP = FoxWrightParams(upper=((2.0, 1.2),), lower=((0.2, 0.01), (1.5, 0.5)))
 P_LATE = FoxWrightParams(upper=((2.0, 1.2),), lower=((1.5, 0.5), (1.0, 0.02)))
 P_SLOW = FoxWrightParams(upper=((1.0, 0.996),))  # alternating, 1,241 terms
+
+
+def _with_budget(n, call):
+    # call() under a term budget of n, restored afterwards
+    saved, series._MAX_TERMS = series._MAX_TERMS, n
+    try:
+        return call()
+    finally:
+        series._MAX_TERMS = saved
+
+
 GOLDEN = {
     "evaluate P1 3.5": (
         lambda: evaluate(P1, 3.5), 46, 1,
@@ -496,7 +527,8 @@ GOLDEN = {
         ("0x1.c246b6fc8ea74p+303", "0x1.1cc6f079af2d6p+256",
          "0x1.0000000000000p+0", "0x1.a52d32f89722cp+7")),
     "log_mode P_EXPM1 800.0": (
-        lambda: evaluate(P_EXPM1, 800.0, EvalConfig(log_mode=True)), 1032, 1,
+        lambda: series._sum_series(series._plain(P_EXPM1, 800.0), True),
+        1032, 1,
         ("inf", "inf", "0x1.0000000000000p+0", "0x1.8ca85ea4959aap+9")),
     "dbeta1 P1 2.0": (
         lambda: dbeta1(P1, 2.0), 36, -1,
@@ -520,7 +552,7 @@ GOLDEN = {
          "0x1.66ff0cbc72c6ap+6", "-0x1.d5f5442b772b2p+0")),
     # a budget that ends 14 terms into the second 1,024-term read-ahead
     "evaluate P_LONG 4.0 budget 1070": (
-        lambda: evaluate(P_LONG, 4.0, EvalConfig(max_terms=1070)), 1068, 1,
+        lambda: _with_budget(1070, lambda: evaluate(P_LONG, 4.0)), 1068, 1,
         ("0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
          "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
     # -psi(0.2 + 0.01*k) changes sign at k = 127, in the second block
@@ -600,10 +632,11 @@ def test_results_match_recorded_bits(case):
 
 
 def test_budget_that_ends_inside_a_read_ahead_keeps_its_error_text(
-        span_sizes):
+        span_sizes, monkeypatch):
+    monkeypatch.setattr(series, "_MAX_TERMS", 1000)
     msg = "stop rule did not fire within 1000 terms (start=0, z=4.0)"
     with pytest.raises(NoConvergenceError, match=f"^{re.escape(msg)}$"):
-        evaluate(P_LONG, 4.0, EvalConfig(max_terms=1000))
+        evaluate(P_LONG, 4.0)
     # the 1,024-term read-ahead after the 32-term head stops at the budget
     assert sum(span_sizes) == 1000 - 32
 
@@ -668,14 +701,6 @@ _VARIANTS = {
     "derivative": lambda p, z, n: series._plain(p.shifted(), z),
     "dbeta1": lambda p, z, n: series._dbeta1(p, z),
 }
-_SCALAR = {
-    "plain": lambda p, z, n: evaluate(p, z),
-    "normalized": lambda p, z, n: evaluate_normalized(p, z),
-    "tilde": lambda p, z, n: evaluate_tilde(p, z),
-    "tail": lambda p, z, n: evaluate_tail(p, TailSpec(n), z),
-    "derivative": lambda p, z, n: derivative(p, z),
-    "dbeta1": lambda p, z, n: dbeta1(p, z),
-}
 
 _batch_pair = st.tuples(st.floats(min_value=0.1, max_value=5.0),
                         st.floats(min_value=0.0, max_value=3.0))
@@ -686,10 +711,11 @@ _batch_case = st.tuples(
     st.integers(min_value=0, max_value=6), st.sampled_from(sorted(_VARIANTS)))
 
 
-def _outcome(fn):
+def _outcome(req):
+    # the single-call path in log mode, evaluate_batch's policy
     try:
-        return fn()
-    except (NoConvergenceError, OverflowError) as exc:
+        return series._sum_series(req, True)
+    except NoConvergenceError as exc:
         return exc
 
 
@@ -703,14 +729,18 @@ def test_batch_agrees_with_single_calls(cases):
             continue
         z = (-1.0 if neg else 1.0) * 10.0 ** lz
         reqs.append(_VARIANTS[variant](params, z, n))
-        refs.append(_outcome(lambda: _SCALAR[variant](params, z, n)))
+        refs.append(_outcome(reqs[-1]))
     got = series.evaluate_batch(reqs)
     for req, ref, res in zip(reqs, refs, got):
         if isinstance(ref, Exception):
             assert type(res) is type(ref), (req, ref, res)
-            continue
-        assert abs(res.value - ref.value) <= _abs_err(res) + _abs_err(ref), (
-            req, ref, res)
+        elif math.isinf(ref.value):
+            assert res.sign == ref.sign, (req, ref, res)
+            assert abs(res.log_magnitude - ref.log_magnitude) <= 1e-12 * abs(
+                ref.log_magnitude), (req, ref, res)
+        else:
+            assert abs(res.value - ref.value) <= (
+                _abs_err(res) + _abs_err(ref)), (req, ref, res)
 
 
 def test_batch_results_do_not_depend_on_the_batch():
@@ -723,30 +753,32 @@ def test_batch_results_do_not_depend_on_the_batch():
     assert repr(together) == repr(alone)
 
 
-def test_batch_failures_stay_in_their_request():
+def test_batch_failures_stay_in_their_request(monkeypatch):
     # Gamma(a) e^z in one tile: e^39 needs 102 terms, beyond the budget
-    # of 100, and Gamma(200) overflows at the first term
-    cfg = EvalConfig(max_terms=100)
+    # of 100, and Gamma(200) e lies past the double range, summed in log mode
+    monkeypatch.setattr(series, "_MAX_TERMS", 100)
     good = [series._plain(FoxWrightParams(upper=((2.5, 0.0),)), z)
             for z in (37.0, -2.0, 5.0)]
     got = series.evaluate_batch(
         [good[0], series._plain(FoxWrightParams(upper=((2.5, 0.0),)), 39.0),
          good[1], series._plain(FoxWrightParams(upper=((200.0, 0.0),)), 1.0),
-         good[2]], cfg)
+         good[2]])
     assert isinstance(got[1], NoConvergenceError)
     assert "within 100 terms" in str(got[1])
-    assert isinstance(got[3], OverflowError)
-    assert repr([got[0], got[2], got[4]]) == repr(
-        series.evaluate_batch(good, cfg))
+    assert isinstance(got[3], EvalResult)
+    assert got[3].value == math.inf and got[3].sign == 1
+    assert got[3].log_magnitude == pytest.approx(math.lgamma(200.0) + 1.0,
+                                                 rel=1e-14)
+    assert repr([got[0], got[2], got[4]]) == repr(series.evaluate_batch(good))
 
 
 def test_batch_sums_identical_series_once(monkeypatch):
     rows = []
 
     class Counting(batch._RowSums):
-        def __init__(self, reqs, cfg):
+        def __init__(self, reqs):
             rows.append(len(reqs))
-            super().__init__(reqs, cfg)
+            super().__init__(reqs)
 
     monkeypatch.setattr(batch, "_RowSums", Counting)
     plain, norm = series._plain(P1, 2.0), series._normalized(P1, 2.0)
@@ -778,17 +810,36 @@ def test_signed_and_weighted_requests_take_the_single_call_path():
     assert repr([got[0], got[-1]]) == repr(series.evaluate_batch(positive))
 
 
-def test_routed_requests_that_outrun_the_budget_fail_in_place():
+def test_routed_requests_that_outrun_the_budget_fail_in_place(monkeypatch):
+    monkeypatch.setattr(series, "_MAX_TERMS", 20)
     p = FoxWrightParams(upper=((1.5, 0.5),), lower=((2.0, 1.0),))
-    cfg = EvalConfig(max_terms=20)
     good = [series._plain(p, 0.5), series._plain(p, -0.5)]
     got = series.evaluate_batch(
-        [good[0], series._plain(p, -30.0), series._dbeta1(p, 30.0), good[1]],
-        cfg)
+        [good[0], series._plain(p, -30.0), series._dbeta1(p, 30.0), good[1]])
     for res in got[1:3]:
         assert isinstance(res, NoConvergenceError)
         assert "within 20 terms" in str(res)
-    assert repr([got[0], got[3]]) == repr(series.evaluate_batch(good, cfg))
+    assert repr([got[0], got[3]]) == repr(series.evaluate_batch(good))
+
+
+def test_batch_returns_values_past_the_double_range_in_log_mode():
+    # Gamma(200)-sized series: a z < 0 row at +inf and a dbeta1 row at
+    # -inf, each bit for bit its log-mode single-call sum, while a pFq row
+    # whose second term leaves the range fails in place
+    big = FoxWrightParams(((200.0, 0.5),))
+    routed = [series._plain(big, -0.5),
+              series._dbeta1(FoxWrightParams(big.upper, ((3.0, 1.0),)), 0.5)]
+    pfq = PfqRequest((4.0,), (1.5,), -1e300)
+    got = series.evaluate_batch([routed[0], pfq, routed[1]])
+    assert [(r.value, r.sign) for r in (got[0], got[2])] == [
+        (math.inf, 1), (-math.inf, -1)]
+    assert all(math.isfinite(r.log_magnitude) for r in (got[0], got[2]))
+    assert repr([got[0], got[2]]) == repr(
+        [series._sum_series(r, True) for r in routed])
+    assert isinstance(got[1], OverflowError)
+    assert str(got[1]) == "pFq term at k=2 left the double range (z=-1e+300)"
+    with pytest.raises(OverflowError, match="beyond double range"):
+        evaluate(*routed[0][:2])
 
 
 def test_dd_log_array_matches_scalar():
@@ -820,11 +871,11 @@ def test_log_gamma_array_matches_scalar():
                                                                   np.abs(ref)))
 
 
-def _pfq_loop(upper, lower, z, cfg=EvalConfig()):
+def _pfq_loop(upper, lower, z):
     # the one-row loop the pFq request kind replaced: the reference
     p, q = len(upper), len(lower)
     term, total, comp, total_abs, ratio, streak = 1.0, 0.0, 0.0, 0.0, math.inf, 0
-    for k in range(cfg.max_terms):
+    for k in range(series._MAX_TERMS):
         x = term
         s = total + x
         if abs(total) >= abs(x):
@@ -856,7 +907,7 @@ def _pfq_loop(upper, lower, z, cfg=EvalConfig()):
             math.log(abs(grand)), 1 if grand > 0.0 else -1)
 
 
-def test_pfq_rows_match_the_one_row_loop_bit_for_bit():
+def test_pfq_rows_match_the_one_row_loop_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(11)
     reqs = []
     for i in range(300):
@@ -879,25 +930,25 @@ def test_pfq_rows_match_the_one_row_loop_bit_for_bit():
     # one batch of one shape, so one recurrence, with three kinds of rows:
     # rows that stop at very different k (so ended rows run on masked, then
     # are dropped), a row whose third term leaves the double range, and a
-    # row that hits max_terms; each equals its one-row call
-    cfg = EvalConfig(max_terms=60)
+    # row that hits the term budget; each equals its one-row call
+    monkeypatch.setattr(series, "_MAX_TERMS", 60)
     mixed = [PfqRequest((0.5,), (1.5,), -0.01 * 2.0 ** i) for i in range(10)]
     mixed[3] = PfqRequest((4.0,), (1.5,), -1e300)
     mixed[6] = PfqRequest((0.5,), (1.5,), 200.0)
     mixed.append(PfqRequest((1.2,), (2.2,), 0.3))
-    got = series.evaluate_batch(mixed, cfg)
+    got = series.evaluate_batch(mixed)
     kinds = [type(r).__name__ for r in got]
     assert kinds.count("OverflowError") == 1 and kinds[3] == "OverflowError"
     assert kinds.count("DivergentSeriesError") == 1
     assert kinds[6] == "DivergentSeriesError"
     assert len({r.terms_used for r in got if isinstance(r, EvalResult)}) >= 5
     for req, res in zip(mixed, got):
-        one = series.evaluate_batch([req], cfg)[0]
+        one = series.evaluate_batch([req])[0]
         if isinstance(res, Exception):
             assert type(one) is type(res) and str(one) == str(res)
         else:
             assert repr(one) == repr(res)
-            ref = _pfq_loop(*req, cfg=cfg)
+            ref = _pfq_loop(*req)
             assert tuple(float.hex(float(v)) for v in (
                 res.value, res.terms_used, res.tail_bound,
                 res.condition_estimate, res.log_magnitude,

@@ -314,6 +314,8 @@ def test_margin_passes_scale_logic(monkeypatch):
     assert margin_passes(-0.5, 1e12, 1e12)
     assert not margin_passes(math.nan, 1.0, 1.0)
     assert not margin_passes(-1.0, math.inf, 1.0)
+    # a finite side against an infinite one: margin -inf
+    assert not margin_passes(-math.inf, 1.0, math.inf)
     # the rule reads its constants when called
     monkeypatch.setattr(report, "TOL_REL", 0.0)
     assert not margin_passes(-0.5, 1e12, 1e12)
