@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import series
-from .errors import DivergentSeriesError, NoConvergenceError
+from .errors import DivergentSeriesError, DomainError, NoConvergenceError
 from .gammakit import _log_gamma_array
 from .series import (
     _BLOCK_MAX,
@@ -36,6 +36,7 @@ from .series import (
     _fold,
     _log_ints_dd,
     _no_stop,
+    _require_convergent,
     _sum_series,
     _two_sum,
 )
@@ -331,11 +332,21 @@ def evaluate(requests: list) -> list:
                 req, []).append(i)
         elif req.z <= 0.0 or req.psi_weight is not None:
             try:
+                _require_convergent(req.params, req.z)
                 out[i] = _sum_series(req, True)
-            except NoConvergenceError as exc:
+            except (DomainError, DivergentSeriesError, NoConvergenceError) as exc:
                 out[i] = exc
         else:
             tiled.setdefault(req[:3], []).append(i)
+    # a hand-built request that the single calls refuse fails in its place;
+    # identical tile rows are checked once
+    for key, at in list(tiled.items()):
+        try:
+            _require_convergent(*key[:2])
+        except (DomainError, DivergentSeriesError) as exc:
+            del tiled[key]
+            for i in at:
+                out[i] = exc
     with np.errstate(all="ignore"):
         for members in pfq.values():
             for at, res in zip(members.values(), _pfq_rows(list(members))):

@@ -5,8 +5,9 @@ formula and refusing x <= 0 keeps pole handling out of every caller.  Both
 kernels apply the Stirling asymptotic series from x = 8 on.  Below that,
 digamma shifts the argument up with psi(x+1) = psi(x) + 1/x, and log_gamma
 moves it into [0.5, 1.5) with Gamma(x+1) = x Gamma(x) and sums the Taylor
-series of ln Gamma(1+t), whose signed coefficients (-1)^k (zeta(k) - 1)/k are
-tabled once at import.  The array kernels sit beside their scalar twins:
+series of ln Gamma(1+t), whose signed coefficients are (-1)^k (zeta(k) - 1)/k.
+Each of the three series is one straight-line Horner form that takes floats
+and arrays alike.  The array kernels sit beside their scalar twins:
 ``_log_gamma_array`` is log_gamma element-wise, for the batch engine's
 factors below the Stirling threshold, and ``_digamma_array`` is digamma
 element-wise, bit for bit, for the psi weights of a block of series terms.
@@ -31,90 +32,65 @@ _SHIFT_THRESHOLD = 8.0
 
 _HALF_LN_TWO_PI = 0.9189385332046727417803297  # ln(2*pi)/2
 
-# B_{2n} / (2n*(2n-1)), n = 1..10: coefficients of x^(1-2n) in the
-# Stirling series for ln Gamma.
-_LNGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-    -174611.0 / 125400.0,
-)
-
-# zeta(k) - 1 for k = 2..30: Taylor coefficients of ln Gamma(1+t) in the
-# rapidly convergent form ln Gamma(1+t) = -log1p(t) + t(1-gamma) + sum.
-_ZETA_M1 = (
-    0.6449340668482264,
-    0.2020569031595943,
-    0.08232323371113819,
-    0.03692775514336993,
-    0.01734306198444914,
-    0.008349277381922827,
-    0.00407735619794434,
-    0.0020083928260822143,
-    0.0009945751278180853,
-    0.0004941886041194645,
-    0.0002460865533080483,
-    0.00012271334757848915,
-    6.124813505870483e-05,
-    3.058823630702049e-05,
-    1.528225940865187e-05,
-    7.637197637899763e-06,
-    3.81729326499984e-06,
-    1.908212716553939e-06,
-    9.539620338727962e-07,
-    4.769329867878064e-07,
-    2.38450502727733e-07,
-    1.1921992596531106e-07,
-    5.960818905125948e-08,
-    2.980350351465228e-08,
-    1.4901554828365043e-08,
-    7.45071178983543e-09,
-    3.725334024788457e-09,
-    1.862659723513049e-09,
-    9.313274324196682e-10,
-)
-
 _ONE_MINUS_EULER_GAMMA = 0.4227843350984671393935  # 1 - gamma
 
-# (-1)^k (zeta(k) - 1)/k for k = 30 down to 2: the Horner coefficients of
-# the sum in _log_gamma_taylor, divided and signed once here
-_LOG_GAMMA_TAYLOR = tuple((-1.0) ** k * _ZETA_M1[k - 2] / k
-                          for k in range(len(_ZETA_M1) + 1, 1, -1))
 
-# B_{2n} / (2n), n = 1..10: coefficients of x^(-2n) in the series for psi.
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-    43867.0 / 14364.0,
-    -174611.0 / 6600.0,
-)
+def _zeta_sum(t):
+    # sum (-1)^k (zeta(k) - 1)/k t^(k-2) for k = 2..30, the rapidly convergent
+    # part of ln Gamma(1+t) = -log1p(t) + t(1-gamma) + t^2 * sum, by Horner's
+    # rule written out; for a float or a float array
+    s = 9.313274324196682e-10 / 30
+    s = s * t - 1.862659723513049e-09 / 29
+    s = s * t + 3.725334024788457e-09 / 28
+    s = s * t - 7.45071178983543e-09 / 27
+    s = s * t + 1.4901554828365043e-08 / 26
+    s = s * t - 2.980350351465228e-08 / 25
+    s = s * t + 5.960818905125948e-08 / 24
+    s = s * t - 1.1921992596531106e-07 / 23
+    s = s * t + 2.38450502727733e-07 / 22
+    s = s * t - 4.769329867878064e-07 / 21
+    s = s * t + 9.539620338727962e-07 / 20
+    s = s * t - 1.908212716553939e-06 / 19
+    s = s * t + 3.81729326499984e-06 / 18
+    s = s * t - 7.637197637899763e-06 / 17
+    s = s * t + 1.528225940865187e-05 / 16
+    s = s * t - 3.058823630702049e-05 / 15
+    s = s * t + 6.124813505870483e-05 / 14
+    s = s * t - 0.00012271334757848915 / 13
+    s = s * t + 0.0002460865533080483 / 12
+    s = s * t - 0.0004941886041194645 / 11
+    s = s * t + 0.0009945751278180853 / 10
+    s = s * t - 0.0020083928260822143 / 9
+    s = s * t + 0.00407735619794434 / 8
+    s = s * t - 0.008349277381922827 / 7
+    s = s * t + 0.01734306198444914 / 6
+    s = s * t - 0.03692775514336993 / 5
+    s = s * t + 0.08232323371113819 / 4
+    s = s * t - 0.2020569031595943 / 3
+    s = s * t + 0.6449340668482264 / 2
+    return s
 
 
 def _stirling_tail_sum(x):
-    # the series part of the Stirling form, for a float or a float array;
-    # valid for x >= _SHIFT_THRESHOLD
+    # the series part of the Stirling form, sum B_2n / (2n(2n-1)) x^(1-2n)
+    # for n = 1..10, by Horner's rule in 1/x^2 written out; for a float or a
+    # float array, valid for x >= _SHIFT_THRESHOLD
     r = 1.0 / (x * x)
-    s = _LNGAMMA_TAIL[-1]
-    for c in reversed(_LNGAMMA_TAIL[:-1]):
-        s = s * r + c
-    return s / x
+    return (((((((((-174611.0 / 125400.0 * r + 43867.0 / 244188.0) * r
+                  - 3617.0 / 122400.0) * r + 1.0 / 156.0) * r
+                - 691.0 / 360360.0) * r + 1.0 / 1188.0) * r - 1.0 / 1680.0)
+             * r + 1.0 / 1260.0) * r - 1.0 / 360.0) * r + 1.0 / 12.0) / x
 
 
-def _stirling_log_gamma(x: float) -> float:
-    # valid for x >= _SHIFT_THRESHOLD
-    return (x - 0.5) * math.log(x) - x + _HALF_LN_TWO_PI + _stirling_tail_sum(x)
+def _psi_tail_sum(y):
+    # the series part of psi's asymptotic form, sum B_2n / (2n) y^(-2n) for
+    # n = 1..10, by Horner's rule in 1/y^2 written out; for a float or a
+    # float array, valid for y >= _SHIFT_THRESHOLD
+    r = 1.0 / (y * y)
+    return (((((((((-174611.0 / 6600.0 * r + 43867.0 / 14364.0) * r
+                  - 3617.0 / 8160.0) * r + 1.0 / 12.0) * r
+                - 691.0 / 32760.0) * r + 1.0 / 132.0) * r - 1.0 / 240.0)
+             * r + 1.0 / 252.0) * r - 1.0 / 120.0) * r + 1.0 / 12.0) * r
 
 
 def _log_gamma_taylor(t: float) -> float:
@@ -123,10 +99,7 @@ def _log_gamma_taylor(t: float) -> float:
     Every intermediate stays O(|t|), so the result keeps full relative
     precision near the zeros of ln Gamma at 1 and 2.
     """
-    s = 0.0
-    for c in _LOG_GAMMA_TAYLOR:
-        s = s * t + c
-    return t * (_ONE_MINUS_EULER_GAMMA + t * s) - math.log1p(t)
+    return t * (_ONE_MINUS_EULER_GAMMA + t * _zeta_sum(t)) - math.log1p(t)
 
 
 def log_gamma(x: float) -> float:
@@ -136,7 +109,7 @@ def log_gamma(x: float) -> float:
     if x == 1.0 or x == 2.0:
         return 0.0  # exact zeros of ln Gamma
     if x >= _SHIFT_THRESHOLD:
-        return _stirling_log_gamma(x)
+        return (x - 0.5) * math.log(x) - x + _HALF_LN_TWO_PI + _stirling_tail_sum(x)
     if x < 0.5:
         # Gamma(x) = Gamma(x + 1) / x
         return _log_gamma_taylor(x) - math.log(x)
@@ -169,10 +142,7 @@ def _log_gamma_array(x: np.ndarray) -> np.ndarray:
             prod = np.where(m >= j, prod * (xs - j), prod)
         tiny = xs < 0.5
         t = np.where(tiny, xs, xs - m - 1.0)
-        s = np.zeros_like(t)
-        for c in _LOG_GAMMA_TAYLOR:
-            s = s * t + c
-        lg = t * (_ONE_MINUS_EULER_GAMMA + t * s) - np.log1p(t)
+        lg = t * (_ONE_MINUS_EULER_GAMMA + t * _zeta_sum(t)) - np.log1p(t)
         out[small] = lg + np.where(tiny, -np.log(xs), np.log(prod))
     return out
 
@@ -195,11 +165,7 @@ def digamma(x: float) -> float:
             comp += (t - total) + shift
         shift = total
         y += 1.0
-    r = 1.0 / (y * y)
-    s = _DIGAMMA_TAIL[-1]
-    for c in reversed(_DIGAMMA_TAIL[:-1]):
-        s = s * r + c
-    return math.log(y) - 0.5 / y - s * r - (shift + comp)
+    return math.log(y) - 0.5 / y - _psi_tail_sum(y) - (shift + comp)
 
 
 def _digamma_array(x: np.ndarray) -> np.ndarray:
@@ -220,13 +186,9 @@ def _digamma_array(x: np.ndarray) -> np.ndarray:
         shift = np.where(low, total, shift)
         y = np.where(low, y + 1.0, y)
         low = y < _SHIFT_THRESHOLD
-    r = 1.0 / (y * y)
-    s = _DIGAMMA_TAIL[-1]
-    for c in reversed(_DIGAMMA_TAIL[:-1]):
-        s = s * r + c
     log_y = np.fromiter(map(math.log, y.ravel().tolist()), float,
                         y.size).reshape(y.shape)
-    return log_y - 0.5 / y - s * r - (shift + comp)
+    return log_y - 0.5 / y - _psi_tail_sum(y) - (shift + comp)
 
 
 def gamma_ratio(z: float, a: float) -> float:

@@ -25,7 +25,9 @@ and a term skips ln(k) while no factor is expanded: its coefficients are zero.
 The single-call entry points (``evaluate`` and its variants) sum in two
 phases over one table of those coefficients.  The first 32 terms of a call
 (counted from its start index) are generated and summed one at a time, so
-the many calls that stop within a few dozen terms pay no array overhead.  A
+the many calls that stop within a few dozen terms pay no array overhead;
+they take ln(k) for k < 64, and lnGamma(k+1) while 1/k! waits (k <= 10),
+from per-k tables that ``_log_int_dd`` and ``log_gamma`` fill at import.  A
 series still running after that continues in numpy blocks of 64, 128, 256
 and then 512 terms: the same head/tail arithmetic applied element-wise (the
 error-free transforms are exact on IEEE float64 arrays), each block summed
@@ -324,22 +326,43 @@ _SQRT_HALF = 0.7071067811865476
 
 def _artanh2(num: float, m: float, c: float) -> tuple[float, float]:
     # ln(m/c) = 2 artanh(s) with s = (m-c)/(m+c); num = m - c must be exact,
-    # m + c is carried as a pair so the quotient keeps ~32 digits
+    # m + c is carried as a pair so the quotient keeps ~32 digits.  The loop
+    # runs _dd_mul, _dd_div_d and _dd_add written out, with x = s^2 split once
     dh, dl = _two_sum(c, m)
     q = num / dh
     p, pe = _two_prod(q, dh)
     sh, sl = _two_sum(q, (((num - p) - pe) - q * dl) / dh)
     x2h, x2l = _dd_mul(sh, sl, sh, sl)
-    th, tl = sh, sl
-    ah, al = sh, sl
-    n = 3
-    while n < 99:
-        th, tl = _dd_mul(th, tl, x2h, x2l)
-        ch, cl = _dd_div_d(th, tl, float(n))
-        ah, al = _dd_add(ah, al, ch, cl)
+    xh = _SPLIT * x2h
+    xh -= xh - x2h
+    xl = x2h - xh
+    th, tl = ah, al = sh, sl
+    n = 3.0
+    while n < 99.0:
+        p, uh = th * x2h, _SPLIT * th  # (th, tl) *= x
+        uh -= uh - th
+        ul = th - uh
+        y = (((uh * xh - p) + uh * xl + ul * xh) + ul * xl) + th * x2l + tl * x2h
+        th = p + y
+        t = th - p
+        tl = (p - (th - t)) + (y - t)
+        q = th / n  # (ch, cl) = (th, tl) / n
+        p, uh, nh = q * n, _SPLIT * q, _SPLIT * n
+        uh, nh = uh - (uh - q), nh - (nh - n)
+        ul, nl = q - uh, n - nh
+        y = (((th - p) - (((uh * nh - p) + uh * nl + ul * nh) + ul * nl)) + tl) / n
+        ch = q + y
+        t = ch - q
+        cl = (q - (ch - t)) + (y - t)
+        s = ah + ch  # (ah, al) += (ch, cl)
+        t = s - ah
+        y = (ah - (s - t)) + (ch - t) + al + cl
+        ah = s + y
+        t = ah - s
+        al = (s - (ah - t)) + (y - t)
         if abs(ch) < 1e-35:
             break
-        n += 2
+        n += 2.0
     return 2.0 * ah, 2.0 * al
 
 
@@ -478,6 +501,10 @@ def _log_ints_dd(fk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the domain of gammakit's Stirling series.
 _EXPAND_MIN = 12.0
 
+# the head's per-k tables (see the module docstring); 1/k! waits for k <= 10
+_LOG_INTS = tuple(_log_int_dd(k) for k in range(1, 64))
+_LOG_FACTORIALS = tuple(log_gamma(k + 1.0) for k in range(11))
+
 
 def _collapsed(ch, cl, sh, sl, mh, ml, fk, lkh, lkl):
     # k*(ln|z| + sum sigma*w*(ln w - 1))
@@ -556,7 +583,7 @@ class _TermLogs:
                                 else math.inf, a, w, sg))
         self._base = math.fsum(self._consts)
         self._waiting = sorted(waiting, key=lambda rec: rec[0])
-        self._expanded: list[tuple[float, float, float]] = []  # (a, w, sigma)
+        self._expanded: list[tuple] = []  # (a, w, sigma, a - 1/2)
         # the pairs (c, s, m): the k-linear coefficient, sum sigma*w over
         # the expanded factors, and their ln(k) coefficient sum sigma*(a - 1/2)
         self._coef = (*_dd_log(abs(z)), 0.0, 0.0, 0.0, 0.0)
@@ -564,7 +591,7 @@ class _TermLogs:
     def _advance(self, k: int) -> None:
         while self._waiting and self._waiting[0][0] <= k:
             _, a, w, sg = self._waiting.pop(0)
-            self._expanded.append((a, w, sg))
+            self._expanded.append((a, w, sg, a - 0.5))
             self._coef, pieces = _fold(self._coef, a, w, sg, *_dd_log(w))
             self._consts += pieces
         self._base = math.fsum(self._consts)
@@ -580,17 +607,46 @@ class _TermLogs:
         fk = float(k)
         items = [self._base]
         for _, a, w, sg in self._waiting:
-            items.append(sg * log_gamma(a + w * fk))
-        for a, w, sg in self._expanded:
+            items.append(sg * (_LOG_FACTORIALS[k] if a == w == 1.0
+                               else log_gamma(a + w * fk)))
+        for a, w, sg, am in self._expanded:
             wk = w * fk
-            items.append(sg * ((wk + (a - 0.5)) * math.log1p(a / wk)
+            items.append(sg * ((wk + am) * math.log1p(a / wk)
                                + _stirling_tail_sum(a + wk)))
+        # _collapsed and _dd_add written out: (h, l) = k*c, plus (k*s + m)*ln(k)
+        # once a factor is expanded, plus the fsum of the items
+        ch, cl, sh, sl, mh, ml = self._coef
+        fh, uh = _SPLIT * fk, _SPLIT * ch
+        fh, uh = fh - (fh - fk), uh - (uh - ch)
+        fl, ul, p = fk - fh, ch - uh, ch * fk
+        y = (((uh * fh - p) + uh * fl + ul * fh) + ul * fl) + cl * fk
+        h = p + y
+        t = h - p
+        l = (p - (h - t)) + (y - t)
         if self._expanded:
-            h, l = _collapsed(*self._coef, fk, *_log_int_dd(k))
-        else:  # ln(k) coefficients still zero: the pair _collapsed returns
-            ph, pe = _two_prod(self._coef[0], fk)
-            h, l = _two_sum(ph, pe + self._coef[1] * fk)
-        return _dd_add(h, l, math.fsum(items), 0.0)
+            lkh, lkl = _LOG_INTS[k - 1] if k < 64 else _log_int_dd(k)
+            p, uh = sh * fk, _SPLIT * sh  # (bh, bl) = k*s + m
+            uh -= uh - sh
+            ul = sh - uh
+            x = (((uh * fh - p) + uh * fl + ul * fh) + ul * fl) + sl * fk
+            s = p + mh
+            t = s - p
+            y = (p - (s - t)) + (mh - t) + x + ml
+            bh = s + y
+            t = bh - s
+            bl = (s - (bh - t)) + (y - t)
+            p, uh, vh = bh * lkh, _SPLIT * bh, _SPLIT * lkh  # (h, l) += b*ln(k)
+            uh, vh = uh - (uh - bh), vh - (vh - lkh)
+            ul, vl = bh - uh, lkh - vh
+            x = (((uh * vh - p) + uh * vl + ul * vh) + ul * vl) + bh * lkl + bl * lkh
+            s = h + p
+            t = s - h
+            y = (h - (s - t)) + (p - t) + l + x
+            h = s + y
+            t = h - s
+            l = (s - (h - t)) + (y - t)
+        s, y = _two_sum(h, math.fsum(items))
+        return _two_sum(s, y + l + 0.0)
 
     def term(self, k: int) -> tuple[float, float, float]:
         h, l = self.at(k)
@@ -644,7 +700,7 @@ class _TermLogs:
         parts = [sg * np.array([log_gamma(x) for x in (a + w * fk).tolist()])
                  for _, a, w, sg in self._waiting]
         if self._expanded:
-            a, w, sg = np.array(self._expanded).T[:, :, None]
+            a, w, sg, _ = np.array(self._expanded).T[:, :, None]
             parts.append((sg * _expanded_rest(a, w * fk)).sum(axis=0))
         rh, rl = self._base, 0.0
         for p in parts:
@@ -694,7 +750,7 @@ def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
 # switches to numpy blocks, whose sizes double from _BLOCK_MIN to _BLOCK_MAX.
 # An array read of term logs costs a few hundred microseconds, as much as
 # 20 one-term steps, while most calls stop within 10-30 terms; so the first
-# read spans the blocks the head's decay says are left, later 2 * _BLOCK_MAX.
+# read spans the blocks the head's growth or decay leaves, later 2 * _BLOCK_MAX.
 _SCALAR_TERMS = 32
 _BLOCK_MIN = 64
 _BLOCK_MAX = 512
@@ -808,11 +864,19 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
             break
 
     # read ahead as many whole blocks (ending _BLOCK_MIN * (2**j - 1) terms
-    # past the head) as the head's last ratio says the series still needs
-    if not stopped and 0.0 < ratio < 1.0 and t > 0.0 and partial > 0.0:
-        need = (math.log(_REL_TOL) + math.log(partial) - math.log(t)) / math.log(ratio)
-        blocks = math.ceil(math.log2(max(need + 3.0, 1.0) / _BLOCK_MIN + 1.0))
-        gen.ahead = min(2 * _BLOCK_MAX, _BLOCK_MIN * (2 ** blocks - 1))
+    # past the head) as the head says the series still needs: to the peak
+    # near k * ratio^(1/epsilon), as ratios fall like k^-epsilon, and twice
+    # the width of a Gaussian fall past it; or by the last ratio, if sooner
+    need = 2.0 * _BLOCK_MAX
+    if not stopped and 0.0 < ratio < math.inf:
+        eps = params.epsilon()
+        peak = k * math.exp(min(math.log(ratio) / eps, 7.0))
+        need = peak - k + 2.0 * math.sqrt(-2.0 * math.log(_REL_TOL) * peak / eps)
+        if ratio < 1.0 and t > 0.0 and partial > 0.0:
+            need = min(need, (math.log(_REL_TOL) + math.log(partial) - math.log(t))
+                       / math.log(ratio))
+    blocks = math.ceil(math.log2(max(need + 3.0, 1.0) / _BLOCK_MIN + 1.0))
+    gen.ahead = min(2 * _BLOCK_MAX, _BLOCK_MIN * (2 ** blocks - 1))
     k = start + _SCALAR_TERMS
     size = _BLOCK_MIN
     while not stopped and k < end:
@@ -952,10 +1016,11 @@ def evaluate_batch(requests: list) -> list:
     """Evaluate many Request and PfqRequest items at once.
 
     Returns one EvalResult per request, in order, or the exception the
-    request fails with (NoConvergenceError, DivergentSeriesError,
-    OverflowError) in its place.  Series requests are summed in log mode:
-    one past the double range returns +-inf with its finite log_magnitude,
-    while a pFq row whose term leaves the range fails with OverflowError.
+    request fails with in its place: the DomainError or DivergentSeriesError
+    of a series request the single calls refuse, NoConvergenceError, or
+    OverflowError.  Series requests are summed in log mode: one past the
+    double range returns +-inf with its finite log_magnitude, while a pFq
+    row whose term leaves the range fails with OverflowError.
     Series requests at z > 0 with no psi_weight are the rows of one tile,
     the others take the single-call path bit for bit, and pFq requests of
     one (p, q) shape are the rows of one recurrence; requests equal but for

@@ -389,6 +389,19 @@ def test_first_read_ahead_ends_at_the_decay_estimate(span_sizes):
     assert sum(span_sizes) == series._BLOCK_MIN
 
 
+
+@pytest.mark.parametrize("z, terms, read", [(20.0, 147, 192), (50.0, 330, 448)])
+def test_first_read_ahead_of_a_growing_head_ends_past_the_peak(
+        span_sizes, z, terms, read):
+    # the terms still grow at the end of the head, so its last ratio says
+    # nothing of the decay; the read reaches past the peak that the ratios'
+    # fall puts ahead, in one read of whole blocks short of 2 * _BLOCK_MAX
+    gen = series._TermLogs(P1, z)
+    assert gen.at(31)[0] > gen.at(30)[0]
+    assert evaluate(P1, z).terms_used == terms
+    assert span_sizes == [read]
+    assert terms - series._SCALAR_TERMS <= read < 2 * series._BLOCK_MAX
+
 # eps = 0.3 and z = 4 put the peak term near k = 500; both calls below sum
 # about 1,070 terms, nearly all of them in blocks
 P_LONG = FoxWrightParams(upper=((2.0, 1.2),), lower=((1.5, 0.5),))
@@ -631,6 +644,183 @@ def test_results_match_recorded_bits(case):
     assert tuple(float.hex(x) for x in got) == fields
 
 
+
+# Calls that stop within the 32-term head, which runs no numpy: these bits
+# hold on every CPU.  H_EARLY's upper factor is expanded from k = 2 and its
+# lower one from k = 6, H_FIRST's upper factor from k = 1 beside a constant
+# lower factor, P1's four factors from k = 8, 11, 13 and 16, and 1/k! (the
+# only factor of H_EXP) from k = 11; the small |z| stop below k = 11, and
+# the tails from k = 56 cross the end of the per-k ln(k) table at k = 64.
+H_EARLY = FoxWrightParams(upper=((11.5, 0.3),), lower=((0.4, 2.0),))
+H_FIRST = FoxWrightParams(upper=((12.5, 0.6),), lower=((3.0, 0.0), (2.0, 1.2)))
+_HEAD_PARAMS = {"P1": P1, "H_EARLY": H_EARLY, "H_FIRST": H_FIRST,
+                "H_EXP": FoxWrightParams()}
+_HEAD_CALLS = {
+    "evaluate": evaluate, "evaluate_normalized": evaluate_normalized,
+    "evaluate_tilde": evaluate_tilde, "dbeta1": dbeta1,
+    "evaluate_tail 2": lambda p, z: evaluate_tail(p, TailSpec(2), z),
+    "evaluate_tail 12": lambda p, z: evaluate_tail(p, TailSpec(12), z),
+    "evaluate_tail 55": lambda p, z: evaluate_tail(p, TailSpec(55), z),
+}
+HEAD_GOLDEN = {
+    ('evaluate', 'H_FIRST', 0.02): (
+        10, 1, ('0x1.0ed31b6f2575ep+26', '0x1.eadd8fd792566p-62',
+                '0x1.0000000000000p+0', '0x1.213ffb8faf721p+4')),
+    ('evaluate', 'H_FIRST', -0.02): (
+        10, 1, ('0x1.f6d044074ff54p+25', '0x1.eadd8fd792566p-62',
+                '0x1.13c5cb695c2bfp+0', '0x1.200f3e3eceac2p+4')),
+    ('evaluate', 'H_FIRST', 5.0): (
+        22, 1, ('0x1.d0523820cba43p+32', '0x1.779bec9412f65p-33',
+                '0x1.0000000000000p+0', '0x1.6c6af1152f23cp+4')),
+    ('evaluate', 'H_FIRST', -5.0): (
+        24, 1, ('0x1.2993512c28f2dp+23', '0x1.04c92e577c194p-43',
+                '0x1.8f72f1bff5e43p+9', '0x1.017c6b0fc2140p+4')),
+    ('evaluate', 'H_EXP', 3.0): (
+        29, 1, ('0x1.415e5bf6fb107p+4', '0x1.4c3063a58b5a2p-57',
+                '0x1.0000000000000p+0', '0x1.8000000000000p+1')),
+    ('evaluate', 'H_EXP', -3.0): (
+        32, 1, ('0x1.97db0ccceaf9fp-5', '0x1.300db309054ecp-67',
+                '0x1.936dc5690c19cp+8', '-0x1.8000000000055p+1')),
+    ('evaluate', 'H_EARLY', 6.0): (
+        14, 1, ('0x1.b97c0558209ecp+27', '0x1.22e0d8fc65d01p-56',
+                '0x1.0000000000000p+0', '0x1.3428b60d8283dp+4')),
+    ('evaluate', 'P1', 1.5): (
+        31, 1, ('0x1.c96dd75b240d6p+4', '0x1.49da2156802f1p-55',
+                '0x1.0000000000000p+0', '0x1.ad30305717184p+1')),
+    ('evaluate', 'P1', -0.05): (
+        13, 1, ('0x1.b2932118610bep-1', '0x1.692c79eb3cd88p-74',
+                '0x1.4b8bad6a3cc6ap+0', '-0x1.4fc88a471d885p-3')),
+    ('evaluate_normalized', 'P1', 0.05): (
+        13, 1, ('0x1.22f06f224720dp+0', '0x1.7567c8e49f9e2p-74',
+                '0x1.0000000000000p+0', '0x1.0603c18cf6e15p-3')),
+    ('evaluate_normalized', 'P1', -0.05): (
+        13, 1, ('0x1.c14acf811140fp-1', '0x1.7567c8e49f9e2p-74',
+                '0x1.4b8bad6a3cc6ap+0', '-0x1.0b92ce883fbfap-3')),
+    ('evaluate_normalized', 'P1', 1.5): (
+        31, 1, ('0x1.d8ebaa56e5425p+4', '0x1.5505e2c1d255dp-55',
+                '0x1.0000000000000p+0', '0x1.b1738c1304f4dp+1')),
+    ('evaluate_normalized', 'H_EARLY', 0.3): (
+        10, 1, ('0x1.12d22fb8ca6abp+1', '0x1.de224b470abcdp-86',
+                '0x1.0000000000000p+0', '0x1.8736c946247e4p-1')),
+    ('evaluate_normalized', 'H_EARLY', -6.0): (
+        14, -1, ('-0x1.bfb105debbfecp+2', '0x1.c6d993c1ea032p-79',
+                '0x1.8ac299a02b6b7p+2', '0x1.f1fa05b0c0675p+0')),
+    ('evaluate_normalized', 'H_FIRST', 5.0): (
+        22, 1, ('0x1.c769832dcb6d9p+6', '0x1.7066f6b41c955p-59',
+                '0x1.0000000000000p+0', '0x1.2f08bd9dc662cp+2')),
+    ('evaluate_normalized', 'H_FIRST', -5.0): (
+        24, 1, ('0x1.23dda6b971ad9p-3', '0x1.ff9071fbe3cf6p-70',
+                '0x1.8f72f1bff5e43p+9', '-0x1.f2c569dfb7708p+0')),
+    ('evaluate_tilde', 'P1', 1.5): (
+        31, 1, ('0x1.e8d2637c378f6p+4', '0x1.607d48b60b08bp-55',
+                '0x1.0000000000000p+0', '0x1.b5af3498894b2p+1')),
+    ('evaluate_tilde', 'P1', -0.05): (
+        13, 1, ('0x1.d066265f2f902p-1', '0x1.81f5eb31be367p-74',
+                '0x1.4b8bad6a3cc6ap+0', '-0x1.8fb08c5ff4b58p-4')),
+    ('evaluate_tilde', 'H_EARLY', 0.3): (
+        10, 1, ('0x1.85d6f1f6cac1bp+24', '0x1.531f28d67566fp-62',
+                '0x1.0000000000000p+0', '0x1.10e5befb45810p+4')),
+    ('evaluate_tilde', 'H_EARLY', -0.3): (
+        11, -1, ('-0x1.6c060883c6112p+19', '0x1.7400885602e9bp-75',
+                '0x1.1227b99c306ccp+5', '0x1.b0b2e4c2d1316p+3')),
+    ('evaluate_tilde', 'H_EARLY', 6.0): (
+        14, 1, ('0x1.e9a4380e796c9p+28', '0x1.429b74c8e8a41p-55',
+                '0x1.0000000000000p+0', '0x1.40e7e74aca28fp+4')),
+    ('evaluate_tilde', 'H_EARLY', -6.0): (
+        14, -1, ('-0x1.3d87b277da7d3p+26', '0x1.429b74c8e8a41p-55',
+                '0x1.8ac299a02b6b7p+2', '0x1.23cba90c20638p+4')),
+    ('evaluate_tilde', 'H_FIRST', 5.0): (
+        22, 1, ('0x1.d0523820cba41p+33', '0x1.779bec9412f5bp-32',
+                '0x1.0000000000000p+0', '0x1.77821294ac40cp+4')),
+    ('evaluate_tilde', 'H_FIRST', -0.02): (
+        10, 1, ('0x1.f6d044074ff52p+26', '0x1.eadd8fd792576p-61',
+                '0x1.13c5cb695c2bfp+0', '0x1.2b265fbe4bc92p+4')),
+    ('evaluate_tail 2', 'P1', 0.05): (
+        12, 1, ('0x1.fed15408b0fdap-13', '0x1.933d315908a95p-88',
+                '0x1.0000000000000p+0', '-0x1.0a3e144ccd7dbp+3')),
+    ('evaluate_tail 2', 'P1', -0.05): (
+        12, -1, ('-0x1.e49e1a194e4f4p-13', '0x1.933d315908a95p-88',
+                '0x1.0dd71a52790dcp+0', '-0x1.0bed68ec13ad3p+3')),
+    ('evaluate_tail 2', 'H_EXP', 0.1): (
+        12, 1, ('0x1.6670f1724b0d1p-13', '0x1.0586e5290b574p-90',
+                '0x1.0000000000000p+0', '-0x1.1594148d391fcp+3')),
+    ('evaluate_tail 2', 'H_EXP', -0.1): (
+        12, -1, ('-0x1.54f586fdbb428p-13', '0x1.0586e5290b574p-90',
+                '0x1.0d203f004916dp+0', '-0x1.172db2853e89cp+3')),
+    ('evaluate_tail 12', 'P1', 1.5): (
+        23, 1, ('0x1.81cbfd00d95fep-10', '0x1.2418ced689112p-70',
+                '0x1.0000000000000p+0', '-0x1.a15d9b9a68845p+2')),
+    ('evaluate_tail 12', 'P1', -2.5): (
+        29, -1, ('-0x1.2cc7fbab54d20p-1', '0x1.ff28063c6b0dbp-59',
+                '0x1.388d8bbe50a46p+1', '-0x1.105aa5dafb452p-1')),
+    ('evaluate_tail 12', 'H_EXP', 3.0): (
+        21, 1, ('0x1.541e5849b06e8p-12', '0x1.3594ee251cad9p-74',
+                '0x1.0000000000000p+0', '-0x1.0113a7f466e27p+3')),
+    ('evaluate_tail 12', 'H_EXP', -3.0): (
+        21, -1, ('-0x1.b93b0334dfcc1p-13', '0x1.3594ee251cad9p-74',
+                '0x1.8aaba8f73d89ep+0', '-0x1.0eedc2596f6efp+3')),
+    ('evaluate_tail 12', 'H_FIRST', 5.0): (
+        14, 1, ('0x1.12f089ea4b168p+8', '0x1.5c8b0785114ccp-60',
+                '0x1.0000000000000p+0', '0x1.6775943a01403p+2')),
+    ('evaluate_tail 12', 'H_FIRST', -5.0): (
+        14, -1, ('-0x1.df335dc2ac2d7p+7', '0x1.5c8b0785114ccp-60',
+                '0x1.25c2138c7436cp+0', '0x1.5ea77b1ab6f8ep+2')),
+    ('evaluate_tail 55', 'P1', 1.5): (
+        17, 1, ('0x1.3b679c8f8f634p-138', '0x1.dbbb0754cf264p-203',
+                '0x1.0000000000000p+0', '-0x1.7dc853abf1462p+6')),
+    ('evaluate_tail 55', 'P1', -1.5): (
+        17, 1, ('0x1.0c823aa5e8669p-138', '0x1.dbbb0754cf264p-203',
+                '0x1.2cb619fa7c1fbp+0', '-0x1.7e6d29ddb0daep+6')),
+    ('evaluate_tail 55', 'H_EXP', 3.0): (
+        15, 1, ('0x1.22aeb7b239fcbp-160', '0x1.02506d83506b9p-226',
+                '0x1.0000000000000p+0', '-0x1.bb1b217148dafp+6')),
+    ('dbeta1', 'P1', 0.05): (
+        13, 1, ('0x1.574ea9b7b1653p-1', '0x1.e746cdbc68374p-73',
+                '0x1.2d9143309923dp+0', '-0x1.994a9f83e7312p-2')),
+    ('dbeta1', 'P1', 1.5): (
+        32, -1, ('-0x1.18c9b6d0ca4b5p+5', '0x1.2e5518f81b0b2p-56',
+                '0x1.0aa6dab5a68bcp+0', '0x1.c771ba5aa6520p+1')),
+    ('dbeta1', 'P1', -0.05): (
+        13, 1, ('0x1.8dbe0f918d8fbp-1', '0x1.e746cdbc68374p-73',
+                '0x1.044b7976d8c2dp+0', '-0x1.02949a8106e8bp-2')),
+    ('dbeta1', 'H_EARLY', 0.3): (
+        11, 1, ('0x1.23bf93eb3fe35p+23', '0x1.03ffd05fb343ap-74',
+                '0x1.dfe6b6ce01827p+0', '0x1.012b6a3320544p+4')),
+    ('dbeta1', 'H_EARLY', -0.3): (
+        10, 1, ('0x1.0809aaa516af0p+24', '0x1.cbf316164b0abp-62',
+                '0x1.09221e3bf3338p+0', '0x1.0aa9c457b33bdp+4')),
+    ('dbeta1', 'H_EARLY', -6.0): (
+        15, -1, ('-0x1.76699a40f0a6cp+22', '0x1.0f1f14353118bp-64',
+                '0x1.3fc8b8a8aa4cfp+5', '0x1.f42432a798388p+3')),
+    ('dbeta1', 'H_FIRST', 5.0): (
+        22, -1, ('-0x1.ac77e295b1f53p+32', '0x1.5a9b2e367052ep-33',
+                '0x1.0000000000000p+0', '0x1.6b21c9cce4945p+4')),
+    ('dbeta1', 'H_FIRST', -5.0): (
+        24, -1, ('-0x1.1299149906bb2p+23', '0x1.e14c5815a5a9cp-44',
+                '0x1.8f72f1bff5dbap+9', '0x1.003343c77784fp+4')),
+}
+
+
+@pytest.mark.parametrize("case", list(HEAD_GOLDEN),
+                         ids=[" ".join(map(str, c)) for c in HEAD_GOLDEN])
+def test_head_only_calls_match_recorded_bits(case):
+    call, params, z = case
+    terms, sign, fields = HEAD_GOLDEN[case]
+    res = _HEAD_CALLS[call](_HEAD_PARAMS[params], z)
+    assert (res.terms_used, res.sign) == (terms, sign)
+    got = (res.value, res.tail_bound, res.condition_estimate, res.log_magnitude)
+    assert tuple(float.hex(x) for x in got) == fields
+
+
+def test_head_tables_hold_the_bits_of_the_functions_they_replace():
+    assert series._LOG_INTS == tuple(series._log_int_dd(k) for k in range(1, 64))
+    assert series._LOG_FACTORIALS == tuple(
+        gammakit.log_gamma(k + 1.0) for k in range(11))
+    # 1/k! waits below the Stirling threshold for exactly the tabled k
+    assert len(series._LOG_FACTORIALS) == math.ceil(series._EXPAND_MIN - 1.0)
+    waiting = series._TermLogs(FoxWrightParams(), 1.0)._waiting
+    assert waiting == [(len(series._LOG_FACTORIALS), 1.0, 1.0, -1.0)]
+
 def test_budget_that_ends_inside_a_read_ahead_keeps_its_error_text(
         span_sizes, monkeypatch):
     monkeypatch.setattr(series, "_MAX_TERMS", 1000)
@@ -771,6 +961,35 @@ def test_batch_failures_stay_in_their_request(monkeypatch):
                                                  rel=1e-14)
     assert repr([got[0], got[2], got[4]]) == repr(series.evaluate_batch(good))
 
+
+
+def test_batch_refuses_hand_built_requests_as_the_single_calls_do(
+        monkeypatch):
+    checked = []
+    check = batch._require_convergent
+
+    def counting(params, z):
+        checked.append((params, z))
+        return check(params, z)
+
+    monkeypatch.setattr(batch, "_require_convergent", counting)
+    exp, flat = FoxWrightParams(), FoxWrightParams(upper=((1.0, 1.0),))
+    bad = [series.Request(exp, math.inf), series.Request(exp, math.nan),
+           series.Request(FoxWrightParams(upper=((1.0, 2.0),)), 0.5),
+           series.Request(flat, -0.5),
+           series.Request(P1, -math.inf, psi_weight=P1.lower[0])]
+    good = series.Request(exp, 1.0)
+    got = series.evaluate_batch([bad[0], good, *bad[1:], bad[0], good])
+    assert len(checked) == 6  # repeated tile rows once
+    refused = got[:1] + got[2:6]
+    assert [type(e) for e in refused] == [DomainError, DomainError,
+                                          DivergentSeriesError,
+                                          DivergentSeriesError, DomainError]
+    for req, err in zip(bad, refused):
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            evaluate(req.params, req.z)
+    assert got[6] is got[0]
+    assert repr(got[1]) == repr(got[7]) == repr(series.evaluate_batch([good])[0])
 
 def test_batch_sums_identical_series_once(monkeypatch):
     rows = []
