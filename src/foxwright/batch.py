@@ -23,6 +23,7 @@ from .gammakit import _log_gamma_array
 from .series import (
     _BLOCK_MAX,
     _EXPAND_MIN,
+    _LN_K,
     _LOG_DOUBLE_MAX,
     _REL_TOL,
     EvalResult,
@@ -117,8 +118,9 @@ class _TermTable:
         expanded = fk[:, :, None] >= cross  # (row, k, factor)
         at = ix[:, None] * self.stages[0].shape[1] + expanded.sum(axis=2)
         ch, cl, sh, sl, mh, ml, rh, rl = (col.take(at) for col in self.stages)
-        h, l = _collapsed(ch, cl, sh, sl, mh, ml, fk,
-                          *_log_ints_dd(np.maximum(fk, 1.0)))
+        lk = (_LN_K.take(fk.astype(np.intp), axis=1) if fk.max() < _LN_K.shape[1]
+              else _log_ints_dd(np.maximum(fk, 1.0)))
+        h, l = _collapsed(ch, cl, sh, sl, mh, ml, fk, *lk)
         # what each factor adds besides the collapsed coefficients: its
         # lnGamma below the threshold, the Stirling rest above it
         a = np.broadcast_to(self.a[ix, None, :], expanded.shape)

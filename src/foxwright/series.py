@@ -32,7 +32,11 @@ series still running after that continues in numpy blocks of 64, 128, 256
 and then 512 terms: the same head/tail arithmetic applied element-wise (the
 error-free transforms are exact on IEEE float64 arrays), each block summed
 with ``math.fsum`` and tested against the same stop rule, so a block ends the
-series at the same term as the one-term loop would.
+series at the same term as the one-term loop would.  The blocks' term logs
+are read ahead: the first read covers, in whole blocks, what the head says
+the series still needs, up to 2,048 terms, and later reads 1,024.  They take
+ln(k) from ``_LN_K``, which ``_log_ints_dd`` fills at import for k < 8,192
+and computes past it.
 
 Every series generates at most ``_MAX_TERMS`` terms before its stop rule
 must fire.  A single call raises OverflowError on a term or a value past the
@@ -506,6 +510,12 @@ _LOG_INTS = tuple(_log_int_dd(k) for k in range(1, 64))
 _LOG_FACTORIALS = tuple(log_gamma(k + 1.0) for k in range(11))
 
 
+# ln max(k, 1) for k < 8,192 as head/tail rows (128 KB), from _log_ints_dd:
+# the block phase slices or indexes it by k instead of recomputing it
+_LN_K = np.array(_log_ints_dd(np.maximum(np.arange(8192.0), 1.0)))
+_LN_K.flags.writeable = False
+
+
 def _collapsed(ch, cl, sh, sl, mh, ml, fk, lkh, lkl):
     # k*(ln|z| + sum sigma*w*(ln w - 1))
     # + (k*sum(sigma*w) + sum(sigma*(a - 1/2)))*ln k, from the coefficient
@@ -558,9 +568,11 @@ class _TermLogs:
     threshold contribute their log-gamma directly, which is harmless precisely
     because those values are small.  Calls must come with nondecreasing k (the
     factor partition only ever grows), and k = 0 only as the first call.
-    Blocks are slices of a read-ahead of ``ahead`` terms (2 * _BLOCK_MAX after
-    the first read; at least the block, never past ``end``), each element the
-    one a read of its block alone computes.
+    Blocks are slices of a read-ahead of ``ahead`` terms (set by
+    _sum_series for the first read, up to _FIRST_READ; 2 * _BLOCK_MAX after
+    it; at least the block, never past ``end``), each element the one a read
+    of its block alone computes.  An unsigned series (z > 0, no psi weight)
+    keeps no signs: ``signs`` gives ones.
     """
 
     def __init__(self, params: FoxWrightParams, z: float,
@@ -665,6 +677,8 @@ class _TermLogs:
         return self._buf[0][i:j], self._buf[1][i:j]
 
     def signs(self, k0: int, k1: int) -> np.ndarray:
+        if len(self._buf) == 2:
+            return np.ones(k1 - k0)
         return self._buf[2][k0 - self._k0:k1 - self._k0]
 
     def _read(self, k0: int, k1: int) -> None:
@@ -681,22 +695,26 @@ class _TermLogs:
             spans.append(self._span(k, top))
             k = top
         h, l = (np.concatenate(p) for p in zip(*spans))
-        sign = np.ones(hi - lo)
-        sign[(lo + 1) % 2::2] = -1.0 if self._neg else 1.0
-        if self._psi is not None:
-            w = -_digamma_array(self._psi[0] + np.arange(lo, hi) * self._psi[1])
-            sign[w < 0.0] *= -1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h, l = _dd_add(h, l, np.log(np.abs(w)), 0.0)
-            h, l = np.where(w == 0.0, -math.inf, h), np.where(w == 0.0, 0.0, l)
+        cols = (h, l)
+        if self._neg or self._psi is not None:  # an unsigned series keeps no signs
+            sign = np.ones(hi - lo)
+            sign[(lo + 1) % 2::2] = -1.0 if self._neg else 1.0
+            if self._psi is not None:
+                w = -_digamma_array(self._psi[0] + np.arange(lo, hi) * self._psi[1])
+                sign[w < 0.0] *= -1.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    h, l = _dd_add(h, l, np.log(np.abs(w)), 0.0)
+                h, l = np.where(w == 0.0, -math.inf, h), np.where(w == 0.0, 0.0, l)
+            cols = (h, l, sign)
         i = k0 - self._k0
         self._buf = tuple(np.concatenate((old[i:], new))
-                          for old, new in zip(self._buf, (h, l, sign)))
+                          for old, new in zip(self._buf, cols))
         self._k0, self._k1 = k0, hi
 
     def _span(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
         fk = np.arange(k0, k1, dtype=float)
-        h, l = _collapsed(*self._coef, fk, *_log_ints_dd(fk))
+        lk = _LN_K[:, k0:k1] if k1 <= _LN_K.shape[1] else _log_ints_dd(fk)
+        h, l = _collapsed(*self._coef, fk, *lk)
         parts = [sg * np.array([log_gamma(x) for x in (a + w * fk).tolist()])
                  for _, a, w, sg in self._waiting]
         if self._expanded:
@@ -750,10 +768,12 @@ def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
 # switches to numpy blocks, whose sizes double from _BLOCK_MIN to _BLOCK_MAX.
 # An array read of term logs costs a few hundred microseconds, as much as
 # 20 one-term steps, while most calls stop within 10-30 terms; so the first
-# read spans the blocks the head's growth or decay leaves, later 2 * _BLOCK_MAX.
+# read spans the whole blocks the head's growth or decay leaves, up to
+# _FIRST_READ, and later reads 2 * _BLOCK_MAX.
 _SCALAR_TERMS = 32
 _BLOCK_MIN = 64
 _BLOCK_MAX = 512
+_FIRST_READ = 4 * _BLOCK_MAX
 
 
 def _term_overflow(k: int, lh: float) -> OverflowError:
@@ -863,10 +883,10 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
             stopped = True
             break
 
-    # read ahead as many whole blocks (ending _BLOCK_MIN * (2**j - 1) terms
-    # past the head) as the head says the series still needs: to the peak
-    # near k * ratio^(1/epsilon), as ratios fall like k^-epsilon, and twice
-    # the width of a Gaussian fall past it; or by the last ratio, if sooner
+    # read ahead as many whole blocks as the head says the series still
+    # needs, up to _FIRST_READ: to the peak near k * ratio^(1/epsilon), as
+    # ratios fall like k^-epsilon, and twice the width of a Gaussian fall
+    # past it; or by the last ratio, if sooner
     need = 2.0 * _BLOCK_MAX
     if not stopped and 0.0 < ratio < math.inf:
         eps = params.epsilon()
@@ -875,16 +895,18 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
         if ratio < 1.0 and t > 0.0 and partial > 0.0:
             need = min(need, (math.log(_REL_TOL) + math.log(partial) - math.log(t))
                        / math.log(ratio))
-    blocks = math.ceil(math.log2(max(need + 3.0, 1.0) / _BLOCK_MIN + 1.0))
-    gen.ahead = min(2 * _BLOCK_MAX, _BLOCK_MIN * (2 ** blocks - 1))
+    ahead = size = _BLOCK_MIN
+    while ahead < min(need + 3.0, _FIRST_READ):
+        size = min(2 * size, _BLOCK_MAX)
+        ahead += size
+    gen.ahead = min(ahead, _FIRST_READ)
     k = start + _SCALAR_TERMS
     size = _BLOCK_MIN
     while not stopped and k < end:
         n = min(size, end - k)
         lh, ll = gen.block(k, k + n)
-        sign = gen.signs(k, k + n)
 
-        top = int(np.argmax(lh))
+        top = int(lh.argmax())
         top_h, top_l = float(lh[top]), float(ll[top])
         if top_h > scale_h:
             if scale_h > -math.inf:
@@ -898,34 +920,41 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
             t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
         else:
             t = np.zeros(n)
-        x = sign * t if signed else t
 
         # the stop rule of the one-term loop, tested on cumsum partial sums;
-        # the terms up to the stop are then added with fsum
-        partial = np.abs((total + comp) + np.cumsum(x))
-        small = (lh == -math.inf) | (t <= _REL_TOL * partial)
+        # the terms up to the stop are then added with fsum.  Unsigned terms
+        # are positive: their partials need no abs, and a zero term (log
+        # -inf) is small by its size alone
+        if signed:
+            x = gen.signs(k, k + n) * t
+            partial = np.abs((total + comp) + x.cumsum())
+            small = (lh == -math.inf) | (t <= _REL_TOL * partial)
+        else:
+            x = t
+            small = t <= _REL_TOL * ((total + comp) + t.cumsum())
         run = np.concatenate(([streak >= 2, streak >= 1], small))
         used = n
-        for i in np.flatnonzero(run[2:] & run[1:-1] & run[:-2]).tolist():
+        for i in (run[2:] & run[1:-1] & run[:-2]).nonzero()[0].tolist():
             ph, pl = (prev_h, prev_l) if i == 0 else (lh[i - 1], ll[i - 1])
             ratio = _ratio(float(ph), float(pl), float(lh[i]), float(ll[i]))
             if ratio < 1.0:
                 used = i + 1
                 stopped = True
                 break
-        if not log_mode:
+        if top_h > _LOG_DOUBLE_MAX and not log_mode:
             over = np.flatnonzero(lh[:used] > _LOG_DOUBLE_MAX)
             if over.size:
                 raise _term_overflow(k + int(over[0]), float(lh[over[0]]))
 
-        total, comp = _neumaier(total, comp, math.fsum(x[:used].tolist()))
+        # fsum over a memoryview: the floats of tolist(), without the list
+        total, comp = _neumaier(total, comp, math.fsum(memoryview(x[:used])))
         if signed:
             total_abs, comp_abs = _neumaier(total_abs, comp_abs,
-                                            math.fsum(t[:used].tolist()))
+                                            math.fsum(memoryview(t[:used])))
         terms += used
         prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
         last_h = prev_h
-        large = np.flatnonzero(~small)
+        large = (~small).nonzero()[0]
         streak = streak + n if large.size == 0 else n - 1 - int(large[-1])
         k += n
         size = min(2 * size, _BLOCK_MAX)

@@ -648,8 +648,11 @@ def _hp_kn(report: InequalityReport, rs):
 
     if step:
         return k(*t[:3]) - k(*t[3:])
+    # the Gamma arguments are formed in mpf, so the oracle checks the
+    # engine's rounding of them instead of repeating it
     c = mp.mpf(n + 2) / (n + 3)
     for b, w in params.lower:
+        b, w = mp.mpf(b), mp.mpf(w)
         c *= mp.gamma(b + (n + 2) * w) ** 2 / (
             mp.gamma(b + (n + 1) * w) * mp.gamma(b + (n + 3) * w))
     return k(*t) - c

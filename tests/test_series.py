@@ -395,12 +395,12 @@ def test_first_read_ahead_of_a_growing_head_ends_past_the_peak(
         span_sizes, z, terms, read):
     # the terms still grow at the end of the head, so its last ratio says
     # nothing of the decay; the read reaches past the peak that the ratios'
-    # fall puts ahead, in one read of whole blocks short of 2 * _BLOCK_MAX
+    # fall puts ahead, in one read of whole blocks short of _FIRST_READ
     gen = series._TermLogs(P1, z)
     assert gen.at(31)[0] > gen.at(30)[0]
     assert evaluate(P1, z).terms_used == terms
     assert span_sizes == [read]
-    assert terms - series._SCALAR_TERMS <= read < 2 * series._BLOCK_MAX
+    assert terms - series._SCALAR_TERMS <= read < series._FIRST_READ
 
 # eps = 0.3 and z = 4 put the peak term near k = 500; both calls below sum
 # about 1,070 terms, nearly all of them in blocks
@@ -412,6 +412,21 @@ def test_long_derivative_matches_oracle():
     assert res.terms_used > 1000
     ref = float(hp_eval(P_LONG.shifted(), 4.0)[0])
     assert abs(res.value - ref) <= res.tail_bound + 1e-13 * abs(ref)
+
+
+def test_first_read_ahead_covers_a_long_series(monkeypatch):
+    # the head asks for more than 2 * _BLOCK_MAX terms, so the first read
+    # takes whole blocks up to _FIRST_READ and no second read follows
+    reads = []
+    read = series._TermLogs._read
+
+    def counting(self, k0, k1):
+        reads.append((k0, k1))
+        return read(self, k0, k1)
+
+    monkeypatch.setattr(series._TermLogs, "_read", counting)
+    assert dbeta1(P_LONG, 4.0).terms_used == 1069
+    assert len(reads) == 1
 
 
 def test_long_dbeta1_matches_oracle():
@@ -563,7 +578,7 @@ GOLDEN = {
         lambda: evaluate_tilde(P_CROSS, -1.5), 43, 1,
         ("0x1.46a2b8ad1070dp-3", "0x1.50e709cad8ab6p-60",
          "0x1.66ff0cbc72c6ap+6", "-0x1.d5f5442b772b2p+0")),
-    # a budget that ends 14 terms into the second 1,024-term read-ahead
+    # a budget that cuts the first read-ahead short, 2 terms past the stop
     "evaluate P_LONG 4.0 budget 1070": (
         lambda: _with_budget(1070, lambda: evaluate(P_LONG, 4.0)), 1068, 1,
         ("0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
@@ -821,13 +836,112 @@ def test_head_tables_hold_the_bits_of_the_functions_they_replace():
     waiting = series._TermLogs(FoxWrightParams(), 1.0)._waiting
     assert waiting == [(len(series._LOG_FACTORIALS), 1.0, 1.0, -1.0)]
 
+
+def test_ln_k_table_holds_log_ints_dd_of_each_k():
+    # each entry is what _log_ints_dd gives for its k alone, in an array of
+    # one element; entry 0 holds ln 1 = 0 for k = 0
+    table = series._LN_K
+    assert table.shape == (2, 8192) and not table.flags.writeable
+    for k, pair in enumerate(table.T.tolist()):
+        one = series._log_ints_dd(np.array([max(k, 1.0)]))
+        assert pair == [float(x[0]) for x in one], k
+    assert [math.copysign(1.0, x) for x in table[:, 0].tolist()] == [1.0, 1.0]
+    assert table[:, 0].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("k0, k1", [(32, 1056), (7800, 8192), (8000, 8400),
+                                    (8192, 8300)])
+def test_ln_k_table_spans_match_the_spans_computed_directly(monkeypatch, k0, k1):
+    # spans inside the ln k table, one that crosses its end at k = 8,192 and
+    # one past it give the bits of the same span computed without the table
+    def read(z, psi):
+        gen = series._TermLogs(P_SPLIT, z, psi)
+        gen.ahead = 0
+        return [a.tobytes() for a in (*gen.block(k0, k1), gen.signs(k0, k1))]
+
+    cases = [(4.0, None), (-4.0, (0.2, 0.01))]
+    tabled = [read(*c) for c in cases]
+    monkeypatch.setattr(series, "_LN_K", series._LN_K[:, :0])
+    assert [read(*c) for c in cases] == tabled
+
+
+# Batch rows (from k = 0, where the ln k table holds ln 1 = 0, from k = 3,
+# and from k = 8,180 across the table's end) and single-call tails whose
+# block phase starts across the table's end or past it, recorded with
+# float.hex from the engine before the table, for numpy's AVX-512 kernels;
+# LN_K_GOLDEN_AVX2 holds the cases whose AVX2 bits differ.
+P_FLAT_EPS = FoxWrightParams(upper=((1.0, 0.95),))
+LN_K_GOLDEN = {
+    "batch P1 2.0": (35, 1, (
+        "0x1.4f8358d1aa6dcp+6", "0x1.d9dca96d78015p-53",
+        "0x1.0000000000000p+0", "0x1.1b7abde4d6d72p+2")),
+    "batch P1 2.0 from 3": (32, 1, (
+        "0x1.0c55f43716f3cp+6", "0x1.d9dca96d78015p-53",
+        "0x1.0000000000000p+0", "0x1.0d2e328576f23p+2")),
+    "batch exp 1.0": (21, 1, (
+        "0x1.5bf0a8b145769p+1", "0x1.98a3fb2886d9ap-66",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+    "batch P_LONG 4.0": (1068, 1, (
+        "0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
+        "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
+    "batch exp 8000.0 from 8180": (560, 1, (
+        "inf", "inf", "0x1.0000000000000p+0", "0x1.f3c36b83de91ep+12")),
+    "evaluate_tail P_FLAT_EPS 8149 1.645": (3010, 1, (
+        "0x1.3dff000d944dcp+581", "0x1.3830afe6a0906p+537",
+        "0x1.0000000000000p+0", "0x1.92ef74a44b982p+8")),
+    "evaluate_tail P_FLAT_EPS 8179 -1.645": (3351, 1, (
+        "0x1.ba67e3bfbbb70p+571", "0x1.8956f2c73ea7ep+527",
+        "0x1.5161e7c99d26ep+9", "0x1.8c5586f06df73p+8")),
+}
+LN_K_GOLDEN_AVX2 = {
+    "batch P_LONG 4.0": (
+        "0x1.57d79345b9f25p+296", "0x1.deae51fbd301ap+248",
+        "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7"),
+    "evaluate_tail P_FLAT_EPS 8179 -1.645": (
+        "0x1.ba67e3bfbbb3bp+571", "0x1.8956f2c73ea7ep+527",
+        "0x1.5161e7c99d297p+9", "0x1.8c5586f06df73p+8"),
+}
+
+
+def test_ln_k_table_calls_match_recorded_bits():
+    exp = FoxWrightParams()
+    rows = series.evaluate_batch([
+        series.Request(P1, 2.0), series.Request(P1, 2.0, start=3),
+        series.Request(exp, 1.0), series.Request(P_LONG, 4.0),
+        series.Request(exp, 8000.0, start=8180)])
+    got = dict(zip([c for c in LN_K_GOLDEN if c.startswith("batch")], rows))
+    got["evaluate_tail P_FLAT_EPS 8149 1.645"] = evaluate_tail(
+        P_FLAT_EPS, TailSpec(8149), 1.645)
+    got["evaluate_tail P_FLAT_EPS 8179 -1.645"] = evaluate_tail(
+        P_FLAT_EPS, TailSpec(8179), -1.645)
+    avx2 = _simd_target() == "AVX2"
+    for case, (terms, sign, fields) in LN_K_GOLDEN.items():
+        if avx2:
+            fields = LN_K_GOLDEN_AVX2.get(case, fields)
+        res = got[case]
+        assert (res.terms_used, res.sign) == (terms, sign), case
+        values = (res.value, res.tail_bound, res.condition_estimate,
+                  res.log_magnitude)
+        assert tuple(float.hex(x) for x in values) == fields, case
+
+
+def test_batch_rows_from_the_ln_k_table_match_the_logs_computed_directly(
+        monkeypatch):
+    # the tile indexes the table by k itself, so a row from k = 0 takes
+    # ln 1 there; without the table it computes the same logs
+    reqs = [series.Request(P1, 2.0), series.Request(FoxWrightParams(), 1.0),
+            series.Request(P_LONG, 4.0, start=7)]
+    tabled = series.evaluate_batch(reqs)
+    monkeypatch.setattr(batch, "_LN_K", series._LN_K[:, :0])
+    assert series.evaluate_batch(reqs) == tabled
+
 def test_budget_that_ends_inside_a_read_ahead_keeps_its_error_text(
         span_sizes, monkeypatch):
     monkeypatch.setattr(series, "_MAX_TERMS", 1000)
     msg = "stop rule did not fire within 1000 terms (start=0, z=4.0)"
     with pytest.raises(NoConvergenceError, match=f"^{re.escape(msg)}$"):
         evaluate(P_LONG, 4.0)
-    # the 1,024-term read-ahead after the 32-term head stops at the budget
+    # the first read-ahead after the 32-term head stops at the budget
     assert sum(span_sizes) == 1000 - 32
 
 
