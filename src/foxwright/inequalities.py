@@ -41,7 +41,14 @@ from .errors import (
     SingularTransformError,
 )
 from .functions import _pfq_request
-from .gammakit import _digamma_array, gamma_ratio, log_gamma
+from .gammakit import (
+    _digamma_array,
+    _log_gamma_array,
+    _math_log,
+    _math_log1p,
+    gamma_ratio,
+    log_gamma,
+)
 from .report import STATUS_NUMERICAL_FAILURE, value_report, worst_report
 from .series import (
     _LOG_DOUBLE_MAX,
@@ -574,17 +581,19 @@ def _omega(alpha1: float, beta1: Sequence[float], beta2: float, B1: float,
         return [0.0] * len(beta1), [0.0] * len(beta1)
     top = max(k_max)
     lnz = math.log(z)
-    n = range(top + 1)
-    lg_a = np.array([log_gamma(alpha1 + i) for i in n])
-    lg_b = np.array([log_gamma(beta2 + i) for i in n])
-    lg_f = np.cumsum([0.0] + [math.log(i) for i in n[1:]])  # ln i!
+    n = np.arange(top + 1)
+    lg_f = np.cumsum([0.0] + [math.log(i) for i in n[1:].tolist()])  # ln i!
     # the beta1 columns at c + i*B1, c = beta1 + B1: psi as an array (bit
-    # for bit digamma), lnGamma by the scalar kernel up to each k_max
-    x = (np.array(beta1, dtype=float) + B1)[:, None] + np.arange(top + 1) * B1
+    # for bit digamma), lnGamma up to each k_max
+    x = (np.array(beta1, dtype=float) + B1)[:, None] + n * B1
     psi_c = _digamma_array(x)
+    valid = n <= np.array(k_max)[:, None]
+    # every lnGamma in one array pass, bit for bit log_gamma
+    lg = _log_gamma_array(np.concatenate((alpha1 + n, beta2 + n, x[valid])),
+                          _math_log, _math_log1p)
+    lg_a, lg_b = lg[:top + 1], lg[top + 1:2 * top + 2]
     lg_c = np.zeros_like(x)
-    for g, kg in enumerate(k_max):
-        lg_c[g, :kg + 1] = [log_gamma(v) for v in x[g, :kg + 1].tolist()]
+    lg_c[valid] = lg[2 * top + 2:]
 
     values: list = []
     lasts: list = []

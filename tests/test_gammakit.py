@@ -14,7 +14,12 @@ from foxwright import (
     gamma_ratio,
     log_gamma,
 )
-from foxwright.gammakit import _digamma_array
+from foxwright.gammakit import (
+    _digamma_array,
+    _log_gamma_array,
+    _math_log,
+    _math_log1p,
+)
 from foxwright.report import margin_passes
 
 # Euler-Mascheroni constant
@@ -97,6 +102,30 @@ def test_digamma_array_is_digamma_bit_for_bit():
         assert got.shape == arr.shape
         ref = [digamma(v).hex() for v in arr.ravel().tolist()]
         assert [v.hex() for v in got.ravel().tolist()] == ref
+
+
+def test_log_gamma_array_with_math_kernels_is_log_gamma_bit_for_bit():
+    # every branch of log_gamma: x < 0.5, [0.5, 1.5), [1.5, 8) with each
+    # shift count, and the Stirling form from 8 on; the branch edges and
+    # their neighbours, and the exact zeros 1 and 2
+    rng = np.random.default_rng(7)
+    edges = [0.5, 1.5, 2.5, 7.5, 8.0]
+    pts = [1.0, 2.0, 1e-300, 5e-324, 1e12, 1e150]
+    pts += [math.nextafter(x, d) for x in edges + [1.0, 2.0]
+            for d in (0, 20)]
+    # Stirling arguments whose np.log differs from math.log in the last
+    # bit under numpy's AVX-512 kernels, and so would their lnGamma
+    pts += [float.fromhex(h) for h in ("0x1.cc0e3cee7f042p+4",
+                                       "0x1.083efdab8fe58p+6",
+                                       "0x1.1b5a6dab439f5p+7")]
+    x = np.concatenate([rng.uniform(1e-3, 0.5, 2000),
+                        rng.uniform(0.5, 1.5, 2000),
+                        rng.uniform(1.5, 8.0, 4000),
+                        rng.uniform(8.0, 200.0, 2000),
+                        edges, pts])
+    got = _log_gamma_array(x, _math_log, _math_log1p)
+    assert [v.hex() for v in got.tolist()] == [
+        log_gamma(v).hex() for v in x.tolist()]
 
 
 def test_gamma_ratio_matches_lgamma_form():

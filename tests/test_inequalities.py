@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -391,6 +392,17 @@ def test_omega_grid_is_the_one_point_form_bit_for_bit(monkeypatch):
     assert len(set(grid[0])) == 20
     monkeypatch.setattr(inequalities, "_OMEGA_CAP", 1)
     assert _omega_hex(alpha1, beta1, beta2, B1, z, k_max) == grid
+
+
+def test_omega_lngamma_columns_are_log_gamma_bit_for_bit(monkeypatch):
+    # the one array pass over the lnGamma columns gives the bits of one
+    # scalar log_gamma call per value (with numpy's AVX-512 logs, two of
+    # these eight values would move)
+    args = (1.9, [1.1, 0.55, 2.3, 0.2], 0.4, 0.7, 14.0, [81, 40, 60, 23])
+    grid = _omega_hex(*args)
+    monkeypatch.setattr(inequalities, "_log_gamma_array", lambda x, *_: (
+        np.array([log_gamma(v) for v in x.tolist()])))
+    assert _omega_hex(*args) == grid
 
 
 def test_omega_longer_shared_columns_change_no_bit():

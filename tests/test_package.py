@@ -1,5 +1,7 @@
-"""The package surface: one export list, no eager import of the batch
-kernels or the command line, and an oracle that shares no code with the
+"""The package surface: one export list; an import that loads the
+evaluation layer alone, with the verification layer (and mpmath) bound in
+full on the first access to any other name, and the batch kernels and the
+command line only when used; and an oracle that shares no code with the
 engine."""
 
 import ast
@@ -7,6 +9,8 @@ import inspect
 import os
 import subprocess
 import sys
+
+import pytest
 
 import foxwright
 from foxwright import (
@@ -24,16 +28,63 @@ MODULES = (errors, gammakit, series, functions, inequalities, oracle, report,
            suites)
 
 
-def test_import_leaves_batch_and_cli_unloaded():
-    code = ("import sys, foxwright; "
-            "print(sorted(m for m in ('foxwright.batch', 'foxwright.cli') "
-            "if m in sys.modules))")
-    # the package is found where this process found it, not installed
+# what a plain import leaves out; the first four load with the verification
+# layer, the last two only when used
+DEFERRED = ("mpmath", "foxwright.inequalities", "foxwright.oracle",
+            "foxwright.suites", "foxwright.batch", "foxwright.cli")
+
+
+def _fresh(code):
+    """stdout of code run in a fresh interpreter, which imports foxwright
+    from where this process found it, not from an installed copy."""
     src = os.path.dirname(os.path.dirname(foxwright.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_import_leaves_batch_and_cli_unloaded():
+    code = ("import sys, foxwright; "
+            f"print(sorted(m for m in {DEFERRED!r} if m in sys.modules))")
+    assert _fresh(code).strip() == "[]"
+
+
+# a first access in a fresh interpreter: it finds the verification layer
+# unloaded and leaves every export bound in the package namespace as its
+# module's own object and listed by dir(), with cli and batch neither bound
+# nor loaded
+_FIRST_ACCESS = """
+import importlib, sys
+import foxwright
+print(sorted(m for m in {deferred!r} if m in sys.modules))
+{access}
+bad = [n for n in foxwright.__all__
+       if n not in vars(foxwright) or n not in dir(foxwright)]
+for name in {modules!r}:
+    mod = importlib.import_module("foxwright." + name)
+    bad += [n for n in mod.__all__
+            if vars(foxwright).get(n) is not getattr(mod, n)]
+print(bad, hasattr(foxwright, "cli"), hasattr(foxwright, "batch"))
+print(sorted(m for m in {deferred!r} if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("access", [
+    "foxwright.run_suite",
+    "from foxwright import *",
+    "dir(foxwright)",
+    "foxwright.__all__",
+])
+def test_first_access_binds_every_export(access):
+    code = _FIRST_ACCESS.format(
+        access=access, deferred=DEFERRED,
+        modules=[m.__name__.split(".")[1] for m in MODULES])
+    assert _fresh(code).splitlines() == [
+        "[]",
+        "[] False False",
+        "['foxwright.inequalities', 'foxwright.oracle', 'foxwright.suites', "
+        "'mpmath']",
+    ], access
 
 
 def test_all_is_the_union_of_the_module_lists():
