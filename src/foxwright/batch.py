@@ -18,7 +18,12 @@ import math
 import numpy as np
 
 from . import series
-from .errors import DivergentSeriesError, DomainError, NoConvergenceError
+from .errors import (
+    DivergentSeriesError,
+    DomainError,
+    NoConvergenceError,
+    ParameterError,
+)
 from .gammakit import _log_gamma_array
 from .series import (
     _BLOCK_MAX,
@@ -38,6 +43,7 @@ from .series import (
     _log_ints_dd,
     _no_stop,
     _require_convergent,
+    _require_convergent_pfq,
     _sum_series,
     _two_sum,
 )
@@ -252,17 +258,28 @@ def _neumaier_array(total, comp, x):
 def _pfq_rows(reqs: list[PfqRequest]) -> list:
     """pFq sums by the Pochhammer recurrence, element-wise across rows of
     one (p, q) shape; each row runs the operations of a single call in the
-    same order, so its result does not depend on the other rows."""
+    same order, so its result does not depend on the other rows.  A row
+    that the single call refuses fails with the single call's error."""
     p, q = len(reqs[0].upper), len(reqs[0].lower)
     up = np.array([r.upper for r in reqs], dtype=float).reshape(len(reqs), p)
     low = np.array([r.lower for r in reqs], dtype=float).reshape(len(reqs), q)
     z = np.array([r.z for r in reqs], dtype=float)
+    out: list = [None] * len(reqs)
+    # _require_convergent_pfq's tests as one mask; only the refused rows
+    # run the scalar check, for its error
+    live = (np.isfinite(z) & np.isfinite(up).all(axis=1)
+            & ((low > 0.0) & np.isfinite(low)).all(axis=1))
+    if p > q:  # p = q + 1 needs |z| < 1, and p > q + 1 diverges
+        live &= (p == q + 1) & (np.abs(z) < 1.0)
+    for r in np.flatnonzero(~live).tolist():
+        try:
+            _require_convergent_pfq(*reqs[r])
+        except (DomainError, ParameterError, DivergentSeriesError) as exc:
+            out[r] = exc
     idx = np.arange(len(reqs))
-    live = np.ones(len(reqs), dtype=bool)
     term = np.ones(len(reqs))
     total, comp, total_abs = np.zeros((3, len(reqs)))
     streak = np.zeros(len(reqs), dtype=int)
-    out: list = [None] * len(reqs)
     max_terms = series._MAX_TERMS
     for k in range(max_terms):
         x = term
@@ -304,7 +321,7 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
             if not idx.size:
                 break
     for i in idx[live].tolist():
-        out[i] = DivergentSeriesError(
+        out[i] = NoConvergenceError(
             f"pFq stop rule did not fire within {max_terms} terms "
             f"(z={reqs[i].z!r})")
     return out

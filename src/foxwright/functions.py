@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    DivergentSeriesError,
     DomainError,
     ParameterError,
     SingularTransformError,
@@ -93,27 +92,6 @@ class MittagLefflerParams:
         )
 
 
-def _pfq_request(upper: tuple[float, ...], lower: tuple[float, ...],
-                 z: float) -> PfqRequest:
-    upper = tuple(float(a) for a in upper)
-    lower = tuple(float(b) for b in lower)
-    p, q = len(upper), len(lower)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got z={z!r}")
-    for a in upper:
-        if not math.isfinite(a):
-            raise ParameterError(f"pFq upper parameters must be finite, got {a}")
-    for b in lower:
-        if not (b > 0.0 and math.isfinite(b)):
-            raise ParameterError(f"pFq lower parameters must be positive, got {b}")
-    if p > q + 1:
-        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
-    if p == q + 1 and abs(z) >= 1.0:
-        raise DivergentSeriesError(
-            f"pFq with p = q+1 needs |z| < 1, got z={z!r}")
-    return PfqRequest(upper, lower, z)
-
-
 def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...],
                z: float) -> EvalResult:
     """Direct pFq summation via the Pochhammer term recurrence.
@@ -123,17 +101,15 @@ def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...],
     which the transformed 2F2 family requires.  Lower parameters must be
     positive.  Convergence gate: p <= q, or p = q + 1 with |z| < 1.  The
     sum is the one-row case of the pFq request kind of
-    ``series.evaluate_batch``.
+    ``series.evaluate_batch``, which refuses what the gate does not admit.
     """
-    return _single(_pfq_request(upper, lower, z))
+    return _single(PfqRequest(tuple(float(a) for a in upper),
+                              tuple(float(b) for b in lower), z))
 
 
 def _hyper_request(hp: HypergeometricParams, z: float) -> Request | PfqRequest:
-    p, q = len(hp.upper), len(hp.lower)
-    if p > q + 1:
-        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
-    if p == q + 1:
-        return _pfq_request(hp.upper, hp.lower, z)
+    if len(hp.upper) > len(hp.lower):  # p = q + 1, or the divergent p > q + 1
+        return PfqRequest(hp.upper, hp.lower, z)
     return _normalized(FoxWrightParams(
         upper=tuple((a, 1.0) for a in hp.upper),
         lower=tuple((b, 1.0) for b in hp.lower),

@@ -7,12 +7,13 @@ digamma shifts the argument up with psi(x+1) = psi(x) + 1/x, and log_gamma
 moves it into [0.5, 1.5) with Gamma(x+1) = x Gamma(x) and sums the Taylor
 series of ln Gamma(1+t), whose signed coefficients are (-1)^k (zeta(k) - 1)/k.
 Each of the three series is one straight-line Horner form that takes floats
-and arrays alike.  The array kernels sit beside their scalar twins:
-``_log_gamma_array`` is log_gamma element-wise, with numpy's logs for the
-batch engine's factors below the Stirling threshold and with math's, bit
-for bit, for the lnGamma columns of the chi witness, and ``_digamma_array``
-is digamma element-wise, bit for bit, for the psi weights of a block of
-series terms.
+and arrays alike.  The array kernels sit beside their scalar twins, one
+kernel each: ``_log_gamma_array`` is log_gamma element-wise and
+``_digamma_array`` digamma element-wise, in the same operations with
+numpy's log and log1p in place of math's.  Where numpy dispatches to its
+AVX2 or baseline kernels those logs are libm's bit for bit, and so are the
+array kernels' results; numpy's AVX-512 logs may differ in the last bit,
+which moves an array result by at most a few units in the last place.
 """
 
 from __future__ import annotations
@@ -125,31 +126,15 @@ def log_gamma(x: float) -> float:
     return _log_gamma_taylor(x - m - 1.0) + math.log(prod)
 
 
-def _per_element(fn):
-    """The scalar math function fn as an array kernel, applied element by
-    element: numpy's log and log1p differ from math's in the last bit on
-    some inputs."""
-    def kernel(x: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(fn, x.ravel().tolist()), float,
-                           x.size).reshape(x.shape)
-    return kernel
-
-
-_math_log = _per_element(math.log)
-_math_log1p = _per_element(math.log1p)
-
-
-def _log_gamma_array(x: np.ndarray, log=np.log,
-                     log1p=np.log1p) -> np.ndarray:
+def _log_gamma_array(x: np.ndarray) -> np.ndarray:
     """log_gamma element-wise over a float array of positive values: the
     Stirling form from 8 on, below it the shift product and the Taylor
-    table of ln Gamma(1 + t).  With the kernels ``_math_log`` and
-    ``_math_log1p`` it is log_gamma bit for bit."""
+    table of ln Gamma(1 + t), with numpy's log and log1p."""
     out = np.empty_like(x)
     big = x >= _SHIFT_THRESHOLD
     if big.any():
         xb = x[big]
-        out[big] = ((xb - 0.5) * log(xb) - xb + _HALF_LN_TWO_PI
+        out[big] = ((xb - 0.5) * np.log(xb) - xb + _HALF_LN_TWO_PI
                     + _stirling_tail_sum(xb))
     small = ~big
     if small.any():
@@ -160,8 +145,8 @@ def _log_gamma_array(x: np.ndarray, log=np.log,
             prod = np.where(m >= j, prod * (xs - j), prod)
         tiny = xs < 0.5
         t = np.where(tiny, xs, xs - m - 1.0)
-        lg = t * (_ONE_MINUS_EULER_GAMMA + t * _zeta_sum(t)) - log1p(t)
-        out[small] = lg + np.where(tiny, -log(xs), log(prod))
+        lg = t * (_ONE_MINUS_EULER_GAMMA + t * _zeta_sum(t)) - np.log1p(t)
+        out[small] = lg + np.where(tiny, -np.log(xs), np.log(prod))
     return out
 
 
@@ -187,9 +172,9 @@ def digamma(x: float) -> float:
 
 
 def _digamma_array(x: np.ndarray) -> np.ndarray:
-    """digamma element-wise over a float array of positive values, bit for
-    bit: the same compensated shift sum, masked to the elements still below
-    the threshold, and the same Horner tail, with math.log per element."""
+    """digamma element-wise over a float array of positive values: the
+    same compensated shift sum, masked to the elements still below the
+    threshold, and the same Horner tail, with numpy's log."""
     shift = np.zeros_like(x)
     comp = np.zeros_like(x)
     y = x
@@ -203,7 +188,7 @@ def _digamma_array(x: np.ndarray) -> np.ndarray:
         shift = np.where(low, total, shift)
         y = np.where(low, y + 1.0, y)
         low = y < _SHIFT_THRESHOLD
-    return _math_log(y) - 0.5 / y - _psi_tail_sum(y) - (shift + comp)
+    return np.log(y) - 0.5 / y - _psi_tail_sum(y) - (shift + comp)
 
 
 def gamma_ratio(z: float, a: float) -> float:

@@ -40,12 +40,9 @@ from .errors import (
     ParameterError,
     SingularTransformError,
 )
-from .functions import _pfq_request
 from .gammakit import (
     _digamma_array,
     _log_gamma_array,
-    _math_log,
-    _math_log1p,
     gamma_ratio,
     log_gamma,
 )
@@ -297,11 +294,7 @@ def _corollary3_2f2(alpha1: float, beta1: float, beta2: float,
     args = (((beta1 - alpha1 - 1.0, f + 1.0), (beta1, f)),
             ((beta1 - alpha1 + 1.0, g + 1.0), (beta1 + 2.0, g)),
             ((beta1 - alpha1, h + 1.0), (beta1 + 1.0, h)))
-    # an inf or nan carries into the total, so a finite total means every
-    # value is finite; otherwise _pfq_request raises its error for the first
-    make = (PfqRequest if math.isfinite(
-        z + sum(v for up, low in args for v in up + low)) else _pfq_request)
-    F1, F2, F3 = yield [make(up, low, z) for up, low in args]
+    F1, F2, F3 = yield [PfqRequest(up, low, z) for up, low in args]
     cond = max(F1.condition_estimate, F2.condition_estimate,
                F3.condition_estimate)
     lhs = F1.value * F2.value
@@ -582,15 +575,14 @@ def _omega(alpha1: float, beta1: Sequence[float], beta2: float, B1: float,
     top = max(k_max)
     lnz = math.log(z)
     n = np.arange(top + 1)
-    lg_f = np.cumsum([0.0] + [math.log(i) for i in n[1:].tolist()])  # ln i!
-    # the beta1 columns at c + i*B1, c = beta1 + B1: psi as an array (bit
-    # for bit digamma), lnGamma up to each k_max
+    lg_f = np.cumsum(np.log(np.maximum(n, 1)))  # ln i!
+    # the beta1 columns at c + i*B1, c = beta1 + B1: psi, and lnGamma up to
+    # each k_max
     x = (np.array(beta1, dtype=float) + B1)[:, None] + n * B1
     psi_c = _digamma_array(x)
     valid = n <= np.array(k_max)[:, None]
-    # every lnGamma in one array pass, bit for bit log_gamma
-    lg = _log_gamma_array(np.concatenate((alpha1 + n, beta2 + n, x[valid])),
-                          _math_log, _math_log1p)
+    # every lnGamma in one array pass
+    lg = _log_gamma_array(np.concatenate((alpha1 + n, beta2 + n, x[valid])))
     lg_a, lg_b = lg[:top + 1], lg[top + 1:2 * top + 2]
     lg_c = np.zeros_like(x)
     lg_c[valid] = lg[2 * top + 2:]

@@ -87,6 +87,7 @@ from .errors import (
 from .gammakit import (
     _HALF_LN_TWO_PI,
     _digamma_array,
+    _log_gamma_array,
     _stirling_tail_sum,
     digamma,
     log_gamma,
@@ -251,11 +252,29 @@ class Request(NamedTuple):
 
 class PfqRequest(NamedTuple):
     """One pFq series summed by its Pochhammer recurrence (see
-    ``functions.pfq_direct``, which validates the parameters)."""
+    ``functions.pfq_direct``); ``evaluate_batch`` refuses it as
+    ``_require_convergent_pfq`` does."""
 
     upper: tuple[float, ...]
     lower: tuple[float, ...]
     z: float
+
+
+def _require_convergent_pfq(upper: tuple, lower: tuple, z: float) -> None:
+    p, q = len(upper), len(lower)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got z={z!r}")
+    for a in upper:
+        if not math.isfinite(a):
+            raise ParameterError(f"pFq upper parameters must be finite, got {a}")
+    for b in lower:
+        if not (b > 0.0 and math.isfinite(b)):
+            raise ParameterError(f"pFq lower parameters must be positive, got {b}")
+    if p > q + 1:
+        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
+    if p == q + 1 and abs(z) >= 1.0:
+        raise DivergentSeriesError(
+            f"pFq with p = q+1 needs |z| < 1, got z={z!r}")
 
 
 def log_term(params: FoxWrightParams, z: float, k: int) -> float:
@@ -715,7 +734,7 @@ class _TermLogs:
         fk = np.arange(k0, k1, dtype=float)
         lk = _LN_K[:, k0:k1] if k1 <= _LN_K.shape[1] else _log_ints_dd(fk)
         h, l = _collapsed(*self._coef, fk, *lk)
-        parts = [sg * np.array([log_gamma(x) for x in (a + w * fk).tolist()])
+        parts = [sg * _log_gamma_array(a + w * fk)
                  for _, a, w, sg in self._waiting]
         if self._expanded:
             a, w, sg, _ = np.array(self._expanded).T[:, :, None]
@@ -1045,11 +1064,12 @@ def evaluate_batch(requests: list) -> list:
     """Evaluate many Request and PfqRequest items at once.
 
     Returns one EvalResult per request, in order, or the exception the
-    request fails with in its place: the DomainError or DivergentSeriesError
-    of a series request the single calls refuse, NoConvergenceError, or
-    OverflowError.  Series requests are summed in log mode: one past the
-    double range returns +-inf with its finite log_magnitude, while a pFq
-    row whose term leaves the range fails with OverflowError.
+    request fails with in its place: the DomainError, ParameterError or
+    DivergentSeriesError of a request the single calls refuse,
+    NoConvergenceError, or OverflowError.  Series requests are summed in
+    log mode: one past the double range returns +-inf with its finite
+    log_magnitude, while a pFq row whose term leaves the range fails with
+    OverflowError.
     Series requests at z > 0 with no psi_weight are the rows of one tile,
     the others take the single-call path bit for bit, and pFq requests of
     one (p, q) shape are the rows of one recurrence; requests equal but for

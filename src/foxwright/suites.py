@@ -33,7 +33,6 @@ from .inequalities import (
     _logconcavity,
     _ratio_monotonicity,
     _run_rounds,
-    _slot,
     _tail_turan,
     _turan_alpha,
     _turan_beta,
@@ -585,10 +584,18 @@ def _hp_values(rs, *jobs):
     return [value for value, _, _ in _hp_sums(jobs, rs)]
 
 
+def _hp_slot(echo: dict, slot: str):
+    """The first upper value of echoed params (slot "alpha") or their first
+    lower value ("beta"), and the map from a value to the params with it in
+    that place."""
+    side = "upper" if slot == "alpha" else "lower"
+    (v, w), *rest = echo[side]
+    return v, lambda u: FoxWrightParams.from_json(
+        {**echo, side: [[u, w], *rest]})
+
+
 def _hp_turan(slot: str, report: InequalityReport, rs):
-    params = FoxWrightParams.from_json(report.params_echo)
-    _, pairs, put = _slot(params, slot)
-    v = pairs[0][0]
+    v, put = _hp_slot(report.params_echo, slot)
     s0, s1, s2 = _hp_values(rs, *((put(u), report.z, 0)
                                   for u in (v, v + 1.0, v + 2.0)))
     c = 1 if slot == "alpha" else mp.mpf(v) / (v + 1.0)
@@ -614,7 +621,7 @@ def _hp_corollary3(report: InequalityReport, rs):
 def _hp_ratio(report: InequalityReport, rs):
     e = report.params_echo
     slot, vs, vb = e["slot"], e["v_small"], e["v_big"]
-    _, _, put = _slot(FoxWrightParams.from_json(e), slot)
+    _, put = _hp_slot(e, slot)
     # R = Psi[num] / Psi[den] is the ratio claimed nonincreasing
     num, den = (put(vb), put(vs)) if slot == "beta" else (put(vs), put(vb))
     z = report.z

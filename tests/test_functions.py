@@ -13,6 +13,7 @@ from foxwright import (
     FoxWrightParams,
     HypergeometricParams,
     MittagLefflerParams,
+    NoConvergenceError,
     ParameterError,
     SingularTransformError,
     bessel_norm,
@@ -68,6 +69,16 @@ def test_pfq_convergence_gates():
         pFq(HypergeometricParams((1.0, 1.0), (2.0,)), 1.0)
     with pytest.raises(DivergentSeriesError):
         pfq_direct((1.0, 1.0), (2.0,), -1.0)
+
+
+def test_pfq_past_the_term_budget_is_no_convergence():
+    # 2F1(1, 1; 2; z) converges at |z| < 1, but at z = 0.9999 its terms
+    # fall below the stop rule's tolerance only after some 3e5 terms: the
+    # sum runs out of its term budget as a series does, with
+    # NoConvergenceError, which the suites turn into a failure row
+    with pytest.raises(NoConvergenceError, match=re.escape(
+            "pFq stop rule did not fire within 10000 terms (z=0.9999)")):
+        pfq_direct((1.0, 1.0), (2.0,), 0.9999)
 
 
 def test_pfq_direct_negative_upper_terminates():

@@ -25,7 +25,7 @@ from foxwright import (
     wilker_check,
     xi_prime,
 )
-from foxwright import inequalities
+from foxwright import gammakit, inequalities
 from foxwright.gammakit import digamma, log_gamma
 from foxwright.inequalities import _omega
 from foxwright.series import _exp_or_inf
@@ -394,15 +394,30 @@ def test_omega_grid_is_the_one_point_form_bit_for_bit(monkeypatch):
     assert _omega_hex(alpha1, beta1, beta2, B1, z, k_max) == grid
 
 
-def test_omega_lngamma_columns_are_log_gamma_bit_for_bit(monkeypatch):
-    # the one array pass over the lnGamma columns gives the bits of one
-    # scalar log_gamma call per value (with numpy's AVX-512 logs, two of
-    # these eight values would move)
+def test_omega_lngamma_columns_are_log_gamma(monkeypatch, simd_target):
+    # the one array pass over the lnGamma columns gives each entry within
+    # 1e-15 relative of one scalar log_gamma call, and its bits where
+    # numpy's logs are libm's (AVX2); with numpy's AVX-512 logs two of these
+    # eight values move in the last bits
     args = (1.9, [1.1, 0.55, 2.3, 0.2], 0.4, 0.7, 14.0, [81, 40, 60, 23])
-    grid = _omega_hex(*args)
-    monkeypatch.setattr(inequalities, "_log_gamma_array", lambda x, *_: (
-        np.array([log_gamma(v) for v in x.tolist()])))
-    assert _omega_hex(*args) == grid
+    values = _omega(*args)
+    columns = []
+
+    def scalar(x):
+        columns.append(x)
+        return np.array([log_gamma(v) for v in x.tolist()])
+
+    monkeypatch.setattr(inequalities, "_log_gamma_array", scalar)
+    ref = _omega(*args)
+    (x,) = columns
+    lg, lg_ref = gammakit._log_gamma_array(x), scalar(x)
+    assert np.all(np.abs(lg - lg_ref) <= 1e-15 * np.maximum(1.0,
+                                                            np.abs(lg_ref)))
+    for got, want in zip(values, ref):
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    if simd_target == "AVX2":
+        assert [[float.hex(v) for v in out] for out in values] == [
+            [float.hex(v) for v in out] for out in ref]
 
 
 def test_omega_longer_shared_columns_change_no_bit():

@@ -150,7 +150,8 @@ def _imports(module):
 
 
 def test_engine_and_oracle_share_no_code():
-    # the oracle checks the engine only while neither is built on the other
+    # the oracle checks the engine only while neither is built on the other,
+    # and a margin recipe checks a checker only while it borrows none of it
     for module in ("series", "batch", "gammakit"):
         for mod, name in _imports(module):
             assert mod.split(".")[0] != "mpmath", (module, mod)
@@ -159,3 +160,13 @@ def test_engine_and_oracle_share_no_code():
         if mod.split(".")[0] == "foxwright" and mod != "foxwright.errors":
             assert (mod, name) == ("foxwright.series", "FoxWrightParams"), (
                 mod, name)
+    checker = {name for mod, name in _imports("suites")
+               if mod == "foxwright.inequalities"}
+    with open(suites.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    recipes = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+               and f.name.startswith("_hp_")]
+    assert checker and {"_hp_turan", "_hp_ratio"} <= {f.name for f in recipes}
+    for fn in recipes:
+        used = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        assert not used & checker, (fn.name, sorted(used & checker))

@@ -29,6 +29,7 @@ from foxwright import (
     kn_ratio,
     kn_value_and_bound,
     log_term,
+    pfq_direct,
     tail_turan_check,
     turan_beta_check,
 )
@@ -632,26 +633,10 @@ GOLDEN_AVX2 = {
 }
 
 
-def _simd_target():
-    """The SIMD target numpy dispatches to here, "AVX512_SKX" or "AVX2";
-    no bits are recorded for any other."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    for target in ("AVX512_SKX", "AVX2"):
-        if __cpu_features__.get(target):
-            return target
-    on = sorted(k for k, v in __cpu_features__.items() if v)
-    pytest.fail("no recorded bits for numpy's SIMD target on this CPU: "
-                "it has neither AVX512_SKX nor AVX2 (enabled: "
-                + (", ".join(on) or "none") + ")")
-
-
 @pytest.mark.parametrize("case", list(GOLDEN))
-def test_results_match_recorded_bits(case):
+def test_results_match_recorded_bits(case, simd_target):
     call, terms, sign, fields = GOLDEN[case]
-    if _simd_target() == "AVX2":
+    if simd_target == "AVX2":
         fields = GOLDEN_AVX2.get(case, fields)
     res = call()
     assert (res.terms_used, res.sign) == (terms, sign)
@@ -903,7 +888,7 @@ LN_K_GOLDEN_AVX2 = {
 }
 
 
-def test_ln_k_table_calls_match_recorded_bits():
+def test_ln_k_table_calls_match_recorded_bits(simd_target):
     exp = FoxWrightParams()
     rows = series.evaluate_batch([
         series.Request(P1, 2.0), series.Request(P1, 2.0, start=3),
@@ -914,7 +899,7 @@ def test_ln_k_table_calls_match_recorded_bits():
         P_FLAT_EPS, TailSpec(8149), 1.645)
     got["evaluate_tail P_FLAT_EPS 8179 -1.645"] = evaluate_tail(
         P_FLAT_EPS, TailSpec(8179), -1.645)
-    avx2 = _simd_target() == "AVX2"
+    avx2 = simd_target == "AVX2"
     for case, (terms, sign, fields) in LN_K_GOLDEN.items():
         if avx2:
             fields = LN_K_GOLDEN_AVX2.get(case, fields)
@@ -1105,6 +1090,53 @@ def test_batch_refuses_hand_built_requests_as_the_single_calls_do(
     assert got[6] is got[0]
     assert repr(got[1]) == repr(got[7]) == repr(series.evaluate_batch([good])[0])
 
+
+def test_batch_refuses_hand_built_pfq_requests_as_pfq_direct_does(
+        monkeypatch):
+    checked = []
+    check = batch._require_convergent_pfq
+
+    def counting(upper, lower, z):
+        checked.append((upper, lower, z))
+        return check(upper, lower, z)
+
+    monkeypatch.setattr(batch, "_require_convergent_pfq", counting)
+    bad = [PfqRequest((1.0, 1.0, 1.0), (), 0.5),
+           PfqRequest((), (-1.0,), 0.5),
+           PfqRequest((1.0,), (1.0,), math.nan),
+           PfqRequest((1.0, 1.0), (2.0,), 1.5),
+           PfqRequest((1.0,), (0.0,), 0.5)]
+    good = [PfqRequest((), (2.0,), 0.5), PfqRequest((1.0,), (1.5,), -0.5),
+            PfqRequest((1.0, 1.0), (2.0,), -0.5)]
+    got = series.evaluate_batch(bad[:3] + good + bad[3:])
+    refused = got[:3] + got[-2:]
+    # only the refused rows run the scalar check
+    assert sorted(map(repr, checked)) == sorted(repr(tuple(r)) for r in bad)
+    assert [type(e) for e in refused] == [
+        DivergentSeriesError, ParameterError, DomainError,
+        DivergentSeriesError, ParameterError]
+    for req, err in zip(bad, refused):
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            pfq_direct(*req)
+    assert repr(got[3:6]) == repr([series.evaluate_batch([r])[0] for r in good])
+
+    # the array mask and the scalar check agree on every kind of bad value,
+    # and a refused row leaves the rows of its shape as they are alone
+    rng = np.random.default_rng(5)
+    values = (1.0, -2.5, 0.0, math.inf, -math.inf, math.nan)
+    reqs = [PfqRequest(tuple(rng.choice(values, p).tolist()),
+                       tuple(rng.choice(values, q).tolist()),
+                       float(rng.choice((0.5, -0.5, 1.0, 1.5, math.inf,
+                                         math.nan))))
+            for p, q in rng.integers(0, 3, (240, 2)).tolist()]
+    for req, res in zip(reqs, series.evaluate_batch(reqs)):
+        try:
+            one = pfq_direct(*req)
+        except FoxWrightError as exc:
+            one = exc
+        assert (type(res), str(res)) == (type(one), str(one)), req
+
+
 def test_batch_sums_identical_series_once(monkeypatch):
     rows = []
 
@@ -1272,8 +1304,8 @@ def test_pfq_rows_match_the_one_row_loop_bit_for_bit(monkeypatch):
     got = series.evaluate_batch(mixed)
     kinds = [type(r).__name__ for r in got]
     assert kinds.count("OverflowError") == 1 and kinds[3] == "OverflowError"
-    assert kinds.count("DivergentSeriesError") == 1
-    assert kinds[6] == "DivergentSeriesError"
+    assert kinds.count("NoConvergenceError") == 1
+    assert kinds[6] == "NoConvergenceError"
     assert len({r.terms_used for r in got if isinstance(r, EvalResult)}) >= 5
     for req, res in zip(mixed, got):
         one = series.evaluate_batch([req])[0]
