@@ -42,8 +42,8 @@ from .series import (
     _fold,
     _log_ints_dd,
     _no_stop,
-    _require_convergent,
     _require_convergent_pfq,
+    _require_summable,
     _sum_series,
     _two_sum,
 )
@@ -343,38 +343,28 @@ def _pfq_result(grand: float, total_abs: float, term: float, ratio: float,
 def evaluate(requests: list) -> list:
     """series.evaluate_batch: every series request in log mode."""
     out: list = [None] * len(requests)
-    tiled: dict = {}
+    tiled: list[int] = []
     pfq: dict = {}
     for i, req in enumerate(requests):
         if isinstance(req, PfqRequest):
-            pfq.setdefault((len(req.upper), len(req.lower)), {}).setdefault(
-                req, []).append(i)
-        elif req.z <= 0.0 or req.psi_weight is not None:
-            try:
-                _require_convergent(req.params, req.z)
-                out[i] = _sum_series(req, True)
-            except (DomainError, DivergentSeriesError, NoConvergenceError) as exc:
-                out[i] = exc
-        else:
-            tiled.setdefault(req[:3], []).append(i)
-    # a hand-built request that the single calls refuse fails in its place;
-    # identical tile rows are checked once
-    for key, at in list(tiled.items()):
+            pfq.setdefault((len(req.upper), len(req.lower)), []).append(i)
+            continue
         try:
-            _require_convergent(*key[:2])
-        except (DomainError, DivergentSeriesError) as exc:
-            del tiled[key]
-            for i in at:
-                out[i] = exc
+            if req.z > 0.0 and req.psi_weight is None:
+                _require_summable(req)
+                tiled.append(i)
+            else:
+                out[i] = _sum_series(req, True)
+        except (DomainError, ParameterError, DivergentSeriesError,
+                NoConvergenceError) as exc:
+            out[i] = exc
     with np.errstate(all="ignore"):
-        for members in pfq.values():
-            for at, res in zip(members.values(), _pfq_rows(list(members))):
-                for i in at:
-                    out[i] = res
+        for at in pfq.values():
+            for i, res in zip(at, _pfq_rows([requests[i] for i in at])):
+                out[i] = res
         if tiled:
-            rows = [requests[at[0]] for at in tiled.values()]
-            for at, res in zip(tiled.values(), _RowSums(rows).run()):
-                for i in at:
-                    out[i] = res if isinstance(res, Exception) else _finish(
-                        *res, requests[i].log_offset, True)
+            rows = [requests[i] for i in tiled]
+            for i, res in zip(tiled, _RowSums(rows).run()):
+                out[i] = res if isinstance(res, Exception) else _finish(
+                    *res, requests[i].log_offset, True)
     return out

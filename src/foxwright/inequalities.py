@@ -46,19 +46,17 @@ from .gammakit import (
     gamma_ratio,
     log_gamma,
 )
-from .report import STATUS_NUMERICAL_FAILURE, value_report, worst_report
+from .report import (STATUS_NUMERICAL_FAILURE, _is_index, value_report,
+                     worst_report)
 from .series import (
     _LOG_DOUBLE_MAX,
     _exp_or_inf,
     _normalized,
-    _plain,
-    _tail,
     _tilde,
     EvalResult,
     FoxWrightParams,
     PfqRequest,
     Request,
-    TailSpec,
     evaluate_batch,
     log_term,
 )
@@ -231,8 +229,8 @@ def _turan(params: FoxWrightParams, z: float, slot: str) -> Rounds:
         raise DomainError(f"defined for z >= 0, got z={z!r}")
     v = pairs[0][0]
     c = 1.0 if slot == "alpha" else v / (v + 1.0)
-    r0, r1, r2 = yield [_plain(params, z), _plain(put(v + 1.0), z),
-                        _plain(put(v + 2.0), z)]
+    r0, r1, r2 = yield [Request(params, z), Request(put(v + 1.0), z),
+                        Request(put(v + 2.0), z)]
     return value_report(f"turan-{slot}", params.to_json(), z,
                         **_diff(_of(r0) * _of(r2),
                                 _Q(math.log(c)).computed() * _of(r1) ** 2))
@@ -340,7 +338,7 @@ def _ratio_monotonicity(params: FoxWrightParams, slot: str, v1: float,
     p_num, p_den = (put(vb), put(vs)) if slot == "beta" else (put(vs), put(vb))
 
     n = len(z_grid)
-    res = yield [_plain(p, z)
+    res = yield [Request(p, z)
                  for p in (p_num, p_den, p_num.shifted(), p_den.shifted())
                  for z in z_grid]
     en, ed, dn, dd = (res[i * n:(i + 1) * n] for i in range(4))
@@ -387,7 +385,9 @@ def _require_constant_upper(params: FoxWrightParams, what: str) -> None:
 
 def _tail_index(n: int) -> int:
     # a checker's tail index: an integer, as TailSpec takes it, and >= 0
-    n = TailSpec(n).n
+    if not _is_index(n):
+        raise ParameterError(f"tail index must be an integer, got {n!r}")
+    n = int(n)
     if n < 0:
         raise ParameterError(f"tail index must be >= 0, got {n}")
     return n
@@ -403,7 +403,7 @@ def _tail_turan(params: FoxWrightParams, n: int, z: float) -> Rounds:
     n = _tail_index(n)
     if not z > 0.0:
         raise DomainError(f"defined for z > 0, got z={z!r}")
-    t1, = yield [_tail(params, TailSpec(n + 1), z)]
+    t1, = yield [Request(params, z, n + 2)]
     big = _of(t1)
     # T_n = T_{n+1} + t_{n+1} and T_{n+2} = T_{n+1} - t_{n+2}, so the
     # squared-minus-product margin collapses to
@@ -433,7 +433,7 @@ def _kn_values(params: FoxWrightParams, n: int,
     for v in zs:
         if not v > 0.0:
             raise DomainError(f"defined for z > 0, got z={v!r}")
-    t1s = yield [_tail(params, TailSpec(n + 1), z) for z in zs]
+    t1s = yield [Request(params, z, n + 2) for z in zs]
     t1s = [_of(t1) for t1 in t1s]
     ab = [(_Q(log_term(params, z, n + 1)).computed() / t1,
            _Q(log_term(params, z, n + 2)).computed() / t1)
@@ -441,7 +441,7 @@ def _kn_values(params: FoxWrightParams, n: int,
     again = [i for i, (_, b) in enumerate(ab) if b.value > 0.5]
     t2s = {}
     if again:
-        t2s = dict(zip(again, (yield [_tail(params, TailSpec(n + 2), zs[i])
+        t2s = dict(zip(again, (yield [Request(params, zs[i], n + 3)
                                       for i in again])))
     kvals, kerrs = [], []
     for i, (t1, (a, b)) in enumerate(zip(t1s, ab)):
@@ -769,11 +769,11 @@ def _logconcavity(params: FoxWrightParams, z1: float, z2: float) -> Rounds:
         z1, z2 = z2, z1
 
     zm = 0.5 * (z1 + z2)
-    # fm and psi_m are one series: the batch sums it once
+    # psi_m is fm's series without its normalization, a batch row of its own
     f1, f2, fm, psi_m, dpsi_m = yield [
         _normalized(params, z1), _normalized(params, z2),
-        _normalized(params, zm), _plain(params, zm),
-        _plain(params.shifted(), zm)]
+        _normalized(params, zm), Request(params, zm),
+        Request(params.shifted(), zm)]
 
     b1, w1 = params.lower[0]
     log_c = log_gamma(b1) - log_gamma(b1 + w1)

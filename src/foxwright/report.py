@@ -105,7 +105,7 @@ class GridSpec:
     param_ranges maps a range name, z included, to an inclusive (lo, hi)
     interval with finite bounds.  mode is "random" (uniform draws from a
     seeded PRNG) or "lattice" (evenly spaced values, index-aligned across
-    parameters).
+    parameters).  samples is an integer >= 1 and seed an integer >= 0.
     """
 
     param_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -114,8 +114,13 @@ class GridSpec:
     mode: str = "random"
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise GridError(f"samples must be >= 1, got {self.samples}")
+        for name, least in (("samples", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not _is_index(v):
+                raise GridError(f"{name} must be an integer, got {v!r}")
+            if v < least:
+                raise GridError(f"{name} must be >= {least}, got {v}")
+            object.__setattr__(self, name, int(v))
         if self.mode not in ("random", "lattice"):
             raise GridError(f"mode must be 'random' or 'lattice', got {self.mode!r}")
         for name, (lo, hi) in self.param_ranges.items():
@@ -131,6 +136,11 @@ def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_index(v: object) -> bool:
+    """v is an integer (an int or a numpy integer), not a bool."""
+    return hasattr(type(v), "__index__") and not isinstance(v, bool)
+
+
 def grid_from_json(obj: dict[str, Any]) -> GridSpec:
     """Build a GridSpec from a plain dict (parsed grid file).
 
@@ -143,10 +153,9 @@ def grid_from_json(obj: dict[str, Any]) -> GridSpec:
     if not (_is_number(samples) and _is_number(seed)):
         raise GridError(f"samples and seed must be numbers, got samples="
                         f"{samples!r}, seed={seed!r}")
-    try:
-        samples, seed = int(samples), int(seed)
-    except (OverflowError, ValueError) as exc:  # inf or nan
-        raise GridError(f"samples and seed must be integers: {exc}") from None
+    # a JSON number such as 12.0 is read as the integer it holds
+    samples, seed = (int(v) if isinstance(v, float) and v.is_integer() else v
+                     for v in (samples, seed))
     mode = str(obj.get("mode", "random"))
     ranges: dict[str, tuple[float, float]] = {}
     for key, val in obj.items():

@@ -63,7 +63,9 @@ their error estimates but not bit for bit: a block is added with a pairwise
 sum instead of ``math.fsum``, and numpy's logarithms and exponentials may
 differ from ``math``'s in the last bit.  A series request at z <= 0 or with
 a psi weight takes the single-call path, the one engine for signed terms
-and cancellation, bit for bit.  Identical requests are summed once.  The
+and cancellation, bit for bit.  A series request is checked against its
+rules once, where it is summed: by ``_require_summable`` at the top of
+``_sum_series``, and in ``batch.evaluate`` for a tile row.  The
 pFq request kind runs the Pochhammer recurrence of ``functions.pfq_direct``
 element-wise across rows, in the same operations as one row, so its
 results are bit-identical to a single call.
@@ -92,7 +94,7 @@ from .gammakit import (
     digamma,
     log_gamma,
 )
-from .report import _is_number
+from .report import _is_index, _is_number
 
 __all__ = [
     "FoxWrightParams",
@@ -229,7 +231,7 @@ class TailSpec:
     n: int = -1
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not hasattr(type(self.n), "__index__"):
+        if not _is_index(self.n):
             raise ParameterError(f"tail index must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", operator.index(self.n))
         if self.n < -1:
@@ -241,7 +243,10 @@ class Request(NamedTuple):
     term index ``start``, term k multiplied by -psi(b + k*B) when
     ``psi_weight`` is the pair (b, B) (dbeta1's weight), and the
     log-magnitude of the result shifted by ``log_offset`` (a normalization
-    prefactor)."""
+    prefactor).  Its rules: z finite (else DomainError), epsilon > 0 (else
+    DivergentSeriesError), ``start`` an integer >= 0 and ``log_offset`` not
+    NaN (else ParameterError); an infinite offset, from a huge lnGamma, is
+    allowed."""
 
     params: FoxWrightParams
     z: float
@@ -746,13 +751,20 @@ class _TermLogs:
         return _dd_add(h, l, rh, rl)
 
 
-def _require_convergent(params: FoxWrightParams, z: float) -> None:
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got z={z!r}")
-    eps = params.epsilon()
+def _require_summable(req: Request) -> None:
+    # the rules of a series Request (see its docstring)
+    if not math.isfinite(req.z):
+        raise DomainError(f"z must be finite, got z={req.z!r}")
+    eps = req.params.epsilon()
     if not eps > 0.0:
         raise DivergentSeriesError(
             f"divergent series: epsilon = 1 + sum(B) - sum(A) = {eps:.6g} <= 0")
+    if not _is_index(req.start):
+        raise ParameterError(f"start must be an integer, got {req.start!r}")
+    if req.start < 0:
+        raise ParameterError(f"start must be >= 0, got {req.start}")
+    if math.isnan(req.log_offset):
+        raise ParameterError("log_offset must not be NaN")
 
 
 def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
@@ -835,6 +847,7 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     then in blocks.  Past the double range a term or the value raises
     OverflowError, unless log_mode: then the result is +-inf with its
     log-magnitude (evaluate_batch's policy)."""
+    _require_summable(req)
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
         # only term 0 is nonzero, and a tail from k >= 1 sums no term
@@ -987,32 +1000,19 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
                    terms, last_h, ratio, log_offset, log_mode)
 
 
-def _plain(params: FoxWrightParams, z: float) -> Request:
-    _require_convergent(params, z)
-    return Request(params, z)
-
-
 def _normalized(params: FoxWrightParams, z: float) -> Request:
-    _require_convergent(params, z)
     return Request(params, z, log_offset=-_log_term_at_zero(params))
 
 
 def _tilde(params: FoxWrightParams, z: float) -> Request:
     if not params.lower:
         raise ParameterError("tilde normalization needs at least one lower pair")
-    _require_convergent(params, z)
     return Request(params, z, log_offset=log_gamma(params.lower[0][0]))
-
-
-def _tail(params: FoxWrightParams, tail: TailSpec, z: float) -> Request:
-    _require_convergent(params, z)
-    return Request(params, z, start=tail.n + 1)
 
 
 def _dbeta1(params: FoxWrightParams, z: float) -> Request:
     if not params.lower:
         raise ParameterError("dbeta1 needs at least one lower pair")
-    _require_convergent(params, z)
     return Request(params, z, psi_weight=params.lower[0])
 
 
@@ -1030,7 +1030,7 @@ def _single(req: Request | PfqRequest) -> EvalResult:
 
 def evaluate(params: FoxWrightParams, z: float) -> EvalResult:
     """Evaluate the series at z."""
-    return _sum_series(_plain(params, z), False)
+    return _sum_series(Request(params, z), False)
 
 
 def evaluate_normalized(params: FoxWrightParams, z: float) -> EvalResult:
@@ -1047,7 +1047,7 @@ def evaluate_tail(params: FoxWrightParams, tail: TailSpec,
                   z: float) -> EvalResult:
     """Evaluate the section starting at k = tail.n + 1 (summed directly,
     never by subtracting a head partial sum from the full series)."""
-    return _sum_series(_tail(params, tail, z), False)
+    return _sum_series(Request(params, z, tail.n + 1), False)
 
 
 def derivative(params: FoxWrightParams, z: float) -> EvalResult:
@@ -1065,15 +1065,14 @@ def evaluate_batch(requests: list) -> list:
 
     Returns one EvalResult per request, in order, or the exception the
     request fails with in its place: the DomainError, ParameterError or
-    DivergentSeriesError of a request the single calls refuse,
-    NoConvergenceError, or OverflowError.  Series requests are summed in
-    log mode: one past the double range returns +-inf with its finite
-    log_magnitude, while a pFq row whose term leaves the range fails with
-    OverflowError.
+    DivergentSeriesError of a request that breaks the rules of Request or
+    PfqRequest (as the single calls refuse it), NoConvergenceError, or
+    OverflowError.  Series requests are summed in log mode: one past the
+    double range returns +-inf with its finite log_magnitude, while a pFq
+    row whose term leaves the range fails with OverflowError.
     Series requests at z > 0 with no psi_weight are the rows of one tile,
     the others take the single-call path bit for bit, and pFq requests of
-    one (p, q) shape are the rows of one recurrence; requests equal but for
-    log_offset are summed once.
+    one (p, q) shape are the rows of one recurrence.
     Every result is independent of the other requests in the batch.
     """
     # the batch module is imported on first use: importing the package

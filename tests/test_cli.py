@@ -162,7 +162,7 @@ def test_check_numerical_failure_exits_3(params_file, tmp_path):
     assert "numerical-failure" in {r["status"] for r in rows}
 
 
-def test_check_invalid_grid_exits_2(params_file, tmp_path):
+def test_check_invalid_grid_exits_2(params_file, tmp_path, capsys):
     grid = params_file({"alpha1": [0.2, 0.8], "beta2": [2.0, 4.0]},
                        "bad.json")
     assert main(["check", "--suite", "lazarevic", "--grid", grid,
@@ -170,6 +170,10 @@ def test_check_invalid_grid_exits_2(params_file, tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("{", encoding="utf-8")
     assert main(["check", "--suite", "lazarevic", "--grid", str(junk)]) == 2
+    capsys.readouterr()
+    assert main(["check", "--suite", "chi", "--samples", "2",
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("name, pair", [

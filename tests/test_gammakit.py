@@ -113,7 +113,7 @@ def test_log_gamma_array_is_log_gamma(simd_target):
     # their neighbours, and the exact zeros 1 and 2
     rng = np.random.default_rng(7)
     edges = [0.5, 1.5, 2.5, 7.5, 8.0]
-    pts = [1.0, 2.0, 1e-300, 5e-324, 1e12, 1e150]
+    pts = [1.0, 2.0, 30.0, 1e3, 1e-300, 5e-324, 1e12, 1e150]
     pts += [math.nextafter(x, d) for x in edges + [1.0, 2.0]
             for d in (0, 20)]
     # Stirling arguments whose np.log differs from math.log in the last

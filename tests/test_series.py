@@ -31,6 +31,7 @@ from foxwright import (
     log_term,
     pfq_direct,
     tail_turan_check,
+    turan_alpha_check,
     turan_beta_check,
 )
 from foxwright import batch, gammakit, series
@@ -120,7 +121,7 @@ ZERO_GOLDEN = {
                ("0x0.0p+0", "0x0.0p+0", _ONE, "-inf")),
     "log-mode": (
         lambda: series._sum_series(
-            series._plain(FoxWrightParams(((200.0, 0.5),)), 0.0), True),
+            series.Request(FoxWrightParams(((200.0, 0.5),)), 0.0), True),
         1, 1, ("inf", "0x0.0p+0", _ONE, "0x1.acf7827e2ba8fp+9")),
 }
 
@@ -223,7 +224,7 @@ def test_overflow_and_log_mode():
            "evaluate_batch returns the series' log-magnitude")
     with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
         evaluate(FoxWrightParams(), 1e30)
-    res = series._sum_series(series._plain(FoxWrightParams(), 800.0), True)
+    res = series._sum_series(series.Request(FoxWrightParams(), 800.0), True)
     assert math.isinf(res.value)
     assert abs(res.log_magnitude - 800.0) <= 1e-9
     assert res.sign == 1
@@ -233,7 +234,7 @@ def test_log_mode_beyond_double_range_in_blocks():
     # sum z^k/(k+1)! = (e^z - 1)/z, about e^793 here: its ~1000 terms run
     # almost all in the block phase
     params = FoxWrightParams(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
-    res = series._sum_series(series._plain(params, 800.0), True)
+    res = series._sum_series(series.Request(params, 800.0), True)
     assert res.terms_used > 900
     assert math.isinf(res.value) and res.sign == 1
     assert abs(res.log_magnitude - (800.0 - math.log(800.0))) <= 1e-12 * 800.0
@@ -556,7 +557,7 @@ GOLDEN = {
         ("0x1.c246b6fc8ea74p+303", "0x1.1cc6f079af2d6p+256",
          "0x1.0000000000000p+0", "0x1.a52d32f89722cp+7")),
     "log_mode P_EXPM1 800.0": (
-        lambda: series._sum_series(series._plain(P_EXPM1, 800.0), True),
+        lambda: series._sum_series(series.Request(P_EXPM1, 800.0), True),
         1032, 1,
         ("inf", "inf", "0x1.0000000000000p+0", "0x1.8ca85ea4959aap+9")),
     "dbeta1 P1 2.0": (
@@ -983,11 +984,11 @@ def _abs_err(res):
 
 
 _VARIANTS = {
-    "plain": lambda p, z, n: series._plain(p, z),
+    "plain": lambda p, z, n: series.Request(p, z),
     "normalized": lambda p, z, n: series._normalized(p, z),
     "tilde": lambda p, z, n: series._tilde(p, z),
-    "tail": lambda p, z, n: series._tail(p, TailSpec(n), z),
-    "derivative": lambda p, z, n: series._plain(p.shifted(), z),
+    "tail": lambda p, z, n: series.Request(p, z, n + 1),
+    "derivative": lambda p, z, n: series.Request(p.shifted(), z),
     "dbeta1": lambda p, z, n: series._dbeta1(p, z),
 }
 
@@ -1034,23 +1035,26 @@ def test_batch_agrees_with_single_calls(cases):
 
 def test_batch_results_do_not_depend_on_the_batch():
     # one tile of many rows against each row alone, bit for bit
-    reqs = [series._plain(P1, z) for z in (0.5, -2.0, 3.5, 9.0)]
-    reqs += [series._tail(P_CROSS, TailSpec(n), -7.25) for n in (0, 3, 40)]
+    reqs = [series.Request(P1, z) for z in (0.5, -2.0, 3.5, 9.0)]
+    reqs += [series.Request(P_CROSS, -7.25, n + 1) for n in (0, 3, 40)]
     reqs += [series._normalized(P_LONG, 4.0), series._dbeta1(P1, 2.0)]
+    # a repeated request is a row of its own, summed as the first one is
+    reqs += [series.Request(P1, 3.5), series.Request(P_CROSS, -7.25, 4)]
     together = series.evaluate_batch(reqs)
     alone = [series.evaluate_batch([r])[0] for r in reqs]
     assert repr(together) == repr(alone)
+    assert repr(together[-2:]) == repr([together[2], together[5]])
 
 
 def test_batch_failures_stay_in_their_request(monkeypatch):
     # Gamma(a) e^z in one tile: e^39 needs 102 terms, beyond the budget
     # of 100, and Gamma(200) e lies past the double range, summed in log mode
     monkeypatch.setattr(series, "_MAX_TERMS", 100)
-    good = [series._plain(FoxWrightParams(upper=((2.5, 0.0),)), z)
+    good = [series.Request(FoxWrightParams(upper=((2.5, 0.0),)), z)
             for z in (37.0, -2.0, 5.0)]
     got = series.evaluate_batch(
-        [good[0], series._plain(FoxWrightParams(upper=((2.5, 0.0),)), 39.0),
-         good[1], series._plain(FoxWrightParams(upper=((200.0, 0.0),)), 1.0),
+        [good[0], series.Request(FoxWrightParams(upper=((2.5, 0.0),)), 39.0),
+         good[1], series.Request(FoxWrightParams(upper=((200.0, 0.0),)), 1.0),
          good[2]])
     assert isinstance(got[1], NoConvergenceError)
     assert "within 100 terms" in str(got[1])
@@ -1064,14 +1068,17 @@ def test_batch_failures_stay_in_their_request(monkeypatch):
 
 def test_batch_refuses_hand_built_requests_as_the_single_calls_do(
         monkeypatch):
+    # every series request is checked once, where it is summed: a tile row
+    # in batch.evaluate, a routed one in _sum_series
     checked = []
-    check = batch._require_convergent
+    check = series._require_summable
 
-    def counting(params, z):
-        checked.append((params, z))
-        return check(params, z)
+    def counting(req):
+        checked.append(req)
+        return check(req)
 
-    monkeypatch.setattr(batch, "_require_convergent", counting)
+    monkeypatch.setattr(series, "_require_summable", counting)
+    monkeypatch.setattr(batch, "_require_summable", counting)
     exp, flat = FoxWrightParams(), FoxWrightParams(upper=((1.0, 1.0),))
     bad = [series.Request(exp, math.inf), series.Request(exp, math.nan),
            series.Request(FoxWrightParams(upper=((1.0, 2.0),)), 0.5),
@@ -1079,7 +1086,7 @@ def test_batch_refuses_hand_built_requests_as_the_single_calls_do(
            series.Request(P1, -math.inf, psi_weight=P1.lower[0])]
     good = series.Request(exp, 1.0)
     got = series.evaluate_batch([bad[0], good, *bad[1:], bad[0], good])
-    assert len(checked) == 6  # repeated tile rows once
+    assert len(checked) == 8
     refused = got[:1] + got[2:6]
     assert [type(e) for e in refused] == [DomainError, DomainError,
                                           DivergentSeriesError,
@@ -1087,8 +1094,50 @@ def test_batch_refuses_hand_built_requests_as_the_single_calls_do(
     for req, err in zip(bad, refused):
         with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
             evaluate(req.params, req.z)
-    assert got[6] is got[0]
+    assert repr(got[6]) == repr(got[0])
     assert repr(got[1]) == repr(got[7]) == repr(series.evaluate_batch([good])[0])
+
+    # a start that is no index >= 0, or a NaN offset, fails in its place,
+    # on the tile path and the routed path alike
+    p = FoxWrightParams(((1.5, 0.7),), ((2.5, 1.2),))
+    bad = [series.Request(p, 2.0, start=2.5),
+           series.Request(p, -2.0, start=2.5),
+           series.Request(p, 2.0, start=-3),
+           series.Request(p, 2.0, start=True),
+           series.Request(p, 2.0, log_offset=math.nan)]
+    checked.clear()
+    got = series.evaluate_batch([*bad, good])
+    assert len(checked) == 6
+    assert [str(e) for e in got[:5]] == [
+        "start must be an integer, got 2.5",
+        "start must be an integer, got 2.5",
+        "start must be >= 0, got -3",
+        "start must be an integer, got True",
+        "log_offset must not be NaN"]
+    for req, err in zip(bad, got):
+        assert type(err) is ParameterError
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(err))}$"):
+            series._sum_series(req, True)
+    assert repr(got[5]) == repr(series.evaluate_batch([good])[0])
+    # a numpy integer is an index
+    got = series.evaluate_batch([series.Request(p, 2.0, np.int64(3)),
+                                 series.Request(p, 2.0, 3)])
+    assert repr(got[0]) == repr(got[1])
+
+
+def test_each_series_request_is_checked_once(monkeypatch):
+    # the checker builds its requests unchecked; the batch checks each once
+    calls = []
+    eps = FoxWrightParams.epsilon
+
+    def counting(self):
+        calls.append(self)
+        return eps(self)
+
+    monkeypatch.setattr(FoxWrightParams, "epsilon", counting)
+    rep = turan_alpha_check(FoxWrightParams(((1.5, 0.7),), ((2.5, 1.2),)), 0.5)
+    assert rep.passed
+    assert len(calls) == 3
 
 
 def test_batch_refuses_hand_built_pfq_requests_as_pfq_direct_does(
@@ -1137,38 +1186,18 @@ def test_batch_refuses_hand_built_pfq_requests_as_pfq_direct_does(
         assert (type(res), str(res)) == (type(one), str(one)), req
 
 
-def test_batch_sums_identical_series_once(monkeypatch):
-    rows = []
-
-    class Counting(batch._RowSums):
-        def __init__(self, reqs):
-            rows.append(len(reqs))
-            super().__init__(reqs)
-
-    monkeypatch.setattr(batch, "_RowSums", Counting)
-    plain, norm = series._plain(P1, 2.0), series._normalized(P1, 2.0)
-    a, b, c = series.evaluate_batch([plain, norm, plain])
-    assert rows == [1]
-    assert repr(a) == repr(c)
-    offset = norm.log_offset
-    assert b.terms_used == a.terms_used
-    assert abs(b.log_magnitude - (a.log_magnitude + offset)) <= 1e-13
-    assert b.tail_bound == pytest.approx(a.tail_bound * math.exp(offset),
-                                         rel=1e-13)
-
-
 def test_signed_and_weighted_requests_take_the_single_call_path():
     # z < 0 and dbeta1 rows are summed by _sum_series, bit for bit as one
     # call, in the same batch as z > 0 rows
     routed = [
-        (series._plain(P1, -2.5), lambda: evaluate(P1, -2.5)),
-        (series._tail(P_CROSS, TailSpec(3), -7.25),
+        (series.Request(P1, -2.5), lambda: evaluate(P1, -2.5)),
+        (series.Request(P_CROSS, -7.25, 3 + 1),
          lambda: evaluate_tail(P_CROSS, TailSpec(3), -7.25)),
         (series._tilde(P_LONG, -4.0), lambda: evaluate_tilde(P_LONG, -4.0)),
         (series._dbeta1(P1, 2.0), lambda: dbeta1(P1, 2.0)),
         (series._dbeta1(P_LONG, -3.0), lambda: dbeta1(P_LONG, -3.0)),
     ]
-    positive = [series._plain(P1, 0.5), series._normalized(P_LONG, 4.0)]
+    positive = [series.Request(P1, 0.5), series._normalized(P_LONG, 4.0)]
     reqs = [positive[0]] + [r for r, _ in routed] + [positive[1]]
     got = series.evaluate_batch(reqs)
     assert [repr(r) for r in got[1:-1]] == [repr(one()) for _, one in routed]
@@ -1178,9 +1207,9 @@ def test_signed_and_weighted_requests_take_the_single_call_path():
 def test_routed_requests_that_outrun_the_budget_fail_in_place(monkeypatch):
     monkeypatch.setattr(series, "_MAX_TERMS", 20)
     p = FoxWrightParams(upper=((1.5, 0.5),), lower=((2.0, 1.0),))
-    good = [series._plain(p, 0.5), series._plain(p, -0.5)]
+    good = [series.Request(p, 0.5), series.Request(p, -0.5)]
     got = series.evaluate_batch(
-        [good[0], series._plain(p, -30.0), series._dbeta1(p, 30.0), good[1]])
+        [good[0], series.Request(p, -30.0), series._dbeta1(p, 30.0), good[1]])
     for res in got[1:3]:
         assert isinstance(res, NoConvergenceError)
         assert "within 20 terms" in str(res)
@@ -1192,7 +1221,7 @@ def test_batch_returns_values_past_the_double_range_in_log_mode():
     # -inf, each bit for bit its log-mode single-call sum, while a pFq row
     # whose second term leaves the range fails in place
     big = FoxWrightParams(((200.0, 0.5),))
-    routed = [series._plain(big, -0.5),
+    routed = [series.Request(big, -0.5),
               series._dbeta1(FoxWrightParams(big.upper, ((3.0, 1.0),)), 0.5)]
     pfq = PfqRequest((4.0,), (1.5,), -1e300)
     got = series.evaluate_batch([routed[0], pfq, routed[1]])
@@ -1224,16 +1253,6 @@ def test_dd_log_array_matches_scalar():
         with mp.workdps(50):
             ref = mp.log(mp.mpf(x))
             assert abs((mp.mpf(hh) + mp.mpf(ll)) - ref) <= 1e-31 * abs(ref), x
-
-
-def test_log_gamma_array_matches_scalar():
-    xs = np.concatenate([np.linspace(1e-3, 13.0, 4001), [1.0, 2.0, 0.5, 1.5,
-                                                          8.0, 30.0, 1e3]])
-    got = gammakit._log_gamma_array(xs)
-    ref = np.array([series.log_gamma(x) for x in xs.tolist()])
-    assert got[xs == 1.0][0] == 0.0 and got[xs == 2.0][0] == 0.0
-    assert np.all(np.abs(got - ref) <= 4 * 2.0 ** -52 * np.maximum(1.0,
-                                                                  np.abs(ref)))
 
 
 def _pfq_loop(upper, lower, z):

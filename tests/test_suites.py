@@ -190,6 +190,26 @@ def test_grid_from_json_refuses_bools_strings_and_inf(blob):
         12, 4, (0.0, 1.5))
 
 
+def test_grid_samples_and_seed_must_be_integers():
+    # a fractional count or seed is refused, not truncated, and a negative
+    # seed in either mode, as the random mode's generator cannot take one
+    for blob in ({"samples": 2.5}, {"seed": 1.7}, {"seed": -1},
+                 {"seed": -1, "mode": "lattice"}):
+        with pytest.raises(GridError):
+            grid_from_json(blob)
+    for kw in ({"samples": 3.5}, {"seed": 1.7}, {"seed": -1},
+               {"seed": -2, "mode": "lattice"}, {"samples": np.float64(3.0)}):
+        with pytest.raises(GridError):
+            GridSpec(**kw)
+    # integral JSON floats and numpy integers are integers
+    spec = grid_from_json({"samples": 2.0, "seed": 3.0})
+    assert (spec.samples, spec.seed) == (2, 3)
+    spec = GridSpec(samples=np.int64(2), seed=np.uint8(3))
+    assert (type(spec.samples), type(spec.seed)) == (int, int)
+    assert run_suite("chi", spec) == run_suite("chi",
+                                               GridSpec(samples=2, seed=3))
+
+
 def test_a_fractional_n_range_draws_only_its_integers():
     spec = GridSpec(param_ranges={"n": (2.5, 3.2)}, samples=40, seed=1)
     assert {r.params_echo["n"] for r in run_suite("kn-bound", spec)} == {3}
