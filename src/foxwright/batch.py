@@ -2,13 +2,14 @@
 
 Series requests at z > 0 with no psi weight are summed as the rows of
 (series x k) tiles, so every term is positive; the others go to the
-single-call ``_sum_series``, which owns signed terms and cancellation.  pFq
-requests run their recurrence element-wise across rows; see the ``series``
-module docstring.  The array kernels the tiles use sit beside their scalar
-twins: ``_dd_log_array`` and the coefficient fold ``_fold`` in ``series``,
-``_log_gamma_array`` in ``gammakit``.  ``series.evaluate_batch`` imports
-this module on its first call, so importing the package for single calls
-does not load it.
+single-call ``_sum_series``, which owns signed terms and cancellation.
+Each block of a tile ends its rows by ``series._stops``, the block stop rule
+that ``_sum_series`` runs too.  pFq requests run their recurrence
+element-wise across rows; see the ``series`` module docstring.  The array
+kernels the tiles use sit beside their scalar twins: ``_dd_log_array`` and
+the coefficient fold ``_fold`` in ``series``, ``_log_gamma_array`` in
+``gammakit``.  ``series.evaluate_batch`` imports this module on its first
+call, so importing the package for single calls does not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .series import (
     _BLOCK_MAX,
     _EXPAND_MIN,
     _LN_K,
-    _LOG_DOUBLE_MAX,
     _REL_TOL,
     EvalResult,
     PfqRequest,
@@ -44,6 +44,7 @@ from .series import (
     _no_stop,
     _require_convergent_pfq,
     _require_summable,
+    _stops,
     _sum_series,
     _two_sum,
 )
@@ -166,8 +167,7 @@ class _RowSums:
         self.k0 = self.start.copy()
         self.scale_h = np.full(n, -math.inf)
         self.prev_h = np.full(n, -math.inf)
-        (self.scale_l, self.total, self.comp, self.prev_l,
-         self.ratio) = np.zeros((5, n))
+        self.scale_l, self.total, self.comp, self.prev_l = np.zeros((4, n))
         self.streak = np.zeros(n, dtype=int)
         self.terms = np.zeros(n, dtype=int)
         self.out: list = [None] * n
@@ -192,51 +192,36 @@ class _RowSums:
         sh, sl = np.where(up, top_h, sh), np.where(up, top_l, sl)
         t = np.exp(lh - sh[:, None]) * (1.0 + (ll - sl[:, None]))
 
-        # the stop rule of _sum_series on cumsum partials: three small terms
-        # in a row, counting the streak carried in, and a last ratio below 1
+        # _stops on cumsum partials; as in the head, a start term is never small
         partial = (total + comp)[:, None] + np.cumsum(t, axis=1)
         small = valid & (fk > self.start[ix, None]) & (t <= _REL_TOL * partial)
-        streak = self.streak[ix]
-        run = np.concatenate([(streak >= 2)[:, None], (streak >= 1)[:, None],
-                              small], axis=1)
-        ph = np.concatenate([self.prev_h[ix, None], lh[:, :-1]], axis=1)
-        pl = np.concatenate([self.prev_l[ix, None], ll[:, :-1]], axis=1)
-        d = (lh - ph) + (ll - pl)
-        ratio = np.where(ph == -math.inf, math.inf,
-                         np.where(d < _LOG_DOUBLE_MAX, np.exp(d), math.inf))
-        stop = run[:, 2:] & run[:, 1:-1] & run[:, :-2] & (ratio < 1.0)
-        hit = stop.any(axis=1)
-        used = np.where(hit, np.argmax(stop, axis=1) + 1, n)
+        used, hit, d, self.streak[ix] = _stops(
+            lh, ll, self.prev_h[ix], self.prev_l[ix], small, self.streak[ix])
         keep = np.arange(n) < used[:, None]
 
         total, comp = _neumaier_array(total, comp,
                                       np.where(keep, t, 0.0).sum(axis=1))
-        last = used - 1
-        rev = ~small[:, ::-1]
-        self.streak[ix] = np.where(rev.any(axis=1), np.argmax(rev, axis=1),
-                                   streak + n)
         self.scale_h[ix], self.scale_l[ix] = sh, sl
         self.total[ix], self.comp[ix] = total, comp
         self.terms[ix] += used
-        self.prev_h[ix], self.prev_l[ix] = lh[at, last], ll[at, last]
-        self.ratio[ix] = ratio[at, last]
+        self.prev_h[ix], self.prev_l[ix] = lh[at, used - 1], ll[at, used - 1]
         self.k0[ix] += n
 
+        ratio = np.exp(d)
         for r in np.flatnonzero(hit).tolist():
-            self.out[ix[r]] = self._raw(ix[r])
+            self.out[ix[r]] = self._raw(ix[r], ratio[r])
         going = ~hit
         for r in np.flatnonzero(going & ~valid[:, -1]).tolist():
             self.out[ix[r]] = _no_stop(self.reqs[ix[r]])
             going[r] = False
         return ix[going]
 
-    def _raw(self, i: int) -> tuple:
-        # the arguments of _finish before log_offset and log_mode; a sum of
-        # positive terms is its own sum of |t_k|
+    def _raw(self, i: int, ratio: float) -> tuple:
+        # the arguments of _finish before log_offset and log_mode, with the
+        # stop's ratio; a sum of positive terms is its own sum of |t_k|
         total = float(self.total[i] + self.comp[i])
         return (float(self.scale_h[i]), float(self.scale_l[i]), total, total,
-                int(self.terms[i]), float(self.prev_h[i]),
-                float(self.ratio[i]))
+                int(self.terms[i]), float(self.prev_h[i]), float(ratio))
 
     def run(self) -> list:
         live = np.arange(len(self.reqs))

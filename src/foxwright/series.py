@@ -31,8 +31,8 @@ from per-k tables that ``_log_int_dd`` and ``log_gamma`` fill at import.  A
 series still running after that continues in numpy blocks of 64, 128, 256
 and then 512 terms: the same head/tail arithmetic applied element-wise (the
 error-free transforms are exact on IEEE float64 arrays), each block summed
-with ``math.fsum`` and tested against the same stop rule, so a block ends the
-series at the same term as the one-term loop would.  The blocks' term logs
+with ``math.fsum`` and ended by ``_stops``, the block stop rule both block
+engines share, which decides the ratio on its log.  The blocks' term logs
 are read ahead: the first read covers, in whole blocks, what the head says
 the series still needs, up to 2,048 terms, and later reads 1,024.  They take
 ln(k) from ``_LN_K``, which ``_log_ints_dd`` fills at import for k < 8,192
@@ -54,7 +54,7 @@ z > 0 with no psi weight, whose terms are all positive, become the rows of
 exact zeros.  Each row keeps the coefficient table of every stage of its
 expansion (set up for all rows together, with ``_dd_log_array``), the
 factors still below the Stirling threshold go through
-``_log_gamma_array``, and each block of k runs the same stop rule per row on
+``_log_gamma_array``, and each block of k runs ``_stops`` row by row on
 ``cumsum`` partials, so a row's result never depends on the other rows of
 its tile.  Blocks start at 16 terms and double up to 512; a block call
 holds at most ``batch._TILE_CAP`` (row, k, factor) elements an array, and
@@ -211,8 +211,8 @@ class EvalResult:
     value is sign * exp(log_magnitude) when that is representable, and +-inf
     past the double range (only evaluate_batch returns such a result).
     tail_bound is the geometric bound on the truncation error, in value
-    space, taken from the last term ratio (later ratios are not bounded, so
-    it is an estimate, not a proof).
+    space, from the term ratio at the stop (``_stops``, then ``_finish``);
+    later ratios are not bounded, so it is an estimate, not a proof.
     condition_estimate = sum|term| / |sum term| is exactly 1.0 for z >= 0.
     """
 
@@ -783,7 +783,7 @@ def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
     # exact-sum the three log contributions so exp sees a faithful argument
     h, e1 = _two_sum(scale_h, math.log(abs(total)))
     h, e2 = _two_sum(h, log_offset)
-    resid = e1 + e2 + scale_l
+    resid = e1 + e2 + scale_l if math.isfinite(h) else 0.0  # e2 NaN at h = +-inf
     log_mag = h + resid
     sgn = 1 if total > 0.0 else -1
     if log_mag > _LOG_DOUBLE_MAX and not log_mode:
@@ -842,6 +842,35 @@ def _ratio(prev_h: float, prev_l: float, lh: float, ll: float) -> float:
     return math.exp(d) if d < _LOG_DOUBLE_MAX else math.inf
 
 
+# the block rule decides the ratio of a term to the one before on its log
+# d: d < _D_STOP is the same test on every CPU, and any faithful exp(d)
+# stays below 1 there, so a stop's geometric tail bound stays positive
+_D_STOP = -2.0 ** -52
+
+
+def _stops(lh, ll, prev_h, prev_l, small, streak):
+    """The block stop rule of both block engines, over (row, k) arrays: a
+    row stops at its first term that ends three small terms in a row (the
+    ``streak`` carried in counts) and whose d = (lh - prev_h) + (ll -
+    prev_l) is below _D_STOP, as a zero term's -inf is after a nonzero one.
+    Returns per row the terms used, whether it stopped, the d of its stop
+    (NaN if it did not), and the streak of small terms it carries out."""
+    rows, n = lh.shape
+    if not small.any():  # no row can stop, and none carries a streak out
+        return (np.full(rows, n), np.zeros(rows, dtype=bool),
+                np.full(rows, np.nan), np.zeros(rows, dtype=int))
+    # the small terms in a row that end at each term, the streak counting
+    k = np.arange(n)
+    run = k - np.maximum.accumulate(np.where(small, (-1 - streak)[:, None], k),
+                                    axis=1)
+    d = np.diff(lh, prepend=prev_h[:, None]) + np.diff(ll, prepend=prev_l[:, None])
+    stop = (run >= 3) & (d < _D_STOP)
+    at, first = np.arange(rows), stop.argmax(axis=1)
+    hit = stop[at, first]
+    return (np.where(hit, first + 1, n), hit,
+            np.where(hit, d[at, first], np.nan), run[:, -1])
+
+
 def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     """Scaled compensated summation of one request, one term at a time and
     then in blocks.  Past the double range a term or the value raises
@@ -873,7 +902,6 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     prev_h = None
     prev_l = 0.0
     ratio = math.inf
-    last_h = -math.inf
     streak = 0
     terms = 0
     stopped = False
@@ -902,7 +930,6 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
 
         ratio = math.inf if prev_h is None else _ratio(prev_h, prev_l, lh, ll)
         prev_h, prev_l = lh, ll
-        last_h = lh
 
         # stop rule: three consecutive relatively small terms, and the last
         # ratio below 1 so the geometric tail bound is meaningful
@@ -938,25 +965,21 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
         n = min(size, end - k)
         lh, ll = gen.block(k, k + n)
 
+        # scale_h is finite here: a head of zero terms stops at its third
         top = int(lh.argmax())
         top_h, top_l = float(lh[top]), float(ll[top])
         if top_h > scale_h:
-            if scale_h > -math.inf:
-                f = math.exp(scale_h - top_h) * (1.0 + (scale_l - top_l))
-                total *= f
-                comp *= f
-                total_abs *= f
-                comp_abs *= f
+            f = math.exp(scale_h - top_h) * (1.0 + (scale_l - top_l))
+            total *= f
+            comp *= f
+            total_abs *= f
+            comp_abs *= f
             scale_h, scale_l = top_h, top_l
-        if scale_h > -math.inf:
-            t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
-        else:
-            t = np.zeros(n)
+        t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
 
-        # the stop rule of the one-term loop, tested on cumsum partial sums;
-        # the terms up to the stop are then added with fsum.  Unsigned terms
-        # are positive: their partials need no abs, and a zero term (log
-        # -inf) is small by its size alone
+        # _stops on this one row, over cumsum partial sums; the terms up to the
+        # stop are then added with fsum.  Unsigned terms are positive: their
+        # partials need no abs, and a zero term is small by its size alone
         if signed:
             x = gen.signs(k, k + n) * t
             partial = np.abs((total + comp) + x.cumsum())
@@ -964,15 +987,10 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
         else:
             x = t
             small = t <= _REL_TOL * ((total + comp) + t.cumsum())
-        run = np.concatenate(([streak >= 2, streak >= 1], small))
-        used = n
-        for i in (run[2:] & run[1:-1] & run[:-2]).nonzero()[0].tolist():
-            ph, pl = (prev_h, prev_l) if i == 0 else (lh[i - 1], ll[i - 1])
-            ratio = _ratio(float(ph), float(pl), float(lh[i]), float(ll[i]))
-            if ratio < 1.0:
-                used = i + 1
-                stopped = True
-                break
+        used, stopped, d, streak = (v.item() for v in _stops(
+            lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
+            small[None], np.array([streak])))
+        ratio = math.exp(d)  # at a stop, _ratio's value at d < 0; else NaN
         if top_h > _LOG_DOUBLE_MAX and not log_mode:
             over = np.flatnonzero(lh[:used] > _LOG_DOUBLE_MAX)
             if over.size:
@@ -985,9 +1003,6 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
                                             math.fsum(memoryview(t[:used])))
         terms += used
         prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
-        last_h = prev_h
-        large = (~small).nonzero()[0]
-        streak = streak + n if large.size == 0 else n - 1 - int(large[-1])
         k += n
         size = min(2 * size, _BLOCK_MAX)
 
@@ -997,7 +1012,7 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     if not signed:
         total_abs, comp_abs = total, comp
     return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
-                   terms, last_h, ratio, log_offset, log_mode)
+                   terms, prev_h, ratio, log_offset, log_mode)
 
 
 def _normalized(params: FoxWrightParams, z: float) -> Request:

@@ -1236,6 +1236,149 @@ def test_batch_returns_values_past_the_double_range_in_log_mode():
         evaluate(*routed[0][:2])
 
 
+@pytest.mark.parametrize("z", [2.0, -2.0])  # a tile row, a signed row
+def test_infinite_log_offset_gives_zero_or_infinity(z):
+    p = FoxWrightParams(((1.5, 0.7),), ((2.5, 1.2),))
+    low, high = (series.Request(p, z, log_offset=off)
+                 for off in (-math.inf, math.inf))
+    for res in (series.evaluate_batch([low])[0], series._sum_series(low, False)):
+        assert (res.value, res.log_magnitude, res.tail_bound) == (
+            0.0, -math.inf, 0.0)
+    res = series.evaluate_batch([high])[0]
+    assert (res.value, res.log_magnitude) == (res.sign * math.inf, math.inf)
+    with pytest.raises(OverflowError, match="log-magnitude inf"):
+        series._sum_series(high, False)
+
+
+# _stops on hand-built blocks of width 4: (lh, ll, prev_h, prev_l, small,
+# streak in) and the expected (terms used, stopped, d of the stop, streak
+# out)
+_D = series._D_STOP
+_FALLING, _RISING = [-1.0, -2.0, -3.0, -4.0], [1.0, 2.0, 3.0, 4.0]
+_T, _F = [True] * 4, [False] * 4
+_STOP_BLOCKS = {
+    "carried streak of 2 stops at index 0": (
+        (_FALLING, [0.0] * 4, 0.0, 0.0, _T, 2), (1, True, -1.0, 6)),
+    "carried streak of 1 stops at index 1": (
+        (_FALLING, [0.0] * 4, 0.0, 0.0, [True, True, False, False], 1),
+        (2, True, -1.0, 0)),
+    "a rising term does not stop, the falling next one does": (
+        ([1.0, 0.0, -1.0, -2.0], [0.0] * 4, 0.0, 0.0, _T, 2),
+        (2, True, -1.0, 6)),
+    "d at _D_STOP does not stop": (
+        ([0.0] * 4, [_D, 2 * _D, 3 * _D, 4 * _D], 0.0, 0.0, _T, 3),
+        (4, False, math.nan, 7)),
+    "d in (_D_STOP, 0) does not stop": (
+        ([0.0] * 4, [-2.0 ** -53 * k for k in (1, 2, 3, 4)], 0.0, 0.0, _T, 3),
+        (4, False, math.nan, 7)),
+    "d just below _D_STOP stops": (
+        ([0.0] * 4, [math.nextafter(_D, -1.0)] * 4, 0.0, 0.0, _T, 3),
+        (1, True, math.nextafter(_D, -1.0), 7)),
+    "a zero term stops": (
+        ([-math.inf, -1.0, -2.0, -3.0], [0.0] * 4, 0.0, 0.0, _T, 2),
+        (1, True, -math.inf, 6)),
+    "a term after a zero term does not stop": (
+        (_FALLING, [0.0] * 4, -math.inf, 0.0, _T, 2), (2, True, -1.0, 6)),
+    "the streak out counts the trailing small terms": (
+        (_RISING, [0.0] * 4, 0.0, 0.0, [True, False, True, True], 5),
+        (4, False, math.nan, 2)),
+    "the streak out adds the streak carried in": (
+        (_RISING, [0.0] * 4, 0.0, 0.0, _T, 1), (4, False, math.nan, 5)),
+    "a stop at the last term uses the whole block": (
+        (_FALLING, [0.0] * 4, 0.0, 0.0, [False, True, True, True], 0),
+        (4, True, -1.0, 3)),
+    "no small term": ((_FALLING, [0.0] * 4, 0.0, 0.0, _F, 2),
+                      (4, False, math.nan, 0)),
+}
+
+
+def _stops_of(rows):
+    lh, ll, ph, pl, small, streak = (np.array(c) for c in zip(*rows))
+    return [tuple(v.tolist()) for v in series._stops(lh, ll, ph, pl, small,
+                                                       streak)]
+
+
+def test_block_stop_rule_on_hand_built_blocks():
+    cases = list(_STOP_BLOCKS.values())
+    for block, want in cases:
+        got = tuple(v[0] for v in _stops_of([block]))
+        assert repr(got) == repr(want), block
+    # each row of one stacked call is that row alone
+    stacked = list(zip(*_stops_of([block for block, _ in cases])))
+    assert repr(stacked) == repr([want for _, want in cases])
+    # below _D_STOP both exps stay below 1: the doubles next to it, and a
+    # grid down to -1e-6
+    below = _D - np.arange(1, 5001) * 2.0 ** -104
+    assert below[0] == math.nextafter(_D, -1.0)
+    grid = np.concatenate([below, np.linspace(_D, -1e-6, 20000)])
+    assert (np.exp(grid) < 1.0).all()
+    assert all(math.exp(d) < 1.0 for d in grid.tolist())
+
+
+def _long_requests():
+    # eval-long-style series: epsilon 0.15-0.6 at the z where the series
+    # reaches about e^v, v in 150-400, as evaluate, derivative and a tail;
+    # e^z at z = 200, from k = 0 and as a tail; and the tails of e^50 from
+    # k = 0 to 23, some of which stop at the first or second term of a block
+    # of one path or the other, where the streak carried in decides
+    rng = np.random.default_rng(26)
+    reqs = []
+    for i in range(16):
+        p, q = ((1, 1), (1, 2), (2, 1), (2, 2))[i % 4]
+        eps = rng.uniform(0.15, 0.6)
+        lower = tuple((rng.uniform(0.5, 5.0), rng.uniform(0.2, 2.0))
+                      for _ in range(q))
+        total = 1.0 + math.fsum(w for _, w in lower) - eps
+        u = rng.uniform()
+        upper = tuple((rng.uniform(0.5, 5.0), w)
+                      for w in ((total,) if p == 1 else (u * total, (1 - u) * total)))
+        v = rng.uniform(150.0, 400.0)
+        z = math.exp(eps * math.log(v / eps)
+                     + math.fsum(w * math.log(w) for _, w in lower)
+                     - math.fsum(w * math.log(w) for _, w in upper))
+        params = FoxWrightParams(upper, lower)
+        reqs.append([series.Request(params, z),
+                     series.Request(params.shifted(), z),
+                     series.Request(params, z, 1 + i)][i % 3])
+    e = FoxWrightParams(((1.0, 1.0),), ((1.0, 1.0),))
+    return (reqs + [series.Request(e, 200.0, n) for n in (0, 9)]
+            + [series.Request(e, 50.0, n) for n in range(24)])
+
+
+def test_stop_rule_ends_single_calls_and_tile_rows_at_the_same_term():
+    for req in _long_requests():
+        one = series._sum_series(req, True)
+        assert one.terms_used > series._SCALAR_TERMS, req  # past the head
+        assert one.terms_used == series.evaluate_batch([req])[0].terms_used, req
+
+
+_SQRT_PI = math.sqrt(math.pi)
+
+
+# closed forms at z > 0, each with its derivative: e^z as 1Psi1 with upper
+# (1, 1) and lower (1, 1), and Wright(1, 1/2; z) = cosh(2 sqrt z)/sqrt(pi),
+# whose derivative Wright(1, 3/2; z) is sinh(2 sqrt z)/sqrt(pi z)
+@pytest.mark.parametrize("params, z, exact, slope", [
+    *[(FoxWrightParams(((1.0, 1.0),), ((1.0, 1.0),)), z, math.exp(z),
+       math.exp(z)) for z in (20.0, 50.0, 200.0, 700.0)],
+    *[(FoxWrightParams((), ((0.5, 1.0),)), z,
+       math.cosh(2.0 * math.sqrt(z)) / _SQRT_PI,
+       math.sinh(2.0 * math.sqrt(z)) / (_SQRT_PI * math.sqrt(z)))
+      for z in (25.0, 100.0, 400.0, 2500.0)],
+])
+def test_closed_forms_at_positive_z_within_the_stated_bound(params, z, exact, slope):
+    # the tail bound plus a rounding charge of (1e-14 + u*n) * sum|t|, with
+    # sum|t| the value at z > 0
+    tile = series.evaluate_batch([series.Request(params, z),
+                                  series.Request(params.shifted(), z)])
+    for res, want in ((evaluate(params, z), exact),
+                      (derivative(params, z), slope),
+                      (tile[0], exact), (tile[1], slope)):
+        rel = res.tail_bound / want + 1e-14 + 2.0 ** -53 * res.terms_used
+        assert abs(res.value - want) <= rel * want, (res, want)
+        assert abs(res.log_magnitude - math.log(want)) <= rel, (res, want)
+
+
 def test_dd_log_array_matches_scalar():
     xs = [2.0 ** e for e in range(-1074, 1024, 7)]
     xs += [j / 64.0 for j in range(45, 92)] + [1.0, 1e-300, 1e300,
