@@ -9,7 +9,8 @@ against an independent high-precision oracle.
 
 The package exports the ``__all__`` of each of its eight library modules.
 ``import foxwright`` loads the evaluation layer only: ``errors``,
-``gammakit``, ``series``, ``functions`` and ``report``, with numpy.  The
+``gammakit``, ``series``, ``functions`` and ``report``, with numpy, and the
+engine's private ``ddmath`` and ``window``.  The
 verification layer, ``inequalities``, ``oracle`` and ``suites`` with
 mpmath, loads on the first access to a name the package does not hold yet
 (PEP 562), ``__all__`` and ``dir()`` included; from then on every export

@@ -6,10 +6,11 @@ single-call ``_sum_series``, which owns signed terms and cancellation.
 Each block of a tile ends its rows by ``series._stops``, the block stop rule
 that ``_sum_series`` runs too.  pFq requests run their recurrence
 element-wise across rows; see the ``series`` module docstring.  The array
-kernels the tiles use sit beside their scalar twins: ``_dd_log_array`` and
-the coefficient fold ``_fold`` in ``series``, ``_log_gamma_array`` in
-``gammakit``.  ``series.evaluate_batch`` imports this module on its first
-call, so importing the package for single calls does not load it.
+kernels the tiles use sit beside their scalar twins: ``_dd_log_array`` in
+``ddmath``, the coefficient fold ``_fold`` in ``series``,
+``_log_gamma_array`` in ``gammakit``.  ``series.evaluate_batch`` imports
+this module on its first call, so importing the package for single calls
+does not load it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import numpy as np
 
 from . import series
+from .ddmath import _dd_add, _dd_log_array, _log_ints_dd, _two_sum
 from .errors import (
     DivergentSeriesError,
     DomainError,
@@ -35,19 +37,17 @@ from .series import (
     PfqRequest,
     Request,
     _collapsed,
-    _dd_add,
-    _dd_log_array,
     _expanded_rest,
     _finish,
+    _flank,
     _fold,
-    _log_ints_dd,
     _no_stop,
     _require_convergent_pfq,
     _require_summable,
     _stops,
     _sum_series,
-    _two_sum,
 )
+from .window import _WINDOW_SKIP, _window
 
 
 class _TermTable:
@@ -156,7 +156,11 @@ _TILE_CAP = 16384
 
 class _RowSums:
     """Summation state of every row of a tile, as arrays indexed by row.
-    Every row is unweighted at z > 0, so its terms are all positive."""
+    Every row is unweighted at z > 0, so its terms are all positive.  A
+    row with a saddle window (``window._window``, the same scalar rule as
+    a single call's) sums [start, k0) in one pass here and its blocks from
+    k_lo, with ``lo_h`` and ``lo_d`` (ln t_{k_lo} and its log ratio to the
+    term before) kept for its flank bound."""
 
     def __init__(self, reqs: list[Request]) -> None:
         n = len(reqs)
@@ -165,12 +169,56 @@ class _RowSums:
         self.start = np.array([r.start for r in reqs], dtype=float)
         self.end = self.start + series._MAX_TERMS
         self.k0 = self.start.copy()
+        # a term k > first may count as small: a start term never does, as
+        # in the single call's head, while a window's terms all may
+        self.first = self.start.copy()
         self.scale_h = np.full(n, -math.inf)
         self.prev_h = np.full(n, -math.inf)
         self.scale_l, self.total, self.comp, self.prev_l = np.zeros((4, n))
         self.streak = np.zeros(n, dtype=int)
         self.terms = np.zeros(n, dtype=int)
+        self.lo_h, self.lo_d = np.full(n, -math.inf), np.zeros(n)
         self.out: list = [None] * n
+        self._windows()
+
+    def _windows(self) -> None:
+        # ln k_c of every row at once, for a loose cut below the window's
+        # own (ln(start + _WINDOW_SKIP)): only the rows past it run the
+        # scalar rule
+        sg, w = self.table.sg, self.table.w
+        wlw = np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
+        lk = ((np.log([r.z for r in self.reqs]) + (sg * wlw).sum(axis=1))
+              / -(sg * w).sum(axis=1))
+        rows = np.flatnonzero(lk > np.log(self.start + _WINDOW_SKIP) - 0.01)
+        wins = [(i, w) for i in rows.tolist() for w in [
+            _window(self.reqs[i].params, self.reqs[i].z, self.reqs[i].start)]
+            if w is not None]
+        if not wins:
+            return
+        ix = np.array([i for i, _ in wins])
+        k0, k_lo = (np.array(v, dtype=float) for v in zip(*[w[:2] for _, w in wins]))
+        # one pass over the terms of [start, k0) (padded with k_lo - 1),
+        # k_lo - 1 and k_lo
+        start = self.start[ix]
+        width = int((k0 - start).max())
+        fk = np.minimum(start[:, None] + np.arange(width + 2), k_lo[:, None] - 1)
+        fk[:, -2], fk[:, -1] = k_lo - 1, k_lo
+        lh, ll = self.table.logs(ix, fk)
+        if width:
+            direct = np.arange(width) < (k0 - start)[:, None]
+            dh = np.where(direct, lh[:, :width], -math.inf)
+            at, top = np.arange(ix.size), dh.argmax(axis=1)
+            sh = dh[at, top]
+            sl = np.where(sh > -math.inf, ll[at, top], 0.0)
+            t = np.exp(dh - sh[:, None]) * (1.0 + (ll[:, :width] - sl[:, None]))
+            self.total[ix] = np.where(direct, t, 0.0).sum(axis=1)
+            self.scale_h[ix], self.scale_l[ix] = sh, sl
+        self.terms[ix] = k0 - start
+        self.prev_h[ix], self.prev_l[ix] = lh[:, -2], ll[:, -2]
+        self.lo_h[ix] = lh[:, -1]
+        self.lo_d[ix] = (lh[:, -1] - lh[:, -2]) + (ll[:, -1] - ll[:, -2])
+        self.k0[ix], self.first[ix] = k_lo, k_lo - 1
+        self.end[ix] = k_lo + series._MAX_TERMS
 
     def block(self, ix: np.ndarray, n: int) -> np.ndarray:
         """Sum the next n terms of rows ix; returns the rows still running."""
@@ -192,9 +240,10 @@ class _RowSums:
         sh, sl = np.where(up, top_h, sh), np.where(up, top_l, sl)
         t = np.exp(lh - sh[:, None]) * (1.0 + (ll - sl[:, None]))
 
-        # _stops on cumsum partials; as in the head, a start term is never small
+        # _stops on cumsum partials; as in the head, a start term is never
+        # small
         partial = (total + comp)[:, None] + np.cumsum(t, axis=1)
-        small = valid & (fk > self.start[ix, None]) & (t <= _REL_TOL * partial)
+        small = valid & (fk > self.first[ix, None]) & (t <= _REL_TOL * partial)
         used, hit, d, self.streak[ix] = _stops(
             lh, ll, self.prev_h[ix], self.prev_l[ix], small, self.streak[ix])
         keep = np.arange(n) < used[:, None]
@@ -216,12 +265,19 @@ class _RowSums:
             going[r] = False
         return ix[going]
 
-    def _raw(self, i: int, ratio: float) -> tuple:
+    def _raw(self, i: int, ratio: float):
         # the arguments of _finish before log_offset and log_mode, with the
-        # stop's ratio; a sum of positive terms is its own sum of |t_k|
+        # stop's ratio and a window's flank; a sum of positive terms is its
+        # own sum of |t_k|.  None where the row's window does not hold
         total = float(self.total[i] + self.comp[i])
-        return (float(self.scale_h[i]), float(self.scale_l[i]), total, total,
-                int(self.terms[i]), float(self.prev_h[i]), float(ratio))
+        scale_h, lo_h, rho = float(self.scale_h[i]), float(self.lo_h[i]), 0.0
+        if lo_h > -math.inf:
+            rho = _flank(scale_h, total, lo_h, float(self.lo_d[i]))
+            if rho is None:
+                return None
+        return (scale_h, float(self.scale_l[i]), total, total,
+                int(self.terms[i]), float(self.prev_h[i]), float(ratio),
+                lo_h, rho)
 
     def run(self) -> list:
         live = np.arange(len(self.reqs))
@@ -350,6 +406,9 @@ def evaluate(requests: list) -> list:
         if tiled:
             rows = [requests[i] for i in tiled]
             for i, res in zip(tiled, _RowSums(rows).run()):
-                out[i] = res if isinstance(res, Exception) else _finish(
-                    *res, requests[i].log_offset, True)
+                if res is None:  # a window that does not hold: sum it plainly
+                    out[i] = _sum_series(requests[i], True, window=False)
+                else:
+                    out[i] = res if isinstance(res, Exception) else _finish(
+                        *res, requests[i].log_offset, True)
     return out

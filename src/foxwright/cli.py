@@ -35,16 +35,26 @@ from .errors import (
     NoConvergenceError,
     ParameterError,
 )
-from .oracle import _check_digits
 from .report import STATUS_OK, GridSpec, grid_from_json
 from .report import InequalityReport
 from .series import FoxWrightParams, evaluate
-from .suites import explorer_ids, hp_margin, run_explore, run_suite, suite_ids
 
 __all__ = ["main"]
 
 _CSV_COLUMNS = ("suite_id", "params_json", "z", "lhs", "rhs", "margin",
                 "err_estimate", "pass")
+
+
+class _IdsHelp(argparse.HelpFormatter):
+    """Formats --suite's help, which names the suites module function that
+    lists its ids: the verification layer (``suites``, with mpmath) is
+    imported only when that help is printed, so ``eval`` never loads it."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.dest != "suite":
+            return action.help
+        from . import suites
+        return "one of: " + ", ".join(getattr(suites, action.help)())
 
 
 @functools.cache  # parse_args leaves the parser as it was: build it once
@@ -66,14 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="evaluation point")
 
     specs = (
-        ("check", "run one verification suite over a grid", suite_ids),
-        ("sweep", "collect margin rows without judging them", suite_ids),
-        ("explore", "sample an open-question probe", explorer_ids),
+        ("check", "run one verification suite over a grid", "suite_ids"),
+        ("sweep", "collect margin rows without judging them", "suite_ids"),
+        ("explore", "sample an open-question probe", "explorer_ids"),
     )
     for name, blurb, ids in specs:
-        q = sub.add_parser(name, help=blurb)
-        q.add_argument("--suite", required=True, metavar="ID",
-                       help="one of: " + ", ".join(ids()))
+        q = sub.add_parser(name, help=blurb, formatter_class=_IdsHelp)
+        q.add_argument("--suite", required=True, metavar="ID", help=ids)
         q.add_argument("--grid", metavar="FILE",
                        help="JSON file with named [lo, hi] ranges, plus "
                             "optional samples/seed/mode")
@@ -167,6 +176,7 @@ def _summarize(rows: Sequence[InequalityReport]):
 def _spot_check(rows: Sequence[InequalityReport], digits: int,
                 notify: Callable[[str], None]) -> bool:
     """Recompute a stratified handful of rows with the slow oracle."""
+    from .suites import hp_margin
     clean = [r for r in rows if r.status == STATUS_OK]
     if not clean:
         return True
@@ -211,6 +221,8 @@ def _run_eval(args: argparse.Namespace) -> int:
 
 def _run_check_or_sweep(args: argparse.Namespace) -> int:
     """check and sweep: the same rows, judged by check, only counted by sweep."""
+    from .oracle import _check_digits
+    from .suites import run_suite
     spec = _load_grid(args)
     if args.command == "check" and args.digits is not None:
         _check_digits(args.digits)  # refuse before the suite runs
@@ -235,6 +247,7 @@ def _run_check_or_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_explore(args: argparse.Namespace) -> int:
+    from .suites import run_explore
     spec = _load_grid(args)
     rows = run_explore(args.suite, spec)
     _emit(_render(rows, spec.seed, args.format), args.out)

@@ -769,11 +769,12 @@ def _logconcavity(params: FoxWrightParams, z1: float, z2: float) -> Rounds:
         z1, z2 = z2, z1
 
     zm = 0.5 * (z1 + z2)
-    # psi_m is fm's series without its normalization, a batch row of its own
-    f1, f2, fm, psi_m, dpsi_m = yield [
-        _normalized(params, z1), _normalized(params, z2),
-        _normalized(params, zm), Request(params, zm),
+    # one series at zm: psi_m is fm without the normalization's log offset
+    at_zm = _normalized(params, zm)
+    f1, f2, fm, dpsi_m = yield [
+        _normalized(params, z1), _normalized(params, z2), at_zm,
         Request(params.shifted(), zm)]
+    psi_m = _of(fm) * _Q(-at_zm.log_offset)
 
     b1, w1 = params.lower[0]
     log_c = log_gamma(b1) - log_gamma(b1 + w1)
@@ -788,7 +789,7 @@ def _logconcavity(params: FoxWrightParams, z1: float, z2: float) -> Rounds:
         for kind, a, b in (
             ("midpoint", _of(fm), (_of(f1) * _of(f2)) ** 0.5),
             ("expbound", _Q(c * zm).computed(), _of(fm)),
-            ("deriv", _Q(log_c).computed() * _of(psi_m), _of(dpsi_m))))
+            ("deriv", _Q(log_c).computed() * psi_m, _of(dpsi_m))))
 
 
 # ---------------------------------------------------------------------------

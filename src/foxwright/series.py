@@ -18,9 +18,10 @@ Stirling form expanded around k*weight, where the k*log(k) pieces of the
 gamma factors and of 1/k! combine exactly into -epsilon*k*log(k); that
 coefficient, the k-linear one, and log(k) itself are carried as head/tail
 double pairs, keeping the absolute error of a term log near 1e-14 no matter
-how large the cancelled log-gammas were.  The ln|z| and ln(weight) pairs come
-from ``_dd_log`` (relative error below 1e-31, reduced to a tabled grid j/64),
-and a term skips ln(k) while no factor is expanded: its coefficients are zero.
+how large the cancelled log-gammas were.  The pair arithmetic lives in
+``ddmath``; the ln|z| and ln(weight) pairs come from its ``_dd_log``
+(relative error below 1e-31, reduced to a tabled grid j/64), and a term
+skips ln(k) while no factor is expanded: its coefficients are zero.
 
 The single-call entry points (``evaluate`` and its variants) sum in two
 phases over one table of those coefficients.  The first 32 terms of a call
@@ -38,6 +39,18 @@ the series still needs, up to 2,048 terms, and later reads 1,024.  They take
 ln(k) from ``_LN_K``, which ``_log_ints_dd`` fills at import for k < 8,192
 and computes past it.
 
+An unsigned request (z > 0, no psi weight) whose terms peak far from its
+start sums its saddle window instead (``window._window``, ``_sum_window``):
+the terms of [start, k0) one at a time, none of [k0, k_lo), and the block
+phase from k_lo with no scalar head, its first read sized to the window's
+right edge.  k_lo is where log t lies 45 below the peak, and k0 is the
+index of ``window._monotone_from``'s lemma, from which no term ratio
+increases; so t_{k_lo} rho/(1 - rho), with rho = t_{k_lo-1}/t_{k_lo} from
+the term logs the block phase computed, bounds the skipped flank, and is
+added to the tail bound.  A window is taken when it skips at least 64
+terms, and is dropped again (the request summed from its start) where
+that bound exceeds 1e-15 of the sum; its term budget counts from k_lo.
+
 Every series generates at most ``_MAX_TERMS`` terms before its stop rule
 must fire.  A single call raises OverflowError on a term or a value past the
 double range; ``evaluate_batch`` sums its series requests in log mode
@@ -46,29 +59,30 @@ inequality checkers read.
 
 ``evaluate_batch`` sums many series at once, for the inequality checkers;
 its tile engine lives in ``batch.py``, and each array kernel it uses sits
-beside its scalar twin: ``_dd_log_array`` and ``_log_ints_dd`` here,
-``_log_gamma_array`` in ``gammakit``, and ``_fold``, ``_collapsed`` and
-``_expanded_rest`` take floats and arrays alike.  Its series requests at
-z > 0 with no psi weight, whose terms are all positive, become the rows of
-(series x k) tiles, the rows of shorter shapes padded with factors that add
-exact zeros.  Each row keeps the coefficient table of every stage of its
-expansion (set up for all rows together, with ``_dd_log_array``), the
-factors still below the Stirling threshold go through
-``_log_gamma_array``, and each block of k runs ``_stops`` row by row on
-``cumsum`` partials, so a row's result never depends on the other rows of
-its tile.  Blocks start at 16 terms and double up to 512; a block call
-holds at most ``batch._TILE_CAP`` (row, k, factor) elements an array, and
-rows that have stopped drop out.  A row agrees with its single call within
-their error estimates but not bit for bit: a block is added with a pairwise
-sum instead of ``math.fsum``, and numpy's logarithms and exponentials may
-differ from ``math``'s in the last bit.  A series request at z <= 0 or with
-a psi weight takes the single-call path, the one engine for signed terms
-and cancellation, bit for bit.  A series request is checked against its
-rules once, where it is summed: by ``_require_summable`` at the top of
-``_sum_series``, and in ``batch.evaluate`` for a tile row.  The
-pFq request kind runs the Pochhammer recurrence of ``functions.pfq_direct``
-element-wise across rows, in the same operations as one row, so its
-results are bit-identical to a single call.
+beside its scalar twin: ``_dd_log_array`` and ``_log_ints_dd`` in
+``ddmath``, ``_log_gamma_array`` in ``gammakit``, and ``_fold``,
+``_collapsed`` and ``_expanded_rest`` take floats and arrays alike.  Its
+series requests at z > 0 with no psi weight, whose terms are all positive,
+become the rows of (series x k) tiles, the rows of shorter shapes padded
+with factors that add exact zeros.  Each row keeps the coefficient table of
+every stage of its expansion (set up for all rows together, with
+``_dd_log_array``), the factors still below the Stirling threshold go
+through ``_log_gamma_array``, and each block of k runs ``_stops`` row by row
+on ``cumsum`` partials, so a row's result never depends on the other rows of
+its tile; a row takes the single call's saddle window and flank bound, and
+sums [start, k0) in one pass.  Blocks start at 16 terms and double up to
+512; a block call holds at most ``batch._TILE_CAP`` (row, k, factor)
+elements an array, and rows that have stopped drop out.  A row agrees with
+its single call within their error estimates but not bit for bit: a block is
+added with a pairwise sum instead of ``math.fsum``, and numpy's logarithms
+and exponentials may differ from ``math``'s in the last bit.  A series
+request at z <= 0 or with a psi weight takes the single-call path, the one
+engine for signed terms and cancellation, bit for bit.  A series request is
+checked against its rules once, where it is summed: by ``_require_summable``
+at the top of ``_sum_series``, and in ``batch.evaluate`` for a tile row.
+The pFq request kind runs the Pochhammer recurrence of
+``functions.pfq_direct`` element-wise across rows, in the same operations as
+one row, so its results are bit-identical to a single call.
 """
 
 from __future__ import annotations
@@ -80,6 +94,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ddmath import (
+    _SPLIT,
+    _dd_add,
+    _dd_log,
+    _log_int_dd,
+    _log_ints_dd,
+    _two_prod,
+    _two_sum,
+)
 from .errors import (
     DivergentSeriesError,
     DomainError,
@@ -95,6 +118,7 @@ from .gammakit import (
     log_gamma,
 )
 from .report import _is_index, _is_number
+from .window import _window
 
 __all__ = [
     "FoxWrightParams",
@@ -211,8 +235,13 @@ class EvalResult:
     value is sign * exp(log_magnitude) when that is representable, and +-inf
     past the double range (only evaluate_batch returns such a result).
     tail_bound is the geometric bound on the truncation error, in value
-    space, from the term ratio at the stop (``_stops``, then ``_finish``);
-    later ratios are not bounded, so it is an estimate, not a proof.
+    space, from the term ratio at the stop (``_stops``, then ``_finish``),
+    plus, for a call summed over its saddle window, the geometric bound of
+    the skipped left flank [k0, k_lo) from t_{k_lo} and the ratio into it.
+    For a windowed call both rest on the lemma of
+    ``window._monotone_from`` (no ratio increases past k0 < k_lo), up to the
+    rounding of the term logs; for any other call later ratios are not
+    bounded, so its tail bound is an estimate, not a proof.
     condition_estimate = sum|term| / |sum term| is exactly 1.0 for z >= 0.
     """
 
@@ -301,228 +330,6 @@ def _log_term_at_zero(params: FoxWrightParams) -> float:
     for b, _ in params.lower:
         total -= log_gamma(b)
     return total
-
-
-# ---------------------------------------------------------------------------
-# head/tail double pairs
-#
-# The error-free transforms below (Knuth two-sum, Dekker two-product) are the
-# standard ones; arguments stay far below the 1e300 split overflow range.
-# They take floats and float64 arrays alike: numpy rounds each element-wise
-# operation as IEEE does and never fuses a multiply-add.
-
-_SPLIT = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah = _SPLIT * a
-    ah -= ah - a
-    al = a - ah
-    bh = _SPLIT * b
-    bh -= bh - b
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    s, e = _two_sum(ah, bh)
-    return _two_sum(s, e + al + bl)
-
-
-def _dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    p, e = _two_prod(ah, bh)
-    return _two_sum(p, e + ah * bl + al * bh)
-
-
-def _dd_div_d(ah: float, al: float, b: float) -> tuple[float, float]:
-    q = ah / b
-    p, e = _two_prod(q, b)
-    return _two_sum(q, (((ah - p) - e) + al) / b)
-
-
-_LN2_HI = 0.6931471805599453
-_LN2_LO = 2.3190468138462996e-17
-_SQRT_HALF = 0.7071067811865476
-
-
-def _artanh2(num: float, m: float, c: float) -> tuple[float, float]:
-    # ln(m/c) = 2 artanh(s) with s = (m-c)/(m+c); num = m - c must be exact,
-    # m + c is carried as a pair so the quotient keeps ~32 digits.  The loop
-    # runs _dd_mul, _dd_div_d and _dd_add written out, with x = s^2 split once
-    dh, dl = _two_sum(c, m)
-    q = num / dh
-    p, pe = _two_prod(q, dh)
-    sh, sl = _two_sum(q, (((num - p) - pe) - q * dl) / dh)
-    x2h, x2l = _dd_mul(sh, sl, sh, sl)
-    xh = _SPLIT * x2h
-    xh -= xh - x2h
-    xl = x2h - xh
-    th, tl = ah, al = sh, sl
-    n = 3.0
-    while n < 99.0:
-        p, uh = th * x2h, _SPLIT * th  # (th, tl) *= x
-        uh -= uh - th
-        ul = th - uh
-        y = (((uh * xh - p) + uh * xl + ul * xh) + ul * xl) + th * x2l + tl * x2h
-        th = p + y
-        t = th - p
-        tl = (p - (th - t)) + (y - t)
-        q = th / n  # (ch, cl) = (th, tl) / n
-        p, uh, nh = q * n, _SPLIT * q, _SPLIT * n
-        uh, nh = uh - (uh - q), nh - (nh - n)
-        ul, nl = q - uh, n - nh
-        y = (((th - p) - (((uh * nh - p) + uh * nl + ul * nh) + ul * nl)) + tl) / n
-        ch = q + y
-        t = ch - q
-        cl = (q - (ch - t)) + (y - t)
-        s = ah + ch  # (ah, al) += (ch, cl)
-        t = s - ah
-        y = (ah - (s - t)) + (ch - t) + al + cl
-        ah = s + y
-        t = ah - s
-        al = (s - (ah - t)) + (y - t)
-        if abs(ch) < 1e-35:
-            break
-        n += 2.0
-    return 2.0 * ah, 2.0 * al
-
-
-# ln(j/64) as head/tail pairs at the grid points j = 45..91 that cover the
-# reduced mantissa range [sqrt(1/2), sqrt(2)): _artanh2(j/64 - 1, j/64, 1),
-# summed from 1 with |s| < 0.18, tabled here so that import does not spend
-# 2 ms summing them (a test recomputes every pair)
-_LN_GRID = (
-    (-0.3522205935893521, -5.723331694918253e-18),  # j = 45
-    (-0.33024168687057687, 1.0828321637483863e-17),  # j = 46
-    (-0.3087354816496133, 1.6199186085148105e-17),  # j = 47
-    (-0.2876820724517809, -2.6071606164425637e-17),  # j = 48
-    (-0.26706278524904525, 7.328915327320166e-18),  # j = 49
-    (-0.24686007793152578, -1.361743371748368e-17),  # j = 50
-    (-0.22705745063534608, -9.551415762738488e-18),  # j = 51
-    (-0.2076393647782445, -1.2053243216686129e-17),  # j = 52
-    (-0.18859116980755003, 7.432164219196925e-18),  # j = 53
-    (-0.16989903679539747, 4.8680087644390785e-19),  # j = 54
-    (-0.15154989812720093, -5.166959368461559e-18),  # j = 55
-    (-0.13353139262452263, 3.664457663660086e-18),  # j = 56
-    (-0.1158318155251217, -4.3384843698080944e-18),  # j = 57
-    (-0.09844007281325252, 4.439009633675135e-18),  # j = 58
-    (-0.0813456394539524, -5.07707635593117e-18),  # j = 59
-    (-0.06453852113757118, 6.470486661692933e-18),  # j = 60
-    (-0.048009219186360606, -1.4390903347292203e-18),  # j = 61
-    (-0.0317486983145803, -3.038226308468086e-18),  # j = 62
-    (-0.015748356968139168, -1.0021578630528974e-18),  # j = 63
-    (0.0, 0.0),  # j = 64
-    (0.015504186535965254, -3.2783210228924296e-19),  # j = 65
-    (0.030771658666753687, 1.043173202900597e-18),  # j = 66
-    (0.0458095360312942, 1.902959866474258e-18),  # j = 67
-    (0.06062462181643484, 2.6424025938726934e-18),  # j = 68
-    (0.07522342123758753, -5.9306041962932415e-18),  # j = 69
-    (0.08961215868968714, -5.426812933664713e-18),  # j = 70
-    (0.10379679368164356, 5.477724157266589e-18),  # j = 71
-    (0.11778303565638346, -1.1971685747593668e-18),  # j = 72
-    (0.13157635778871926, 1.1123000879729586e-17),  # j = 73
-    (0.1451820098444979, 8.242418783022474e-18),  # j = 74
-    (0.15860503017663857, 1.125700387218259e-17),  # j = 75
-    (0.17185025692665923, -6.022453821011367e-18),  # j = 76
-    (0.184922338494012, 3.0236614153574037e-18),  # j = 77
-    (0.19782574332991987, 1.2821194372980136e-17),  # j = 78
-    (0.21056476910734964, -4.249405314729895e-18),  # j = 79
-    (0.22314355131420976, -9.091270597324804e-18),  # j = 80
-    (0.2355660713127669, -2.3943371495187335e-18),  # j = 81
-    (0.24783616390458127, -1.243220957870253e-17),  # j = 82
-    (0.25995752443692605, 2.0698069389789353e-17),  # j = 83
-    (0.27193371548364176, 7.833196376974419e-19),  # j = 84
-    (0.2837681731306446, -2.0326655811266558e-17),  # j = 85
-    (0.2954642128938359, -2.16461086040599e-17),  # j = 86
-    (0.3070250352949119, -1.2319916200101966e-17),  # j = 87
-    (0.3184537311185346, 2.7114779367326233e-17),  # j = 88
-    (0.329753286372468, 2.1220206161969468e-18),  # j = 89
-    (0.3409265869705932, 1.746713644354474e-17),  # j = 90
-    (0.3519764231571782, -1.295389303019196e-17),  # j = 91
-)
-
-
-def _dd_log(x: float) -> tuple[float, float]:
-    """ln x as a head/tail pair with relative error below 1e-31; x > 0 finite.
-
-    With x = m * 2^e, m in [sqrt(1/2), sqrt(2)), ln m = ln c + ln(m/c) for
-    the grid point c = j/64 nearest m, whose pair is tabled: m - c is exact
-    and |s| < 0.006, so the artanh series stops within 8 steps.  ln 1 is
-    exactly (0.0, 0.0).
-    """
-    if x == 1.0:
-        return 0.0, 0.0
-    m, e = math.frexp(x)
-    if m < _SQRT_HALF:
-        m *= 2.0
-        e -= 1
-    j = round(m * 64.0)
-    c = j / 64.0
-    ah, al = _dd_add(*_LN_GRID[j - 45], *_artanh2(m - c, m, c))
-    ph, pe = _two_prod(float(e), _LN2_HI)
-    return _dd_add(ph, pe + e * _LN2_LO, ah, al)
-
-
-_LN_GRID_H = np.array([h for h, _ in _LN_GRID])
-_LN_GRID_L = np.array([l for _, l in _LN_GRID])
-
-
-def _dd_log_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_dd_log element-wise over a float array of positive finite values,
-    bit for bit.
-
-    The same grid reduction and artanh series, run for the 8 steps the
-    scalar loop never exceeds once |s| < 0.006 (s^17/17 < 1e-35).
-    """
-    m, e = np.frexp(x)
-    low = m < _SQRT_HALF
-    m = np.where(low, 2.0 * m, m)
-    e = (e - low).astype(float)
-    j = np.rint(m * 64.0)
-    c = j / 64.0
-    num = m - c
-    dh, dl = _two_sum(c, m)
-    q = num / dh
-    p, pe = _two_prod(q, dh)
-    sh, sl = _two_sum(q, (((num - p) - pe) - q * dl) / dh)
-    x2h, x2l = _dd_mul(sh, sl, sh, sl)
-    th, tl = ah, al = sh, sl
-    for n in range(3, 19, 2):
-        th, tl = _dd_mul(th, tl, x2h, x2l)
-        ah, al = _dd_add(ah, al, *_dd_div_d(th, tl, float(n)))
-    g = j.astype(int) - 45
-    ah, al = _dd_add(_LN_GRID_H[g], _LN_GRID_L[g], 2.0 * ah, 2.0 * al)
-    ph, pe = _two_prod(e, _LN2_HI)
-    h, l = _dd_add(ph, pe + e * _LN2_LO, ah, al)
-    one = x == 1.0
-    return np.where(one, 0.0, h), np.where(one, 0.0, l)
-
-
-def _log_int_dd(k: int) -> tuple[float, float]:
-    """ln k as a head/tail pair, absolute error ~3e-17; cheap enough per term."""
-    m, e = math.frexp(float(k))
-    if m < _SQRT_HALF:
-        m *= 2.0
-        e -= 1
-    ph, pe = _two_prod(float(e), _LN2_HI)
-    return _dd_add(ph, pe + e * _LN2_LO, math.log(m), 0.0)
-
-
-def _log_ints_dd(fk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Element-wise _log_int_dd over a float array of positive integers."""
-    m, e = np.frexp(fk)
-    low = m < _SQRT_HALF
-    m[low] *= 2.0
-    e = (e - low).astype(float)
-    ph, pe = _two_prod(e, _LN2_HI)
-    return _dd_add(ph, pe + e * _LN2_LO, np.log(m), 0.0)
 
 
 # A factor is expanded once its argument a + w*k reaches 12, well inside
@@ -768,14 +575,18 @@ def _require_summable(req: Request) -> None:
 
 
 def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
-            terms: int, last_h: float, ratio: float, log_offset: float,
-            log_mode: bool) -> EvalResult:
+            terms: int, last_h: float, ratio: float, lo_h: float, rho: float,
+            log_offset: float, log_mode: bool) -> EvalResult:
     # the result of a stopped summation: its tail bound from the last term
-    # and ratio, and its log-magnitude shifted by log_offset
+    # and ratio, plus a window's flank bound from t_{k_lo} = e^lo_h and
+    # rho (lo_h = -inf: no window), and its log-magnitude shifted by
+    # log_offset
     if last_h > -math.inf and ratio < 1.0:
         tail = _exp_or_inf(last_h + log_offset) * ratio / (1.0 - ratio)
     else:
         tail = 0.0
+    if lo_h > -math.inf:
+        tail += _exp_or_inf(lo_h + log_offset) * rho / (1.0 - rho)
     if total == 0.0:
         cond = 1.0 if total_abs == 0.0 else math.inf
         return EvalResult(0.0, terms, tail, cond, -math.inf, 0)
@@ -863,7 +674,11 @@ def _stops(lh, ll, prev_h, prev_l, small, streak):
     k = np.arange(n)
     run = k - np.maximum.accumulate(np.where(small, (-1 - streak)[:, None], k),
                                     axis=1)
-    d = np.diff(lh, prepend=prev_h[:, None]) + np.diff(ll, prepend=prev_l[:, None])
+    # d as np.diff with the previous term prepended forms it, without
+    # np.diff's per-call checks
+    h = np.concatenate((prev_h[:, None], lh), axis=1)
+    l = np.concatenate((prev_l[:, None], ll), axis=1)
+    d = (h[:, 1:] - h[:, :-1]) + (l[:, 1:] - l[:, :-1])
     stop = (run >= 3) & (d < _D_STOP)
     at, first = np.arange(rows), stop.argmax(axis=1)
     hit = stop[at, first]
@@ -871,11 +686,128 @@ def _stops(lh, ll, prev_h, prev_l, small, streak):
             np.where(hit, d[at, first], np.nan), run[:, -1])
 
 
-def _sum_series(req: Request, log_mode: bool) -> EvalResult:
+def _flank(scale_h: float, total: float, lo_h: float, d: float):
+    """The ratio rho of a window's flank bound t_{k_lo} rho/(1 - rho),
+    from the log t_{k_lo} = lo_h and d = ln t_{k_lo} - ln t_{k_lo-1} an
+    engine computed, or None where the window does not hold: d not above
+    -_D_STOP (rho would not be below 1), or a bound above _REL_TOL of the
+    sum total * e^scale_h.  Such a call is summed again without one."""
+    if not (-d < _D_STOP and total > 0.0):
+        return None
+    rho = math.exp(-d)
+    if rho > 0.0 and lo_h + math.log(rho / (1.0 - rho)) > (
+            math.log(_REL_TOL) + scale_h + math.log(total)):
+        return None
+    return rho
+
+
+def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
+            prev_l: float, streak: int, signed: bool, raise_over: bool):
+    """The block phase of a summation from term k: blocks of _BLOCK_MIN
+    terms, doubling to _BLOCK_MAX, each ended by ``_stops`` on its one row,
+    until a stop or ``end``.  ``acc`` holds the scaled sums [scale_h,
+    scale_l, total, comp, total_abs, comp_abs] and is updated in place; a
+    term past the double range raises OverflowError if ``raise_over``.
+    Returns the terms summed, whether the rule stopped, the ratio of the
+    stop and the last term's log."""
+    scale_h, scale_l, total, comp, total_abs, comp_abs = acc
+    terms, stopped, ratio = 0, False, math.nan
+    size = _BLOCK_MIN
+    while not stopped and k < end:
+        n = min(size, end - k)
+        lh, ll = gen.block(k, k + n)
+
+        # rescale to the block's largest term; a window's first block
+        # starts from scale_h = -inf and zero sums
+        top = int(lh.argmax())
+        top_h, top_l = float(lh[top]), float(ll[top])
+        if top_h > scale_h:
+            f = math.exp(scale_h - top_h) * (1.0 + (scale_l - top_l))
+            total *= f
+            comp *= f
+            total_abs *= f
+            comp_abs *= f
+            scale_h, scale_l = top_h, top_l
+        t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
+
+        # _stops on this one row, over cumsum partial sums; the terms up to the
+        # stop are then added with fsum.  Unsigned terms are positive: their
+        # partials need no abs, and a zero term is small by its size alone
+        if signed:
+            x = gen.signs(k, k + n) * t
+            partial = np.abs((total + comp) + x.cumsum())
+            small = (lh == -math.inf) | (t <= _REL_TOL * partial)
+        else:
+            x = t
+            small = t <= _REL_TOL * ((total + comp) + t.cumsum())
+        used, stopped, d, streak = (v.item() for v in _stops(
+            lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
+            small[None], np.array([streak])))
+        ratio = math.exp(d)  # at a stop, _ratio's value at d < 0; else NaN
+        if top_h > _LOG_DOUBLE_MAX and raise_over:
+            over = np.flatnonzero(lh[:used] > _LOG_DOUBLE_MAX)
+            if over.size:
+                raise _term_overflow(k + int(over[0]), float(lh[over[0]]))
+
+        # fsum over a memoryview: the floats of tolist(), without the list
+        total, comp = _neumaier(total, comp, math.fsum(memoryview(x[:used])))
+        if signed:
+            total_abs, comp_abs = _neumaier(total_abs, comp_abs,
+                                            math.fsum(memoryview(t[:used])))
+        terms += used
+        prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
+        k += n
+        size = min(2 * size, _BLOCK_MAX)
+    acc[:] = scale_h, scale_l, total, comp, total_abs, comp_abs
+    return terms, stopped, ratio, prev_h
+
+
+def _sum_window(req: Request, win: tuple, log_mode: bool):
+    """_sum_series of an unsigned request over its saddle window (k0, k_lo,
+    k_hi) (see ``_window``): the terms of [start, k0) one by one, then the
+    block phase from k_lo with no scalar head, its first read sized to
+    k_hi and its budget of _MAX_TERMS counted from k_lo, and the flank
+    bound of [k0, k_lo) added to the tail bound.  None where the window
+    does not hold (``_flank``), or where a term passes the double range
+    outside log mode, so that the plain sum names the first such term."""
+    params, z, start, _, log_offset = req
+    k0, k_lo, k_hi = win
+    end = k_lo + _MAX_TERMS
+    gen = _TermLogs(params, z, None, end)
+    acc = [-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0]
+    if k0 > start:
+        lh, ll = np.array([gen.at(k) for k in range(start, k0)]).T
+        top = int(lh.argmax())
+        acc[0], acc[1] = float(lh[top]), float(ll[top])
+        acc[2] = math.fsum(memoryview(np.exp(lh - acc[0])
+                                      * (1.0 + (ll - acc[1]))))
+    # the first read: the term before k_lo, for the flank's ratio, and
+    # whole blocks up to k_hi
+    ahead = size = _BLOCK_MIN
+    while ahead < k_hi - k_lo + 3:
+        size = min(2 * size, _BLOCK_MAX)
+        ahead += size
+    gen.ahead = 1 + ahead
+    (ph, lo_h), (pl, lo_l) = (v.tolist() for v in gen.block(k_lo - 1, k_lo + 1))
+    used, stopped, ratio, last_h = _blocks(gen, k_lo, end, acc, ph, pl, 0,
+                                           False, False)
+    if not stopped:
+        raise _no_stop(req)
+    scale_h, scale_l, total, comp = acc[:4]
+    rho = _flank(scale_h, total + comp, lo_h, (lo_h - ph) + (lo_l - pl))
+    if rho is None or (scale_h > _LOG_DOUBLE_MAX and not log_mode):
+        return None
+    return _finish(scale_h, scale_l, total + comp, total + comp,
+                   k0 - start + used, last_h, ratio, lo_h, rho, log_offset,
+                   log_mode)
+
+
+def _sum_series(req: Request, log_mode: bool, window: bool = True) -> EvalResult:
     """Scaled compensated summation of one request, one term at a time and
-    then in blocks.  Past the double range a term or the value raises
-    OverflowError, unless log_mode: then the result is +-inf with its
-    log-magnitude (evaluate_batch's policy)."""
+    then in blocks, or over its saddle window (``_sum_window``) where an
+    unsigned request has one and ``window`` allows it.  Past the double
+    range a term or the value raises OverflowError, unless log_mode: then
+    the result is +-inf with its log-magnitude (evaluate_batch's policy)."""
     _require_summable(req)
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
@@ -891,6 +823,11 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
 
     # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
     signed = z < 0.0 or psi_weight is not None
+    win = None if signed or not window else _window(params, z, start)
+    if win is not None:
+        res = _sum_window(req, win, log_mode)
+        if res is not None:
+            return res
     end = start + _MAX_TERMS
     gen = _TermLogs(params, z, psi_weight, end)
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
@@ -959,60 +896,20 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
         size = min(2 * size, _BLOCK_MAX)
         ahead += size
     gen.ahead = min(ahead, _FIRST_READ)
-    k = start + _SCALAR_TERMS
-    size = _BLOCK_MIN
-    while not stopped and k < end:
-        n = min(size, end - k)
-        lh, ll = gen.block(k, k + n)
-
-        # scale_h is finite here: a head of zero terms stops at its third
-        top = int(lh.argmax())
-        top_h, top_l = float(lh[top]), float(ll[top])
-        if top_h > scale_h:
-            f = math.exp(scale_h - top_h) * (1.0 + (scale_l - top_l))
-            total *= f
-            comp *= f
-            total_abs *= f
-            comp_abs *= f
-            scale_h, scale_l = top_h, top_l
-        t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
-
-        # _stops on this one row, over cumsum partial sums; the terms up to the
-        # stop are then added with fsum.  Unsigned terms are positive: their
-        # partials need no abs, and a zero term is small by its size alone
-        if signed:
-            x = gen.signs(k, k + n) * t
-            partial = np.abs((total + comp) + x.cumsum())
-            small = (lh == -math.inf) | (t <= _REL_TOL * partial)
-        else:
-            x = t
-            small = t <= _REL_TOL * ((total + comp) + t.cumsum())
-        used, stopped, d, streak = (v.item() for v in _stops(
-            lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
-            small[None], np.array([streak])))
-        ratio = math.exp(d)  # at a stop, _ratio's value at d < 0; else NaN
-        if top_h > _LOG_DOUBLE_MAX and not log_mode:
-            over = np.flatnonzero(lh[:used] > _LOG_DOUBLE_MAX)
-            if over.size:
-                raise _term_overflow(k + int(over[0]), float(lh[over[0]]))
-
-        # fsum over a memoryview: the floats of tolist(), without the list
-        total, comp = _neumaier(total, comp, math.fsum(memoryview(x[:used])))
-        if signed:
-            total_abs, comp_abs = _neumaier(total_abs, comp_abs,
-                                            math.fsum(memoryview(t[:used])))
+    acc = [scale_h, scale_l, total, comp, total_abs, comp_abs]
+    if not stopped:
+        used, stopped, ratio, prev_h = _blocks(
+            gen, start + _SCALAR_TERMS, end, acc, prev_h, prev_l, streak,
+            signed, not log_mode)
         terms += used
-        prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
-        k += n
-        size = min(2 * size, _BLOCK_MAX)
-
     if not stopped:
         raise _no_stop(req)
 
+    scale_h, scale_l, total, comp, total_abs, comp_abs = acc
     if not signed:
         total_abs, comp_abs = total, comp
     return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
-                   terms, prev_h, ratio, log_offset, log_mode)
+                   terms, prev_h, ratio, -math.inf, 0.0, log_offset, log_mode)
 
 
 def _normalized(params: FoxWrightParams, z: float) -> Request:

@@ -49,6 +49,17 @@ def test_import_leaves_batch_and_cli_unloaded():
     assert _fresh(code).strip() == "[]"
 
 
+def test_cli_eval_leaves_the_verification_layer_unloaded(tmp_path):
+    # eval sums one series; check, sweep, explore and --suite's help load
+    # the verification layer when they run
+    params = tmp_path / "params.json"
+    params.write_text('{"upper": [[1.5, 0.7]], "lower": [[2.5, 1.2]]}')
+    code = ("import sys; from foxwright.cli import main; "
+            f"main(['eval', '--params', {str(params)!r}, '--z', '2.0']); "
+            f"print(sorted(m for m in {DEFERRED[:4]!r} if m in sys.modules))")
+    assert _fresh(code).splitlines()[-1] == "[]"
+
+
 # a first access in a fresh interpreter: it finds the verification layer
 # unloaded and leaves every export bound in the package namespace as its
 # module's own object and listed by dir(), with cli and batch neither bound
@@ -152,7 +163,7 @@ def _imports(module):
 def test_engine_and_oracle_share_no_code():
     # the oracle checks the engine only while neither is built on the other,
     # and a margin recipe checks a checker only while it borrows none of it
-    for module in ("series", "batch", "gammakit"):
+    for module in ("series", "batch", "gammakit", "ddmath", "window"):
         for mod, name in _imports(module):
             assert mod.split(".")[0] != "mpmath", (module, mod)
             assert mod != "foxwright.oracle", (module, mod, name)

@@ -34,7 +34,7 @@ from foxwright import (
     turan_alpha_check,
     turan_beta_check,
 )
-from foxwright import batch, gammakit, series
+from foxwright import batch, ddmath, gammakit, series, window
 from foxwright.series import PfqRequest
 
 # generic reference instance; values from 40-digit summation of the
@@ -231,13 +231,15 @@ def test_overflow_and_log_mode():
 
 
 def test_log_mode_beyond_double_range_in_blocks():
-    # sum z^k/(k+1)! = (e^z - 1)/z, about e^793 here: its ~1000 terms run
-    # almost all in the block phase
+    # sum z^k/(k+1)! = (e^z - 1)/z, about e^793 here: the ~490 terms of its
+    # saddle window, and the ~1000 of its plain sum, run almost all in the
+    # block phase
     params = FoxWrightParams(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
-    res = series._sum_series(series.Request(params, 800.0), True)
-    assert res.terms_used > 900
-    assert math.isinf(res.value) and res.sign == 1
-    assert abs(res.log_magnitude - (800.0 - math.log(800.0))) <= 1e-12 * 800.0
+    for windowed, least in ((True, 400), (False, 900)):
+        res = series._sum_series(series.Request(params, 800.0), True, windowed)
+        assert res.terms_used > least
+        assert math.isinf(res.value) and res.sign == 1
+        assert abs(res.log_magnitude - (800.0 - math.log(800.0))) <= 1e-12 * 800.0
 
 
 def test_term_overflow_is_raised_at_the_first_term_past_the_range():
@@ -397,21 +399,24 @@ def test_first_read_ahead_of_a_growing_head_ends_past_the_peak(
         span_sizes, z, terms, read):
     # the terms still grow at the end of the head, so its last ratio says
     # nothing of the decay; the read reaches past the peak that the ratios'
-    # fall puts ahead, in one read of whole blocks short of _FIRST_READ
+    # fall puts ahead, in one read of whole blocks short of _FIRST_READ (of
+    # the plain sum: at z = 50 evaluate sums the saddle window instead)
     gen = series._TermLogs(P1, z)
     assert gen.at(31)[0] > gen.at(30)[0]
-    assert evaluate(P1, z).terms_used == terms
+    plain = series._sum_series(series.Request(P1, z), False, window=False)
+    assert plain.terms_used == terms
     assert span_sizes == [read]
     assert terms - series._SCALAR_TERMS <= read < series._FIRST_READ
 
-# eps = 0.3 and z = 4 put the peak term near k = 500; both calls below sum
-# about 1,070 terms, nearly all of them in blocks
+# eps = 0.3 and z = 4 put the peak term near k = 500; dbeta1 below sums
+# about 1,070 terms, nearly all of them in blocks, and derivative about 800,
+# over its saddle window from k = 276
 P_LONG = FoxWrightParams(upper=((2.0, 1.2),), lower=((1.5, 0.5),))
 
 
 def test_long_derivative_matches_oracle():
     res = derivative(P_LONG, 4.0)
-    assert res.terms_used > 1000
+    assert res.terms_used > 700
     ref = float(hp_eval(P_LONG.shifted(), 4.0)[0])
     assert abs(res.value - ref) <= res.tail_bound + 1e-13 * abs(ref)
 
@@ -548,17 +553,18 @@ GOLDEN = {
         lambda: evaluate(P_FLAT, -1.3), 13, 1,
         ("0x1.143b46096e44bp+0", "0x1.9b11e9a2c2f24p-72",
          "0x1.46ca56d5e980bp+0", "0x1.378cc27b171d5p-4")),
+    # these three sum their saddle windows, from k = 274, 276 and 545
     "evaluate P_LONG 4.0": (
-        lambda: evaluate(P_LONG, 4.0), 1068, 1,
-        ("0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
+        lambda: evaluate(P_LONG, 4.0), 794, 1,
+        ("0x1.57d79345b9f28p+296", "0x1.deae568885110p+248",
          "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
     "derivative P_LONG 4.0": (
-        lambda: derivative(P_LONG, 4.0), 1071, 1,
-        ("0x1.c246b6fc8ea74p+303", "0x1.1cc6f079af2d6p+256",
+        lambda: derivative(P_LONG, 4.0), 795, 1,
+        ("0x1.c246b6fc8ea74p+303", "0x1.1cc6f3349b8a4p+256",
          "0x1.0000000000000p+0", "0x1.a52d32f89722cp+7")),
     "log_mode P_EXPM1 800.0": (
         lambda: series._sum_series(series.Request(P_EXPM1, 800.0), True),
-        1032, 1,
+        488, 1,
         ("inf", "inf", "0x1.0000000000000p+0", "0x1.8ca85ea4959aap+9")),
     "dbeta1 P1 2.0": (
         lambda: dbeta1(P1, 2.0), 36, -1,
@@ -580,9 +586,11 @@ GOLDEN = {
         lambda: evaluate_tilde(P_CROSS, -1.5), 43, 1,
         ("0x1.46a2b8ad1070dp-3", "0x1.50e709cad8ab6p-60",
          "0x1.66ff0cbc72c6ap+6", "-0x1.d5f5442b772b2p+0")),
-    # a budget that cuts the first read-ahead short, 2 terms past the stop
+    # a budget that cuts the first read-ahead of the plain sum short, 2
+    # terms past the stop
     "evaluate P_LONG 4.0 budget 1070": (
-        lambda: _with_budget(1070, lambda: evaluate(P_LONG, 4.0)), 1068, 1,
+        lambda: _with_budget(1070, lambda: series._sum_series(
+            series.Request(P_LONG, 4.0), False, window=False)), 1068, 1,
         ("0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
          "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
     # -psi(0.2 + 0.01*k) changes sign at k = 127, in the second block
@@ -594,10 +602,11 @@ GOLDEN = {
         lambda: evaluate_tail(P_LONG, TailSpec(900), 5.0), 1066, 1,
         ("0x1.6f2e15a75f559p+616", "0x1.90ea3b68425bep+569",
          "0x1.0000000000000p+0", "0x1.ab56dedb434c2p+8")),
-    # the factor (1.0, 0.02) reaches the Stirling threshold at k = 550
+    # the factor (1.0, 0.02) reaches the Stirling threshold at k = 550,
+    # inside the saddle window
     "evaluate P_LATE 4.0": (
-        lambda: evaluate(P_LATE, 4.0), 926, 1,
-        ("0x1.341e7b20b6c86p+266", "0x1.731a73c1a4dfdp+218",
+        lambda: evaluate(P_LATE, 4.0), 709, 1,
+        ("0x1.341e7b20b6c86p+266", "0x1.731a77566eec0p+218",
          "0x1.0000000000000p+0", "0x1.711ffa9bf57d1p+7")),
     "evaluate P_SLOW -1.0": (
         lambda: evaluate(P_SLOW, -1.0), 1241, 1,
@@ -614,7 +623,7 @@ GOLDEN_AVX2 = {
         "0x1.170f5347f8f23p-7", "0x1.5495ad194ad35p-59",
         "0x1.22e835523b885p+50", "-0x1.31028fe946a24p+2"),
     "evaluate P_LONG 4.0": (
-        "0x1.57d79345b9f25p+296", "0x1.deae51fbd301ap+248",
+        "0x1.57d79345b9f25p+296", "0x1.deae568885110p+248",
         "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7"),
     "dbeta1 P_LONG 4.0": (
         "-0x1.f3e431d32f633p+298", "0x1.465fa25b0089cp+251",
@@ -626,7 +635,7 @@ GOLDEN_AVX2 = {
         "0x1.6f2e15a75f55cp+616", "0x1.90ea3b68425bep+569",
         "0x1.0000000000000p+0", "0x1.ab56dedb434c2p+8"),
     "evaluate P_LATE 4.0": (
-        "0x1.341e7b20b6c86p+266", "0x1.731a73c1a4df7p+218",
+        "0x1.341e7b20b6c86p+266", "0x1.731a77566eebap+218",
         "0x1.0000000000000p+0", "0x1.711ffa9bf57d1p+7"),
     "evaluate P_SLOW -1.0": (
         "0x1.ffb8fbe278e93p-2", "0x1.f2e50824a8ea8p-47",
@@ -814,7 +823,7 @@ def test_head_only_calls_match_recorded_bits(case):
 
 
 def test_head_tables_hold_the_bits_of_the_functions_they_replace():
-    assert series._LOG_INTS == tuple(series._log_int_dd(k) for k in range(1, 64))
+    assert series._LOG_INTS == tuple(ddmath._log_int_dd(k) for k in range(1, 64))
     assert series._LOG_FACTORIALS == tuple(
         gammakit.log_gamma(k + 1.0) for k in range(11))
     # 1/k! waits below the Stirling threshold for exactly the tabled k
@@ -829,7 +838,7 @@ def test_ln_k_table_holds_log_ints_dd_of_each_k():
     table = series._LN_K
     assert table.shape == (2, 8192) and not table.flags.writeable
     for k, pair in enumerate(table.T.tolist()):
-        one = series._log_ints_dd(np.array([max(k, 1.0)]))
+        one = ddmath._log_ints_dd(np.array([max(k, 1.0)]))
         assert pair == [float(x[0]) for x in one], k
     assert [math.copysign(1.0, x) for x in table[:, 0].tolist()] == [1.0, 1.0]
     assert table[:, 0].tolist() == [0.0, 0.0]
@@ -854,8 +863,9 @@ def test_ln_k_table_spans_match_the_spans_computed_directly(monkeypatch, k0, k1)
 # Batch rows (from k = 0, where the ln k table holds ln 1 = 0, from k = 3,
 # and from k = 8,180 across the table's end) and single-call tails whose
 # block phase starts across the table's end or past it, recorded with
-# float.hex from the engine before the table, for numpy's AVX-512 kernels;
-# LN_K_GOLDEN_AVX2 holds the cases whose AVX2 bits differ.
+# float.hex from the engine before the table (batch P_LONG 4.0 since it
+# sums its saddle window), for numpy's AVX-512 kernels; LN_K_GOLDEN_AVX2
+# holds the cases whose AVX2 bits differ.
 P_FLAT_EPS = FoxWrightParams(upper=((1.0, 0.95),))
 LN_K_GOLDEN = {
     "batch P1 2.0": (35, 1, (
@@ -867,8 +877,8 @@ LN_K_GOLDEN = {
     "batch exp 1.0": (21, 1, (
         "0x1.5bf0a8b145769p+1", "0x1.98a3fb2886d9ap-66",
         "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
-    "batch P_LONG 4.0": (1068, 1, (
-        "0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
+    "batch P_LONG 4.0": (794, 1, (
+        "0x1.57d79345b9f28p+296", "0x1.deae568885110p+248",
         "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
     "batch exp 8000.0 from 8180": (560, 1, (
         "inf", "inf", "0x1.0000000000000p+0", "0x1.f3c36b83de91ep+12")),
@@ -881,7 +891,7 @@ LN_K_GOLDEN = {
 }
 LN_K_GOLDEN_AVX2 = {
     "batch P_LONG 4.0": (
-        "0x1.57d79345b9f25p+296", "0x1.deae51fbd301ap+248",
+        "0x1.57d79345b9f2bp+296", "0x1.deae568885110p+248",
         "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7"),
     "evaluate_tail P_FLAT_EPS 8179 -1.645": (
         "0x1.ba67e3bfbbb3bp+571", "0x1.8956f2c73ea7ep+527",
@@ -926,13 +936,13 @@ def test_budget_that_ends_inside_a_read_ahead_keeps_its_error_text(
     monkeypatch.setattr(series, "_MAX_TERMS", 1000)
     msg = "stop rule did not fire within 1000 terms (start=0, z=4.0)"
     with pytest.raises(NoConvergenceError, match=f"^{re.escape(msg)}$"):
-        evaluate(P_LONG, 4.0)
+        series._sum_series(series.Request(P_LONG, 4.0), False, window=False)
     # the first read-ahead after the 32-term head stops at the budget
     assert sum(span_sizes) == 1000 - 32
 
 
 def _dd_log_rel_err(x):
-    h, l = series._dd_log(x)
+    h, l = ddmath._dd_log(x)
     with mp.workdps(50):
         ref = mp.log(mp.mpf(x))
         return float(abs((mp.mpf(h) + mp.mpf(l)) - ref) / abs(ref))
@@ -940,12 +950,12 @@ def _dd_log_rel_err(x):
 
 def test_ln_grid_is_the_artanh_sum():
     # the tabled grid pairs are exactly what _artanh2 sums from 1
-    assert series._LN_GRID == tuple(
-        series._artanh2(j / 64.0 - 1.0, j / 64.0, 1.0) for j in range(45, 92))
+    assert ddmath._LN_GRID == tuple(
+        ddmath._artanh2(j / 64.0 - 1.0, j / 64.0, 1.0) for j in range(45, 92))
 
 
 def test_dd_log_of_one_is_exact_zero():
-    h, l = series._dd_log(1.0)
+    h, l = ddmath._dd_log(1.0)
     assert (h, l) == (0.0, 0.0)
     assert math.copysign(1.0, h) == math.copysign(1.0, l) == 1.0
 
@@ -959,7 +969,7 @@ def test_dd_log_against_mpmath_at_fixed_points():
             c = j / 64.0
             xs += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
     # both ends of the reduced range [sqrt(1/2), sqrt(2)), and next to 1
-    xs += [series._SQRT_HALF, math.nextafter(series._SQRT_HALF, 0.0),
+    xs += [ddmath._SQRT_HALF, math.nextafter(ddmath._SQRT_HALF, 0.0),
            math.nextafter(sqrt2, 0.0), sqrt2, math.nextafter(1.0, 0.0),
            math.nextafter(1.0, 2.0), 1e-300, 1e300]
     assert max(_dd_log_rel_err(x) for x in xs) <= 1e-31
@@ -1379,16 +1389,183 @@ def test_closed_forms_at_positive_z_within_the_stated_bound(params, z, exact, sl
         assert abs(res.log_magnitude - math.log(want)) <= rel, (res, want)
 
 
+_EXP = FoxWrightParams(((1.0, 1.0),), ((1.0, 1.0),))
+_WRIGHT_HALF = FoxWrightParams((), ((0.5, 1.0),))
+
+
+def _head_of_exp(z, n):
+    # sum_{k <= n} z^k/k!, by its term logs
+    return math.fsum(math.exp(k * math.log(z) - math.lgamma(k + 1.0))
+                     for k in range(n + 1))
+
+
+# closed forms whose calls sum their saddle windows: e^z, its derivative
+# and its tail past k = 9, and Wright(1, 1/2; z) with its derivative
+# Wright(1, 3/2; z) = sinh(2 sqrt z)/sqrt(pi z) and its tail past k = 4
+@pytest.mark.parametrize("params, z, exact, slope, n, head", [
+    *[(_EXP, z, math.exp(z), math.exp(z), 9, _head_of_exp(z, 9))
+      for z in (200.0, 300.0, 700.0)],
+    *[(_WRIGHT_HALF, z, math.cosh(2.0 * math.sqrt(z)) / _SQRT_PI,
+       math.sinh(2.0 * math.sqrt(z)) / (_SQRT_PI * math.sqrt(z)), 4,
+       math.fsum(z ** k / (math.factorial(k) * math.gamma(0.5 + k))
+                 for k in range(5)))
+      for z in (2e4, 4e4, 9e4)],
+])
+def test_closed_forms_over_the_saddle_window(params, z, exact, slope, n, head):
+    reqs = [series.Request(params, z), series.Request(params.shifted(), z),
+            series.Request(params, z, n + 1)]
+    assert all(series._window(*r[:3]) is not None for r in reqs)
+    wants = (exact, slope, exact - head)
+    results = [evaluate(params, z), derivative(params, z),
+               evaluate_tail(params, TailSpec(n), z)]
+    for res, want in zip(results + series.evaluate_batch(reqs), wants * 2):
+        rel = res.tail_bound / want + 1e-14 + 2.0 ** -53 * res.terms_used
+        assert abs(res.value - want) <= rel * want, (res, want)
+
+
+def test_window_reaches_log_magnitudes_past_the_old_budget():
+    # e^z peaks at k = z, and E_{1/2}(x) = e^(x^2) erfc(-x) at k = 2 x^2:
+    # from k = 0 the 10,000-term budget ran out past z ~ 9,000 and x ~ 60
+    ml_half = FoxWrightParams(((1.0, 1.0),), ((1.0, 0.5),))
+    got = series.evaluate_batch([
+        series.Request(_EXP, 1e4), series.Request(_EXP, 1e5),
+        series.Request(ml_half, 100.0), series.Request(_EXP, 1e6)])
+    for res, want in zip(got, (1e4, 1e5, 1e4 + math.log(2.0))):
+        assert res.sign == 1 and res.value == math.inf
+        assert abs(res.log_magnitude - want) <= 1e-12 * want, (res, want)
+    # e^(10^6) needs about 18,000 window terms
+    assert isinstance(got[3], NoConvergenceError)
+    assert series._window(_EXP, 1e6, 0)[2] - series._window(_EXP, 1e6, 0)[1] > 10000
+
+
+def _window_series():
+    # e^z, P_LONG and its derivative, and the eval-long-style windowed
+    # requests of _long_requests, some with k0 > 0
+    return ([series.Request(_EXP, 700.0), series.Request(P_LONG, 4.0),
+             series.Request(P_LONG.shifted(), 4.0)]
+            + [r for r in _long_requests() if series._window(*r[:3])])
+
+
+def test_window_flank_bound_covers_the_skipped_terms():
+    for req in _window_series():
+        params, z, start = req[:3]
+        k0, k_lo, _ = series._window(params, z, start)
+        gen = series._TermLogs(params, z)
+        h, l = gen.block(k_lo - 1, k_lo + 1)
+        rho = math.exp(-((h[1] - h[0]) + (l[1] - l[0])))
+        skipped = math.fsum(math.exp(series.log_term(params, z, k) - h[1])
+                            for k in range(k0, k_lo))
+        assert rho < 1.0 and skipped <= rho / (1.0 - rho), req
+
+
+def test_window_that_does_not_hold_is_summed_from_the_start(monkeypatch):
+    # a left edge 5 below the peak leaves a flank bound far above 1e-15 of
+    # the sum, and one past the peak a ratio into k_lo below 1: both
+    # engines drop such a window and return the plain sum
+    reqs = [series.Request(_EXP, 700.0), series.Request(P_LONG, 4.0)]
+    plain = [series._sum_series(r, True, window=False) for r in reqs]
+    monkeypatch.setattr(window, "_WINDOW_DROP", 5.0)
+    assert all(series._window(*r[:3]) for r in reqs)
+    assert [series._sum_series(r, True) for r in reqs] == plain
+    assert series.evaluate_batch(reqs) == plain
+    monkeypatch.setattr(window, "_WINDOW_DROP", 45.0)
+    past = {700.0: (0, 800, 1200), 4.0: (0, 700, 1200)}
+    for mod in (series, batch):
+        monkeypatch.setattr(mod, "_window", lambda p, z, s: past[z])
+    assert [series._sum_series(r, True) for r in reqs] == plain
+    assert series.evaluate_batch(reqs) == plain
+
+
+def test_window_ratios_do_not_increase_from_k0():
+    # the lemma of window._monotone_from, checked on 40-digit term logs:
+    # r(m + 1) <= r(m) for r(m) = ln t_{m+1} - ln t_m, from k0 on
+    def log_t(params, k):
+        with mp.workdps(40):
+            return (sum(mp.loggamma(a + k * w) for a, w in params.upper)
+                    - sum(mp.loggamma(b + k * w) for b, w in params.lower)
+                    - mp.loggamma(k + 1))
+    for req in _window_series():
+        params = req.params
+        k0 = series._window(*req[:3])[0]
+        t = [log_t(params, k) for k in range(k0, k0 + 120)]
+        r = [b - a for a, b in zip(t, t[1:])]
+        assert all(b <= a for a, b in zip(r, r[1:])), req
+
+
+# Calls whose window would skip fewer than 64 terms (k_lo - start = 63)
+# sum from their start: these bits are the engine's before the window, for
+# numpy's AVX-512 kernels and, where they differ, its AVX2 kernels
+_NO_WINDOW = {
+    "evaluate exp 173.0": (
+        lambda: evaluate(_EXP, 173.0), 290,
+        ("0x1.80573a499f826p+249", "0x1.80573a499f824p+249"),
+        "0x1.1d37e1cf52915p+198", "0x1.5a00000000000p+7"),
+    "evaluate_tail P_LONG 210 4.0": (
+        lambda: evaluate_tail(P_LONG, TailSpec(210), 4.0), 857,
+        ("0x1.57d79345b9f28p+296", "0x1.57d79345b9f25p+296"),
+        "0x1.deae51fbd301ap+248", "0x1.9aeee254a1080p+7"),
+    "batch exp 173.0": (
+        lambda: series.evaluate_batch([series.Request(_EXP, 173.0)])[0], 290,
+        ("0x1.80573a499f822p+249", "0x1.80573a499f824p+249"),
+        "0x1.1d37e1cf52915p+198", "0x1.5a00000000000p+7"),
+    "batch P_LONG 4.0 from 211": (
+        lambda: series.evaluate_batch([series.Request(P_LONG, 4.0, 211)])[0],
+        857, ("0x1.57d79345b9f28p+296", "0x1.57d79345b9f25p+296"),
+        "0x1.deae51fbd301ap+248", "0x1.9aeee254a1080p+7"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NO_WINDOW))
+def test_call_short_of_a_window_keeps_its_bits(case, simd_target):
+    call, terms, values, tail, log_mag = _NO_WINDOW[case]
+    res = call()
+    value = values[simd_target == "AVX2"]
+    assert res.terms_used == terms and res.sign == 1
+    got = (res.value, res.tail_bound, res.condition_estimate, res.log_magnitude)
+    assert tuple(float.hex(x) for x in got) == (value, tail, _ONE, log_mag)
+
+
+# (window (k0, k_lo, k_hi), terms of the single call, terms of the tile
+# row): scalar math decides the window, and the block stop rule the stop,
+# so these hold under every set of numpy kernels
+_WINDOW_STOPS = {
+    "exp 700.0": (series.Request(_EXP, 700.0), (0, 463, 966), 456, 456),
+    "exp 1e5": (series.Request(_EXP, 1e5), (0, 97014, 103015), 5359, 5359),
+    "P_LONG 4.0": (series.Request(P_LONG, 4.0), (0, 274, 1165), 794, 794),
+    "P_LATE 4.0": (series.Request(P_LATE, 4.0), (0, 217, 1012), 709, 709),
+    "wright 4e4 derivative": (series.Request(_WRIGHT_HALF.shifted(), 4e4),
+                              (0, 112, 302), 175, 175),
+}
+
+
+def test_window_edges_and_stops_match_recorded_values():
+    for case, (req, win, one, tile) in _WINDOW_STOPS.items():
+        assert series._window(*req[:3]) == win, case
+        assert series._sum_series(req, True).terms_used == one, case
+        assert series.evaluate_batch([req])[0].terms_used == tile, case
+    # one term more or one start less, and the windows of _NO_WINDOW's
+    # calls would skip 64 terms
+    assert series._window(_EXP, 173.0, 0) is None
+    assert series._window(_EXP, 174.0, 0) == (0, 64, 313)
+    assert series._window(P_LONG, 4.0, 211) is None
+    assert series._window(P_LONG, 4.0, 210) == (210, 274, 1165)
+    # one of _long_requests sums its terms below k0 = 15 one by one
+    direct = [r for r in _long_requests() if series._window(*r[:3])][14]
+    assert series._window(*direct[:3]) == (15, 107, 599)
+    assert series._sum_series(direct, True).terms_used == 441
+    assert series.evaluate_batch([direct])[0].terms_used == 441
+
+
 def test_dd_log_array_matches_scalar():
     xs = [2.0 ** e for e in range(-1074, 1024, 7)]
     xs += [j / 64.0 for j in range(45, 92)] + [1.0, 1e-300, 1e300,
                                                  math.nextafter(1.0, 2.0)]
     xs += np.random.default_rng(5).uniform(0.01, 50.0, 500).tolist()
     xs += np.exp(np.random.default_rng(6).uniform(-700.0, 700.0, 5000)).tolist()
-    h, l = series._dd_log_array(np.array(xs))
+    h, l = ddmath._dd_log_array(np.array(xs))
     # bit for bit the scalar pair, so the batch and single paths share
     # ln|z| and every ln w
-    assert list(zip(h.tolist(), l.tolist())) == [series._dd_log(x) for x in xs]
+    assert list(zip(h.tolist(), l.tolist())) == [ddmath._dd_log(x) for x in xs]
     for x, hh, ll in zip(xs[:-5000], h.tolist(), l.tolist()):
         if x == 1.0:
             assert (hh, ll) == (0.0, 0.0)
