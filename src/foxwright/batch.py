@@ -158,9 +158,9 @@ class _RowSums:
     """Summation state of every row of a tile, as arrays indexed by row.
     Every row is unweighted at z > 0, so its terms are all positive.  A
     row with a saddle window (``window._window``, the same scalar rule as
-    a single call's) sums [start, k0) in one pass here and its blocks from
-    k_lo, with ``lo_h`` and ``lo_d`` (ln t_{k_lo} and its log ratio to the
-    term before) kept for its flank bound."""
+    a single call's) sums [start, k0) here and its blocks from k_lo, with
+    ``lo_h`` and ``lo_d`` (ln t_{k_lo} and its log ratio to the term
+    before) kept for its flank bound."""
 
     def __init__(self, reqs: list[Request]) -> None:
         n = len(reqs)
@@ -182,37 +182,46 @@ class _RowSums:
         self._windows()
 
     def _windows(self) -> None:
-        # ln k_c of every row at once, for a loose cut below the window's
-        # own (ln(start + _WINDOW_SKIP)): only the rows past it run the
-        # scalar rule
+        # the rows' windows by the single call's scalar rule, run only on
+        # the rows whose ln k_c, formed here for all rows at once, passes
+        # the looser of the rule's lower cuts, ln(start + _WINDOW_SKIP),
+        # less 0.01.  The margin is far above the rounding between the two
+        # forms of ln k_c except where eps nears 1e-13, and there the rule
+        # needs ln k_c >= ln(90/eps) > 33, above the cut for any start
+        # below 1e14.  On a seed-1 check round the cut leaves 192 of 21,910
+        # rows to the rule, which costs some 2 us a row in Python.  The
+        # windowed rows then sum [start, k0) and read the logs of k_lo - 1
+        # and k_lo, at most _TILE_CAP (row, k, factor) elements at a time
         sg, w = self.table.sg, self.table.w
         wlw = np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
         lk = ((np.log([r.z for r in self.reqs]) + (sg * wlw).sum(axis=1))
               / -(sg * w).sum(axis=1))
         rows = np.flatnonzero(lk > np.log(self.start + _WINDOW_SKIP) - 0.01)
-        wins = [(i, w) for i in rows.tolist() for w in [
-            _window(self.reqs[i].params, self.reqs[i].z, self.reqs[i].start)]
-            if w is not None]
+        wins = [(i, win) for i in rows.tolist() for r in [self.reqs[i]]
+                for win in [_window(r.params, r.z, r.start)] if win is not None]
         if not wins:
             return
+        width = max(k0 - self.reqs[i].start for i, (k0, _, _) in wins)
+        step = max(1, _TILE_CAP // ((width + 2) * self.table.a.shape[1]))
+        for at in range(0, len(wins), step):
+            self._window_heads(wins[at:at + step], width)
+
+    def _window_heads(self, wins: list, width: int) -> None:
         ix = np.array([i for i, _ in wins])
         k0, k_lo = (np.array(v, dtype=float) for v in zip(*[w[:2] for _, w in wins]))
-        # one pass over the terms of [start, k0) (padded with k_lo - 1),
-        # k_lo - 1 and k_lo
+        # the terms of [start, k0), padded with k_lo - 1, then k_lo - 1 and
+        # k_lo; [start, k0) summed as the single call sums it
         start = self.start[ix]
-        width = int((k0 - start).max())
         fk = np.minimum(start[:, None] + np.arange(width + 2), k_lo[:, None] - 1)
         fk[:, -2], fk[:, -1] = k_lo - 1, k_lo
         lh, ll = self.table.logs(ix, fk)
-        if width:
-            direct = np.arange(width) < (k0 - start)[:, None]
-            dh = np.where(direct, lh[:, :width], -math.inf)
-            at, top = np.arange(ix.size), dh.argmax(axis=1)
-            sh = dh[at, top]
-            sl = np.where(sh > -math.inf, ll[at, top], 0.0)
-            t = np.exp(dh - sh[:, None]) * (1.0 + (ll[:, :width] - sl[:, None]))
-            self.total[ix] = np.where(direct, t, 0.0).sum(axis=1)
-            self.scale_h[ix], self.scale_l[ix] = sh, sl
+        for r, n in enumerate((k0 - start).astype(int).tolist()):
+            if n:
+                top = int(lh[r, :n].argmax())
+                sh, sl = float(lh[r, top]), float(ll[r, top])
+                self.total[ix[r]] = math.fsum(memoryview(
+                    np.exp(lh[r, :n] - sh) * (1.0 + (ll[r, :n] - sl))))
+                self.scale_h[ix[r]], self.scale_l[ix[r]] = sh, sl
         self.terms[ix] = k0 - start
         self.prev_h[ix], self.prev_l[ix] = lh[:, -2], ll[:, -2]
         self.lo_h[ix] = lh[:, -1]
@@ -381,6 +390,11 @@ def _pfq_result(grand: float, total_abs: float, term: float, ratio: float,
                       math.log(abs(grand)), 1 if grand > 0.0 else -1)
 
 
+# what one request may raise; evaluate_batch returns it in that request's place
+_REQUEST_ERRORS = (DomainError, ParameterError, DivergentSeriesError,
+                   NoConvergenceError)
+
+
 def evaluate(requests: list) -> list:
     """series.evaluate_batch: every series request in log mode."""
     out: list = [None] * len(requests)
@@ -396,8 +410,7 @@ def evaluate(requests: list) -> list:
                 tiled.append(i)
             else:
                 out[i] = _sum_series(req, True)
-        except (DomainError, ParameterError, DivergentSeriesError,
-                NoConvergenceError) as exc:
+        except _REQUEST_ERRORS as exc:
             out[i] = exc
     with np.errstate(all="ignore"):
         for at in pfq.values():
@@ -407,7 +420,10 @@ def evaluate(requests: list) -> list:
             rows = [requests[i] for i in tiled]
             for i, res in zip(tiled, _RowSums(rows).run()):
                 if res is None:  # a window that does not hold: sum it plainly
-                    out[i] = _sum_series(requests[i], True, window=False)
+                    try:
+                        out[i] = _sum_series(requests[i], True)
+                    except _REQUEST_ERRORS as exc:
+                        out[i] = exc
                 else:
                     out[i] = res if isinstance(res, Exception) else _finish(
                         *res, requests[i].log_offset, True)

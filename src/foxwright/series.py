@@ -48,7 +48,8 @@ index of ``window._monotone_from``'s lemma, from which no term ratio
 increases; so t_{k_lo} rho/(1 - rho), with rho = t_{k_lo-1}/t_{k_lo} from
 the term logs the block phase computed, bounds the skipped flank, and is
 added to the tail bound.  A window is taken when it skips at least 64
-terms, and is dropped again (the request summed from its start) where
+terms and the lemma's ratio bound lies at most 10,000 terms past the
+start, and is dropped again (the request summed from its start) where
 that bound exceeds 1e-15 of the sum; its term budget counts from k_lo.
 
 Every series generates at most ``_MAX_TERMS`` terms before its stop rule
@@ -70,12 +71,13 @@ every stage of its expansion (set up for all rows together, with
 through ``_log_gamma_array``, and each block of k runs ``_stops`` row by row
 on ``cumsum`` partials, so a row's result never depends on the other rows of
 its tile; a row takes the single call's saddle window and flank bound, and
-sums [start, k0) in one pass.  Blocks start at 16 terms and double up to
-512; a block call holds at most ``batch._TILE_CAP`` (row, k, factor)
-elements an array, and rows that have stopped drop out.  A row agrees with
-its single call within their error estimates but not bit for bit: a block is
-added with a pairwise sum instead of ``math.fsum``, and numpy's logarithms
-and exponentials may differ from ``math``'s in the last bit.  A series
+sums [start, k0) with ``math.fsum`` as the single call does.  Blocks start
+at 16 terms and double up to 512; a block call holds at most
+``batch._TILE_CAP`` (row, k, factor) elements an array, and rows that have
+stopped drop out.  A row agrees with its single call within their error
+estimates but not bit for bit: a block is added with a pairwise sum
+instead of ``math.fsum``, and numpy's logarithms and exponentials may
+differ from ``math``'s in the last bit.  A series
 request at z <= 0 or with a psi weight takes the single-call path, the one
 engine for signed terms and cancellation, bit for bit.  A series request is
 checked against its rules once, where it is summed: by ``_require_summable``
@@ -802,12 +804,12 @@ def _sum_window(req: Request, win: tuple, log_mode: bool):
                    log_mode)
 
 
-def _sum_series(req: Request, log_mode: bool, window: bool = True) -> EvalResult:
+def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     """Scaled compensated summation of one request, one term at a time and
     then in blocks, or over its saddle window (``_sum_window``) where an
-    unsigned request has one and ``window`` allows it.  Past the double
-    range a term or the value raises OverflowError, unless log_mode: then
-    the result is +-inf with its log-magnitude (evaluate_batch's policy)."""
+    unsigned request has one that holds.  Past the double range a term or
+    the value raises OverflowError, unless log_mode: then the result is
+    +-inf with its log-magnitude (evaluate_batch's policy)."""
     _require_summable(req)
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
@@ -823,7 +825,7 @@ def _sum_series(req: Request, log_mode: bool, window: bool = True) -> EvalResult
 
     # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
     signed = z < 0.0 or psi_weight is not None
-    win = None if signed or not window else _window(params, z, start)
+    win = None if signed else _window(params, z, start)
     if win is not None:
         res = _sum_window(req, win, log_mode)
         if res is not None:

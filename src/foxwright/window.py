@@ -24,10 +24,14 @@ from .gammakit import digamma
 # The sum starts at k_lo, where log t has fallen _WINDOW_DROP below the
 # peak, when that skips at least _WINDOW_SKIP terms; the right edge,
 # _WINDOW_DROP past the peak, sizes the first read.  A peak index past
-# e^_LOG_PEAK_MAX is not windowed.
+# e^_LOG_PEAK_MAX is not windowed, nor a series whose ratio bound K
+# (``_monotone_from``) lies more than _MONOTONE_SPAN past its start: a
+# window sums [start, k0) outside the term budget, so those terms are at
+# most one budget (series._MAX_TERMS) long, and so are the bound's arrays.
 _WINDOW_DROP = 45.0
 _WINDOW_SKIP = 64
 _LOG_PEAK_MAX = 34.0
+_MONOTONE_SPAN = 10000
 
 
 def _factors(params) -> tuple[list, list]:
@@ -98,12 +102,12 @@ def _window(params, z: float, start: int):
     if k_lo - start < _WINDOW_SKIP:
         return None
     k0 = _monotone_from(params, start)
-    if k_lo - k0 < _WINDOW_SKIP:
+    if k0 is None or k_lo - k0 < _WINDOW_SKIP:
         return None
     return k0, k_lo, k_hi
 
 
-def _monotone_from(params, start: int) -> int:
+def _monotone_from(params, start: int) -> int | None:
     """The first k0 >= start from which the term ratios of an unsigned
     series do not increase: t_{k+1}/t_k <= t_k/t_{k-1} for all k > k0.
 
@@ -123,7 +127,9 @@ def _monotone_from(params, start: int) -> int:
     number of upper pairs: no ratio increases past K = C/eps.  Below K the
     bounds are evaluated at every m >= start, in +, -, * and / only
     (correctly rounded on every CPU), with a 2^-40 relative margin, and k0
-    is one past the last m at which they do not show a fall.
+    is one past the last m at which they do not show a fall.  Where K lies
+    more than _MONOTONE_SPAN past start the bounds are not evaluated, and
+    the result is None.
 
     Corollary (the flank bound).  If k0 < k_lo and rho = t_{k_lo-1}/t_{k_lo}
     < 1, then t_k <= t_{k_lo} rho^(k_lo - k) for k0 <= k < k_lo, so the
@@ -136,6 +142,8 @@ def _monotone_from(params, start: int) -> int:
                     / params.epsilon())
     if top <= start:
         return start
+    if top - start > _MONOTONE_SPAN:
+        return None
     # rise and fall as sums of pieces c (1/s + e/s^2), s = a + m w: two
     # pieces per upper pair (s = x, x2) and one per lower pair (s = y + w),
     # one row each, summed over the rows in order

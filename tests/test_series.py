@@ -235,8 +235,9 @@ def test_log_mode_beyond_double_range_in_blocks():
     # saddle window, and the ~1000 of its plain sum, run almost all in the
     # block phase
     params = FoxWrightParams(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
-    for windowed, least in ((True, 400), (False, 900)):
-        res = series._sum_series(series.Request(params, 800.0), True, windowed)
+    call = lambda: series._sum_series(series.Request(params, 800.0), True)
+    for res, least in ((call(), 400),
+                       (_patched(call, _window=lambda *a: None), 900)):
         assert res.terms_used > least
         assert math.isinf(res.value) and res.sign == 1
         assert abs(res.log_magnitude - (800.0 - math.log(800.0))) <= 1e-12 * 800.0
@@ -396,14 +397,15 @@ def test_first_read_ahead_ends_at_the_decay_estimate(span_sizes):
 
 @pytest.mark.parametrize("z, terms, read", [(20.0, 147, 192), (50.0, 330, 448)])
 def test_first_read_ahead_of_a_growing_head_ends_past_the_peak(
-        span_sizes, z, terms, read):
+        span_sizes, monkeypatch, z, terms, read):
     # the terms still grow at the end of the head, so its last ratio says
     # nothing of the decay; the read reaches past the peak that the ratios'
     # fall puts ahead, in one read of whole blocks short of _FIRST_READ (of
     # the plain sum: at z = 50 evaluate sums the saddle window instead)
     gen = series._TermLogs(P1, z)
     assert gen.at(31)[0] > gen.at(30)[0]
-    plain = series._sum_series(series.Request(P1, z), False, window=False)
+    monkeypatch.setattr(series, "_window", lambda *a: None)
+    plain = series._sum_series(series.Request(P1, z), False)
     assert plain.terms_used == terms
     assert span_sizes == [read]
     assert terms - series._SCALAR_TERMS <= read < series._FIRST_READ
@@ -523,13 +525,17 @@ P_LATE = FoxWrightParams(upper=((2.0, 1.2),), lower=((1.5, 0.5), (1.0, 0.02)))
 P_SLOW = FoxWrightParams(upper=((1.0, 0.996),))  # alternating, 1,241 terms
 
 
-def _with_budget(n, call):
-    # call() under a term budget of n, restored afterwards
-    saved, series._MAX_TERMS = series._MAX_TERMS, n
+def _patched(call, **values):
+    # call() with the series module's names set to values, restored
+    # afterwards
+    saved = {name: getattr(series, name) for name in values}
+    for name, value in values.items():
+        setattr(series, name, value)
     try:
         return call()
     finally:
-        series._MAX_TERMS = saved
+        for name, value in saved.items():
+            setattr(series, name, value)
 
 
 GOLDEN = {
@@ -589,8 +595,9 @@ GOLDEN = {
     # a budget that cuts the first read-ahead of the plain sum short, 2
     # terms past the stop
     "evaluate P_LONG 4.0 budget 1070": (
-        lambda: _with_budget(1070, lambda: series._sum_series(
-            series.Request(P_LONG, 4.0), False, window=False)), 1068, 1,
+        lambda: _patched(lambda: series._sum_series(
+            series.Request(P_LONG, 4.0), False), _MAX_TERMS=1070,
+            _window=lambda *a: None), 1068, 1,
         ("0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
          "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
     # -psi(0.2 + 0.01*k) changes sign at k = 127, in the second block
@@ -934,9 +941,10 @@ def test_batch_rows_from_the_ln_k_table_match_the_logs_computed_directly(
 def test_budget_that_ends_inside_a_read_ahead_keeps_its_error_text(
         span_sizes, monkeypatch):
     monkeypatch.setattr(series, "_MAX_TERMS", 1000)
+    monkeypatch.setattr(series, "_window", lambda *a: None)
     msg = "stop rule did not fire within 1000 terms (start=0, z=4.0)"
     with pytest.raises(NoConvergenceError, match=f"^{re.escape(msg)}$"):
-        series._sum_series(series.Request(P_LONG, 4.0), False, window=False)
+        series._sum_series(series.Request(P_LONG, 4.0), False)
     # the first read-ahead after the 32-term head stops at the budget
     assert sum(span_sizes) == 1000 - 32
 
@@ -1043,7 +1051,7 @@ def test_batch_agrees_with_single_calls(cases):
                 _abs_err(res) + _abs_err(ref)), (req, ref, res)
 
 
-def test_batch_results_do_not_depend_on_the_batch():
+def test_batch_results_do_not_depend_on_the_batch(monkeypatch):
     # one tile of many rows against each row alone, bit for bit
     reqs = [series.Request(P1, z) for z in (0.5, -2.0, 3.5, 9.0)]
     reqs += [series.Request(P_CROSS, -7.25, n + 1) for n in (0, 3, 40)]
@@ -1054,14 +1062,30 @@ def test_batch_results_do_not_depend_on_the_batch():
     alone = [series.evaluate_batch([r])[0] for r in reqs]
     assert repr(together) == repr(alone)
     assert repr(together[-2:]) == repr([together[2], together[5]])
+    # windowed rows, with up to 7 terms below k0, in one batch, alone, and
+    # with every array pass cut to one row
+    wins = _window_series()
+    together = series.evaluate_batch(wins)
+    assert repr(together) == repr([series.evaluate_batch([r])[0] for r in wins])
+    monkeypatch.setattr(batch, "_TILE_CAP", 1)
+    assert repr(series.evaluate_batch(wins)) == repr(together)
 
 
 def test_batch_failures_stay_in_their_request(monkeypatch):
+    good = [series.Request(FoxWrightParams(upper=((2.5, 0.0),)), z)
+            for z in (37.0, -2.0, 5.0)]
+    # the edge model's curvature is about 3 times the true one here, so the
+    # window does not hold, and the plain sum, which peaks near k = 20,000,
+    # runs out of budget in its own place
+    far = series.Request(FoxWrightParams(((1e5, 1.0),), ((1.0, 1.0),)), 3300.0)
+    assert series._window(*far[:3]) is not None
+    got = series.evaluate_batch([good[0], far, good[2]])
+    assert isinstance(got[1], NoConvergenceError)
+    assert repr([got[0], got[2]]) == repr(series.evaluate_batch(good[::2]))
+
     # Gamma(a) e^z in one tile: e^39 needs 102 terms, beyond the budget
     # of 100, and Gamma(200) e lies past the double range, summed in log mode
     monkeypatch.setattr(series, "_MAX_TERMS", 100)
-    good = [series.Request(FoxWrightParams(upper=((2.5, 0.0),)), z)
-            for z in (37.0, -2.0, 5.0)]
     got = series.evaluate_batch(
         [good[0], series.Request(FoxWrightParams(upper=((2.5, 0.0),)), 39.0),
          good[1], series.Request(FoxWrightParams(upper=((200.0, 0.0),)), 1.0),
@@ -1438,6 +1462,18 @@ def test_window_reaches_log_magnitudes_past_the_old_budget():
     assert series._window(_EXP, 1e6, 0)[2] - series._window(_EXP, 1e6, 0)[1] > 10000
 
 
+def test_ratio_bound_past_a_budget_leaves_no_window():
+    # eps = 1e-7 puts the peak near e^29 and the lemma's K = C/eps near
+    # 3e7: its bounds are not evaluated, and the plain sum runs out of budget
+    params, z = FoxWrightParams(((1.0, 0.9999999),)), 1.000003
+    assert window._monotone_from(params, 0) is None
+    assert series._window(params, z, 0) is None
+    with pytest.raises(NoConvergenceError):
+        evaluate(params, z)
+    assert isinstance(series.evaluate_batch([series.Request(params, z)])[0],
+                      NoConvergenceError)
+
+
 def _window_series():
     # e^z, P_LONG and its derivative, and the eval-long-style windowed
     # requests of _long_requests, some with k0 > 0
@@ -1463,7 +1499,8 @@ def test_window_that_does_not_hold_is_summed_from_the_start(monkeypatch):
     # the sum, and one past the peak a ratio into k_lo below 1: both
     # engines drop such a window and return the plain sum
     reqs = [series.Request(_EXP, 700.0), series.Request(P_LONG, 4.0)]
-    plain = [series._sum_series(r, True, window=False) for r in reqs]
+    plain = _patched(lambda: [series._sum_series(r, True) for r in reqs],
+                     _window=lambda *a: None)
     monkeypatch.setattr(window, "_WINDOW_DROP", 5.0)
     assert all(series._window(*r[:3]) for r in reqs)
     assert [series._sum_series(r, True) for r in reqs] == plain
