@@ -1,16 +1,17 @@
 """The tile engine and the pFq rows of ``series.evaluate_batch``.
 
-Series requests at z > 0 with no psi weight are summed as the rows of
-(series x k) tiles, so every term is positive; the others go to the
-single-call ``_sum_series``, which owns signed terms and cancellation.
-Each block of a tile ends its rows by ``series._stops``, the block stop rule
-that ``_sum_series`` runs too.  pFq requests run their recurrence
-element-wise across rows; see the ``series`` module docstring.  The array
-kernels the tiles use sit beside their scalar twins: ``_dd_log_array`` in
-``ddmath``, the coefficient fold ``_fold`` in ``series``,
-``_log_gamma_array`` in ``gammakit``.  ``series.evaluate_batch`` imports
-this module on its first call, so importing the package for single calls
-does not load it.
+Series requests at z > 0 with no psi weight and no saddle window
+(``window._window``) are summed as the rows of (series x k) tiles, so
+every term is positive; a request with a window goes to the single call's
+``_sum_window``, and the others to ``_sum_series``, which owns signed
+terms and cancellation.  Each block of a tile ends its rows by
+``series._stops``, the block stop rule that the single calls run too.
+pFq requests run their recurrence element-wise across rows; see the
+``series`` module docstring.  The array kernels the tiles use sit beside
+their scalar twins: ``_dd_log_array`` in ``ddmath``, the coefficient fold
+``_fold`` in ``series``, ``_log_gamma_array`` in ``gammakit``.
+``series.evaluate_batch`` imports this module on its first call, so
+importing the package for single calls does not load it.
 """
 
 from __future__ import annotations
@@ -39,15 +40,15 @@ from .series import (
     _collapsed,
     _expanded_rest,
     _finish,
-    _flank,
     _fold,
     _no_stop,
     _require_convergent_pfq,
     _require_summable,
     _stops,
     _sum_series,
+    _sum_window,
 )
-from .window import _WINDOW_SKIP, _window
+from .window import _window
 
 
 class _TermTable:
@@ -156,11 +157,8 @@ _TILE_CAP = 16384
 
 class _RowSums:
     """Summation state of every row of a tile, as arrays indexed by row.
-    Every row is unweighted at z > 0, so its terms are all positive.  A
-    row with a saddle window (``window._window``, the same scalar rule as
-    a single call's) sums [start, k0) here and its blocks from k_lo, with
-    ``lo_h`` and ``lo_d`` (ln t_{k_lo} and its log ratio to the term
-    before) kept for its flank bound."""
+    Every row is unweighted at z > 0 with no saddle window, so its terms
+    are all positive and it is summed from its start."""
 
     def __init__(self, reqs: list[Request]) -> None:
         n = len(reqs)
@@ -169,65 +167,12 @@ class _RowSums:
         self.start = np.array([r.start for r in reqs], dtype=float)
         self.end = self.start + series._MAX_TERMS
         self.k0 = self.start.copy()
-        # a term k > first may count as small: a start term never does, as
-        # in the single call's head, while a window's terms all may
-        self.first = self.start.copy()
         self.scale_h = np.full(n, -math.inf)
         self.prev_h = np.full(n, -math.inf)
         self.scale_l, self.total, self.comp, self.prev_l = np.zeros((4, n))
         self.streak = np.zeros(n, dtype=int)
         self.terms = np.zeros(n, dtype=int)
-        self.lo_h, self.lo_d = np.full(n, -math.inf), np.zeros(n)
         self.out: list = [None] * n
-        self._windows()
-
-    def _windows(self) -> None:
-        # the rows' windows by the single call's scalar rule, run only on
-        # the rows whose ln k_c, formed here for all rows at once, passes
-        # the looser of the rule's lower cuts, ln(start + _WINDOW_SKIP),
-        # less 0.01.  The margin is far above the rounding between the two
-        # forms of ln k_c except where eps nears 1e-13, and there the rule
-        # needs ln k_c >= ln(90/eps) > 33, above the cut for any start
-        # below 1e14.  On a seed-1 check round the cut leaves 192 of 21,910
-        # rows to the rule, which costs some 2 us a row in Python.  The
-        # windowed rows then sum [start, k0) and read the logs of k_lo - 1
-        # and k_lo, at most _TILE_CAP (row, k, factor) elements at a time
-        sg, w = self.table.sg, self.table.w
-        wlw = np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
-        lk = ((np.log([r.z for r in self.reqs]) + (sg * wlw).sum(axis=1))
-              / -(sg * w).sum(axis=1))
-        rows = np.flatnonzero(lk > np.log(self.start + _WINDOW_SKIP) - 0.01)
-        wins = [(i, win) for i in rows.tolist() for r in [self.reqs[i]]
-                for win in [_window(r.params, r.z, r.start)] if win is not None]
-        if not wins:
-            return
-        width = max(k0 - self.reqs[i].start for i, (k0, _, _) in wins)
-        step = max(1, _TILE_CAP // ((width + 2) * self.table.a.shape[1]))
-        for at in range(0, len(wins), step):
-            self._window_heads(wins[at:at + step], width)
-
-    def _window_heads(self, wins: list, width: int) -> None:
-        ix = np.array([i for i, _ in wins])
-        k0, k_lo = (np.array(v, dtype=float) for v in zip(*[w[:2] for _, w in wins]))
-        # the terms of [start, k0), padded with k_lo - 1, then k_lo - 1 and
-        # k_lo; [start, k0) summed as the single call sums it
-        start = self.start[ix]
-        fk = np.minimum(start[:, None] + np.arange(width + 2), k_lo[:, None] - 1)
-        fk[:, -2], fk[:, -1] = k_lo - 1, k_lo
-        lh, ll = self.table.logs(ix, fk)
-        for r, n in enumerate((k0 - start).astype(int).tolist()):
-            if n:
-                top = int(lh[r, :n].argmax())
-                sh, sl = float(lh[r, top]), float(ll[r, top])
-                self.total[ix[r]] = math.fsum(memoryview(
-                    np.exp(lh[r, :n] - sh) * (1.0 + (ll[r, :n] - sl))))
-                self.scale_h[ix[r]], self.scale_l[ix[r]] = sh, sl
-        self.terms[ix] = k0 - start
-        self.prev_h[ix], self.prev_l[ix] = lh[:, -2], ll[:, -2]
-        self.lo_h[ix] = lh[:, -1]
-        self.lo_d[ix] = (lh[:, -1] - lh[:, -2]) + (ll[:, -1] - ll[:, -2])
-        self.k0[ix], self.first[ix] = k_lo, k_lo - 1
-        self.end[ix] = k_lo + series._MAX_TERMS
 
     def block(self, ix: np.ndarray, n: int) -> np.ndarray:
         """Sum the next n terms of rows ix; returns the rows still running."""
@@ -252,7 +197,7 @@ class _RowSums:
         # _stops on cumsum partials; as in the head, a start term is never
         # small
         partial = (total + comp)[:, None] + np.cumsum(t, axis=1)
-        small = valid & (fk > self.first[ix, None]) & (t <= _REL_TOL * partial)
+        small = valid & (fk > self.start[ix, None]) & (t <= _REL_TOL * partial)
         used, hit, d, self.streak[ix] = _stops(
             lh, ll, self.prev_h[ix], self.prev_l[ix], small, self.streak[ix])
         keep = np.arange(n) < used[:, None]
@@ -267,26 +212,21 @@ class _RowSums:
 
         ratio = np.exp(d)
         for r in np.flatnonzero(hit).tolist():
-            self.out[ix[r]] = self._raw(ix[r], ratio[r])
+            self.out[ix[r]] = self._result(ix[r], ratio[r])
         going = ~hit
         for r in np.flatnonzero(going & ~valid[:, -1]).tolist():
             self.out[ix[r]] = _no_stop(self.reqs[ix[r]])
             going[r] = False
         return ix[going]
 
-    def _raw(self, i: int, ratio: float):
-        # the arguments of _finish before log_offset and log_mode, with the
-        # stop's ratio and a window's flank; a sum of positive terms is its
-        # own sum of |t_k|.  None where the row's window does not hold
+    def _result(self, i: int, ratio: float) -> EvalResult:
+        # row i's result in log mode, from the stop's ratio; a sum of
+        # positive terms is its own sum of |t_k|
         total = float(self.total[i] + self.comp[i])
-        scale_h, lo_h, rho = float(self.scale_h[i]), float(self.lo_h[i]), 0.0
-        if lo_h > -math.inf:
-            rho = _flank(scale_h, total, lo_h, float(self.lo_d[i]))
-            if rho is None:
-                return None
-        return (scale_h, float(self.scale_l[i]), total, total,
-                int(self.terms[i]), float(self.prev_h[i]), float(ratio),
-                lo_h, rho)
+        return _finish(float(self.scale_h[i]), float(self.scale_l[i]), total,
+                       total, int(self.terms[i]), float(self.prev_h[i]),
+                       float(ratio), -math.inf, 0.0, self.reqs[i].log_offset,
+                       True)
 
     def run(self) -> list:
         live = np.arange(len(self.reqs))
@@ -406,8 +346,12 @@ def evaluate(requests: list) -> list:
             continue
         try:
             if req.z > 0.0 and req.psi_weight is None:
-                _require_summable(req)
-                tiled.append(i)
+                eps = _require_summable(req)
+                win = _window(req.params, req.z, req.start, eps)
+                if win is None:
+                    tiled.append(i)
+                else:
+                    out[i] = _sum_window(req, win, eps, True)
             else:
                 out[i] = _sum_series(req, True)
         except _REQUEST_ERRORS as exc:
@@ -419,12 +363,5 @@ def evaluate(requests: list) -> list:
         if tiled:
             rows = [requests[i] for i in tiled]
             for i, res in zip(tiled, _RowSums(rows).run()):
-                if res is None:  # a window that does not hold: sum it plainly
-                    try:
-                        out[i] = _sum_series(requests[i], True)
-                    except _REQUEST_ERRORS as exc:
-                        out[i] = exc
-                else:
-                    out[i] = res if isinstance(res, Exception) else _finish(
-                        *res, requests[i].log_offset, True)
+                out[i] = res
     return out

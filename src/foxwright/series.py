@@ -63,25 +63,26 @@ its tile engine lives in ``batch.py``, and each array kernel it uses sits
 beside its scalar twin: ``_dd_log_array`` and ``_log_ints_dd`` in
 ``ddmath``, ``_log_gamma_array`` in ``gammakit``, and ``_fold``,
 ``_collapsed`` and ``_expanded_rest`` take floats and arrays alike.  Its
-series requests at z > 0 with no psi weight, whose terms are all positive,
-become the rows of (series x k) tiles, the rows of shorter shapes padded
-with factors that add exact zeros.  Each row keeps the coefficient table of
-every stage of its expansion (set up for all rows together, with
-``_dd_log_array``), the factors still below the Stirling threshold go
-through ``_log_gamma_array``, and each block of k runs ``_stops`` row by row
-on ``cumsum`` partials, so a row's result never depends on the other rows of
-its tile; a row takes the single call's saddle window and flank bound, and
-sums [start, k0) with ``math.fsum`` as the single call does.  Blocks start
-at 16 terms and double up to 512; a block call holds at most
-``batch._TILE_CAP`` (row, k, factor) elements an array, and rows that have
-stopped drop out.  A row agrees with its single call within their error
-estimates but not bit for bit: a block is added with a pairwise sum
-instead of ``math.fsum``, and numpy's logarithms and exponentials may
-differ from ``math``'s in the last bit.  A series
-request at z <= 0 or with a psi weight takes the single-call path, the one
-engine for signed terms and cancellation, bit for bit.  A series request is
-checked against its rules once, where it is summed: by ``_require_summable``
-at the top of ``_sum_series``, and in ``batch.evaluate`` for a tile row.
+series requests at z > 0 with no psi weight and no saddle window, whose
+terms are all positive, become the rows of (series x k) tiles, the rows of
+shorter shapes padded with factors that add exact zeros.  Each row keeps
+the coefficient table of every stage of its expansion (set up for all rows
+together, with ``_dd_log_array``), the factors still below the Stirling
+threshold go through ``_log_gamma_array``, and each block of k runs
+``_stops`` row by row on ``cumsum`` partials, so a row's result never
+depends on the other rows of its tile.  Blocks start at 16 terms and
+double up to 512; a block call holds at most ``batch._TILE_CAP`` (row, k,
+factor) elements an array, and rows that have stopped drop out.  A row
+agrees with its single call within their error estimates but not bit for
+bit: a block is added with a pairwise sum instead of ``math.fsum``, and
+numpy's logarithms and exponentials may differ from ``math``'s in the last
+bit.  A series request with a saddle window takes ``_sum_window``, the one
+sum over a window, and one at z <= 0 or with a psi weight ``_sum_series``,
+the one engine for signed terms and cancellation: both bit for bit the
+single call.  A series request is checked against its rules once, where
+it is summed: by ``_require_summable`` at the top of ``_sum_series``, and
+in ``batch.evaluate`` for an unsigned request, which hands the epsilon
+that check returns to ``window._window``.
 The pFq request kind runs the Pochhammer recurrence of
 ``functions.pfq_direct`` element-wise across rows, in the same operations as
 one row, so its results are bit-identical to a single call.
@@ -560,8 +561,8 @@ class _TermLogs:
         return _dd_add(h, l, rh, rl)
 
 
-def _require_summable(req: Request) -> None:
-    # the rules of a series Request (see its docstring)
+def _require_summable(req: Request) -> float:
+    # the rules of a series Request (see its docstring); returns its epsilon
     if not math.isfinite(req.z):
         raise DomainError(f"z must be finite, got z={req.z!r}")
     eps = req.params.epsilon()
@@ -574,6 +575,7 @@ def _require_summable(req: Request) -> None:
         raise ParameterError(f"start must be >= 0, got {req.start}")
     if math.isnan(req.log_offset):
         raise ParameterError("log_offset must not be NaN")
+    return eps
 
 
 def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
@@ -688,21 +690,6 @@ def _stops(lh, ll, prev_h, prev_l, small, streak):
             np.where(hit, d[at, first], np.nan), run[:, -1])
 
 
-def _flank(scale_h: float, total: float, lo_h: float, d: float):
-    """The ratio rho of a window's flank bound t_{k_lo} rho/(1 - rho),
-    from the log t_{k_lo} = lo_h and d = ln t_{k_lo} - ln t_{k_lo-1} an
-    engine computed, or None where the window does not hold: d not above
-    -_D_STOP (rho would not be below 1), or a bound above _REL_TOL of the
-    sum total * e^scale_h.  Such a call is summed again without one."""
-    if not (-d < _D_STOP and total > 0.0):
-        return None
-    rho = math.exp(-d)
-    if rho > 0.0 and lo_h + math.log(rho / (1.0 - rho)) > (
-            math.log(_REL_TOL) + scale_h + math.log(total)):
-        return None
-    return rho
-
-
 def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
             prev_l: float, streak: int, signed: bool, raise_over: bool):
     """The block phase of a summation from term k: blocks of _BLOCK_MIN
@@ -764,14 +751,17 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
     return terms, stopped, ratio, prev_h
 
 
-def _sum_window(req: Request, win: tuple, log_mode: bool):
-    """_sum_series of an unsigned request over its saddle window (k0, k_lo,
-    k_hi) (see ``_window``): the terms of [start, k0) one by one, then the
-    block phase from k_lo with no scalar head, its first read sized to
-    k_hi and its budget of _MAX_TERMS counted from k_lo, and the flank
-    bound of [k0, k_lo) added to the tail bound.  None where the window
-    does not hold (``_flank``), or where a term passes the double range
-    outside log mode, so that the plain sum names the first such term."""
+def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
+    """_sum_series of an unsigned request of epsilon ``eps`` over its saddle
+    window (k0, k_lo, k_hi) (see ``_window``): the terms of [start, k0) one
+    by one, then the block phase from k_lo with no scalar head, its first
+    read sized to k_hi and its budget of _MAX_TERMS counted from k_lo, and
+    the flank bound t_{k_lo} rho/(1 - rho) of [k0, k_lo), with rho =
+    t_{k_lo-1}/t_{k_lo} from the term logs, added to the tail bound.  The
+    plain sum from the start where the window does not hold (rho not below
+    1 by more than -_D_STOP in its log, or a flank bound above _REL_TOL of
+    the sum), or where a term passes the double range outside log mode, so
+    that it names the first such term."""
     params, z, start, _, log_offset = req
     k0, k_lo, k_hi = win
     end = k_lo + _MAX_TERMS
@@ -796,21 +786,26 @@ def _sum_window(req: Request, win: tuple, log_mode: bool):
     if not stopped:
         raise _no_stop(req)
     scale_h, scale_l, total, comp = acc[:4]
-    rho = _flank(scale_h, total + comp, lo_h, (lo_h - ph) + (lo_l - pl))
-    if rho is None or (scale_h > _LOG_DOUBLE_MAX and not log_mode):
-        return None
-    return _finish(scale_h, scale_l, total + comp, total + comp,
-                   k0 - start + used, last_h, ratio, lo_h, rho, log_offset,
-                   log_mode)
+    total += comp
+    d = (lo_h - ph) + (lo_l - pl)  # ln(1/rho)
+    if not (-d < _D_STOP and total > 0.0):
+        return _sum_plain(req, eps, log_mode)
+    rho = math.exp(-d)
+    if (rho > 0.0 and lo_h + math.log(rho / (1.0 - rho)) > (
+            math.log(_REL_TOL) + scale_h + math.log(total))
+            or scale_h > _LOG_DOUBLE_MAX and not log_mode):
+        return _sum_plain(req, eps, log_mode)
+    return _finish(scale_h, scale_l, total, total, k0 - start + used, last_h,
+                   ratio, lo_h, rho, log_offset, log_mode)
 
 
 def _sum_series(req: Request, log_mode: bool) -> EvalResult:
-    """Scaled compensated summation of one request, one term at a time and
-    then in blocks, or over its saddle window (``_sum_window``) where an
-    unsigned request has one that holds.  Past the double range a term or
-    the value raises OverflowError, unless log_mode: then the result is
-    +-inf with its log-magnitude (evaluate_batch's policy)."""
-    _require_summable(req)
+    """Scaled compensated summation of one request: over its saddle window
+    (``_sum_window``) where an unsigned request has one, else from its
+    start (``_sum_plain``).  Past the double range a term or the value
+    raises OverflowError, unless log_mode: then the result is +-inf with
+    its log-magnitude (evaluate_batch's policy)."""
+    eps = _require_summable(req)
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
         # only term 0 is nonzero, and a tail from k >= 1 sums no term
@@ -822,14 +817,19 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
         if log_mag > _LOG_DOUBLE_MAX and not log_mode:
             raise _value_overflow(log_mag)
         return EvalResult(sgn * _exp_or_inf(log_mag), 1, 0.0, 1.0, log_mag, sgn)
+    if z > 0.0 and psi_weight is None:
+        win = _window(params, z, start, eps)
+        if win is not None:
+            return _sum_window(req, win, eps, log_mode)
+    return _sum_plain(req, eps, log_mode)
 
+
+def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
+    """_sum_series of a request of epsilon ``eps`` at z != 0 from its start:
+    one term at a time, then in blocks."""
+    params, z, start, psi_weight, log_offset = req
     # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
     signed = z < 0.0 or psi_weight is not None
-    win = None if signed else _window(params, z, start)
-    if win is not None:
-        res = _sum_window(req, win, log_mode)
-        if res is not None:
-            return res
     end = start + _MAX_TERMS
     gen = _TermLogs(params, z, psi_weight, end)
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
@@ -887,7 +887,6 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     # past it; or by the last ratio, if sooner
     need = 2.0 * _BLOCK_MAX
     if not stopped and 0.0 < ratio < math.inf:
-        eps = params.epsilon()
         peak = k * math.exp(min(math.log(ratio) / eps, 7.0))
         need = peak - k + 2.0 * math.sqrt(-2.0 * math.log(_REL_TOL) * peak / eps)
         if ratio < 1.0 and t > 0.0 and partial > 0.0:
@@ -984,9 +983,10 @@ def evaluate_batch(requests: list) -> list:
     OverflowError.  Series requests are summed in log mode: one past the
     double range returns +-inf with its finite log_magnitude, while a pFq
     row whose term leaves the range fails with OverflowError.
-    Series requests at z > 0 with no psi_weight are the rows of one tile,
-    the others take the single-call path bit for bit, and pFq requests of
-    one (p, q) shape are the rows of one recurrence.
+    Series requests at z > 0 with no psi_weight and no saddle window are
+    the rows of one tile, the others (a windowed one among them) take the
+    single-call path bit for bit, and pFq requests of one (p, q) shape are
+    the rows of one recurrence.
     Every result is independent of the other requests in the batch.
     """
     # the batch module is imported on first use: importing the package

@@ -9,8 +9,8 @@ has fallen _WINDOW_DROP below the peak, and ``_monotone_from`` the index
 k0 from which no term ratio increases, so that a sum may skip [k0, k_lo)
 and bound it by a geometric series from t_{k_lo}.  Both run in scalar
 ``math`` and in correctly rounded array arithmetic only, so a window is
-the same on every CPU.  ``series._sum_window`` and ``batch._RowSums`` sum
-over it.
+the same on every CPU.  ``series._sum_window`` is the one sum over it,
+for single calls and for the batch's requests that have a window alike.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ def _factors(params) -> tuple[list, list]:
             [(b, w) for b, w in params.lower if w > 0.0] + [(1.0, 1.0)])
 
 
-def _window(params, z: float, start: int):
+def _window(params, z: float, start: int, eps: float):
     """The saddle window (k0, k_lo, k_hi) of the unsigned series of
-    ``params`` (a FoxWrightParams) at z > 0 summed from ``start``, or None
+    ``params`` (a FoxWrightParams, of epsilon ``eps``) at z > 0 summed
+    from ``start``, or None
     where it does not pay: the sum takes the terms of [start, k0) one by
     one, skips [k0, k_lo), and runs its block phase from k_lo, its first
     read sized to k_hi.
@@ -54,9 +55,9 @@ def _window(params, z: float, start: int):
     included), g(s) = eps ln(k^/s) + c (1/s - 1/k^) to O(1/s^2), so log t
     lies D(x) = eps k^ (1 - x + x ln x) + c (x - 1 - ln x) below the peak at
     s = x k^; k_lo and k_hi solve D = _WINDOW_DROP by Newton steps from
-    the Gaussian reach either side.  The edges need not be exact: the
-    engines bound the skipped flank from the term logs they compute, and
-    drop the window (``series._flank``) where that bound is not negligible.
+    the Gaussian reach either side.  The edges need not be exact:
+    ``series._sum_window`` bounds the skipped flank from the term logs it
+    computes, and drops the window where that bound is not negligible.
     """
     lz = lk = math.log(z)
     for _, w in params.upper:
@@ -65,7 +66,6 @@ def _window(params, z: float, start: int):
     for _, w in params.lower:
         if w > 0.0:
             lk -= w * math.log(w)
-    eps = params.epsilon()
     lk /= eps
     if not (max(math.log(start + _WINDOW_SKIP),
                 math.log(2.0 * _WINDOW_DROP / eps)) <= lk <= _LOG_PEAK_MAX):
@@ -101,15 +101,16 @@ def _window(params, z: float, start: int):
     k_lo, k_hi = math.floor(edges[0]), math.ceil(edges[1])
     if k_lo - start < _WINDOW_SKIP:
         return None
-    k0 = _monotone_from(params, start)
+    k0 = _monotone_from(params, start, eps)
     if k0 is None or k_lo - k0 < _WINDOW_SKIP:
         return None
     return k0, k_lo, k_hi
 
 
-def _monotone_from(params, start: int) -> int | None:
+def _monotone_from(params, start: int, eps: float) -> int | None:
     """The first k0 >= start from which the term ratios of an unsigned
-    series do not increase: t_{k+1}/t_k <= t_k/t_{k-1} for all k > k0.
+    series of epsilon ``eps`` do not increase: t_{k+1}/t_k <= t_k/t_{k-1}
+    for all k > k0.
 
     Lemma.  Let r(k) = ln t_{k+1} - ln t_k.  Then r(k+1) - r(k) =
     sum_l D(a_l + k A_l, A_l) - sum_j D(b_j + k B_j, B_j), 1/k! counted as
@@ -139,7 +140,7 @@ def _monotone_from(params, start: int) -> int | None:
     """
     up, low = _factors(params)
     top = math.ceil(math.fsum([len(up)] + [b + w for b, w in low])
-                    / params.epsilon())
+                    / eps)
     if top <= start:
         return start
     if top - start > _MONOTONE_SPAN:
