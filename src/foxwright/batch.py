@@ -41,6 +41,7 @@ from .series import (
     _expanded_rest,
     _finish,
     _fold,
+    _geometric_tail,
     _no_stop,
     _require_convergent_pfq,
     _require_summable,
@@ -225,8 +226,7 @@ class _RowSums:
         total = float(self.total[i] + self.comp[i])
         return _finish(float(self.scale_h[i]), float(self.scale_l[i]), total,
                        total, int(self.terms[i]), float(self.prev_h[i]),
-                       float(ratio), -math.inf, 0.0, self.reqs[i].log_offset,
-                       True)
+                       float(ratio), self.reqs[i].log_offset, True)
 
     def run(self) -> list:
         live = np.arange(len(self.reqs))
@@ -300,7 +300,7 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
         for r in np.flatnonzero(done).tolist():
             out[idx[r]] = _pfq_result(
                 float(total[r] + comp[r]), float(total_abs[r]),
-                float(term[r]), float(ratio[r]), float(z[r]), k + 1,
+                float(x[r]), float(ratio[r]), float(z[r]), k + 1,
                 p == q + 1)
         live &= ~(bad | done)
         # ended rows run on, masked, until they are a quarter of the rows
@@ -317,12 +317,13 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
     return out
 
 
-def _pfq_result(grand: float, total_abs: float, term: float, ratio: float,
+def _pfq_result(grand: float, total_abs: float, last: float, ratio: float,
                 z: float, terms: int, boundary: bool) -> EvalResult:
-    # for p = q+1 the term ratio tends to |z| from below/above; take the
-    # more conservative of the last observed ratio and |z|
-    r_eff = max(ratio, abs(z)) if boundary else ratio
-    tail = abs(term) * r_eff / (1.0 - r_eff) if r_eff < 1.0 else abs(term)
+    # the tail from the last term summed and the ratio of the next one to
+    # it; for p = q+1 the term ratio tends to |z| from below/above, so take
+    # the more conservative of that ratio and |z|, which is below 1 there
+    r = max(ratio, abs(z)) if boundary else ratio
+    tail = _geometric_tail(abs(last), r)
     if grand == 0.0:
         cond = 1.0 if total_abs == 0.0 else math.inf
         return EvalResult(0.0, terms, tail, cond, -math.inf, 0)

@@ -199,7 +199,8 @@ def _pfq_sum(upper: Sequence[float], lower: Sequence[float], z, rel_stop):
         ratio = abs(nxt) / abs(term) if term != 0 else mp.mpf(0)
         term = nxt
         if ratio < 1:
-            tail = abs(term) * ratio / (1 - ratio) if ratio > 0 else abs(term)
+            # the terms from k + 1 on, while no later ratio exceeds this one
+            tail = abs(term) / (1 - ratio)
             if tail <= rel_stop * abs(total) or term == 0:
                 streak += 1
             else:

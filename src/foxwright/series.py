@@ -32,12 +32,12 @@ from per-k tables that ``_log_int_dd`` and ``log_gamma`` fill at import.  A
 series still running after that continues in numpy blocks of 64, 128, 256
 and then 512 terms: the same head/tail arithmetic applied element-wise (the
 error-free transforms are exact on IEEE float64 arrays), each block summed
-with ``math.fsum`` and ended by ``_stops``, the block stop rule both block
-engines share, which decides the ratio on its log.  The blocks' term logs
-are read ahead: the first read covers, in whole blocks, what the head says
-the series still needs, up to 2,048 terms, and later reads 1,024.  They take
-ln(k) from ``_LN_K``, which ``_log_ints_dd`` fills at import for k < 8,192
-and computes past it.
+with ``math.fsum`` and ended by ``_stops``, the stop rule of both block
+engines and of the head, which decides the ratio on its log.  The blocks'
+term logs are read ahead: the first read covers, in whole blocks, what the
+head says the series still needs, up to 2,048 terms, and later reads 1,024.
+They take ln(k) from ``_LN_K``, which ``_log_ints_dd`` fills at import for
+k < 8,192 and computes past it.
 
 An unsigned request (z > 0, no psi weight) whose terms peak far from its
 start sums its saddle window instead (``window._window``, ``_sum_window``):
@@ -46,10 +46,10 @@ phase from k_lo with no scalar head, its first read sized to the window's
 right edge.  k_lo is where log t lies 45 below the peak, and k0 is the
 index of ``window._monotone_from``'s lemma, from which no term ratio
 increases; so t_{k_lo} rho/(1 - rho), with rho = t_{k_lo-1}/t_{k_lo} from
-the term logs the block phase computed, bounds the skipped flank, and is
-added to the tail bound.  A window is taken when it skips at least 64
-terms and the lemma's ratio bound lies at most 10,000 terms past the
-start, and is dropped again (the request summed from its start) where
+the term logs the block phase computed, bounds the skipped flank, which
+``_sum_window`` adds to the tail bound.  A window is taken when it skips at
+least 64 terms and the lemma's ratio bound lies at most 10,000 terms past
+the start, and is dropped again (the request summed from its start) where
 that bound exceeds 1e-15 of the sum; its term budget counts from k_lo.
 
 Every series generates at most ``_MAX_TERMS`` terms before its stop rule
@@ -85,14 +85,15 @@ in ``batch.evaluate`` for an unsigned request, which hands the epsilon
 that check returns to ``window._window``.
 The pFq request kind runs the Pochhammer recurrence of
 ``functions.pfq_direct`` element-wise across rows, in the same operations as
-one row, so its results are bit-identical to a single call.
+one row, so its results are bit-identical to a single call; its rows keep
+their own stop rule, which tests the next term before adding it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -237,10 +238,11 @@ class EvalResult:
 
     value is sign * exp(log_magnitude) when that is representable, and +-inf
     past the double range (only evaluate_batch returns such a result).
-    tail_bound is the geometric bound on the truncation error, in value
-    space, from the term ratio at the stop (``_stops``, then ``_finish``),
-    plus, for a call summed over its saddle window, the geometric bound of
-    the skipped left flank [k0, k_lo) from t_{k_lo} and the ratio into it.
+    tail_bound is ``_geometric_tail`` of the last term and the ratio of the
+    stop (``_stops``' test), plus, for a call summed over its saddle window,
+    that of the skipped left flank [k0, k_lo) from t_{k_lo} and the ratio
+    into it, which ``_sum_window`` adds; a pFq sum's is that of its last
+    term summed and the next ratio (at p = q + 1 at least |z|).
     For a windowed call both rest on the lemma of
     ``window._monotone_from`` (no ratio increases past k0 < k_lo), up to the
     rounding of the term logs; for any other call later ratios are not
@@ -402,8 +404,8 @@ class _TermLogs:
     threshold contribute their log-gamma directly, which is harmless precisely
     because those values are small.  Calls must come with nondecreasing k (the
     factor partition only ever grows), and k = 0 only as the first call.
-    Blocks are slices of a read-ahead of ``ahead`` terms (set by
-    _sum_series for the first read, up to _FIRST_READ; 2 * _BLOCK_MAX after
+    Blocks are slices of a read-ahead of ``ahead`` terms (set by _sum_plain
+    and _sum_window for the first read, up to _FIRST_READ; 2 * _BLOCK_MAX after
     it; at least the block, never past ``end``), each element the one a read
     of its block alone computes.  An unsigned series (z > 0, no psi weight)
     keeps no signs: ``signs`` gives ones.
@@ -578,19 +580,19 @@ def _require_summable(req: Request) -> float:
     return eps
 
 
+def _geometric_tail(t: float, r: float) -> float:
+    # the terms after one of size t whose ratios stay at most r < 1: the
+    # one geometric bound, of a stop, of a window's flank and of a pFq row
+    return t * r / (1.0 - r)
+
+
 def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
-            terms: int, last_h: float, ratio: float, lo_h: float, rho: float,
-            log_offset: float, log_mode: bool) -> EvalResult:
+            terms: int, last_h: float, ratio: float, log_offset: float,
+            log_mode: bool) -> EvalResult:
     # the result of a stopped summation: its tail bound from the last term
-    # and ratio, plus a window's flank bound from t_{k_lo} = e^lo_h and
-    # rho (lo_h = -inf: no window), and its log-magnitude shifted by
-    # log_offset
-    if last_h > -math.inf and ratio < 1.0:
-        tail = _exp_or_inf(last_h + log_offset) * ratio / (1.0 - ratio)
-    else:
-        tail = 0.0
-    if lo_h > -math.inf:
-        tail += _exp_or_inf(lo_h + log_offset) * rho / (1.0 - rho)
+    # and the ratio of the stop, and its log-magnitude shifted by log_offset
+    tail = (_geometric_tail(_exp_or_inf(last_h + log_offset), ratio)
+            if last_h > -math.inf else 0.0)
     if total == 0.0:
         cond = 1.0 if total_abs == 0.0 else math.inf
         return EvalResult(0.0, terms, tail, cond, -math.inf, 0)
@@ -622,6 +624,15 @@ _BLOCK_MAX = 512
 _FIRST_READ = 4 * _BLOCK_MAX
 
 
+def _whole_blocks(n: float) -> int:
+    # the fewest terms in whole blocks of the block phase that reach n
+    ahead = size = _BLOCK_MIN
+    while ahead < n:
+        size = min(2 * size, _BLOCK_MAX)
+        ahead += size
+    return ahead
+
+
 def _term_overflow(k: int, lh: float) -> OverflowError:
     return OverflowError(
         f"term k={k} has log-magnitude {lh:.6g}, beyond double "
@@ -647,29 +658,20 @@ def _neumaier(total: float, comp: float, x: float) -> tuple[float, float]:
     return s, comp + ((x - s) + total)
 
 
-def _ratio(prev_h: float, prev_l: float, lh: float, ll: float) -> float:
-    # magnitude ratio of a term to the one before it, from their log pairs
-    if lh == -math.inf:
-        return 0.0
-    if prev_h == -math.inf:
-        return math.inf
-    d = (lh - prev_h) + (ll - prev_l)
-    return math.exp(d) if d < _LOG_DOUBLE_MAX else math.inf
-
-
-# the block rule decides the ratio of a term to the one before on its log
+# the stop rule decides the ratio of a term to the one before on its log
 # d: d < _D_STOP is the same test on every CPU, and any faithful exp(d)
 # stays below 1 there, so a stop's geometric tail bound stays positive
 _D_STOP = -2.0 ** -52
 
 
 def _stops(lh, ll, prev_h, prev_l, small, streak):
-    """The block stop rule of both block engines, over (row, k) arrays: a
-    row stops at its first term that ends three small terms in a row (the
-    ``streak`` carried in counts) and whose d = (lh - prev_h) + (ll -
-    prev_l) is below _D_STOP, as a zero term's -inf is after a nonzero one.
-    Returns per row the terms used, whether it stopped, the d of its stop
-    (NaN if it did not), and the streak of small terms it carries out."""
+    """The stop rule of both block engines, over (row, k) arrays, and of the
+    head, one term at a time: a row stops at its first term that ends three
+    small terms in a row (the ``streak`` carried in counts) and whose d =
+    (lh - prev_h) + (ll - prev_l) is below _D_STOP, as a zero term's -inf
+    is (the head's after a zero term too: an all-zero series).  Returns
+    per row the terms used, whether it stopped, the d of its stop (NaN if
+    it did not), and the streak of small terms it carries out."""
     rows, n = lh.shape
     if not small.any():  # no row can stop, and none carries a streak out
         return (np.full(rows, n), np.zeros(rows, dtype=bool),
@@ -732,7 +734,7 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
         used, stopped, d, streak = (v.item() for v in _stops(
             lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
             small[None], np.array([streak])))
-        ratio = math.exp(d)  # at a stop, _ratio's value at d < 0; else NaN
+        ratio = math.exp(d)  # below 1 at a stop, else NaN
         if top_h > _LOG_DOUBLE_MAX and raise_over:
             over = np.flatnonzero(lh[:used] > _LOG_DOUBLE_MAX)
             if over.size:
@@ -775,11 +777,7 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
                                       * (1.0 + (ll - acc[1]))))
     # the first read: the term before k_lo, for the flank's ratio, and
     # whole blocks up to k_hi
-    ahead = size = _BLOCK_MIN
-    while ahead < k_hi - k_lo + 3:
-        size = min(2 * size, _BLOCK_MAX)
-        ahead += size
-    gen.ahead = 1 + ahead
+    gen.ahead = 1 + _whole_blocks(k_hi - k_lo + 3)
     (ph, lo_h), (pl, lo_l) = (v.tolist() for v in gen.block(k_lo - 1, k_lo + 1))
     used, stopped, ratio, last_h = _blocks(gen, k_lo, end, acc, ph, pl, 0,
                                            False, False)
@@ -795,8 +793,10 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
             math.log(_REL_TOL) + scale_h + math.log(total))
             or scale_h > _LOG_DOUBLE_MAX and not log_mode):
         return _sum_plain(req, eps, log_mode)
-    return _finish(scale_h, scale_l, total, total, k0 - start + used, last_h,
-                   ratio, lo_h, rho, log_offset, log_mode)
+    res = _finish(scale_h, scale_l, total, total, k0 - start + used, last_h,
+                  ratio, log_offset, log_mode)
+    return replace(res, tail_bound=res.tail_bound + _geometric_tail(
+        _exp_or_inf(lo_h + log_offset), rho))
 
 
 def _sum_series(req: Request, log_mode: bool) -> EvalResult:
@@ -838,9 +838,8 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
     comp = 0.0          # Neumaier compensation for total
     total_abs = 0.0
     comp_abs = 0.0
-    prev_h = None
+    prev_h = -math.inf
     prev_l = 0.0
-    ratio = math.inf
     streak = 0
     terms = 0
     stopped = False
@@ -867,17 +866,17 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
         if signed:
             total_abs, comp_abs = _neumaier(total_abs, comp_abs, t)
 
-        ratio = math.inf if prev_h is None else _ratio(prev_h, prev_l, lh, ll)
+        d = (lh - prev_h) + (ll - prev_l) if lh > -math.inf else -math.inf
         prev_h, prev_l = lh, ll
 
-        # stop rule: three consecutive relatively small terms, and the last
-        # ratio below 1 so the geometric tail bound is meaningful
+        # _stops' rule on one term: three consecutive relatively small
+        # terms, and the last d below _D_STOP
         partial = abs(total + comp)
         if lh == -math.inf or (k > start and t <= _REL_TOL * partial):
             streak += 1
         else:
             streak = 0
-        if streak >= 3 and ratio < 1.0:
+        if streak >= 3 and d < _D_STOP:
             stopped = True
             break
 
@@ -885,6 +884,7 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
     # needs, up to _FIRST_READ: to the peak near k * ratio^(1/epsilon), as
     # ratios fall like k^-epsilon, and twice the width of a Gaussian fall
     # past it; or by the last ratio, if sooner
+    ratio = _exp_or_inf(d)
     need = 2.0 * _BLOCK_MAX
     if not stopped and 0.0 < ratio < math.inf:
         peak = k * math.exp(min(math.log(ratio) / eps, 7.0))
@@ -892,11 +892,7 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
         if ratio < 1.0 and t > 0.0 and partial > 0.0:
             need = min(need, (math.log(_REL_TOL) + math.log(partial) - math.log(t))
                        / math.log(ratio))
-    ahead = size = _BLOCK_MIN
-    while ahead < min(need + 3.0, _FIRST_READ):
-        size = min(2 * size, _BLOCK_MAX)
-        ahead += size
-    gen.ahead = min(ahead, _FIRST_READ)
+    gen.ahead = min(_whole_blocks(min(need + 3.0, _FIRST_READ)), _FIRST_READ)
     acc = [scale_h, scale_l, total, comp, total_abs, comp_abs]
     if not stopped:
         used, stopped, ratio, prev_h = _blocks(
@@ -910,7 +906,7 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
     if not signed:
         total_abs, comp_abs = total, comp
     return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
-                   terms, prev_h, ratio, -math.inf, 0.0, log_offset, log_mode)
+                   terms, prev_h, ratio, log_offset, log_mode)
 
 
 def _normalized(params: FoxWrightParams, z: float) -> Request:

@@ -1359,6 +1359,42 @@ def test_block_stop_rule_on_hand_built_blocks():
     assert all(math.exp(d) < 1.0 for d in grid.tolist())
 
 
+# the head on hand-built term logs (lh, ll) from k = 0, then terms that
+# fall by e each, so every case stops by k = 4: the terms the head uses
+_HEAD_LOGS = {
+    "d at _D_STOP does not stop": ([(0.0, 0.0), (-40.0, 0.0), (-40.0, 0.0),
+                                    (-40.0, _D)], 5),
+    "d just below _D_STOP stops": ([(0.0, 0.0), (-40.0, 0.0), (-40.0, 0.0),
+                                    (-40.0, math.nextafter(_D, -1.0))], 4),
+    "d in (_D_STOP, 0) does not stop": ([(0.0, 0.0), (-40.0, 0.0),
+                                         (-40.0, 0.0),
+                                         (-40.0, -2.0 ** -53)], 5),
+    "a zero term stops": ([(0.0, 0.0), (-40.0, 0.0), (-40.0, 0.0),
+                           (-math.inf, 0.0)], 4),
+    "a zero term after a zero term stops": ([(0.0, 0.0), (-math.inf, 0.0),
+                                             (-math.inf, 0.0),
+                                             (-math.inf, 0.0)], 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_HEAD_LOGS))
+def test_head_stops_where_the_block_rule_does(case, monkeypatch):
+    logs, want = _HEAD_LOGS[case]
+    logs = logs + [(-41.0 - j, 0.0) for j in range(series._SCALAR_TERMS)]
+    monkeypatch.setattr(series._TermLogs, "term",
+                        lambda self, k: (*logs[k], 1.0))
+    res = series._sum_plain(series.Request(FoxWrightParams(), 1.0), 1.0, False)
+    assert res.terms_used == want
+    assert (res.tail_bound > 0.0) == (logs[want - 1][0] > -math.inf)
+    if "after a zero term" in case:
+        return  # _stops' d is NaN there: no block or tile row meets one
+    # _stops on the same logs as one row, every term past the first small
+    lh, ll = np.array(logs[:want + 1]).T
+    small = np.arange(want + 1) > 0
+    used, hit, _, _ = _stops_of([(lh, ll, -math.inf, 0.0, small, 0)])
+    assert (used, hit) == ((want,), (True,))
+
+
 def _long_requests():
     # eval-long-style series: epsilon 0.15-0.6 at the z where the series
     # reaches about e^v, v in 150-400, as evaluate, derivative and a tail;
@@ -1704,7 +1740,7 @@ def _pfq_loop(upper, lower, z):
         if streak >= 3 and ratio < 1.0:
             break
     r_eff = max(ratio, abs(z)) if p == q + 1 else ratio
-    tail = abs(term) * r_eff / (1.0 - r_eff) if r_eff < 1.0 else abs(term)
+    tail = abs(x) * r_eff / (1.0 - r_eff)
     grand = total + comp
     return (grand, k + 1, tail, total_abs / abs(grand),
             math.log(abs(grand)), 1 if grand > 0.0 else -1)
@@ -1756,6 +1792,28 @@ def test_pfq_rows_match_the_one_row_loop_bit_for_bit(monkeypatch):
                 res.value, res.terms_used, res.tail_bound,
                 res.condition_estimate, res.log_magnitude,
                 res.sign)) == tuple(float.hex(float(v)) for v in ref)
+
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ((1.0,), (2.0,), 1.0), ((1.0,), (2.0,), 0.5),
+    ((0.5, 1.0), (1.5,), 0.3), ((1.0, 1.0), (2.0,), 0.9),
+    ((-2.5, 1.3), (0.7, 2.0), -1.5), ((0.5,), (1.5,), -3.0),
+    ((2.0, 3.0), (1.5, 2.5), -4.0)])
+def test_pfq_tail_bound_covers_the_remainder(upper, lower, z):
+    # the terms from terms_used on, summed in 60 digits over 3,000 more
+    # terms, within the stated tail bound
+    res = pfq_direct(upper, lower, z)
+    with mp.workdps(60):
+        term, rest = mp.mpf(1), mp.mpf(0)
+        for k in range(res.terms_used + 3000):
+            if k >= res.terms_used:
+                rest += term
+            for a in upper:
+                term *= a + k
+            for b in lower:
+                term /= b + k
+            term *= mp.mpf(z) / (k + 1)
+        assert res.tail_bound >= abs(rest)
 
 
 @pytest.mark.xfail(strict=True, reason="cancellation at z < 0 returns a value "
