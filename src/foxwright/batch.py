@@ -6,12 +6,11 @@ every term is positive; a request with a window goes to the single call's
 ``_sum_window``, and the others to ``_sum_series``, which owns signed
 terms and cancellation.  Each block of a tile ends its rows by
 ``series._stops``, the block stop rule that the single calls run too.
-pFq requests run their recurrence element-wise across rows; see the
-``series`` module docstring.  The array kernels the tiles use sit beside
-their scalar twins: ``_dd_log_array`` in ``ddmath``, the coefficient fold
-``_fold`` in ``series``, ``_log_gamma_array`` in ``gammakit``.
-``series.evaluate_batch`` imports this module on its first call, so
-importing the package for single calls does not load it.
+pFq requests run their recurrence element-wise across rows, each checked
+by ``_require_convergent_pfq``.  The ``series`` module docstring says more,
+and names the array kernels the tiles use.  ``series.evaluate_batch``
+imports this module on its first call, so importing the package for single
+calls does not load it.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .series import (
     _fold,
     _geometric_tail,
     _no_stop,
-    _require_convergent_pfq,
     _require_summable,
     _stops,
     _sum_series,
@@ -245,6 +243,23 @@ def _neumaier_array(total, comp, x):
                               (total - s) + x, (x - s) + total)
 
 
+def _require_convergent_pfq(upper: tuple, lower: tuple, z: float) -> None:
+    p, q = len(upper), len(lower)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got z={z!r}")
+    for a in upper:
+        if not math.isfinite(a):
+            raise ParameterError(f"pFq upper parameters must be finite, got {a}")
+    for b in lower:
+        if not (b > 0.0 and math.isfinite(b)):
+            raise ParameterError(f"pFq lower parameters must be positive, got {b}")
+    if p > q + 1:
+        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
+    if p == q + 1 and abs(z) >= 1.0:
+        raise DivergentSeriesError(
+            f"pFq with p = q+1 needs |z| < 1, got z={z!r}")
+
+
 def _pfq_rows(reqs: list[PfqRequest]) -> list:
     """pFq sums by the Pochhammer recurrence, element-wise across rows of
     one (p, q) shape; each row runs the operations of a single call in the
@@ -255,26 +270,21 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
     low = np.array([r.lower for r in reqs], dtype=float).reshape(len(reqs), q)
     z = np.array([r.z for r in reqs], dtype=float)
     out: list = [None] * len(reqs)
-    # _require_convergent_pfq's tests as one mask; only the refused rows
-    # run the scalar check, for its error
-    live = (np.isfinite(z) & np.isfinite(up).all(axis=1)
-            & ((low > 0.0) & np.isfinite(low)).all(axis=1))
-    if p > q:  # p = q + 1 needs |z| < 1, and p > q + 1 diverges
-        live &= (p == q + 1) & (np.abs(z) < 1.0)
-    for r in np.flatnonzero(~live).tolist():
+    for r, req in enumerate(reqs):
         try:
-            _require_convergent_pfq(*reqs[r])
+            _require_convergent_pfq(*req)
         except (DomainError, ParameterError, DivergentSeriesError) as exc:
             out[r] = exc
+    live = np.array([res is None for res in out])
     idx = np.arange(len(reqs))
     term = np.ones(len(reqs))
-    total, comp, total_abs = np.zeros((3, len(reqs)))
+    total, comp, total_abs, comp_abs = np.zeros((4, len(reqs)))
     streak = np.zeros(len(reqs), dtype=int)
     max_terms = series._MAX_TERMS
     for k in range(max_terms):
         x = term
         total, comp = _neumaier_array(total, comp, x)
-        total_abs = total_abs + np.abs(x)
+        total_abs, comp_abs = _neumaier_array(total_abs, comp_abs, np.abs(x))
 
         # each product starts from its first factor: 1.0 * v is v
         num = up[:, 0] + k if p else np.ones(idx.size)
@@ -299,15 +309,15 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
                 f"(z={reqs[idx[r]].z!r})")
         for r in np.flatnonzero(done).tolist():
             out[idx[r]] = _pfq_result(
-                float(total[r] + comp[r]), float(total_abs[r]),
+                float(total[r] + comp[r]), float(total_abs[r] + comp_abs[r]),
                 float(x[r]), float(ratio[r]), float(z[r]), k + 1,
                 p == q + 1)
         live &= ~(bad | done)
         # ended rows run on, masked, until they are a quarter of the rows
         if 4 * (live.size - np.count_nonzero(live)) >= live.size:
-            idx, term, total, comp, total_abs, streak, up, low, z, live = (
-                v[live] for v in (idx, term, total, comp, total_abs, streak,
-                                  up, low, z, live))
+            (idx, term, total, comp, total_abs, comp_abs, streak, up, low, z,
+             live) = (v[live] for v in (idx, term, total, comp, total_abs,
+                                        comp_abs, streak, up, low, z, live))
             if not idx.size:
                 break
     for i in idx[live].tolist():

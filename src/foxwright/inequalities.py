@@ -183,15 +183,19 @@ def _err(*terms: _Q) -> float:
     return math.inf if math.isnan(err) else err
 
 
+def _margin(lhs: float, rhs: float, lhs_log: float, rhs_log: float) -> float:
+    """lhs - rhs, with inf - inf resolved by comparing the sides' logs."""
+    if not math.isnan(lhs - rhs):
+        return lhs - rhs
+    return (math.inf if lhs_log > rhs_log
+            else -math.inf if lhs_log < rhs_log else 0.0)
+
+
 def _diff(a: _Q, b: _Q) -> dict:
-    """The comparison a >= b: its lhs, rhs, margin and err, with a margin
-    of inf - inf resolved by comparing the logs."""
+    """The comparison a >= b: its lhs, rhs, margin and err."""
     lhs, rhs = a.value, b.value
-    margin = lhs - rhs
-    if math.isnan(margin):
-        margin = (math.inf if a.log > b.log
-                  else -math.inf if a.log < b.log else 0.0)
-    return {"lhs": lhs, "rhs": rhs, "margin": margin, "err": _err(a, b)}
+    return {"lhs": lhs, "rhs": rhs, "margin": _margin(lhs, rhs, a.log, b.log),
+            "err": _err(a, b)}
 
 
 def _check_grid(values: Sequence[float], what: str) -> None:
@@ -393,6 +397,21 @@ def _tail_index(n: int) -> int:
     return n
 
 
+def _tail_instance(params: FoxWrightParams, n: int,
+                   zs: Sequence[float]) -> Rounds:
+    # the tail instance of tail-turan and kn-bound: checks n and each z > 0,
+    # and returns n and, per z, T_{n+1} (summed from k = n + 2), t_{n+1} and
+    # t_{n+2} as _Q values
+    n = _tail_index(n)
+    for z in zs:
+        if not z > 0.0:
+            raise DomainError(f"defined for z > 0, got z={z!r}")
+    res = yield [Request(params, z, n + 2) for z in zs]
+    return n, [(_of(t), *(_Q(log_term(params, z, k)).computed()
+                          for k in (n + 1, n + 2)))
+               for z, t in zip(zs, res)]
+
+
 def _tail_turan(params: FoxWrightParams, n: int, z: float) -> Rounds:
     """Turan inequality for series tails: T_{n+1}^2 >= T_n * T_{n+2}.
 
@@ -400,21 +419,13 @@ def _tail_turan(params: FoxWrightParams, n: int, z: float) -> Rounds:
     weights are all zero are in scope.
     """
     _require_constant_upper(params, "tail Turan")
-    n = _tail_index(n)
-    if not z > 0.0:
-        raise DomainError(f"defined for z > 0, got z={z!r}")
-    t1, = yield [Request(params, z, n + 2)]
-    big = _of(t1)
+    n, ((big, s1, s2),) = yield from _tail_instance(params, n, [z])
     # T_n = T_{n+1} + t_{n+1} and T_{n+2} = T_{n+1} - t_{n+2}, so the
     # squared-minus-product margin collapses to
     #     T_{n+1} t_{n+2} - T_{n+1} t_{n+1} + t_{n+1} t_{n+2},
     # which never cancels the dominant T^2 scale.
-    s1 = _Q(log_term(params, z, n + 1)).computed()
-    s2 = _Q(log_term(params, z, n + 2)).computed()
     a, b, c = big * s2, big * s1, s1 * s2
-    margin = (a.value + c.value) - b.value
-    if math.isnan(margin):
-        margin = math.inf if max(a.log, c.log) >= b.log else -math.inf
+    margin = _margin(a.value + c.value, b.value, max(a.log, c.log), b.log)
     lhs = (big ** 2).value
     rhs = lhs - margin
     if math.isnan(rhs):
@@ -429,22 +440,15 @@ def _kn_values(params: FoxWrightParams, n: int,
     # a = t_{n+1}/T_{n+1} and b = t_{n+2}/T_{n+1}.  For b near 1 the
     # complement 1 - b is formed from a direct T_{n+2} evaluation instead,
     # in a second round.  Returns the lists of K_n and of its error.
-    n = _tail_index(n)
-    for v in zs:
-        if not v > 0.0:
-            raise DomainError(f"defined for z > 0, got z={v!r}")
-    t1s = yield [Request(params, z, n + 2) for z in zs]
-    t1s = [_of(t1) for t1 in t1s]
-    ab = [(_Q(log_term(params, z, n + 1)).computed() / t1,
-           _Q(log_term(params, z, n + 2)).computed() / t1)
-          for z, t1 in zip(zs, t1s)]
+    n, tails = yield from _tail_instance(params, n, zs)
+    ab = [(s1 / t1, s2 / t1) for t1, s1, s2 in tails]
     again = [i for i, (_, b) in enumerate(ab) if b.value > 0.5]
     t2s = {}
     if again:
         t2s = dict(zip(again, (yield [Request(params, zs[i], n + 3)
                                       for i in again])))
     kvals, kerrs = [], []
-    for i, (t1, (a, b)) in enumerate(zip(t1s, ab)):
+    for i, ((t1, _, _), (a, b)) in enumerate(zip(tails, ab)):
         # 1 + a and 1 - b carry the absolute errors of a and b
         if i in t2s:
             f = _of(t2s[i]) / t1
@@ -645,10 +649,7 @@ def _chi(alpha1: float, beta2: float, B1: float, beta1_grid: Sequence[float],
             "z": z,
             "where": float(beta1_grid[i + 1]),
             "where_prev": float(beta1_grid[i]),
-            "lhs": chi_vals[i + 1],
-            "rhs": chi_vals[i],
-            "margin": chi_vals[i + 1] - chi_vals[i],
-            "err": _err(chi[i], chi[i + 1]),
+            **_diff(chi[i + 1], chi[i]),
         })
     for i, b1 in enumerate(beta1_grid):
         comparisons.append({

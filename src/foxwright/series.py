@@ -86,7 +86,9 @@ that check returns to ``window._window``.
 The pFq request kind runs the Pochhammer recurrence of
 ``functions.pfq_direct`` element-wise across rows, in the same operations as
 one row, so its results are bit-identical to a single call; its rows keep
-their own stop rule, which tests the next term before adding it.
+their own stop rule, which tests the next term before adding it.  At z = 0
+the one nonzero term (its log is ``_log_term_at_zero``, as in ``_TermLogs``)
+goes through ``_finish`` as every sum does, so z = 0 and z = 1e-300 agree.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ class EvalResult:
     ``window._monotone_from`` (no ratio increases past k0 < k_lo), up to the
     rounding of the term logs; for any other call later ratios are not
     bounded, so its tail bound is an estimate, not a proof.
-    condition_estimate = sum|term| / |sum term| is exactly 1.0 for z >= 0.
+    condition_estimate = sum|term| / |sum term| is 1.0 for a sum of nonnegative terms.
     """
 
     value: float
@@ -291,29 +293,12 @@ class Request(NamedTuple):
 
 class PfqRequest(NamedTuple):
     """One pFq series summed by its Pochhammer recurrence (see
-    ``functions.pfq_direct``); ``evaluate_batch`` refuses it as
-    ``_require_convergent_pfq`` does."""
+    ``functions.pfq_direct``), which ``evaluate_batch`` checks with
+    ``batch._require_convergent_pfq``, the single call's one check."""
 
     upper: tuple[float, ...]
     lower: tuple[float, ...]
     z: float
-
-
-def _require_convergent_pfq(upper: tuple, lower: tuple, z: float) -> None:
-    p, q = len(upper), len(lower)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got z={z!r}")
-    for a in upper:
-        if not math.isfinite(a):
-            raise ParameterError(f"pFq upper parameters must be finite, got {a}")
-    for b in lower:
-        if not (b > 0.0 and math.isfinite(b)):
-            raise ParameterError(f"pFq lower parameters must be positive, got {b}")
-    if p > q + 1:
-        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
-    if p == q + 1 and abs(z) >= 1.0:
-        raise DivergentSeriesError(
-            f"pFq with p = q+1 needs |z| < 1, got z={z!r}")
 
 
 def log_term(params: FoxWrightParams, z: float, k: int) -> float:
@@ -329,12 +314,8 @@ def log_term(params: FoxWrightParams, z: float, k: int) -> float:
 
 
 def _log_term_at_zero(params: FoxWrightParams) -> float:
-    total = 0.0
-    for a, _ in params.upper:
-        total += log_gamma(a)
-    for b, _ in params.lower:
-        total -= log_gamma(b)
-    return total
+    # term 0 is the same at every z
+    return log_term(params, 1.0, 0)
 
 
 # A factor is expanded once its argument a + w*k reaches 12, well inside
@@ -414,6 +395,7 @@ class _TermLogs:
     def __init__(self, params: FoxWrightParams, z: float,
                  psi_weight: tuple | None = None, end: float = math.inf) -> None:
         self._neg, self._psi, self._end = z < 0.0, psi_weight, end
+        self._params = params
         self.ahead = 2 * _BLOCK_MAX
         # the read-ahead: (log heads, log tails, signs) of k0 <= k < k1
         self._k0, self._k1, self._buf = 0, 0, (np.empty(0),) * 3
@@ -446,10 +428,7 @@ class _TermLogs:
 
     def at(self, k: int) -> tuple[float, float]:
         if k == 0:
-            base = self._base
-            for rec in self._waiting:
-                base += rec[3] * log_gamma(rec[1])
-            return base, 0.0
+            return _log_term_at_zero(self._params), 0.0
         if self._waiting and self._waiting[0][0] <= k:
             self._advance(k)
         fk = float(k)
@@ -808,15 +787,12 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     eps = _require_summable(req)
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
-        # only term 0 is nonzero, and a tail from k >= 1 sums no term
-        w = 0.0 if start > 0 else 1.0 if psi_weight is None else -digamma(psi_weight[0])
-        if w == 0.0:
-            return EvalResult(0.0, int(start == 0), 0.0, 1.0, -math.inf, 0)
-        log_mag = _log_term_at_zero(params) + math.log(abs(w)) + log_offset
-        sgn = 1 if w > 0.0 else -1
-        if log_mag > _LOG_DOUBLE_MAX and not log_mode:
-            raise _value_overflow(log_mag)
-        return EvalResult(sgn * _exp_or_inf(log_mag), 1, 0.0, 1.0, log_mag, sgn)
+        # only term 0 is nonzero (the same term at every z), and a tail from
+        # k >= 1 sums no term
+        h, l, sign = _TermLogs(params, 1.0, psi_weight).term(0)
+        t = sign if h > -math.inf and start == 0 else 0.0
+        return _finish(h, l, t, abs(t), int(start == 0), -math.inf, 0.0,
+                       log_offset, log_mode)
     if z > 0.0 and psi_weight is None:
         win = _window(params, z, start, eps)
         if win is not None:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foxwright.report
-from foxwright import FoxWrightParams, GridSpec, evaluate
+from foxwright import FoxWrightParams, GridSpec, evaluate, suites
 from foxwright.cli import _render_json, main
 from foxwright.report import STATUS_OK, InequalityReport
 from foxwright.suites import (
@@ -148,6 +148,22 @@ def test_check_oracle_spot_check(tmp_path):
                  "--samples", "8", "--digits", "30",
                  "--out", str(tmp_path / "lz.csv")])
     assert code == 0
+
+
+def test_check_oracle_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(suites, "hp_margin", lambda row, digits: 1e6)
+    code = main(["check", "--suite", "lazarevic", "--seed", "6",
+                 "--samples", "8", "--digits", "30",
+                 "--out", str(tmp_path / "lz.csv")])
+    assert code == 3
+    assert "oracle mismatch" in capsys.readouterr().out
+
+
+def test_check_help_lists_every_suite(capsys):
+    # --suite's help imports the suites module only when it is printed
+    assert main(["check", "--help"]) == 0
+    text = capsys.readouterr().out.split("one of:")[1].split("--grid")[0]
+    assert "".join(text.split()).split(",") == list(suite_ids())
 
 
 def test_check_numerical_failure_exits_3(params_file, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from foxwright import (
     DomainError,
+    EvalResult,
     FoxWrightParams,
     GridError,
     ParameterError,
@@ -435,3 +436,22 @@ def test_omega_is_zero_without_b1_or_with_a1_equal_to_b2():
         [0.0, 0.0], [0.0, 0.0])
     assert _omega(1.5, [0.5, 2.0, 3.0], 1.5, 0.6, 3.0, [15, 30, 12]) == (
         [0.0] * 3, [0.0] * 3)
+
+
+def test_tail_turan_resolves_inf_minus_inf_as_diff_does(monkeypatch):
+    # T_{n+1} t_{n+2} and T_{n+1} t_{n+1} both overflow and their logs tie:
+    # the margin inf - inf is resolved by _diff's rule, which gives 0
+    monkeypatch.setattr(inequalities, "log_term", lambda params, z, k: 300.0)
+    gen = inequalities._tail_turan(Q1, 0, 1.0)
+    next(gen)
+    with pytest.raises(StopIteration) as stop:
+        gen.send([EvalResult(math.inf, 10, 0.0, 1.0, 500.0, 1)])
+    rep = stop.value.value
+    tie = inequalities._diff(inequalities._Q(800.0), inequalities._Q(800.0))
+    assert math.isinf(rep.lhs) and rep.margin == tie["margin"] == 0.0
+
+
+def test_logconcavity_takes_its_points_in_either_order():
+    params = FoxWrightParams(((2.0, 1.0),), ((1.5, 0.5), (1.0, 1.0)))
+    assert (repr(logconcavity_check(params, 2.5, 0.5))
+            == repr(logconcavity_check(params, 0.5, 2.5)))

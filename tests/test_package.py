@@ -1,12 +1,15 @@
 """The package surface: one export list; an import that loads the
 evaluation layer alone, with the verification layer (and mpmath) bound in
 full on the first access to any other name, and the batch kernels and the
-command line only when used; and an oracle that shares no code with the
-engine."""
+command line only when used; an oracle that shares no code with the
+engine; and the argument errors of the public calls."""
 
 import ast
+import dataclasses
 import inspect
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -181,3 +184,148 @@ def test_engine_and_oracle_share_no_code():
     for fn in recipes:
         used = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
         assert not used & checker, (fn.name, sorted(used & checker))
+
+
+_P = foxwright.FoxWrightParams(((1.5, 0.7),), ((2.5, 1.2),))
+_NO_LOWER = foxwright.FoxWrightParams(((1.5, 0.0),), ())
+_ONE_LOWER = foxwright.FoxWrightParams((), ((1.0, 1.0),))
+_LOGCONCAVE = foxwright.FoxWrightParams(((1.0, 1.0),), ((1.0, 1.0), (2.0, 1.0)))
+
+
+def _failure_row():
+    return dataclasses.replace(foxwright.turan_alpha_check(_P, 0.5),
+                               status=report.STATUS_NUMERICAL_FAILURE)
+
+
+# (call, error type name, message) for argument checks that no other test
+# reaches
+ARGUMENT_ERRORS = {
+    "grid-not-increasing": (
+        lambda fw: fw.ratio_monotonicity_check(_P, "beta", 1.0, 2.0,
+                                               [1.0, 0.5]),
+        "GridError", "z grid must be strictly increasing, got 1.0 >= 0.5"),
+    "grid-non-finite": (
+        lambda fw: fw.ratio_monotonicity_check(_P, "beta", 1.0, 2.0,
+                                               [0.5, math.inf]),
+        "GridError", "z grid contains a non-finite value inf"),
+    "turan-alpha-no-upper": (
+        lambda fw: fw.turan_alpha_check(_ONE_LOWER, 1.0),
+        "ParameterError", "needs at least one upper parameter pair"),
+    "corollary3-beta": (
+        lambda fw: fw.corollary3_2f2_check(1.0, 0.0, 1.0, -1.0),
+        "ParameterError", "beta1 and beta2 must be positive, got 0.0, 1.0"),
+    "corollary3-pivot": (
+        lambda fw: fw.corollary3_2f2_check(1.0, 2.0, 1.0, -1.0),
+        "SingularTransformError",
+        "transform pivot alpha1 - beta2 vanishes; parameters undefined"),
+    "corollary3-derived": (
+        lambda fw: fw.corollary3_2f2_check(2.0, 5.0, 1.0, -1.0),
+        "ParameterError",
+        "derived lower parameters must be positive: f = -2, g = -4, h = -3"),
+    "ratio-equal-values": (
+        lambda fw: fw.ratio_monotonicity_check(_P, "beta", 1.0, 1.0,
+                                               [0.5, 1.0]),
+        "ParameterError", "the two parameter values must differ"),
+    "ratio-empty-slot": (
+        lambda fw: fw.ratio_monotonicity_check(_NO_LOWER, "beta", 1.0, 2.0,
+                                               [0.5, 1.0]),
+        "ParameterError", "slot 'beta' needs at least one lower pair"),
+    "ratio-negative-grid": (
+        lambda fw: fw.ratio_monotonicity_check(_P, "beta", 1.0, 2.0,
+                                               [-0.5, 1.0]),
+        "DomainError", "defined for z >= 0, got z=-0.5"),
+    "kn-both-z": (
+        lambda fw: fw.kn_value_and_bound(_ONE_LOWER, 0, z=1.0,
+                                         z_grid=[1.0, 2.0]),
+        "ParameterError", "pass exactly one of z or z_grid"),
+    "kn-neither-z": (
+        lambda fw: fw.kn_value_and_bound(_ONE_LOWER, 0),
+        "ParameterError", "pass exactly one of z or z_grid"),
+    "lazarevic-beta1": (
+        lambda fw: fw.lazarevic_check(1.0, 0.0, 1.0, 1.0, 1.0),
+        "ParameterError", "beta1 must be positive, got 0.0"),
+    "lazarevic-B1": (
+        lambda fw: fw.lazarevic_check(1.0, 1.0, 1.0, -1.0, 1.0),
+        "ParameterError", "B1 must be >= 0, got -1.0"),
+    "lazarevic-z": (
+        lambda fw: fw.lazarevic_check(1.0, 1.0, 1.0, 1.0, -1.0),
+        "DomainError", "defined for z >= 0, got z=-1.0"),
+    "wilker-beta1": (
+        lambda fw: fw.wilker_check(1.0, 0.0, 1.0, 1.0, 1.0),
+        "ParameterError", "beta1 must be positive, got 0.0"),
+    "wilker-B1": (
+        lambda fw: fw.wilker_check(1.0, 1.0, 1.0, -1.0, 1.0),
+        "ParameterError", "B1 must be >= 0, got -1.0"),
+    "wilker-z": (
+        lambda fw: fw.wilker_check(1.0, 1.0, 1.0, 1.0, -1.0),
+        "DomainError", "defined for z >= 0, got z=-1.0"),
+    "chi-z": (
+        lambda fw: fw.chi_check(1.0, 1.0, 1.0, [0.5, 1.0], 0.0),
+        "DomainError", "defined for z > 0, got z=0.0"),
+    "chi-grid": (
+        lambda fw: fw.chi_check(1.0, 1.0, 1.0, [0.0, 1.0], 1.0),
+        "GridError", "beta1 grid must be positive, got 0.0"),
+    "tail-turan-z": (
+        lambda fw: fw.tail_turan_check(_ONE_LOWER, 0, 0.0),
+        "DomainError", "defined for z > 0, got z=0.0"),
+    "logconcave-shape": (
+        lambda fw: fw.logconcavity_check(_ONE_LOWER, 0.5, 1.0),
+        "ParameterError", "shape must have one more lower pair than upper "
+                          "pairs (p >= 1), got p=0, q=1"),
+    "logconcave-lower-weight": (
+        lambda fw: fw.logconcavity_check(fw.FoxWrightParams(
+            ((2.0, 1.0),), ((1.0, 1.0), (1.0, 2.0))), 0.5, 1.0),
+        "ParameterError", "lower weights after the first must be 1, got 2.0"),
+    "logconcave-pair": (
+        lambda fw: fw.logconcavity_check(_LOGCONCAVE, 0.5, 1.0),
+        "DomainError", "needs upper value 1.0 >= paired lower value 2.0"),
+    "xi-prime-no-lower": (
+        lambda fw: fw.xi_prime(_NO_LOWER, 1.0),
+        "ParameterError", "needs at least one lower parameter pair"),
+    "xi-prime-z": (
+        lambda fw: fw.xi_prime(_P, 0.0),
+        "DomainError", "defined for z > 0, got z=0.0"),
+    "params-upper-weight": (
+        lambda fw: fw.FoxWrightParams(((1.0, -1.0),), ()),
+        "ParameterError", "upper weight must be >= 0, got -1.0"),
+    "params-lower-value": (
+        lambda fw: fw.FoxWrightParams((), ((0.0, 1.0),)),
+        "ParameterError", "lower parameter must be positive, got 0.0"),
+    "params-json-not-object": (
+        lambda fw: fw.FoxWrightParams.from_json([]),
+        "ParameterError", "parameter JSON must be an object"),
+    "params-json-short-pair": (
+        lambda fw: fw.FoxWrightParams.from_json({"upper": [[1.0]]}),
+        "ParameterError", "malformed parameter JSON: not enough values to "
+                          "unpack (expected 2, got 1)"),
+    "tilde-no-lower": (
+        lambda fw: fw.evaluate_tilde(_NO_LOWER, 1.0),
+        "ParameterError", "tilde normalization needs at least one lower pair"),
+    "dbeta1-no-lower": (
+        lambda fw: fw.dbeta1(_NO_LOWER, 1.0),
+        "ParameterError", "dbeta1 needs at least one lower pair"),
+    "mittag-leffler-B": (
+        lambda fw: fw.MittagLefflerParams(((-1.0, 1.0),)),
+        "ParameterError", "B must be >= 0, got -1.0"),
+    "digamma-zero": (
+        lambda fw: gammakit.digamma(0.0),
+        "DomainError", "digamma needs x > 0, got 0.0"),
+    "grid-mode": (
+        lambda fw: fw.GridSpec(mode="x"),
+        "GridError", "mode must be 'random' or 'lattice', got 'x'"),
+    "grid-json-not-object": (
+        lambda fw: fw.grid_from_json([]),
+        "GridError", "grid file must contain a JSON object"),
+    "hp-margin-failure-row": (
+        lambda fw: fw.hp_margin(_failure_row(), 30),
+        "ParameterError", "cannot oracle-check a failure row"),
+}
+
+
+@pytest.mark.parametrize("case", list(ARGUMENT_ERRORS))
+def test_argument_errors(case):
+    call, kind, msg = ARGUMENT_ERRORS[case]
+    with pytest.raises(getattr(errors, kind),
+                       match=f"^{re.escape(msg)}$") as exc:
+        call(foxwright)
+    assert type(exc.value).__name__ == kind

@@ -150,6 +150,49 @@ def test_value_overflow_at_zero_names_its_log_magnitude(call, lower, log_mag):
         call(FoxWrightParams(((200.0, 0.5),), lower), 0.0)
 
 
+def _zero_test_params(rng):
+    # a lower pair first (tilde and dbeta1 need one), values in [0.1, 5],
+    # and upper weights that keep epsilon >= 0.3
+    p, q = rng.integers(0, 3), rng.integers(1, 3)
+    lower = tuple(zip(rng.uniform(0.1, 5.0, q).tolist(),
+                      rng.uniform(0.0, 1.5, q).tolist()))
+    room = (sum(w for _, w in lower) + 0.7) / max(p, 1)
+    upper = tuple(zip(rng.uniform(0.1, 5.0, p).tolist(),
+                      (room * rng.random(p)).tolist()))
+    return FoxWrightParams(upper, lower)
+
+
+@pytest.mark.parametrize("call", [evaluate, evaluate_normalized,
+                                  evaluate_tilde, dbeta1, derivative])
+def test_z_zero_gives_the_result_of_a_tiny_z(call):
+    # at z = 1e-300 only term 0 reaches the sum, so z = 0 must give the
+    # same value and log-magnitude bit for bit
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        params = _zero_test_params(rng)
+        zero, tiny = call(params, 0.0), call(params, 1e-300)
+        assert (float.hex(zero.value), float.hex(zero.log_magnitude)) == (
+            float.hex(tiny.value), float.hex(tiny.log_magnitude)), params
+        if call is evaluate_normalized:
+            assert zero.log_magnitude == 0.0
+
+
+@pytest.mark.parametrize("z", [2.0, 0.0])
+def test_series_of_zero_terms_sums_to_zero(z):
+    # psi is exactly 0 at 1.4616321449683622, so with B_1 = 0 every term of
+    # dbeta1 is 0: the sum is zero, not a tiny number
+    assert gammakit.digamma(1.4616321449683622) == 0.0
+    res = dbeta1(FoxWrightParams((), ((1.4616321449683622, 0.0),)), z)
+    assert (res.value, res.log_magnitude, res.sign) == (0.0, -math.inf, 0)
+
+
+@pytest.mark.parametrize("upper", [(1.0,), (1.0, 1.0)])
+def test_pfq_of_positive_terms_has_condition_one(upper):
+    # sum |t_k| is summed as sum t_k is, so with every term positive the
+    # two sums are the same float
+    assert pfq_direct(upper, (2.0,), 0.5).condition_estimate == 1.0
+
+
 def test_tail_reference_value():
     res = evaluate_tail(P1, TailSpec(2), 3.5)
     assert _rel(res.value, P1_TAIL2) <= 5e-13
@@ -1184,16 +1227,7 @@ def test_each_series_request_is_checked_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_batch_refuses_hand_built_pfq_requests_as_pfq_direct_does(
-        monkeypatch):
-    checked = []
-    check = batch._require_convergent_pfq
-
-    def counting(upper, lower, z):
-        checked.append((upper, lower, z))
-        return check(upper, lower, z)
-
-    monkeypatch.setattr(batch, "_require_convergent_pfq", counting)
+def test_batch_refuses_hand_built_pfq_requests_as_pfq_direct_does():
     bad = [PfqRequest((1.0, 1.0, 1.0), (), 0.5),
            PfqRequest((), (-1.0,), 0.5),
            PfqRequest((1.0,), (1.0,), math.nan),
@@ -1203,8 +1237,6 @@ def test_batch_refuses_hand_built_pfq_requests_as_pfq_direct_does(
             PfqRequest((1.0, 1.0), (2.0,), -0.5)]
     got = series.evaluate_batch(bad[:3] + good + bad[3:])
     refused = got[:3] + got[-2:]
-    # only the refused rows run the scalar check
-    assert sorted(map(repr, checked)) == sorted(repr(tuple(r)) for r in bad)
     assert [type(e) for e in refused] == [
         DivergentSeriesError, ParameterError, DomainError,
         DivergentSeriesError, ParameterError]
@@ -1213,8 +1245,8 @@ def test_batch_refuses_hand_built_pfq_requests_as_pfq_direct_does(
             pfq_direct(*req)
     assert repr(got[3:6]) == repr([series.evaluate_batch([r])[0] for r in good])
 
-    # the array mask and the scalar check agree on every kind of bad value,
-    # and a refused row leaves the rows of its shape as they are alone
+    # the batch and the single call agree on every kind of bad value, and a
+    # refused row leaves the rows of its shape as they are alone
     rng = np.random.default_rng(5)
     values = (1.0, -2.5, 0.0, math.inf, -math.inf, math.nan)
     reqs = [PfqRequest(tuple(rng.choice(values, p).tolist()),
@@ -1713,7 +1745,8 @@ def test_dd_log_array_matches_scalar():
 def _pfq_loop(upper, lower, z):
     # the one-row loop the pFq request kind replaced: the reference
     p, q = len(upper), len(lower)
-    term, total, comp, total_abs, ratio, streak = 1.0, 0.0, 0.0, 0.0, math.inf, 0
+    term, total, comp, ratio, streak = 1.0, 0.0, 0.0, math.inf, 0
+    total_abs, comp_abs = 0.0, 0.0
     for k in range(series._MAX_TERMS):
         x = term
         s = total + x
@@ -1722,7 +1755,12 @@ def _pfq_loop(upper, lower, z):
         else:
             comp += (x - s) + total
         total = s
-        total_abs += abs(x)
+        s = total_abs + abs(x)
+        if total_abs >= abs(x):
+            comp_abs += (total_abs - s) + abs(x)
+        else:
+            comp_abs += (abs(x) - s) + total_abs
+        total_abs = s
         num = 1.0
         for a in upper:
             num *= a + k
@@ -1742,7 +1780,7 @@ def _pfq_loop(upper, lower, z):
     r_eff = max(ratio, abs(z)) if p == q + 1 else ratio
     tail = abs(x) * r_eff / (1.0 - r_eff)
     grand = total + comp
-    return (grand, k + 1, tail, total_abs / abs(grand),
+    return (grand, k + 1, tail, (total_abs + comp_abs) / abs(grand),
             math.log(abs(grand)), 1 if grand > 0.0 else -1)
 
 
