@@ -2,15 +2,15 @@
 
 Series requests at z > 0 with no psi weight and no saddle window
 (``window._window``) are summed as the rows of (series x k) tiles, so
-every term is positive; a request with a window goes to the single call's
-``_sum_window``, and the others to ``_sum_series``, which owns signed
-terms and cancellation.  Each block of a tile ends its rows by
-``series._stops``, the block stop rule that the single calls run too.
-pFq requests run their recurrence element-wise across rows, each checked
-by ``_require_convergent_pfq``.  The ``series`` module docstring says more,
-and names the array kernels the tiles use.  ``series.evaluate_batch``
-imports this module on its first call, so importing the package for single
-calls does not load it.
+every term is positive; a request with a window, psi-weighted or not,
+goes to the single call's ``_sum_window``, and the others to
+``_sum_plain``, which owns signed terms and cancellation.  Each block of a
+tile ends its rows by ``series._stops``, the block stop rule that the
+single calls run too.  pFq requests run their recurrence element-wise
+across rows, each checked by ``_require_convergent_pfq``.  The ``series``
+module docstring says more, and names the array kernels the tiles use.
+``series.evaluate_batch`` imports this module on its first call, so
+importing the package for single calls does not load it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .series import (
     _no_stop,
     _require_summable,
     _stops,
-    _sum_series,
+    _sum_plain,
     _sum_window,
 )
 from .window import _window
@@ -245,14 +245,20 @@ def _neumaier_array(total, comp, x):
 
 def _require_convergent_pfq(upper: tuple, lower: tuple, z: float) -> None:
     p, q = len(upper), len(lower)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got z={z!r}")
-    for a in upper:
-        if not math.isfinite(a):
-            raise ParameterError(f"pFq upper parameters must be finite, got {a}")
-    for b in lower:
-        if not (b > 0.0 and math.isfinite(b)):
-            raise ParameterError(f"pFq lower parameters must be positive, got {b}")
+    try:
+        if not math.isfinite(z):
+            raise DomainError(f"z must be finite, got z={z!r}")
+        for a in upper:
+            if not math.isfinite(a):
+                raise ParameterError(
+                    f"pFq upper parameters must be finite, got {a}")
+        for b in lower:
+            if not (b > 0.0 and math.isfinite(b)):
+                raise ParameterError(
+                    f"pFq lower parameters must be positive, got {b}")
+    except TypeError:  # a value that is no number
+        raise ParameterError(f"pFq parameters and z must be numbers, got "
+                             f"{upper!r}, {lower!r}, z={z!r}") from None
     if p > q + 1:
         raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
     if p == q + 1 and abs(z) >= 1.0:
@@ -266,16 +272,18 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
     same order, so its result does not depend on the other rows.  A row
     that the single call refuses fails with the single call's error."""
     p, q = len(reqs[0].upper), len(reqs[0].lower)
-    up = np.array([r.upper for r in reqs], dtype=float).reshape(len(reqs), p)
-    low = np.array([r.lower for r in reqs], dtype=float).reshape(len(reqs), q)
-    z = np.array([r.z for r in reqs], dtype=float)
     out: list = [None] * len(reqs)
+    # a refused row runs masked, on ones: it may hold no numbers
+    rows = list(reqs)
     for r, req in enumerate(reqs):
         try:
             _require_convergent_pfq(*req)
         except (DomainError, ParameterError, DivergentSeriesError) as exc:
-            out[r] = exc
+            out[r], rows[r] = exc, PfqRequest((1.0,) * p, (1.0,) * q, 0.0)
     live = np.array([res is None for res in out])
+    up = np.array([r.upper for r in rows], dtype=float).reshape(len(reqs), p)
+    low = np.array([r.lower for r in rows], dtype=float).reshape(len(reqs), q)
+    z = np.array([r.z for r in rows], dtype=float)
     idx = np.arange(len(reqs))
     term = np.ones(len(reqs))
     total, comp, total_abs, comp_abs = np.zeros((4, len(reqs)))
@@ -356,15 +364,15 @@ def evaluate(requests: list) -> list:
             pfq.setdefault((len(req.upper), len(req.lower)), []).append(i)
             continue
         try:
-            if req.z > 0.0 and req.psi_weight is None:
-                eps = _require_summable(req)
-                win = _window(req.params, req.z, req.start, eps)
-                if win is None:
-                    tiled.append(i)
-                else:
-                    out[i] = _sum_window(req, win, eps, True)
+            # _sum_series' route, and a tile row for an unsigned series
+            eps = _require_summable(req)
+            win = _window(req, eps) if req.z > 0.0 else None
+            if win is not None:
+                out[i] = _sum_window(req, win, eps, True)
+            elif req.z > 0.0 and req.psi_weight is None:
+                tiled.append(i)
             else:
-                out[i] = _sum_series(req, True)
+                out[i] = _sum_plain(req, eps, True)
         except _REQUEST_ERRORS as exc:
             out[i] = exc
     with np.errstate(all="ignore"):

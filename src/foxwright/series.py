@@ -39,17 +39,18 @@ head says the series still needs, up to 2,048 terms, and later reads 1,024.
 They take ln(k) from ``_LN_K``, which ``_log_ints_dd`` fills at import for
 k < 8,192 and computes past it.
 
-An unsigned request (z > 0, no psi weight) whose terms peak far from its
-start sums its saddle window instead (``window._window``, ``_sum_window``):
-the terms of [start, k0) one at a time, none of [k0, k_lo), and the block
-phase from k_lo with no scalar head, its first read sized to the window's
-right edge.  k_lo is where log t lies 45 below the peak, and k0 is the
-index of ``window._monotone_from``'s lemma, from which no term ratio
-increases; so t_{k_lo} rho/(1 - rho), with rho = t_{k_lo-1}/t_{k_lo} from
-the term logs the block phase computed, bounds the skipped flank, which
-``_sum_window`` adds to the tail bound.  A window is taken when it skips at
-least 64 terms and the lemma's ratio bound lies at most 10,000 terms past
-the start, and is dropped again (the request summed from its start) where
+A request at z > 0, with or without a psi weight, whose terms peak far
+from its start sums its saddle window instead (``window._window``,
+``_sum_window``): the terms of [start, k0) one at a time with their signs,
+none of [k0, k_lo), and the block phase from k_lo with no scalar head, its
+first read sized to the window's right edge.  k_lo is where log t lies 45
+below the peak, and k0 is the index of ``window._monotone_from``'s lemma,
+from which no term ratio increases (past the zero of a psi weight too, by
+its corollary); so |t_{k_lo}| rho/(1 - rho), with rho = |t_{k_lo-1}/
+t_{k_lo}| from the term logs the block phase computed, bounds the skipped
+flank, which ``_sum_window`` adds to the tail bound.  A window is taken
+when it skips at least 64 terms and k0 lies at most 10,000 terms past the
+start, and is dropped again (the request summed from its start) where
 that bound exceeds 1e-15 of the sum; its term budget counts from k_lo.
 
 Every series generates at most ``_MAX_TERMS`` terms before its stop rule
@@ -77,11 +78,11 @@ agrees with its single call within their error estimates but not bit for
 bit: a block is added with a pairwise sum instead of ``math.fsum``, and
 numpy's logarithms and exponentials may differ from ``math``'s in the last
 bit.  A series request with a saddle window takes ``_sum_window``, the one
-sum over a window, and one at z <= 0 or with a psi weight ``_sum_series``,
-the one engine for signed terms and cancellation: both bit for bit the
-single call.  A series request is checked against its rules once, where
-it is summed: by ``_require_summable`` at the top of ``_sum_series``, and
-in ``batch.evaluate`` for an unsigned request, which hands the epsilon
+sum over a window, and one at z <= 0 or with a psi weight and no window
+``_sum_plain``, the one engine for signed terms from the start: both bit
+for bit the single call.  A series request is checked against its rules
+once, by ``_require_summable``: at the top of ``_sum_series``, and in
+``batch.evaluate`` before its route is chosen, which hands the epsilon
 that check returns to ``window._window``.
 The pFq request kind runs the Pochhammer recurrence of
 ``functions.pfq_direct`` element-wise across rows, in the same operations as
@@ -242,13 +243,14 @@ class EvalResult:
     past the double range (only evaluate_batch returns such a result).
     tail_bound is ``_geometric_tail`` of the last term and the ratio of the
     stop (``_stops``' test), plus, for a call summed over its saddle window,
-    that of the skipped left flank [k0, k_lo) from t_{k_lo} and the ratio
+    that of the skipped left flank [k0, k_lo) from |t_{k_lo}| and the ratio
     into it, which ``_sum_window`` adds; a pFq sum's is that of its last
     term summed and the next ratio (at p = q + 1 at least |z|).
-    For a windowed call both rest on the lemma of
-    ``window._monotone_from`` (no ratio increases past k0 < k_lo), up to the
-    rounding of the term logs; for any other call later ratios are not
-    bounded, so its tail bound is an estimate, not a proof.
+    For a windowed call (dbeta1's too) both rest on the lemma of
+    ``window._monotone_from`` and its psi corollary (no ratio of |t_k|
+    increases past k0 < k_lo), up to the rounding of the term logs; for
+    any other call later ratios are not bounded, so its tail bound is an
+    estimate, not a proof.
     condition_estimate = sum|term| / |sum term| is 1.0 for a sum of nonnegative terms.
     """
 
@@ -279,10 +281,10 @@ class Request(NamedTuple):
     term index ``start``, term k multiplied by -psi(b + k*B) when
     ``psi_weight`` is the pair (b, B) (dbeta1's weight), and the
     log-magnitude of the result shifted by ``log_offset`` (a normalization
-    prefactor).  Its rules: z finite (else DomainError), epsilon > 0 (else
-    DivergentSeriesError), ``start`` an integer >= 0 and ``log_offset`` not
-    NaN (else ParameterError); an infinite offset, from a huge lnGamma, is
-    allowed."""
+    prefactor).  Its rules: z a number (else ParameterError) and finite
+    (else DomainError), epsilon > 0 (else DivergentSeriesError), ``start``
+    an integer >= 0 and ``log_offset`` not NaN (else ParameterError); an
+    infinite offset, from a huge lnGamma, is allowed."""
 
     params: FoxWrightParams
     z: float
@@ -544,7 +546,11 @@ class _TermLogs:
 
 def _require_summable(req: Request) -> float:
     # the rules of a series Request (see its docstring); returns its epsilon
-    if not math.isfinite(req.z):
+    try:
+        finite = math.isfinite(req.z)
+    except TypeError:
+        raise ParameterError(f"z must be a number, got z={req.z!r}") from None
+    if not finite:
         raise DomainError(f"z must be finite, got z={req.z!r}")
     eps = req.params.epsilon()
     if not eps > 0.0:
@@ -733,58 +739,70 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
 
 
 def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
-    """_sum_series of an unsigned request of epsilon ``eps`` over its saddle
+    """_sum_series of a request at z > 0 of epsilon ``eps`` over its saddle
     window (k0, k_lo, k_hi) (see ``_window``): the terms of [start, k0) one
-    by one, then the block phase from k_lo with no scalar head, its first
-    read sized to k_hi and its budget of _MAX_TERMS counted from k_lo, and
-    the flank bound t_{k_lo} rho/(1 - rho) of [k0, k_lo), with rho =
-    t_{k_lo-1}/t_{k_lo} from the term logs, added to the tail bound.  The
-    plain sum from the start where the window does not hold (rho not below
-    1 by more than -_D_STOP in its log, or a flank bound above _REL_TOL of
-    the sum), or where a term passes the double range outside log mode, so
-    that it names the first such term."""
-    params, z, start, _, log_offset = req
+    by one with their signs, then the block phase from k_lo with no scalar
+    head, its first read sized to k_hi and its budget of _MAX_TERMS counted
+    from k_lo, and the flank bound |t_{k_lo}| rho/(1 - rho) of [k0, k_lo),
+    with rho = |t_{k_lo-1}/t_{k_lo}| from the term logs, added to the tail
+    bound.  The plain sum from the start where the window does not hold
+    (rho not below 1 by more than -_D_STOP in its log, a zero sum, or a
+    flank bound above _REL_TOL of the sum), or where a term passes the
+    double range outside log mode, so that it names the first such term."""
+    params, z, start, psi, log_offset = req
     k0, k_lo, k_hi = win
     end = k_lo + _MAX_TERMS
-    gen = _TermLogs(params, z, None, end)
+    gen = _TermLogs(params, z, psi, end)
     acc = [-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0]
     if k0 > start:
-        lh, ll = np.array([gen.at(k) for k in range(start, k0)]).T
+        lh, ll, sign = np.array([gen.term(k) for k in range(start, k0)]).T
         top = int(lh.argmax())
         acc[0], acc[1] = float(lh[top]), float(ll[top])
-        acc[2] = math.fsum(memoryview(np.exp(lh - acc[0])
-                                      * (1.0 + (ll - acc[1]))))
+        with np.errstate(invalid="ignore"):  # all terms 0: NaN, plain sum
+            t = np.exp(lh - acc[0]) * (1.0 + (ll - acc[1]))
+        acc[2], acc[4] = (math.fsum(memoryview(x)) for x in (sign * t, t))
     # the first read: the term before k_lo, for the flank's ratio, and
     # whole blocks up to k_hi
     gen.ahead = 1 + _whole_blocks(k_hi - k_lo + 3)
     (ph, lo_h), (pl, lo_l) = (v.tolist() for v in gen.block(k_lo - 1, k_lo + 1))
+    d = (lo_h - ph) + (lo_l - pl)  # ln(1/rho)
+    if not -d < _D_STOP:
+        return _sum_plain(req, eps, log_mode)
     used, stopped, ratio, last_h = _blocks(gen, k_lo, end, acc, ph, pl, 0,
-                                           False, False)
+                                           psi is not None, False)
     if not stopped:
         raise _no_stop(req)
-    scale_h, scale_l, total, comp = acc[:4]
+    scale_h, scale_l, total, comp, total_abs, comp_abs = acc
     total += comp
-    d = (lo_h - ph) + (lo_l - pl)  # ln(1/rho)
-    if not (-d < _D_STOP and total > 0.0):
-        return _sum_plain(req, eps, log_mode)
     rho = math.exp(-d)
-    if (rho > 0.0 and lo_h + math.log(rho / (1.0 - rho)) > (
-            math.log(_REL_TOL) + scale_h + math.log(total))
+    if (not abs(total) > 0.0
+            or rho > 0.0 and lo_h + math.log(rho / (1.0 - rho)) > (
+                math.log(_REL_TOL) + scale_h + math.log(abs(total)))
             or scale_h > _LOG_DOUBLE_MAX and not log_mode):
         return _sum_plain(req, eps, log_mode)
-    res = _finish(scale_h, scale_l, total, total, k0 - start + used, last_h,
-                  ratio, log_offset, log_mode)
+    res = _finish(scale_h, scale_l, total,
+                  total_abs + comp_abs if psi is not None else total,
+                  k0 - start + used, last_h, ratio, log_offset, log_mode)
     return replace(res, tail_bound=res.tail_bound + _geometric_tail(
         _exp_or_inf(lo_h + log_offset), rho))
 
 
 def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     """Scaled compensated summation of one request: over its saddle window
-    (``_sum_window``) where an unsigned request has one, else from its
+    (``_sum_window``) where a request at z > 0 has one, else from its
     start (``_sum_plain``).  Past the double range a term or the value
     raises OverflowError, unless log_mode: then the result is +-inf with
     its log-magnitude (evaluate_batch's policy)."""
     eps = _require_summable(req)
+    win = _window(req, eps) if req.z > 0.0 else None
+    if win is not None:
+        return _sum_window(req, win, eps, log_mode)
+    return _sum_plain(req, eps, log_mode)
+
+
+def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
+    """_sum_series of a request of epsilon ``eps`` from its start: one term
+    at a time, then in blocks."""
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
         # only term 0 is nonzero (the same term at every z), and a tail from
@@ -793,17 +811,6 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
         t = sign if h > -math.inf and start == 0 else 0.0
         return _finish(h, l, t, abs(t), int(start == 0), -math.inf, 0.0,
                        log_offset, log_mode)
-    if z > 0.0 and psi_weight is None:
-        win = _window(params, z, start, eps)
-        if win is not None:
-            return _sum_window(req, win, eps, log_mode)
-    return _sum_plain(req, eps, log_mode)
-
-
-def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
-    """_sum_series of a request of epsilon ``eps`` at z != 0 from its start:
-    one term at a time, then in blocks."""
-    params, z, start, psi_weight, log_offset = req
     # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
     signed = z < 0.0 or psi_weight is not None
     end = start + _MAX_TERMS

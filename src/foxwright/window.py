@@ -1,16 +1,17 @@
-"""The saddle window of an unsigned series, and the lemma that bounds what
+"""The saddle window of a series at z > 0, and the lemma that bounds what
 it skips.
 
-A series at z > 0 with no psi weight has positive terms that rise to one
-peak near k_c = (z prod A^A / prod B^B)^(1/epsilon) (Wright, J. London
-Math. Soc. 10, 1935) and fall past it.  Far left of the peak they lie
-below double resolution: ``_window`` finds the left edge k_lo where log t
-has fallen _WINDOW_DROP below the peak, and ``_monotone_from`` the index
-k0 from which no term ratio increases, so that a sum may skip [k0, k_lo)
-and bound it by a geometric series from t_{k_lo}.  Both run in scalar
-``math`` and in correctly rounded array arithmetic only, so a window is
-the same on every CPU.  ``series._sum_window`` is the one sum over it,
-for single calls and for the batch's requests that have a window alike.
+A series at z > 0 has positive terms that rise to one peak near k_c = (z
+prod A^A / prod B^B)^(1/epsilon) (Wright, J. London Math. Soc. 10, 1935)
+and fall past it, and a psi weight changes their sign at most once.  Far
+left of the peak they lie below double resolution: ``_window`` finds the
+left edge k_lo where log t has fallen _WINDOW_DROP below the peak, and
+``_monotone_from`` the index k0 from which no ratio of |t_k| increases,
+so that a sum may skip [k0, k_lo) and bound it by a geometric series from
+t_{k_lo}.  Both run in scalar ``math`` and in correctly rounded array
+arithmetic only, so a window is the same on every CPU.
+``series._sum_window`` is the one sum over it, for single calls and for
+the batch's requests that have a window alike.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ _WINDOW_SKIP = 64
 _LOG_PEAK_MAX = 34.0
 _MONOTONE_SPAN = 10000
 
+_PSI_POSITIVE = 1.4617  # just above 1.4616321449..., psi's zero on (0, inf)
+
 
 def _factors(params) -> tuple[list, list]:
     # the (value, weight) pairs of weight > 0, upper and lower, with 1/k!
@@ -41,13 +44,13 @@ def _factors(params) -> tuple[list, list]:
             [(b, w) for b, w in params.lower if w > 0.0] + [(1.0, 1.0)])
 
 
-def _window(params, z: float, start: int, eps: float):
-    """The saddle window (k0, k_lo, k_hi) of the unsigned series of
-    ``params`` (a FoxWrightParams, of epsilon ``eps``) at z > 0 summed
-    from ``start``, or None
+def _window(req, eps: float):
+    """The saddle window (k0, k_lo, k_hi) of the series request ``req`` (a
+    series.Request at z > 0 whose params have epsilon ``eps``), or None
     where it does not pay: the sum takes the terms of [start, k0) one by
     one, skips [k0, k_lo), and runs its block phase from k_lo, its first
-    read sized to k_hi.
+    read sized to k_hi.  With a psi weight k0 is k0_psi (``_monotone_from``),
+    and the edges are the unweighted series': ln psi moves them little.
 
     The peak k^ is where g(k) = d/dk ln t_k = ln z + sum A psi(a + kA) -
     sum B psi(b + kB) vanishes: Newton steps in ln k from k_c, where g's
@@ -59,6 +62,7 @@ def _window(params, z: float, start: int, eps: float):
     ``series._sum_window`` bounds the skipped flank from the term logs it
     computes, and drops the window where that bound is not negligible.
     """
+    params, z, start, psi = req[:4]
     lz = lk = math.log(z)
     for _, w in params.upper:
         if w > 0.0:
@@ -102,6 +106,12 @@ def _window(params, z: float, start: int, eps: float):
     if k_lo - start < _WINDOW_SKIP:
         return None
     k0 = _monotone_from(params, start, eps)
+    if k0 is not None and psi is not None and psi[1] != 0.0:
+        # the corollary's k0_psi, with k_psi = ceil(shift); no window for
+        # B < 0, nor where k_psi lies more than _MONOTONE_SPAN past start
+        shift = (_PSI_POSITIVE - psi[0]) / psi[1]
+        k0 = (max(k0, math.ceil(shift) + 1)
+              if psi[1] > 0.0 and shift < start + _MONOTONE_SPAN else None)
     if k0 is None or k_lo - k0 < _WINDOW_SKIP:
         return None
     return k0, k_lo, k_hi
@@ -137,6 +147,14 @@ def _monotone_from(params, start: int, eps: float) -> int | None:
     terms of [k0, k_lo) sum to less than t_{k_lo} rho/(1 - rho); and past
     a stop at k > k0 with t_k/t_{k-1} = q < 1 the rest of the series sums
     to less than t_k q/(1 - q).
+
+    Corollary (psi weights).  Weight term k by -psi(b + kB), B > 0.  As
+    psi'' < 0, psi is concave, and so is ln psi where psi > 0, past its zero
+    x0 = 1.46163: from k_psi, the first k with b + kB >= _PSI_POSITIVE
+    (found in +, -, * and / only), every weighted term is negative, and
+    adding ln psi(b + kB) to r keeps r(m+1) <= r(m) for m >= k0_psi =
+    max(k0, k_psi + 1), so the flank bound holds for the weighted terms.
+    A weight of B = 0 moves no ratio: k0_psi = k0.
     """
     up, low = _factors(params)
     top = math.ceil(math.fsum([len(up)] + [b + w for b, w in low])

@@ -177,13 +177,20 @@ def test_z_zero_gives_the_result_of_a_tiny_z(call):
             assert zero.log_magnitude == 0.0
 
 
-@pytest.mark.parametrize("z", [2.0, 0.0])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [2.0, 0.0, 30.0, 300.0])
 def test_series_of_zero_terms_sums_to_zero(z):
     # psi is exactly 0 at 1.4616321449683622, so with B_1 = 0 every term of
-    # dbeta1 is 0: the sum is zero, not a tiny number
-    assert gammakit.digamma(1.4616321449683622) == 0.0
-    res = dbeta1(FoxWrightParams((), ((1.4616321449683622, 0.0),)), z)
-    assert (res.value, res.log_magnitude, res.sign) == (0.0, -math.inf, 0)
+    # dbeta1 is 0: the sum is zero, not a tiny number, also where a saddle
+    # window drops back to the plain sum (at 30 with the upper pair, whose
+    # window sums two terms before k0, and at 300 without it)
+    zero = 1.4616321449683622
+    assert gammakit.digamma(zero) == 0.0
+    for upper in ((), ((0.3, 0.5),)):
+        res = dbeta1(FoxWrightParams(upper, ((zero, 0.0),)), z)
+        assert (res.value, res.log_magnitude, res.sign) == (0.0, -math.inf, 0)
+    assert _win(FoxWrightParams(((0.3, 0.5),), ((zero, 0.0),)), 30.0, 0,
+                (zero, 0.0))[0] == 2
 
 
 @pytest.mark.parametrize("upper", [(1.0,), (1.0, 1.0)])
@@ -457,8 +464,8 @@ def test_first_read_ahead_of_a_growing_head_ends_past_the_peak(
     assert terms - series._SCALAR_TERMS <= read < series._FIRST_READ
 
 # eps = 0.3 and z = 4 put the peak term near k = 500; dbeta1 below sums
-# about 1,070 terms, nearly all of them in blocks, and derivative about 800,
-# over its saddle window from k = 276
+# about 800 terms over its saddle window from k = 274 (1,069 from k = 0),
+# and derivative about 800 over its window from k = 276
 P_LONG = FoxWrightParams(upper=((2.0, 1.2),), lower=((1.5, 0.5),))
 
 
@@ -470,8 +477,9 @@ def test_long_derivative_matches_oracle():
 
 
 def test_first_read_ahead_covers_a_long_series(monkeypatch):
-    # the head asks for more than 2 * _BLOCK_MAX terms, so the first read
-    # takes whole blocks up to _FIRST_READ and no second read follows
+    # the head of dbeta1's series from k = 211, one term short of a window,
+    # asks for more than 2 * _BLOCK_MAX terms, so the first read takes whole
+    # blocks up to _FIRST_READ and no second read follows
     reads = []
     read = series._TermLogs._read
 
@@ -480,13 +488,17 @@ def test_first_read_ahead_covers_a_long_series(monkeypatch):
         return read(self, k0, k1)
 
     monkeypatch.setattr(series._TermLogs, "_read", counting)
-    assert dbeta1(P_LONG, 4.0).terms_used == 1069
+    req = series.Request(P_LONG, 4.0, 211, P_LONG.lower[0])
+    assert _win(*req[:4]) is None
+    assert series._sum_series(req, False).terms_used == 858
     assert len(reads) == 1
 
 
 def test_long_dbeta1_matches_oracle():
     res = dbeta1(P_LONG, 4.0)
-    assert res.terms_used > 1000
+    # summed over its window, whose bound makes tail_bound a proof
+    assert _win(P_LONG, 4.0, 0, P_LONG.lower[0]) == (1, 274, 1165)
+    assert res.terms_used == 796
     # central difference of 40-digit oracle values in beta_1; with
     # h = 2^-30 its truncation error is ~1e-18 relative
     h = 2.0 ** -30
@@ -559,7 +571,9 @@ def test_value_within_own_tail_bound_of_oracle_free_anchor(z):
 # Every EvalResult field of a fixed set of calls, as float.hex strings,
 # recorded from the engine before the one-term path was sped up (the last
 # five before the block phase read its term logs ahead in chunks): a
-# speedup must leave each of them unchanged bit for bit.  The bits were
+# speedup must leave each of them unchanged bit for bit.  The two dbeta1
+# cases at 4.0 sum their saddle windows: their terms_used and tail_bound
+# were recorded again then, their value and log_magnitude kept.  The bits were
 # recorded with numpy's AVX-512 kernels.  Its AVX2 kernels round some
 # np.exp, np.log and np.log1p results differently in the last bit, so on a
 # CPU without AVX-512 seven block-phase cases fail: P_CROSS -7.25, evaluate
@@ -623,8 +637,8 @@ GOLDEN = {
         ("-0x1.fe5a3c885b9d7p+6", "0x1.0f651f537289bp-53",
          "0x1.02ee22e2feca8p+0", "0x1.3652dbbfe28d5p+2")),
     "dbeta1 P_LONG 4.0": (
-        lambda: dbeta1(P_LONG, 4.0), 1069, -1,
-        ("-0x1.f3e431d32f62fp+298", "0x1.465fa25b0089cp+251",
+        lambda: dbeta1(P_LONG, 4.0), 796, -1,
+        ("-0x1.f3e431d32f62fp+298", "0x1.465fa5261b0f7p+251",
          "0x1.0000000000000p+0", "0x1.9e7442f082206p+7")),
     "evaluate_tail P1 4 9.0": (
         lambda: evaluate_tail(P1, TailSpec(4), 9.0), 76, 1,
@@ -646,10 +660,11 @@ GOLDEN = {
             _window=lambda *a: None), 1068, 1,
         ("0x1.57d79345b9f28p+296", "0x1.deae51fbd301ap+248",
          "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7")),
-    # -psi(0.2 + 0.01*k) changes sign at k = 127, in the second block
+    # -psi(0.2 + 0.01*k) changes sign at k = 127, and the window sums
+    # [0, 128) one by one before its blocks from k = 254
     "dbeta1 P_PSI_FLIP 4.0": (
-        lambda: dbeta1(P_PSI_FLIP, 4.0), 1014, -1,
-        ("-0x1.727eaa4f78b17p+288", "0x1.b9f4263a1bf86p+240",
+        lambda: dbeta1(P_PSI_FLIP, 4.0), 888, -1,
+        ("-0x1.727eaa4f78b17p+288", "0x1.b9f4284b759dcp+240",
          "0x1.0000000000000p+0", "0x1.8ffdfa419df19p+7")),
     "evaluate_tail P_LONG 900 5.0": (
         lambda: evaluate_tail(P_LONG, TailSpec(900), 5.0), 1066, 1,
@@ -679,7 +694,7 @@ GOLDEN_AVX2 = {
         "0x1.57d79345b9f25p+296", "0x1.deae568885110p+248",
         "0x1.0000000000000p+0", "0x1.9aeee254a1080p+7"),
     "dbeta1 P_LONG 4.0": (
-        "-0x1.f3e431d32f633p+298", "0x1.465fa25b0089cp+251",
+        "-0x1.f3e431d32f633p+298", "0x1.465fa5261b0f7p+251",
         "0x1.0000000000000p+0", "0x1.9e7442f082206p+7"),
     "evaluate P_LONG 4.0 budget 1070": (
         "0x1.57d79345b9f25p+296", "0x1.deae51fbd301ap+248",
@@ -1155,8 +1170,8 @@ def test_batch_failures_stay_in_their_request(monkeypatch):
 
 def test_batch_refuses_hand_built_requests_as_the_single_calls_do(
         monkeypatch):
-    # every series request is checked once, where it is summed: a tile row
-    # in batch.evaluate, a routed one in _sum_series
+    # every series request is checked once, in batch.evaluate before its
+    # route is chosen
     checked = []
     check = series._require_summable
 
@@ -1262,9 +1277,33 @@ def test_batch_refuses_hand_built_pfq_requests_as_pfq_direct_does():
         assert (type(res), str(res)) == (type(one), str(one)), req
 
 
+def test_malformed_request_fails_in_its_own_slot():
+    # a z or a pFq number that is no number is refused in its place with a
+    # package error, on every route; the well-formed request keeps its result
+    p = FoxWrightParams(((1.5, 0.7),), ((2.5, 1.2),))
+    for bad in (series.Request(p, "0.5"), series.Request(p, None),
+                series._dbeta1(p, "0.5")):
+        got = series.evaluate_batch([series.Request(p, 0.5), bad])
+        assert repr(got[0]) == repr(
+            series.evaluate_batch([series.Request(p, 0.5)])[0])
+        assert type(got[1]) is ParameterError
+        assert str(got[1]) == f"z must be a number, got z={bad.z!r}"
+        with pytest.raises(ParameterError, match="^z must be a number"):
+            series._sum_series(bad, False)
+    good = PfqRequest((1.0,), (2.0,), 0.5)
+    for bad in (PfqRequest(("a",), (2.0,), 0.5),
+                PfqRequest((1.0,), ("2",), 0.5),
+                PfqRequest((1.0,), (2.0,), "0.5")):
+        got = series.evaluate_batch([good, bad])
+        assert repr(got[0]) == repr(pfq_direct((1.0,), (2.0,), 0.5))
+        assert type(got[1]) is ParameterError
+        assert str(got[1]) == ("pFq parameters and z must be numbers, got "
+                               f"{bad.upper!r}, {bad.lower!r}, z={bad.z!r}")
+
+
 def test_signed_and_weighted_requests_take_the_single_call_path():
-    # z < 0 and dbeta1 rows are summed by _sum_series, bit for bit as one
-    # call, in the same batch as z > 0 rows
+    # z < 0 and dbeta1 rows are summed by the single call's sums, bit for
+    # bit as one call, in the same batch as z > 0 rows
     routed = [
         (series.Request(P1, -2.5), lambda: evaluate(P1, -2.5)),
         (series.Request(P_CROSS, -7.25, 3 + 1),
@@ -1272,6 +1311,9 @@ def test_signed_and_weighted_requests_take_the_single_call_path():
         (series._tilde(P_LONG, -4.0), lambda: evaluate_tilde(P_LONG, -4.0)),
         (series._dbeta1(P1, 2.0), lambda: dbeta1(P1, 2.0)),
         (series._dbeta1(P_LONG, -3.0), lambda: dbeta1(P_LONG, -3.0)),
+        # these two sum their saddle windows
+        (series._dbeta1(P_LONG, 4.0), lambda: dbeta1(P_LONG, 4.0)),
+        (series._dbeta1(P_PSI_FLIP, 4.0), lambda: dbeta1(P_PSI_FLIP, 4.0)),
     ]
     positive = [series.Request(P1, 0.5), series._normalized(P_LONG, 4.0)]
     reqs = [positive[0]] + [r for r, _ in routed] + [positive[1]]
@@ -1574,16 +1616,23 @@ def test_closed_forms_over_the_saddle_window(params, z, exact, slope, n, head):
 
 def test_window_reaches_log_magnitudes_past_the_old_budget():
     # e^z peaks at k = z, and E_{1/2}(x) = e^(x^2) erfc(-x) at k = 2 x^2:
-    # from k = 0 the 10,000-term budget ran out past z ~ 9,000 and x ~ 60
+    # from k = 0 the 10,000-term budget ran out past z ~ 9,000 and x ~ 60;
+    # so did dbeta1 of e^z/Gamma(2.5), -psi(2.5) e^z/Gamma(2.5), at 1e4
     ml_half = FoxWrightParams(((1.0, 1.0),), ((1.0, 0.5),))
     got = series.evaluate_batch([
         series.Request(_EXP, 1e4), series.Request(_EXP, 1e5),
-        series.Request(ml_half, 100.0), series.Request(_EXP, 1e6)])
-    for res, want in zip(got, (1e4, 1e5, 1e4 + math.log(2.0))):
-        assert res.sign == 1 and res.value == math.inf
+        series.Request(ml_half, 100.0),
+        series._dbeta1(FoxWrightParams((), ((2.5, 0.0),)), 1e4),
+        series.Request(_EXP, 1e6)])
+    with mp.workdps(30):
+        psi_exp = float(1e4 + mp.log(mp.digamma(2.5)) - mp.loggamma(2.5))
+    for res, sign, want in zip(got, (1, 1, 1, -1),
+                               (1e4, 1e5, 1e4 + math.log(2.0), psi_exp)):
+        assert res.sign == sign and res.value == sign * math.inf
         assert abs(res.log_magnitude - want) <= 1e-12 * want, (res, want)
+    assert got[3].terms_used == 1709
     # e^(10^6) needs about 18,000 window terms
-    assert isinstance(got[3], NoConvergenceError)
+    assert isinstance(got[4], NoConvergenceError)
     assert _win(_EXP, 1e6, 0)[2] - _win(_EXP, 1e6, 0)[1] > 10000
 
 
@@ -1599,9 +1648,10 @@ def test_ratio_bound_past_a_budget_leaves_no_window():
                       NoConvergenceError)
 
 
-def _win(params, z, start):
+def _win(params, z, start, psi=None):
     # the window rule as the engines call it, with the epsilon of the check
-    return series._window(params, z, start, params.epsilon())
+    return series._window(series.Request(params, z, start, psi),
+                          params.epsilon())
 
 
 def _window_series():
@@ -1638,7 +1688,7 @@ def test_window_that_does_not_hold_is_summed_from_the_start(monkeypatch):
     monkeypatch.setattr(window, "_WINDOW_DROP", 45.0)
     past = {700.0: (0, 800, 1200), 4.0: (0, 700, 1200)}
     for mod in (series, batch):
-        monkeypatch.setattr(mod, "_window", lambda p, z, s, e: past[z])
+        monkeypatch.setattr(mod, "_window", lambda req, e: past[req.z])
     assert [series._sum_series(r, True) for r in reqs] == plain
     assert series.evaluate_batch(reqs) == plain
 
@@ -1657,6 +1707,84 @@ def test_window_ratios_do_not_increase_from_k0():
         t = [log_t(params, k) for k in range(k0, k0 + 120)]
         r = [b - a for a, b in zip(t, t[1:])]
         assert all(b <= a for a, b in zip(r, r[1:])), req
+
+
+def _psi_window_sets(n):
+    # n seeded (params, z) whose terms peak near e^v, v in 120-300, with
+    # epsilon 0.2-1.0 (1 + sum B with no upper pair) and the psi pair
+    # (b, B) = lower[0]: B = 0 in a third of them, b < 1.46 with B > 0 (a
+    # sign flip at k_psi > 0) in another third
+    rng = np.random.default_rng(32)
+    sets = []
+    for i in range(n):
+        p, q = int(rng.integers(0, 3)), int(rng.integers(1, 3))
+        lower = [(rng.uniform(0.1, 5.0), rng.uniform(0.0, 2.0))
+                 for _ in range(q)]
+        if i % 3 == 0:
+            lower[0] = (lower[0][0], 0.0)
+        elif i % 3 == 1:
+            lower[0] = (rng.uniform(0.1, 1.4), rng.uniform(0.005, 0.5))
+        total = 1.0 + math.fsum(w for _, w in lower) - rng.uniform(0.2, 1.0)
+        u = rng.uniform(0.1, 0.9)
+        upper = [(rng.uniform(0.3, 5.0), w)
+                 for w in ((), (total,), (u * total, (1 - u) * total))[p]]
+        params = FoxWrightParams(tuple(upper), tuple(lower))
+        eps = params.epsilon()
+        lz = (eps * math.log(rng.uniform(120.0, 300.0) / eps)
+              + math.fsum(w * math.log(w) for _, w in lower if w > 0.0)
+              - math.fsum(w * math.log(w) for _, w in upper if w > 0.0))
+        sets.append((params, math.exp(lz)))
+    return sets
+
+
+def test_psi_weighted_window_ratios_do_not_increase_from_k0_psi():
+    # the corollary in window._monotone_from, on 60-digit weighted term
+    # logs: second differences <= 0 from the k0_psi that _window returns,
+    # and the windowed dbeta1 within its error estimates of the plain sum
+    def log_u(params, z, k):
+        (b, w), low = params.lower[0], params.lower
+        return (k * mp.log(z) - mp.loggamma(k + 1)
+                + sum(mp.loggamma(a + k * v) for a, v in params.upper)
+                - sum(mp.loggamma(a + k * v) for a, v in low)
+                + mp.log(abs(mp.digamma(b + k * w))))
+    kinds, windows = set(), 0
+    for params, z in _psi_window_sets(200):
+        req = series._dbeta1(params, z)
+        win = _win(params, z, 0, req.psi_weight)
+        if win is None:
+            continue
+        b, w = req.psi_weight
+        kinds.add("B = 0" if w == 0.0 else "flip" if b < 1.46 else "B > 0")
+        windows += 1
+        with mp.workdps(60):
+            logs = [log_u(params, z, k) for k in range(win[0], win[0] + 14)]
+            assert all(w == 0.0 or mp.digamma(b + k * w) > 0
+                       for k in (win[0], win[0] + 13))
+        assert all(x - 2 * y + t <= 0
+                   for x, y, t in zip(logs, logs[1:], logs[2:])), (params, z)
+        res = series._sum_series(req, False)
+        plain = series._sum_plain(req, params.epsilon(), False)
+        assert res.terms_used < plain.terms_used, (params, z)
+        assert abs(res.value - plain.value) <= (
+            res.tail_bound + plain.tail_bound
+            + 1e-14 * res.condition_estimate * abs(res.value)), (params, z)
+    assert kinds == {"B = 0", "flip", "B > 0"} and windows >= 120
+
+
+@pytest.mark.parametrize("b", [0.7, 1.2, 2.5])
+@pytest.mark.parametrize("z", [300.0, 400.0, 700.0])
+def test_dbeta1_closed_form_over_the_saddle_window(b, z):
+    # dbeta1 of the series sum z^k/(k! Gamma(b)) = e^z/Gamma(b), B = 0:
+    # -psi(b) e^z/Gamma(b), summed over its window
+    params = FoxWrightParams((), ((b, 0.0),))
+    res = dbeta1(params, z)
+    plain = _patched(lambda: dbeta1(params, z), _window=lambda *a: None)
+    assert _win(params, z, 0, (b, 0.0)) is not None
+    assert res.terms_used < plain.terms_used
+    with mp.workdps(30):
+        want = float(-mp.digamma(b) * mp.exp(z) / mp.gamma(b))
+    rel = abs(res.tail_bound / want) + 1e-14 + 2.0 ** -53 * res.terms_used
+    assert abs(res.value - want) <= rel * abs(want), (res, want)
 
 
 # Calls whose window would skip fewer than 64 terms (k_lo - start = 63)
