@@ -7,8 +7,9 @@ goes to the single call's ``_sum_window``, and the others to
 ``_sum_plain``, which owns signed terms and cancellation.  Each block of a
 tile ends its rows by ``series._stops``, the block stop rule that the
 single calls run too.  pFq requests run their recurrence element-wise
-across rows, each checked by ``_require_convergent_pfq``.  The ``series``
-module docstring says more, and names the array kernels the tiles use.
+across rows, each checked by ``functions._require_convergent_pfq`` and bit
+for bit its single call, ``functions._pfq_sum``.  The ``series`` module
+docstring says more, and names the array kernels the tiles use.
 ``series.evaluate_batch`` imports this module on its first call, so
 importing the package for single calls does not load it.
 """
@@ -27,6 +28,12 @@ from .errors import (
     NoConvergenceError,
     ParameterError,
 )
+from .functions import (
+    _pfq_no_stop,
+    _pfq_overflow,
+    _pfq_result,
+    _require_convergent_pfq,
+)
 from .gammakit import _log_gamma_array
 from .series import (
     _BLOCK_MAX,
@@ -40,7 +47,6 @@ from .series import (
     _expanded_rest,
     _finish,
     _fold,
-    _geometric_tail,
     _no_stop,
     _require_summable,
     _stops,
@@ -243,53 +249,22 @@ def _neumaier_array(total, comp, x):
                               (total - s) + x, (x - s) + total)
 
 
-def _require_convergent_pfq(upper: tuple, lower: tuple, z: float) -> None:
-    p, q = len(upper), len(lower)
-    try:
-        if not math.isfinite(z):
-            raise DomainError(f"z must be finite, got z={z!r}")
-        for a in upper:
-            if not math.isfinite(a):
-                raise ParameterError(
-                    f"pFq upper parameters must be finite, got {a}")
-        for b in lower:
-            if not (b > 0.0 and math.isfinite(b)):
-                raise ParameterError(
-                    f"pFq lower parameters must be positive, got {b}")
-    except TypeError:  # a value that is no number
-        raise ParameterError(f"pFq parameters and z must be numbers, got "
-                             f"{upper!r}, {lower!r}, z={z!r}") from None
-    if p > q + 1:
-        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
-    if p == q + 1 and abs(z) >= 1.0:
-        raise DivergentSeriesError(
-            f"pFq with p = q+1 needs |z| < 1, got z={z!r}")
-
-
 def _pfq_rows(reqs: list[PfqRequest]) -> list:
-    """pFq sums by the Pochhammer recurrence, element-wise across rows of
-    one (p, q) shape; each row runs the operations of a single call in the
-    same order, so its result does not depend on the other rows.  A row
-    that the single call refuses fails with the single call's error."""
+    """pFq sums by the Pochhammer recurrence, element-wise across checked
+    rows of one (p, q) shape; each row runs the operations of its single
+    call, ``functions._pfq_sum``, in the same order, so its result or error
+    does not depend on the other rows."""
     p, q = len(reqs[0].upper), len(reqs[0].lower)
     out: list = [None] * len(reqs)
-    # a refused row runs masked, on ones: it may hold no numbers
-    rows = list(reqs)
-    for r, req in enumerate(reqs):
-        try:
-            _require_convergent_pfq(*req)
-        except (DomainError, ParameterError, DivergentSeriesError) as exc:
-            out[r], rows[r] = exc, PfqRequest((1.0,) * p, (1.0,) * q, 0.0)
-    live = np.array([res is None for res in out])
-    up = np.array([r.upper for r in rows], dtype=float).reshape(len(reqs), p)
-    low = np.array([r.lower for r in rows], dtype=float).reshape(len(reqs), q)
-    z = np.array([r.z for r in rows], dtype=float)
+    up = np.array([r.upper for r in reqs], dtype=float).reshape(len(reqs), p)
+    low = np.array([r.lower for r in reqs], dtype=float).reshape(len(reqs), q)
+    z = np.array([r.z for r in reqs], dtype=float)
     idx = np.arange(len(reqs))
+    live = np.ones(len(reqs), dtype=bool)
     term = np.ones(len(reqs))
     total, comp, total_abs, comp_abs = np.zeros((4, len(reqs)))
     streak = np.zeros(len(reqs), dtype=int)
-    max_terms = series._MAX_TERMS
-    for k in range(max_terms):
+    for k in range(series._MAX_TERMS):
         x = term
         total, comp = _neumaier_array(total, comp, x)
         total_abs, comp_abs = _neumaier_array(total_abs, comp_abs, np.abs(x))
@@ -302,7 +277,7 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
         for j in range(q):
             den = den * (low[:, j] + k)
         nxt = term * (num / den) * z
-        bad = live & ~np.isfinite(nxt)
+        bad = live & ~(np.isfinite(total) & np.isfinite(nxt))
         ratio = np.abs(nxt / np.where(term != 0.0, term, 1.0))
         ratio = np.where(term != 0.0, ratio, 0.0)
         term = nxt
@@ -312,9 +287,8 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
         streak = np.where(small, streak + 1, 0)
         done = live & ~bad & (streak >= 3) & (ratio < 1.0)
         for r in np.flatnonzero(bad).tolist():
-            out[idx[r]] = OverflowError(
-                f"pFq term at k={k + 1} left the double range "
-                f"(z={reqs[idx[r]].z!r})")
+            out[idx[r]] = _pfq_overflow(k, bool(np.isfinite(total[r])),
+                                        reqs[idx[r]].z)
         for r in np.flatnonzero(done).tolist():
             out[idx[r]] = _pfq_result(
                 float(total[r] + comp[r]), float(total_abs[r] + comp_abs[r]),
@@ -329,24 +303,8 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
             if not idx.size:
                 break
     for i in idx[live].tolist():
-        out[i] = NoConvergenceError(
-            f"pFq stop rule did not fire within {max_terms} terms "
-            f"(z={reqs[i].z!r})")
+        out[i] = _pfq_no_stop(reqs[i].z)
     return out
-
-
-def _pfq_result(grand: float, total_abs: float, last: float, ratio: float,
-                z: float, terms: int, boundary: bool) -> EvalResult:
-    # the tail from the last term summed and the ratio of the next one to
-    # it; for p = q+1 the term ratio tends to |z| from below/above, so take
-    # the more conservative of that ratio and |z|, which is below 1 there
-    r = max(ratio, abs(z)) if boundary else ratio
-    tail = _geometric_tail(abs(last), r)
-    if grand == 0.0:
-        cond = 1.0 if total_abs == 0.0 else math.inf
-        return EvalResult(0.0, terms, tail, cond, -math.inf, 0)
-    return EvalResult(grand, terms, tail, total_abs / abs(grand),
-                      math.log(abs(grand)), 1 if grand > 0.0 else -1)
 
 
 # what one request may raise; evaluate_batch returns it in that request's place
@@ -360,10 +318,11 @@ def evaluate(requests: list) -> list:
     tiled: list[int] = []
     pfq: dict = {}
     for i, req in enumerate(requests):
-        if isinstance(req, PfqRequest):
-            pfq.setdefault((len(req.upper), len(req.lower)), []).append(i)
-            continue
         try:
+            if isinstance(req, PfqRequest):
+                _require_convergent_pfq(*req)
+                pfq.setdefault((len(req.upper), len(req.lower)), []).append(i)
+                continue
             # _sum_series' route, and a tile row for an unsigned series
             eps = _require_summable(req)
             win = _window(req, eps) if req.z > 0.0 else None

@@ -2,8 +2,11 @@
 
 Generalized hypergeometric pFq, the 2n-parameter Mittag-Leffler function,
 the Wright function (plain and normalized), and the normalized Bessel
-function, all as thin reductions over the series engine; plus the Kummer
-2F2 transform pair and the Mittag-Leffler derivative identity.
+function (0F1), with the Kummer 2F2 transform pair and the Mittag-Leffler
+derivative identity.  pFq and 0F1 sum by their Pochhammer recurrence in
+scalar floats (``_pfq_sum``, bit for bit a pFq row of ``evaluate_batch``),
+or at z > 0 over a saddle window as unit-weight Fox-Wright series; the
+others reduce to the series engine.
 """
 
 from __future__ import annotations
@@ -11,26 +14,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import series
 from .errors import (
+    DivergentSeriesError,
     DomainError,
+    NoConvergenceError,
     ParameterError,
     SingularTransformError,
 )
 from .report import InequalityReport, value_report
 from .series import (
+    _LOG_DOUBLE_MAX,
+    _REL_TOL,
     EvalResult,
     FoxWrightParams,
-    PfqRequest,
     Request,
-    _LOG_DOUBLE_MAX,
     _exp_or_inf,
+    _geometric_tail,
     _normalized,
-    _single,
-    _tilde,
+    _sum_window,
     derivative,
     evaluate,
     evaluate_tilde,
 )
+from .window import _window
 
 __all__ = [
     "HypergeometricParams",
@@ -92,39 +99,128 @@ class MittagLefflerParams:
         )
 
 
+def _require_convergent_pfq(upper, lower, z) -> None:
+    # the one check of a pFq sum, single call or batch row
+    try:
+        p, q = len(upper), len(lower)
+        if not math.isfinite(z):
+            raise DomainError(f"z must be finite, got z={z!r}")
+        for a in upper:
+            if not math.isfinite(a):
+                raise ParameterError(
+                    f"pFq upper parameters must be finite, got {a}")
+        for b in lower:
+            if not (b > 0.0 and math.isfinite(b)):
+                raise ParameterError(
+                    f"pFq lower parameters must be positive, got {b}")
+    except TypeError:  # a value that is no number, or no tuple of them
+        raise ParameterError(f"pFq parameters and z must be numbers, got "
+                             f"{upper!r}, {lower!r}, z={z!r}") from None
+    if p > q + 1:
+        raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
+    if p == q + 1 and abs(z) >= 1.0:
+        raise DivergentSeriesError(
+            f"pFq with p = q+1 needs |z| < 1, got z={z!r}")
+
+
+def _pfq_sum(upper, lower, z) -> EvalResult:
+    # the recurrence of a checked pFq: the scalar twin of a batch._pfq_rows
+    # row, its +, -, *, / in the same order, so its bits, error or result
+    up, low, x_z = [float(a) for a in upper], [float(b) for b in lower], float(z)
+    p, q, rest = len(up), len(low), up[1:]
+    term, total, comp, total_abs, comp_abs, streak = 1.0, 0.0, 0.0, 0.0, 0.0, 0
+    for k in range(series._MAX_TERMS):
+        # series._neumaier's steps, written out, on x and on |x|
+        x, ax = term, abs(term)
+        s, t = total + x, total_abs + ax
+        comp += (total - s) + x if abs(total) >= ax else (x - s) + total
+        comp_abs += ((total_abs - t) + ax if total_abs >= ax
+                     else (ax - t) + total_abs)
+        total, total_abs = s, t
+        if not math.isfinite(total):
+            raise _pfq_overflow(k, False, z)
+        num = up[0] + k if p else 1.0
+        for a in rest:
+            num = num * (a + k)
+        den = float(k + 1)
+        for b in low:
+            den = den * (b + k)
+        nxt = term * (num / den) * x_z
+        if not math.isfinite(nxt):
+            raise _pfq_overflow(k, True, z)
+        ratio = abs(nxt / term) if term != 0.0 else 0.0
+        term = nxt
+        streak = (streak + 1 if k > 0 and abs(term) <= _REL_TOL * abs(
+            total + comp) else 0)
+        if streak >= 3 and ratio < 1.0:
+            return _pfq_result(total + comp, total_abs + comp_abs, x, ratio,
+                               x_z, k + 1, p == q + 1)
+    raise _pfq_no_stop(z)
+
+
+def _pfq_overflow(k: int, term: bool, z) -> OverflowError:
+    # term k + 1, or the partial sum to term k, left the double range
+    what = f"term at k={k + 1}" if term else f"partial sum at k={k}"
+    return OverflowError(f"pFq {what} left the double range (z={z!r})")
+
+
+def _pfq_no_stop(z) -> NoConvergenceError:
+    return NoConvergenceError(f"pFq stop rule did not fire within "
+                              f"{series._MAX_TERMS} terms (z={z!r})")
+
+
+def _pfq_result(grand: float, total_abs: float, last: float, ratio: float,
+                z: float, terms: int, boundary: bool) -> EvalResult:
+    # the tail from the last term summed and the ratio of the next one to
+    # it; for p = q+1 the term ratio tends to |z| from below/above, so take
+    # the more conservative of that ratio and |z|, which is below 1 there
+    r = max(ratio, abs(z)) if boundary else ratio
+    tail = _geometric_tail(abs(last), r)
+    if grand == 0.0:
+        cond = 1.0 if total_abs == 0.0 else math.inf
+        return EvalResult(0.0, terms, tail, cond, -math.inf, 0)
+    return EvalResult(grand, terms, tail, total_abs / abs(grand),
+                      math.log(abs(grand)), 1 if grand > 0.0 else -1)
+
+
 def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...],
                z: float) -> EvalResult:
     """Direct pFq summation via the Pochhammer term recurrence.
 
-    Unlike the Fox-Wright route this accepts arbitrary real upper
-    parameters (negative values make the series terminate or alternate),
-    which the transformed 2F2 family requires.  Lower parameters must be
-    positive.  Convergence gate: p <= q, or p = q + 1 with |z| < 1.  The
-    sum is the one-row case of the pFq request kind of
-    ``series.evaluate_batch``, which refuses what the gate does not admit.
+    Unlike ``pFq`` this accepts arbitrary real upper parameters (negative
+    values make the series terminate or alternate), which the transformed
+    2F2 family requires.  Lower parameters must be positive.  Convergence
+    gate: p <= q, or p = q + 1 with |z| < 1.  Summed in scalar floats, bit
+    for bit a ``series.PfqRequest`` row of ``series.evaluate_batch``, which
+    fails where this raises, at a term or partial sum past the double range.
     """
-    return _single(PfqRequest(tuple(float(a) for a in upper),
-                              tuple(float(b) for b in lower), z))
+    _require_convergent_pfq(upper, lower, z)
+    return _pfq_sum(upper, lower, z)
 
 
-def _hyper_request(hp: HypergeometricParams, z: float) -> Request | PfqRequest:
-    if len(hp.upper) > len(hp.lower):  # p = q + 1, or the divergent p > q + 1
-        return PfqRequest(hp.upper, hp.lower, z)
-    return _normalized(FoxWrightParams(
-        upper=tuple((a, 1.0) for a in hp.upper),
-        lower=tuple((b, 1.0) for b in hp.lower),
-    ), z)
+def _unit_weight_sum(upper, lower, z) -> EvalResult:
+    # pFq by the recurrence, or over the saddle window of its unit-weight
+    # series normalized to 1 at z = 0, where its rounding does not grow with k
+    _require_convergent_pfq(upper, lower, z)
+    if z > 0.0 and len(upper) <= len(lower):
+        params = FoxWrightParams(tuple((a, 1.0) for a in upper),
+                                 tuple((b, 1.0) for b in lower))
+        eps = 1.0 + len(lower) - len(upper)  # epsilon() of unit weights
+        win = _window(Request(params, z), eps)
+        if win is not None:
+            return _sum_window(_normalized(params, z), win, eps, False)
+    return _pfq_sum(upper, lower, z)
 
 
 def pFq(hp: HypergeometricParams, z: float) -> EvalResult:
     """Generalized hypergeometric series sum_k [prod (a)_k / prod (b)_k] z^k/k!.
 
-    For p <= q this routes through the Fox-Wright engine with all weights 1
-    (the ratio of the two definitions is prod Gamma(b) / prod Gamma(a), i.e.
-    the normalized evaluation); the boundary case p = q + 1 converges only
-    for |z| < 1 and is summed directly.
+    Summed as ``pfq_direct`` sums it (p <= q, or p = q + 1 and |z| < 1),
+    unless at z > 0 its terms peak far from k = 0: then over its saddle
+    window, as the Fox-Wright series with all weights 1 normalized to 1 at
+    z = 0 (their ratio is prod Gamma(b) / prod Gamma(a)).
     """
-    return _single(_hyper_request(hp, z))
+    return _unit_weight_sum(hp.upper, hp.lower, z)
 
 
 def mittag_leffler(mlp: MittagLefflerParams, z: float) -> EvalResult:
@@ -148,6 +244,7 @@ def wright(B1: float, beta1: float, z: float,
 def bessel_norm(nu: float, z: float) -> EvalResult:
     """Normalized Bessel function Gamma(nu+1) sum_k (z^2/4)^k / (k! Gamma(nu+1+k)).
 
+    That is 0F1(; nu+1; z^2/4) (DLMF 10.25.2), summed as ``pFq`` sums it.
     Reduces to cosh z at nu = -1/2 and sinh(z)/z at nu = 1/2; equals 1 at
     z = 0 for every nu.
     """
@@ -158,8 +255,7 @@ def bessel_norm(nu: float, z: float) -> EvalResult:
     w = z * z / 4.0
     if not math.isfinite(w):
         raise DomainError(f"z*z/4 overflows the double range at z={z!r}")
-    return _single(_tilde(FoxWrightParams(upper=(), lower=((nu + 1.0, 1.0),)),
-                          w))
+    return _unit_weight_sum((), (nu + 1.0,), w)
 
 
 def _scale_result(res: EvalResult, log_factor: float) -> EvalResult:

@@ -54,10 +54,10 @@ start, and is dropped again (the request summed from its start) where
 that bound exceeds 1e-15 of the sum; its term budget counts from k_lo.
 
 Every series generates at most ``_MAX_TERMS`` terms before its stop rule
-must fire.  A single call raises OverflowError on a term or a value past the
-double range; ``evaluate_batch`` sums its series requests in log mode
-instead, returning +-inf with the finite log-magnitude, which is what the
-inequality checkers read.
+must fire.  A single call raises OverflowError on a term (scaled by its
+``log_offset``) or a value past the double range; ``evaluate_batch`` sums
+its series requests in log mode instead, returning +-inf with the finite
+log-magnitude, which is what the inequality checkers read.
 
 ``evaluate_batch`` sums many series at once, for the inequality checkers;
 its tile engine lives in ``batch.py``, and each array kernel it uses sits
@@ -84,10 +84,10 @@ for bit the single call.  A series request is checked against its rules
 once, by ``_require_summable``: at the top of ``_sum_series``, and in
 ``batch.evaluate`` before its route is chosen, which hands the epsilon
 that check returns to ``window._window``.
-The pFq request kind runs the Pochhammer recurrence of
-``functions.pfq_direct`` element-wise across rows, in the same operations as
-one row, so its results are bit-identical to a single call; its rows keep
-their own stop rule, which tests the next term before adding it.  At z = 0
+The pFq request kind runs the Pochhammer recurrence element-wise across
+rows, bit for bit the scalar sum of ``functions.pfq_direct``; its rows
+keep their own stop rule, which tests the next term before adding it,
+and fail at a term or partial sum past the double range.  At z = 0
 the one nonzero term (its log is ``_log_term_at_zero``, as in ``_TermLogs``)
 goes through ``_finish`` as every sum does, so z = 0 and z = 1e-300 agree.
 """
@@ -95,6 +95,7 @@ goes through ``_finish`` as every sum does, so z = 0 and z = 1e-300 agree.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -281,10 +282,10 @@ class Request(NamedTuple):
     term index ``start``, term k multiplied by -psi(b + k*B) when
     ``psi_weight`` is the pair (b, B) (dbeta1's weight), and the
     log-magnitude of the result shifted by ``log_offset`` (a normalization
-    prefactor).  Its rules: z a number (else ParameterError) and finite
-    (else DomainError), epsilon > 0 (else DivergentSeriesError), ``start``
-    an integer >= 0 and ``log_offset`` not NaN (else ParameterError); an
-    infinite offset, from a huge lnGamma, is allowed."""
+    prefactor).  Its rules: z finite (else DomainError), epsilon > 0 (else
+    DivergentSeriesError); else ParameterError: ``params`` FoxWrightParams,
+    z a number, ``start`` an integer >= 0, ``psi_weight`` None or a tuple
+    of two numbers, and ``log_offset`` a number, not NaN (it may be inf)."""
 
     params: FoxWrightParams
     z: float
@@ -296,7 +297,7 @@ class Request(NamedTuple):
 class PfqRequest(NamedTuple):
     """One pFq series summed by its Pochhammer recurrence (see
     ``functions.pfq_direct``), which ``evaluate_batch`` checks with
-    ``batch._require_convergent_pfq``, the single call's one check."""
+    ``functions._require_convergent_pfq``, the single call's one check."""
 
     upper: tuple[float, ...]
     lower: tuple[float, ...]
@@ -546,6 +547,8 @@ class _TermLogs:
 
 def _require_summable(req: Request) -> float:
     # the rules of a series Request (see its docstring); returns its epsilon
+    if not isinstance(req.params, FoxWrightParams):
+        raise ParameterError(f"params must be FoxWrightParams, got {req.params!r}")
     try:
         finite = math.isfinite(req.z)
     except TypeError:
@@ -560,8 +563,16 @@ def _require_summable(req: Request) -> float:
         raise ParameterError(f"start must be an integer, got {req.start!r}")
     if req.start < 0:
         raise ParameterError(f"start must be >= 0, got {req.start}")
-    if math.isnan(req.log_offset):
-        raise ParameterError("log_offset must not be NaN")
+    try:
+        if math.isnan(req.log_offset):
+            raise ParameterError("log_offset must not be NaN")
+    except TypeError:
+        raise ParameterError(f"log_offset must be a number, got "
+                             f"{req.log_offset!r}") from None
+    psi = req.psi_weight
+    if psi is not None and not (isinstance(psi, tuple) and len(psi) == 2 and all(
+            isinstance(v, numbers.Real) for v in psi)):
+        raise ParameterError(f"psi_weight must be None or two numbers, got {psi!r}")
     return eps
 
 
@@ -678,12 +689,13 @@ def _stops(lh, ll, prev_h, prev_l, small, streak):
 
 
 def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
-            prev_l: float, streak: int, signed: bool, raise_over: bool):
+            prev_l: float, streak: int, signed: bool, offset: float | None):
     """The block phase of a summation from term k: blocks of _BLOCK_MIN
     terms, doubling to _BLOCK_MAX, each ended by ``_stops`` on its one row,
     until a stop or ``end``.  ``acc`` holds the scaled sums [scale_h,
     scale_l, total, comp, total_abs, comp_abs] and is updated in place; a
-    term past the double range raises OverflowError if ``raise_over``.
+    term whose log plus ``offset`` (None in log mode) passes the double
+    range raises OverflowError.
     Returns the terms summed, whether the rule stopped, the ratio of the
     stop and the last term's log."""
     scale_h, scale_l, total, comp, total_abs, comp_abs = acc
@@ -720,10 +732,10 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
             lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
             small[None], np.array([streak])))
         ratio = math.exp(d)  # below 1 at a stop, else NaN
-        if top_h > _LOG_DOUBLE_MAX and raise_over:
-            over = np.flatnonzero(lh[:used] > _LOG_DOUBLE_MAX)
+        if offset is not None and top_h + offset > _LOG_DOUBLE_MAX:
+            over = np.flatnonzero(lh[:used] + offset > _LOG_DOUBLE_MAX)
             if over.size:
-                raise _term_overflow(k + int(over[0]), float(lh[over[0]]))
+                raise _term_overflow(k + int(over[0]), lh[over[0]] + offset)
 
         # fsum over a memoryview: the floats of tolist(), without the list
         total, comp = _neumaier(total, comp, math.fsum(memoryview(x[:used])))
@@ -769,7 +781,7 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
     if not -d < _D_STOP:
         return _sum_plain(req, eps, log_mode)
     used, stopped, ratio, last_h = _blocks(gen, k_lo, end, acc, ph, pl, 0,
-                                           psi is not None, False)
+                                           psi is not None, None)
     if not stopped:
         raise _no_stop(req)
     scale_h, scale_l, total, comp, total_abs, comp_abs = acc
@@ -778,7 +790,7 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
     if (not abs(total) > 0.0
             or rho > 0.0 and lo_h + math.log(rho / (1.0 - rho)) > (
                 math.log(_REL_TOL) + scale_h + math.log(abs(total)))
-            or scale_h > _LOG_DOUBLE_MAX and not log_mode):
+            or scale_h + log_offset > _LOG_DOUBLE_MAX and not log_mode):
         return _sum_plain(req, eps, log_mode)
     res = _finish(scale_h, scale_l, total,
                   total_abs + comp_abs if psi is not None else total,
@@ -830,8 +842,8 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
     for k in range(start, min(start + _SCALAR_TERMS, end)):
         lh, ll, sign = gen.term(k)
         terms += 1
-        if lh > _LOG_DOUBLE_MAX and not log_mode:
-            raise _term_overflow(k, lh)
+        if lh + log_offset > _LOG_DOUBLE_MAX and not log_mode:
+            raise _term_overflow(k, lh + log_offset)
 
         if lh > scale_h:
             if scale_h > -math.inf:
@@ -880,7 +892,7 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
     if not stopped:
         used, stopped, ratio, prev_h = _blocks(
             gen, start + _SCALAR_TERMS, end, acc, prev_h, prev_l, streak,
-            signed, not log_mode)
+            signed, None if log_mode else log_offset)
         terms += used
     if not stopped:
         raise _no_stop(req)
@@ -906,18 +918,6 @@ def _dbeta1(params: FoxWrightParams, z: float) -> Request:
     if not params.lower:
         raise ParameterError("dbeta1 needs at least one lower pair")
     return Request(params, z, psi_weight=params.lower[0])
-
-
-def _single(req: Request | PfqRequest) -> EvalResult:
-    # one request on its single-call path: the one-term loop for a series
-    # request (raising past the double range), the one-row batch for a pFq
-    # request
-    if isinstance(req, Request):
-        return _sum_series(req, False)
-    res = evaluate_batch([req])[0]
-    if isinstance(res, Exception):
-        raise res
-    return res
 
 
 def evaluate(params: FoxWrightParams, z: float) -> EvalResult:
@@ -961,7 +961,7 @@ def evaluate_batch(requests: list) -> list:
     PfqRequest (as the single calls refuse it), NoConvergenceError, or
     OverflowError.  Series requests are summed in log mode: one past the
     double range returns +-inf with its finite log_magnitude, while a pFq
-    row whose term leaves the range fails with OverflowError.
+    row whose term or partial sum leaves it fails with OverflowError.
     Series requests at z > 0 with no psi_weight and no saddle window are
     the rows of one tile, the others (a windowed one among them) take the
     single-call path bit for bit, and pFq requests of one (p, q) shape are

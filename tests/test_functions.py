@@ -4,12 +4,14 @@ import math
 import re
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from foxwright import (
     DivergentSeriesError,
     DomainError,
     EvalResult,
+    FoxWrightError,
     FoxWrightParams,
     HypergeometricParams,
     MittagLefflerParams,
@@ -17,6 +19,8 @@ from foxwright import (
     ParameterError,
     SingularTransformError,
     bessel_norm,
+    evaluate_normalized,
+    evaluate_tilde,
     kummer_2f2_pair,
     mittag_leffler,
     ml_derivative_identity_check,
@@ -24,7 +28,8 @@ from foxwright import (
     pfq_direct,
     wright,
 )
-from foxwright import functions
+from foxwright import functions, series
+from foxwright.series import PfqRequest
 
 # 40-digit references for the generic instances below
 ML4_Z25 = 6.421328074302353333740     # pairs ((0.8, 1.2), (1.1, 0.7)), z = 2.5
@@ -240,3 +245,169 @@ def test_fox_wright_generalizes_pfq():
     a = pFq(hp, 1.8).value
     b = evaluate_normalized(params, 1.8).value
     assert _rel(a, b) <= 1e-14
+
+
+# --- the scalar pFq sum: the twin of a batch row ---------------------------
+
+def _fields(res):
+    # every field of a result as exact hex, or an error's type and text
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    return tuple(float.hex(float(v)) for v in (
+        res.value, res.terms_used, res.tail_bound, res.condition_estimate,
+        res.log_magnitude, res.sign))
+
+
+def _pfq_direct_or_error(req):
+    try:
+        return pfq_direct(*req)
+    except (FoxWrightError, OverflowError) as exc:
+        return exc
+
+
+def _seeded_pfq_requests():
+    # p <= q + 1, both signs of z, terminating negative-integer uppers,
+    # z = 0, refusals, and sums whose term or partial sum leaves the range
+    rng = np.random.default_rng(34)
+    shapes = ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2))
+    reqs = []
+    for i in range(330):
+        p, q = shapes[i % len(shapes)]
+        upper = rng.uniform(-6.0, 6.0, p)
+        if p and i % 5 == 0:
+            upper[0] = -float(rng.integers(0, 8))
+        lower = rng.uniform(0.05, 6.0, q)
+        z = (rng.uniform(-0.99, 0.99) if p == q + 1
+             else (-1.0) ** i * 10.0 ** rng.uniform(-3.0, 1.5))
+        if i % 37 == 0:
+            z = 0.0
+        reqs.append(PfqRequest(tuple(upper.tolist()), tuple(lower.tolist()),
+                               float(z)))
+    return reqs + [PfqRequest((1.0,), (1.0,), 710.0),
+                   PfqRequest((4.0,), (1.5,), -1e300),
+                   PfqRequest((1.0, 1.0, 1.0), (2.0,), 0.5),
+                   PfqRequest((1.0, 1.0), (2.0,), -1.0),
+                   PfqRequest((1.0, 1.0), (2.0,), 0.9999)]
+
+
+@pytest.mark.parametrize("max_terms", [10000, 40])
+def test_pfq_direct_is_its_batch_row_bit_for_bit(monkeypatch, max_terms):
+    monkeypatch.setattr(series, "_MAX_TERMS", max_terms)
+    reqs = _seeded_pfq_requests()
+    rows = series.evaluate_batch(reqs)
+    kinds = {type(r).__name__ for r in rows}
+    assert {"EvalResult", "OverflowError", "DivergentSeriesError",
+            "NoConvergenceError"} <= kinds
+    for req, row in zip(reqs, rows):
+        one = _pfq_direct_or_error(req)
+        assert _fields(one) == _fields(row) == _fields(
+            series.evaluate_batch([req])[0]), req
+
+
+def test_pfq_sum_past_the_double_range_fails_at_once():
+    # e^710: every term is finite, the partial sum is not; the sum stops
+    # there instead of running out its term budget on a NaN compensation
+    msg = "pFq partial sum at k=733 left the double range (z=710.0)"
+    with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
+        pfq_direct((1.0,), (1.0,), 710.0)
+    got = series.evaluate_batch([PfqRequest((1.0,), (2.0,), 0.5),
+                                 PfqRequest((1.0,), (1.0,), 710.0)])
+    assert type(got[1]) is OverflowError and str(got[1]) == msg
+    assert repr(got[0]) == repr(pfq_direct((1.0,), (2.0,), 0.5))
+    # pFq sums e^710 over its saddle window, which names the value
+    with pytest.raises(OverflowError, match="^series value has log-magnitude"):
+        pFq(HypergeometricParams((1.0,), (1.0,)), 710.0)
+
+
+def _pfq_cases():
+    rng = np.random.default_rng(7)
+    shapes = ((0, 1), (1, 1), (1, 2), (2, 2), (0, 2), (2, 3))
+    return [(tuple(rng.uniform(0.1, 5.0, p).tolist()),
+             tuple(rng.uniform(0.1, 5.0, q).tolist()),
+             (-1.0) ** i * float(rng.uniform(0.01, 6.0)))
+            for i, (p, q) in enumerate(shapes * 10)]
+
+
+def _within(res, ref):
+    # the stated tail bound, plus the recurrence's rounding on sum |t_k|
+    err = abs(mp.mpf(res.value) - ref)
+    return err <= res.tail_bound + 1e-14 * res.condition_estimate * abs(
+        res.value)
+
+
+def test_pfq_and_bessel_norm_against_mpmath():
+    with mp.workdps(40):
+        for upper, lower, z in _pfq_cases():
+            res = pFq(HypergeometricParams(upper, lower), z)
+            assert _within(res, mp.hyper(list(upper), list(lower), z)), (
+                upper, lower, z, res)
+        rng = np.random.default_rng(8)
+        for i in range(60):
+            nu = float(rng.uniform(-0.9, 5.0))
+            z = (-1.0) ** i * float(rng.uniform(0.01, 12.0))
+            res = bessel_norm(nu, z)
+            ref = mp.gamma(nu + 1) * (abs(z) / 2) ** (-nu) * mp.besseli(
+                nu, abs(z))
+            assert _within(res, ref), (nu, z, res)
+
+
+# a pFq or bessel_norm call with a saddle window sums the window, as the
+# Fox-Wright series with unit weights: the bits it had before the scalar
+# sum, for numpy's AVX-512 and, where they differ, its AVX2 kernels
+_WINDOWED = {
+    "1F1(0.1; 5; 730)": (
+        lambda: pFq(HypergeometricParams((0.1,), (5.0,)), 730.0),
+        lambda: evaluate_normalized(
+            FoxWrightParams(((0.1, 1.0),), ((5.0, 1.0),)), 730.0),
+        468, "0x1.dee261cf9fcd3p+1007",
+        ("0x1.faa5f8de0b876p+958", "0x1.faa5f8de0b897p+958"),
+        "0x1.5d501022a924ap+9"),
+    "bessel_norm(2.5, 300)": (
+        lambda: bessel_norm(2.5, 300.0),
+        lambda: evaluate_tilde(FoxWrightParams((), ((3.5, 1.0),)), 22500.0),
+        153, "0x1.0295ce7fc7a05p+411",
+        ("0x1.427a7fe89f34ap+357",) * 2, "0x1.1ce4bef7a2db2p+8"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WINDOWED))
+def test_windowed_pfq_keeps_its_bits(case, simd_target):
+    call, fox_wright, terms, value, tails, log_mag = _WINDOWED[case]
+    res = call()
+    assert repr(res) == repr(fox_wright())
+    assert res.terms_used == terms and res.sign == 1
+    assert tuple(float.hex(x) for x in (
+        res.value, res.tail_bound, res.condition_estimate,
+        res.log_magnitude)) == (value, tails[simd_target == "AVX2"],
+                                "0x1.0000000000000p+0", log_mag)
+
+
+def test_term_overflow_counts_the_log_offset():
+    # term 0 of the unnormalized series is Gamma(200) = e^857.9, past the
+    # double range, but the normalized terms are not: the head and the
+    # block phase compare the term log plus the offset
+    p = FoxWrightParams(((200.0, 0.5),), ())
+    with mp.workdps(40):
+        for z, terms in ((0.1, 23), (15.0, 439)):
+            res = evaluate_normalized(p, z)
+            ref = mp.nsum(lambda k: mp.exp(mp.loggamma(200 + k / 2)
+                                           - mp.loggamma(200))
+                          * mp.mpf(z) ** k / mp.factorial(k), [0, mp.inf])
+            assert res.terms_used == terms
+            assert abs(res.value - ref) <= 1e-13 * ref
+            row = series.evaluate_batch([series._normalized(p, z)])[0]
+            assert _rel(row.value, res.value) <= 1e-14
+        # and so does the window's fallback test: 1F1(200; 1; 300) keeps
+        # its window (307 terms, where the plain sum takes 592)
+        res = pFq(HypergeometricParams((200.0,), (1.0,)), 300.0)
+        assert res.terms_used == 307
+        assert abs(res.value - mp.hyper([200], [1], 300)) <= 1e-13 * res.value
+        # 1F1(400; 1; 100) drops its window: its offset lnGamma(400) = 1993
+        # costs a few more ulps of its term logs
+        res = pFq(HypergeometricParams((400.0,), (1.0,)), 100.0)
+        ref = mp.hyper([400], [1], 100)
+        assert abs(res.value - ref) <= 1e-12 * ref
+        # 1F1(1e4; 1; 10), whose unit-weight term 0 is Gamma(1e4)
+        res = pFq(HypergeometricParams((1e4,), (1.0,)), 10.0)
+        ref = mp.hyper([10000], [1], 10)
+        assert abs(res.value - ref) <= 1e-12 * ref

@@ -52,6 +52,17 @@ def test_import_leaves_batch_and_cli_unloaded():
     assert _fresh(code).strip() == "[]"
 
 
+def test_single_pfq_and_bessel_calls_leave_batch_unloaded():
+    # they sum by the scalar recurrence, or over a saddle window
+    code = ("import sys; from foxwright import HypergeometricParams as H, "
+            "bessel_norm, pFq, pfq_direct; "
+            "pFq(H((1.3, 2.2), (0.7, 3.1)), -2.1); pFq(H((0.1,), (5.0,)), 730.0); "
+            "pFq(H((0.5, 1.0), (1.5,)), 0.3); bessel_norm(0.5, 2.0); "
+            "bessel_norm(2.5, 300.0); pfq_direct((-2.0, 1.0), (1.0,), 0.5); "
+            "print('foxwright.batch' in sys.modules)")
+    assert _fresh(code).strip() == "False"
+
+
 def test_cli_eval_leaves_the_verification_layer_unloaded(tmp_path):
     # eval sums one series; check, sweep, explore and --suite's help load
     # the verification layer when they run

@@ -1299,6 +1299,35 @@ def test_malformed_request_fails_in_its_own_slot():
         assert type(got[1]) is ParameterError
         assert str(got[1]) == ("pFq parameters and z must be numbers, got "
                                f"{bad.upper!r}, {bad.lower!r}, z={bad.z!r}")
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(got[1]))}$"):
+            pfq_direct(*bad)
+
+
+@pytest.mark.parametrize("bad, msg", [
+    (series.Request("P", 0.5), "params must be FoxWrightParams, got 'P'"),
+    (series.Request(P1, 0.5, log_offset="0"),
+     "log_offset must be a number, got '0'"),
+    (series.Request(P1, 0.5, psi_weight="ab"),
+     "psi_weight must be None or two numbers, got 'ab'"),
+    (series.Request(P1, -0.5, psi_weight=(1.0,)),
+     "psi_weight must be None or two numbers, got (1.0,)"),
+    (PfqRequest(1.0, (2.0,), 0.5),
+     "pFq parameters and z must be numbers, got 1.0, (2.0,), z=0.5"),
+    (PfqRequest(("a",), (2.0,), 0.5),
+     "pFq parameters and z must be numbers, got ('a',), (2.0,), z=0.5"),
+])
+def test_malformed_field_fails_in_its_own_slot(bad, msg):
+    # a hand-built request of any kind fails with a ParameterError in its
+    # place, and the requests around it keep their results
+    good = [series.Request(P1, 0.5), PfqRequest((1.0,), (2.0,), 0.5)]
+    got = series.evaluate_batch([good[0], bad, good[1]])
+    assert (type(got[1]), str(got[1])) == (ParameterError, msg)
+    assert repr([got[0], got[2]]) == repr(series.evaluate_batch(good))
+    with pytest.raises(ParameterError, match=f"^{re.escape(msg)}$"):
+        if isinstance(bad, PfqRequest):
+            pfq_direct(*bad)
+        else:
+            series._sum_series(bad, False)
 
 
 def test_signed_and_weighted_requests_take_the_single_call_path():
