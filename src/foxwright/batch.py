@@ -277,7 +277,7 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
         for j in range(q):
             den = den * (low[:, j] + k)
         nxt = term * (num / den) * z
-        bad = live & ~(np.isfinite(total) & np.isfinite(nxt))
+        bad = live & ~(np.isfinite(total_abs) & np.isfinite(nxt))
         ratio = np.abs(nxt / np.where(term != 0.0, term, 1.0))
         ratio = np.where(term != 0.0, ratio, 0.0)
         term = nxt
@@ -287,8 +287,8 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
         streak = np.where(small, streak + 1, 0)
         done = live & ~bad & (streak >= 3) & (ratio < 1.0)
         for r in np.flatnonzero(bad).tolist():
-            out[idx[r]] = _pfq_overflow(k, bool(np.isfinite(total[r])),
-                                        reqs[idx[r]].z)
+            out[idx[r]] = _pfq_overflow(k, float(total[r]),
+                                        float(total_abs[r]), reqs[idx[r]].z)
         for r in np.flatnonzero(done).tolist():
             out[idx[r]] = _pfq_result(
                 float(total[r] + comp[r]), float(total_abs[r] + comp_abs[r]),

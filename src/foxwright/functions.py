@@ -116,6 +116,9 @@ def _require_convergent_pfq(upper, lower, z) -> None:
     except TypeError:  # a value that is no number, or no tuple of them
         raise ParameterError(f"pFq parameters and z must be numbers, got "
                              f"{upper!r}, {lower!r}, z={z!r}") from None
+    except OverflowError:  # an int past the double range
+        raise ParameterError(
+            "pFq parameters and z must lie in the double range") from None
     if p > q + 1:
         raise DivergentSeriesError(f"pFq with p={p} > q+1={q + 1} diverges")
     if p == q + 1 and abs(z) >= 1.0:
@@ -137,8 +140,8 @@ def _pfq_sum(upper, lower, z) -> EvalResult:
         comp_abs += ((total_abs - t) + ax if total_abs >= ax
                      else (ax - t) + total_abs)
         total, total_abs = s, t
-        if not math.isfinite(total):
-            raise _pfq_overflow(k, False, z)
+        if not math.isfinite(total_abs):  # as is total: |total| <= total_abs
+            raise _pfq_overflow(k, total, total_abs, z)
         num = up[0] + k if p else 1.0
         for a in rest:
             num = num * (a + k)
@@ -147,7 +150,7 @@ def _pfq_sum(upper, lower, z) -> EvalResult:
             den = den * (b + k)
         nxt = term * (num / den) * x_z
         if not math.isfinite(nxt):
-            raise _pfq_overflow(k, True, z)
+            raise _pfq_overflow(k, total, total_abs, z)
         ratio = abs(nxt / term) if term != 0.0 else 0.0
         term = nxt
         streak = (streak + 1 if k > 0 and abs(term) <= _REL_TOL * abs(
@@ -158,9 +161,12 @@ def _pfq_sum(upper, lower, z) -> EvalResult:
     raise _pfq_no_stop(z)
 
 
-def _pfq_overflow(k: int, term: bool, z) -> OverflowError:
-    # term k + 1, or the partial sum to term k, left the double range
-    what = f"term at k={k + 1}" if term else f"partial sum at k={k}"
+def _pfq_overflow(k: int, total: float, total_abs: float, z) -> OverflowError:
+    # the partial sum to term k, else its sum of |t_k| (whose overflow would
+    # make the condition NaN), else term k + 1 left the double range
+    what = (f"term at k={k + 1}" if math.isfinite(total_abs) else
+            f"partial sum at k={k}" if not math.isfinite(total) else
+            f"sum of |t_k| at k={k}")
     return OverflowError(f"pFq {what} left the double range (z={z!r})")
 
 
@@ -192,7 +198,8 @@ def pfq_direct(upper: tuple[float, ...], lower: tuple[float, ...],
     2F2 family requires.  Lower parameters must be positive.  Convergence
     gate: p <= q, or p = q + 1 with |z| < 1.  Summed in scalar floats, bit
     for bit a ``series.PfqRequest`` row of ``series.evaluate_batch``, which
-    fails where this raises, at a term or partial sum past the double range.
+    fails where this raises, at a term or a sum of t_k or |t_k| past the
+    double range.
     """
     _require_convergent_pfq(upper, lower, z)
     return _pfq_sum(upper, lower, z)

@@ -87,7 +87,7 @@ that check returns to ``window._window``.
 The pFq request kind runs the Pochhammer recurrence element-wise across
 rows, bit for bit the scalar sum of ``functions.pfq_direct``; its rows
 keep their own stop rule, which tests the next term before adding it,
-and fail at a term or partial sum past the double range.  At z = 0
+and fail at a term or a sum of t_k or |t_k| past the double range.  At z = 0
 the one nonzero term (its log is ``_log_term_at_zero``, as in ``_TermLogs``)
 goes through ``_finish`` as every sum does, so z = 0 and z = 1e-300 agree.
 """
@@ -553,6 +553,8 @@ def _require_summable(req: Request) -> float:
         finite = math.isfinite(req.z)
     except TypeError:
         raise ParameterError(f"z must be a number, got z={req.z!r}") from None
+    except OverflowError:  # an int past the double range
+        raise ParameterError("z must lie in the double range") from None
     if not finite:
         raise DomainError(f"z must be finite, got z={req.z!r}")
     eps = req.params.epsilon()
@@ -961,7 +963,7 @@ def evaluate_batch(requests: list) -> list:
     PfqRequest (as the single calls refuse it), NoConvergenceError, or
     OverflowError.  Series requests are summed in log mode: one past the
     double range returns +-inf with its finite log_magnitude, while a pFq
-    row whose term or partial sum leaves it fails with OverflowError.
+    row whose term or sum of t_k or |t_k| leaves it fails with OverflowError.
     Series requests at z > 0 with no psi_weight and no saddle window are
     the rows of one tile, the others (a windowed one among them) take the
     single-call path bit for bit, and pFq requests of one (p, q) shape are

@@ -284,6 +284,7 @@ def _seeded_pfq_requests():
         reqs.append(PfqRequest(tuple(upper.tolist()), tuple(lower.tolist()),
                                float(z)))
     return reqs + [PfqRequest((1.0,), (1.0,), 710.0),
+                   PfqRequest((1.0,), (1.0,), -710.0),
                    PfqRequest((4.0,), (1.5,), -1e300),
                    PfqRequest((1.0, 1.0, 1.0), (2.0,), 0.5),
                    PfqRequest((1.0, 1.0), (2.0,), -1.0),
@@ -317,6 +318,15 @@ def test_pfq_sum_past_the_double_range_fails_at_once():
     # pFq sums e^710 over its saddle window, which names the value
     with pytest.raises(OverflowError, match="^series value has log-magnitude"):
         pFq(HypergeometricParams((1.0,), (1.0,)), 710.0)
+    # e^-710: the partial sums stay finite, the sum of |t_k| does not, so
+    # the condition would be NaN; pFq sums z < 0 by the recurrence too
+    msg = "pFq sum of |t_k| at k=733 left the double range (z=-710.0)"
+    got = series.evaluate_batch([PfqRequest((1.0,), (1.0,), -710.0)])
+    assert type(got[0]) is OverflowError and str(got[0]) == msg
+    for call in (lambda: pfq_direct((1.0,), (1.0,), -710.0),
+                 lambda: pFq(HypergeometricParams((1.0,), (1.0,)), -710.0)):
+        with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
+            call()
 
 
 def _pfq_cases():

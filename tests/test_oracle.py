@@ -4,6 +4,7 @@ import dataclasses
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 
 from foxwright import (
     DivergentSeriesError,
@@ -131,7 +132,10 @@ def test_turan_alpha_takes_unit_shifted_gammas_from_their_partner(
                 for v in (a, a + 1.0, a + 2.0)]
         with mp.workdps(40):
             terms = [t for _, _, t in oracle._hp_sums(jobs, mp.mpf(10) ** -30)]
-        calls = dict.fromkeys(("gamma", "factorial", "power"), 0)
+        # the libmp names of Gamma, the factorial and powers, counted where
+        # the oracle would call them: as names of its own module
+        calls = dict.fromkeys(("mpf_gamma", "mpf_factorial", "mpf_pow",
+                               "mpf_pow_int"), 0)
 
         def counted(name, fn):
             def call(*args):
@@ -141,21 +145,23 @@ def test_turan_alpha_takes_unit_shifted_gammas_from_their_partner(
 
         with monkeypatch.context() as m:
             for name in calls:
-                m.setattr(mp, name, counted(name, getattr(mp, name)))
+                m.setattr(oracle, name, counted(name, getattr(libmp, name)),
+                          raising=False)
             hp_margin(report, 30)
         return terms, calls
 
     # a1 + 1 and a1 + 2 are exact: per k one Gamma for a1, one for the
     # lower column, and neither a factorial nor a power
     terms, got = count(row, a1)
-    assert got == {"gamma": 2 * max(terms), "factorial": 0, "power": 0}
-    assert got["gamma"] == 60
+    assert got == {"mpf_gamma": 2 * max(terms), "mpf_factorial": 0,
+                   "mpf_pow": 0, "mpf_pow_int": 0}
+    assert got["mpf_gamma"] == 60
     # per k one Gamma for the lower column, one for 0.1 while its series
     # runs, and one for 1.1 while its series or that of 2.1 runs
     terms, got = count(inexact, 0.1)
-    assert got == {"gamma": max(terms) + terms[0] + max(terms[1:]),
-                   "factorial": 0, "power": 0}
-    assert got["gamma"] == 88
+    assert got == {"mpf_gamma": max(terms) + terms[0] + max(terms[1:]),
+                   "mpf_factorial": 0, "mpf_pow": 0, "mpf_pow_int": 0}
+    assert got["mpf_gamma"] == 88
 
 
 def test_stepped_prefactor_keeps_thirty_digits_over_long_sums():

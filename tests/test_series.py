@@ -1315,6 +1315,9 @@ def test_malformed_request_fails_in_its_own_slot():
      "pFq parameters and z must be numbers, got 1.0, (2.0,), z=0.5"),
     (PfqRequest(("a",), (2.0,), 0.5),
      "pFq parameters and z must be numbers, got ('a',), (2.0,), z=0.5"),
+    (series.Request(P1, 10**400), "z must lie in the double range"),
+    (PfqRequest((10**400,), (1.0,), 0.5),
+     "pFq parameters and z must lie in the double range"),
 ])
 def test_malformed_field_fails_in_its_own_slot(bad, msg):
     # a hand-built request of any kind fails with a ParameterError in its
