@@ -207,8 +207,8 @@ class _RowSums:
             lh, ll, self.prev_h[ix], self.prev_l[ix], small, self.streak[ix])
         keep = np.arange(n) < used[:, None]
 
-        total, comp = _neumaier_array(total, comp,
-                                      np.where(keep, t, 0.0).sum(axis=1))
+        total, e = _two_sum(total, np.where(keep, t, 0.0).sum(axis=1))
+        comp = comp + e
         self.scale_h[ix], self.scale_l[ix] = sh, sl
         self.total[ix], self.comp[ix] = total, comp
         self.terms[ix] += used
@@ -243,12 +243,6 @@ class _RowSums:
         return self.out
 
 
-def _neumaier_array(total, comp, x):
-    s = total + x
-    return s, comp + np.where(np.abs(total) >= np.abs(x),
-                              (total - s) + x, (x - s) + total)
-
-
 def _pfq_rows(reqs: list[PfqRequest]) -> list:
     """pFq sums by the Pochhammer recurrence, element-wise across checked
     rows of one (p, q) shape; each row runs the operations of its single
@@ -266,8 +260,10 @@ def _pfq_rows(reqs: list[PfqRequest]) -> list:
     streak = np.zeros(len(reqs), dtype=int)
     for k in range(series._MAX_TERMS):
         x = term
-        total, comp = _neumaier_array(total, comp, x)
-        total_abs, comp_abs = _neumaier_array(total_abs, comp_abs, np.abs(x))
+        total, e = _two_sum(total, x)
+        comp = comp + e
+        total_abs, e = _two_sum(total_abs, np.abs(x))
+        comp_abs = comp_abs + e
 
         # each product starts from its first factor: 1.0 * v is v
         num = up[:, 0] + k if p else np.ones(idx.size)

@@ -133,12 +133,12 @@ def _pfq_sum(upper, lower, z) -> EvalResult:
     p, q, rest = len(up), len(low), up[1:]
     term, total, comp, total_abs, comp_abs, streak = 1.0, 0.0, 0.0, 0.0, 0.0, 0
     for k in range(series._MAX_TERMS):
-        # series._neumaier's steps, written out, on x and on |x|
+        # ddmath._two_sum written out (a call a term costs), on x and |x|
         x, ax = term, abs(term)
         s, t = total + x, total_abs + ax
-        comp += (total - s) + x if abs(total) >= ax else (x - s) + total
-        comp_abs += ((total_abs - t) + ax if total_abs >= ax
-                     else (ax - t) + total_abs)
+        v, w = s - total, t - total_abs
+        comp += (total - (s - v)) + (x - v)
+        comp_abs += (total_abs - (t - w)) + (ax - w)
         total, total_abs = s, t
         if not math.isfinite(total_abs):  # as is total: |total| <= total_abs
             raise _pfq_overflow(k, total, total_abs, z)
@@ -148,7 +148,8 @@ def _pfq_sum(upper, lower, z) -> EvalResult:
         den = float(k + 1)
         for b in low:
             den = den * (b + k)
-        nxt = term * (num / den) * x_z
+        # a den that underflows to 0 makes numpy's num / den inf or NaN
+        nxt = term * (num / den) * x_z if den != 0.0 else math.inf
         if not math.isfinite(nxt):
             raise _pfq_overflow(k, total, total_abs, z)
         ratio = abs(nxt / term) if term != 0.0 else 0.0

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .ddmath import _two_sum
 from .errors import DomainError
 
 __all__ = [
@@ -158,14 +159,13 @@ def digamma(x: float) -> float:
     comp = 0.0
     y = x
     while y < _SHIFT_THRESHOLD:
-        # compensated accumulation of sum 1/(x+j); the shifted-sum error
+        # sum 1/(x+j) with its rounding errors in comp (ddmath._two_sum
+        # written out: a call a term costs); the shifted-sum error
         # otherwise dominates near the positive zero of psi
         t = 1.0 / y
         total = shift + t
-        if abs(shift) >= t:
-            comp += (shift - total) + t
-        else:
-            comp += (t - total) + shift
+        v = total - shift
+        comp += (shift - (total - v)) + (t - v)
         shift = total
         y += 1.0
     return math.log(y) - 0.5 / y - _psi_tail_sum(y) - (shift + comp)
@@ -180,11 +180,8 @@ def _digamma_array(x: np.ndarray) -> np.ndarray:
     y = x
     low = y < _SHIFT_THRESHOLD
     while low.any():
-        t = 1.0 / y
-        total = shift + t
-        comp = np.where(low, comp + np.where(np.abs(shift) >= t,
-                                             (shift - total) + t,
-                                             (t - total) + shift), comp)
+        total, e = _two_sum(shift, 1.0 / y)
+        comp = np.where(low, comp + e, comp)
         shift = np.where(low, total, shift)
         y = np.where(low, y + 1.0, y)
         low = y < _SHIFT_THRESHOLD

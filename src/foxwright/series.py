@@ -7,7 +7,8 @@ The central object is
 together with its normalized, tilde-normalized, tail, derivative, and
 d/d(beta_1) variants.  Terms are generated independently in log space (no
 term-to-term recurrence: non-integer weights would need gamma ratios anyway),
-then summed under a running scale with Neumaier compensation so that
+then summed under a running scale, each step's rounding error kept by
+``ddmath._two_sum`` (the package's one compensated step), so that
 cancellation for z < 0 stays observable through ``condition_estimate``.
 
 A plain sum of log-gamma values loses absolute precision once the arguments
@@ -571,10 +572,16 @@ def _require_summable(req: Request) -> float:
     except TypeError:
         raise ParameterError(f"log_offset must be a number, got "
                              f"{req.log_offset!r}") from None
+    except OverflowError:  # an int past the double range
+        raise ParameterError("log_offset must lie in the double range") from None
     psi = req.psi_weight
     if psi is not None and not (isinstance(psi, tuple) and len(psi) == 2 and all(
             isinstance(v, numbers.Real) for v in psi)):
         raise ParameterError(f"psi_weight must be None or two numbers, got {psi!r}")
+    try:
+        tuple(map(float, psi or ()))
+    except OverflowError:  # an int past the double range
+        raise ParameterError("psi_weight must lie in the double range") from None
     return eps
 
 
@@ -647,13 +654,6 @@ def _no_stop(req: Request) -> NoConvergenceError:
     return NoConvergenceError(
         f"stop rule did not fire within {_MAX_TERMS} terms "
         f"(start={req.start}, z={req.z!r})")
-
-
-def _neumaier(total: float, comp: float, x: float) -> tuple[float, float]:
-    s = total + x
-    if abs(total) >= abs(x):
-        return s, comp + ((total - s) + x)
-    return s, comp + ((x - s) + total)
 
 
 # the stop rule decides the ratio of a term to the one before on its log
@@ -740,10 +740,11 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
                 raise _term_overflow(k + int(over[0]), lh[over[0]] + offset)
 
         # fsum over a memoryview: the floats of tolist(), without the list
-        total, comp = _neumaier(total, comp, math.fsum(memoryview(x[:used])))
+        total, e = _two_sum(total, math.fsum(memoryview(x[:used])))
+        comp += e
         if signed:
-            total_abs, comp_abs = _neumaier(total_abs, comp_abs,
-                                            math.fsum(memoryview(t[:used])))
+            total_abs, e = _two_sum(total_abs, math.fsum(memoryview(t[:used])))
+            comp_abs += e
         terms += used
         prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
         k += n
@@ -832,7 +833,7 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
     scale_l = 0.0
     total = 0.0
-    comp = 0.0          # Neumaier compensation for total
+    comp = 0.0          # the rounding errors of total, by _two_sum
     total_abs = 0.0
     comp_abs = 0.0
     prev_h = -math.inf
@@ -859,9 +860,11 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
             t = math.exp(lh - scale_h) * (1.0 + (ll - scale_l))
         else:
             t = 0.0
-        total, comp = _neumaier(total, comp, sign * t)
+        total, e = _two_sum(total, sign * t)
+        comp += e
         if signed:
-            total_abs, comp_abs = _neumaier(total_abs, comp_abs, t)
+            total_abs, e = _two_sum(total_abs, t)
+            comp_abs += e
 
         d = (lh - prev_h) + (ll - prev_l) if lh > -math.inf else -math.inf
         prev_h, prev_l = lh, ll

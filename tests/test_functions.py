@@ -288,7 +288,9 @@ def _seeded_pfq_requests():
                    PfqRequest((4.0,), (1.5,), -1e300),
                    PfqRequest((1.0, 1.0, 1.0), (2.0,), 0.5),
                    PfqRequest((1.0, 1.0), (2.0,), -1.0),
-                   PfqRequest((1.0, 1.0), (2.0,), 0.9999)]
+                   PfqRequest((1.0, 1.0), (2.0,), 0.9999),
+                   PfqRequest((1.0,), (1e-200, 1e-200), 0.5),
+                   PfqRequest((), (1e-170, 1e-170), -0.5)]
 
 
 @pytest.mark.parametrize("max_terms", [10000, 40])
@@ -327,6 +329,17 @@ def test_pfq_sum_past_the_double_range_fails_at_once():
                  lambda: pFq(HypergeometricParams((1.0,), (1.0,)), -710.0)):
         with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
             call()
+    # lower parameters whose product underflows to 0: term 1 is about
+    # 5e399, or -5e339, as the batch row says, not a division by zero
+    for low, z in (((1e-200, 1e-200), 0.5), ((1e-170, 1e-170), -0.5)):
+        upper = (1.0,) if z > 0.0 else ()
+        msg = f"pFq term at k=1 left the double range (z={z})"
+        got = series.evaluate_batch([PfqRequest(upper, low, z)])
+        assert type(got[0]) is OverflowError and str(got[0]) == msg
+        with pytest.raises(OverflowError, match=f"^{re.escape(msg)}$"):
+            pfq_direct(upper, low, z)
+    with pytest.raises(OverflowError, match=r"^pFq term at k=1 left"):
+        pFq(HypergeometricParams((1.0,), (1e-200, 1e-200)), 0.5)
 
 
 def _pfq_cases():

@@ -1010,6 +1010,53 @@ def test_budget_that_ends_inside_a_read_ahead_keeps_its_error_text(
     assert sum(span_sizes) == 1000 - 32
 
 
+def _neumaier_error(a, b):
+    # the reference step: Neumaier's branch on |a| >= |b| gives the exact
+    # rounding error of fl(a + b), as _two_sum does without a branch
+    s = a + b
+    return (a - s) + b if abs(a) >= abs(b) else (b - s) + a
+
+
+def _adversarial_pairs():
+    # finite pairs whose sum stays finite: |a| < |b| and |a| >= |b|, exact
+    # sums, ties to even, signed zeros, subnormals, exponent gaps near
+    # 2^+-1000 and huge-tiny pairs, with each pair also swapped and negated
+    tiny, least_normal, ulp = 5e-324, 2.2250738585072014e-308, 2.0 ** -52
+    specials = (0.0, tiny, 3 * tiny, least_normal, least_normal - tiny, 1.0,
+                1.0 + ulp, 3.0, 2.0 ** -1000, 2.0 ** 1000, 1.5 * 2.0 ** 1022)
+    pairs = [(a, b) for a in specials for b in specials]
+    pairs += [(1.0, ulp / 2), (1.0 + ulp, ulp / 2), (1.0, 3 * ulp / 4),
+              (2.0 ** 1000, 2.0 ** 947), (2.0 ** 1000, 3 * 2.0 ** 946),
+              (2.0 ** 1000, 2.0 ** 947 + 2.0 ** 900), (2.0 ** -1000, 2.0 ** -1053),
+              (2.0 ** -1000, 3 * 2.0 ** -1054), (2.0 ** 1000, 2.0 ** -1000),
+              (1.5 * 2.0 ** 1022, tiny), (1e308, -1e292), (3.0, -3.0),
+              (0.1, 0.2), (least_normal, -tiny), (1.0, -1.0 - ulp)]
+    rng = np.random.default_rng(11)
+    mant = rng.uniform(1.0, 2.0, (4000, 2))
+    expo = rng.integers(-1074, 1022, (4000, 2))
+    expo[::2, 1] = expo[::2, 0] - rng.integers(-60, 60, 2000)
+    drawn = np.ldexp(mant, np.clip(expo, -1074, 1021))
+    pairs += [tuple(v) for v in drawn.tolist()]
+    return [(sa * a, sb * b) for a, b in pairs for sa in (1.0, -1.0)
+            for sb in (1.0, -1.0)] + [(b, a) for a, b in pairs]
+
+
+def test_two_sum_error_is_neumaiers_bit_for_bit():
+    # the one compensated step of every running sum: its error term is
+    # the reference's, to the sign of a zero, on floats and on arrays
+    pairs = _adversarial_pairs()
+    a, b = (np.array(v) for v in zip(*pairs))
+    s, e = ddmath._two_sum(a, b)
+    want = np.where(np.abs(a) >= np.abs(b), (a - s) + b, (b - s) + a)
+    assert np.isfinite(s).all()
+    assert e.tobytes() == want.tobytes()
+    got = [ddmath._two_sum(x, y) for x, y in pairs]
+    assert [float.hex(v) for _, v in got] == [
+        float.hex(_neumaier_error(x, y)) for x, y in pairs]
+    assert [float.hex(v) for _, v in got] == [float.hex(v) for v in e.tolist()]
+    assert [u for u, _ in got] == s.tolist()
+
+
 def _dd_log_rel_err(x):
     h, l = ddmath._dd_log(x)
     with mp.workdps(50):
@@ -1318,6 +1365,12 @@ def test_malformed_request_fails_in_its_own_slot():
     (series.Request(P1, 10**400), "z must lie in the double range"),
     (PfqRequest((10**400,), (1.0,), 0.5),
      "pFq parameters and z must lie in the double range"),
+    (series.Request(P1, 0.5, log_offset=10**400),
+     "log_offset must lie in the double range"),
+    (series.Request(P1, 0.5, psi_weight=(10**400, 1.0)),
+     "psi_weight must lie in the double range"),
+    (series.Request(P1, 0.5, psi_weight=(1.5, 10**400)),
+     "psi_weight must lie in the double range"),
 ])
 def test_malformed_field_fails_in_its_own_slot(bad, msg):
     # a hand-built request of any kind fails with a ParameterError in its
@@ -1678,6 +1731,23 @@ def test_ratio_bound_past_a_budget_leaves_no_window():
         evaluate(params, z)
     assert isinstance(series.evaluate_batch([series.Request(params, z)])[0],
                       NoConvergenceError)
+
+
+def test_model_that_does_not_fall_away_leaves_no_window():
+    # a lower gamma factor at 658 bends the quadratic model's slope at the
+    # left edge's first Newton step the wrong way: no window, and the plain
+    # sum from k = 0 gives the oracle's log-magnitude
+    params = FoxWrightParams(
+        ((4.6430573100325505, 0.440377154715784),),
+        ((658.2062089886349, 1.0247968366909117),
+         (5.022437018578169, 1.2594162314299868)))
+    z = 91363355.57652849
+    assert _win(params, z, 0) is None
+    value, _ = hp_eval(params, z, 30)
+    assert value == "6.67537330980296569642729113394e-1275"
+    with mp.workdps(30):
+        want = float(mp.log(mp.mpf(value)))
+    assert evaluate(params, z).log_magnitude == want == -2933.8975684381235
 
 
 def _win(params, z, start, psi=None):
