@@ -37,7 +37,7 @@ from .series import (
     evaluate,
     evaluate_tilde,
 )
-from .window import _window
+from .window import _peak_in_reach, _window
 
 __all__ = [
     "HypergeometricParams",
@@ -210,10 +210,13 @@ def _unit_weight_sum(upper, lower, z) -> EvalResult:
     # pFq by the recurrence, or over the saddle window of its unit-weight
     # series normalized to 1 at z = 0, where its rounding does not grow with k
     _require_convergent_pfq(upper, lower, z)
-    if z > 0.0 and len(upper) <= len(lower):
+    eps = 1.0 + len(lower) - len(upper)  # epsilon() of unit weights
+    # with unit weights the window's first test reads ln z / eps exactly:
+    # the params are built only for a call that passes it
+    if (z > 0.0 and len(upper) <= len(lower)
+            and _peak_in_reach(math.log(z) / eps, 0, eps)):
         params = FoxWrightParams(tuple((a, 1.0) for a in upper),
                                  tuple((b, 1.0) for b in lower))
-        eps = 1.0 + len(lower) - len(upper)  # epsilon() of unit weights
         win = _window(Request(params, z), eps)
         if win is not None:
             return _sum_window(_normalized(params, z), win, eps, False)

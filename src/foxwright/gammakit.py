@@ -152,9 +152,11 @@ def _log_gamma_array(x: np.ndarray) -> np.ndarray:
 
 
 def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
+    """psi(x) = Gamma'(x)/Gamma(x) for x > 0 with 1/x finite."""
     if not x > 0.0:
         raise DomainError(f"digamma needs x > 0, got {x}")
+    if not 1.0 / x < math.inf:  # psi(x) ~ -1/x lies past the double range
+        raise DomainError(f"digamma needs 1/x finite, got {x}")
     shift = 0.0
     comp = 0.0
     y = x

@@ -42,21 +42,27 @@ k < 8,192 and computes past it.
 
 A request at z > 0, with or without a psi weight, whose terms peak far
 from its start sums its saddle window instead (``window._window``,
-``_sum_window``): the terms of [start, k0) one at a time with their signs,
-none of [k0, k_lo), and the block phase from k_lo with no scalar head, its
-first read sized to the window's right edge.  k_lo is where log t lies 45
-below the peak, and k0 is the index of ``window._monotone_from``'s lemma,
-from which no term ratio increases (past the zero of a psi weight too, by
-its corollary); so |t_{k_lo}| rho/(1 - rho), with rho = |t_{k_lo-1}/
-t_{k_lo}| from the term logs the block phase computed, bounds the skipped
-flank, which ``_sum_window`` adds to the tail bound.  A window is taken
-when it skips at least 64 terms and k0 lies at most 10,000 terms past the
-start, and is dropped again (the request summed from its start) where
-that bound exceeds 1e-15 of the sum; its term budget counts from k_lo.
+``_sum_window``), from one array read of term logs by the block phase's
+kernel: every term of [start, k0) with its sign, none of [k0, k_lo), and
+the window on the lattice k_lo + j*h, j = 0..n (n the fewest strides of
+h = ``window._stride`` that reach k_hi), whose terms times h sum it by the
+trapezoid rule, far below double rounding (see ``window``).  k_lo is where
+log t lies 45 below the peak, and k0 is the index of
+``window._monotone_from``'s lemma, from which no term ratio increases
+(past the zero of a psi weight too, by its corollary); so |t_{k_lo}|
+rho/(1 - rho), with rho = |t_{k_lo-1}/t_{k_lo}|, bounds the skipped flank,
+and |t_end| q/(1 - q), with q = |t_{k_end+1}/t_{k_end}| at the lattice's
+last point, the tail past it.  The tail bound adds those two, h (|t_{k_lo}|
++ |t_end|) for the lattice's edges and the aliasing estimate.  A window is
+taken when it skips at least 64 terms and k0 lies at most 10,000 terms
+past the start, and is dropped again (the request summed from its start)
+where that bound exceeds 1e-15 of the sum; the terms it reads count
+against the budget.
 
 Every series generates at most ``_MAX_TERMS`` terms before its stop rule
-must fire.  A single call raises OverflowError on a term (scaled by its
-``log_offset``) or a value past the double range; ``evaluate_batch`` sums
+must fire (a window reads at most that many).  A single call raises
+OverflowError on a term (scaled by its ``log_offset``) or a value past the
+double range; ``evaluate_batch`` sums
 its series requests in log mode instead, returning +-inf with the finite
 log-magnitude, which is what the inequality checkers read.
 
@@ -127,7 +133,7 @@ from .gammakit import (
     log_gamma,
 )
 from .report import _is_index, _is_number
-from .window import _window
+from .window import _aliasing, _stride, _window
 
 __all__ = [
     "FoxWrightParams",
@@ -244,15 +250,17 @@ class EvalResult:
     value is sign * exp(log_magnitude) when that is representable, and +-inf
     past the double range (only evaluate_batch returns such a result).
     tail_bound is ``_geometric_tail`` of the last term and the ratio of the
-    stop (``_stops``' test), plus, for a call summed over its saddle window,
-    that of the skipped left flank [k0, k_lo) from |t_{k_lo}| and the ratio
-    into it, which ``_sum_window`` adds; a pFq sum's is that of its last
-    term summed and the next ratio (at p = q + 1 at least |z|).
-    For a windowed call (dbeta1's too) both rest on the lemma of
+    stop (``_stops``' test); a pFq sum's is that of its last term summed
+    and the next ratio (at p = q + 1 at least |z|).  For a call summed over
+    its saddle window (dbeta1's too) it is the sum of four terms
+    (``_sum_window``): the geometric bounds of the skipped left flank [k0,
+    k_lo) and of the tail past the lattice, which rest on the lemma of
     ``window._monotone_from`` and its psi corollary (no ratio of |t_k|
-    increases past k0 < k_lo), up to the rounding of the term logs; for
-    any other call later ratios are not bounded, so its tail bound is an
-    estimate, not a proof.
+    increases past k0 < k_lo) and so are proved, up to the rounding of the
+    term logs; and h (|t_{k_lo}| + |t_end|) for the lattice's edges and
+    the saddle-point aliasing estimate of ``window``, which are estimates.
+    For any other call later ratios are not bounded, so its tail bound is
+    an estimate, not a proof.
     condition_estimate = sum|term| / |sum term| is 1.0 for a sum of nonnegative terms.
     """
 
@@ -377,7 +385,8 @@ class _TermLogs:
 
     ``at(k)`` returns log|term k| as a head/tail pair, ``term(k)`` the same
     times the psi weight -psi(b + k*B) and the sign of the weighted term,
-    ``block(k0, k1)`` and ``signs(k0, k1)`` those for k0 <= k < k1 as arrays.
+    ``block(k0, k1)`` and ``signs(k0, k1)`` those for k0 <= k < k1 as arrays,
+    and ``terms(ks)`` those at an increasing array of k, in one read.
     Factors whose argument a + w*k has reached _EXPAND_MIN contribute through
     the Stirling form expanded around w*k.  Summed over those factors (1/k!
     included as a lower factor with a = w = 1) the pieces collapse into one
@@ -390,9 +399,9 @@ class _TermLogs:
     because those values are small.  Calls must come with nondecreasing k (the
     factor partition only ever grows), and k = 0 only as the first call.
     Blocks are slices of a read-ahead of ``ahead`` terms (set by _sum_plain
-    and _sum_window for the first read, up to _FIRST_READ; 2 * _BLOCK_MAX after
-    it; at least the block, never past ``end``), each element the one a read
-    of its block alone computes.  An unsigned series (z > 0, no psi weight)
+    for the first read, up to _FIRST_READ; 2 * _BLOCK_MAX after it; at least
+    the block, never past ``end``), each element the one a read of its block
+    alone computes.  An unsigned series (z > 0, no psi weight)
     keeps no signs: ``signs`` gives ones.
     """
 
@@ -501,48 +510,90 @@ class _TermLogs:
         return self._buf[2][k0 - self._k0:k1 - self._k0]
 
     def _read(self, k0: int, k1: int) -> None:
-        # the next read, joined to what is left of the last one; split where
-        # a factor crosses _EXPAND_MIN, so each span has one coefficient table
-        lo = k = max(k0, self._k1)
+        # the next read, joined to what is left of the last one
+        lo = max(k0, self._k1)
         hi = min(max(k1, lo + self.ahead), self._end)
         self.ahead = 2 * _BLOCK_MAX
-        spans = []
-        while k < hi:
-            if self._waiting and self._waiting[0][0] <= k:
-                self._advance(k)
-            top = min(hi, self._waiting[0][0]) if self._waiting else hi
-            spans.append(self._span(k, top))
-            k = top
-        h, l = (np.concatenate(p) for p in zip(*spans))
-        cols = (h, l)
-        if self._neg or self._psi is not None:  # an unsigned series keeps no signs
-            sign = np.ones(hi - lo)
-            sign[(lo + 1) % 2::2] = -1.0 if self._neg else 1.0
-            if self._psi is not None:
-                w = -_digamma_array(self._psi[0] + np.arange(lo, hi) * self._psi[1])
-                sign[w < 0.0] *= -1.0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    h, l = _dd_add(h, l, np.log(np.abs(w)), 0.0)
-                h, l = np.where(w == 0.0, -math.inf, h), np.where(w == 0.0, 0.0, l)
-            cols = (h, l, sign)
+        cols = self._weighted(np.arange(lo, hi), *self._span(lo, hi))
         i = k0 - self._k0
         self._buf = tuple(np.concatenate((old[i:], new))
                           for old, new in zip(self._buf, cols))
         self._k0, self._k1 = k0, hi
 
+    def terms(self, ks: np.ndarray) -> tuple:
+        """(log heads, log tails, signs) of the terms at the increasing
+        integer array ``ks``, by ``_logs``, the kernel of every read (ones
+        for the signs of an unsigned series)."""
+        fk = ks.astype(float)
+        lk = (_LN_K.take(ks, axis=1) if ks[-1] < _LN_K.shape[1]
+              else _log_ints_dd(np.maximum(fk, 1.0)))
+        cols = self._weighted(ks, *self._logs(ks, fk, lk))
+        return cols if len(cols) == 3 else (*cols, np.ones(ks.size))
+
+    def _weighted(self, ks: np.ndarray, h: np.ndarray, l: np.ndarray) -> tuple:
+        # the term logs (h, l) at ks with their psi weights and signs; an
+        # unsigned series keeps no signs
+        if not self._neg and self._psi is None:
+            return h, l
+        sign = np.ones(ks.size)
+        if self._neg:
+            sign[ks % 2 == 1] = -1.0
+        if self._psi is not None:
+            w = -_digamma_array(self._psi[0] + ks * self._psi[1])
+            sign[w < 0.0] *= -1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h, l = _dd_add(h, l, np.log(np.abs(w)), 0.0)
+            h, l = np.where(w == 0.0, -math.inf, h), np.where(w == 0.0, 0.0, l)
+        return h, l, sign
+
     def _span(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
         fk = np.arange(k0, k1, dtype=float)
         lk = _LN_K[:, k0:k1] if k1 <= _LN_K.shape[1] else _log_ints_dd(fk)
-        h, l = _collapsed(*self._coef, fk, *lk)
-        parts = [sg * _log_gamma_array(a + w * fk)
-                 for _, a, w, sg in self._waiting]
-        if self._expanded:
-            a, w, sg, _ = np.array(self._expanded).T[:, :, None]
-            parts.append((sg * _expanded_rest(a, w * fk)).sum(axis=0))
-        rh, rl = self._base, 0.0
-        for p in parts:
-            rh, e = _two_sum(rh, p)
-            rl = rl + e
+        return self._logs(np.arange(k0, k1), fk, lk)
+
+    def _logs(self, ks, fk, lk) -> tuple[np.ndarray, np.ndarray]:
+        # the term logs at the increasing ints ks (fk as floats, lk = ln k
+        # as head/tail rows), each under the coefficient table of its k, as
+        # the table advances at each factor's crossing.  A factor waits on
+        # a prefix of ks and is expanded on the rest; the lnGamma of every
+        # waiting (factor, k) comes from one array call, and so does the
+        # rest of every expanded one, and each k adds its pieces in the
+        # factor order of its table: the bits of a read of its stretch
+        # between crossings alone.
+        n = ks.size
+        rows = [(-math.inf, a, w, sg) for a, w, sg, _ in self._expanded]
+        rows += self._waiting  # (crossing, a, w, sigma), in crossing order
+        at, tables = [0], [(*self._coef, self._base)]
+        while self._waiting and self._waiting[0][0] <= ks[-1]:
+            i = int(np.searchsorted(ks, self._waiting[0][0]))
+            self._advance(int(ks[i]))
+            at.append(i)
+            tables.append((*self._coef, self._base))
+        sizes = np.diff(at + [n])
+        *coef, base = (tables[0] if len(at) == 1 else
+                       [np.repeat(c, sizes) for c in zip(*tables)])
+        h, l = _collapsed(*coef, fk, *lk)
+        rh, rl = base + np.zeros(n), np.zeros(n)
+        # each factor waits on ks[:c] and is expanded on ks[c:]
+        cut = np.searchsorted(ks, [r[0] for r in rows]).tolist()
+        if cut[-1]:
+            lg, i = _log_gamma_array(np.concatenate(
+                [a + w * fk[:c] for (_, a, w, _), c in zip(rows, cut)])), 0
+            for (*_, sg), c in zip(rows, cut):
+                if c:
+                    rh[:c], e = _two_sum(rh[:c], sg * lg[i:i + c])
+                    rl[:c] += e
+                    i += c
+        if cut[0] < n:
+            a = np.repeat([r[1] for r in rows], [n - c for c in cut])
+            rest, i = _expanded_rest(a, np.concatenate(
+                [w * fk[c:] for (_, _, w, _), c in zip(rows, cut)])), 0
+            total = np.zeros(n)
+            for (*_, sg), c in zip(rows, cut):
+                total[c:] += sg * rest[i:i + n - c]
+                i += n - c
+            rh[cut[0]:], e = _two_sum(rh[cut[0]:], total[cut[0]:])
+            rl[cut[0]:] += e
         return _dd_add(h, l, rh, rl)
 
 
@@ -579,9 +630,12 @@ def _require_summable(req: Request) -> float:
             isinstance(v, numbers.Real) for v in psi)):
         raise ParameterError(f"psi_weight must be None or two numbers, got {psi!r}")
     try:
-        tuple(map(float, psi or ()))
+        b, _ = map(float, psi or (1.0, 0.0))
     except OverflowError:  # an int past the double range
         raise ParameterError("psi_weight must lie in the double range") from None
+    if 0.0 < b and not 1.0 / b < math.inf:  # digamma(b) refuses it
+        raise ParameterError(f"psi_weight's b must have a finite reciprocal, "
+                             f"got {b!r}")
     return eps
 
 
@@ -707,8 +761,7 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
         n = min(size, end - k)
         lh, ll = gen.block(k, k + n)
 
-        # rescale to the block's largest term; a window's first block
-        # starts from scale_h = -inf and zero sums
+        # rescale to the block's largest term
         top = int(lh.argmax())
         top_h, top_l = float(lh[top]), float(ll[top])
         if top_h > scale_h:
@@ -755,51 +808,55 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
 
 def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
     """_sum_series of a request at z > 0 of epsilon ``eps`` over its saddle
-    window (k0, k_lo, k_hi) (see ``_window``): the terms of [start, k0) one
-    by one with their signs, then the block phase from k_lo with no scalar
-    head, its first read sized to k_hi and its budget of _MAX_TERMS counted
-    from k_lo, and the flank bound |t_{k_lo}| rho/(1 - rho) of [k0, k_lo),
-    with rho = |t_{k_lo-1}/t_{k_lo}| from the term logs, added to the tail
-    bound.  The plain sum from the start where the window does not hold
-    (rho not below 1 by more than -_D_STOP in its log, a zero sum, or a
-    flank bound above _REL_TOL of the sum), or where a term passes the
-    double range outside log mode, so that it names the first such term."""
+    window (k0, k_lo, k_hi) (see ``_window``), from one read of term logs:
+    every term of [start, k0) with its sign, and the terms at k_lo + j*h,
+    j = 0..n, on the lattice of stride h = ``_stride`` whose last point
+    k_end is the first at or past k_hi, summed as h times their sum; with
+    the unit-spaced pairs (k_lo - 1, k_lo) and (k_end, k_end + 1) for the
+    ratios rho = |t_{k_lo-1}/t_{k_lo}| and q = |t_{k_end+1}/t_{k_end}|.
+    Its tail bound is the flank bound |t_{k_lo}| rho/(1 - rho) of [k0,
+    k_lo), the tail bound |t_end| q/(1 - q) past k_end (both proved by
+    ``_monotone_from``'s lemma), h (|t_{k_lo}| + |t_end|) for the lattice's
+    edges and the aliasing estimate A(h) of the window's sum.  The plain
+    sum from the start where the window does not hold (rho or q not below
+    1 by more than -_D_STOP in its log, every term zero, or a tail bound
+    above _REL_TOL of the sum), or where a term passes the double range
+    outside log mode, so that it names the first such term.  Every term
+    read counts against _MAX_TERMS."""
     params, z, start, psi, log_offset = req
     k0, k_lo, k_hi = win
-    end = k_lo + _MAX_TERMS
-    gen = _TermLogs(params, z, psi, end)
-    acc = [-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0]
-    if k0 > start:
-        lh, ll, sign = np.array([gen.term(k) for k in range(start, k0)]).T
-        top = int(lh.argmax())
-        acc[0], acc[1] = float(lh[top]), float(ll[top])
-        with np.errstate(invalid="ignore"):  # all terms 0: NaN, plain sum
-            t = np.exp(lh - acc[0]) * (1.0 + (ll - acc[1]))
-        acc[2], acc[4] = (math.fsum(memoryview(x)) for x in (sign * t, t))
-    # the first read: the term before k_lo, for the flank's ratio, and
-    # whole blocks up to k_hi
-    gen.ahead = 1 + _whole_blocks(k_hi - k_lo + 3)
-    (ph, lo_h), (pl, lo_l) = (v.tolist() for v in gen.block(k_lo - 1, k_lo + 1))
-    d = (lo_h - ph) + (lo_l - pl)  # ln(1/rho)
-    if not -d < _D_STOP:
-        return _sum_plain(req, eps, log_mode)
-    used, stopped, ratio, last_h = _blocks(gen, k_lo, end, acc, ph, pl, 0,
-                                           psi is not None, None)
-    if not stopped:
+    h = _stride(eps, k_lo, k_hi)
+    k_end = k_lo + -(-(k_hi - k_lo) // h) * h
+    ks = np.concatenate((np.arange(start, k0), [k_lo - 1],
+                         np.arange(k_lo, k_end + 1, h), [k_end + 1]))
+    if ks.size > _MAX_TERMS:
         raise _no_stop(req)
-    scale_h, scale_l, total, comp, total_abs, comp_abs = acc
-    total += comp
-    rho = math.exp(-d)
-    if (not abs(total) > 0.0
-            or rho > 0.0 and lo_h + math.log(rho / (1.0 - rho)) > (
-                math.log(_REL_TOL) + scale_h + math.log(abs(total)))
-            or scale_h + log_offset > _LOG_DOUBLE_MAX and not log_mode):
+    lh, ll, sign = _TermLogs(params, z, psi).terms(ks)
+    top = int(lh.argmax())
+    top_h, top_l = float(lh[top]), float(ll[top])
+    if top_h == -math.inf:  # every term zero
         return _sum_plain(req, eps, log_mode)
-    res = _finish(scale_h, scale_l, total,
-                  total_abs + comp_abs if psi is not None else total,
-                  k0 - start + used, last_h, ratio, log_offset, log_mode)
-    return replace(res, tail_bound=res.tail_bound + _geometric_tail(
-        _exp_or_inf(lo_h + log_offset), rho))
+    p = k0 - start  # the prefix [start, k0), then the lattice from p + 1
+    d_lo = (lh[p + 1] - lh[p]) + (ll[p + 1] - ll[p])  # ln(1/rho)
+    d_hi = (lh[-1] - lh[-2]) + (ll[-1] - ll[-2])  # ln q
+    if not (-d_lo < _D_STOP and d_hi < _D_STOP):
+        return _sum_plain(req, eps, log_mode)
+    t = np.exp(lh - top_h) * (1.0 + (ll - top_l))
+    x = sign * t
+    lattice = math.fsum(memoryview(t[p + 1:-1]))
+    total = math.fsum(memoryview(x[:p])) + h * math.fsum(memoryview(x[p + 1:-1]))
+    total_abs = math.fsum(memoryview(t[:p])) + h * lattice
+    t_lo, t_end = float(t[p + 1]), float(t[-2])
+    bound = (_geometric_tail(t_lo, math.exp(-d_lo))
+             + _geometric_tail(t_end, math.exp(d_hi)) + h * (t_lo + t_end)
+             + _aliasing(h, eps, k_lo) * h * lattice)
+    if (not (abs(total) > 0.0 and bound <= _REL_TOL * abs(total))
+            or top_h + log_offset > _LOG_DOUBLE_MAX and not log_mode):
+        return _sum_plain(req, eps, log_mode)
+    res = _finish(top_h, top_l, total, total_abs if psi is not None else total,
+                  ks.size, -math.inf, 0.0, log_offset, log_mode)
+    return replace(res, tail_bound=_exp_or_inf(
+        top_h + log_offset + math.log(bound)) if bound > 0.0 else 0.0)
 
 
 def _sum_series(req: Request, log_mode: bool) -> EvalResult:

@@ -12,6 +12,30 @@ t_{k_lo}.  Both run in scalar ``math`` and in correctly rounded array
 arithmetic only, so a window is the same on every CPU.
 ``series._sum_window`` is the one sum over it, for single calls and for
 the batch's requests that have a window alike.
+
+Over the window the terms are samples of a log-concave function of k that
+is analytic there, so the sum takes them only on the lattice k_lo + j*h,
+j = 0..n, with n the fewest strides that reach k_hi, and returns h times
+their sum: the trapezoid rule, whose error falls exponentially with 1/h
+(Trefethen and Weideman, SIAM Rev. 56(3), 2014).  ``_stride`` picks h.
+
+The stride rule, by the saddle point.  Poisson summation makes h sum_j
+t(k_lo + jh) - sum_k t_k over the window the sum of F(2 pi m/h) over the m
+that are not multiples of h, plus what its two edges add (at most about
+h (t_{k_lo} + t_end), the edges lying _WINDOW_DROP below the peak), where
+F(w) = sum_k t_k e^{-iwk} is the series at z e^{-iw}.  Wright's
+exponential expansion grows like exp(eps k_c) with k_c = (z prod A^A /
+prod B^B)^(1/eps), so |F(w)|/F(0) is about exp(-eps k_c (1 - cos(w/eps)))
+while |w/eps| < pi/2; past it the exponential part is recessive and the
+ratio is of order exp(-eps k_c).  The pair m = +-1 leads, and k_lo < k_c
+keeps the estimate on the safe side:
+    A(h) = 2 exp(-eps k_lo (1 - max(cos(2 pi/(h eps)), 0))),
+with A(1) = 0, as the unit lattice is the series.  A psi weight, analytic
+and slowly varying, leaves the exponent as it is.  h is the largest
+stride with A(2h) <= _ALIAS_MAX and at least _LATTICE_STRIDES strides
+across [k_lo, k_hi] (or 1): the margin of a doubled stride makes A(h)
+about A(2h)^4 where cos is near 1.  A(h) is an estimate, not a bound, and
+the sum states it beside the proved flank and tail bounds.
 """
 
 from __future__ import annotations
@@ -34,6 +58,11 @@ _WINDOW_SKIP = 64
 _LOG_PEAK_MAX = 34.0
 _MONOTONE_SPAN = 10000
 
+# the lattice: at least _LATTICE_STRIDES strides across the window, and
+# an aliasing estimate at twice the stride of at most _ALIAS_MAX
+_LATTICE_STRIDES = 64
+_ALIAS_MAX = 2.0 ** -60
+
 _PSI_POSITIVE = 1.4617  # just above 1.4616321449..., psi's zero on (0, inf)
 
 
@@ -44,12 +73,20 @@ def _factors(params) -> tuple[list, list]:
             [(b, w) for b, w in params.lower if w > 0.0] + [(1.0, 1.0)])
 
 
+def _peak_in_reach(lk: float, start: int, eps: float) -> bool:
+    # the window's first test, on lk = ln k_c: the peak lies far enough
+    # past the start, and the window is wide enough, to skip _WINDOW_SKIP
+    # terms, and the peak index is below e^_LOG_PEAK_MAX
+    return (max(math.log(start + _WINDOW_SKIP),
+                math.log(2.0 * _WINDOW_DROP / eps)) <= lk <= _LOG_PEAK_MAX)
+
+
 def _window(req, eps: float):
     """The saddle window (k0, k_lo, k_hi) of the series request ``req`` (a
     series.Request at z > 0 whose params have epsilon ``eps``), or None
-    where it does not pay: the sum takes the terms of [start, k0) one by
-    one, skips [k0, k_lo), and runs its block phase from k_lo, its first
-    read sized to k_hi.  With a psi weight k0 is k0_psi (``_monotone_from``),
+    where it does not pay: the sum takes every term of [start, k0), skips
+    [k0, k_lo), and takes [k_lo, k_hi] on its lattice of stride
+    ``_stride``.  With a psi weight k0 is k0_psi (``_monotone_from``),
     and the edges are the unweighted series': ln psi moves them little.
 
     The peak k^ is where g(k) = d/dk ln t_k = ln z + sum A psi(a + kA) -
@@ -59,8 +96,9 @@ def _window(req, eps: float):
     lies D(x) = eps k^ (1 - x + x ln x) + c (x - 1 - ln x) below the peak at
     s = x k^; k_lo and k_hi solve D = _WINDOW_DROP by Newton steps from
     the Gaussian reach either side.  The edges need not be exact:
-    ``series._sum_window`` bounds the skipped flank from the term logs it
-    computes, and drops the window where that bound is not negligible.
+    ``series._sum_window`` bounds the skipped flank and the tail past the
+    lattice from the term logs it computes, and drops the window where its
+    stated error is not negligible.
     """
     params, z, start, psi = req[:4]
     lz = lk = math.log(z)
@@ -71,8 +109,7 @@ def _window(req, eps: float):
         if w > 0.0:
             lk -= w * math.log(w)
     lk /= eps
-    if not (max(math.log(start + _WINDOW_SKIP),
-                math.log(2.0 * _WINDOW_DROP / eps)) <= lk <= _LOG_PEAK_MAX):
+    if not _peak_in_reach(lk, start, eps):
         return None
     up, low = _factors(params)
     k = math.exp(lk)
@@ -174,3 +211,28 @@ def _monotone_from(params, start: int, eps: float) -> int | None:
     rise, fall = sum(piece[:2 * len(up)], 0.0), sum(piece[2 * len(up):])
     rising = np.flatnonzero(rise >= fall * (1.0 - 2.0 ** -40))
     return start + int(rising[-1]) + 1 if rising.size else start
+
+
+def _aliasing(h: int, eps: float, k_lo: int) -> float:
+    # A(h) of the module docstring: the relative aliasing estimate of the
+    # lattice of stride h over a window from k_lo
+    if h == 1:
+        return 0.0
+    return 2.0 * math.exp(-eps * k_lo * (
+        1.0 - max(math.cos(2.0 * math.pi / (h * eps)), 0.0)))
+
+
+def _stride(eps: float, k_lo: int, k_hi: int) -> int:
+    """The lattice stride h of the window [k_lo, k_hi] of a series of
+    epsilon ``eps``: the largest h with A(2h) <= _ALIAS_MAX and at least
+    _LATTICE_STRIDES strides across the window, or 1."""
+    h = max(1, (k_hi - k_lo) // _LATTICE_STRIDES)
+    # A(2h) <= _ALIAS_MAX where cos(pi/(h eps)) <= x: solved for h, then
+    # stepped down past the rounding of cos and acos
+    x = 1.0 - math.log(2.0 / _ALIAS_MAX) / (eps * k_lo)
+    if not x > 0.0:
+        return 1
+    h = min(h, max(1, math.floor(math.pi / (eps * math.acos(x)))))
+    while h > 1 and _aliasing(2 * h, eps, k_lo) > _ALIAS_MAX:
+        h -= 1
+    return h

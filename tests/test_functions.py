@@ -375,21 +375,22 @@ def test_pfq_and_bessel_norm_against_mpmath():
 
 
 # a pFq or bessel_norm call with a saddle window sums the window, as the
-# Fox-Wright series with unit weights: the bits it had before the scalar
-# sum, for numpy's AVX-512 and, where they differ, its AVX2 kernels
+# Fox-Wright series with unit weights: the bits it has since the window is
+# summed on a lattice, for numpy's AVX-512 and, where they differ, its AVX2
+# kernels
 _WINDOWED = {
     "1F1(0.1; 5; 730)": (
         lambda: pFq(HypergeometricParams((0.1,), (5.0,)), 730.0),
         lambda: evaluate_normalized(
             FoxWrightParams(((0.1, 1.0),), ((5.0, 1.0),)), 730.0),
-        468, "0x1.dee261cf9fcd3p+1007",
-        ("0x1.faa5f8de0b876p+958", "0x1.faa5f8de0b897p+958"),
+        80, "0x1.dee261cf9fcf7p+1007",
+        ("0x1.f1ad6ac88dddbp+939",) * 2,
         "0x1.5d501022a924ap+9"),
     "bessel_norm(2.5, 300)": (
         lambda: bessel_norm(2.5, 300.0),
         lambda: evaluate_tilde(FoxWrightParams((), ((3.5, 1.0),)), 22500.0),
-        153, "0x1.0295ce7fc7a05p+411",
-        ("0x1.427a7fe89f34ap+357",) * 2, "0x1.1ce4bef7a2db2p+8"),
+        86, "0x1.0295ce7fc7a04p+411",
+        ("0x1.04a31cbc26278p+342",) * 2, "0x1.1ce4bef7a2db2p+8"),
 }
 
 
@@ -403,6 +404,23 @@ def test_windowed_pfq_keeps_its_bits(case, simd_target):
         res.value, res.tail_bound, res.condition_estimate,
         res.log_magnitude)) == (value, tails[simd_target == "AVX2"],
                                 "0x1.0000000000000p+0", log_mag)
+
+
+def test_pfq_calls_that_cannot_have_a_window_never_test_for_one(monkeypatch):
+    # the window's first test needs ln(z)/eps >= ln 64: pFq and bessel_norm
+    # calls below it sum their recurrence without building the Fox-Wright
+    # params or calling _window, and the windowed cases above still call it
+    tested = []
+    window = functions._window
+    monkeypatch.setattr(functions, "_window",
+                        lambda *a: tested.append(a) or window(*a))
+    pFq(HypergeometricParams((1.3, 2.2), (0.7, 3.1)), 2.1)
+    pFq(HypergeometricParams((0.1,), (5.0,)), 60.0)
+    bessel_norm(2.5, 15.0)  # 0F1 at z^2/4 = 56.25, eps = 2
+    assert tested == []
+    for call, *_ in _WINDOWED.values():
+        call()
+    assert len(tested) == len(_WINDOWED)
 
 
 def test_term_overflow_counts_the_log_offset():
@@ -421,9 +439,9 @@ def test_term_overflow_counts_the_log_offset():
             row = series.evaluate_batch([series._normalized(p, z)])[0]
             assert _rel(row.value, res.value) <= 1e-14
         # and so does the window's fallback test: 1F1(200; 1; 300) keeps
-        # its window (307 terms, where the plain sum takes 592)
+        # its window (69 terms, where the plain sum takes 592)
         res = pFq(HypergeometricParams((200.0,), (1.0,)), 300.0)
-        assert res.terms_used == 307
+        assert res.terms_used == 69
         assert abs(res.value - mp.hyper([200], [1], 300)) <= 1e-13 * res.value
         # 1F1(400; 1; 100) drops its window: its offset lnGamma(400) = 1993
         # costs a few more ulps of its term logs

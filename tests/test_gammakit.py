@@ -67,6 +67,18 @@ def test_digamma_known_values():
     assert abs(digamma(0.5) + _GAMMA + 2.0 * math.log(2.0)) <= 1e-13
 
 
+def test_digamma_refuses_an_argument_whose_reciprocal_overflows():
+    # psi(x) = -1/x - gamma + O(x): below about 5.6e-309 that lies past the
+    # double range, and the shifted sum would return NaN
+    with pytest.raises(DomainError, match=r"^digamma needs 1/x finite, "
+                                          r"got 1e-310$"):
+        digamma(1e-310)
+    with pytest.raises(DomainError, match="1/x finite"):
+        digamma(5e-324)
+    assert digamma(1e-308) == -1e308
+    assert digamma(5.6e-309) == -1.7857142857142864e308
+
+
 @given(st.floats(min_value=0.01, max_value=1e5))
 @settings(max_examples=80, deadline=None)
 def test_digamma_recurrence(x):
