@@ -48,11 +48,11 @@ from .gammakit import digamma
 
 # The sum starts at k_lo, where log t has fallen _WINDOW_DROP below the
 # peak, when that skips at least _WINDOW_SKIP terms; the right edge,
-# _WINDOW_DROP past the peak, sizes the first read.  A peak index past
+# _WINDOW_DROP past the peak, ends its lattice.  A peak index past
 # e^_LOG_PEAK_MAX is not windowed, nor a series whose ratio bound K
 # (``_monotone_from``) lies more than _MONOTONE_SPAN past its start: a
-# window sums [start, k0) outside the term budget, so those terms are at
-# most one budget (series._MAX_TERMS) long, and so are the bound's arrays.
+# window reads every term of [start, k0), so those terms are at most one
+# budget (series._MAX_TERMS) long, and so are the bound's arrays.
 _WINDOW_DROP = 45.0
 _WINDOW_SKIP = 64
 _LOG_PEAK_MAX = 34.0
