@@ -822,7 +822,9 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
     1 by more than -_D_STOP in its log, every term zero, or a tail bound
     above _REL_TOL of the sum), or where a term passes the double range
     outside log mode, so that it names the first such term.  Every term
-    read counts against _MAX_TERMS."""
+    read counts against _MAX_TERMS: a window whose read would pass it is
+    summed plainly too, which refuses where its stop lies past the
+    budget."""
     params, z, start, psi, log_offset = req
     k0, k_lo, k_hi = win
     h = _stride(eps, k_lo, k_hi)
@@ -830,7 +832,7 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
     ks = np.concatenate((np.arange(start, k0), [k_lo - 1],
                          np.arange(k_lo, k_end + 1, h), [k_end + 1]))
     if ks.size > _MAX_TERMS:
-        raise _no_stop(req)
+        return _sum_plain(req, eps, log_mode)
     lh, ll, sign = _TermLogs(params, z, psi).terms(ks)
     top = int(lh.argmax())
     top_h, top_l = float(lh[top]), float(ll[top])

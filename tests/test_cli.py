@@ -44,6 +44,18 @@ def test_eval_prints_value(params_file, capsys):
     assert float(lines["tail_bound"]) < 1e-12
 
 
+def test_eval_sums_a_saddle_window_on_its_lattice(params_file, capsys):
+    # e^z at z = 700 reads its window's lattice, not the 456 terms of the
+    # window one by one, and lands within its stated error of exp(700)
+    code = main(["eval", "--params", params_file(EXP_PARAMS), "--z", "700"])
+    lines = dict(line.split(maxsplit=1)
+                 for line in capsys.readouterr().out.strip().splitlines())
+    value, bound = float(lines["value"]), float(lines["tail_bound"])
+    assert code == 0
+    assert int(lines["terms_used"]) < 100
+    assert abs(value - math.exp(700)) <= bound + 1e-14 * value
+
+
 def test_eval_divergent_exits_3(params_file, capsys):
     bad = {"upper": [[1.0, 1.5]], "lower": [[1.0, 0.0]]}
     code = main(["eval", "--params", params_file(bad), "--z", "1.0"])

@@ -1713,8 +1713,12 @@ def test_window_reaches_log_magnitudes_past_the_old_budget():
         assert abs(res.log_magnitude - want) <= 1e-12 * want, (res, want)
     assert got[3].terms_used == 69
     # the window of e^(10^6) holds about 18,000 terms, more than the
-    # budget, and its lattice reads 68 of them
+    # budget, and its lattice reads 68 of them; its stated error is at most
+    # _REL_TOL of the sum, so its log-magnitude is off by that and the
+    # rounding of the log
     assert got[4].terms_used == 68
+    assert (abs(got[4].log_magnitude - 1e6)
+            <= series._REL_TOL + 4 * math.ulp(1e6)), got[4]
     assert _win(_EXP, 1e6, 0)[2] - _win(_EXP, 1e6, 0)[1] > 10000
 
 
@@ -1728,6 +1732,32 @@ def test_ratio_bound_past_a_budget_leaves_no_window():
         evaluate(params, z)
     assert isinstance(series.evaluate_batch([series.Request(params, z)])[0],
                       NoConvergenceError)
+
+
+def test_window_whose_read_passes_the_budget_is_summed_plainly(
+        monkeypatch):
+    # dbeta1 of 1/Gamma(0.2 + kB) at z = 12,000: -psi(0.2 + kB) changes
+    # sign near k = 1.2617/B, so k0_psi lies near 9,930 and the window
+    # reads [0, k0_psi) term by term before its 68 terms from k_lo = 10,975.
+    # A read of 10,000 terms is summed on the lattice, and agrees with the
+    # plain sum under a larger budget; one of 10,001 is summed plainly,
+    # whose stop lies past the budget
+    reqs = [series._dbeta1(FoxWrightParams((), ((0.2, b),)), 12000.0)
+            for b in (1.2705e-4, 1.2704e-4)]
+    for req, size in zip(reqs, (10000, 10001)):
+        eps = req.params.epsilon()
+        k0, k_lo, k_hi = window._window(req, eps)
+        h = window._stride(eps, k_lo, k_hi)
+        assert k0 + -(-(k_hi - k_lo) // h) + 3 == size
+    got = series.evaluate_batch(reqs)
+    assert got[0].terms_used == 10000
+    assert isinstance(got[1], NoConvergenceError)
+    assert "within 10000 terms" in str(got[1])
+    monkeypatch.setattr(series, "_MAX_TERMS", 20000)
+    ref = series._sum_plain(reqs[0], reqs[0].params.epsilon(), True)
+    assert got[0].sign == ref.sign == -1
+    assert (abs(got[0].log_magnitude - ref.log_magnitude)
+            <= series._REL_TOL + 4 * math.ulp(12000.0)), (got[0], ref)
 
 
 def test_model_that_does_not_fall_away_leaves_no_window():
