@@ -684,6 +684,13 @@ GOLDEN = {
         lambda: evaluate(P_SLOW, -1.0), 1241, 1,
         ("0x1.ffb8fbe278e91p-2", "0x1.f2e50824a8ea8p-47",
          "0x1.cf700d628cff8p+6", "-0x1.632b38fa7174bp-1")),
+    # a psi-weighted alternating plain sum through several blocks:
+    # -psi(0.2 + 0.01*k) changes sign at k = 127 (the same bits on AVX2)
+    "psi P_SLOW -1.0": (
+        lambda: series._sum_series(series.Request(
+            P_SLOW, -1.0, psi_weight=(0.2, 0.01)), False), 1217, 1,
+        ("0x1.5aba32ed886f1p+1", "0x1.54821bbb4cf30p-44",
+         "0x1.565b9e92fad43p+5", "0x1.fe365ac3c37b4p-1")),
 }
 
 
