@@ -327,7 +327,7 @@ def evaluate(requests: list) -> list:
             elif req.z > 0.0 and req.psi_weight is None:
                 tiled.append(i)
             else:
-                out[i] = _sum_plain(req, eps, True)
+                out[i] = _sum_plain(req, True)
         except _REQUEST_ERRORS as exc:
             out[i] = exc
     with np.errstate(all="ignore"):

@@ -34,11 +34,10 @@ series still running after that continues in numpy blocks of 64, 128, 256
 and then 512 terms: the same head/tail arithmetic applied element-wise (the
 error-free transforms are exact on IEEE float64 arrays), each block summed
 with ``math.fsum`` and ended by ``_stops``, the stop rule of both block
-engines and of the head, which decides the ratio on its log.  The blocks'
-term logs are read ahead: the first read covers, in whole blocks, what the
-head says the series still needs, up to 2,048 terms, and later reads 1,024.
-They take ln(k) from ``_LN_K``, which ``_log_ints_dd`` fills at import for
-k < 8,192 and computes past it.
+engines and of the head, which decides the ratio on its log.  Each block
+reads its own term logs when it runs, by ``_TermLogs.terms``, taking ln(k)
+from ``_LN_K``, which ``_log_ints_dd`` fills at import for k < 8,192, and
+computing it past that.
 
 A request at z > 0, with or without a psi weight, whose terms peak far
 from its start sums its saddle window instead (``window._window``,
@@ -385,7 +384,6 @@ class _TermLogs:
 
     ``at(k)`` returns log|term k| as a head/tail pair, ``term(k)`` the same
     times the psi weight -psi(b + k*B) and the sign of the weighted term,
-    ``block(k0, k1)`` and ``signs(k0, k1)`` those for k0 <= k < k1 as arrays,
     and ``terms(ks)`` those at an increasing array of k, in one read.
     Factors whose argument a + w*k has reached _EXPAND_MIN contribute through
     the Stirling form expanded around w*k.  Summed over those factors (1/k!
@@ -398,20 +396,12 @@ class _TermLogs:
     threshold contribute their log-gamma directly, which is harmless precisely
     because those values are small.  Calls must come with nondecreasing k (the
     factor partition only ever grows), and k = 0 only as the first call.
-    Blocks are slices of a read-ahead of ``ahead`` terms (set by _sum_plain
-    for the first read, up to _FIRST_READ; 2 * _BLOCK_MAX after it; at least
-    the block, never past ``end``), each element the one a read of its block
-    alone computes.  An unsigned series (z > 0, no psi weight)
-    keeps no signs: ``signs`` gives ones.
     """
 
     def __init__(self, params: FoxWrightParams, z: float,
-                 psi_weight: tuple | None = None, end: float = math.inf) -> None:
-        self._neg, self._psi, self._end = z < 0.0, psi_weight, end
+                 psi_weight: tuple | None = None) -> None:
+        self._neg, self._psi = z < 0.0, psi_weight
         self._params = params
-        self.ahead = 2 * _BLOCK_MAX
-        # the read-ahead: (log heads, log tails, signs) of k0 <= k < k1
-        self._k0, self._k1, self._buf = 0, 0, (np.empty(0),) * 3
         self._consts: list[float] = []  # k-independent pieces of the term log
         waiting = []
         for sg, pairs in ((1.0, params.upper), (-1.0, params.lower + ((1.0, 1.0),))):
@@ -498,28 +488,6 @@ class _TermLogs:
             return -math.inf, 0.0, sign
         return *_dd_add(h, l, math.log(abs(w)), 0.0), (sign if w > 0.0 else -sign)
 
-    def block(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-        if k1 > self._k1:
-            self._read(k0, k1)
-        i, j = k0 - self._k0, k1 - self._k0
-        return self._buf[0][i:j], self._buf[1][i:j]
-
-    def signs(self, k0: int, k1: int) -> np.ndarray:
-        if len(self._buf) == 2:
-            return np.ones(k1 - k0)
-        return self._buf[2][k0 - self._k0:k1 - self._k0]
-
-    def _read(self, k0: int, k1: int) -> None:
-        # the next read, joined to what is left of the last one
-        lo = max(k0, self._k1)
-        hi = min(max(k1, lo + self.ahead), self._end)
-        self.ahead = 2 * _BLOCK_MAX
-        cols = self._weighted(np.arange(lo, hi), *self._span(lo, hi))
-        i = k0 - self._k0
-        self._buf = tuple(np.concatenate((old[i:], new))
-                          for old, new in zip(self._buf, cols))
-        self._k0, self._k1 = k0, hi
-
     def terms(self, ks: np.ndarray) -> tuple:
         """(log heads, log tails, signs) of the terms at the increasing
         integer array ``ks``, by ``_logs``, the kernel of every read (ones
@@ -545,11 +513,6 @@ class _TermLogs:
                 h, l = _dd_add(h, l, np.log(np.abs(w)), 0.0)
             h, l = np.where(w == 0.0, -math.inf, h), np.where(w == 0.0, 0.0, l)
         return h, l, sign
-
-    def _span(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-        fk = np.arange(k0, k1, dtype=float)
-        lk = _LN_K[:, k0:k1] if k1 <= _LN_K.shape[1] else _log_ints_dd(fk)
-        return self._logs(np.arange(k0, k1), fk, lk)
 
     def _logs(self, ks, fk, lk) -> tuple[np.ndarray, np.ndarray]:
         # the term logs at the increasing ints ks (fk as floats, lk = ln k
@@ -674,22 +637,10 @@ def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
 # Terms summed one at a time from a call's start index before the engine
 # switches to numpy blocks, whose sizes double from _BLOCK_MIN to _BLOCK_MAX.
 # An array read of term logs costs a few hundred microseconds, as much as
-# 20 one-term steps, while most calls stop within 10-30 terms; so the first
-# read spans the whole blocks the head's growth or decay leaves, up to
-# _FIRST_READ, and later reads 2 * _BLOCK_MAX.
+# 20 one-term steps, while most calls stop within 10-30 terms.
 _SCALAR_TERMS = 32
 _BLOCK_MIN = 64
 _BLOCK_MAX = 512
-_FIRST_READ = 4 * _BLOCK_MAX
-
-
-def _whole_blocks(n: float) -> int:
-    # the fewest terms in whole blocks of the block phase that reach n
-    ahead = size = _BLOCK_MIN
-    while ahead < n:
-        size = min(2 * size, _BLOCK_MAX)
-        ahead += size
-    return ahead
 
 
 def _term_overflow(k: int, lh: float) -> OverflowError:
@@ -759,7 +710,7 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
     size = _BLOCK_MIN
     while not stopped and k < end:
         n = min(size, end - k)
-        lh, ll = gen.block(k, k + n)
+        lh, ll, sign = gen.terms(np.arange(k, k + n))
 
         # rescale to the block's largest term
         top = int(lh.argmax())
@@ -777,7 +728,7 @@ def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
         # stop are then added with fsum.  Unsigned terms are positive: their
         # partials need no abs, and a zero term is small by its size alone
         if signed:
-            x = gen.signs(k, k + n) * t
+            x = sign * t
             partial = np.abs((total + comp) + x.cumsum())
             small = (lh == -math.inf) | (t <= _REL_TOL * partial)
         else:
@@ -832,17 +783,17 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
     ks = np.concatenate((np.arange(start, k0), [k_lo - 1],
                          np.arange(k_lo, k_end + 1, h), [k_end + 1]))
     if ks.size > _MAX_TERMS:
-        return _sum_plain(req, eps, log_mode)
+        return _sum_plain(req, log_mode)
     lh, ll, sign = _TermLogs(params, z, psi).terms(ks)
     top = int(lh.argmax())
     top_h, top_l = float(lh[top]), float(ll[top])
     if top_h == -math.inf:  # every term zero
-        return _sum_plain(req, eps, log_mode)
+        return _sum_plain(req, log_mode)
     p = k0 - start  # the prefix [start, k0), then the lattice from p + 1
     d_lo = (lh[p + 1] - lh[p]) + (ll[p + 1] - ll[p])  # ln(1/rho)
     d_hi = (lh[-1] - lh[-2]) + (ll[-1] - ll[-2])  # ln q
     if not (-d_lo < _D_STOP and d_hi < _D_STOP):
-        return _sum_plain(req, eps, log_mode)
+        return _sum_plain(req, log_mode)
     t = np.exp(lh - top_h) * (1.0 + (ll - top_l))
     x = sign * t
     lattice = math.fsum(memoryview(t[p + 1:-1]))
@@ -854,7 +805,7 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
              + _aliasing(h, eps, k_lo) * h * lattice)
     if (not (abs(total) > 0.0 and bound <= _REL_TOL * abs(total))
             or top_h + log_offset > _LOG_DOUBLE_MAX and not log_mode):
-        return _sum_plain(req, eps, log_mode)
+        return _sum_plain(req, log_mode)
     res = _finish(top_h, top_l, total, total_abs if psi is not None else total,
                   ks.size, -math.inf, 0.0, log_offset, log_mode)
     return replace(res, tail_bound=_exp_or_inf(
@@ -871,12 +822,12 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
     win = _window(req, eps) if req.z > 0.0 else None
     if win is not None:
         return _sum_window(req, win, eps, log_mode)
-    return _sum_plain(req, eps, log_mode)
+    return _sum_plain(req, log_mode)
 
 
-def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
-    """_sum_series of a request of epsilon ``eps`` from its start: one term
-    at a time, then in blocks."""
+def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
+    """_sum_series of a request from its start: one term at a time, then in
+    blocks."""
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
         # only term 0 is nonzero (the same term at every z), and a tail from
@@ -888,7 +839,7 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
     # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
     signed = z < 0.0 or psi_weight is not None
     end = start + _MAX_TERMS
-    gen = _TermLogs(params, z, psi_weight, end)
+    gen = _TermLogs(params, z, psi_weight)
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
     scale_l = 0.0
     total = 0.0
@@ -939,19 +890,7 @@ def _sum_plain(req: Request, eps: float, log_mode: bool) -> EvalResult:
             stopped = True
             break
 
-    # read ahead as many whole blocks as the head says the series still
-    # needs, up to _FIRST_READ: to the peak near k * ratio^(1/epsilon), as
-    # ratios fall like k^-epsilon, and twice the width of a Gaussian fall
-    # past it; or by the last ratio, if sooner
     ratio = _exp_or_inf(d)
-    need = 2.0 * _BLOCK_MAX
-    if not stopped and 0.0 < ratio < math.inf:
-        peak = k * math.exp(min(math.log(ratio) / eps, 7.0))
-        need = peak - k + 2.0 * math.sqrt(-2.0 * math.log(_REL_TOL) * peak / eps)
-        if ratio < 1.0 and t > 0.0 and partial > 0.0:
-            need = min(need, (math.log(_REL_TOL) + math.log(partial) - math.log(t))
-                       / math.log(ratio))
-    gen.ahead = min(_whole_blocks(min(need + 3.0, _FIRST_READ)), _FIRST_READ)
     acc = [scale_h, scale_l, total, comp, total_abs, comp_abs]
     if not stopped:
         used, stopped, ratio, prev_h = _blocks(

@@ -351,20 +351,46 @@ P_CROSS = FoxWrightParams(upper=((2.0, 0.2), (1.3, 0.7)),
                           lower=((0.9, 0.35),))
 
 
-@pytest.mark.parametrize("params,z", [(P1, 3.5), (P_CROSS, -7.25)])
+# lower factors reaching the Stirling threshold at k = 550 and k = 1,180;
+# -psi(0.2 + 0.01*k) changes sign at k = 127
+P_SPLIT = FoxWrightParams(upper=((2.0, 0.9),), lower=((0.2, 0.01), (1.0, 0.02)))
+
+
+@pytest.mark.parametrize("params,z", [(P1, 3.5), (P_CROSS, -7.25),
+                                      (P_SPLIT, 4.0), (P_SPLIT, -4.0)])
 def test_block_term_logs_match_one_term_logs(params, z):
-    # the one-term logs run from k = 0, as in a summation, and the first
-    # block spans the first crossing of the threshold
-    one = series._TermLogs(params, z)
-    ref = [one.at(k) for k in range(400)]
-    assert abs(ref[0][0] - series._log_term_at_zero(params)) <= 1e-14
-    blocks = series._TermLogs(params, z)
-    for k0, k1 in ((1, 20), (20, 84), (84, 400)):
-        heads, tails = blocks.block(k0, k1)
-        assert heads.shape == tails.shape == (k1 - k0,)
-        for k, h, l in zip(range(k0, k1), heads.tolist(), tails.tolist()):
-            rh, rl = ref[k]
-            assert abs((h - rh) + (l - rl)) <= 1e-14, k
+    # the one-term logs run from k = 0, as in a summation; the array reads
+    # of one run, block by block, span the first crossing of the threshold
+    # (and both of P_SPLIT's), with and without a psi weight, whose sign
+    # each term takes as the one-term path gives it
+    for psi in (None, (0.2, 0.01)):
+        one = series._TermLogs(params, z, psi)
+        ref = [one.term(k) for k in range(1200)]
+        if psi is None:
+            assert abs(ref[0][0] - series._log_term_at_zero(params)) <= 1e-14
+        blocks = series._TermLogs(params, z, psi)
+        for k0, k1 in ((1, 20), (20, 84), (84, 400), (400, 1200)):
+            heads, tails, signs = blocks.terms(np.arange(k0, k1))
+            assert heads.shape == tails.shape == signs.shape == (k1 - k0,)
+            for k, h, l, sg in zip(range(k0, k1), heads.tolist(),
+                                   tails.tolist(), signs.tolist()):
+                rh, rl, rs = ref[k]
+                assert sg == rs, (psi, k)
+                assert abs((h - rh) + (l - rl)) <= 1e-14, (psi, k)
+
+
+@pytest.fixture
+def term_reads(monkeypatch):
+    # the span [k0, k1) of each array read of term logs
+    reads = []
+    terms = series._TermLogs.terms
+
+    def recording(self, ks):
+        reads.append((int(ks[0]), int(ks[-1]) + 1))
+        return terms(self, ks)
+
+    monkeypatch.setattr(series._TermLogs, "terms", recording)
+    return reads
 
 
 def test_long_alternating_series_reports_cancellation():
@@ -381,91 +407,15 @@ def test_long_alternating_series_reports_cancellation():
     assert _rel(res.condition_estimate * abs(res.value), math.exp(40.0)) <= 1e-13
 
 
-def test_tail_switches_to_blocks_after_32_terms(monkeypatch):
-    spans = []
-    block = series._TermLogs.block
-
-    def recording(self, k0, k1):
-        spans.append((k0, k1))
-        return block(self, k0, k1)
-
-    monkeypatch.setattr(series._TermLogs, "block", recording)
+def test_tail_switches_to_blocks_after_32_terms(term_reads):
     n = 4
     res = evaluate_tail(P1, TailSpec(n), 9.0)
-    assert spans[0] == (n + 1 + 32, n + 1 + 32 + 64)
+    assert term_reads[0] == (n + 1 + 32, n + 1 + 32 + 64)
     assert res.terms_used > 32
     full = evaluate(P1, 9.0)
     head = sum(math.exp(log_term(P1, 9.0, k)) for k in range(n + 1))
     assert abs(full.value - head - res.value) <= 1e-12 * full.value
 
-
-# lower factors reaching the Stirling threshold at k = 550 and k = 1,180,
-# inside read-aheads [32, 1056) and [1056, 2080) and inside the blocks
-# [480, 992) and [992, 1504); -psi(0.2 + 0.01*k) changes sign at k = 127
-P_SPLIT = FoxWrightParams(upper=((2.0, 0.9),), lower=((0.2, 0.01), (1.0, 0.02)))
-
-
-@pytest.mark.parametrize("z, psi", [(4.0, None), (-4.0, None),
-                                    (4.0, (0.2, 0.01)), (-4.0, (0.2, 0.01))])
-def test_read_ahead_matches_block_by_block_reads(z, psi):
-    ahead = series._TermLogs(P_SPLIT, z, psi)
-    alone = series._TermLogs(P_SPLIT, z, psi)
-    k0, size = 32, 64
-    while k0 < 2000:
-        k1 = k0 + size
-        alone.ahead = 0  # this read computes the block and nothing more
-        got = (*ahead.block(k0, k1), ahead.signs(k0, k1))
-        ref = (*alone.block(k0, k1), alone.signs(k0, k1))
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref], k0
-        k0, size = k1, min(2 * size, 512)
-    # the weighted logs and the signs are those of the one-term path
-    one = series._TermLogs(P_SPLIT, z, psi)
-    ref = [one.term(k) for k in range(1000)]
-    fresh = series._TermLogs(P_SPLIT, z, psi)
-    heads, tails = fresh.block(32, 1000)
-    for k, h, l, sg in zip(range(32, 1000), heads.tolist(), tails.tolist(),
-                           fresh.signs(32, 1000).tolist()):
-        rh, rl, rs = ref[k]
-        assert sg == rs, k
-        assert abs((h - rh) + (l - rl)) <= 1e-14, k
-
-
-@pytest.fixture
-def span_sizes(monkeypatch):
-    # the number of term logs each array read of _TermLogs computes
-    sizes = []
-    span = series._TermLogs._span
-
-    def counting(self, k0, k1):
-        sizes.append(k1 - k0)
-        return span(self, k0, k1)
-
-    monkeypatch.setattr(series._TermLogs, "_span", counting)
-    return sizes
-
-
-def test_first_read_ahead_ends_at_the_decay_estimate(span_sizes):
-    # evaluate(P1, 3.5) stops at 46 terms, 14 into its first block: its
-    # head's decay says so, and the read covers that block and no more
-    assert evaluate(P1, 3.5).terms_used == 46
-    assert sum(span_sizes) == series._BLOCK_MIN
-
-
-
-@pytest.mark.parametrize("z, terms, read", [(20.0, 147, 192), (50.0, 330, 448)])
-def test_first_read_ahead_of_a_growing_head_ends_past_the_peak(
-        span_sizes, monkeypatch, z, terms, read):
-    # the terms still grow at the end of the head, so its last ratio says
-    # nothing of the decay; the read reaches past the peak that the ratios'
-    # fall puts ahead, in one read of whole blocks short of _FIRST_READ (of
-    # the plain sum: at z = 50 evaluate sums the saddle window instead)
-    gen = series._TermLogs(P1, z)
-    assert gen.at(31)[0] > gen.at(30)[0]
-    monkeypatch.setattr(series, "_window", lambda *a: None)
-    plain = series._sum_series(series.Request(P1, z), False)
-    assert plain.terms_used == terms
-    assert span_sizes == [read]
-    assert terms - series._SCALAR_TERMS <= read < series._FIRST_READ
 
 # eps = 0.3 and z = 4 put the peak term near k = 500; dbeta1 below reads
 # about 100 terms on the lattice of its saddle window from k = 274 (it sums
@@ -478,24 +428,6 @@ def test_long_derivative_matches_oracle():
     assert res.terms_used > 100
     ref = float(hp_eval(P_LONG.shifted(), 4.0)[0])
     assert abs(res.value - ref) <= res.tail_bound + 1e-13 * abs(ref)
-
-
-def test_first_read_ahead_covers_a_long_series(monkeypatch):
-    # the head of dbeta1's series from k = 211, one term short of a window,
-    # asks for more than 2 * _BLOCK_MAX terms, so the first read takes whole
-    # blocks up to _FIRST_READ and no second read follows
-    reads = []
-    read = series._TermLogs._read
-
-    def counting(self, k0, k1):
-        reads.append((k0, k1))
-        return read(self, k0, k1)
-
-    monkeypatch.setattr(series._TermLogs, "_read", counting)
-    req = series.Request(P_LONG, 4.0, 211, P_LONG.lower[0])
-    assert _win(*req[:4]) is None
-    assert series._sum_series(req, False).terms_used == 858
-    assert len(reads) == 1
 
 
 def test_long_dbeta1_matches_oracle():
@@ -574,14 +506,16 @@ def test_value_within_own_tail_bound_of_oracle_free_anchor(z):
 
 
 # Every EvalResult field of a fixed set of calls, as float.hex strings,
-# recorded from the engine before the one-term path was sped up (the last
-# five before the block phase read its term logs ahead in chunks): a
-# speedup must leave each of them unchanged bit for bit.  The six cases
-# that sum their saddle windows were recorded again when the window came
-# to be summed on a lattice.  The bits were recorded with numpy's AVX-512
-# kernels.  Its AVX2 kernels round some np.exp, np.log and np.log1p
-# results differently in the last bit, so on a CPU without AVX-512 four
-# block-phase cases fail: P_CROSS -7.25, the P_LONG budget and tail, P_SLOW.
+# recorded from the engine before the one-term path was sped up (the five
+# above the last one before the block phase read its term logs ahead in
+# chunks, and the last, psi P_SLOW, just before that read-ahead was taken
+# out again): a speedup must leave each of them unchanged bit for bit.
+# The six cases that sum their saddle windows were recorded again when the
+# window came to be summed on a lattice.  The bits were recorded with
+# numpy's AVX-512 kernels.  Its AVX2 kernels round some np.exp, np.log and
+# np.log1p results differently in the last bit, so on a CPU without AVX-512
+# four block-phase cases fail: P_CROSS -7.25, the P_LONG budget and tail,
+# P_SLOW.
 P_EXPM1 = FoxWrightParams(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
 P_FLAT = FoxWrightParams(upper=((2.5, 0.0), (0.4, 0.6)), lower=((3.2, 1.3),))
 P_PSI_FLIP = FoxWrightParams(upper=((2.0, 1.2),), lower=((0.2, 0.01), (1.5, 0.5)))
@@ -656,8 +590,8 @@ GOLDEN = {
         lambda: evaluate_tilde(P_CROSS, -1.5), 43, 1,
         ("0x1.46a2b8ad1070dp-3", "0x1.50e709cad8ab6p-60",
          "0x1.66ff0cbc72c6ap+6", "-0x1.d5f5442b772b2p+0")),
-    # a budget that cuts the first read-ahead of the plain sum short, 2
-    # terms past the stop
+    # a budget that cuts the plain sum's fifth block short, 2 terms past
+    # the stop
     "evaluate P_LONG 4.0 budget 1070": (
         lambda: _patched(lambda: series._sum_series(
             series.Request(P_LONG, 4.0), False), _MAX_TERMS=1070,
@@ -921,8 +855,7 @@ def test_ln_k_table_spans_match_the_spans_computed_directly(monkeypatch, k0, k1)
     # one past it give the bits of the same span computed without the table
     def read(z, psi):
         gen = series._TermLogs(P_SPLIT, z, psi)
-        gen.ahead = 0
-        return [a.tobytes() for a in (*gen.block(k0, k1), gen.signs(k0, k1))]
+        return [a.tobytes() for a in gen.terms(np.arange(k0, k1))]
 
     cases = [(4.0, None), (-4.0, (0.2, 0.01))]
     tabled = [read(*c) for c in cases]
@@ -998,15 +931,17 @@ def test_batch_rows_from_the_ln_k_table_match_the_logs_computed_directly(
     monkeypatch.setattr(batch, "_LN_K", series._LN_K[:, :0])
     assert series.evaluate_batch(reqs) == tabled
 
-def test_budget_that_ends_inside_a_read_ahead_keeps_its_error_text(
-        span_sizes, monkeypatch):
+def test_budget_that_cuts_the_last_block_keeps_its_error_text(
+        term_reads, monkeypatch):
     monkeypatch.setattr(series, "_MAX_TERMS", 1000)
     monkeypatch.setattr(series, "_window", lambda *a: None)
     msg = "stop rule did not fire within 1000 terms (start=0, z=4.0)"
     with pytest.raises(NoConvergenceError, match=f"^{re.escape(msg)}$"):
         series._sum_series(series.Request(P_LONG, 4.0), False)
-    # the first read-ahead after the 32-term head stops at the budget
-    assert sum(span_sizes) == 1000 - 32
+    # after the 32-term head each block reads its own terms, and the last
+    # block read ends at the budget
+    assert term_reads == [(32, 96), (96, 224), (224, 480), (480, 992),
+                          (992, 1000)]
 
 
 def _neumaier_error(a, b):
@@ -1545,7 +1480,7 @@ def test_head_stops_where_the_block_rule_does(case, monkeypatch):
     logs = logs + [(-41.0 - j, 0.0) for j in range(series._SCALAR_TERMS)]
     monkeypatch.setattr(series._TermLogs, "term",
                         lambda self, k: (*logs[k], 1.0))
-    res = series._sum_plain(series.Request(FoxWrightParams(), 1.0), 1.0, False)
+    res = series._sum_plain(series.Request(FoxWrightParams(), 1.0), False)
     assert res.terms_used == want
     assert (res.tail_bound > 0.0) == (logs[want - 1][0] > -math.inf)
     if "after a zero term" in case:
@@ -1761,7 +1696,7 @@ def test_window_whose_read_passes_the_budget_is_summed_plainly(
     assert isinstance(got[1], NoConvergenceError)
     assert "within 10000 terms" in str(got[1])
     monkeypatch.setattr(series, "_MAX_TERMS", 20000)
-    ref = series._sum_plain(reqs[0], reqs[0].params.epsilon(), True)
+    ref = series._sum_plain(reqs[0], True)
     assert got[0].sign == ref.sign == -1
     assert (abs(got[0].log_magnitude - ref.log_magnitude)
             <= series._REL_TOL + 4 * math.ulp(12000.0)), (got[0], ref)
@@ -1803,7 +1738,7 @@ def test_window_flank_bound_covers_the_skipped_terms():
         params, z, start = req[:3]
         k0, k_lo, _ = _win(params, z, start)
         gen = series._TermLogs(params, z)
-        h, l = gen.block(k_lo - 1, k_lo + 1)
+        h, l, _ = gen.terms(np.array([k_lo - 1, k_lo]))
         rho = math.exp(-((h[1] - h[0]) + (l[1] - l[0])))
         skipped = math.fsum(math.exp(series.log_term(params, z, k) - h[1])
                             for k in range(k0, k_lo))
@@ -1976,7 +1911,7 @@ def test_psi_weighted_window_ratios_do_not_increase_from_k0_psi():
         assert all(x - 2 * y + t <= 0
                    for x, y, t in zip(logs, logs[1:], logs[2:])), (params, z)
         res = series._sum_series(req, False)
-        plain = series._sum_plain(req, params.epsilon(), False)
+        plain = series._sum_plain(req, False)
         assert res.terms_used < plain.terms_used, (params, z)
         assert abs(res.value - plain.value) <= (
             res.tail_bound + plain.tail_bound
