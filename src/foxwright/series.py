@@ -24,20 +24,21 @@ how large the cancelled log-gammas were.  The pair arithmetic lives in
 (relative error below 1e-31, reduced to a tabled grid j/64), and a term
 skips ln(k) while no factor is expanded: its coefficients are zero.
 
-The single-call entry points (``evaluate`` and its variants) sum in two
-phases over one table of those coefficients.  The first 32 terms of a call
-(counted from its start index) are generated and summed one at a time, so
-the many calls that stop within a few dozen terms pay no array overhead;
-they take ln(k) for k < 64, and lnGamma(k+1) while 1/k! waits (k <= 10),
-from per-k tables that ``_log_int_dd`` and ``log_gamma`` fill at import.  A
-series still running after that continues in numpy blocks of 64, 128, 256
-and then 512 terms: the same head/tail arithmetic applied element-wise (the
-error-free transforms are exact on IEEE float64 arrays), each block summed
-with ``math.fsum`` and ended by ``_stops``, the stop rule of both block
-engines and of the head, which decides the ratio on its log.  Each block
-reads its own term logs when it runs, by ``_TermLogs.terms``, taking ln(k)
-from ``_LN_K``, which ``_log_ints_dd`` fills at import for k < 8,192, and
-computing it past that.
+The single-call entry points (``evaluate`` and its variants) sum a series
+from its start in one function, ``_sum_plain``, over one table of those
+coefficients.  Its first 32 terms (counted from the start index) come one
+at a time from ``_TermLogs.term``, so the many calls that stop within a
+few dozen terms pay no array overhead; they take ln(k) for k < 64, and
+lnGamma(k+1) while 1/k! waits (k <= 10), from per-k tables that
+``_log_int_dd`` and ``log_gamma`` fill at import.  Later terms come from
+``_TermLogs.terms`` in numpy blocks of 64, 128, 256 and then 512, read as
+each block runs: the same arithmetic element-wise (the error-free
+transforms are exact on IEEE float64 arrays), with ln(k) from ``_LN_K``
+for k < 8,192, and each block is summed with ``math.fsum`` up to its stop.
+The head tests the stop rule one term at a time, and a block ends by
+``_stops``, the same rule over arrays that ends a tile's rows too: three
+small terms in a row, the log d of the last one's ratio to the term before
+below ``_D_STOP``.
 
 A request at z > 0, with or without a psi weight, whose terms peak far
 from its start sums its saddle window instead (``window._window``,
@@ -382,9 +383,9 @@ def _expanded_rest(a, wk):
 class _TermLogs:
     """Stabilized per-term log magnitudes for one summation run.
 
-    ``at(k)`` returns log|term k| as a head/tail pair, ``term(k)`` the same
-    times the psi weight -psi(b + k*B) and the sign of the weighted term,
-    and ``terms(ks)`` those at an increasing array of k, in one read.
+    ``term(k)`` returns log|term k| times the psi weight -psi(b + k*B) as a
+    head/tail pair, with the sign of the weighted term, and ``terms(ks)``
+    those at an increasing array of k, in one read.
     Factors whose argument a + w*k has reached _EXPAND_MIN contribute through
     the Stirling form expanded around w*k.  Summed over those factors (1/k!
     included as a lower factor with a = w = 1) the pieces collapse into one
@@ -429,58 +430,59 @@ class _TermLogs:
             self._consts += pieces
         self._base = math.fsum(self._consts)
 
-    def at(self, k: int) -> tuple[float, float]:
-        if k == 0:
-            return _log_term_at_zero(self._params), 0.0
-        if self._waiting and self._waiting[0][0] <= k:
-            self._advance(k)
-        fk = float(k)
-        items = [self._base]
-        for _, a, w, sg in self._waiting:
-            items.append(sg * (_LOG_FACTORIALS[k] if a == w == 1.0
-                               else log_gamma(a + w * fk)))
-        for a, w, sg, am in self._expanded:
-            wk = w * fk
-            items.append(sg * ((wk + am) * math.log1p(a / wk)
-                               + _stirling_tail_sum(a + wk)))
-        # _collapsed and _dd_add written out: (h, l) = k*c, plus (k*s + m)*ln(k)
-        # once a factor is expanded, plus the fsum of the items
-        ch, cl, sh, sl, mh, ml = self._coef
-        fh, uh = _SPLIT * fk, _SPLIT * ch
-        fh, uh = fh - (fh - fk), uh - (uh - ch)
-        fl, ul, p = fk - fh, ch - uh, ch * fk
-        y = (((uh * fh - p) + uh * fl + ul * fh) + ul * fl) + cl * fk
-        h = p + y
-        t = h - p
-        l = (p - (h - t)) + (y - t)
-        if self._expanded:
-            lkh, lkl = _LOG_INTS[k - 1] if k < 64 else _log_int_dd(k)
-            p, uh = sh * fk, _SPLIT * sh  # (bh, bl) = k*s + m
-            uh -= uh - sh
-            ul = sh - uh
-            x = (((uh * fh - p) + uh * fl + ul * fh) + ul * fl) + sl * fk
-            s = p + mh
-            t = s - p
-            y = (p - (s - t)) + (mh - t) + x + ml
-            bh = s + y
-            t = bh - s
-            bl = (s - (bh - t)) + (y - t)
-            p, uh, vh = bh * lkh, _SPLIT * bh, _SPLIT * lkh  # (h, l) += b*ln(k)
-            uh, vh = uh - (uh - bh), vh - (vh - lkh)
-            ul, vl = bh - uh, lkh - vh
-            x = (((uh * vh - p) + uh * vl + ul * vh) + ul * vl) + bh * lkl + bl * lkh
-            s = h + p
-            t = s - h
-            y = (h - (s - t)) + (p - t) + l + x
-            h = s + y
-            t = h - s
-            l = (s - (h - t)) + (y - t)
-        s, y = _two_sum(h, math.fsum(items))
-        return _two_sum(s, y + l + 0.0)
-
     def term(self, k: int) -> tuple[float, float, float]:
-        h, l = self.at(k)
         sign = -1.0 if (self._neg and k % 2 == 1) else 1.0
+        if k == 0:
+            h, l = _log_term_at_zero(self._params), 0.0
+        else:
+            if self._waiting and self._waiting[0][0] <= k:
+                self._advance(k)
+            fk = float(k)
+            items = [self._base]
+            for _, a, w, sg in self._waiting:
+                items.append(sg * (_LOG_FACTORIALS[k] if a == w == 1.0
+                                   else log_gamma(a + w * fk)))
+            for a, w, sg, am in self._expanded:
+                wk = w * fk
+                items.append(sg * ((wk + am) * math.log1p(a / wk)
+                                   + _stirling_tail_sum(a + wk)))
+            # _collapsed and _dd_add written out: (h, l) = k*c, plus
+            # (k*s + m)*ln(k) once a factor is expanded, plus the fsum of
+            # the items
+            ch, cl, sh, sl, mh, ml = self._coef
+            fh, uh = _SPLIT * fk, _SPLIT * ch
+            fh, uh = fh - (fh - fk), uh - (uh - ch)
+            fl, ul, p = fk - fh, ch - uh, ch * fk
+            y = (((uh * fh - p) + uh * fl + ul * fh) + ul * fl) + cl * fk
+            h = p + y
+            t = h - p
+            l = (p - (h - t)) + (y - t)
+            if self._expanded:
+                lkh, lkl = _LOG_INTS[k - 1] if k < 64 else _log_int_dd(k)
+                p, uh = sh * fk, _SPLIT * sh  # (bh, bl) = k*s + m
+                uh -= uh - sh
+                ul = sh - uh
+                x = (((uh * fh - p) + uh * fl + ul * fh) + ul * fl) + sl * fk
+                s = p + mh
+                t = s - p
+                y = (p - (s - t)) + (mh - t) + x + ml
+                bh = s + y
+                t = bh - s
+                bl = (s - (bh - t)) + (y - t)
+                # (h, l) += b*ln(k)
+                p, uh, vh = bh * lkh, _SPLIT * bh, _SPLIT * lkh
+                uh, vh = uh - (uh - bh), vh - (vh - lkh)
+                ul, vl = bh - uh, lkh - vh
+                x = (((uh * vh - p) + uh * vl + ul * vh) + ul * vl
+                     + bh * lkl + bl * lkh)
+                s = h + p
+                t = s - h
+                y = (h - (s - t)) + (p - t) + l + x
+                h = s + y
+                t = h - s
+                l = (s - (h - t)) + (y - t)
+            s, y = _two_sum(h, math.fsum(items))
+            h, l = _two_sum(s, y + l + 0.0)
         if self._psi is None:
             return h, l, sign
         w = -digamma(self._psi[0] + k * self._psi[1])
@@ -634,10 +636,10 @@ def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
     return EvalResult(value, terms, tail, cond, log_mag, sgn)
 
 
-# Terms summed one at a time from a call's start index before the engine
-# switches to numpy blocks, whose sizes double from _BLOCK_MIN to _BLOCK_MAX.
-# An array read of term logs costs a few hundred microseconds, as much as
-# 20 one-term steps, while most calls stop within 10-30 terms.
+# Terms that _sum_plain reads one at a time from a call's start index
+# before it reads numpy blocks, whose sizes double from _BLOCK_MIN to
+# _BLOCK_MAX.  An array read of term logs costs a few hundred microseconds,
+# as much as 20 one-term steps, while most calls stop within 10-30 terms.
 _SCALAR_TERMS = 32
 _BLOCK_MIN = 64
 _BLOCK_MAX = 512
@@ -693,68 +695,6 @@ def _stops(lh, ll, prev_h, prev_l, small, streak):
     hit = stop[at, first]
     return (np.where(hit, first + 1, n), hit,
             np.where(hit, d[at, first], np.nan), run[:, -1])
-
-
-def _blocks(gen: _TermLogs, k: int, end: int, acc: list, prev_h: float,
-            prev_l: float, streak: int, signed: bool, offset: float | None):
-    """The block phase of a summation from term k: blocks of _BLOCK_MIN
-    terms, doubling to _BLOCK_MAX, each ended by ``_stops`` on its one row,
-    until a stop or ``end``.  ``acc`` holds the scaled sums [scale_h,
-    scale_l, total, comp, total_abs, comp_abs] and is updated in place; a
-    term whose log plus ``offset`` (None in log mode) passes the double
-    range raises OverflowError.
-    Returns the terms summed, whether the rule stopped, the ratio of the
-    stop and the last term's log."""
-    scale_h, scale_l, total, comp, total_abs, comp_abs = acc
-    terms, stopped, ratio = 0, False, math.nan
-    size = _BLOCK_MIN
-    while not stopped and k < end:
-        n = min(size, end - k)
-        lh, ll, sign = gen.terms(np.arange(k, k + n))
-
-        # rescale to the block's largest term
-        top = int(lh.argmax())
-        top_h, top_l = float(lh[top]), float(ll[top])
-        if top_h > scale_h:
-            f = math.exp(scale_h - top_h) * (1.0 + (scale_l - top_l))
-            total *= f
-            comp *= f
-            total_abs *= f
-            comp_abs *= f
-            scale_h, scale_l = top_h, top_l
-        t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
-
-        # _stops on this one row, over cumsum partial sums; the terms up to the
-        # stop are then added with fsum.  Unsigned terms are positive: their
-        # partials need no abs, and a zero term is small by its size alone
-        if signed:
-            x = sign * t
-            partial = np.abs((total + comp) + x.cumsum())
-            small = (lh == -math.inf) | (t <= _REL_TOL * partial)
-        else:
-            x = t
-            small = t <= _REL_TOL * ((total + comp) + t.cumsum())
-        used, stopped, d, streak = (v.item() for v in _stops(
-            lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
-            small[None], np.array([streak])))
-        ratio = math.exp(d)  # below 1 at a stop, else NaN
-        if offset is not None and top_h + offset > _LOG_DOUBLE_MAX:
-            over = np.flatnonzero(lh[:used] + offset > _LOG_DOUBLE_MAX)
-            if over.size:
-                raise _term_overflow(k + int(over[0]), lh[over[0]] + offset)
-
-        # fsum over a memoryview: the floats of tolist(), without the list
-        total, e = _two_sum(total, math.fsum(memoryview(x[:used])))
-        comp += e
-        if signed:
-            total_abs, e = _two_sum(total_abs, math.fsum(memoryview(t[:used])))
-            comp_abs += e
-        terms += used
-        prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
-        k += n
-        size = min(2 * size, _BLOCK_MAX)
-    acc[:] = scale_h, scale_l, total, comp, total_abs, comp_abs
-    return terms, stopped, ratio, prev_h
 
 
 def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
@@ -827,7 +767,7 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
 
 def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
     """_sum_series of a request from its start: one term at a time, then in
-    blocks."""
+    blocks, each ended by ``_stops`` on its one row."""
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
         # only term 0 is nonzero (the same term at every z), and a tail from
@@ -890,21 +830,59 @@ def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
             stopped = True
             break
 
-    ratio = _exp_or_inf(d)
-    acc = [scale_h, scale_l, total, comp, total_abs, comp_abs]
-    if not stopped:
-        used, stopped, ratio, prev_h = _blocks(
-            gen, start + _SCALAR_TERMS, end, acc, prev_h, prev_l, streak,
-            signed, None if log_mode else log_offset)
+    k, size = start + _SCALAR_TERMS, _BLOCK_MIN
+    while not stopped and k < end:
+        n = min(size, end - k)
+        lh, ll, sign = gen.terms(np.arange(k, k + n))
+
+        # rescale to the block's largest term
+        top = int(lh.argmax())
+        top_h, top_l = float(lh[top]), float(ll[top])
+        if top_h > scale_h:
+            f = math.exp(scale_h - top_h) * (1.0 + (scale_l - top_l))
+            total *= f
+            comp *= f
+            total_abs *= f
+            comp_abs *= f
+            scale_h, scale_l = top_h, top_l
+        t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
+
+        # _stops on this one row, over cumsum partial sums; the terms up to the
+        # stop are then added with fsum.  Unsigned terms are positive: their
+        # partials need no abs, and a zero term is small by its size alone
+        if signed:
+            x = sign * t
+            partial = np.abs((total + comp) + x.cumsum())
+            small = (lh == -math.inf) | (t <= _REL_TOL * partial)
+        else:
+            x = t
+            small = t <= _REL_TOL * ((total + comp) + t.cumsum())
+        used, stopped, d, streak = (v.item() for v in _stops(
+            lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
+            small[None], np.array([streak])))
+        if not log_mode and top_h + log_offset > _LOG_DOUBLE_MAX:
+            over = np.flatnonzero(lh[:used] + log_offset > _LOG_DOUBLE_MAX)
+            if over.size:
+                raise _term_overflow(k + int(over[0]),
+                                     lh[over[0]] + log_offset)
+
+        # fsum over a memoryview: the floats of tolist(), without the list
+        total, e = _two_sum(total, math.fsum(memoryview(x[:used])))
+        comp += e
+        if signed:
+            total_abs, e = _two_sum(total_abs, math.fsum(memoryview(t[:used])))
+            comp_abs += e
         terms += used
+        prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
+        k += n
+        size = min(2 * size, _BLOCK_MAX)
     if not stopped:
         raise _no_stop(req)
 
-    scale_h, scale_l, total, comp, total_abs, comp_abs = acc
     if not signed:
         total_abs, comp_abs = total, comp
     return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
-                   terms, prev_h, ratio, log_offset, log_mode)
+                   terms, prev_h, _exp_or_inf(d), log_offset, log_mode)
 
 
 def _normalized(params: FoxWrightParams, z: float) -> Request:

@@ -1492,6 +1492,43 @@ def test_head_stops_where_the_block_rule_does(case, monkeypatch):
     assert (used, hit) == ((want,), (True,))
 
 
+# the first block on hand-built term logs, after a head of 30 terms of
+# log 0 and two of log -40 that carries a streak of 2 small terms and its
+# last log into the block's _stops: the block's leading logs (the rest fall
+# by 1 each, every one small against a partial sum near 30), and the index
+# and d of its stop
+_BLOCK_LOGS = {
+    "the carried streak stops at index 0": ([(-41.0, 0.0)], 0, -1.0),
+    "a stop at index 1": ([(-40.0, 0.0), (-41.0, 0.0)], 1, -1.0),
+    "a stop at the block's last term": (
+        [(-40.0, 0.0)] * (series._BLOCK_MIN - 1) + [(-41.0, 0.0)],
+        series._BLOCK_MIN - 1, -1.0),
+    "d at _D_STOP does not stop": ([(-40.0, _D), (-41.0, 0.0)], 1,
+                                   -1.0 + 2.0 ** -52),
+    "d just below _D_STOP stops": ([(-40.0, math.nextafter(_D, -1.0))], 0,
+                                   math.nextafter(_D, -1.0)),
+    "a zero term stops": ([(-math.inf, 0.0)], 0, -math.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_LOGS))
+def test_first_block_stops_on_what_the_head_carries_in(case, monkeypatch):
+    lead, at, d = _BLOCK_LOGS[case]
+    head = [(0.0, 0.0)] * (series._SCALAR_TERMS - 2) + [(-40.0, 0.0)] * 2
+    block = lead + [(-42.0 - j, 0.0)
+                    for j in range(series._BLOCK_MIN - len(lead))]
+    lh, ll = np.array(head + block).T
+    monkeypatch.setattr(series._TermLogs, "term",
+                        lambda self, k: (lh[k], ll[k], 1.0))
+    monkeypatch.setattr(series._TermLogs, "terms",
+                        lambda self, ks: (lh[ks], ll[ks], np.ones(ks.size)))
+    res = series._sum_plain(series.Request(FoxWrightParams(), 1.0), False)
+    assert res.terms_used == series._SCALAR_TERMS + at + 1
+    last = float(lh[res.terms_used - 1])
+    assert res.tail_bound == (series._geometric_tail(
+        math.exp(last), math.exp(d)) if last > -math.inf else 0.0)
+
+
 def _long_requests():
     # eval-long-style series: epsilon 0.15-0.6 at the z where the series
     # reaches about e^v, v in 150-400, as evaluate, derivative and a tail;
@@ -1589,7 +1626,8 @@ _NO_DIGIT_LEFT = pytest.mark.xfail(
 def test_closed_forms_at_negative_z_within_the_stated_bound(form, x):
     # refused, or within the tail bound plus a rounding charge of
     # (1e-14 + u*n) * sum|t|, with sum|t| = condition * |value|; and with
-    # some digit of the value right
+    # a digit of the value right: -log10(err/|exact|) >= 1, as the
+    # benchmark counts digits
     call, closed = _AT_NEGATIVE_Z[form]
     exact = closed(x)
     try:
@@ -1600,7 +1638,7 @@ def test_closed_forms_at_negative_z_within_the_stated_bound(form, x):
     err = abs(res.value - exact)
     assert err <= res.tail_bound + rounding * res.condition_estimate * abs(
         res.value), (res, exact)
-    assert err < abs(exact), (res, exact)
+    assert err <= 0.1 * abs(exact), (res, exact)
 
 
 _EXP = FoxWrightParams(((1.0, 1.0),), ((1.0, 1.0),))
