@@ -1,12 +1,12 @@
 """The tile engine and the pFq rows of ``series.evaluate_batch``.
 
 Series requests at z > 0 with no psi weight and no saddle window
-(``window._window``) are summed as the rows of (series x k) tiles, so
-every term is positive; a request with a window, psi-weighted or not,
-goes to the single call's ``_sum_window``, and the others to
-``_sum_plain``, which owns signed terms and cancellation.  Each block of a
-tile ends its rows by ``series._stops``, the block stop rule that the
-single calls run too.  pFq requests run their recurrence element-wise
+(``window._window``) are summed as the rows of (series x k) tiles by
+``_sum_tile``, so every term is positive; a request with a window,
+psi-weighted or not, goes to the single call's ``_sum_window``, and the
+others to ``_sum_plain``, which owns signed terms and cancellation.  Each
+block of a tile ends its rows by ``series._stops``, the block stop rule
+that the single calls run too.  pFq requests run their recurrence element-wise
 across rows, each checked by ``functions._require_convergent_pfq`` and bit
 for bit its single call, ``functions._pfq_sum``.  The ``series`` module
 docstring says more, and names the array kernels the tiles use.
@@ -40,7 +40,6 @@ from .series import (
     _EXPAND_MIN,
     _LN_K,
     _REL_TOL,
-    EvalResult,
     PfqRequest,
     Request,
     _collapsed,
@@ -160,87 +159,75 @@ _BATCH_FIRST = 16
 _TILE_CAP = 16384
 
 
-class _RowSums:
-    """Summation state of every row of a tile, as arrays indexed by row.
-    Every row is unweighted at z > 0 with no saddle window, so its terms
-    are all positive and it is summed from its start."""
+def _sum_tile(reqs: list[Request]) -> list:
+    """The results of the rows of a tile, each unweighted at z > 0 with no
+    saddle window: its terms are all positive, so it is summed from its
+    start and its sum of t_k is its sum of |t_k|.  The summation state of
+    every row is an array indexed by row; each block sums the next n terms
+    of up to a _TILE_CAP share of the running rows."""
+    rows = len(reqs)
+    table = _TermTable(reqs)
+    start = np.array([r.start for r in reqs], dtype=float)
+    end = start + series._MAX_TERMS
+    k0 = start.copy()
+    scale_h = np.full(rows, -math.inf)
+    prev_h = np.full(rows, -math.inf)
+    scale_l, total, comp, prev_l = np.zeros((4, rows))
+    streak = np.zeros(rows, dtype=int)
+    terms = np.zeros(rows, dtype=int)
+    out: list = [None] * rows
+    live, n = np.arange(rows), _BATCH_FIRST
+    while live.size:
+        step = max(1, _TILE_CAP // (n * table.a.shape[1]))
+        going = []
+        for ix in (live[i:i + step] for i in range(0, live.size, step)):
+            fk = k0[ix, None] + np.arange(n)
+            valid = fk < end[ix, None]
+            lh, ll = table.logs(ix, fk)
+            lh = np.where(valid, lh, -math.inf)
+            ll = np.where(valid, ll, 0.0)
 
-    def __init__(self, reqs: list[Request]) -> None:
-        n = len(reqs)
-        self.reqs = reqs
-        self.table = _TermTable(reqs)
-        self.start = np.array([r.start for r in reqs], dtype=float)
-        self.end = self.start + series._MAX_TERMS
-        self.k0 = self.start.copy()
-        self.scale_h = np.full(n, -math.inf)
-        self.prev_h = np.full(n, -math.inf)
-        self.scale_l, self.total, self.comp, self.prev_l = np.zeros((4, n))
-        self.streak = np.zeros(n, dtype=int)
-        self.terms = np.zeros(n, dtype=int)
-        self.out: list = [None] * n
+            # rescale to the block's largest term, as _sum_plain does
+            at = np.arange(len(ix))
+            top = np.argmax(lh, axis=1)
+            top_h, top_l = lh[at, top], ll[at, top]
+            sh, sl = scale_h[ix], scale_l[ix]
+            up = top_h > sh
+            f = np.where(up & (sh > -math.inf),
+                         np.exp(sh - top_h) * (1.0 + (sl - top_l)), 1.0)
+            tot, cmp = total[ix] * f, comp[ix] * f
+            sh, sl = np.where(up, top_h, sh), np.where(up, top_l, sl)
+            t = np.exp(lh - sh[:, None]) * (1.0 + (ll - sl[:, None]))
 
-    def block(self, ix: np.ndarray, n: int) -> np.ndarray:
-        """Sum the next n terms of rows ix; returns the rows still running."""
-        fk = self.k0[ix, None] + np.arange(n)
-        valid = fk < self.end[ix, None]
-        lh, ll = self.table.logs(ix, fk)
-        lh = np.where(valid, lh, -math.inf)
-        ll = np.where(valid, ll, 0.0)
+            # _stops on cumsum partials; as in the head, a start term is
+            # never small
+            partial = (tot + cmp)[:, None] + np.cumsum(t, axis=1)
+            small = valid & (fk > start[ix, None]) & (t <= _REL_TOL * partial)
+            used, hit, d, streak[ix] = _stops(
+                lh, ll, prev_h[ix], prev_l[ix], small, streak[ix])
+            keep = np.arange(n) < used[:, None]
 
-        # rescale to the block's largest term, as _sum_series does
-        at = np.arange(len(ix))
-        top = np.argmax(lh, axis=1)
-        top_h, top_l = lh[at, top], ll[at, top]
-        sh, sl = self.scale_h[ix], self.scale_l[ix]
-        up = top_h > sh
-        f = np.where(up & (sh > -math.inf),
-                     np.exp(sh - top_h) * (1.0 + (sl - top_l)), 1.0)
-        total, comp = self.total[ix] * f, self.comp[ix] * f
-        sh, sl = np.where(up, top_h, sh), np.where(up, top_l, sl)
-        t = np.exp(lh - sh[:, None]) * (1.0 + (ll - sl[:, None]))
+            tot, e = _two_sum(tot, np.where(keep, t, 0.0).sum(axis=1))
+            cmp = cmp + e
+            scale_h[ix], scale_l[ix] = sh, sl
+            total[ix], comp[ix] = tot, cmp
+            terms[ix] += used
+            prev_h[ix], prev_l[ix] = lh[at, used - 1], ll[at, used - 1]
+            k0[ix] += n
 
-        # _stops on cumsum partials; as in the head, a start term is never
-        # small
-        partial = (total + comp)[:, None] + np.cumsum(t, axis=1)
-        small = valid & (fk > self.start[ix, None]) & (t <= _REL_TOL * partial)
-        used, hit, d, self.streak[ix] = _stops(
-            lh, ll, self.prev_h[ix], self.prev_l[ix], small, self.streak[ix])
-        keep = np.arange(n) < used[:, None]
-
-        total, e = _two_sum(total, np.where(keep, t, 0.0).sum(axis=1))
-        comp = comp + e
-        self.scale_h[ix], self.scale_l[ix] = sh, sl
-        self.total[ix], self.comp[ix] = total, comp
-        self.terms[ix] += used
-        self.prev_h[ix], self.prev_l[ix] = lh[at, used - 1], ll[at, used - 1]
-        self.k0[ix] += n
-
-        ratio = np.exp(d)
-        for r in np.flatnonzero(hit).tolist():
-            self.out[ix[r]] = self._result(ix[r], ratio[r])
-        going = ~hit
-        for r in np.flatnonzero(going & ~valid[:, -1]).tolist():
-            self.out[ix[r]] = _no_stop(self.reqs[ix[r]])
-            going[r] = False
-        return ix[going]
-
-    def _result(self, i: int, ratio: float) -> EvalResult:
-        # row i's result in log mode, from the stop's ratio; a sum of
-        # positive terms is its own sum of |t_k|
-        total = float(self.total[i] + self.comp[i])
-        return _finish(float(self.scale_h[i]), float(self.scale_l[i]), total,
-                       total, int(self.terms[i]), float(self.prev_h[i]),
-                       float(ratio), self.reqs[i].log_offset, True)
-
-    def run(self) -> list:
-        live = np.arange(len(self.reqs))
-        n = _BATCH_FIRST
-        while live.size:
-            step = max(1, _TILE_CAP // (n * self.table.a.shape[1]))
-            live = np.concatenate([self.block(live[i:i + step], n)
-                                   for i in range(0, live.size, step)])
-            n = min(2 * n, _BLOCK_MAX)
-        return self.out
+            # a stopped row's result in log mode, from the stop's ratio
+            ratio = np.exp(d)
+            for r in np.flatnonzero(hit).tolist():
+                i, s = ix[r], float(tot[r] + cmp[r])
+                out[i] = _finish(float(sh[r]), float(sl[r]), s, s,
+                                 int(terms[i]), float(prev_h[i]),
+                                 float(ratio[r]), reqs[i].log_offset, True)
+            for r in np.flatnonzero(~hit & ~valid[:, -1]).tolist():
+                out[ix[r]] = _no_stop(reqs[ix[r]])
+            going.append(ix[~hit & valid[:, -1]])
+        live = np.concatenate(going)
+        n = min(2 * n, _BLOCK_MAX)
+    return out
 
 
 def _pfq_rows(reqs: list[PfqRequest]) -> list:
@@ -319,7 +306,7 @@ def evaluate(requests: list) -> list:
                 _require_convergent_pfq(*req)
                 pfq.setdefault((len(req.upper), len(req.lower)), []).append(i)
                 continue
-            # _sum_series' route, and a tile row for an unsigned series
+            # _sum_series' route, and a tile row for a series of positive terms
             eps = _require_summable(req)
             win = _window(req, eps) if req.z > 0.0 else None
             if win is not None:
@@ -336,6 +323,6 @@ def evaluate(requests: list) -> list:
                 out[i] = res
         if tiled:
             rows = [requests[i] for i in tiled]
-            for i, res in zip(tiled, _RowSums(rows).run()):
+            for i, res in zip(tiled, _sum_tile(rows)):
                 out[i] = res
     return out

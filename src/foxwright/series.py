@@ -8,8 +8,11 @@ together with its normalized, tilde-normalized, tail, derivative, and
 d/d(beta_1) variants.  Terms are generated independently in log space (no
 term-to-term recurrence: non-integer weights would need gamma ratios anyway),
 then summed under a running scale, each step's rounding error kept by
-``ddmath._two_sum`` (the package's one compensated step), so that
-cancellation for z < 0 stays observable through ``condition_estimate``.
+``ddmath._two_sum`` (the package's one compensated step).  Every sum
+carries sum |t_k| beside sum t_k, every read of term logs returns their
+signs (+1.0 for each term at z > 0 with no psi weight, whose two sums are
+then the same float), and cancellation for z < 0 stays observable through
+``condition_estimate``.
 
 A plain sum of log-gamma values loses absolute precision once the arguments
 grow: for weights near 3 the individual log-gammas reach 1e4 while the term
@@ -72,8 +75,9 @@ beside its scalar twin: ``_dd_log_array`` and ``_log_ints_dd`` in
 ``ddmath``, ``_log_gamma_array`` in ``gammakit``, and ``_fold``,
 ``_collapsed`` and ``_expanded_rest`` take floats and arrays alike.  Its
 series requests at z > 0 with no psi weight and no saddle window, whose
-terms are all positive, become the rows of (series x k) tiles, the rows of
-shorter shapes padded with factors that add exact zeros.  Each row keeps
+terms are all positive, become the rows of (series x k) tiles, summed by
+``batch._sum_tile``, the rows of shorter shapes padded with factors that
+add exact zeros; a row's sum of t_k is its sum of |t_k|.  Each row keeps
 the coefficient table of every stage of its expansion (set up for all rows
 together, with ``_dd_log_array``), the factors still below the Stirling
 threshold go through ``_log_gamma_array``, and each block of k runs
@@ -293,8 +297,9 @@ class Request(NamedTuple):
     log-magnitude of the result shifted by ``log_offset`` (a normalization
     prefactor).  Its rules: z finite (else DomainError), epsilon > 0 (else
     DivergentSeriesError); else ParameterError: ``params`` FoxWrightParams,
-    z a number, ``start`` an integer >= 0, ``psi_weight`` None or a tuple
-    of two numbers, and ``log_offset`` a number, not NaN (it may be inf)."""
+    z a number, ``start`` an integer from 0 to 2**53 - _MAX_TERMS,
+    ``psi_weight`` None or a tuple of two numbers, and ``log_offset`` a
+    number, not NaN (it may be inf)."""
 
     params: FoxWrightParams
     z: float
@@ -492,19 +497,13 @@ class _TermLogs:
 
     def terms(self, ks: np.ndarray) -> tuple:
         """(log heads, log tails, signs) of the terms at the increasing
-        integer array ``ks``, by ``_logs``, the kernel of every read (ones
-        for the signs of an unsigned series)."""
+        integer array ``ks``, by ``_logs``, the kernel of every read: each
+        log with its psi weight, each sign that of the weighted term, +1.0
+        for every term of a series at z > 0 with no psi weight."""
         fk = ks.astype(float)
         lk = (_LN_K.take(ks, axis=1) if ks[-1] < _LN_K.shape[1]
               else _log_ints_dd(np.maximum(fk, 1.0)))
-        cols = self._weighted(ks, *self._logs(ks, fk, lk))
-        return cols if len(cols) == 3 else (*cols, np.ones(ks.size))
-
-    def _weighted(self, ks: np.ndarray, h: np.ndarray, l: np.ndarray) -> tuple:
-        # the term logs (h, l) at ks with their psi weights and signs; an
-        # unsigned series keeps no signs
-        if not self._neg and self._psi is None:
-            return h, l
+        h, l = self._logs(ks, fk, lk)
         sign = np.ones(ks.size)
         if self._neg:
             sign[ks % 2 == 1] = -1.0
@@ -582,6 +581,9 @@ def _require_summable(req: Request) -> float:
         raise ParameterError(f"start must be an integer, got {req.start!r}")
     if req.start < 0:
         raise ParameterError(f"start must be >= 0, got {req.start}")
+    if req.start > 2**53 - _MAX_TERMS:  # a double k must count every term
+        raise ParameterError(f"start must be at most 2**53 - {_MAX_TERMS}, "
+                             f"got {req.start}")
     try:
         if math.isnan(req.log_offset):
             raise ParameterError("log_offset must not be NaN")
@@ -746,8 +748,8 @@ def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
     if (not (abs(total) > 0.0 and bound <= _REL_TOL * abs(total))
             or top_h + log_offset > _LOG_DOUBLE_MAX and not log_mode):
         return _sum_plain(req, log_mode)
-    res = _finish(top_h, top_l, total, total_abs if psi is not None else total,
-                  ks.size, -math.inf, 0.0, log_offset, log_mode)
+    res = _finish(top_h, top_l, total, total_abs, ks.size, -math.inf, 0.0,
+                  log_offset, log_mode)
     return replace(res, tail_bound=_exp_or_inf(
         top_h + log_offset + math.log(bound)) if bound > 0.0 else 0.0)
 
@@ -776,8 +778,6 @@ def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
         t = sign if h > -math.inf and start == 0 else 0.0
         return _finish(h, l, t, abs(t), int(start == 0), -math.inf, 0.0,
                        log_offset, log_mode)
-    # at z > 0 with no psi weight every term is positive: sum|t_k| = sum t_k
-    signed = z < 0.0 or psi_weight is not None
     end = start + _MAX_TERMS
     gen = _TermLogs(params, z, psi_weight)
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
@@ -812,9 +812,8 @@ def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
             t = 0.0
         total, e = _two_sum(total, sign * t)
         comp += e
-        if signed:
-            total_abs, e = _two_sum(total_abs, t)
-            comp_abs += e
+        total_abs, e = _two_sum(total_abs, t)
+        comp_abs += e
 
         d = (lh - prev_h) + (ll - prev_l) if lh > -math.inf else -math.inf
         prev_h, prev_l = lh, ll
@@ -848,15 +847,10 @@ def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
         t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
 
         # _stops on this one row, over cumsum partial sums; the terms up to the
-        # stop are then added with fsum.  Unsigned terms are positive: their
-        # partials need no abs, and a zero term is small by its size alone
-        if signed:
-            x = sign * t
-            partial = np.abs((total + comp) + x.cumsum())
-            small = (lh == -math.inf) | (t <= _REL_TOL * partial)
-        else:
-            x = t
-            small = t <= _REL_TOL * ((total + comp) + t.cumsum())
+        # stop are then added with fsum
+        x = sign * t
+        partial = np.abs((total + comp) + x.cumsum())
+        small = (lh == -math.inf) | (t <= _REL_TOL * partial)
         used, stopped, d, streak = (v.item() for v in _stops(
             lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
             small[None], np.array([streak])))
@@ -869,18 +863,14 @@ def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
         # fsum over a memoryview: the floats of tolist(), without the list
         total, e = _two_sum(total, math.fsum(memoryview(x[:used])))
         comp += e
-        if signed:
-            total_abs, e = _two_sum(total_abs, math.fsum(memoryview(t[:used])))
-            comp_abs += e
+        total_abs, e = _two_sum(total_abs, math.fsum(memoryview(t[:used])))
+        comp_abs += e
         terms += used
         prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
         k += n
         size = min(2 * size, _BLOCK_MAX)
     if not stopped:
         raise _no_stop(req)
-
-    if not signed:
-        total_abs, comp_abs = total, comp
     return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
                    terms, prev_h, _exp_or_inf(d), log_offset, log_mode)
 

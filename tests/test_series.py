@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -193,11 +194,30 @@ def test_series_of_zero_terms_sums_to_zero(z):
                 (zero, 0.0))[0] == 2
 
 
-@pytest.mark.parametrize("upper", [(1.0,), (1.0, 1.0)])
-def test_pfq_of_positive_terms_has_condition_one(upper):
-    # sum |t_k| is summed as sum t_k is, so with every term positive the
-    # two sums are the same float
-    assert pfq_direct(upper, (2.0,), 0.5).condition_estimate == 1.0
+@pytest.mark.parametrize("route, call", [
+    ("head", lambda: evaluate(P1, 0.5)),
+    ("block", lambda: evaluate(_EXP, 30.0)),
+    ("window", lambda: evaluate(_EXP, 700.0)),
+    ("window", lambda: derivative(_EXP, 700.0)),
+    ("tile", lambda: series.evaluate_batch([series.Request(P1, 2.0)])[0]),
+    ("tile", lambda: series.evaluate_batch([series.Request(P1, 2.0, 3)])[0]),
+    ("pfq", lambda: pfq_direct((1.0,), (2.0,), 0.5)),
+    ("pfq", lambda: pfq_direct((1.0, 1.0), (2.0,), 0.5)),
+], ids=["head", "block", "window", "window-derivative", "tile", "tile-tail",
+        "pfq-1F1", "pfq-2F1"])
+def test_sum_of_positive_terms_has_condition_one(route, call):
+    # every sum carries sum |t_k| beside sum t_k, step for step, so with
+    # every term positive the two sums are the same float on every route
+    if route == "head":
+        assert call().terms_used <= series._SCALAR_TERMS
+    if route == "block":
+        assert _win(_EXP, 30.0, 0) is None
+        assert call().terms_used > series._SCALAR_TERMS
+    if route == "window":
+        assert _win(_EXP, 700.0, 0) and _win(_EXP.shifted(), 700.0, 0)
+    if route == "tile":
+        assert _win(P1, 2.0, 0) is None and _win(P1, 2.0, 3) is None
+    assert call().condition_estimate == 1.0
 
 
 def test_tail_reference_value():
@@ -1309,6 +1329,12 @@ def test_malformed_request_fails_in_its_own_slot():
     # NaN and drop out of the sum
     (series._dbeta1(FoxWrightParams(((1.0, 1.0),), ((1e-309, 1.0),)), 0.5),
      "psi_weight's b must have a finite reciprocal, got 1e-309"),
+    # past 2**53 a double k cannot count terms: at start 2**62 the tile's
+    # k += n would stand still and the request never return
+    (series.Request(P1, 2.0, 2**62),
+     "start must be at most 2**53 - 10000, got 4611686018427387904"),
+    (series.Request(P1, 2.0, 2**53 - 9999),
+     "start must be at most 2**53 - 10000, got 9007199254730993"),
 ])
 def test_malformed_field_fails_in_its_own_slot(bad, msg):
     # a hand-built request of any kind fails with a ParameterError in its
@@ -1322,6 +1348,20 @@ def test_malformed_field_fails_in_its_own_slot(bad, msg):
             pfq_direct(*bad)
         else:
             series._sum_series(bad, False)
+
+
+def test_start_whose_terms_pass_two_to_the_53_is_refused(monkeypatch):
+    # unchecked, the single call would sum the tail of 2**62 to -0.0 with
+    # sign 1; the budget is read at each call
+    with pytest.raises(ParameterError, match="^start must be at most 2"):
+        evaluate_tail(P1, TailSpec(2**62), 2.0)
+    with pytest.raises(ParameterError, match="^start must be at most 2"):
+        tail_turan_check(FoxWrightParams(), 2**62, 1.0)
+    assert evaluate_tail(P1, TailSpec(2**53 - 10001), 2.0).value == 0.0
+    monkeypatch.setattr(series, "_MAX_TERMS", 100)
+    assert evaluate_tail(P1, TailSpec(2**53 - 101), 2.0).value == 0.0
+    with pytest.raises(ParameterError, match=r"^start .* 2\*\*53 - 100, got"):
+        evaluate_tail(P1, TailSpec(2**53 - 100), 2.0)
 
 
 def test_signed_and_weighted_requests_take_the_single_call_path():
@@ -1646,9 +1686,9 @@ _WRIGHT_HALF = FoxWrightParams((), ((0.5, 1.0),))
 
 
 def _head_of_exp(z, n):
-    # sum_{k <= n} z^k/k!, by its term logs
-    return math.fsum(math.exp(k * math.log(z) - math.lgamma(k + 1.0))
-                     for k in range(n + 1))
+    # sum_{k <= n} z^k/k!, summed exactly and rounded once
+    return float(sum(Fraction(z) ** k / math.factorial(k)
+                     for k in range(n + 1)))
 
 
 # closed forms whose calls sum their saddle windows: e^z, its derivative
@@ -1673,6 +1713,29 @@ def test_closed_forms_over_the_saddle_window(params, z, exact, slope, n, head):
     for res, want in zip(results + series.evaluate_batch(reqs), wants * 2):
         rel = res.tail_bound / want + 1e-14 + 2.0 ** -53 * res.terms_used
         assert abs(res.value - want) <= rel * want, (res, want)
+
+
+@pytest.mark.parametrize("z, n", [(z, n) for z in (5.0, 30.0, -2.0, -5.0)
+                                  for n in (0, 3)] + [(30.0, 40)])
+def test_exp_tail_lies_within_its_stated_error(z, n):
+    # e^z - sum_{k <= n} z^k/k! by the single call and by a batch row, a
+    # tile row at z > 0 and a log-mode plain sum at z < 0; the reference
+    # adds its own rounding, at most 2 ulp of the larger of e^z and the
+    # head: 1 for exp, 1/2 for the head and 1/2 for the difference
+    head = _head_of_exp(z, n)
+    want = math.exp(z) - head
+    ref_err = 2 * 2.0 ** -52 * max(math.exp(z), abs(head))
+    for res in [evaluate_tail(_EXP, TailSpec(n), z),
+                *series.evaluate_batch([series.Request(_EXP, z, n + 1)])]:
+        allowed = res.tail_bound + ref_err + (
+            1e-14 + 2.0 ** -53 * res.terms_used) * (
+            res.condition_estimate * abs(res.value))
+        assert abs(res.value - want) <= allowed, (res, want)
+        if z < 0.0:
+            assert res.sign == math.copysign(1, want)
+            assert (abs(res.log_magnitude - math.log(abs(want)))
+                    <= allowed / abs(want)
+                    + 2.0 ** -52 * abs(math.log(abs(want)))), (res, want)
 
 
 def test_window_reaches_log_magnitudes_past_the_old_budget():
