@@ -4,12 +4,13 @@ Series requests at z > 0 with no psi weight and no saddle window
 (``window._window``) are summed as the rows of (series x k) tiles by
 ``_sum_tile``, so every term is positive; a request with a window,
 psi-weighted or not, goes to the single call's ``_sum_window``, and the
-others to ``_sum_plain``, which owns signed terms and cancellation.  Each
-block of a tile ends its rows by ``series._stops``, the block stop rule
-that the single calls run too.  pFq requests run their recurrence element-wise
-across rows, each checked by ``functions._require_convergent_pfq`` and bit
-for bit its single call, ``functions._pfq_sum``.  The ``series`` module
-docstring says more, and names the array kernels the tiles use.
+others to ``_sum_plain``, which owns signed terms and cancellation and
+sums one term at a time.  Each block of a tile ends its rows by
+``_stops``, the stop rule of ``_sum_plain`` over arrays.  pFq requests run
+their recurrence element-wise across rows, each checked by
+``functions._require_convergent_pfq`` and bit for bit its single call,
+``functions._pfq_sum``.  The ``series`` module docstring says more, and
+names the array kernels the tiles use.
 ``series.evaluate_batch`` imports this module on its first call, so
 importing the package for single calls does not load it.
 """
@@ -36,7 +37,7 @@ from .functions import (
 )
 from .gammakit import _log_gamma_array
 from .series import (
-    _BLOCK_MAX,
+    _D_STOP,
     _EXPAND_MIN,
     _LN_K,
     _REL_TOL,
@@ -48,7 +49,6 @@ from .series import (
     _fold,
     _no_stop,
     _require_summable,
-    _stops,
     _sum_plain,
     _sum_window,
 )
@@ -156,7 +156,35 @@ class _TermTable:
 # _TILE_CAP // (n * f) rows at a time, which bounds every (row, k, factor)
 # temporary at _TILE_CAP elements (128 KiB).
 _BATCH_FIRST = 16
+_BLOCK_MAX = 512
 _TILE_CAP = 16384
+
+
+def _stops(lh, ll, prev_h, prev_l, small, streak):
+    """The stop rule of ``series._sum_plain`` over the (row, k) arrays of a
+    tile block: a row stops at its first term that ends three small terms
+    in a row (the ``streak`` carried in counts) and whose d = (lh - prev_h)
+    + (ll - prev_l) is below _D_STOP, as a zero term's -inf is.  Returns
+    per row the terms used, whether it stopped, the d of its stop (NaN if
+    it did not), and the streak of small terms it carries out."""
+    rows, n = lh.shape
+    if not small.any():  # no row can stop, and none carries a streak out
+        return (np.full(rows, n), np.zeros(rows, dtype=bool),
+                np.full(rows, np.nan), np.zeros(rows, dtype=int))
+    # the small terms in a row that end at each term, the streak counting
+    k = np.arange(n)
+    run = k - np.maximum.accumulate(np.where(small, (-1 - streak)[:, None], k),
+                                    axis=1)
+    # d as np.diff with the previous term prepended forms it, without
+    # np.diff's per-call checks
+    h = np.concatenate((prev_h[:, None], lh), axis=1)
+    l = np.concatenate((prev_l[:, None], ll), axis=1)
+    d = (h[:, 1:] - h[:, :-1]) + (l[:, 1:] - l[:, :-1])
+    stop = (run >= 3) & (d < _D_STOP)
+    at, first = np.arange(rows), stop.argmax(axis=1)
+    hit = stop[at, first]
+    return (np.where(hit, first + 1, n), hit,
+            np.where(hit, d[at, first], np.nan), run[:, -1])
 
 
 def _sum_tile(reqs: list[Request]) -> list:
@@ -187,7 +215,7 @@ def _sum_tile(reqs: list[Request]) -> list:
             lh = np.where(valid, lh, -math.inf)
             ll = np.where(valid, ll, 0.0)
 
-            # rescale to the block's largest term, as _sum_plain does
+            # rescale to the block's largest term
             at = np.arange(len(ix))
             top = np.argmax(lh, axis=1)
             top_h, top_l = lh[at, top], ll[at, top]
@@ -199,7 +227,7 @@ def _sum_tile(reqs: list[Request]) -> list:
             sh, sl = np.where(up, top_h, sh), np.where(up, top_l, sl)
             t = np.exp(lh - sh[:, None]) * (1.0 + (ll - sl[:, None]))
 
-            # _stops on cumsum partials; as in the head, a start term is
+            # _stops on cumsum partials; as in _sum_plain, a start term is
             # never small
             partial = (tot + cmp)[:, None] + np.cumsum(t, axis=1)
             small = valid & (fk > start[ix, None]) & (t <= _REL_TOL * partial)

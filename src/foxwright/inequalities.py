@@ -48,6 +48,7 @@ from .gammakit import (
 )
 from .report import (STATUS_NUMERICAL_FAILURE, _is_index, value_report,
                      worst_report)
+from . import series
 from .series import (
     _LOG_DOUBLE_MAX,
     _exp_or_inf,
@@ -388,12 +389,16 @@ def _require_constant_upper(params: FoxWrightParams, what: str) -> None:
 
 
 def _tail_index(n: int) -> int:
-    # a checker's tail index: an integer, as TailSpec takes it, and >= 0
+    # a checker's tail index: an integer, as TailSpec takes it, >= 0, and
+    # at most the largest whose requests (from n + 3 at most) start in range
     if not _is_index(n):
         raise ParameterError(f"tail index must be an integer, got {n!r}")
     n = int(n)
     if n < 0:
         raise ParameterError(f"tail index must be >= 0, got {n}")
+    if n > 2**53 - series._MAX_TERMS - 3:
+        raise ParameterError(f"tail index must be at most 2**53 - "
+                             f"{series._MAX_TERMS} - 3, got {n}")
     return n
 
 

@@ -29,27 +29,23 @@ skips ln(k) while no factor is expanded: its coefficients are zero.
 
 The single-call entry points (``evaluate`` and its variants) sum a series
 from its start in one function, ``_sum_plain``, over one table of those
-coefficients.  Its first 32 terms (counted from the start index) come one
-at a time from ``_TermLogs.term``, so the many calls that stop within a
-few dozen terms pay no array overhead; they take ln(k) for k < 64, and
-lnGamma(k+1) while 1/k! waits (k <= 10), from per-k tables that
-``_log_int_dd`` and ``log_gamma`` fill at import.  Later terms come from
-``_TermLogs.terms`` in numpy blocks of 64, 128, 256 and then 512, read as
-each block runs: the same arithmetic element-wise (the error-free
-transforms are exact on IEEE float64 arrays), with ln(k) from ``_LN_K``
-for k < 8,192, and each block is summed with ``math.fsum`` up to its stop.
-The head tests the stop rule one term at a time, and a block ends by
-``_stops``, the same rule over arrays that ends a tile's rows too: three
-small terms in a row, the log d of the last one's ratio to the term before
-below ``_D_STOP``.
+coefficients, one term at a time from ``_TermLogs.term``.  That path calls
+``math`` and no numpy, so a plain sum has the same bits on every CPU; it
+takes ln(k) for k < 64, and lnGamma(k+1) while 1/k! waits (k <= 10), from
+per-k tables that ``_log_int_dd`` and ``log_gamma`` fill at import.  It
+stops at the first term that ends three small terms in a row and whose log
+d of its ratio to the term before is below ``_D_STOP``; ``batch._stops``
+is the same rule over the arrays of a tile.
 
 A request at z > 0, with or without a psi weight, whose terms peak far
 from its start sums its saddle window instead (``window._window``,
-``_sum_window``), from one array read of term logs by the block phase's
-kernel: every term of [start, k0) with its sign, none of [k0, k_lo), and
-the window on the lattice k_lo + j*h, j = 0..n (n the fewest strides of
-h = ``window._stride`` that reach k_hi), whose terms times h sum it by the
-trapezoid rule, far below double rounding (see ``window``).  k_lo is where
+``_sum_window``), from one array read of term logs, ``_TermLogs.terms``
+(``term``'s arithmetic element-wise, exact on IEEE float64 arrays, with
+ln(k) from ``_LN_K`` for k < 8,192): every term of [start, k0) with its
+sign, none of [k0, k_lo), and the window on the lattice k_lo + j*h, j =
+0..n (n the fewest strides of h = ``window._stride`` that reach k_hi),
+whose terms times h sum it by the trapezoid rule, far below double
+rounding (see ``window``).  k_lo is where
 log t lies 45 below the peak, and k0 is the index of
 ``window._monotone_from``'s lemma, from which no term ratio increases
 (past the zero of a psi weight too, by its corollary); so |t_{k_lo}|
@@ -81,12 +77,12 @@ add exact zeros; a row's sum of t_k is its sum of |t_k|.  Each row keeps
 the coefficient table of every stage of its expansion (set up for all rows
 together, with ``_dd_log_array``), the factors still below the Stirling
 threshold go through ``_log_gamma_array``, and each block of k runs
-``_stops`` row by row on ``cumsum`` partials, so a row's result never
+``batch._stops`` row by row on ``cumsum`` partials, so a row's result never
 depends on the other rows of its tile.  Blocks start at 16 terms and
 double up to 512; a block call holds at most ``batch._TILE_CAP`` (row, k,
 factor) elements an array, and rows that have stopped drop out.  A row
 agrees with its single call within their error estimates but not bit for
-bit: a block is added with a pairwise sum instead of ``math.fsum``, and
+bit: a block is added with a pairwise sum, not term by term, and
 numpy's logarithms and exponentials may differ from ``math``'s in the last
 bit.  A series request with a saddle window takes ``_sum_window``, the one
 sum over a window, and one at z <= 0 or with a psi weight and no window
@@ -253,9 +249,9 @@ class EvalResult:
 
     value is sign * exp(log_magnitude) when that is representable, and +-inf
     past the double range (only evaluate_batch returns such a result).
-    tail_bound is ``_geometric_tail`` of the last term and the ratio of the
-    stop (``_stops``' test); a pFq sum's is that of its last term summed
-    and the next ratio (at p = q + 1 at least |z|).  For a call summed over
+    tail_bound is ``_geometric_tail`` of the last term and exp(d) of the
+    stop; a pFq sum's is that of its last term summed and the next ratio
+    (at p = q + 1 at least |z|).  For a call summed over
     its saddle window (dbeta1's too) it is the sum of four terms
     (``_sum_window``): the geometric bounds of the skipped left flank [k0,
     k_lo) and of the tail past the lattice, which rest on the lemma of
@@ -339,13 +335,14 @@ def _log_term_at_zero(params: FoxWrightParams) -> float:
 # the domain of gammakit's Stirling series.
 _EXPAND_MIN = 12.0
 
-# the head's per-k tables (see the module docstring); 1/k! waits for k <= 10
+# _TermLogs.term's per-k tables (see the module docstring); 1/k! waits for
+# k <= 10
 _LOG_INTS = tuple(_log_int_dd(k) for k in range(1, 64))
 _LOG_FACTORIALS = tuple(log_gamma(k + 1.0) for k in range(11))
 
 
 # ln max(k, 1) for k < 8,192 as head/tail rows (128 KB), from _log_ints_dd:
-# the block phase slices or indexes it by k instead of recomputing it
+# array reads index it by k instead of recomputing it
 _LN_K = np.array(_log_ints_dd(np.maximum(np.arange(8192.0), 1.0)))
 _LN_K.flags.writeable = False
 
@@ -389,8 +386,9 @@ class _TermLogs:
     """Stabilized per-term log magnitudes for one summation run.
 
     ``term(k)`` returns log|term k| times the psi weight -psi(b + k*B) as a
-    head/tail pair, with the sign of the weighted term, and ``terms(ks)``
-    those at an increasing array of k, in one read.
+    head/tail pair, with the sign of the weighted term (``_sum_plain``'s
+    read), and ``terms(ks)`` those at an increasing array of k, in one read
+    (``_sum_window``'s).
     Factors whose argument a + w*k has reached _EXPAND_MIN contribute through
     the Stirling form expanded around w*k.  Summed over those factors (1/k!
     included as a lower factor with a = w = 1) the pieces collapse into one
@@ -638,15 +636,6 @@ def _finish(scale_h: float, scale_l: float, total: float, total_abs: float,
     return EvalResult(value, terms, tail, cond, log_mag, sgn)
 
 
-# Terms that _sum_plain reads one at a time from a call's start index
-# before it reads numpy blocks, whose sizes double from _BLOCK_MIN to
-# _BLOCK_MAX.  An array read of term logs costs a few hundred microseconds,
-# as much as 20 one-term steps, while most calls stop within 10-30 terms.
-_SCALAR_TERMS = 32
-_BLOCK_MIN = 64
-_BLOCK_MAX = 512
-
-
 def _term_overflow(k: int, lh: float) -> OverflowError:
     return OverflowError(
         f"term k={k} has log-magnitude {lh:.6g}, beyond double "
@@ -669,34 +658,6 @@ def _no_stop(req: Request) -> NoConvergenceError:
 # d: d < _D_STOP is the same test on every CPU, and any faithful exp(d)
 # stays below 1 there, so a stop's geometric tail bound stays positive
 _D_STOP = -2.0 ** -52
-
-
-def _stops(lh, ll, prev_h, prev_l, small, streak):
-    """The stop rule of both block engines, over (row, k) arrays, and of the
-    head, one term at a time: a row stops at its first term that ends three
-    small terms in a row (the ``streak`` carried in counts) and whose d =
-    (lh - prev_h) + (ll - prev_l) is below _D_STOP, as a zero term's -inf
-    is (the head's after a zero term too: an all-zero series).  Returns
-    per row the terms used, whether it stopped, the d of its stop (NaN if
-    it did not), and the streak of small terms it carries out."""
-    rows, n = lh.shape
-    if not small.any():  # no row can stop, and none carries a streak out
-        return (np.full(rows, n), np.zeros(rows, dtype=bool),
-                np.full(rows, np.nan), np.zeros(rows, dtype=int))
-    # the small terms in a row that end at each term, the streak counting
-    k = np.arange(n)
-    run = k - np.maximum.accumulate(np.where(small, (-1 - streak)[:, None], k),
-                                    axis=1)
-    # d as np.diff with the previous term prepended forms it, without
-    # np.diff's per-call checks
-    h = np.concatenate((prev_h[:, None], lh), axis=1)
-    l = np.concatenate((prev_l[:, None], ll), axis=1)
-    d = (h[:, 1:] - h[:, :-1]) + (l[:, 1:] - l[:, :-1])
-    stop = (run >= 3) & (d < _D_STOP)
-    at, first = np.arange(rows), stop.argmax(axis=1)
-    hit = stop[at, first]
-    return (np.where(hit, first + 1, n), hit,
-            np.where(hit, d[at, first], np.nan), run[:, -1])
 
 
 def _sum_window(req: Request, win: tuple, eps: float, log_mode: bool):
@@ -768,8 +729,7 @@ def _sum_series(req: Request, log_mode: bool) -> EvalResult:
 
 
 def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
-    """_sum_series of a request from its start: one term at a time, then in
-    blocks, each ended by ``_stops`` on its one row."""
+    """_sum_series of a request from its start, one term at a time."""
     params, z, start, psi_weight, log_offset = req
     if z == 0.0:
         # only term 0 is nonzero (the same term at every z), and a tail from
@@ -778,7 +738,6 @@ def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
         t = sign if h > -math.inf and start == 0 else 0.0
         return _finish(h, l, t, abs(t), int(start == 0), -math.inf, 0.0,
                        log_offset, log_mode)
-    end = start + _MAX_TERMS
     gen = _TermLogs(params, z, psi_weight)
     scale_h = -math.inf  # running log scale of the accumulators, head/tail
     scale_l = 0.0
@@ -789,12 +748,9 @@ def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
     prev_h = -math.inf
     prev_l = 0.0
     streak = 0
-    terms = 0
-    stopped = False
 
-    for k in range(start, min(start + _SCALAR_TERMS, end)):
+    for k in range(start, start + _MAX_TERMS):
         lh, ll, sign = gen.term(k)
-        terms += 1
         if lh + log_offset > _LOG_DOUBLE_MAX and not log_mode:
             raise _term_overflow(k, lh + log_offset)
 
@@ -818,61 +774,18 @@ def _sum_plain(req: Request, log_mode: bool) -> EvalResult:
         d = (lh - prev_h) + (ll - prev_l) if lh > -math.inf else -math.inf
         prev_h, prev_l = lh, ll
 
-        # _stops' rule on one term: three consecutive relatively small
-        # terms, and the last d below _D_STOP
+        # the stop rule: three consecutive relatively small terms, and the
+        # last d below _D_STOP
         partial = abs(total + comp)
         if lh == -math.inf or (k > start and t <= _REL_TOL * partial):
             streak += 1
         else:
             streak = 0
         if streak >= 3 and d < _D_STOP:
-            stopped = True
-            break
-
-    k, size = start + _SCALAR_TERMS, _BLOCK_MIN
-    while not stopped and k < end:
-        n = min(size, end - k)
-        lh, ll, sign = gen.terms(np.arange(k, k + n))
-
-        # rescale to the block's largest term
-        top = int(lh.argmax())
-        top_h, top_l = float(lh[top]), float(ll[top])
-        if top_h > scale_h:
-            f = math.exp(scale_h - top_h) * (1.0 + (scale_l - top_l))
-            total *= f
-            comp *= f
-            total_abs *= f
-            comp_abs *= f
-            scale_h, scale_l = top_h, top_l
-        t = np.exp(lh - scale_h) * (1.0 + (ll - scale_l))
-
-        # _stops on this one row, over cumsum partial sums; the terms up to the
-        # stop are then added with fsum
-        x = sign * t
-        partial = np.abs((total + comp) + x.cumsum())
-        small = (lh == -math.inf) | (t <= _REL_TOL * partial)
-        used, stopped, d, streak = (v.item() for v in _stops(
-            lh[None], ll[None], np.array([prev_h]), np.array([prev_l]),
-            small[None], np.array([streak])))
-        if not log_mode and top_h + log_offset > _LOG_DOUBLE_MAX:
-            over = np.flatnonzero(lh[:used] + log_offset > _LOG_DOUBLE_MAX)
-            if over.size:
-                raise _term_overflow(k + int(over[0]),
-                                     lh[over[0]] + log_offset)
-
-        # fsum over a memoryview: the floats of tolist(), without the list
-        total, e = _two_sum(total, math.fsum(memoryview(x[:used])))
-        comp += e
-        total_abs, e = _two_sum(total_abs, math.fsum(memoryview(t[:used])))
-        comp_abs += e
-        terms += used
-        prev_h, prev_l = float(lh[used - 1]), float(ll[used - 1])
-        k += n
-        size = min(2 * size, _BLOCK_MAX)
-    if not stopped:
-        raise _no_stop(req)
-    return _finish(scale_h, scale_l, total + comp, total_abs + comp_abs,
-                   terms, prev_h, _exp_or_inf(d), log_offset, log_mode)
+            return _finish(scale_h, scale_l, total + comp,
+                           total_abs + comp_abs, k - start + 1, lh,
+                           _exp_or_inf(d), log_offset, log_mode)
+    raise _no_stop(req)
 
 
 def _normalized(params: FoxWrightParams, z: float) -> Request:
